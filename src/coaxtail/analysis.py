@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .aero import WingMode
 from .control import AllocationGains, forward_model, mix, Wrench
@@ -130,11 +129,19 @@ def psd(series, segment=1024, overlap=0.5):
         raise ConfigError(f"segment {segment} exceeds series length {n}")
     if not 0.0 <= overlap <= 0.9:
         raise ConfigError("overlap must lie in [0, 0.9]")
-    freq, density = signal.welch(
-        series.values, fs=series.fs, window="hann", nperseg=segment,
-        noverlap=int(round(overlap * segment)), detrend=False,
-        scaling="density")
-    density = np.maximum(density, 0.0)
+    step = segment - int(round(overlap * segment))
+    if step < 1:
+        raise ConfigError(f"overlap {overlap} leaves no hop between "
+                          f"{segment}-sample segments")
+    frames = np.lib.stride_tricks.sliding_window_view(
+        series.values, segment)[::step]
+    window = np.hanning(segment + 1)[:-1]  # periodic Hann
+    spectra = np.fft.rfft(frames * window, axis=1)
+    density = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+    density /= series.fs * np.sum(window * window)
+    # one-sided: fold negative frequencies in, except DC and even Nyquist
+    density[1:(segment + 1) // 2] *= 2.0
+    freq = np.fft.rfftfreq(segment, 1.0 / series.fs)
     return PsdResult(freq=freq, density=density,
                      avg_db=_mean_density_db(density))
 
@@ -236,7 +243,10 @@ _ALLOCATION_KEYS = {"c_t1", "c_t2", "k_t1", "k_t2", "c_m", "k_ey", "k_ez",
 
 def _read_ini(path, allowed):
     cfg = configparser.ConfigParser(interpolation=None)
-    loaded = cfg.read(path)
+    try:
+        loaded = cfg.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
     for section in cfg.sections():
@@ -559,7 +569,3 @@ def cli_main(argv=None):
     except OSError as exc:
         _error_line("runtime", exc)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(cli_main())

@@ -1,31 +1,16 @@
-"""Hot numeric inner loops, compiled with numba when available.
+"""Hot numeric inner loops, one plain-numpy source each.
 
 Two kernels live here: the azimuth-domain RK4 integrator for the
 swashplateless-rotor dynamics, and the single RK4 step of the rigid-body
-6-DOF state. Both are written in numba-compatible numpy, each fully
-self-contained, so the exact same source runs on the pure-numpy fallback
-path and compiles cleanly with ``cache=True``.
-
-Set ``COAXTAIL_NO_NUMBA=1`` in the environment to force the fallback.
-``benchmarks/kernel_bench.py`` times the two paths against each other.
+6-DOF state. Each is self-contained and works element by element on
+small arrays. ``perfbench/run.py --trace 1`` reports their per-call cost.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_disable = os.environ.get("COAXTAIL_NO_NUMBA", "").strip().lower() not in ("", "0", "false", "no")
-
-try:
-    if _disable:
-        raise ImportError("numba disabled via COAXTAIL_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+NUMBA_ENABLED = False  # no jit path; kept because the benchmark records it
 
 STATUS_OK = 0
 STATUS_SINGULAR = 1
@@ -34,7 +19,7 @@ _QUARTER_PI = 0.25 * np.pi
 _SINGULAR_GUARD = 1e-6
 
 
-def _splm_trajectory_impl(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
+def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     """Integrate the rotor perturbation dynamics over n_steps of size h.
 
     The independent variable is rotor azimuth (rad), not wall time.
@@ -94,7 +79,7 @@ def _splm_trajectory_impl(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     return out, STATUS_OK
 
 
-def _rigid_step_impl(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
+def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     """One RK4 step of the 13-state rigid body; quaternion renormalized.
 
     State layout [p(3), v(3), q(4, wxyz), w(3)]. Force and torque are held
@@ -167,19 +152,3 @@ def _rigid_step_impl(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h
         out[j] = out[j] / qn
     return out
 
-
-# The pure-numpy callables are always importable; the jit pair exists only
-# when numba is importable and not disabled. Public names dispatch on the flag.
-splm_trajectory_numpy = _splm_trajectory_impl
-rigid_step_numpy = _rigid_step_impl
-
-if NUMBA_ENABLED:
-    splm_trajectory_jit = njit(cache=True)(_splm_trajectory_impl)
-    rigid_step_jit = njit(cache=True)(_rigid_step_impl)
-    splm_trajectory = splm_trajectory_jit
-    rigid_step = rigid_step_jit
-else:
-    splm_trajectory_jit = None
-    rigid_step_jit = None
-    splm_trajectory = splm_trajectory_numpy
-    rigid_step = rigid_step_numpy

@@ -10,13 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def normalize(q: np.ndarray) -> np.ndarray:
-    n = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if n == 0.0:
-        raise ValueError("zero quaternion cannot be normalized")
-    return q / n
-
-
 def conjugate(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
@@ -63,18 +56,6 @@ def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     half = 0.5 * angle
     s = np.sin(half) / n
     return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
-
-
-def to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix R with R @ v_body = v_world."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def error_rotation_vector(q: np.ndarray, q_sp: np.ndarray) -> np.ndarray:

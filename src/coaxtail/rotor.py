@@ -351,8 +351,9 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         raise ConfigError("throttle must be positive")
     if amplitude < 0.0:
         raise ConfigError("amplitude must be non-negative")
-    if duration <= 0.0 or fs <= 0.0:
-        raise ConfigError("duration and fs must be positive")
+    if not (math.isfinite(duration) and duration > 0.0
+            and math.isfinite(fs) and fs > 0.0):
+        raise ConfigError("duration and fs must be positive and finite")
     if substeps < 1:
         raise ConfigError("substeps must be at least 1")
     omega = params.speed_per_throttle * throttle

@@ -114,9 +114,6 @@ class VehicleState:
     orientation: np.ndarray  # wxyz, body to world
     body_rate: np.ndarray
     wing_mode: WingMode = WingMode.RETRACTED
-    rotor_azimuth: float = 0.0
-    rotor_speed: float = 0.0  # fore, rad/s
-    aft_speed: float = 0.0  # aft, rev/s
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -285,9 +282,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.mode not in ("hover", "transition"):
             raise ConfigError("scenario mode must be 'hover' or 'transition'")
-        if self.duration <= 0.0:
-            raise ConfigError("duration must be positive")
-        if self.dt <= 0.0 or self.dt > _MAX_DT:
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise ConfigError("duration must be positive and finite")
+        if not (math.isfinite(self.dt) and 0.0 < self.dt <= _MAX_DT):
             raise ConfigError("dt must lie in (0, 1 ms]")
         base = 1.0 / self.dt
         if abs(base - round(base)) > 1e-6:
@@ -535,10 +532,6 @@ def run_scenario(spec, params):
             raise SimulationFault(
                 f"tick {k} (t={t:.3f} s): {exc}") from exc
         state.wing_mode = wing_mode
-        state.rotor_speed = params.splm.speed_per_throttle * cmd.t_d1
-        state.rotor_azimuth = math.remainder(
-            state.rotor_azimuth + state.rotor_speed * spec.dt, 2.0 * math.pi)
-        state.aft_speed = params.aft_speed_per_count * cmd.t_d2
 
     return SimLog(name=spec.name, t=t_col, state=state_col, td1=td1, td2=td2,
                   mdx=mdx, mdy=mdy, d1=d1, d2=d2, mode=mode_col, lam=lam_col,

@@ -1,11 +1,14 @@
 """Vibration analysis chain, config/CSV ingestion, and the CLI."""
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coaxtail
 from coaxtail.analysis import (
     DB_FLOOR,
     PsdResult,
@@ -118,6 +121,8 @@ class TestPsd:
             psd(s, segment=256, overlap=0.95)
         with pytest.raises(ConfigError):
             psd(s, segment=256, overlap=-0.1)
+        with pytest.raises(ConfigError):
+            psd(s, segment=2, overlap=0.9)  # rounds to a zero hop
 
     def test_all_zero_series_floors(self):
         result = psd(series(np.zeros(4096)), segment=512)
@@ -148,6 +153,25 @@ class TestPsd:
         pa = float(np.sum(a.density) * df)
         pb = float(np.sum(b.density) * df)
         assert abs(pb - pa) / pa < 0.01  # bound checked for this seed
+
+    @pytest.mark.parametrize("n,segment,overlap,fs", [
+        (8192, 1024, 0.5, 1000.0),
+        (5000, 257, 0.5, 1000.0),    # odd segment
+        (3000, 512, 0.3, 250.0),     # trailing partial segment dropped
+        (4096, 256, 0.9, 2000.0),
+        (1000, 1000, 0.0, 10.0),     # single segment
+        (2, 2, 0.5, 1.0),
+    ])
+    def test_matches_scipy_welch(self, n, segment, overlap, fs):
+        signal = pytest.importorskip("scipy.signal")
+        x = np.random.default_rng(n + segment).standard_normal(n) + 0.3
+        result = psd(series(x, fs=fs), segment=segment, overlap=overlap)
+        freq, density = signal.welch(
+            x, fs=fs, window="hann", nperseg=segment,
+            noverlap=int(round(overlap * segment)), detrend=False,
+            scaling="density")
+        assert np.array_equal(result.freq, freq)
+        assert np.allclose(result.density, density, rtol=1e-12, atol=0.0)
 
     def test_bins_ascend_densities_nonneg(self):
         result = psd(sine(100.0, n=4096), segment=512)
@@ -339,6 +363,17 @@ class TestTablePowers:
         assert by_name["HPC"].cruise_w < by_name["HLC"].cruise_w
 
 
+class TestImport:
+    def test_runtime_needs_numpy_only(self):
+        code = ("import sys, coaxtail; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "& {'scipy', 'numba'}))")
+        src = str(Path(coaxtail.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestCli:
     def test_power_analysis_fixture_summary(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -411,11 +446,15 @@ class TestCli:
 
     def test_simulate_rejects_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[scenario]\nmode = sideways\n")
-        code = cli_main(["simulate", str(cfg)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "category=validation" in captured.err
+        for text in ("[scenario]\nmode = sideways\n",
+                     "[scenario]\nduration_s = nan\n",
+                     "[scenario]\ndt_s = nan\n",
+                     "duration_s = 1\n"):  # no section header
+            cfg.write_text(text)
+            code = cli_main(["simulate", str(cfg)])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1
+            assert len(err) == 1 and "category=validation" in err[0]
 
     def test_wind_test_prints_peak(self, capsys):
         code = cli_main(["wind-test", "--mode", "retracted",

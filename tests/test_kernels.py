@@ -1,4 +1,4 @@
-"""Numerical kernels: jit and plain-numpy paths must agree."""
+"""Numerical kernels: rotor trajectory and rigid-body RK4 step."""
 
 import math
 
@@ -44,23 +44,6 @@ def rigid_args():
     )
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="jit path disabled")
-class TestJitMatchesNumpy:
-    def test_splm_trajectory(self):
-        for variant in ("coupled", "decoupled"):
-            args = splm_args(variant)
-            t_np, s_np = kernels.splm_trajectory_numpy(*args)
-            t_jit, s_jit = kernels.splm_trajectory_jit(*args)
-            assert s_np == s_jit
-            assert np.max(np.abs(t_np - t_jit)) < 1e-13
-
-    def test_rigid_step(self):
-        args = rigid_args()
-        a = kernels.rigid_step_numpy(*args)
-        b = kernels.rigid_step_jit(*args)
-        assert np.max(np.abs(a - b)) < 1e-13
-
-
 class TestSplmKernel:
     def test_singular_pitch_truncates(self):
         args = list(splm_args("coupled"))
@@ -68,7 +51,7 @@ class TestSplmKernel:
         y0[2] = 0.25 * math.pi - 5e-7
         y0[5] = 0.0
         args[0] = y0
-        traj, status = kernels.splm_trajectory_numpy(*args)
+        traj, status = kernels.splm_trajectory(*args)
         assert status == kernels.STATUS_SINGULAR
         assert traj.shape[0] < args[1] + 1
 

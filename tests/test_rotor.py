@@ -284,6 +284,10 @@ class TestBench:
         p = make_params()
         with pytest.raises(ConfigError):
             bench_torque_series(p, 900.0, 200.0, 0.0, 1.0, 30.0)
+        for duration, fs in ((math.nan, 1000.0), (1.0, math.nan),
+                             (math.inf, 1000.0)):
+            with pytest.raises(ConfigError):
+                bench_torque_series(p, 900.0, 200.0, 0.0, duration, fs)
 
     def test_torque_model_guards_singular_pitch(self):
         p = make_params(variant="coupled")

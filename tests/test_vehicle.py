@@ -443,6 +443,11 @@ class TestScenarios:
             ScenarioSpec(dt=2e-3)
         with pytest.raises(ConfigError):
             ScenarioSpec(dt=3e-4)  # 1/dt not an integer rate
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ScenarioSpec(duration=bad)
+            with pytest.raises(ConfigError):
+                ScenarioSpec(dt=bad)
         assert ScenarioSpec(dt=5e-4).base_rate == 2000
 
     def test_hover_settles_to_setpoint(self):
