@@ -198,8 +198,16 @@ def read_timeseries_csv(path):
                 continue
             if len(row) < 2:
                 raise ConfigError(f"{path}: malformed row {row!r}")
-            t.append(float(row[0]))
-            x.append(float(row[1]))
+            try:
+                ti, xi = float(row[0]), float(row[1])
+            except ValueError:
+                ti = xi = math.nan
+            if not (math.isfinite(ti) and math.isfinite(xi)):
+                raise ConfigError(f"{path}: line {reader.line_num}: "
+                                  f"{row[0]!r}, {row[1]!r} are not two "
+                                  f"finite numbers")
+            t.append(ti)
+            x.append(xi)
     if len(t) < 2:
         raise ConfigError(f"{path}: need at least 2 samples")
     dt = np.diff(np.asarray(t))
@@ -259,10 +267,21 @@ def _read_ini(path, allowed):
     return cfg
 
 
-def _floats(text, count):
-    parts = tuple(float(x) for x in text.split())
+def _finite(text, where):
+    """float(text); ConfigError naming `where` unless it is a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{where}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {text!r} is not finite")
+    return value
+
+
+def _floats(text, count, where):
+    parts = tuple(_finite(x, where) for x in text.split())
     if len(parts) != count:
-        raise ConfigError(f"expected {count} numbers, got {text!r}")
+        raise ConfigError(f"{where}: expected {count} numbers, got {text!r}")
     return parts
 
 
@@ -284,52 +303,61 @@ def _wing_schedule(text, extend_below_deg):
 def load_scenario(path):
     """Parse a scenario config file into (ScenarioSpec, VehicleParams)."""
     cfg = _read_ini(path, _SCENARIO_KEYS)
+    values = {name: dict(cfg[name]) for name in cfg.sections()}
 
-    sc = cfg["scenario"] if cfg.has_section("scenario") else {}
-    wd = cfg["wind"] if cfg.has_section("wind") else {}
-    sd = cfg["schedule"] if cfg.has_section("schedule") else {}
-    vh = cfg["vehicle"] if cfg.has_section("vehicle") else {}
+    def text(section, key, default=None):
+        return values.get(section, {}).get(key, default)
 
+    def number(section, key, default=None):
+        raw = text(section, key)
+        return default if raw is None else \
+            _finite(raw, f"{path}: [{section}] {key}")
+
+    def numbers(section, key, default=None):
+        return _floats(text(section, key, default), 3,
+                       f"{path}: [{section}] {key}")
+
+    # an empty stop_s, start_position_m or [vehicle] value means "not set"
     wind = WindProfile(
-        speed=float(wd.get("speed_mps", 0.0)),
-        direction=_floats(wd.get("direction", "1 0 0"), 3),
-        start=float(wd.get("start_s", 0.0)),
-        stop=(float(wd["stop_s"]) if wd.get("stop_s") else None),
-        ramp=float(wd.get("ramp_s", 0.5)))
-    wing = _wing_schedule(sd.get("wing", "fixed:retracted"),
-                          float(sd.get("extend_below_deg", -20.0)))
+        speed=number("wind", "speed_mps", 0.0),
+        direction=numbers("wind", "direction", "1 0 0"),
+        start=number("wind", "start_s", 0.0),
+        stop=number("wind", "stop_s") if text("wind", "stop_s") else None,
+        ramp=number("wind", "ramp_s", 0.5))
+    wing = _wing_schedule(text("schedule", "wing", "fixed:retracted"),
+                          number("schedule", "extend_below_deg", -20.0))
     lam = LambdaSchedule(
-        lam_hover=float(sd.get("lambda_hover", 1.0)),
-        lam_fw=float(sd.get("lambda_fw", 0.3)),
-        pitch_start=math.radians(float(sd.get("lambda_start_deg", -30.0))),
-        pitch_end=math.radians(float(sd.get("lambda_end_deg", -70.0))))
+        lam_hover=number("schedule", "lambda_hover", 1.0),
+        lam_fw=number("schedule", "lambda_fw", 0.3),
+        pitch_start=math.radians(number("schedule", "lambda_start_deg",
+                                        -30.0)),
+        pitch_end=math.radians(number("schedule", "lambda_end_deg", -70.0)))
 
-    start_raw = sc.get("start_position_m", "")
     spec = ScenarioSpec(
-        name=sc.get("name", "scenario"),
-        mode=sc.get("mode", "hover"),
-        duration=float(sc.get("duration_s", 10.0)),
-        dt=float(sc.get("dt_s", 1e-3)),
-        position=_floats(sc.get("position_m", "0 0 1.5"), 3),
-        yaw=math.radians(float(sc.get("yaw_deg", 0.0))),
-        start_position=_floats(start_raw, 3) if start_raw else None,
+        name=text("scenario", "name", "scenario"),
+        mode=text("scenario", "mode", "hover"),
+        duration=number("scenario", "duration_s", 10.0),
+        dt=number("scenario", "dt_s", 1e-3),
+        position=numbers("scenario", "position_m", "0 0 1.5"),
+        yaw=math.radians(number("scenario", "yaw_deg", 0.0)),
+        start_position=(numbers("scenario", "start_position_m")
+                        if text("scenario", "start_position_m") else None),
         wind=wind, wing=wing, lam=lam)
 
     kwargs = {}
-    if vh.get("mass_kg"):
-        kwargs["mass"] = float(vh["mass_kg"])
-    if vh.get("inertia_diag"):
-        kwargs["inertia"] = np.diag(_floats(vh["inertia_diag"], 3))
-    for key, field_name in (("drag_cd", "drag_cd"),
+    if text("vehicle", "inertia_diag"):
+        kwargs["inertia"] = np.diag(numbers("vehicle", "inertia_diag"))
+    for key, field_name in (("mass_kg", "mass"),
+                            ("drag_cd", "drag_cd"),
                             ("lateral_area_m2", "lateral_area"),
                             ("axial_area_m2", "axial_area"),
                             ("aft_speed_per_count", "aft_speed_per_count"),
                             ("gravity", "gravity")):
-        if vh.get(key):
-            kwargs[field_name] = float(vh[key])
-    if vh.get("prop_tables_dir"):
+        if text("vehicle", key):
+            kwargs[field_name] = number("vehicle", key)
+    if text("vehicle", "prop_tables_dir"):
         kwargs["aft_table"] = load_propeller_table(
-            vh["prop_tables_dir"], "7in", diameter=0.1778)
+            text("vehicle", "prop_tables_dir"), "7in", diameter=0.1778)
     params = VehicleParams(**kwargs)
     return spec, params
 
@@ -339,7 +367,8 @@ def load_allocation_gains(path):
     if not cfg.has_section("allocation"):
         raise ConfigError(f"{path}: missing [allocation] section")
     sec = cfg["allocation"]
-    return AllocationGains(**{k: float(v) for k, v in sec.items()})
+    return AllocationGains(**{
+        k: _finite(v, f"{path}: [allocation] {k}") for k, v in sec.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +468,22 @@ def _cmd_simulate(args):
     log = run_scenario(spec, params)
     out = args.out if args.out else f"{spec.name}_log.csv"
     log.write_csv(out)
+    print(f"scenario={spec.name} ticks={log.t.size} out={out}")
+    if spec.mode == "transition":
+        # the hover target is not chased in transition; report tracking
+        rms, speed = log.transition_tracking()
+        print(f"ramp_pitch_rms_deg={_optional(rms)} "
+              f"cruise_speed_mps={_optional(speed)}")
+        return 0
     target = np.asarray(spec.position, dtype=float)
     final_err = float(np.linalg.norm(log.position[-1] - target))
-    print(f"scenario={spec.name} ticks={log.t.size} out={out}")
     print(f"final_error_m={final_err:.9g} "
           f"peak_deviation_m={log.peak_deviation(target):.9g}")
     return 0
+
+
+def _optional(value):
+    return "n/a" if value is None else f"{value:.9g}"
 
 
 def _cmd_bench_splm(args):
@@ -474,18 +513,26 @@ def _cmd_power_analysis(args):
     return 0
 
 
+_WIND_TEST_START_S = 2.0
+
+
 def _cmd_wind_test(args):
     mode = WingMode(args.mode)
+    if not args.duration > _WIND_TEST_START_S:
+        raise ConfigError(f"--duration must exceed the "
+                          f"{_WIND_TEST_START_S:g} s wind start, "
+                          f"got {args.duration:g}")
     spec = ScenarioSpec(
         name=f"wind_{args.mode}", mode="hover", duration=args.duration,
         position=(0.0, 0.0, 1.5),
         wind=WindProfile(speed=args.speed, direction=(1.0, 0.0, 0.0),
-                         start=2.0),
+                         start=_WIND_TEST_START_S),
         wing=WingSchedule(kind="fixed", mode=mode))
     log = run_scenario(spec, VehicleParams())
     if args.out:
         log.write_csv(args.out)
-    peak = log.peak_deviation(np.asarray(spec.position), t_min=2.0)
+    peak = log.peak_deviation(np.asarray(spec.position),
+                              t_min=_WIND_TEST_START_S)
     print(f"mode={args.mode} wind_mps={args.speed:.9g} "
           f"peak_deviation_m={peak:.9g}")
     return 0

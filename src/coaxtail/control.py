@@ -96,17 +96,25 @@ def derived_params(gains):
 
 def mix(wrench, gains):
     """Allocate a wrench to actuator commands (no saturation here)."""
-    eta, kappa, gamma, delta = derived_params(gains)
+    return ActuatorCommand(*_mix_channels(
+        derived_params(gains), gains, wrench.f_t, wrench.tau_x, wrench.tau_y,
+        wrench.tau_z))
+
+
+def _mix_channels(derived, gains, f_t, tau_x, tau_y, tau_z):
+    """mix on plain floats: the six channels (t_d1, t_d2, m_dx, m_dy, d_1,
+    d_2), given derived_params(gains)."""
+    eta, kappa, gamma, delta = derived
     one_m = 1.0 - gains.lam
-    return ActuatorCommand(
-        t_d1=eta * wrench.f_t + gamma * wrench.tau_z,
-        t_d2=kappa * wrench.f_t + delta * wrench.tau_z,
-        m_dx=wrench.tau_x / gains.c_m,
-        m_dy=gains.lam * wrench.tau_y / gains.c_m,
-        d_1=one_m * wrench.tau_y / (2.0 * gains.k_ey)
-        + one_m * wrench.tau_z / (2.0 * gains.k_ez),
-        d_2=one_m * wrench.tau_y / (2.0 * gains.k_ey)
-        - one_m * wrench.tau_z / (2.0 * gains.k_ez),
+    return (
+        eta * f_t + gamma * tau_z,
+        kappa * f_t + delta * tau_z,
+        tau_x / gains.c_m,
+        gains.lam * tau_y / gains.c_m,
+        one_m * tau_y / (2.0 * gains.k_ey)
+        + one_m * tau_z / (2.0 * gains.k_ez),
+        one_m * tau_y / (2.0 * gains.k_ey)
+        - one_m * tau_z / (2.0 * gains.k_ez),
     )
 
 
@@ -144,24 +152,28 @@ def saturate(wrench, gains, limits):
     (t_d1 +/- |m_d| inside the throttle box). All constraints are affine
     in s, so the bound is exact, not iterated. Returns (command, s).
     """
-    base = mix(Wrench(f_t=wrench.f_t), gains)
-    tq = mix(Wrench(0.0, wrench.tau_x, wrench.tau_y, wrench.tau_z), gains)
+    derived = derived_params(gains)
+    f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,
+                                wrench.tau_z)
+    base_t1, base_t2 = _mix_channels(derived, gains, f_t, 0.0, 0.0, 0.0)[:2]
+    tq_t1, tq_t2, tq_mx, tq_my, tq_d1, tq_d2 = _mix_channels(
+        derived, gains, 0.0, tau_x, tau_y, tau_z)
 
     lo, hi = limits.throttle_min, limits.throttle_max
-    m_amp = math.hypot(tq.m_dx, tq.m_dy)
+    m_amp = math.hypot(tq_mx, tq_my)
     # each row: s * coef <= rhs
-    rows = [
-        (tq.t_d1, hi - base.t_d1),
-        (-tq.t_d1, base.t_d1 - lo),
-        (tq.t_d2, hi - base.t_d2),
-        (-tq.t_d2, base.t_d2 - lo),
-        (tq.d_1, limits.servo_max),
-        (-tq.d_1, limits.servo_max),
-        (tq.d_2, limits.servo_max),
-        (-tq.d_2, limits.servo_max),
-        (m_amp + tq.t_d1, hi - base.t_d1),
-        (m_amp - tq.t_d1, base.t_d1 - lo),
-    ]
+    rows = (
+        (tq_t1, hi - base_t1),
+        (-tq_t1, base_t1 - lo),
+        (tq_t2, hi - base_t2),
+        (-tq_t2, base_t2 - lo),
+        (tq_d1, limits.servo_max),
+        (-tq_d1, limits.servo_max),
+        (tq_d2, limits.servo_max),
+        (-tq_d2, limits.servo_max),
+        (m_amp + tq_t1, hi - base_t1),
+        (m_amp - tq_t1, base_t1 - lo),
+    )
     s = 1.0
     feasible = True
     for coef, rhs in rows:
@@ -171,41 +183,53 @@ def saturate(wrench, gains, limits):
             s = min(s, rhs / coef)
     if not feasible:
         # thrust alone exceeds the box; clamp it and drop the torques
-        t1 = min(max(base.t_d1, lo), hi)
-        t2 = min(max(base.t_d2, lo), hi)
+        t1 = min(max(base_t1, lo), hi)
+        t2 = min(max(base_t2, lo), hi)
         return ActuatorCommand(t_d1=t1, t_d2=t2), 0.0
     s = max(s, 0.0)
-    full = mix(Wrench(wrench.f_t, s * wrench.tau_x, s * wrench.tau_y,
-                      s * wrench.tau_z), gains)
-    return full, s
+    full = _mix_channels(derived, gains, f_t, s * tau_x, s * tau_y,
+                         s * tau_z)
+    return ActuatorCommand(*full), s
 
 
 class VectorPid:
-    """Per-axis PID with clamped integrator. State is owned, not shared."""
+    """Per-axis PID with clamped integrator. State is owned, not shared.
+
+    Gains and state are lists of Python floats, one entry per axis;
+    step returns the output as such a list.
+    """
 
     def __init__(self, kp, ki, kd, i_limit):
-        self.kp = np.asarray(kp, dtype=float)
-        self.ki = np.asarray(ki, dtype=float)
-        self.kd = np.asarray(kd, dtype=float)
-        self.i_limit = np.asarray(i_limit, dtype=float)
-        if np.any(self.i_limit < 0.0):
+        gains = [np.asarray(g, dtype=float).ravel().tolist()
+                 for g in (kp, ki, kd, i_limit)]
+        if len({len(g) for g in gains}) != 1:
+            raise ConfigError("PID gains must have one entry per axis")
+        self.kp, self.ki, self.kd, self.i_limit = gains
+        if any(lim < 0.0 for lim in self.i_limit):
             raise ConfigError("integrator limit must be non-negative")
         self.reset()
 
     def reset(self):
-        self.integral = np.zeros_like(self.kp)
+        self.integral = [0.0] * len(self.kp)
         self._prev_err = None
 
     def step(self, err, dt):
-        err = np.asarray(err, dtype=float)
-        self.integral = np.clip(self.integral + self.ki * err * dt,
-                                -self.i_limit, self.i_limit)
+        err = quat.components(err)
+        integral = []
+        for acc, ki, e, lim in zip(self.integral, self.ki, err, self.i_limit,
+                                   strict=True):
+            acc = acc + ki * e * dt
+            # np.clip(acc, -lim, lim), ties and signed zeros included
+            acc = acc if acc > -lim else -lim
+            integral.append(acc if acc < lim else lim)
+        self.integral = integral
         if self._prev_err is None or dt <= 0.0:
-            derr = np.zeros_like(err)
+            derr = [0.0] * len(err)
         else:
-            derr = (err - self._prev_err) / dt
-        self._prev_err = err.copy()
-        return self.kp * err + self.integral + self.kd * derr
+            derr = [(e - p) / dt for e, p in zip(err, self._prev_err)]
+        self._prev_err = err
+        return [kp * e + acc + kd * d for kp, e, acc, kd, d
+                in zip(self.kp, err, integral, self.kd, derr)]
 
 
 def _rate_divisor(base, rate, name):
@@ -284,19 +308,26 @@ class CascadeController:
         self._vel_pid.reset()
         self._rate_pid.reset()
         self._tick = 0
-        self._vel_sp = np.zeros(3)
+        self._vel_sp = [0.0, 0.0, 0.0]
         self._f_des = np.array([0.0, 0.0, self.mass * self.gravity])
-        self._rate_sp = np.zeros(3)
+        self._rate_sp = [0.0, 0.0, 0.0]
         self._tau_z = 0.0
 
     def step(self, setpoint, position, velocity, orientation, body_rate, dt):
-        """One base-rate tick; returns the demanded Wrench (body frame)."""
+        """One base-rate tick; returns the demanded Wrench (body frame).
+
+        Vector arithmetic runs on Python floats, in the order the array
+        form would use. np.dot and np.linalg.norm stay: their BLAS sums
+        need not round like a left-to-right Python sum, so replacing them
+        would change the logs.
+        """
         g = self.gains
         transition = setpoint.pitch_override is not None
 
         if self._tick % (g.base_rate // g.pos_rate) == 0:
-            err = np.asarray(setpoint.position, dtype=float) - position
-            sp = np.asarray(g.pos_p, dtype=float) * err
+            sp = [k * (a - b) for k, a, b in zip(
+                quat.components(g.pos_p), quat.components(setpoint.position),
+                quat.components(position))]
             if transition:
                 sp[0] = 0.0
                 sp[1] = 0.0
@@ -304,51 +335,56 @@ class CascadeController:
 
         if self._tick % (g.base_rate // g.vel_rate) == 0:
             vdt = dt * (g.base_rate // g.vel_rate)
-            err = self._vel_sp - velocity
+            err = [a - b for a, b in zip(self._vel_sp,
+                                         quat.components(velocity))]
             if transition:
-                err = err.copy()
                 err[0] = 0.0
                 err[1] = 0.0
             acc = self._vel_pid.step(err, vdt)
             if transition:
                 acc[0] = 0.0
                 acc[1] = 0.0
-            self._f_des = self.mass * (acc + np.array([0.0, 0.0, self.gravity]))
+            self._f_des = np.array([self.mass * (acc[0] + 0.0),
+                                    self.mass * (acc[1] + 0.0),
+                                    self.mass * (acc[2] + self.gravity)])
 
-        z_body = quat.rotate(orientation, np.array([0.0, 0.0, 1.0]))
+        z_body = quat.rotate(orientation, _Z_AXIS)
 
         if self._tick % (g.base_rate // g.att_rate) == 0:
             if transition:
                 q_sp = quat.multiply(
-                    quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), setpoint.yaw),
-                    quat.from_axis_angle(np.array([0.0, 1.0, 0.0]),
-                                         setpoint.pitch_override),
+                    quat.from_axis_angle(_Z_AXIS, setpoint.yaw),
+                    quat.from_axis_angle(_Y_AXIS, setpoint.pitch_override),
                 )
-                z_des = quat.rotate(q_sp, np.array([0.0, 0.0, 1.0]))
+                z_des = quat.rotate(q_sp, _Z_AXIS)
             else:
                 f_norm = np.linalg.norm(self._f_des)
                 z_des = (self._f_des / f_norm if f_norm > 1e-9
-                         else np.array([0.0, 0.0, 1.0]))
+                         else np.array(_Z_AXIS))
                 q_sp = quat.multiply(
-                    quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), setpoint.yaw),
+                    quat.from_axis_angle(_Z_AXIS, setpoint.yaw),
                     _tilt_quaternion(z_des),
                 )
-            axis = np.cross(z_body, z_des)
+            axis = _cross(z_body, z_des)
             s_n = np.linalg.norm(axis)
             c_n = float(np.dot(z_body, z_des))
-            tilt_w = (axis / s_n * math.atan2(s_n, c_n)) if s_n > 1e-12 else np.zeros(3)
-            tilt_b = quat.rotate(quat.conjugate(orientation), tilt_w)
+            if s_n > 1e-12:
+                angle = math.atan2(s_n, c_n)
+                tilt_w = [a / s_n * angle for a in axis.tolist()]
+            else:
+                tilt_w = [0.0, 0.0, 0.0]
+            qw, qx, qy, qz = quat.components(orientation)
+            tilt_b = quat.rotate((qw, -qx, -qy, -qz), tilt_w)
             full_b = quat.error_rotation_vector(orientation, q_sp)
-            self._rate_sp = np.array([
-                g.att_p_tilt * tilt_b[0],
-                g.att_p_tilt * tilt_b[1],
-                g.att_p_yaw * full_b[2],
-            ])
+            self._rate_sp = [g.att_p_tilt * float(tilt_b[0]),
+                             g.att_p_tilt * float(tilt_b[1]),
+                             g.att_p_yaw * float(full_b[2])]
 
-        rate_err = self._rate_sp - body_rate
+        rate_err = [a - b for a, b in zip(self._rate_sp,
+                                          quat.components(body_rate))]
         tau = self._rate_pid.step(rate_err, dt)
         if self._tick % (g.base_rate // g.yaw_rate_rate) == 0:
-            self._tau_z = float(tau[2])
+            self._tau_z = tau[2]
 
         if transition:
             proj = max(float(z_body[2]), self.TILT_MIN_PROJECTION)
@@ -358,15 +394,26 @@ class CascadeController:
         thrust = max(thrust, 0.0)
 
         self._tick += 1
-        return Wrench(f_t=thrust, tau_x=float(tau[0]), tau_y=float(tau[1]),
+        return Wrench(f_t=thrust, tau_x=tau[0], tau_y=tau[1],
                       tau_z=self._tau_z)
+
+
+_Y_AXIS = (0.0, 1.0, 0.0)
+_Z_AXIS = (0.0, 0.0, 1.0)
+
+
+def _cross(a, b):
+    """np.cross of two 3-vectors, on Python floats, same operation order."""
+    a0, a1, a2 = quat.components(a)
+    b0, b1, b2 = quat.components(b)
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _tilt_quaternion(z_des):
     # shortest rotation taking world +z to z_des
-    z0 = np.array([0.0, 0.0, 1.0])
+    z0 = np.array(_Z_AXIS)
     c = float(np.dot(z0, z_des))
-    axis = np.cross(z0, z_des)
+    axis = _cross(z0, z_des)
     s = np.linalg.norm(axis)
     if s < 1e-12:
         if c > 0.0:

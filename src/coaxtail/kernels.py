@@ -1,12 +1,15 @@
-"""Hot numeric inner loops, one plain-numpy source each.
+"""Hot numeric inner loops, one source each.
 
 Two kernels live here: the azimuth-domain RK4 integrator for the
 swashplateless-rotor dynamics, and the single RK4 step of the rigid-body
-6-DOF state. Each is self-contained and works element by element on
-small arrays. ``perfbench/run.py --trace 1`` reports their per-call cost.
+6-DOF state. Each is self-contained: the rotor kernel works element by
+element on small arrays, the rigid step on Python floats unpacked once.
+``perfbench/run.py --trace 1`` reports their per-call cost.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -84,71 +87,65 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
 
     State layout [p(3), v(3), q(4, wxyz), w(3)]. Force and torque are held
     constant in the body frame over the step; gravity is a constant world
-    acceleration.
+    acceleration. The arithmetic runs on Python floats in the same order
+    as an element-by-element array version, so the result is the same to
+    the bit; numpy scalars would cost several times more per operation.
+    Returns a new 13-element array.
     """
+    f0, f1, f2 = np.asarray(f_body, dtype=float).tolist()
+    t0, t1, t2 = np.asarray(tau_body, dtype=float).tolist()
+    g0, g1, g2 = np.asarray(g_world, dtype=float).tolist()
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = \
+        np.asarray(inertia, dtype=float).tolist()
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = \
+        np.asarray(inertia_inv, dtype=float).tolist()
     inv_mass = 1.0 / mass
 
-    def deriv(y, out):
-        qw = y[6]
-        qx = y[7]
-        qy = y[8]
-        qz = y[9]
-        wx = y[10]
-        wy = y[11]
-        wz = y[12]
-
-        out[0] = y[3]
-        out[1] = y[4]
-        out[2] = y[5]
+    def deriv(y):
+        _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
 
         # world-frame force: R(q) @ f_body, rotation expanded inline
-        tx = 2.0 * (qy * f_body[2] - qz * f_body[1])
-        ty = 2.0 * (qz * f_body[0] - qx * f_body[2])
-        tz = 2.0 * (qx * f_body[1] - qy * f_body[0])
-        fwx = f_body[0] + qw * tx + (qy * tz - qz * ty)
-        fwy = f_body[1] + qw * ty + (qz * tx - qx * tz)
-        fwz = f_body[2] + qw * tz + (qx * ty - qy * tx)
-        out[3] = fwx * inv_mass + g_world[0]
-        out[4] = fwy * inv_mass + g_world[1]
-        out[5] = fwz * inv_mass + g_world[2]
-
-        # quaternion kinematics: qdot = 0.5 * q ⊗ [0, w]
-        out[6] = 0.5 * (-qx * wx - qy * wy - qz * wz)
-        out[7] = 0.5 * (qw * wx + qy * wz - qz * wy)
-        out[8] = 0.5 * (qw * wy - qx * wz + qz * wx)
-        out[9] = 0.5 * (qw * wz + qx * wy - qy * wx)
+        tx = 2.0 * (qy * f2 - qz * f1)
+        ty = 2.0 * (qz * f0 - qx * f2)
+        tz = 2.0 * (qx * f1 - qy * f0)
+        fwx = f0 + qw * tx + (qy * tz - qz * ty)
+        fwy = f1 + qw * ty + (qz * tx - qx * tz)
+        fwz = f2 + qw * tz + (qx * ty - qy * tx)
 
         # Euler equations: wdot = Iinv @ (tau - w x (I w))
-        hx = inertia[0, 0] * wx + inertia[0, 1] * wy + inertia[0, 2] * wz
-        hy = inertia[1, 0] * wx + inertia[1, 1] * wy + inertia[1, 2] * wz
-        hz = inertia[2, 0] * wx + inertia[2, 1] * wy + inertia[2, 2] * wz
-        mx = tau_body[0] - (wy * hz - wz * hy)
-        my = tau_body[1] - (wz * hx - wx * hz)
-        mz = tau_body[2] - (wx * hy - wy * hx)
-        out[10] = inertia_inv[0, 0] * mx + inertia_inv[0, 1] * my + inertia_inv[0, 2] * mz
-        out[11] = inertia_inv[1, 0] * mx + inertia_inv[1, 1] * my + inertia_inv[1, 2] * mz
-        out[12] = inertia_inv[2, 0] * mx + inertia_inv[2, 1] * my + inertia_inv[2, 2] * mz
+        hx = i00 * wx + i01 * wy + i02 * wz
+        hy = i10 * wx + i11 * wy + i12 * wz
+        hz = i20 * wx + i21 * wy + i22 * wz
+        mx = t0 - (wy * hz - wz * hy)
+        my = t1 - (wz * hx - wx * hz)
+        mz = t2 - (wx * hy - wy * hx)
 
-    k1 = np.empty(13)
-    k2 = np.empty(13)
-    k3 = np.empty(13)
-    k4 = np.empty(13)
-    ytmp = np.empty(13)
-    deriv(y, k1)
-    for j in range(13):
-        ytmp[j] = y[j] + 0.5 * h * k1[j]
-    deriv(ytmp, k2)
-    for j in range(13):
-        ytmp[j] = y[j] + 0.5 * h * k2[j]
-    deriv(ytmp, k3)
-    for j in range(13):
-        ytmp[j] = y[j] + h * k3[j]
-    deriv(ytmp, k4)
-    out = np.empty(13)
-    for j in range(13):
-        out[j] = y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-    qn = np.sqrt(out[6] * out[6] + out[7] * out[7] + out[8] * out[8] + out[9] * out[9])
+        return (
+            vx, vy, vz,
+            fwx * inv_mass + g0,
+            fwy * inv_mass + g1,
+            fwz * inv_mass + g2,
+            # quaternion kinematics: qdot = 0.5 * q ⊗ [0, w]
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            j00 * mx + j01 * my + j02 * mz,
+            j10 * mx + j11 * my + j12 * mz,
+            j20 * mx + j21 * my + j22 * mz,
+        )
+
+    y = np.asarray(y, dtype=float).tolist()
+    half = 0.5 * h
+    k1 = deriv(y)
+    k2 = deriv([a + half * b for a, b in zip(y, k1)])
+    k3 = deriv([a + half * b for a, b in zip(y, k2)])
+    k4 = deriv([a + h * b for a, b in zip(y, k3)])
+    sixth = h / 6.0
+    out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    qn = math.sqrt(out[6] * out[6] + out[7] * out[7] + out[8] * out[8]
+                   + out[9] * out[9])
     for j in range(6, 10):
         out[j] = out[j] / qn
-    return out
-
+    return np.array(out)

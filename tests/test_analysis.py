@@ -28,6 +28,7 @@ from coaxtail.analysis import (
 )
 from coaxtail.aero import WingMode
 from coaxtail.errors import ConfigError, NumericalDomainError
+from coaxtail.vehicle import run_scenario, transition_profile
 
 PROPS_DIR = Path(__file__).resolve().parent.parent / "configs" / "props"
 
@@ -245,6 +246,15 @@ class TestCsvIngestion:
         with pytest.raises(ConfigError):
             read_timeseries_csv(tmp_path / "absent.csv")
 
+    def test_bad_cell_names_file_and_line(self, tmp_path):
+        p = tmp_path / "cells.csv"
+        for body in ("0,1\n0.001,zz\n", "0,1\nsoon,2\n", "0,1\n0.001,nan\n",
+                     "0,1\n0.001,-inf\n", "0,1\n\n0.001,x\n"):
+            p.write_text("t,x\n" + body)
+            line = body.count("\n") + 1
+            with pytest.raises(ConfigError, match=rf"cells.csv: line {line}:"):
+                read_timeseries_csv(p)
+
     def test_psd_csv_layout(self, tmp_path):
         result = psd(sine(62.5, n=2048), segment=512)
         p = tmp_path / "out.csv"
@@ -333,6 +343,25 @@ class TestConfigIngestion:
         gains = load_allocation_gains(p)
         assert gains.c_t1 == 0.01
         assert gains.lam == 0.8
+
+    def test_non_numeric_values_name_file_and_key(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        for text, where in (
+                ("[scenario]\nduration_s = abc\n", r"\[scenario\] duration_s"),
+                ("[scenario]\nposition_m = 0 x 1\n", r"\[scenario\] position_m"),
+                ("[wind]\nspeed_mps = 5 m/s\n", r"\[wind\] speed_mps"),
+                ("[wind]\nstop_s = later\n", r"\[wind\] stop_s"),
+                ("[schedule]\nlambda_fw = low\n", r"\[schedule\] lambda_fw"),
+                ("[vehicle]\nmass_kg = heavy\n", r"\[vehicle\] mass_kg"),
+                ("[vehicle]\ninertia_diag = 1 2\n",
+                 r"\[vehicle\] inertia_diag"),
+                ("[scenario]\nyaw_deg = inf\n", r"\[scenario\] yaw_deg")):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match=where):
+                load_scenario(p)
+        p.write_text("[allocation]\nc_t1 = lots\n")
+        with pytest.raises(ConfigError, match=r"\[allocation\] c_t1"):
+            load_allocation_gains(p)
 
     def test_gains_file_needs_section(self, tmp_path):
         p = tmp_path / "empty.cfg"
@@ -449,12 +478,64 @@ class TestCli:
         for text in ("[scenario]\nmode = sideways\n",
                      "[scenario]\nduration_s = nan\n",
                      "[scenario]\ndt_s = nan\n",
-                     "duration_s = 1\n"):  # no section header
+                     "duration_s = 1\n",  # no section header
+                     "[scenario]\nduration_s = abc\n",
+                     "[scenario]\nposition_m = 0 0 high\n",
+                     "[wind]\nspeed_mps = nan\n",
+                     "[vehicle]\nmass_kg = nan\n",
+                     "[vehicle]\ngravity = inf\n"):
             cfg.write_text(text)
             code = cli_main(["simulate", str(cfg)])
             err = capsys.readouterr().err.splitlines()
             assert code == 1
             assert len(err) == 1 and "category=validation" in err[0]
+
+    def test_psd_rejects_non_numeric_cell(self, tmp_path, capsys):
+        p = tmp_path / "cells.csv"
+        p.write_text("t,x\n0,1\n0.001,zz\n0.002,3\n")
+        code = cli_main(["psd", str(p)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and "category=validation" in err[0]
+        assert "line 3" in err[0]
+
+    def test_simulate_transition_reports_tracking(self, tmp_path, capsys):
+        cfg = tmp_path / "tr.cfg"
+        cfg.write_text("[scenario]\nname = tr\nmode = transition\n"
+                       "duration_s = 3.0\nposition_m = 0 0 2\n"
+                       "[schedule]\nwing = pitch\n")
+        out = tmp_path / "tr.csv"
+        assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fields = dict(kv.split("=", 1) for kv in lines[1].split())
+        assert set(fields) == {"ramp_pitch_rms_deg", "cruise_speed_mps"}
+        assert fields["cruise_speed_mps"] == "n/a"  # log ends before 41 s
+        # the RMS is criterion 8's: pitch minus profile over 2..22 s
+        spec, params = load_scenario(cfg)
+        log = run_scenario(spec, params)
+        ramp = (log.t >= 2.0) & (log.t <= 22.0)
+        sp = np.array([transition_profile(t) for t in log.t[ramp]])
+        rms = math.degrees(float(np.sqrt(np.mean(
+            (log.pitch()[ramp] - sp) ** 2))))
+        assert fields["ramp_pitch_rms_deg"] == f"{rms:.9g}"
+
+    def test_simulate_hover_reports_position_error(self, tmp_path, capsys):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text("[scenario]\nname = quick\nduration_s = 0.5\n")
+        assert cli_main(["simulate", str(cfg), "--out",
+                         str(tmp_path / "q.csv")]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert set(dict(kv.split("=", 1) for kv in line.split())) == {
+            "final_error_m", "peak_deviation_m"}
+
+    def test_wind_test_rejects_runs_ending_before_the_gust(self, capsys):
+        for argv in (["--duration", "1"], ["--duration", "2"],
+                     ["--duration", "nan"], ["--speed", "nan"],
+                     ["--speed", "inf"]):
+            code = cli_main(["wind-test", "--mode", "retracted", *argv])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1, argv
+            assert len(err) == 1 and "category=validation" in err[0], argv
 
     def test_wind_test_prints_peak(self, capsys):
         code = cli_main(["wind-test", "--mode", "retracted",

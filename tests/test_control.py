@@ -16,6 +16,7 @@ from coaxtail.control import (
     ControlSetpoint,
     VectorPid,
     Wrench,
+    _cross,
     derived_params,
     forward_model,
     mix,
@@ -211,6 +212,94 @@ class TestSaturation:
         cmd, s = saturate(w, g, self.LIMITS)
         amp = math.hypot(cmd.m_dx, cmd.m_dy)
         assert cmd.t_d1 - amp >= -1e-9
+
+
+    def test_command_is_mix_of_scaled_torques_bit_for_bit(self):
+        """saturate computes the mixer terms on plain floats; the command
+        must equal mix(Wrench(f, s*tau)) exactly, clipped or not."""
+        rng = np.random.default_rng(7)
+        seen = {"free": 0, "clipped": 0, "infeasible": 0}
+        for _ in range(600):
+            gains = AllocationGains(lam=rng.choice([0.0, 0.3, 1.0,
+                                                    rng.uniform()]))
+            w = Wrench(rng.uniform(-2.0, 40.0),
+                       *(rng.normal(size=3) * rng.choice([1e-3, 0.1, 3.0])))
+            cmd, s = saturate(w, gains, self.LIMITS)
+            base = mix(Wrench(f_t=w.f_t), gains)
+            if s == 0.0 and (base.t_d1 < 0.0 or base.t_d1 > 2000.0
+                             or base.t_d2 < 0.0 or base.t_d2 > 2000.0):
+                seen["infeasible"] += 1
+                want = ActuatorCommand(
+                    t_d1=min(max(base.t_d1, 0.0), 2000.0),
+                    t_d2=min(max(base.t_d2, 0.0), 2000.0))
+            else:
+                seen["clipped" if s < 1.0 else "free"] += 1
+                want = mix(Wrench(w.f_t, s * w.tau_x, s * w.tau_y,
+                                  s * w.tau_z), gains)
+            assert cmd == want
+            assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
+                       for a, b in zip(vars(cmd).values(),
+                                       vars(want).values()))
+        assert min(seen.values()) > 20, seen
+
+
+def reference_pid_step(pid_state, kp, ki, kd, i_limit, err, dt):
+    """VectorPid.step written on numpy arrays; pid_state holds the
+    integral and the previous error."""
+    err = np.asarray(err, dtype=float)
+    pid_state["integral"] = np.clip(pid_state["integral"] + ki * err * dt,
+                                    -i_limit, i_limit)
+    prev = pid_state["prev"]
+    derr = np.zeros_like(err) if prev is None else (err - prev) / dt
+    pid_state["prev"] = err.copy()
+    return kp * err + pid_state["integral"] + kd * derr
+
+
+class TestFloatForms:
+    """The per-tick control arithmetic runs on Python floats; each form
+    must reproduce its numpy array form to the bit."""
+
+    def test_pid_matches_array_reference(self):
+        rng = np.random.default_rng(3)
+        kp, ki, kd = (rng.uniform(0.0, 3.0, 3) for _ in range(3))
+        i_limit = np.array([0.5, 0.0, 2.0])
+        pid = VectorPid(kp, ki, kd, i_limit)
+        ref = {"integral": np.zeros(3), "prev": None}
+        for _ in range(500):
+            err = rng.normal(size=3) * rng.choice([1e-3, 1.0, 50.0])
+            err[rng.integers(3)] = rng.choice([0.0, -0.0, err[0]])
+            got = np.array(pid.step(err, 4e-3))
+            want = reference_pid_step(ref, kp, ki, kd, i_limit, err, 4e-3)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(np.array(pid.integral), ref["integral"])
+
+    def test_rotate_matches_array_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            q = rng.normal(size=4)
+            q /= np.linalg.norm(q)
+            v = rng.normal(size=3) * rng.choice([1e-3, 1.0, 1e3])
+            v[rng.integers(3)] = rng.choice([0.0, -0.0, v[0]])
+            w, x, y, z = q
+            t = 2.0 * np.array([y * v[2] - z * v[1], z * v[0] - x * v[2],
+                                x * v[1] - y * v[0]])
+            want = v + w * t + np.array([y * t[2] - z * t[1],
+                                         z * t[0] - x * t[2],
+                                         x * t[1] - y * t[0]])
+            got = quat.rotate(q, v)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(quat.rotate(tuple(q), list(v)), want)
+
+    def test_cross_matches_numpy(self):
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            a, b = rng.normal(size=(2, 3))
+            a[rng.integers(3)] = rng.choice([0.0, -0.0])
+            got, want = _cross(a, b), np.cross(a, b)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestVectorPid:

@@ -62,7 +62,87 @@ class TestSplmKernel:
         assert np.array_equal(a, b)
 
 
+def reference_rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv,
+                         g_world, h):
+    """The rigid step written element by element on numpy arrays: the form
+    kernels.rigid_step must reproduce to the bit."""
+    inv_mass = 1.0 / mass
+
+    def deriv(y, out):
+        qw, qx, qy, qz = y[6], y[7], y[8], y[9]
+        wx, wy, wz = y[10], y[11], y[12]
+        out[0] = y[3]
+        out[1] = y[4]
+        out[2] = y[5]
+        tx = 2.0 * (qy * f_body[2] - qz * f_body[1])
+        ty = 2.0 * (qz * f_body[0] - qx * f_body[2])
+        tz = 2.0 * (qx * f_body[1] - qy * f_body[0])
+        fwx = f_body[0] + qw * tx + (qy * tz - qz * ty)
+        fwy = f_body[1] + qw * ty + (qz * tx - qx * tz)
+        fwz = f_body[2] + qw * tz + (qx * ty - qy * tx)
+        out[3] = fwx * inv_mass + g_world[0]
+        out[4] = fwy * inv_mass + g_world[1]
+        out[5] = fwz * inv_mass + g_world[2]
+        out[6] = 0.5 * (-qx * wx - qy * wy - qz * wz)
+        out[7] = 0.5 * (qw * wx + qy * wz - qz * wy)
+        out[8] = 0.5 * (qw * wy - qx * wz + qz * wx)
+        out[9] = 0.5 * (qw * wz + qx * wy - qy * wx)
+        hx = inertia[0, 0] * wx + inertia[0, 1] * wy + inertia[0, 2] * wz
+        hy = inertia[1, 0] * wx + inertia[1, 1] * wy + inertia[1, 2] * wz
+        hz = inertia[2, 0] * wx + inertia[2, 1] * wy + inertia[2, 2] * wz
+        mx = tau_body[0] - (wy * hz - wz * hy)
+        my = tau_body[1] - (wz * hx - wx * hz)
+        mz = tau_body[2] - (wx * hy - wy * hx)
+        out[10] = (inertia_inv[0, 0] * mx + inertia_inv[0, 1] * my
+                   + inertia_inv[0, 2] * mz)
+        out[11] = (inertia_inv[1, 0] * mx + inertia_inv[1, 1] * my
+                   + inertia_inv[1, 2] * mz)
+        out[12] = (inertia_inv[2, 0] * mx + inertia_inv[2, 1] * my
+                   + inertia_inv[2, 2] * mz)
+
+    k1, k2, k3, k4, ytmp = (np.empty(13) for _ in range(5))
+    deriv(y, k1)
+    for j in range(13):
+        ytmp[j] = y[j] + 0.5 * h * k1[j]
+    deriv(ytmp, k2)
+    for j in range(13):
+        ytmp[j] = y[j] + 0.5 * h * k2[j]
+    deriv(ytmp, k3)
+    for j in range(13):
+        ytmp[j] = y[j] + h * k3[j]
+    deriv(ytmp, k4)
+    out = np.empty(13)
+    for j in range(13):
+        out[j] = y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+    qn = np.sqrt(out[6] * out[6] + out[7] * out[7] + out[8] * out[8]
+                 + out[9] * out[9])
+    for j in range(6, 10):
+        out[j] = out[j] / qn
+    return out
+
+
 class TestRigidKernel:
+    def test_matches_array_reference_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for case in range(200):
+            y = rng.normal(size=13) * rng.choice([1e-3, 1.0, 30.0])
+            q = rng.normal(size=4)
+            y[6:10] = q / np.linalg.norm(q)
+            if case % 10 == 0:
+                y[rng.integers(13)] = -0.0
+            a = rng.normal(size=(3, 3)) * 0.05
+            inertia = a @ a.T + np.diag(rng.uniform(0.002, 0.03, 3))
+            args = (y, rng.normal(size=3) * 10.0, rng.normal(size=3) * 0.1,
+                    rng.uniform(0.3, 5.0), inertia, np.linalg.inv(inertia),
+                    np.array([0.0, 0.0, -rng.uniform(0.0, 10.0)]),
+                    rng.choice([1e-3, 5e-4, 1e-4]))
+            got = kernels.rigid_step(*args)
+            want = reference_rigid_step(*args)
+            assert isinstance(got, np.ndarray) and got.shape == (13,)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
     def test_quaternion_stays_normalized(self):
         y = rigid_args()[0]
         args = list(rigid_args())

@@ -36,6 +36,13 @@ def resting_state(z=2.0, mode=WingMode.RETRACTED):
     return VehicleState.at_rest(np.array([0.0, 0.0, z]), mode)
 
 
+def moving_state(velocity, z=2.0):
+    """Level attitude at (0, 0, z), no spin, the given world velocity."""
+    return VehicleState(position=np.array([0.0, 0.0, z]), velocity=velocity,
+                        orientation=np.array([1.0, 0.0, 0.0, 0.0]),
+                        body_rate=np.zeros(3))
+
+
 def pitched_quat(theta):
     return quat.from_axis_angle(np.array([0.0, 1.0, 0.0]), theta)
 
@@ -102,6 +109,56 @@ class TestRigidStep:
                          velocity=np.zeros(3),
                          orientation=np.array([1.0, 0, 0, 0]),
                          body_rate=np.zeros(3))
+        y = resting_state().y.copy()
+        for bad in (np.inf, np.nan):
+            y_bad = y.copy()
+            y_bad[11] = bad
+            with pytest.raises(SimulationFault):
+                VehicleState(y=y_bad)
+        y_bad = y.copy()
+        y_bad[6] = 0.5
+        with pytest.raises(SimulationFault):
+            VehicleState(y=y_bad)
+        with pytest.raises(ConfigError):
+            VehicleState(y=y[:12])
+        with pytest.raises(ConfigError):
+            VehicleState(position=np.zeros(4), velocity=np.zeros(2),
+                         orientation=np.array([1.0, 0, 0, 0]),
+                         body_rate=np.zeros(3))
+        with pytest.raises(ConfigError):
+            VehicleState(position=np.zeros(3), y=y)
+
+    def test_packed_state_views_are_read_only(self):
+        y = np.arange(13.0)
+        y[6:10] = [0.0, 0.6, 0.0, 0.8]
+        state = VehicleState(y=y, wing_mode=WingMode.EXTENDED)
+        y[0] = 99.0  # the state keeps its own copy
+        assert state.position.tolist() == [0.0, 1.0, 2.0]
+        assert state.velocity.tolist() == [3.0, 4.0, 5.0]
+        assert state.orientation.tolist() == [0.0, 0.6, 0.0, 0.8]
+        assert state.body_rate.tolist() == [10.0, 11.0, 12.0]
+        assert state.wing_mode is WingMode.EXTENDED
+        with pytest.raises(ValueError):
+            state.velocity[0] = 1.0
+        with pytest.raises(AttributeError):
+            state.position = np.zeros(3)
+        parts = VehicleState(position=state.position,
+                             velocity=state.velocity,
+                             orientation=state.orientation,
+                             body_rate=state.body_rate)
+        assert np.array_equal(parts.y, state.y)
+
+    def test_params_validation(self):
+        for name in ("mass", "drag_cd", "lateral_area", "axial_area",
+                     "elevon_q_ref", "aft_speed_per_count", "gravity"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match=name):
+                    VehicleParams(**{name: bad})
+        inertia = np.diag([0.02, 0.025, np.nan])
+        with pytest.raises(ConfigError, match="inertia"):
+            VehicleParams(inertia=inertia)
+        with pytest.raises(ConfigError):
+            VehicleParams(mass=0.0)
 
     def test_torque_free_tumble_conserves_invariants(self):
         """Asymmetric-inertia tumble: rotational energy and the world-frame
@@ -194,8 +251,7 @@ class TestWindForce:
         assert double_a[0] == pytest.approx(2.0 * base[0], rel=1e-12)
 
     def test_zero_relative_flow(self):
-        state = resting_state()
-        state.velocity = np.array([3.0, -2.0, 1.0])
+        state = moving_state(np.array([3.0, -2.0, 1.0]))
         f = wind_force(state, state.velocity.copy(), 0.1, 1.0, RHO)
         assert np.all(f == 0.0)
 
@@ -248,6 +304,14 @@ class TestWindProfile:
             WindProfile(speed=-1.0)
         with pytest.raises(ConfigError):
             WindProfile(speed=1.0, direction=(0.0, 0.0, 0.0))
+        for bad in (math.nan, math.inf):
+            for kwargs in ({"speed": bad}, {"start": bad}, {"stop": bad},
+                           {"ramp": bad},
+                           {"speed": 1.0, "direction": (bad, 0.0, 0.0)}):
+                with pytest.raises(ConfigError):
+                    WindProfile(**kwargs)
+        with pytest.raises(ConfigError):
+            WindProfile(speed=1.0, direction=(1.0, 0.0))
 
 
 class TestSchedules:
@@ -363,8 +427,7 @@ class TestDragAndWrench:
 
     def test_elevons_reach_nominal_authority_at_reference_speed(self):
         params = VehicleParams()
-        state = resting_state()
-        state.velocity = np.array([0.0, 0.0, -15.6])  # q matches q_ref
+        state = moving_state(np.array([0.0, 0.0, -15.6]))  # q matches q_ref
         cmd = ActuatorCommand(d_1=0.3, d_2=-0.1)
         _, torque = realized_wrench(state, params, cmd, np.zeros(3),
                                     WingMode.RETRACTED)
@@ -373,8 +436,7 @@ class TestDragAndWrench:
 
     def test_descending_drag_opposes_motion(self):
         params = VehicleParams()
-        state = resting_state()
-        state.velocity = np.array([0.0, 0.0, -10.0])
+        state = moving_state(np.array([0.0, 0.0, -10.0]))
         force, _ = realized_wrench(state, params, ActuatorCommand(),
                                    np.zeros(3), WingMode.RETRACTED)
         expected = 0.5 * RHO * params.drag_cd * params.axial_area * 100.0
@@ -554,6 +616,43 @@ class TestSimLog:
         assert len(rows) == 500
         assert rows[0].split(",")[0] == "0"
         assert rows[0].split(",")[-2] == "retracted"
+
+    def test_csv_matches_per_row_formatting(self, tmp_path):
+        """write_csv formats row chunks with one format string; the
+        bytes must equal a row-by-row f-string writer's, across a chunk
+        boundary and for -0.0, tiny, huge and integral values."""
+        n = 1300
+        rng = np.random.default_rng(11)
+        cols = rng.normal(size=(n, 20)) * 10.0 ** rng.integers(-12, 12,
+                                                                (n, 20))
+        cols[5, 3] = -0.0
+        cols[600, 0] = 1e-300
+        cols[601, 7] = -1e300
+        cols[1299, 19] = 1e300
+        cols[700, 2] = 42.0
+        lam = rng.uniform(0.0, 1.0, n)
+        lam[3] = -0.0
+        log = SimLog(name="fmt", t=cols[:, 0], state=cols[:, 1:14],
+                     td1=cols[:, 14], td2=cols[:, 15], mdx=cols[:, 16],
+                     mdy=cols[:, 17], d1=cols[:, 18], d2=cols[:, 19],
+                     mode=(np.arange(n) % 3 == 0).astype(np.int8), lam=lam,
+                     config={"b": "2", "a": "1"})
+        got = tmp_path / "chunked.csv"
+        log.write_csv(got)
+
+        want = ["# a = 1", "# b = 2", SimLog.COLUMNS]
+        for i in range(n):
+            nums = [log.t[i], *log.state[i], log.td1[i], log.td2[i],
+                    log.mdx[i], log.mdy[i], log.d1[i], log.d2[i]]
+            row = ",".join(f"{x:.9g}" for x in nums)
+            want.append(f"{row},{SimLog.MODE_NAMES[int(log.mode[i])]},"
+                        f"{log.lam[i]:.9g}")
+        assert got.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_peak_deviation_needs_samples(self):
+        log = run_scenario(hover_spec(duration=0.5), VehicleParams())
+        with pytest.raises(ConfigError, match="no sample"):
+            log.peak_deviation(np.zeros(3), t_min=1.0)
 
     def test_pitch_helper_matches_measured(self):
         log = run_scenario(ScenarioSpec(name="t", mode="transition",
