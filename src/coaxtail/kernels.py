@@ -2,8 +2,9 @@
 
 Two kernels live here: the azimuth-domain RK4 integrator for the
 swashplateless-rotor dynamics, and the single RK4 step of the rigid-body
-6-DOF state. Each is self-contained: the rotor kernel works element by
-element on small arrays, the rigid step on Python floats unpacked once.
+6-DOF state. Each is self-contained and runs on Python floats unpacked
+once, in the operation order of an element-by-element array version, so
+its result is the same to the bit at several times the speed.
 ``perfbench/run.py --trace 1`` reports their per-call cost.
 """
 
@@ -20,6 +21,7 @@ STATUS_SINGULAR = 1
 
 _QUARTER_PI = 0.25 * np.pi
 _SINGULAR_GUARD = 1e-6
+_CHUNK_ROWS = 128
 
 
 def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
@@ -28,57 +30,81 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     The independent variable is rotor azimuth (rad), not wall time.
     u_half holds the input sampled on the half-step grid (2*n_steps + 1
     values) so each RK4 stage sees the input at its own abscissa.
+    The arithmetic runs on Python floats in the same order as an
+    element-by-element array version, so the result is the same to the
+    bit. The coupling gain keeps numpy's tan, which need not round like
+    math.tan. Rows are written out _CHUNK_ROWS at a time, which keeps
+    memory at the size of the output array.
     Returns (trajectory[(n_steps+1) x 6], status).
     """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
+        np.asarray(Minv, dtype=float).tolist()
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = \
+        np.asarray(C, dtype=float).tolist()
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = \
+        np.asarray(Kc, dtype=float).tolist()
+    kb0, kb1, kb2 = np.asarray(kb_col, dtype=float).tolist()
+    tan = np.tan
 
-    def deriv(y, u, out):
-        # y = [theta, zeta, beta, theta', zeta', beta']
+    def accel(x0, x1, x2, v0, v1, v2, u):
+        # x = [theta, zeta, beta], v = their azimuth derivatives
         g = 1.0
         if coupled:
             # tan(beta + pi/4) via (1 + tan b)/(1 - tan b): exact 1.0 at beta = 0
-            tb = np.tan(y[2])
+            tb = float(tan(x2))
             g = (1.0 + tb) / (1.0 - tb)
-        s = 0.125 * g * y[1]
-        f0 = u - (C[0, 0] * y[3] + C[0, 1] * y[4] + C[0, 2] * y[5]) \
-            - (Kc[0, 0] * y[0] + Kc[0, 1] * y[1] + Kc[0, 2] * y[2]) - s * kb_col[0]
-        f1 = -(C[1, 0] * y[3] + C[1, 1] * y[4] + C[1, 2] * y[5]) \
-            - (Kc[1, 0] * y[0] + Kc[1, 1] * y[1] + Kc[1, 2] * y[2]) - s * kb_col[1]
-        f2 = -(C[2, 0] * y[3] + C[2, 1] * y[4] + C[2, 2] * y[5]) \
-            - (Kc[2, 0] * y[0] + Kc[2, 1] * y[1] + Kc[2, 2] * y[2]) - s * kb_col[2]
-        out[0] = y[3]
-        out[1] = y[4]
-        out[2] = y[5]
-        out[3] = Minv[0, 0] * f0 + Minv[0, 1] * f1 + Minv[0, 2] * f2
-        out[4] = Minv[1, 0] * f0 + Minv[1, 1] * f1 + Minv[1, 2] * f2
-        out[5] = Minv[2, 0] * f0 + Minv[2, 1] * f1 + Minv[2, 2] * f2
+        s = 0.125 * g * x1
+        f0 = u - (c00 * v0 + c01 * v1 + c02 * v2) \
+            - (k00 * x0 + k01 * x1 + k02 * x2) - s * kb0
+        f1 = -(c10 * v0 + c11 * v1 + c12 * v2) \
+            - (k10 * x0 + k11 * x1 + k12 * x2) - s * kb1
+        f2 = -(c20 * v0 + c21 * v1 + c22 * v2) \
+            - (k20 * x0 + k21 * x1 + k22 * x2) - s * kb2
+        return (m00 * f0 + m01 * f1 + m02 * f2,
+                m10 * f0 + m11 * f1 + m12 * f2,
+                m20 * f0 + m21 * f1 + m22 * f2)
 
     out = np.empty((n_steps + 1, 6))
     out[0] = y0
-    y = y0.copy()
-    ytmp = np.empty(6)
-    k1 = np.empty(6)
-    k2 = np.empty(6)
-    k3 = np.empty(6)
-    k4 = np.empty(6)
-    for i in range(n_steps):
-        if coupled and abs(y[2] - _QUARTER_PI) < _SINGULAR_GUARD:
-            return out[: i + 1], STATUS_SINGULAR
-        u0 = u_half[2 * i]
-        um = u_half[2 * i + 1]
-        u1 = u_half[2 * i + 2]
-        deriv(y, u0, k1)
-        for j in range(6):
-            ytmp[j] = y[j] + 0.5 * h * k1[j]
-        deriv(ytmp, um, k2)
-        for j in range(6):
-            ytmp[j] = y[j] + 0.5 * h * k2[j]
-        deriv(ytmp, um, k3)
-        for j in range(6):
-            ytmp[j] = y[j] + h * k3[j]
-        deriv(ytmp, u1, k4)
-        for j in range(6):
-            y[j] = y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-        out[i + 1] = y
+    x0, x1, x2, v0, v1, v2 = out[0].tolist()
+    half = 0.5 * h
+    sixth = h / 6.0
+    for start in range(0, n_steps, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_steps)
+        u = u_half[2 * start:2 * stop + 1].tolist()
+        rows = []
+        for j in range(0, 2 * (stop - start), 2):
+            if coupled and abs(x2 - _QUARTER_PI) < _SINGULAR_GUARD:
+                i = start + len(rows)
+                if rows:
+                    out[start + 1:i + 1] = rows
+                return out[: i + 1], STATUS_SINGULAR
+            um = u[j + 1]
+            # k1 = (v, a), k2 = (q, b), k3 = (r, c), k4 = (w, d)
+            a0, a1, a2 = accel(x0, x1, x2, v0, v1, v2, u[j])
+            q0 = v0 + half * a0
+            q1 = v1 + half * a1
+            q2 = v2 + half * a2
+            b0, b1, b2 = accel(x0 + half * v0, x1 + half * v1,
+                               x2 + half * v2, q0, q1, q2, um)
+            r0 = v0 + half * b0
+            r1 = v1 + half * b1
+            r2 = v2 + half * b2
+            c0, c1, c2 = accel(x0 + half * q0, x1 + half * q1,
+                               x2 + half * q2, r0, r1, r2, um)
+            w0 = v0 + h * c0
+            w1 = v1 + h * c1
+            w2 = v2 + h * c2
+            d0, d1, d2 = accel(x0 + h * r0, x1 + h * r1, x2 + h * r2,
+                               w0, w1, w2, u[j + 2])
+            x0 = x0 + sixth * (v0 + 2.0 * q0 + 2.0 * r0 + w0)
+            x1 = x1 + sixth * (v1 + 2.0 * q1 + 2.0 * r1 + w1)
+            x2 = x2 + sixth * (v2 + 2.0 * q2 + 2.0 * r2 + w2)
+            v0 = v0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+            v1 = v1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            v2 = v2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            rows.append((x0, x1, x2, v0, v1, v2))
+        out[start + 1:stop + 1] = rows
     return out, STATUS_OK
 
 

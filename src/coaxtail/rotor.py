@@ -109,7 +109,15 @@ class SplmParams:
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (3, 3):
                 raise ConfigError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ConfigError(f"{name} must be finite")
             object.__setattr__(self, name, m)
+        for name in ("downwash_angle", "hinge_offset", "lift_slope",
+                     "blade_count", "chord", "radius", "torque_gain",
+                     "torque_pickup", "speed_per_throttle", "throttle_scale",
+                     "hover_throttle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if abs(np.linalg.det(self.inertia)) < 1e-12:
             raise ConfigError("inertia matrix is singular")
         if self.variant not in ("coupled", "decoupled"):
@@ -125,6 +133,8 @@ class SplmParams:
         tbl = np.atleast_2d(np.asarray(self.beta_delay, dtype=float))
         if tbl.shape[1] != 2:
             raise ConfigError("beta_delay table needs two columns: speed, lag")
+        if not np.isfinite(tbl).all():
+            raise ConfigError("beta_delay must be finite")
         if tbl.shape[0] > 1 and np.any(np.diff(tbl[:, 0]) <= 0.0):
             raise ConfigError("beta_delay speeds must be strictly increasing")
         object.__setattr__(self, "beta_delay", tbl)
@@ -305,8 +315,12 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
         raise ConfigError(
             f"u_half must have {2 * n_steps + 1} samples for {n_steps} steps"
         )
+    y0 = np.asarray(y0, dtype=float)
+    if not (math.isfinite(psi_step) and np.isfinite(y0).all()
+            and np.isfinite(u_half).all()):
+        raise ConfigError("psi_step, y0 and u_half must be finite")
     scaled = u_half * _input_scale(params)
-    return _run_kernel(np.asarray(y0, dtype=float), n_steps, float(psi_step), params, scaled)
+    return _run_kernel(y0, n_steps, float(psi_step), params, scaled)
 
 
 def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> np.ndarray:
@@ -347,6 +361,8 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     sampled at fs; the integrator runs `substeps` internal steps per
     output sample.
     """
+    if not all(map(math.isfinite, (throttle, amplitude, phase))):
+        raise ConfigError("throttle, amplitude and phase must be finite")
     if throttle <= 0.0:
         raise ConfigError("throttle must be positive")
     if amplitude < 0.0:

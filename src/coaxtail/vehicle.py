@@ -237,6 +237,13 @@ def transition_profile(t):
     return 0.0
 
 
+def _finite_vector3(value, name):
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ConfigError(f"{name} must be 3 finite numbers")
+    return v
+
+
 @dataclass(frozen=True)
 class WindProfile:
     """Constant-speed wind with linear ramp-in (and optional ramp-out)."""
@@ -255,9 +262,7 @@ class WindProfile:
                               "finite")
         if self.speed < 0.0 or self.ramp < 0.0:
             raise ConfigError("wind speed and ramp must be non-negative")
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,) or not np.isfinite(d).all():
-            raise ConfigError("wind direction must be 3 finite numbers")
+        d = _finite_vector3(self.direction, "wind direction")
         n = np.linalg.norm(d)
         if self.speed > 0.0 and n < 1e-12:
             raise ConfigError("wind direction must be a nonzero vector")
@@ -290,6 +295,8 @@ class WingSchedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "pitch"):
             raise ConfigError("wing schedule kind must be 'fixed' or 'pitch'")
+        if not math.isfinite(self.extend_below):
+            raise ConfigError("wing extend_below pitch must be finite")
 
     def mode_at(self, pitch):
         if self.kind == "fixed":
@@ -309,6 +316,10 @@ class LambdaSchedule:
     pitch_end: float = math.radians(-70.0)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam_hover, self.lam_fw,
+                                       self.pitch_start, self.pitch_end))):
+            raise ConfigError("allocation ratios and blend pitches must be "
+                              "finite")
         for lam in (self.lam_hover, self.lam_fw):
             if not 0.0 <= lam <= 1.0:
                 raise ConfigError("allocation ratios must lie in [0, 1]")
@@ -347,6 +358,11 @@ class ScenarioSpec:
         base = 1.0 / self.dt
         if abs(base - round(base)) > 1e-6:
             raise ConfigError("1/dt must be an integer rate")
+        if not math.isfinite(self.yaw):
+            raise ConfigError("yaw must be finite")
+        _finite_vector3(self.position, "position")
+        if self.start_position is not None:
+            _finite_vector3(self.start_position, "start_position")
 
     @property
     def base_rate(self):

@@ -457,6 +457,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"avg_psd_db={DB_FLOOR:.9g}" in out
 
+    def test_bench_splm_rejects_bad_inputs(self, tmp_path, capsys):
+        out = str(tmp_path / "tq.csv")
+        for argv in (["--duration", "nan"], ["--throttle", "nan"],
+                     ["--amplitude", "nan"], ["--phase", "inf"],
+                     ["--throttle", "-900"]):
+            code = cli_main(["bench-splm", *argv, "--out", out])
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            lines = err.splitlines()
+            assert len(lines) == 1 and "category=validation" in lines[0], argv
+            assert "Traceback" not in err
+
     def test_psd_missing_file(self, capsys, tmp_path):
         code = cli_main(["psd", str(tmp_path / "none.csv")])
         captured = capsys.readouterr()

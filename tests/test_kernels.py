@@ -44,7 +44,96 @@ def rigid_args():
     )
 
 
+def reference_splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled,
+                              u_half):
+    """The rotor kernel written element by element on numpy arrays: the
+    form kernels.splm_trajectory must reproduce to the bit."""
+
+    def deriv(y, u, out):
+        g = 1.0
+        if coupled:
+            tb = np.tan(y[2])
+            g = (1.0 + tb) / (1.0 - tb)
+        s = 0.125 * g * y[1]
+        f0 = u - (C[0, 0] * y[3] + C[0, 1] * y[4] + C[0, 2] * y[5]) \
+            - (Kc[0, 0] * y[0] + Kc[0, 1] * y[1] + Kc[0, 2] * y[2]) - s * kb_col[0]
+        f1 = -(C[1, 0] * y[3] + C[1, 1] * y[4] + C[1, 2] * y[5]) \
+            - (Kc[1, 0] * y[0] + Kc[1, 1] * y[1] + Kc[1, 2] * y[2]) - s * kb_col[1]
+        f2 = -(C[2, 0] * y[3] + C[2, 1] * y[4] + C[2, 2] * y[5]) \
+            - (Kc[2, 0] * y[0] + Kc[2, 1] * y[1] + Kc[2, 2] * y[2]) - s * kb_col[2]
+        out[0] = y[3]
+        out[1] = y[4]
+        out[2] = y[5]
+        out[3] = Minv[0, 0] * f0 + Minv[0, 1] * f1 + Minv[0, 2] * f2
+        out[4] = Minv[1, 0] * f0 + Minv[1, 1] * f1 + Minv[1, 2] * f2
+        out[5] = Minv[2, 0] * f0 + Minv[2, 1] * f1 + Minv[2, 2] * f2
+
+    out = np.empty((n_steps + 1, 6))
+    out[0] = y0
+    y = y0.copy()
+    k1, k2, k3, k4, ytmp = (np.empty(6) for _ in range(5))
+    for i in range(n_steps):
+        if coupled and abs(y[2] - 0.25 * np.pi) < 1e-6:
+            return out[: i + 1], kernels.STATUS_SINGULAR
+        u0 = u_half[2 * i]
+        um = u_half[2 * i + 1]
+        u1 = u_half[2 * i + 2]
+        deriv(y, u0, k1)
+        for j in range(6):
+            ytmp[j] = y[j] + 0.5 * h * k1[j]
+        deriv(ytmp, um, k2)
+        for j in range(6):
+            ytmp[j] = y[j] + 0.5 * h * k2[j]
+        deriv(ytmp, um, k3)
+        for j in range(6):
+            ytmp[j] = y[j] + h * k3[j]
+        deriv(ytmp, u1, k4)
+        for j in range(6):
+            y[j] = y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+        out[i + 1] = y
+    return out, kernels.STATUS_OK
+
+
 class TestSplmKernel:
+    def test_matches_array_reference_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        # step counts around the kernel's 128-row output chunks included
+        counts = [0, 1, 127, 128, 129, 257]
+        for case in range(120):
+            n = counts[case] if case < len(counts) else int(rng.integers(2, 300))
+            h = float(rng.uniform(0.005, 0.2))
+            y0 = rng.normal(size=6) * np.array([1.0, 0.1, 0.1, 0.5, 0.1, 0.1])
+            if case % 10 == 0:
+                y0[rng.integers(6)] = -0.0
+            m = np.eye(3) + rng.normal(size=(3, 3)) * 0.1
+            c = np.diag(rng.uniform(0.1, 0.5, 3)) + rng.normal(size=(3, 3)) * 0.05
+            kc = np.diag(rng.uniform(0.1, 2.0, 3)) + rng.normal(size=(3, 3)) * 0.05
+            kb_col = rng.normal(size=3) * 0.5
+            u_half = rng.normal(size=2 * n + 1) * rng.choice([1e-3, 0.1, 1.0])
+            args = (y0, n, h, np.linalg.inv(m), c, kc, kb_col,
+                    case % 2 == 0, u_half)
+            got, got_status = kernels.splm_trajectory(*args)
+            want, want_status = reference_splm_trajectory(*args)
+            assert got_status == want_status == kernels.STATUS_OK
+            assert got.shape == (n + 1, 6)
+            assert np.isfinite(want).all()
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_singular_truncation_matches_reference(self):
+        # free motion: beta climbs 1e-6 rad per step and enters the guard
+        # band around pi/4 in the second output chunk
+        n, h = 400, 1e-3
+        y0 = np.array([0.1, 0.0, 0.25 * math.pi - 2e-4, 0.3, 0.0, 1e-3])
+        u_half = np.sin(np.arange(2 * n + 1) * (0.5 * h))
+        args = (y0, n, h, np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)),
+                np.array([0.12, -0.1, -0.7]), True, u_half)
+        got, got_status = kernels.splm_trajectory(*args)
+        want, want_status = reference_splm_trajectory(*args)
+        assert got_status == want_status == kernels.STATUS_SINGULAR
+        assert 129 < got.shape[0] < n + 1
+        assert np.array_equal(got, want)
+
     def test_singular_pitch_truncates(self):
         args = list(splm_args("coupled"))
         y0 = args[0].copy()

@@ -1,0 +1,71 @@
+"""Property tests: every constructor refuses a non-finite float with ConfigError.
+
+Each example puts one NaN or infinity into one float field (or one element
+of a vector or matrix field) of an otherwise valid constructor call. The
+call must raise ConfigError, never any other exception.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from coaxtail.errors import ConfigError
+from coaxtail.rotor import SplmParams
+from coaxtail.vehicle import (
+    LambdaSchedule,
+    ScenarioSpec,
+    WindProfile,
+    WingSchedule,
+)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_SPLM = SplmParams()
+
+# constructor -> {field: a valid value of the field's shape}
+FIELDS = {
+    SplmParams: {
+        **{name: float(getattr(_SPLM, name)) for name in (
+            "downwash_angle", "hinge_offset", "lift_slope", "blade_count",
+            "chord", "radius", "torque_gain", "torque_pickup",
+            "speed_per_throttle", "throttle_scale", "hover_throttle")},
+        "inertia": _SPLM.inertia,
+        "damping": _SPLM.damping,
+        "stiffness_const": _SPLM.stiffness_const,
+        "beta_delay": np.array([[0.0, 0.0], [100.0, 0.1]]),
+    },
+    WindProfile: {"speed": 5.0, "direction": (1.0, 0.0, 0.0), "start": 2.0,
+                  "stop": 8.0, "ramp": 0.5},
+    ScenarioSpec: {"duration": 4.0, "dt": 1e-3, "position": (0.0, 0.0, 1.5),
+                   "yaw": 0.3, "start_position": (0.1, -0.1, 1.3)},
+    LambdaSchedule: {"lam_hover": 1.0, "lam_fw": 0.3, "pitch_start": -0.5,
+                     "pitch_end": -1.2},
+    WingSchedule: {"extend_below": -0.35},
+}
+
+non_finite = st.sampled_from((math.nan, -math.nan, math.inf, -math.inf))
+
+
+@st.composite
+def poisoned(draw, fields):
+    """Valid keyword arguments with one non-finite float planted in them."""
+    name = draw(st.sampled_from(sorted(fields)))
+    bad = draw(non_finite)
+    value = np.array(fields[name], dtype=float)
+    if value.ndim == 0:
+        return {name: bad}
+    value.flat[draw(st.integers(0, value.size - 1))] = bad
+    return {name: value if value.ndim > 1 else tuple(value.tolist())}
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_non_finite_field_raises_config_error(cls, data):
+    fields = FIELDS[cls]
+    cls(**fields)  # the unpoisoned call is valid
+    kwargs = data.draw(poisoned(fields))
+    with pytest.raises(ConfigError):
+        cls(**{**fields, **kwargs})

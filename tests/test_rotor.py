@@ -62,6 +62,25 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             make_params(torque_pickup=-1.0)
 
+    def test_non_finite_rejected(self):
+        scalars = ("downwash_angle", "hinge_offset", "lift_slope",
+                   "blade_count", "chord", "radius", "torque_gain",
+                   "torque_pickup", "speed_per_throttle", "throttle_scale",
+                   "hover_throttle")
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in scalars:
+                with pytest.raises(ConfigError):
+                    make_params(**{name: bad})
+            for name in ("inertia", "damping", "stiffness_const"):
+                m = getattr(make_params(), name).copy()
+                m[2, 1] = bad
+                with pytest.raises(ConfigError):
+                    make_params(**{name: m})
+            with pytest.raises(ConfigError):
+                make_params(beta_delay=[[0.0, 0.0], [100.0, bad]])
+        with pytest.raises(ConfigError):
+            make_params(inertia=np.full((3, 3), math.nan))
+
     def test_beta_delay_must_increase(self):
         with pytest.raises(ConfigError):
             make_params(beta_delay=[[0.0, 0.0], [0.0, 0.1]])
@@ -288,6 +307,27 @@ class TestBench:
                              (math.inf, 1000.0)):
             with pytest.raises(ConfigError):
                 bench_torque_series(p, 900.0, 200.0, 0.0, duration, fs)
+
+    def test_non_finite_command_rejected(self):
+        p = make_params()
+        for bad in (math.nan, math.inf, -math.inf):
+            for args in ((bad, 200.0, 0.0), (900.0, bad, 0.0),
+                         (900.0, 200.0, bad)):
+                with pytest.raises(ConfigError):
+                    bench_torque_series(p, *args, 1.0, 1000.0)
+
+    def test_integrate_rejects_non_finite_inputs(self):
+        p = make_params()
+        u_half = np.zeros(21)
+        for bad in (math.nan, math.inf):
+            y0 = np.zeros(6)
+            y0[4] = bad
+            u_bad = u_half.copy()
+            u_bad[7] = bad
+            for args in ((np.zeros(6), bad, u_half), (y0, 0.05, u_half),
+                         (np.zeros(6), 0.05, u_bad)):
+                with pytest.raises(ConfigError):
+                    integrate(p, args[0], args[1], 10, args[2])
 
     def test_torque_model_guards_singular_pitch(self):
         p = make_params(variant="coupled")

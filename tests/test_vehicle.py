@@ -324,6 +324,9 @@ class TestSchedules:
         s = WingSchedule(kind="pitch", extend_below=math.radians(-20.0))
         assert s.mode_at(math.radians(-19.9)) is WingMode.RETRACTED
         assert s.mode_at(math.radians(-20.1)) is WingMode.EXTENDED
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                WingSchedule(kind="pitch", extend_below=bad)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -346,6 +349,10 @@ class TestSchedules:
             LambdaSchedule(lam_hover=1.2)
         with pytest.raises(ConfigError):
             LambdaSchedule(pitch_start=-1.0, pitch_end=-0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("lam_hover", "lam_fw", "pitch_start", "pitch_end"):
+                with pytest.raises(ConfigError):
+                    LambdaSchedule(**{name: bad})
 
 
 class TestWingWrench:
@@ -510,6 +517,12 @@ class TestScenarios:
                 ScenarioSpec(duration=bad)
             with pytest.raises(ConfigError):
                 ScenarioSpec(dt=bad)
+            for kwargs in ({"yaw": bad}, {"position": (bad, 0.0, 1.5)},
+                           {"start_position": (0.0, 0.0, bad)}):
+                with pytest.raises(ConfigError):
+                    ScenarioSpec(**kwargs)
+        with pytest.raises(ConfigError):
+            ScenarioSpec(position=(0.0, 1.5))
         assert ScenarioSpec(dt=5e-4).base_rate == 2000
 
     def test_hover_settles_to_setpoint(self):
