@@ -474,11 +474,14 @@ def _cmd_simulate(args):
         rms, speed = log.transition_tracking()
         print(f"ramp_pitch_rms_deg={_optional(rms)} "
               f"cruise_speed_mps={_optional(speed)}")
-        return 0
-    target = np.asarray(spec.position, dtype=float)
-    final_err = float(np.linalg.norm(log.position[-1] - target))
-    print(f"final_error_m={final_err:.9g} "
-          f"peak_deviation_m={log.peak_deviation(target):.9g}")
+    else:
+        target = np.asarray(spec.position, dtype=float)
+        final_err = float(np.linalg.norm(log.position[-1] - target))
+        print(f"final_error_m={final_err:.9g} "
+              f"peak_deviation_m={log.peak_deviation(target):.9g}")
+    clip_fraction, min_scale = log.saturation()
+    print(f"sat_clip_fraction={clip_fraction:.9g} "
+          f"sat_min_scale={min_scale:.9g}")
     return 0
 
 

@@ -47,28 +47,40 @@ class AllocationGains:
             raise ConfigError("lam must lie in [0, 1]")
         if not self.c_t1 * self.k_t2 + self.c_t2 * self.k_t1 > 0.0:
             raise ConfigError("allocation denominator must be positive")
+        object.__setattr__(self, "_derived", derived_params(self))
 
 
-@dataclass(frozen=True)
+# Wrench and ActuatorCommand are built every tick. They stay frozen, but
+# their __init__ (which holds the defaults) fills __dict__ directly: the
+# generated frozen __init__ pays one object.__setattr__ per field, about
+# three times the cost.
+
+@dataclass(frozen=True, init=False)
 class Wrench:
-    f_t: float = 0.0
-    tau_x: float = 0.0
-    tau_y: float = 0.0
-    tau_z: float = 0.0
+    f_t: float
+    tau_x: float
+    tau_y: float
+    tau_z: float
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.f_t, self.tau_x, self.tau_y, self.tau_z))):
+    def __init__(self, f_t=0.0, tau_x=0.0, tau_y=0.0, tau_z=0.0):
+        if not all(map(math.isfinite, (f_t, tau_x, tau_y, tau_z))):
             raise ConfigError("wrench entries must be finite")
+        self.__dict__.update(f_t=f_t, tau_x=tau_x, tau_y=tau_y, tau_z=tau_z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ActuatorCommand:
-    t_d1: float = 0.0   # fore throttle
-    t_d2: float = 0.0   # aft throttle
-    m_dx: float = 0.0   # modulation, x component
-    m_dy: float = 0.0   # modulation, y component
-    d_1: float = 0.0    # elevon 1
-    d_2: float = 0.0    # elevon 2
+    t_d1: float   # fore throttle
+    t_d2: float   # aft throttle
+    m_dx: float   # modulation, x component
+    m_dy: float   # modulation, y component
+    d_1: float    # elevon 1
+    d_2: float    # elevon 2
+
+    def __init__(self, t_d1=0.0, t_d2=0.0, m_dx=0.0, m_dy=0.0, d_1=0.0,
+                 d_2=0.0):
+        self.__dict__.update(t_d1=t_d1, t_d2=t_d2, m_dx=m_dx, m_dy=m_dy,
+                             d_1=d_1, d_2=d_2)
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,7 @@ def derived_params(gains):
 def mix(wrench, gains):
     """Allocate a wrench to actuator commands (no saturation here)."""
     return ActuatorCommand(*_mix_channels(
-        derived_params(gains), gains, wrench.f_t, wrench.tau_x, wrench.tau_y,
+        gains._derived, gains, wrench.f_t, wrench.tau_x, wrench.tau_y,
         wrench.tau_z))
 
 
@@ -152,7 +164,7 @@ def saturate(wrench, gains, limits):
     (t_d1 +/- |m_d| inside the throttle box). All constraints are affine
     in s, so the bound is exact, not iterated. Returns (command, s).
     """
-    derived = derived_params(gains)
+    derived = gains._derived
     f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,
                                 wrench.tau_z)
     base_t1, base_t2 = _mix_channels(derived, gains, f_t, 0.0, 0.0, 0.0)[:2]
@@ -302,6 +314,10 @@ class CascadeController:
                                   gains.vel_i_limit)
         self._rate_pid = VectorPid(gains.rate_kp, gains.rate_ki, gains.rate_kd,
                                    gains.rate_i_limit)
+        # base ticks per update of each loop
+        self._every = tuple(gains.base_rate // rate for rate in (
+            gains.pos_rate, gains.vel_rate, gains.att_rate,
+            gains.yaw_rate_rate))
         self.reset()
 
     def reset(self):
@@ -316,15 +332,19 @@ class CascadeController:
     def step(self, setpoint, position, velocity, orientation, body_rate, dt):
         """One base-rate tick; returns the demanded Wrench (body frame).
 
-        Vector arithmetic runs on Python floats, in the order the array
-        form would use. np.dot and np.linalg.norm stay: their BLAS sums
-        need not round like a left-to-right Python sum, so replacing them
-        would change the logs.
+        The state parts may be arrays or sequences of floats (the
+        simulator passes slices of its unpacked state). Vector arithmetic
+        runs on Python floats, in the order the array form would use.
+        Only np.dot and numpy's transcendental calls stay, because they
+        need not round like a left-to-right Python sum or like libm;
+        norms are sqrt(v·v) on numpy's dot, which is exactly what
+        np.linalg.norm computes (see quat).
         """
         g = self.gains
         transition = setpoint.pitch_override is not None
+        pos_every, vel_every, att_every, yaw_every = self._every
 
-        if self._tick % (g.base_rate // g.pos_rate) == 0:
+        if self._tick % pos_every == 0:
             sp = [k * (a - b) for k, a, b in zip(
                 quat.components(g.pos_p), quat.components(setpoint.position),
                 quat.components(position))]
@@ -333,8 +353,8 @@ class CascadeController:
                 sp[1] = 0.0
             self._vel_sp = sp
 
-        if self._tick % (g.base_rate // g.vel_rate) == 0:
-            vdt = dt * (g.base_rate // g.vel_rate)
+        if self._tick % vel_every == 0:
+            vdt = dt * vel_every
             err = [a - b for a, b in zip(self._vel_sp,
                                          quat.components(velocity))]
             if transition:
@@ -348,9 +368,10 @@ class CascadeController:
                                     self.mass * (acc[1] + 0.0),
                                     self.mass * (acc[2] + self.gravity)])
 
+        # an array: np.dot's operand for the thrust and the tilt angle
         z_body = quat.rotate(orientation, _Z_AXIS)
 
-        if self._tick % (g.base_rate // g.att_rate) == 0:
+        if self._tick % att_every == 0:
             if transition:
                 q_sp = quat.multiply(
                     quat.from_axis_angle(_Z_AXIS, setpoint.yaw),
@@ -358,7 +379,7 @@ class CascadeController:
                 )
                 z_des = quat.rotate(q_sp, _Z_AXIS)
             else:
-                f_norm = np.linalg.norm(self._f_des)
+                f_norm = quat.norm(self._f_des)
                 z_des = (self._f_des / f_norm if f_norm > 1e-9
                          else np.array(_Z_AXIS))
                 q_sp = quat.multiply(
@@ -366,24 +387,23 @@ class CascadeController:
                     _tilt_quaternion(z_des),
                 )
             axis = _cross(z_body, z_des)
-            s_n = np.linalg.norm(axis)
+            s_n = quat.norm(axis)
             c_n = float(np.dot(z_body, z_des))
             if s_n > 1e-12:
                 angle = math.atan2(s_n, c_n)
-                tilt_w = [a / s_n * angle for a in axis.tolist()]
+                tilt_w = [a / s_n * angle for a in axis]
             else:
                 tilt_w = [0.0, 0.0, 0.0]
-            qw, qx, qy, qz = quat.components(orientation)
-            tilt_b = quat.rotate((qw, -qx, -qy, -qz), tilt_w)
+            tilt_b = quat.rotate_floats(quat.conjugate(orientation), tilt_w)
             full_b = quat.error_rotation_vector(orientation, q_sp)
-            self._rate_sp = [g.att_p_tilt * float(tilt_b[0]),
-                             g.att_p_tilt * float(tilt_b[1]),
-                             g.att_p_yaw * float(full_b[2])]
+            self._rate_sp = [g.att_p_tilt * tilt_b[0],
+                             g.att_p_tilt * tilt_b[1],
+                             g.att_p_yaw * full_b[2]]
 
         rate_err = [a - b for a, b in zip(self._rate_sp,
                                           quat.components(body_rate))]
         tau = self._rate_pid.step(rate_err, dt)
-        if self._tick % (g.base_rate // g.yaw_rate_rate) == 0:
+        if self._tick % yaw_every == 0:
             self._tau_z = tau[2]
 
         if transition:
@@ -394,8 +414,7 @@ class CascadeController:
         thrust = max(thrust, 0.0)
 
         self._tick += 1
-        return Wrench(f_t=thrust, tau_x=tau[0], tau_y=tau[1],
-                      tau_z=self._tau_z)
+        return Wrench(thrust, tau[0], tau[1], self._tau_z)
 
 
 _Y_AXIS = (0.0, 1.0, 0.0)
@@ -406,17 +425,16 @@ def _cross(a, b):
     """np.cross of two 3-vectors, on Python floats, same operation order."""
     a0, a1, a2 = quat.components(a)
     b0, b1, b2 = quat.components(b)
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def _tilt_quaternion(z_des):
     # shortest rotation taking world +z to z_des
-    z0 = np.array(_Z_AXIS)
-    c = float(np.dot(z0, z_des))
-    axis = _cross(z0, z_des)
-    s = np.linalg.norm(axis)
+    c = float(np.dot(np.array(_Z_AXIS), z_des))
+    axis = _cross(_Z_AXIS, z_des)
+    s = quat.norm(axis)
     if s < 1e-12:
         if c > 0.0:
-            return np.array([1.0, 0.0, 0.0, 0.0])
-        return np.array([0.0, 1.0, 0.0, 0.0])
-    return quat.from_axis_angle(axis / s, math.atan2(s, c))
+            return (1.0, 0.0, 0.0, 0.0)
+        return (0.0, 1.0, 0.0, 0.0)
+    return quat.from_axis_angle([a / s for a in axis], math.atan2(s, c))

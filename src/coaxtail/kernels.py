@@ -24,12 +24,21 @@ _SINGULAR_GUARD = 1e-6
 _CHUNK_ROWS = 128
 
 
+def _floats(a):
+    """Python floats of a vector or matrix: an array converts once; a
+    (nested) sequence, such as the rows VehicleParams and SplmParams
+    unpack once, is used as it is."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
+
+
 def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     """Integrate the rotor perturbation dynamics over n_steps of size h.
 
     The independent variable is rotor azimuth (rad), not wall time.
     u_half holds the input sampled on the half-step grid (2*n_steps + 1
-    values) so each RK4 stage sees the input at its own abscissa.
+    values, an array) so each RK4 stage sees the input at its own
+    abscissa. The matrices and kb_col may be arrays or (nested) sequences
+    of floats, such as SplmParams' unpacked rows.
     The arithmetic runs on Python floats in the same order as an
     element-by-element array version, so the result is the same to the
     bit. The coupling gain keeps numpy's tan, which need not round like
@@ -37,13 +46,10 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     memory at the size of the output array.
     Returns (trajectory[(n_steps+1) x 6], status).
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
-        np.asarray(Minv, dtype=float).tolist()
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = \
-        np.asarray(C, dtype=float).tolist()
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = \
-        np.asarray(Kc, dtype=float).tolist()
-    kb0, kb1, kb2 = np.asarray(kb_col, dtype=float).tolist()
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _floats(Minv)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = _floats(C)
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = _floats(Kc)
+    kb0, kb1, kb2 = _floats(kb_col)
     tan = np.tan
 
     def accel(x0, x1, x2, v0, v1, v2, u):
@@ -113,23 +119,23 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
 
     State layout [p(3), v(3), q(4, wxyz), w(3)]. Force and torque are held
     constant in the body frame over the step; gravity is a constant world
-    acceleration. The arithmetic runs on Python floats in the same order
-    as an element-by-element array version, so the result is the same to
-    the bit; numpy scalars would cost several times more per operation.
+    acceleration. Vectors and matrices may be arrays or (nested)
+    sequences of floats. The arithmetic runs on Python floats in the same
+    order as an element-by-element array version, so the result is the
+    same to the bit; numpy scalars would cost several times more per
+    operation. The stages are written out: the rates depend only on q
+    and w, and the position rate of each stage is that stage's velocity.
     Returns a new 13-element array.
     """
-    f0, f1, f2 = np.asarray(f_body, dtype=float).tolist()
-    t0, t1, t2 = np.asarray(tau_body, dtype=float).tolist()
-    g0, g1, g2 = np.asarray(g_world, dtype=float).tolist()
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = \
-        np.asarray(inertia, dtype=float).tolist()
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = \
-        np.asarray(inertia_inv, dtype=float).tolist()
+    f0, f1, f2 = _floats(f_body)
+    t0, t1, t2 = _floats(tau_body)
+    g0, g1, g2 = _floats(g_world)
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = _floats(inertia)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = _floats(inertia_inv)
     inv_mass = 1.0 / mass
 
-    def deriv(y):
-        _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
-
+    def rates(qw, qx, qy, qz, wx, wy, wz):
+        """(acceleration, quaternion rate, angular acceleration)."""
         # world-frame force: R(q) @ f_body, rotation expanded inline
         tx = 2.0 * (qy * f2 - qz * f1)
         ty = 2.0 * (qz * f0 - qx * f2)
@@ -147,7 +153,6 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
         mz = t2 - (wx * hy - wy * hx)
 
         return (
-            vx, vy, vz,
             fwx * inv_mass + g0,
             fwy * inv_mass + g1,
             fwz * inv_mass + g2,
@@ -161,17 +166,39 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
             j20 * mx + j21 * my + j22 * mz,
         )
 
-    y = np.asarray(y, dtype=float).tolist()
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = _floats(y)
     half = 0.5 * h
-    k1 = deriv(y)
-    k2 = deriv([a + half * b for a, b in zip(y, k1)])
-    k3 = deriv([a + half * b for a, b in zip(y, k2)])
-    k4 = deriv([a + h * b for a, b in zip(y, k3)])
+    # stage n has velocity vn*, acceleration an*, quaternion rate qn* and
+    # angular acceleration wn*; stage 1 starts from y itself
+    a1x, a1y, a1z, q1w, q1x, q1y, q1z, w1x, w1y, w1z = rates(
+        qw, qx, qy, qz, wx, wy, wz)
+    v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
+    a2x, a2y, a2z, q2w, q2x, q2y, q2z, w2x, w2y, w2z = rates(
+        qw + half * q1w, qx + half * q1x, qy + half * q1y, qz + half * q1z,
+        wx + half * w1x, wy + half * w1y, wz + half * w1z)
+    v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
+    a3x, a3y, a3z, q3w, q3x, q3y, q3z, w3x, w3y, w3z = rates(
+        qw + half * q2w, qx + half * q2x, qy + half * q2y, qz + half * q2z,
+        wx + half * w2x, wy + half * w2y, wz + half * w2z)
+    v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+    a4x, a4y, a4z, q4w, q4x, q4y, q4z, w4x, w4y, w4z = rates(
+        qw + h * q3w, qx + h * q3x, qy + h * q3y, qz + h * q3z,
+        wx + h * w3x, wy + h * w3y, wz + h * w3z)
     sixth = h / 6.0
-    out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    qn = math.sqrt(out[6] * out[6] + out[7] * out[7] + out[8] * out[8]
-                   + out[9] * out[9])
-    for j in range(6, 10):
-        out[j] = out[j] / qn
-    return np.array(out)
+    ow = qw + sixth * (q1w + 2.0 * q2w + 2.0 * q3w + q4w)
+    ox = qx + sixth * (q1x + 2.0 * q2x + 2.0 * q3x + q4x)
+    oy = qy + sixth * (q1y + 2.0 * q2y + 2.0 * q3y + q4y)
+    oz = qz + sixth * (q1z + 2.0 * q2z + 2.0 * q3z + q4z)
+    qn = math.sqrt(ow * ow + ox * ox + oy * oy + oz * oz)
+    return np.array((
+        px + sixth * (vx + 2.0 * v2x + 2.0 * v3x + v4x),
+        py + sixth * (vy + 2.0 * v2y + 2.0 * v3y + v4y),
+        pz + sixth * (vz + 2.0 * v2z + 2.0 * v3z + v4z),
+        vx + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
+        vy + sixth * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
+        vz + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z),
+        ow / qn, ox / qn, oy / qn, oz / qn,
+        wx + sixth * (w1x + 2.0 * w2x + 2.0 * w3x + w4x),
+        wy + sixth * (w1y + 2.0 * w2y + 2.0 * w3y + w4y),
+        wz + sixth * (w1z + 2.0 * w2z + 2.0 * w3z + w4z),
+    ))

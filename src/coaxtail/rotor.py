@@ -106,11 +106,13 @@ class SplmParams:
 
     def __post_init__(self):
         for name in ("inertia", "damping", "stiffness_const"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            # a read-only copy: the rows unpacked below must not go stale
+            m = np.array(getattr(self, name), dtype=float)
             if m.shape != (3, 3):
                 raise ConfigError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
             if not np.isfinite(m).all():
                 raise ConfigError(f"{name} must be finite")
+            m.flags.writeable = False
             object.__setattr__(self, name, m)
         for name in ("downwash_angle", "hinge_offset", "lift_slope",
                      "blade_count", "chord", "radius", "torque_gain",
@@ -138,6 +140,14 @@ class SplmParams:
         if tbl.shape[0] > 1 and np.any(np.diff(tbl[:, 0]) <= 0.0):
             raise ConfigError("beta_delay speeds must be strictly increasing")
         object.__setattr__(self, "beta_delay", tbl)
+        # the integrator's inputs, computed and unpacked to floats once
+        object.__setattr__(self, "_inertia_inv_rows",
+                           np.linalg.inv(self.inertia).tolist())
+        object.__setattr__(self, "_damping_rows", self.damping.tolist())
+        object.__setattr__(self, "_stiffness_rows",
+                           self.stiffness_const.tolist())
+        object.__setattr__(self, "_kbeta", _kbeta_column(self).tolist())
+        object.__setattr__(self, "_u_scale", _input_scale(self))
 
     @property
     def coupled(self) -> bool:
@@ -261,18 +271,9 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
 
 
 def _run_kernel(y0, n_steps, h, params, u_half):
-    minv = np.linalg.inv(params.inertia)
     traj, status = kernels.splm_trajectory(
-        np.ascontiguousarray(y0, dtype=float),
-        n_steps,
-        h,
-        np.ascontiguousarray(minv),
-        np.ascontiguousarray(params.damping),
-        np.ascontiguousarray(params.stiffness_const),
-        np.ascontiguousarray(_kbeta_column(params)),
-        params.coupled,
-        np.ascontiguousarray(u_half, dtype=float),
-    )
+        y0, n_steps, h, params._inertia_inv_rows, params._damping_rows,
+        params._stiffness_rows, params._kbeta, params.coupled, u_half)
     if status == kernels.STATUS_SINGULAR:
         raise NumericalDomainError(
             "trajectory reached the lag-pitch coupling singularity (beta ~ pi/4)"
@@ -297,7 +298,7 @@ def splm_step(state: RotorState, u: float, params: SplmParams, dt: float,
     if omega <= 0.0:
         raise ConfigError("shaft speed must be positive")
     h = omega * dt
-    u_half = np.full(3, float(u) * _input_scale(params))
+    u_half = np.full(3, float(u) * params._u_scale)
     traj = _run_kernel(state.as_vector(), 1, h, params, u_half)
     return RotorState(traj[-1, :3].copy(), traj[-1, 3:].copy())
 
@@ -319,7 +320,7 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
     if not (math.isfinite(psi_step) and np.isfinite(y0).all()
             and np.isfinite(u_half).all()):
         raise ConfigError("psi_step, y0 and u_half must be finite")
-    scaled = u_half * _input_scale(params)
+    scaled = u_half * params._u_scale
     return _run_kernel(y0, n_steps, float(psi_step), params, scaled)
 
 
@@ -344,7 +345,7 @@ def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> n
     else:
         g = np.ones_like(beta)
     coupling_row0 = 0.125 * params.downwash_angle * g * zeta
-    counts = u - params.torque_pickup * coupling_row0 / _input_scale(params)
+    counts = u - params.torque_pickup * coupling_row0 / params._u_scale
     return params.torque_gain * counts
 
 

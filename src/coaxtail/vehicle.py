@@ -94,7 +94,8 @@ class VehicleParams:
                 raise ConfigError(f"{name} must be finite")
         if self.mass <= 0.0:
             raise ConfigError("mass must be positive")
-        inertia = np.asarray(self.inertia, dtype=float)
+        # a read-only copy: the rows unpacked below must not go stale
+        inertia = np.array(self.inertia, dtype=float)
         if inertia.shape != (3, 3):
             raise ConfigError("inertia must be 3x3")
         if not np.isfinite(inertia).all():
@@ -109,8 +110,12 @@ class VehicleParams:
                 raise ConfigError(f"{name} must be positive")
         if self.gravity < 0.0:
             raise ConfigError("gravity must be non-negative")
+        inertia.flags.writeable = False
         object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "_inertia_inv", np.linalg.inv(inertia))
+        # unpacked once for the rigid-step kernel
+        object.__setattr__(self, "_inertia_rows", inertia.tolist())
+        object.__setattr__(self, "_inertia_inv_rows",
+                           np.linalg.inv(inertia).tolist())
         object.__setattr__(self, "_g_world", (0.0, 0.0, -self.gravity))
 
 
@@ -130,13 +135,23 @@ def _pack_state(parts):
     return np.concatenate(arrays)
 
 
+def _check_state(values):
+    """Raise SimulationFault unless the 13 packed floats are finite and
+    hold a unit quaternion."""
+    if not all(map(math.isfinite, values)):
+        raise SimulationFault("non-finite vehicle state")
+    qw, qx, qy, qz = values[6:10]
+    if abs(math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz) - 1.0) > 1e-9:
+        raise SimulationFault("orientation quaternion not normalized")
+
+
 class VehicleState:
     """Rigid-body state packed as one 13-vector y = [p, v, q (wxyz), w].
 
     Build it from the four parts or from a packed ``y``; either way it is
-    validated once (finite entries, unit quaternion) and ``y`` is then
-    read-only. position, velocity, orientation (body to world) and
-    body_rate are views into ``y``.
+    validated once, on its Python floats (finite entries, unit
+    quaternion), and ``y`` is then read-only. position, velocity,
+    orientation (body to world) and body_rate are views into ``y``.
     """
 
     __slots__ = ("_y", "wing_mode")
@@ -153,11 +168,19 @@ class VehicleState:
             y = np.array(y, dtype=float)  # own copy: y becomes read-only
             if y.shape != (13,):
                 raise ConfigError("packed vehicle state must hold 13 numbers")
-        if not np.isfinite(y).all():
-            raise SimulationFault("non-finite vehicle state")
-        qw, qx, qy, qz = y[6:10].tolist()
-        if abs(math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz) - 1.0) > 1e-9:
-            raise SimulationFault("orientation quaternion not normalized")
+        self._own(y, wing_mode)
+
+    @classmethod
+    def _adopt(cls, y, wing_mode):
+        """State holding y, a new 13-element float array that nothing
+        else refers to (the rigid-step kernel's result), validated like
+        any other but not copied."""
+        state = cls.__new__(cls)
+        state._own(y, wing_mode)
+        return state
+
+    def _own(self, y, wing_mode):
+        _check_state(y.tolist())
         y.flags.writeable = False
         self._y = y
         self.wing_mode = wing_mode
@@ -193,23 +216,34 @@ class VehicleState:
                    body_rate=np.zeros(3), wing_mode=wing_mode)
 
 
+_BODY_Z = (0.0, 0.0, 1.0)
+
+
 def measured_pitch(orientation):
-    """Pitch angle (rad): asin of the world-x component of body +z."""
-    z_w = quat.rotate(orientation, np.array([0.0, 0.0, 1.0]))
-    return math.asin(min(1.0, max(-1.0, float(z_w[0]))))
+    """Pitch angle (rad): asin of the world-x component of body +z.
+
+    orientation is (w, x, y, z) as Python floats, or an array.
+    """
+    x_w = quat.rotate_floats(orientation, _BODY_Z)[0]
+    return math.asin(min(1.0, max(-1.0, float(x_w))))
 
 
 def step_6dof(state, force_body, torque_body, params, dt):
-    """Advance the rigid body one RK4 step under body force/torque + gravity."""
+    """Advance the rigid body one RK4 step under body force/torque + gravity.
+
+    force_body and torque_body are arrays or sequences of three floats,
+    such as the tuples realized_wrench returns. The kernel's result is
+    validated on its Python floats and becomes the new state's array
+    without another copy.
+    """
     if dt <= 0.0 or dt > _MAX_DT:
         raise ConfigError("dt must lie in (0, 1 ms]")
-    f = np.asarray(force_body, dtype=float)
-    tau = np.asarray(torque_body, dtype=float)
-    if not all(map(math.isfinite, f.tolist() + tau.tolist())):
+    if not all(map(math.isfinite, (*force_body, *torque_body))):
         raise SimulationFault("non-finite force or torque input")
-    out = kernels.rigid_step(state.y, f, tau, params.mass, params.inertia,
-                             params._inertia_inv, params._g_world, dt)
-    return VehicleState(y=out, wing_mode=state.wing_mode)
+    out = kernels.rigid_step(state.y, force_body, torque_body, params.mass,
+                             params._inertia_rows, params._inertia_inv_rows,
+                             params._g_world, dt)
+    return VehicleState._adopt(out, state.wing_mode)
 
 
 def wind_force(state, wind, area, cd, rho):
@@ -358,6 +392,8 @@ class ScenarioSpec:
         base = 1.0 / self.dt
         if abs(base - round(base)) > 1e-6:
             raise ConfigError("1/dt must be an integer rate")
+        if round(self.duration / self.dt) < 1:
+            raise ConfigError("duration must cover at least one tick")
         if not math.isfinite(self.yaw):
             raise ConfigError("yaw must be finite")
         _finite_vector3(self.position, "position")
@@ -406,12 +442,13 @@ def _wing_wrench(u_body, tandem, mode):
     return force_x, torque_y
 
 
-def _drag_body(u_body, lateral_area, axial_area, cd, rho):
-    ux, uy, uz = np.asarray(u_body, dtype=float).tolist()
+def _drag_body(ux, uy, uz, lateral_area, axial_area, cd, rho):
+    """Quadratic per-axis body drag from the body-frame flow (ux, uy, uz),
+    as a tuple of floats."""
     k = -0.5 * rho * cd
-    return np.array([k * lateral_area * abs(ux) * ux,
-                     k * lateral_area * abs(uy) * uy,
-                     k * axial_area * abs(uz) * uz])
+    return (k * lateral_area * abs(ux) * ux,
+            k * lateral_area * abs(uy) * uy,
+            k * axial_area * abs(uz) * uz)
 
 
 def _aft_thrust(params, t_d2, axial_speed):
@@ -429,30 +466,36 @@ def _aft_thrust(params, t_d2, axial_speed):
 
 
 def realized_wrench(state, params, cmd, wind_world, wing_mode):
-    """Aggregate non-gravity force and torque in the body frame."""
-    qw, qx, qy, qz = state.orientation.tolist()
-    vx, vy, vz = state.velocity.tolist()
-    wx, wy, wz = np.asarray(wind_world, dtype=float).tolist()
-    u_body = quat.rotate((qw, -qx, -qy, -qz), (vx - wx, vy - wy, vz - wz))
+    """Aggregate non-gravity force and torque in the body frame.
+
+    state is a VehicleState or its 13 packed entries as Python floats
+    (run_scenario passes the list it unpacked for the tick). Returns
+    (force, torque), each a tuple of three floats.
+    """
+    y = state.y.tolist() if isinstance(state, VehicleState) else state
+    vx, vy, vz, qw, qx, qy, qz = y[3:10]
+    wx, wy, wz = quat.components(wind_world)
+    u_body = quat.rotate_floats((qw, -qx, -qy, -qz),
+                                (vx - wx, vy - wy, vz - wz))
+    ux, uy, uz = u_body
     alloc = params.alloc
 
-    ux, uz = float(u_body[0]), float(u_body[2])
     thrust = alloc.c_t1 * cmd.t_d1 + _aft_thrust(params, cmd.t_d2, uz)
     drag_x, drag_y, drag_z = _drag_body(
-        u_body, params.lateral_area, params.axial_area, params.drag_cd,
-        params.tandem.rho).tolist()
+        ux, uy, uz, params.lateral_area, params.axial_area, params.drag_cd,
+        params.tandem.rho)
     wing_fx, wing_ty = _wing_wrench(u_body, params.tandem, wing_mode)
-    force = np.array([0.0 + drag_x + wing_fx, 0.0 + drag_y, thrust + drag_z])
+    force = (0.0 + drag_x + wing_fx, 0.0 + drag_y, thrust + drag_z)
 
     q_scale = 0.5 * params.tandem.rho * (ux * ux + uz * uz) \
         / params.elevon_q_ref
-    torque = np.array([
+    torque = (
         alloc.c_m * cmd.m_dx,
         alloc.c_m * cmd.m_dy + alloc.k_ey * (cmd.d_1 + cmd.d_2) * q_scale
         + wing_ty,
         -alloc.k_t1 * cmd.t_d1 + alloc.k_t2 * cmd.t_d2
         + alloc.k_ez * (cmd.d_1 - cmd.d_2) * q_scale,
-    ])
+    )
     return force, torque
 
 
@@ -470,6 +513,8 @@ class SimLog:
     mode: np.ndarray  # int8, WingMode codes
     lam: np.ndarray
     config: dict
+    # thrust-priority scale s per tick (1 = no clipping); not in the CSV
+    sat_scale: np.ndarray = None
 
     MODE_NAMES = {0: "retracted", 1: "extended"}
     COLUMNS = ("t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,wx,wy,wz,"
@@ -526,6 +571,12 @@ class SimLog:
                     fmt % (*row, names[mode], lam) for row, mode, lam in zip(
                         nums, self.mode[a:b].tolist(),
                         self.lam[a:b].tolist())))
+
+    def saturation(self):
+        """(share of ticks with s < 1, minimum s) of the thrust-priority
+        scale: how often and how hard the mixer clipped the torques."""
+        s = self.sat_scale
+        return float(np.count_nonzero(s < 1.0)) / s.size, float(s.min())
 
     def transition_tracking(self):
         """(ramp pitch RMS in deg, cruise speed in m/s) of a transition.
@@ -602,6 +653,7 @@ def run_scenario(spec, params):
     d2 = np.empty(n)
     mode_col = np.empty(n, dtype=np.int8)
     lam_col = np.empty(n)
+    sat_col = np.empty(n)
 
     target = np.asarray(spec.position, dtype=float)
     transition = spec.mode == "transition"
@@ -612,24 +664,23 @@ def run_scenario(spec, params):
 
     for k in range(n):
         t = k * spec.dt
-        pitch = measured_pitch(state.orientation)
+        y = state.y.tolist()  # the tick's float state, unpacked once
+        orientation = y[6:10]
+        pitch = measured_pitch(orientation)
         wing_mode = spec.wing.mode_at(pitch)
         lam = spec.lam.value(pitch) if transition else spec.lam.lam_hover
 
         if transition:
-            override = transition_profile(t)
-            if _differs(override, setpoint.pitch_override):
-                setpoint = ControlSetpoint(position=target, yaw=spec.yaw,
-                                           pitch_override=override)
-        wrench = controller.step(setpoint, state.position, state.velocity,
-                                 state.orientation, state.body_rate, spec.dt)
+            setpoint.pitch_override = transition_profile(t)
+        wrench = controller.step(setpoint, y[0:3], y[3:6], orientation,
+                                 y[10:13], spec.dt)
         if _differs(lam, alloc.lam):
             alloc = params.alloc if params.alloc.lam == lam \
                 else replace(params.alloc, lam=lam)
-        cmd, _ = saturate(wrench, alloc, params.limits)
+        cmd, s = saturate(wrench, alloc, params.limits)
 
         wind_w = spec.wind.vector(t)
-        force, torque = realized_wrench(state, params, cmd, wind_w, wing_mode)
+        force, torque = realized_wrench(y, params, cmd, wind_w, wing_mode)
 
         t_col[k] = t
         state_col[k] = state.y
@@ -641,6 +692,7 @@ def run_scenario(spec, params):
         d2[k] = cmd.d_2
         mode_col[k] = 1 if wing_mode is WingMode.EXTENDED else 0
         lam_col[k] = lam
+        sat_col[k] = s
 
         try:
             state = step_6dof(state, force, torque, params, spec.dt)
@@ -651,4 +703,4 @@ def run_scenario(spec, params):
 
     return SimLog(name=spec.name, t=t_col, state=state_col, td1=td1, td2=td2,
                   mdx=mdx, mdy=mdy, d1=d1, d2=d2, mode=mode_col, lam=lam_col,
-                  config=_config_snapshot(spec, params))
+                  config=_config_snapshot(spec, params), sat_scale=sat_col)

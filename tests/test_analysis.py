@@ -540,6 +540,24 @@ class TestCli:
         assert set(dict(kv.split("=", 1) for kv in line.split())) == {
             "final_error_m", "peak_deviation_m"}
 
+    def test_simulate_reports_saturation(self, tmp_path, capsys):
+        """Both modes end with how hard the mixer clipped: the share of
+        ticks with s < 1 and the smallest s."""
+        for mode in ("hover", "transition"):
+            cfg = tmp_path / f"{mode}.cfg"
+            cfg.write_text(f"[scenario]\nname = {mode}\nmode = {mode}\n"
+                           "duration_s = 0.5\n")
+            assert cli_main(["simulate", str(cfg), "--out",
+                             str(tmp_path / f"{mode}.csv")]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 3
+            fields = dict(kv.split("=", 1) for kv in lines[2].split())
+            assert fields == {"sat_clip_fraction": "0", "sat_min_scale": "1"}
+
+    def test_shipped_transition_never_clips(self):
+        log = run_scenario(*load_scenario(PROPS_DIR.parent / "transition.cfg"))
+        assert log.saturation() == (0.0, 1.0)
+
     def test_wind_test_rejects_runs_ending_before_the_gust(self, capsys):
         for argv in (["--duration", "1"], ["--duration", "2"],
                      ["--duration", "nan"], ["--speed", "nan"],

@@ -17,6 +17,7 @@ from coaxtail.control import (
     VectorPid,
     Wrench,
     _cross,
+    _tilt_quaternion,
     derived_params,
     forward_model,
     mix,
@@ -300,6 +301,172 @@ class TestFloatForms:
             got, want = _cross(a, b), np.cross(a, b)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# The numpy array forms the quaternion helpers and the tilt quaternion
+# had before they moved to Python floats; the float forms must reproduce
+# them to the bit.
+
+def reference_multiply(a, b):
+    w1, x1, y1, z1 = np.asarray(a, dtype=float)
+    w2, x2, y2, z2 = np.asarray(b, dtype=float)
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def reference_from_axis_angle(axis, angle):
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n == 0.0:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    half = 0.5 * angle
+    s = np.sin(half) / n
+    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+
+
+def reference_error_rotation_vector(q, q_sp):
+    q = np.asarray(q, dtype=float)
+    qe = reference_multiply(np.array([q[0], -q[1], -q[2], -q[3]]), q_sp)
+    if qe[0] < 0.0:
+        qe = -qe
+    vec = qe[1:4]
+    s = np.linalg.norm(vec)
+    if s < 1e-12:
+        return 2.0 * vec
+    angle = 2.0 * np.arctan2(s, qe[0])
+    return vec * (angle / s)
+
+
+def reference_tilt_quaternion(z_des):
+    z0 = np.array([0.0, 0.0, 1.0])
+    c = float(np.dot(z0, z_des))
+    axis = np.cross(z0, z_des)
+    s = np.linalg.norm(axis)
+    if s < 1e-12:
+        if c > 0.0:
+            return np.array([1.0, 0.0, 0.0, 0.0])
+        return np.array([0.0, 1.0, 0.0, 0.0])
+    return reference_from_axis_angle(axis / s, math.atan2(s, c))
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def random_unit(rng, size):
+    v = rng.normal(size=size)
+    return v / np.linalg.norm(v)
+
+
+def with_signed_zero(rng, v):
+    v = np.array(v, dtype=float)
+    v[rng.integers(v.size)] = rng.choice([0.0, -0.0])
+    return v
+
+
+class TestQuaternionFloatForms:
+    """quat.multiply, from_axis_angle, error_rotation_vector and norm, and
+    the controller's tilt quaternion, against their numpy forms."""
+
+    def test_norm_is_numpy_norm(self):
+        rng = np.random.default_rng(21)
+        for size in (3, 4):
+            for case in range(2000):
+                v = rng.normal(size=size) * 10.0 ** rng.integers(-150, 150)
+                if case % 5 == 0:
+                    v = with_signed_zero(rng, v)
+                want = np.linalg.norm(v)
+                for arg in (v, tuple(v.tolist()), v.tolist()):
+                    got = quat.norm(arg)
+                    assert got == want
+                    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert quat.norm((0.0, -0.0, 0.0)) == 0.0
+
+    def test_multiply(self):
+        rng = np.random.default_rng(22)
+        for case in range(1000):
+            a = rng.normal(size=4) * rng.choice([1e-3, 1.0, 1e3])
+            b = rng.normal(size=4)
+            if case % 3 == 0:
+                a = with_signed_zero(rng, a)
+                b = with_signed_zero(rng, b)
+            want = reference_multiply(a, b)
+            assert_same_bits(quat.multiply(a, b), want)
+            assert_same_bits(quat.multiply(tuple(a), list(b)), want)
+
+    def test_from_axis_angle(self):
+        rng = np.random.default_rng(23)
+        cases = [(np.zeros(3), 0.7), (np.array([-0.0, 0.0, -0.0]), 1.1),
+                 (np.array([0.0, 0.0, 1.0]), 0.0),
+                 (np.array([0.0, 1.0, 0.0]), -0.0)]
+        for case in range(1000):
+            axis = rng.normal(size=3) * rng.choice([1e-6, 1.0, 1e6])
+            if case % 4 == 0:
+                axis = with_signed_zero(rng, axis)
+            angle = rng.uniform(-8.0, 8.0)
+            if case % 10 == 0:
+                angle = rng.choice([0.0, -0.0, math.pi, -math.pi])
+            cases.append((axis, angle))
+        for axis, angle in cases:
+            want = reference_from_axis_angle(axis, angle)
+            assert_same_bits(quat.from_axis_angle(axis, angle), want)
+            assert_same_bits(quat.from_axis_angle(tuple(axis), angle), want)
+
+    def test_error_rotation_vector(self):
+        rng = np.random.default_rng(24)
+        seen = {"flip": 0, "small": 0, "general": 0}
+        for case in range(1500):
+            q = random_unit(rng, 4)
+            kind = case % 5
+            if kind == 0:
+                q_sp = q.copy()  # no error: the small-angle branch
+            elif kind == 1:
+                q_sp = -q  # same attitude, opposite sign
+            elif kind == 2:
+                q_sp = random_unit(rng, 4)
+            elif kind == 3:
+                q_sp = q + rng.normal(size=4) * 1e-7
+                q_sp /= np.linalg.norm(q_sp)
+            else:
+                q_sp = with_signed_zero(rng, random_unit(rng, 4))
+            want = reference_error_rotation_vector(q, q_sp)
+            qe = reference_multiply(np.array([q[0], -q[1], -q[2], -q[3]]),
+                                    q_sp)
+            seen["flip"] += qe[0] < 0.0
+            seen["small" if np.linalg.norm(qe[1:4]) < 1e-12
+                 else "general"] += 1
+            assert_same_bits(quat.error_rotation_vector(q, q_sp), want)
+            assert_same_bits(
+                quat.error_rotation_vector(q.tolist(), tuple(q_sp)), want)
+        assert min(seen.values()) > 100, seen
+
+    def test_tilt_quaternion(self):
+        rng = np.random.default_rng(25)
+        cases = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
+                 np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, -1.0]),
+                 np.array([1e-13, -1e-13, 1.0]),
+                 np.array([-1e-13, 0.0, -1.0])]
+        for case in range(1000):
+            z = random_unit(rng, 3)
+            if case % 4 == 0:
+                z = with_signed_zero(rng, z)
+            if case % 7 == 0:
+                z = np.array([rng.normal() * 1e-12, rng.normal() * 1e-12,
+                              rng.choice([1.0, -1.0])])
+            cases.append(z)
+        degenerate = 0
+        for z in cases:
+            want = reference_tilt_quaternion(z)
+            degenerate += np.linalg.norm(np.cross([0.0, 0.0, 1.0], z)) < 1e-12
+            assert_same_bits(_tilt_quaternion(z), want)
+        assert degenerate > 20
 
 
 class TestVectorPid:

@@ -56,6 +56,17 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             make_params(variant="rigid")
 
+    def test_matrices_are_read_only_copies(self):
+        """The integrator uses rows unpacked at construction, so the
+        matrices may not change afterwards, nor follow the caller's."""
+        given = np.eye(3) * 2.0
+        p = make_params(inertia=given, damping=given, stiffness_const=given)
+        given[0, 0] = 9.0
+        for m in (p.inertia, p.damping, p.stiffness_const):
+            assert m[0, 0] == 2.0
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
     def test_negative_scalars_rejected(self):
         with pytest.raises(ConfigError):
             make_params(chord=-0.03)
@@ -149,6 +160,24 @@ class TestStep:
         for _ in range(5000):
             s = splm_step(s, 700.0, p, 1e-3)
         assert np.max(np.abs(s.x - target) / np.abs(target)) < 1e-6
+
+    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
+    def test_steps_equal_one_integration_bit_for_bit(self, variant):
+        """splm_step reuses the inverse inertia, K_beta column and input
+        scale SplmParams computed once; 200 single steps under a constant
+        input must equal one 200-step integration of the same input."""
+        p = make_params(variant=variant)
+        dt, u = 1e-3, 650.0
+        x0 = steady_state(p, 900.0)
+        s = RotorState(x0, np.array([0.01, -0.02, 0.005]))
+        y0 = s.as_vector()
+        rows = [y0]
+        for _ in range(200):
+            s = splm_step(s, u, p, dt)
+            rows.append(s.as_vector())
+        traj = integrate(p, y0, p.omega_hover * dt, 200, np.full(401, u))
+        assert np.array_equal(np.array(rows), traj)
+        assert np.array_equal(np.signbit(np.array(rows)), np.signbit(traj))
 
     def test_coupled_steady_state_is_fixed_point(self):
         p = make_params(variant="coupled")

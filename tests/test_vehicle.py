@@ -7,7 +7,7 @@ import pytest
 
 from coaxtail import quat
 from coaxtail.aero import TandemConfig, WingMode, WingPanel
-from coaxtail.control import ActuatorCommand
+from coaxtail.control import ActuatorCommand, ActuatorLimits
 from coaxtail.errors import ConfigError, SimulationFault
 from coaxtail.propulsion import PropellerTable
 from coaxtail.vehicle import (
@@ -148,6 +148,17 @@ class TestRigidStep:
                              body_rate=state.body_rate)
         assert np.array_equal(parts.y, state.y)
 
+    def test_step_validates_the_kernel_result(self):
+        params = VehicleParams()
+        state = resting_state()
+        nxt = step_6dof(state, (0.0, 0.0, 5.0), [0.0, 0.0, 0.0], params, 1e-3)
+        assert not nxt.y.flags.writeable
+        assert nxt.wing_mode is state.wing_mode
+        # a torque whose body-rate change overflows makes the result inf
+        with pytest.raises(SimulationFault, match="non-finite vehicle state"):
+            step_6dof(state, np.zeros(3), np.array([1e308, 0.0, 0.0]),
+                      params, 1e-3)
+
     def test_params_validation(self):
         for name in ("mass", "drag_cd", "lateral_area", "axial_area",
                      "elevon_q_ref", "aft_speed_per_count", "gravity"):
@@ -159,6 +170,14 @@ class TestRigidStep:
             VehicleParams(inertia=inertia)
         with pytest.raises(ConfigError):
             VehicleParams(mass=0.0)
+
+    def test_params_inertia_is_a_read_only_copy(self):
+        given = np.diag([0.02, 0.025, 0.01])
+        params = VehicleParams(inertia=given)
+        given[0, 0] = 1.0
+        assert params.inertia[0, 0] == 0.02
+        with pytest.raises(ValueError):
+            params.inertia[1, 1] = 1.0
 
     def test_torque_free_tumble_conserves_invariants(self):
         """Asymmetric-inertia tumble: rotational energy and the world-frame
@@ -231,6 +250,41 @@ class TestMeasuredPitch:
         q = quat.multiply(pitched_quat(-0.8),
                           quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4))
         assert measured_pitch(q) == pytest.approx(-0.8, abs=1e-12)
+
+    def test_matches_array_reference_bit_for_bit(self):
+        """measured_pitch runs on Python floats; it must equal the numpy
+        form (rotate body +z as arrays, clip, asin), signed zeros and the
+        clipped range of a non-unit quaternion included."""
+
+        def reference(q):
+            w, x, y, z = np.asarray(q, dtype=float)
+            v = np.array([0.0, 0.0, 1.0])
+            t = 2.0 * np.array([y * v[2] - z * v[1], z * v[0] - x * v[2],
+                                x * v[1] - y * v[0]])
+            z_w = v + w * t + np.array([y * t[2] - z * t[1],
+                                        z * t[0] - x * t[2],
+                                        x * t[1] - y * t[0]])
+            return math.asin(min(1.0, max(-1.0, float(z_w[0]))))
+
+        rng = np.random.default_rng(31)
+        clipped = 0
+        for case in range(2000):
+            q = rng.normal(size=4)
+            q /= np.linalg.norm(q)
+            if case % 4 == 0:
+                q[rng.integers(4)] = rng.choice([0.0, -0.0])
+            if case % 6 == 0:  # two zeros: the pitch itself can be -0.0
+                q[rng.choice(4, 2, replace=False)] = rng.choice([0.0, -0.0],
+                                                               2)
+            if case % 5 == 0:
+                q *= rng.uniform(1.0, 2.0)
+            want = reference(q)
+            clipped += abs(want) == math.pi / 2
+            for arg in (q, q.tolist()):
+                got = measured_pitch(arg)
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert clipped > 10
 
 
 class TestWindForce:
@@ -410,11 +464,27 @@ class TestWingWrench:
 
 class TestDragAndWrench:
     def test_per_axis_drag_signs(self):
-        f = _drag_body(np.array([3.0, -2.0, 1.0]), 0.05, 0.02, 1.0, RHO)
+        f = _drag_body(3.0, -2.0, 1.0, 0.05, 0.02, 1.0, RHO)
         assert f[0] == pytest.approx(-0.5 * RHO * 0.05 * 9.0, rel=1e-12)
         assert f[1] == pytest.approx(+0.5 * RHO * 0.05 * 4.0, rel=1e-12)
         assert f[2] == pytest.approx(-0.5 * RHO * 0.02 * 1.0, rel=1e-12)
-        assert np.all(_drag_body(np.zeros(3), 0.05, 0.02, 1.0, RHO) == 0.0)
+        assert np.all(np.array(_drag_body(0.0, 0.0, 0.0, 0.05, 0.02, 1.0,
+                                          RHO)) == 0.0)
+
+    def test_packed_floats_give_the_same_wrench(self):
+        params = VehicleParams()
+        state = VehicleState(position=np.array([0.0, 0.0, 2.0]),
+                             velocity=np.array([3.0, -1.0, 0.5]),
+                             orientation=pitched_quat(-0.6),
+                             body_rate=np.array([0.1, 0.2, -0.3]),
+                             wing_mode=WingMode.EXTENDED)
+        cmd = ActuatorCommand(t_d1=700.0, t_d2=800.0, m_dx=20.0, m_dy=-10.0,
+                              d_1=0.1, d_2=-0.2)
+        wind = np.array([1.0, 2.0, 0.0])
+        a = realized_wrench(state, params, cmd, wind, WingMode.EXTENDED)
+        b = realized_wrench(state.y.tolist(), params, cmd, wind,
+                            WingMode.EXTENDED)
+        assert a == b
 
     def test_static_thrust_and_torque_maps(self):
         params = VehicleParams()
@@ -478,7 +548,7 @@ class TestDragOnlyDescent:
         speeds = []
         for _ in range(12000):
             u = state.velocity  # identity attitude, body equals world
-            drag = _drag_body(u, params.lateral_area, params.axial_area,
+            drag = _drag_body(*u, params.lateral_area, params.axial_area,
                               params.drag_cd, RHO)
             state = step_6dof(state, drag, np.zeros(3), params, 1e-3)
             speeds.append(-state.velocity[2])
@@ -524,6 +594,28 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             ScenarioSpec(position=(0.0, 1.5))
         assert ScenarioSpec(dt=5e-4).base_rate == 2000
+
+    def test_spec_needs_one_tick(self):
+        with pytest.raises(ConfigError, match="at least one tick"):
+            ScenarioSpec(duration=4e-4)
+        log = run_scenario(ScenarioSpec(duration=1e-3), VehicleParams())
+        assert log.t.size == 1
+
+    def test_saturation_is_logged(self):
+        """The mixer's thrust-priority scale is kept per tick; a throttle
+        ceiling just above the hover trim makes it clip."""
+        spec = ScenarioSpec(name="tight", mode="hover", duration=2.0,
+                            position=(0.0, 0.0, 1.5),
+                            start_position=(0.3, -0.3, 1.2))
+        free = run_scenario(spec, VehicleParams())
+        assert free.sat_scale.shape == free.t.shape
+        assert free.saturation() == (0.0, 1.0)
+        tight = run_scenario(
+            spec, VehicleParams(limits=ActuatorLimits(throttle_max=1100.0)))
+        fraction, min_scale = tight.saturation()
+        assert 0.0 < fraction < 1.0
+        assert 0.0 <= min_scale < 1.0
+        assert fraction == np.mean(tight.sat_scale < 1.0)
 
     def test_hover_settles_to_setpoint(self):
         log = run_scenario(hover_spec(), VehicleParams())
