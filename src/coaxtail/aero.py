@@ -36,6 +36,9 @@ class WingPanel:
     arm: float              # distance from CG to panel aero center, m
 
     def __post_init__(self):
+        for name in ("area", "lift_slope", "cl0", "incidence", "arm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.area <= 0.0:
             raise ConfigError("panel area must be positive")
         if self.lift_slope <= 0.0:
@@ -53,6 +56,9 @@ class TandemConfig:
     retracted_fraction: float = 0.338
 
     def __post_init__(self):
+        for name in ("rho", "frontal_area_extended", "retracted_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.rho <= 0.0:
             raise ConfigError("air density must be positive")
         if self.frontal_area_extended <= 0.0:

@@ -168,10 +168,9 @@ def peak_to_peak_reduction(a, b):
     return 100.0 * (1.0 - p2p_b / p2p_a)
 
 
-def default_mean_window(fs, splm=None):
+def default_mean_window(fs):
     """Samples per shaft revolution at the nominal hover throttle."""
-    params = splm if splm is not None else SplmParams()
-    rev_rate = params.omega_hover / (2.0 * math.pi)
+    rev_rate = SplmParams().omega_hover / (2.0 * math.pi)
     return max(1, int(round(fs / rev_rate)))
 
 
@@ -411,6 +410,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _finite_float(text):
+    """The type of every float flag: text that is not a finite number,
+    NaN and infinities included, is refused while parsing."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="coaxtail",
                      description="Reconfigurable-tailsitter analysis tools")
@@ -423,11 +435,11 @@ def _build_parser():
     p = sub.add_parser("bench-splm", help="simulate a rotor bench run")
     p.add_argument("--variant", choices=("coupled", "decoupled"),
                    default="coupled")
-    p.add_argument("--throttle", type=float, default=900.0)
-    p.add_argument("--amplitude", type=float, default=200.0)
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--fs", type=float, default=1000.0)
+    p.add_argument("--throttle", type=_finite_float, default=900.0)
+    p.add_argument("--amplitude", type=_finite_float, default=200.0)
+    p.add_argument("--phase", type=_finite_float, default=0.0)
+    p.add_argument("--duration", type=_finite_float, default=10.0)
+    p.add_argument("--fs", type=_finite_float, default=1000.0)
     p.add_argument("--out", default="torque.csv")
 
     p = sub.add_parser("power-analysis", help="mission power study")
@@ -436,15 +448,15 @@ def _build_parser():
     p.add_argument("--tables", default=None,
                    help="directory of <prop>_<rpm>.csv coefficient sheets")
     p.add_argument("--out", default="power_curve.csv")
-    p.add_argument("--mass", type=float, default=1.2)
-    p.add_argument("--cruise-thrust", type=float, default=4.4)
-    p.add_argument("--cruise-speed", type=float, default=15.6)
+    p.add_argument("--mass", type=_finite_float, default=1.2)
+    p.add_argument("--cruise-thrust", type=_finite_float, default=4.4)
+    p.add_argument("--cruise-speed", type=_finite_float, default=15.6)
 
     p = sub.add_parser("wind-test", help="gust rejection scenario")
     p.add_argument("--mode", choices=("extended", "retracted"),
                    required=True)
-    p.add_argument("--speed", type=float, default=5.0)
-    p.add_argument("--duration", type=float, default=12.0)
+    p.add_argument("--speed", type=_finite_float, default=5.0)
+    p.add_argument("--duration", type=_finite_float, default=12.0)
     p.add_argument("--out", default=None, help="optional log CSV path")
 
     p = sub.add_parser("mix-check", help="mixer round-trip property run")
@@ -455,7 +467,7 @@ def _build_parser():
     p = sub.add_parser("psd", help="mean-subtract + PSD of a t,<value> CSV")
     p.add_argument("csv", help="input CSV path")
     p.add_argument("--segment", type=int, default=1024)
-    p.add_argument("--overlap", type=float, default=0.5)
+    p.add_argument("--overlap", type=_finite_float, default=0.5)
     p.add_argument("--window", type=int, default=None,
                    help="mean-subtraction block, samples "
                         "(default: one shaft revolution at hover)")
@@ -544,6 +556,8 @@ def _cmd_wind_test(args):
 def _cmd_mix_check(args):
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     gains = (load_allocation_gains(args.gains) if args.gains
              else AllocationGains())
     rng = np.random.default_rng(args.seed)
@@ -598,10 +612,14 @@ def _error_line(category, exc):
 
 def cli_main(argv=None):
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except ConfigError as exc:
-        print(parser.format_usage(), end="", file=sys.stderr)
+        # a subcommand's error names the argument; without a known
+        # subcommand the usage lists them
+        if not argv or argv[0] not in _COMMANDS:
+            print(parser.format_usage(), end="", file=sys.stderr)
         _error_line("validation", exc)
         return 1
     if args.command is None:

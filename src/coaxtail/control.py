@@ -38,6 +38,10 @@ class AllocationGains:
     lam: float = 1.0       # rotor share of pitch/yaw moment
 
     def __post_init__(self):
+        for name in ("c_t1", "c_t2", "k_t1", "k_t2", "c_m", "k_ey", "k_ez",
+                     "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         for name in ("c_t1", "c_t2", "k_t1", "k_t2", "c_m"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -90,6 +94,9 @@ class ActuatorLimits:
     servo_max: float = 0.6
 
     def __post_init__(self):
+        for name in ("throttle_min", "throttle_max", "servo_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.throttle_max <= self.throttle_min:
             raise ConfigError("throttle_max must exceed throttle_min")
         if self.servo_max <= 0.0:

@@ -41,9 +41,11 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     of floats, such as SplmParams' unpacked rows.
     The arithmetic runs on Python floats in the same order as an
     element-by-element array version, so the result is the same to the
-    bit. The coupling gain keeps numpy's tan, which need not round like
-    math.tan. Rows are written out _CHUNK_ROWS at a time, which keeps
-    memory at the size of the output array.
+    bit. The coupling gain g(beta) is an inline copy of
+    rotor._coupling_gain, kept here because this is the hot loop; both
+    use numpy's tan, which need not round like math.tan. Rows are
+    written out _CHUNK_ROWS at a time, which keeps memory at the size of
+    the output array.
     Returns (trajectory[(n_steps+1) x 6], status).
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _floats(Minv)

@@ -46,6 +46,9 @@ class RpmSheet:
         cp = np.asarray(self.cp, dtype=float)
         if not (j.shape == ct.shape == cp.shape) or j.ndim != 1 or j.size == 0:
             raise ConfigError("sheet columns must be equal-length 1-D arrays")
+        if not (math.isfinite(self.rpm) and np.isfinite(j).all()
+                and np.isfinite(ct).all() and np.isfinite(cp).all()):
+            raise ConfigError("rpm and sheet columns must be finite")
         if j.size > 1 and np.any(np.diff(j) <= 0.0):
             raise ConfigError("advance ratios must be strictly increasing")
         if np.any(cp <= 0.0):
@@ -75,6 +78,8 @@ class PropellerTable:
     sheets: tuple
 
     def __post_init__(self):
+        if not math.isfinite(self.diameter):
+            raise ConfigError("diameter must be finite")
         if self.diameter <= 0.0:
             raise ConfigError("diameter must be positive")
         sheets = tuple(self.sheets)

@@ -45,8 +45,6 @@ from .errors import ConfigError, NumericalDomainError, SimulationFault
 from .control import modulation_signal
 from . import kernels
 
-_MAX_STEP_S = 2e-3
-
 
 def _default_inertia() -> np.ndarray:
     return np.array(
@@ -164,29 +162,6 @@ class SplmParams:
         return float(np.interp(omega, tbl[:, 0], tbl[:, 1]))
 
 
-@dataclass
-class RotorState:
-    """Rotor head state: generalized coordinates and azimuth-derivatives."""
-
-    x: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    x_dot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).reshape(3)
-        self.x_dot = np.asarray(self.x_dot, dtype=float).reshape(3)
-
-    def as_vector(self) -> np.ndarray:
-        out = np.empty(6)
-        out[:3] = self.x
-        out[3:] = self.x_dot
-        return out
-
-    @property
-    def wrapped_angle(self) -> float:
-        """Motor-angle coordinate wrapped to [0, 2*pi) for reporting."""
-        return float(np.mod(self.x[0], 2.0 * math.pi))
-
-
 def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
     """sigma = N c / (pi R)."""
     if blade_count < 1:
@@ -196,14 +171,21 @@ def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
     return blade_count * chord / (math.pi * radius)
 
 
-def _coupling_gain(beta: float, coupled: bool) -> float:
+def _coupling_gain(beta, coupled):
+    """g(beta) = tan(beta + pi/4) of a float or an array of pitch angles.
+
+    Evaluated as (1 + tan b)/(1 - tan b) with numpy's tan, so g(0) == 1.0
+    exactly; the decoupled geometry has g = 1. The rotor kernel's hot loop
+    (kernels.splm_trajectory) keeps an inline copy of the same expression.
+    """
     if not coupled:
         return 1.0
-    if abs(beta - 0.25 * math.pi) < 1e-6:
+    # count_nonzero, not np.any: several times cheaper on a scalar, and
+    # steady_state's root search calls this some 500 times
+    if np.count_nonzero(abs(beta - 0.25 * math.pi) < 1e-6):
         raise NumericalDomainError(
-            f"lag-pitch coupling singular: beta={beta:.8f} rad is within 1e-6 of pi/4"
-        )
-    tb = math.tan(beta)
+            "lag-pitch coupling singular: beta within 1e-6 rad of pi/4")
+    tb = np.tan(beta)
     return (1.0 + tb) / (1.0 - tb)
 
 
@@ -270,39 +252,6 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     return np.linalg.solve(stiffness_matrix(params, beta), b)
 
 
-def _run_kernel(y0, n_steps, h, params, u_half):
-    traj, status = kernels.splm_trajectory(
-        y0, n_steps, h, params._inertia_inv_rows, params._damping_rows,
-        params._stiffness_rows, params._kbeta, params.coupled, u_half)
-    if status == kernels.STATUS_SINGULAR:
-        raise NumericalDomainError(
-            "trajectory reached the lag-pitch coupling singularity (beta ~ pi/4)"
-        )
-    if not np.all(np.isfinite(traj)):
-        raise SimulationFault("rotor trajectory diverged to non-finite values")
-    return traj
-
-
-def splm_step(state: RotorState, u: float, params: SplmParams, dt: float,
-              omega: float | None = None) -> RotorState:
-    """Advance the rotor state by one RK4 step of dt seconds.
-
-    u is the modulation input in throttle counts, held constant over the
-    step. omega is the shaft speed used to convert wall time to azimuth;
-    defaults to the speed at the nominal operating throttle.
-    """
-    if not 0.0 < dt <= _MAX_STEP_S:
-        raise ConfigError(f"dt must be in (0, {_MAX_STEP_S}] s, got {dt}")
-    if omega is None:
-        omega = params.omega_hover
-    if omega <= 0.0:
-        raise ConfigError("shaft speed must be positive")
-    h = omega * dt
-    u_half = np.full(3, float(u) * params._u_scale)
-    traj = _run_kernel(state.as_vector(), 1, h, params, u_half)
-    return RotorState(traj[-1, :3].copy(), traj[-1, 3:].copy())
-
-
 def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
               u_half: np.ndarray) -> np.ndarray:
     """Integrate over n_steps azimuth steps with input given on the half grid.
@@ -320,8 +269,19 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
     if not (math.isfinite(psi_step) and np.isfinite(y0).all()
             and np.isfinite(u_half).all()):
         raise ConfigError("psi_step, y0 and u_half must be finite")
-    scaled = u_half * params._u_scale
-    return _run_kernel(y0, n_steps, float(psi_step), params, scaled)
+    if psi_step <= 0.0:
+        raise ConfigError(f"psi_step must be positive, got {psi_step}")
+    traj, status = kernels.splm_trajectory(
+        y0, n_steps, float(psi_step), params._inertia_inv_rows,
+        params._damping_rows, params._stiffness_rows, params._kbeta,
+        params.coupled, u_half * params._u_scale)
+    if status == kernels.STATUS_SINGULAR:
+        raise NumericalDomainError(
+            "trajectory reached the lag-pitch coupling singularity (beta ~ pi/4)"
+        )
+    if not np.all(np.isfinite(traj)):
+        raise SimulationFault("rotor trajectory diverged to non-finite values")
+    return traj
 
 
 def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> np.ndarray:
@@ -334,16 +294,7 @@ def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> n
     blade pitch unloads the motor.
     """
     zeta = traj[:, 1]
-    beta = traj[:, 2]
-    if params.coupled:
-        if np.any(np.abs(beta - 0.25 * math.pi) < 1e-6):
-            raise NumericalDomainError(
-                "torque model singular: trajectory contains beta within 1e-6 of pi/4"
-            )
-        tb = np.tan(beta)
-        g = (1.0 + tb) / (1.0 - tb)
-    else:
-        g = np.ones_like(beta)
+    g = _coupling_gain(traj[:, 2], params.coupled)
     coupling_row0 = 0.125 * params.downwash_angle * g * zeta
     counts = u - params.torque_pickup * coupling_row0 / params._u_scale
     return params.torque_gain * counts

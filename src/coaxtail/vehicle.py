@@ -19,7 +19,8 @@ Force model, all declared rather than fitted:
   mixer's nominal authority at cruise speed.
 - Fuselage drag is quadratic per body axis with a lateral and an axial
   reference area (the bare body without wings); pure crossflow or pure
-  axial flow reduce to the plain wind_force formula with that area.
+  axial flow reduce to 0.5*rho*Cd*A*|v_rel|*v_rel with that area, v_rel
+  the air velocity relative to the body.
 - Wings produce a normal force (body +x, the plate normal) from the
   chordwise flow component. Inside the linear range the coefficient is
   the panel's lift line; beyond it the coefficient blends smoothly into
@@ -48,7 +49,6 @@ from .control import (
     saturate,
 )
 from .errors import ConfigError, SimulationFault
-from .rotor import SplmParams
 
 _MAX_DT = 1e-3 + 1e-12
 _BLEND_BAND = math.radians(25.0)  # linear-to-post-stall crossfade width
@@ -74,7 +74,6 @@ class VehicleParams:
     mass: float = 1.2
     inertia: np.ndarray = field(default_factory=_default_inertia)
     tandem: TandemConfig = field(default_factory=_default_tandem)
-    splm: SplmParams = field(default_factory=SplmParams)
     alloc: AllocationGains = field(default_factory=AllocationGains)
     cascade: CascadeGains = field(default_factory=CascadeGains)
     limits: ActuatorLimits = field(default_factory=ActuatorLimits)
@@ -84,7 +83,6 @@ class VehicleParams:
     elevon_q_ref: float = 0.5 * 1.225 * 15.6 ** 2
     aft_table: object = None  # optional PropellerTable
     aft_speed_per_count: float = 0.16  # rev/s per throttle count
-    rotor_offsets: tuple = (0.25, -0.10)  # fore/aft hub position on body z, m
     gravity: float = 9.81
 
     def __post_init__(self):
@@ -244,12 +242,6 @@ def step_6dof(state, force_body, torque_body, params, dt):
                              params._inertia_rows, params._inertia_inv_rows,
                              params._g_world, dt)
     return VehicleState._adopt(out, state.wing_mode)
-
-
-def wind_force(state, wind, area, cd, rho):
-    """Quadratic drag force, world frame: 0.5*rho*Cd*A*|v_rel|*v_rel."""
-    v_rel = np.asarray(wind, dtype=float) - state.velocity
-    return 0.5 * rho * cd * area * np.linalg.norm(v_rel) * v_rel
 
 
 def transition_profile(t):

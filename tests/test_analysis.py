@@ -1,5 +1,6 @@
 """Vibration analysis chain, config/CSV ingestion, and the CLI."""
 
+import argparse
 import math
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import coaxtail
 from coaxtail.analysis import (
     DB_FLOOR,
+    _build_parser,
     PsdResult,
     TimeSeries,
     avg_psd_db,
@@ -435,6 +437,14 @@ class TestCli:
         assert code == 1
         assert "usage:" in captured.err
 
+    def test_mix_check_rejects_bad_counts(self, capsys):
+        for argv in (["--trials", "0"], ["--seed", "-1"]):
+            code = cli_main(["mix-check", *argv])
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.count("category=validation") == 1, argv
+            assert "Traceback" not in err
+
     def test_mix_check_reports_residual(self, capsys):
         code = cli_main(["mix-check", "--trials", "1000"])
         captured = capsys.readouterr()
@@ -576,3 +586,49 @@ class TestCli:
         assert line.startswith("mode=retracted ")
         fields = dict(kv.split("=", 1) for kv in line.split())
         assert float(fields["peak_deviation_m"]) >= 0.0
+
+
+# every float flag of every subcommand, and what the subcommand needs
+# besides it to get past the parser
+FLOAT_FLAGS = {
+    "bench-splm": ("--throttle", "--amplitude", "--phase", "--duration",
+                   "--fs"),
+    "power-analysis": ("--mass", "--cruise-thrust", "--cruise-speed"),
+    "wind-test": ("--speed", "--duration"),
+    "psd": ("--overlap",),
+}
+REQUIRED_ARGS = {
+    "power-analysis": ["--tables", str(PROPS_DIR)],
+    "wind-test": ["--mode", "retracted"],
+    "psd": ["missing.csv"],
+}
+
+
+class TestCliFloatFlags:
+    def test_table_lists_every_float_flag(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {}
+        for name, parser in sub.choices.items():
+            flags = tuple(a.option_strings[0] for a in parser._actions
+                          if a.type not in (None, int))
+            if flags:
+                found[name] = flags
+        assert found == FLOAT_FLAGS
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in FLOAT_FLAGS.items()
+        for flag in flags])
+    def test_non_finite_value_is_a_validation_error(self, command, flag,
+                                                    value, capsys):
+        argv = [command, *REQUIRED_ARGS.get(command, []), f"{flag}={value}"]
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "category=validation" in errors[0]
+        assert flag in errors[0]
+        assert "Traceback" not in err

@@ -1,0 +1,41 @@
+"""The benchmark's wrap points still exist and see what they expect.
+
+perfbench/layers.py times the program by replacing module attributes
+with recording wrappers; a wrap point the program no longer has is only
+noted, so a rename or deletion in the program would leave the traced
+benchmark silently short of figures. This test installs the wrappers on
+the real modules, runs one small rotor integration through them and
+puts everything back.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from coaxtail import kernels, rotor
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_wrap_point_exists_and_the_rotor_kernel_is_seen(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        assert tracer.missing == []
+        params = rotor.SplmParams(variant="coupled")
+        n_steps = 40
+        rotor.integrate(params, np.zeros(6), 0.05, n_steps,
+                        np.full(2 * n_steps + 1, 900.0))
+    finally:
+        tracer.uninstall()
+    table = tracer.table()
+    # layers.py labels the span from splm_trajectory's args[7] (coupled)
+    # and stores args[1] (n_steps) as its value
+    assert table.calls("kernels.splm_coupled") == 1
+    assert table.calls("kernels.splm_decoupled") == 0
+    assert table.value_sum("kernels.splm_coupled") == n_steps
+    assert not hasattr(kernels.splm_trajectory, "__wrapped__")

@@ -10,7 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from coaxtail.aero import TandemConfig, WingPanel
+from coaxtail.control import ActuatorLimits, AllocationGains
 from coaxtail.errors import ConfigError
+from coaxtail.propulsion import PropellerTable, RpmSheet
 from coaxtail.rotor import SplmParams
 from coaxtail.vehicle import (
     LambdaSchedule,
@@ -43,6 +46,27 @@ FIELDS = {
     LambdaSchedule: {"lam_hover": 1.0, "lam_fw": 0.3, "pitch_start": -0.5,
                      "pitch_end": -1.2},
     WingSchedule: {"extend_below": -0.35},
+    ActuatorLimits: {"throttle_min": 0.0, "throttle_max": 2000.0,
+                     "servo_max": 0.6},
+    AllocationGains: {"c_t1": 0.008, "c_t2": 0.0065, "k_t1": 6.0e-5,
+                      "k_t2": 4.0e-5, "c_m": 0.002, "k_ey": 0.6, "k_ez": 0.4,
+                      "lam": 0.5},
+    WingPanel: {"area": 0.048, "lift_slope": 2.2, "cl0": 0.32,
+                "incidence": 0.08, "arm": 0.24},
+    TandemConfig: {"rho": 1.225, "frontal_area_extended": 0.134,
+                   "retracted_fraction": 0.338},
+    RpmSheet: {"rpm": 5000.0, "j": (0.0, 0.3, 0.6), "ct": (0.1, 0.08, 0.05),
+               "cp": (0.05, 0.045, 0.04)},
+    PropellerTable: {"diameter": 0.4064},
+}
+
+# constructor -> its arguments that are not floats, passed unchanged
+_PANEL = WingPanel(area=0.048, lift_slope=2.2, cl0=0.32, incidence=0.08,
+                   arm=0.24)
+FIXED = {
+    TandemConfig: {"front": _PANEL, "rear": _PANEL},
+    PropellerTable: {"sheets": (RpmSheet(5000.0, (0.0, 0.5), (0.1, 0.05),
+                                         (0.05, 0.04)),)},
 }
 
 non_finite = st.sampled_from((math.nan, -math.nan, math.inf, -math.inf))
@@ -64,8 +88,8 @@ def poisoned(draw, fields):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_non_finite_field_raises_config_error(cls, data):
-    fields = FIELDS[cls]
+    fields = {**FIXED.get(cls, {}), **FIELDS[cls]}
     cls(**fields)  # the unpoisoned call is valid
-    kwargs = data.draw(poisoned(fields))
+    kwargs = data.draw(poisoned(FIELDS[cls]))
     with pytest.raises(ConfigError):
         cls(**{**fields, **kwargs})

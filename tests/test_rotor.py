@@ -7,13 +7,12 @@ import pytest
 
 from coaxtail.errors import ConfigError, NumericalDomainError
 from coaxtail.rotor import (
-    RotorState,
     SplmParams,
+    _coupling_gain,
     _input_scale,
     bench_torque_series,
     integrate,
     rotor_solidity,
-    splm_step,
     steady_state,
     stiffness_matrix,
     torque_from_states,
@@ -101,10 +100,6 @@ class TestParamsValidation:
         assert p.delay_at(150.0) == pytest.approx(0.2, rel=1e-12)
         assert p.delay_at(500.0) == pytest.approx(0.3, rel=1e-12)
 
-    def test_wrapped_angle(self):
-        s = RotorState(x=[2.0 * math.pi + 0.5, 0.0, 0.0])
-        assert s.wrapped_angle == pytest.approx(0.5, abs=1e-12)
-
 
 class TestStiffness:
     def test_variants_coincide_at_zero_beta(self):
@@ -135,49 +130,48 @@ class TestStiffness:
         # just outside the guard is fine
         stiffness_matrix(p, math.pi / 4.0 - 2e-6)
 
+    def test_coupling_gain_has_one_form_for_floats_and_arrays(self):
+        """stiffness_matrix and torque_from_states share _coupling_gain:
+        an array of pitch angles gives, bit for bit, what each angle
+        gives alone."""
+        rng = np.random.default_rng(5)
+        beta = np.concatenate([rng.uniform(-0.7, 0.7, 2000),
+                               [0.0, -0.0, 0.7, -0.7]])
+        g = _coupling_gain(beta, True)
+        each = np.array([_coupling_gain(float(b), True) for b in beta])
+        assert np.array_equal(g, each)
+        assert np.array_equal(np.signbit(g), np.signbit(each))
+        assert _coupling_gain(0.0, True) == 1.0
+        for b in (math.pi / 4.0, np.array([0.1, math.pi / 4.0 + 5e-7])):
+            with pytest.raises(NumericalDomainError):
+                _coupling_gain(b, True)
+        for b in (0.3, math.pi / 4.0):
+            assert _coupling_gain(b, False) == 1.0
+
 
 class TestStep:
+    """Stepping the head from rest in wall-time steps of 1 ms at the
+    hover shaft speed, through integrate."""
+
     def test_zero_everything_stays_zero(self):
         p = make_params()
-        s = RotorState()
-        for _ in range(50):
-            s = splm_step(s, 0.0, p, 1e-3)
-        assert np.all(s.x == 0.0)
-        assert np.all(s.x_dot == 0.0)
+        traj = integrate(p, np.zeros(6), p.omega_hover * 1e-3, 50,
+                         np.zeros(101))
+        assert np.all(traj == 0.0)
 
     def test_dt_bounds(self):
         p = make_params()
-        with pytest.raises(ConfigError):
-            splm_step(RotorState(), 0.0, p, 3e-3)
-        with pytest.raises(ConfigError):
-            splm_step(RotorState(), 0.0, p, 0.0)
+        for psi_step in (0.0, -p.omega_hover * 1e-3):
+            with pytest.raises(ConfigError):
+                integrate(p, np.zeros(6), psi_step, 10, np.zeros(21))
 
     def test_decoupled_steady_state_reached(self):
         # 5 s of wall time converges to the linear-solve equilibrium
         p = make_params(variant="decoupled")
         target = steady_state(p, 700.0)
-        s = RotorState()
-        for _ in range(5000):
-            s = splm_step(s, 700.0, p, 1e-3)
-        assert np.max(np.abs(s.x - target) / np.abs(target)) < 1e-6
-
-    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
-    def test_steps_equal_one_integration_bit_for_bit(self, variant):
-        """splm_step reuses the inverse inertia, K_beta column and input
-        scale SplmParams computed once; 200 single steps under a constant
-        input must equal one 200-step integration of the same input."""
-        p = make_params(variant=variant)
-        dt, u = 1e-3, 650.0
-        x0 = steady_state(p, 900.0)
-        s = RotorState(x0, np.array([0.01, -0.02, 0.005]))
-        y0 = s.as_vector()
-        rows = [y0]
-        for _ in range(200):
-            s = splm_step(s, u, p, dt)
-            rows.append(s.as_vector())
-        traj = integrate(p, y0, p.omega_hover * dt, 200, np.full(401, u))
-        assert np.array_equal(np.array(rows), traj)
-        assert np.array_equal(np.signbit(np.array(rows)), np.signbit(traj))
+        traj = integrate(p, np.zeros(6), p.omega_hover * 1e-3, 5000,
+                         np.full(10001, 700.0))
+        assert np.max(np.abs(traj[-1, :3] - target) / np.abs(target)) < 1e-6
 
     def test_coupled_steady_state_is_fixed_point(self):
         p = make_params(variant="coupled")

@@ -26,7 +26,6 @@ from coaxtail.vehicle import (
     run_scenario,
     step_6dof,
     transition_profile,
-    wind_force,
 )
 
 RHO = 1.225
@@ -287,27 +286,56 @@ class TestMeasuredPitch:
         assert clipped > 10
 
 
+def quadratic_drag(v_rel, area, cd, rho):
+    """The plain quadratic drag formula 0.5*rho*Cd*A*|v_rel|*v_rel, with
+    v_rel the air velocity relative to the body."""
+    v_rel = np.asarray(v_rel, dtype=float)
+    return 0.5 * rho * cd * area * np.linalg.norm(v_rel) * v_rel
+
+
 class TestWindForce:
+    """The body drag model _drag_body against the quadratic formula.
+
+    _drag_body takes the body's velocity through the air, (ux, uy, uz);
+    the air velocity relative to the body is its negative.
+    """
+
+    LATERAL, AXIAL = 0.05, 0.02
+
+    def drag(self, u, cd=1.0):
+        return np.array(_drag_body(*u, self.LATERAL, self.AXIAL, cd, RHO))
+
     def test_quadratic_oracle(self):
-        state = resting_state()
-        f = wind_force(state, np.array([5.0, 0.0, 0.0]), 0.1, 1.0, RHO)
-        assert f[0] == pytest.approx(0.5 * RHO * 0.1 * 25.0, rel=1e-12)
+        # pure crossflow sees the lateral area, pure axial flow the axial
+        for u, area in (((5.0, 0.0, 0.0), self.LATERAL),
+                        ((0.0, -3.0, 0.0), self.LATERAL),
+                        ((0.0, 0.0, 7.0), self.AXIAL),
+                        ((0.0, 0.0, -2.5), self.AXIAL)):
+            want = quadratic_drag(-np.array(u), area, 1.3, RHO)
+            assert self.drag(u, cd=1.3) == pytest.approx(want, rel=1e-12)
+        f = self.drag((5.0, 0.0, 0.0))
+        assert f[0] == pytest.approx(-0.5 * RHO * self.LATERAL * 25.0,
+                                     rel=1e-12)
         assert f[1] == 0.0 and f[2] == 0.0
 
     def test_quadratic_in_speed_linear_in_area(self):
-        state = resting_state()
-        base = wind_force(state, np.array([4.0, 0.0, 0.0]), 0.05, 1.0, RHO)
-        double_v = wind_force(state, np.array([8.0, 0.0, 0.0]), 0.05, 1.0,
-                              RHO)
-        double_a = wind_force(state, np.array([4.0, 0.0, 0.0]), 0.10, 1.0,
-                              RHO)
+        base = _drag_body(4.0, 0.0, 0.0, 0.05, 0.02, 1.0, RHO)
+        double_v = _drag_body(8.0, 0.0, 0.0, 0.05, 0.02, 1.0, RHO)
+        double_a = _drag_body(4.0, 0.0, 0.0, 0.10, 0.02, 1.0, RHO)
         assert double_v[0] == pytest.approx(4.0 * base[0], rel=1e-12)
         assert double_a[0] == pytest.approx(2.0 * base[0], rel=1e-12)
 
     def test_zero_relative_flow(self):
+        # moving with the wind: no drag, whatever the body's velocity
+        params = VehicleParams()
         state = moving_state(np.array([3.0, -2.0, 1.0]))
-        f = wind_force(state, state.velocity.copy(), 0.1, 1.0, RHO)
-        assert np.all(f == 0.0)
+        still_air, _ = realized_wrench(state, params, ActuatorCommand(),
+                                       np.zeros(3), WingMode.RETRACTED)
+        with_wind, _ = realized_wrench(state, params, ActuatorCommand(),
+                                       state.velocity.copy(),
+                                       WingMode.RETRACTED)
+        assert np.all(np.array(with_wind) == 0.0)
+        assert np.all(np.array(still_air) != 0.0)
 
 
 class TestTransitionProfile:
