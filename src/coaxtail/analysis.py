@@ -170,7 +170,9 @@ def peak_to_peak_reduction(a, b):
 
 def default_mean_window(fs):
     """Samples per shaft revolution at the nominal hover throttle."""
-    rev_rate = SplmParams().omega_hover / (2.0 * math.pi)
+    # the SplmParams defaults, read without building the matrices
+    omega_hover = SplmParams.speed_per_throttle * SplmParams.hover_throttle
+    rev_rate = omega_hover / (2.0 * math.pi)
     return max(1, int(round(fs / rev_rate)))
 
 

@@ -53,6 +53,20 @@ class AllocationGains:
             raise ConfigError("allocation denominator must be positive")
         object.__setattr__(self, "_derived", derived_params(self))
 
+    def _with_lam(self, lam):
+        """These gains with the moment split lam, for the per-tick blend.
+
+        Only lam and the derived mixer coefficients change, so the other
+        fields' checks and the frozen __init__ are skipped; lam is still
+        range-checked, which also refuses NaN.
+        """
+        if not 0.0 <= lam <= 1.0:
+            raise ConfigError("lam must lie in [0, 1]")
+        gains = object.__new__(AllocationGains)
+        gains.__dict__.update(self.__dict__, lam=lam)
+        gains.__dict__["_derived"] = derived_params(gains)
+        return gains
+
 
 # Wrench and ActuatorCommand are built every tick. They stay frozen, but
 # their __init__ (which holds the defaults) fills __dict__ directly: the
@@ -233,7 +247,12 @@ class VectorPid:
         self._prev_err = None
 
     def step(self, err, dt):
-        err = quat.components(err)
+        """One update on err, an array or a sequence of numbers, one per
+        axis."""
+        return self._step(quat.components(err), dt)
+
+    def _step(self, err, dt):
+        # err is a new list of Python floats; it is kept as _prev_err
         integral = []
         for acc, ki, e, lim in zip(self.integral, self.ki, err, self.i_limit,
                                    strict=True):
@@ -321,6 +340,7 @@ class CascadeController:
                                   gains.vel_i_limit)
         self._rate_pid = VectorPid(gains.rate_kp, gains.rate_ki, gains.rate_kd,
                                    gains.rate_i_limit)
+        self._pos_p = quat.components(gains.pos_p)
         # base ticks per update of each loop
         self._every = tuple(gains.base_rate // rate for rate in (
             gains.pos_rate, gains.vel_rate, gains.att_rate,
@@ -335,12 +355,14 @@ class CascadeController:
         self._f_des = np.array([0.0, 0.0, self.mass * self.gravity])
         self._rate_sp = [0.0, 0.0, 0.0]
         self._tau_z = 0.0
+        self._yaw_key = self._override_key = None
 
     def step(self, setpoint, position, velocity, orientation, body_rate, dt):
         """One base-rate tick; returns the demanded Wrench (body frame).
 
         The state parts may be arrays or sequences of floats (the
-        simulator passes slices of its unpacked state). Vector arithmetic
+        simulator passes slices of its float state, which are used as
+        they are; an array is converted once). Vector arithmetic
         runs on Python floats, in the order the array form would use.
         Only np.dot and numpy's transcendental calls stay, because they
         need not round like a left-to-right Python sum or like libm;
@@ -353,8 +375,8 @@ class CascadeController:
 
         if self._tick % pos_every == 0:
             sp = [k * (a - b) for k, a, b in zip(
-                quat.components(g.pos_p), quat.components(setpoint.position),
-                quat.components(position))]
+                self._pos_p, quat.components(setpoint.position),
+                quat.floats(position))]
             if transition:
                 sp[0] = 0.0
                 sp[1] = 0.0
@@ -363,11 +385,11 @@ class CascadeController:
         if self._tick % vel_every == 0:
             vdt = dt * vel_every
             err = [a - b for a, b in zip(self._vel_sp,
-                                         quat.components(velocity))]
+                                         quat.floats(velocity))]
             if transition:
                 err[0] = 0.0
                 err[1] = 0.0
-            acc = self._vel_pid.step(err, vdt)
+            acc = self._vel_pid._step(err, vdt)
             if transition:
                 acc[0] = 0.0
                 acc[1] = 0.0
@@ -380,19 +402,14 @@ class CascadeController:
 
         if self._tick % att_every == 0:
             if transition:
-                q_sp = quat.multiply(
-                    quat.from_axis_angle(_Z_AXIS, setpoint.yaw),
-                    quat.from_axis_angle(_Y_AXIS, setpoint.pitch_override),
-                )
-                z_des = quat.rotate(q_sp, _Z_AXIS)
+                q_sp, z_des = self._override_setpoint(
+                    setpoint.yaw, setpoint.pitch_override)
             else:
                 f_norm = quat.norm(self._f_des)
                 z_des = (self._f_des / f_norm if f_norm > 1e-9
                          else np.array(_Z_AXIS))
-                q_sp = quat.multiply(
-                    quat.from_axis_angle(_Z_AXIS, setpoint.yaw),
-                    _tilt_quaternion(z_des),
-                )
+                q_sp = quat.multiply(self._yaw_rotation(setpoint.yaw),
+                                     _tilt_quaternion(z_des))
             axis = _cross(z_body, z_des)
             s_n = quat.norm(axis)
             c_n = float(np.dot(z_body, z_des))
@@ -408,8 +425,8 @@ class CascadeController:
                              g.att_p_yaw * full_b[2]]
 
         rate_err = [a - b for a, b in zip(self._rate_sp,
-                                          quat.components(body_rate))]
-        tau = self._rate_pid.step(rate_err, dt)
+                                          quat.floats(body_rate))]
+        tau = self._rate_pid._step(rate_err, dt)
         if self._tick % yaw_every == 0:
             self._tau_z = tau[2]
 
@@ -422,6 +439,30 @@ class CascadeController:
 
         self._tick += 1
         return Wrench(thrust, tau[0], tau[1], self._tau_z)
+
+    # The attitude setpoints below are kept while their inputs keep their
+    # values and signs (0.0 and -0.0 give different quaternions): the yaw
+    # target is fixed for a scenario, and the transition's pitch profile
+    # holds for about half of its run.
+
+    def _yaw_rotation(self, yaw):
+        """from_axis_angle(z, yaw)."""
+        key = (yaw, math.copysign(1.0, yaw))
+        if key != self._yaw_key:
+            self._yaw_key = key
+            self._q_yaw = quat.from_axis_angle(_Z_AXIS, yaw)
+        return self._q_yaw
+
+    def _override_setpoint(self, yaw, pitch):
+        """(q_sp, z_des) of a pitch override: yaw composed with pitch about
+        world y, and the body z axis it asks for."""
+        key = (yaw, math.copysign(1.0, yaw), pitch, math.copysign(1.0, pitch))
+        if key != self._override_key:
+            q_sp = quat.multiply(self._yaw_rotation(yaw),
+                                 quat.from_axis_angle(_Y_AXIS, pitch))
+            self._override_key = key
+            self._override = (q_sp, quat.rotate(q_sp, _Z_AXIS))
+        return self._override
 
 
 _Y_AXIS = (0.0, 1.0, 0.0)

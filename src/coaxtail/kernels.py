@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .quat import floats
+
 NUMBA_ENABLED = False  # no jit path; kept because the benchmark records it
 
 STATUS_OK = 0
@@ -22,13 +24,6 @@ STATUS_SINGULAR = 1
 _QUARTER_PI = 0.25 * np.pi
 _SINGULAR_GUARD = 1e-6
 _CHUNK_ROWS = 128
-
-
-def _floats(a):
-    """Python floats of a vector or matrix: an array converts once; a
-    (nested) sequence, such as the rows VehicleParams and SplmParams
-    unpack once, is used as it is."""
-    return a.tolist() if isinstance(a, np.ndarray) else a
 
 
 def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
@@ -48,10 +43,10 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     the output array.
     Returns (trajectory[(n_steps+1) x 6], status).
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _floats(Minv)
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = _floats(C)
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = _floats(Kc)
-    kb0, kb1, kb2 = _floats(kb_col)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = floats(Minv)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = floats(C)
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = floats(Kc)
+    kb0, kb1, kb2 = floats(kb_col)
     tan = np.tan
 
     def accel(x0, x1, x2, v0, v1, v2, u):
@@ -127,13 +122,13 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     same to the bit; numpy scalars would cost several times more per
     operation. The stages are written out: the rates depend only on q
     and w, and the position rate of each stage is that stage's velocity.
-    Returns a new 13-element array.
+    Returns the new state as a tuple of 13 floats.
     """
-    f0, f1, f2 = _floats(f_body)
-    t0, t1, t2 = _floats(tau_body)
-    g0, g1, g2 = _floats(g_world)
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = _floats(inertia)
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = _floats(inertia_inv)
+    f0, f1, f2 = floats(f_body)
+    t0, t1, t2 = floats(tau_body)
+    g0, g1, g2 = floats(g_world)
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = floats(inertia)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = floats(inertia_inv)
     inv_mass = 1.0 / mass
 
     def rates(qw, qx, qy, qz, wx, wy, wz):
@@ -168,7 +163,7 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
             j20 * mx + j21 * my + j22 * mz,
         )
 
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = _floats(y)
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = floats(y)
     half = 0.5 * h
     # stage n has velocity vn*, acceleration an*, quaternion rate qn* and
     # angular acceleration wn*; stage 1 starts from y itself
@@ -192,7 +187,7 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     oy = qy + sixth * (q1y + 2.0 * q2y + 2.0 * q3y + q4y)
     oz = qz + sixth * (q1z + 2.0 * q2z + 2.0 * q3z + q4z)
     qn = math.sqrt(ow * ow + ox * ox + oy * oy + oz * oz)
-    return np.array((
+    return (
         px + sixth * (vx + 2.0 * v2x + 2.0 * v3x + v4x),
         py + sixth * (vy + 2.0 * v2y + 2.0 * v3y + v4y),
         pz + sixth * (vz + 2.0 * v2z + 2.0 * v3z + v4z),
@@ -203,4 +198,4 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
         wx + sixth * (w1x + 2.0 * w2x + 2.0 * w3x + w4x),
         wy + sixth * (w1y + 2.0 * w2y + 2.0 * w3y + w4y),
         wz + sixth * (w1z + 2.0 * w2z + 2.0 * w3z + w4z),
-    ))
+    )

@@ -32,6 +32,15 @@ def components(a):
     return [float(c) for c in a]
 
 
+def floats(a):
+    """Python floats of a vector or matrix: an array converts once; a
+    (nested) sequence, such as the rows VehicleParams and SplmParams
+    unpack once or the simulator's float state, is used as it is and
+    must already hold floats. The cheap form of components for values
+    that are floats on the hot path and may be arrays elsewhere."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
+
+
 def norm(v) -> float:
     """Euclidean norm of a vector, rounded as np.linalg.norm rounds it."""
     a = np.array(v, dtype=float)

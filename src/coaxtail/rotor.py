@@ -126,8 +126,7 @@ class SplmParams:
                      "speed_per_throttle", "throttle_scale", "hover_throttle"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if self.blade_count < 1:
-            raise ConfigError("blade_count must be at least 1")
+        _check_blade_count(self.blade_count)
         if self.torque_pickup < 0.0:
             raise ConfigError("torque_pickup must be non-negative")
         tbl = np.atleast_2d(np.asarray(self.beta_delay, dtype=float))
@@ -162,10 +161,14 @@ class SplmParams:
         return float(np.interp(omega, tbl[:, 0], tbl[:, 1]))
 
 
+def _check_blade_count(blade_count):
+    if not (blade_count >= 1 and float(blade_count).is_integer()):
+        raise ConfigError("blade_count must be a whole number, at least 1")
+
+
 def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
     """sigma = N c / (pi R)."""
-    if blade_count < 1:
-        raise ConfigError("blade_count must be at least 1")
+    _check_blade_count(blade_count)
     if chord <= 0.0 or radius <= 0.0:
         raise ConfigError("chord and radius must be positive")
     return blade_count * chord / (math.pi * radius)
@@ -324,13 +327,16 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         raise ConfigError("duration and fs must be positive and finite")
     if substeps < 1:
         raise ConfigError("substeps must be at least 1")
+    n_out = int(round(duration * fs))
+    if n_out < 1:
+        raise ConfigError(f"duration={duration} s at fs={fs} Hz gives no "
+                          "output sample")
     omega = params.speed_per_throttle * throttle
     if fs < 2.0 * omega / (2.0 * math.pi):
         raise ConfigError(
             f"fs={fs} Hz undersamples the {omega / (2 * math.pi):.1f} Hz rotation; "
             "need fs >= 2x rotation frequency"
         )
-    n_out = int(round(duration * fs))
     n_steps = n_out * substeps
     h = omega / (fs * substeps)
     psi_half = np.arange(2 * n_steps + 1) * (0.5 * h)

@@ -166,18 +166,6 @@ class VehicleState:
             y = np.array(y, dtype=float)  # own copy: y becomes read-only
             if y.shape != (13,):
                 raise ConfigError("packed vehicle state must hold 13 numbers")
-        self._own(y, wing_mode)
-
-    @classmethod
-    def _adopt(cls, y, wing_mode):
-        """State holding y, a new 13-element float array that nothing
-        else refers to (the rigid-step kernel's result), validated like
-        any other but not copied."""
-        state = cls.__new__(cls)
-        state._own(y, wing_mode)
-        return state
-
-    def _own(self, y, wing_mode):
         _check_state(y.tolist())
         y.flags.writeable = False
         self._y = y
@@ -229,19 +217,25 @@ def measured_pitch(orientation):
 def step_6dof(state, force_body, torque_body, params, dt):
     """Advance the rigid body one RK4 step under body force/torque + gravity.
 
+    state is a VehicleState or its 13 packed entries as Python floats;
+    the new state comes back in the same form (a tuple of floats for the
+    latter, which run_scenario carries from tick to tick). Either way it
+    is validated on its floats: finite entries and a unit quaternion.
     force_body and torque_body are arrays or sequences of three floats,
-    such as the tuples realized_wrench returns. The kernel's result is
-    validated on its Python floats and becomes the new state's array
-    without another copy.
+    such as the tuples realized_wrench returns.
     """
     if dt <= 0.0 or dt > _MAX_DT:
         raise ConfigError("dt must lie in (0, 1 ms]")
     if not all(map(math.isfinite, (*force_body, *torque_body))):
         raise SimulationFault("non-finite force or torque input")
-    out = kernels.rigid_step(state.y, force_body, torque_body, params.mass,
-                             params._inertia_rows, params._inertia_inv_rows,
-                             params._g_world, dt)
-    return VehicleState._adopt(out, state.wing_mode)
+    packed = isinstance(state, VehicleState)
+    out = kernels.rigid_step(state.y if packed else state, force_body,
+                             torque_body, params.mass, params._inertia_rows,
+                             params._inertia_inv_rows, params._g_world, dt)
+    if packed:
+        return VehicleState(y=out, wing_mode=state.wing_mode)
+    _check_state(out)
+    return out
 
 
 def transition_profile(t):
@@ -292,12 +286,16 @@ class WindProfile:
         n = np.linalg.norm(d)
         if self.speed > 0.0 and n < 1e-12:
             raise ConfigError("wind direction must be a nonzero vector")
+        # Python floats: numpy scalars would spread through the tick
         object.__setattr__(self, "direction",
-                           tuple(d / n) if n > 1e-12 else (1.0, 0.0, 0.0))
+                           tuple((d / n).tolist()) if n > 1e-12
+                           else (1.0, 0.0, 0.0))
 
-    def vector(self, t):
+    def vector_floats(self, t):
+        """The wind vector (world frame, m/s) at time t as a tuple of three
+        floats; the form run_scenario uses every tick."""
         if self.speed == 0.0 or t < self.start:
-            return np.zeros(3)
+            return (0.0, 0.0, 0.0)
         if self.ramp > 0.0:
             up = min(1.0, (t - self.start) / self.ramp)
         else:
@@ -307,7 +305,13 @@ class WindProfile:
                 up = max(0.0, 1.0 - (t - self.stop) / self.ramp)
             else:
                 up = 0.0
-        return self.speed * up * np.asarray(self.direction)
+        s = self.speed * up
+        dx, dy, dz = self.direction
+        return (s * dx, s * dy, s * dz)
+
+    def vector(self, t):
+        """vector_floats(t) as an array."""
+        return np.array(self.vector_floats(t))
 
 
 @dataclass(frozen=True)
@@ -461,12 +465,13 @@ def realized_wrench(state, params, cmd, wind_world, wing_mode):
     """Aggregate non-gravity force and torque in the body frame.
 
     state is a VehicleState or its 13 packed entries as Python floats
-    (run_scenario passes the list it unpacked for the tick). Returns
-    (force, torque), each a tuple of three floats.
+    (run_scenario passes the state it carries). wind_world is an array
+    or a sequence of three floats, such as WindProfile.vector_floats
+    returns. Returns (force, torque), each a tuple of three floats.
     """
     y = state.y.tolist() if isinstance(state, VehicleState) else state
     vx, vy, vz, qw, qx, qy, qz = y[3:10]
-    wx, wy, wz = quat.components(wind_world)
+    wx, wy, wz = quat.floats(wind_world)
     u_body = quat.rotate_floats((qw, -qx, -qy, -qz),
                                 (vx - wx, vy - wy, vz - wz))
     ux, uy, uz = u_body
@@ -632,7 +637,8 @@ def run_scenario(spec, params):
 
     start = spec.start_position if spec.start_position is not None \
         else spec.position
-    state = VehicleState.at_rest(start, spec.wing.mode_at(0.0))
+    # the 13 packed state entries as Python floats, carried tick to tick
+    y = VehicleState.at_rest(start).y.tolist()
 
     n = int(round(spec.duration / spec.dt))
     t_col = np.empty(n)
@@ -656,7 +662,6 @@ def run_scenario(spec, params):
 
     for k in range(n):
         t = k * spec.dt
-        y = state.y.tolist()  # the tick's float state, unpacked once
         orientation = y[6:10]
         pitch = measured_pitch(orientation)
         wing_mode = spec.wing.mode_at(pitch)
@@ -668,14 +673,14 @@ def run_scenario(spec, params):
                                  y[10:13], spec.dt)
         if _differs(lam, alloc.lam):
             alloc = params.alloc if params.alloc.lam == lam \
-                else replace(params.alloc, lam=lam)
+                else params.alloc._with_lam(lam)
         cmd, s = saturate(wrench, alloc, params.limits)
 
-        wind_w = spec.wind.vector(t)
-        force, torque = realized_wrench(y, params, cmd, wind_w, wing_mode)
+        force, torque = realized_wrench(y, params, cmd,
+                                        spec.wind.vector_floats(t), wing_mode)
 
         t_col[k] = t
-        state_col[k] = state.y
+        state_col[k] = y
         td1[k] = cmd.t_d1
         td2[k] = cmd.t_d2
         mdx[k] = cmd.m_dx
@@ -687,11 +692,10 @@ def run_scenario(spec, params):
         sat_col[k] = s
 
         try:
-            state = step_6dof(state, force, torque, params, spec.dt)
+            y = step_6dof(y, force, torque, params, spec.dt)
         except SimulationFault as exc:
             raise SimulationFault(
                 f"tick {k} (t={t:.3f} s): {exc}") from exc
-        state.wing_mode = wing_mode
 
     return SimLog(name=spec.name, t=t_col, state=state_col, td1=td1, td2=td2,
                   mdx=mdx, mdy=mdy, d1=d1, d2=d2, mode=mode_col, lam=lam_col,

@@ -30,6 +30,7 @@ from coaxtail.analysis import (
 )
 from coaxtail.aero import WingMode
 from coaxtail.errors import ConfigError, NumericalDomainError
+from coaxtail.rotor import SplmParams
 from coaxtail.vehicle import run_scenario, transition_profile
 
 PROPS_DIR = Path(__file__).resolve().parent.parent / "configs" / "props"
@@ -101,6 +102,10 @@ class TestMeanSubtract:
     def test_default_window_is_one_revolution(self):
         # hover shaft speed 0.2793 * 900 rad/s -> 25 samples at 1 kHz
         assert default_mean_window(1000.0) == 25
+        rev_rate = SplmParams().omega_hover / (2.0 * math.pi)
+        for fs in (500.0, 1000.0, 2000.0, 4000.0):
+            want = max(1, int(round(fs / rev_rate)))
+            assert default_mean_window(fs) == want
 
 
 class TestPsd:
@@ -469,15 +474,17 @@ class TestCli:
 
     def test_bench_splm_rejects_bad_inputs(self, tmp_path, capsys):
         out = str(tmp_path / "tq.csv")
+        # 0.0001 s at 1 kHz rounds to no output sample
         for argv in (["--duration", "nan"], ["--throttle", "nan"],
                      ["--amplitude", "nan"], ["--phase", "inf"],
-                     ["--throttle", "-900"]):
+                     ["--throttle", "-900"], ["--duration", "0.0001"]):
             code = cli_main(["bench-splm", *argv, "--out", out])
             err = capsys.readouterr().err
             assert code == 1, argv
             lines = err.splitlines()
             assert len(lines) == 1 and "category=validation" in lines[0], argv
             assert "Traceback" not in err
+        assert not (tmp_path / "tq.csv").exists()
 
     def test_psd_missing_file(self, capsys, tmp_path):
         code = cli_main(["psd", str(tmp_path / "none.csv")])

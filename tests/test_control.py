@@ -1,6 +1,7 @@
 """Mixer algebra, modulation mapping, saturation, and cascade structure."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ class TestDerivedParams:
             AllocationGains(lam=1.5)
         with pytest.raises(ConfigError):
             AllocationGains(k_ey=0.0)
+
+
+    def test_blended_gains_equal_a_rebuilt_gain_set(self):
+        rng = np.random.default_rng(6)
+        for case in range(200):
+            g = random_gains(rng)
+            lam = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+            got, want = g._with_lam(lam), replace(g, lam=lam)
+            assert vars(got) == vars(want)
+            assert_same_bits(got._derived, np.array(want._derived))
+        with pytest.raises(FrozenInstanceError):
+            got.lam = 0.5
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ConfigError):
+                UNIT._with_lam(bad)
 
 
 class TestMixForward:
@@ -513,6 +529,53 @@ class TestCascade:
         ctl.step(sp, np.zeros(3), np.zeros(3),
                  np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 1e-3)
         assert ctl._f_des[0] == 0.0 and ctl._f_des[1] == 0.0
+
+
+    def test_kept_attitude_setpoints_match_fresh_ones(self):
+        """The kept yaw rotation and pitch-override setpoint equal the
+        uncached forms bit for bit through yaw and pitch changes, 0.0 to
+        -0.0 included; reset() forgets them."""
+        z_axis, y_axis = (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)
+        rng = np.random.default_rng(12)
+        pairs = [(0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0),
+                 (0.0, 0.0), (0.4, -0.3), (0.4, -0.3), (0.4, -0.35),
+                 (-0.2, -0.35), (-0.2, -0.35), (0.0, -0.35), (-0.0, -0.35)]
+        pairs += [(float(rng.choice([0.0, -0.0, 0.3])),
+                   float(rng.choice([0.0, -0.0, rng.uniform(-1.5, 0.0)])))
+                  for _ in range(200)]
+        ctl = CascadeController(CascadeGains(), mass=1.2)
+        for case, (yaw, pitch) in enumerate(pairs):
+            q_yaw = quat.from_axis_angle(z_axis, yaw)
+            q_sp = quat.multiply(q_yaw, quat.from_axis_angle(y_axis, pitch))
+            if case % 3 == 0:
+                assert_same_bits(ctl._yaw_rotation(yaw), np.array(q_yaw))
+            got_q, got_z = ctl._override_setpoint(yaw, pitch)
+            assert_same_bits(got_q, np.array(q_sp))
+            assert_same_bits(got_z, quat.rotate(q_sp, z_axis))
+            assert_same_bits(ctl._yaw_rotation(yaw), np.array(q_yaw))
+        ctl.reset()
+        assert ctl._yaw_key is None and ctl._override_key is None
+
+    def test_kept_setpoints_leave_the_wrench_unchanged(self):
+        """A controller that keeps its attitude setpoints and one that
+        recomputes them every tick demand the same wrenches."""
+        rng = np.random.default_rng(13)
+        kept = CascadeController(CascadeGains(), mass=1.2)
+        fresh = CascadeController(CascadeGains(), mass=1.2)
+        sp = ControlSetpoint(position=np.array([0.5, -0.2, 1.5]))
+        for tick in range(400):
+            if tick % 40 == 0:
+                sp.yaw = float(rng.choice([0.0, -0.0, 0.3]))
+                sp.pitch_override = (None if tick < 200 else float(
+                    rng.choice([0.0, -0.0, rng.uniform(-1.4, 0.0)])))
+            parts = (rng.normal(size=3) * 0.1 + [0.5, -0.2, 1.5],
+                     rng.normal(size=3) * 0.1, random_unit(rng, 4),
+                     rng.normal(size=3) * 0.1)
+            fresh._yaw_key = fresh._override_key = None
+            a = kept.step(sp, *parts, 1e-3)
+            b = fresh.step(sp, *parts, 1e-3)
+            assert_same_bits(np.array(list(vars(a).values())),
+                             np.array(list(vars(b).values())))
 
 
 class TestAttitudeErrorSigns:

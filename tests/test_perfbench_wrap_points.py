@@ -4,15 +4,17 @@ perfbench/layers.py times the program by replacing module attributes
 with recording wrappers; a wrap point the program no longer has is only
 noted, so a rename or deletion in the program would leave the traced
 benchmark silently short of figures. This test installs the wrappers on
-the real modules, runs one small rotor integration through them and
-puts everything back.
+the real modules, runs one small rotor integration and two short
+closed-loop runs through them and puts everything back. A closed-loop
+path that bypassed a timed layer would leave the traced figures short.
 """
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from coaxtail import kernels, rotor
+from coaxtail import kernels, rotor, vehicle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +41,32 @@ def test_every_wrap_point_exists_and_the_rotor_kernel_is_seen(monkeypatch):
     assert table.calls("kernels.splm_decoupled") == 0
     assert table.value_sum("kernels.splm_coupled") == n_steps
     assert not hasattr(kernels.splm_trajectory, "__wrapped__")
+
+
+@pytest.mark.parametrize("mode", ["hover", "transition"])
+def test_every_closed_loop_tick_passes_each_timed_layer(monkeypatch, mode):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    tracer = spans.Tracer()
+    spec = vehicle.ScenarioSpec(name=mode, mode=mode, duration=0.2)
+    try:
+        layers.install(tracer)
+        tracer.set_phase(mode)
+        log = vehicle.run_scenario(spec, vehicle.VehicleParams())
+    finally:
+        tracer.uninstall()
+    table = tracer.table()
+    ticks = log.t.size
+    assert ticks == 200
+    assert table.calls("vehicle.run_scenario", mode) == 1
+    for name in ("control.cascade_step", "control.saturate",
+                 "vehicle.realized_wrench", "vehicle.step_6dof",
+                 "kernels.rigid_step"):
+        assert table.calls(name, mode) == ticks, name
+    assert table.calls("quat.rotate", mode) > 0
+    # step_6dof's self time is its span minus the kernel's
+    kernel = table.name == table.names.index("kernels.rigid_step")
+    assert np.all(table.name[table.parent[kernel]]
+                  == table.names.index("vehicle.step_6dof"))

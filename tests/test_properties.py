@@ -2,7 +2,8 @@
 
 Each example puts one NaN or infinity into one float field (or one element
 of a vector or matrix field) of an otherwise valid constructor call. The
-call must raise ConfigError, never any other exception.
+call must raise ConfigError, never any other exception. A blade count
+must also be a whole number.
 """
 
 import math
@@ -14,7 +15,7 @@ from coaxtail.aero import TandemConfig, WingPanel
 from coaxtail.control import ActuatorLimits, AllocationGains
 from coaxtail.errors import ConfigError
 from coaxtail.propulsion import PropellerTable, RpmSheet
-from coaxtail.rotor import SplmParams
+from coaxtail.rotor import SplmParams, rotor_solidity
 from coaxtail.vehicle import (
     LambdaSchedule,
     ScenarioSpec,
@@ -93,3 +94,16 @@ def test_non_finite_field_raises_config_error(cls, data):
     kwargs = data.draw(poisoned(FIELDS[cls]))
     with pytest.raises(ConfigError):
         cls(**{**fields, **kwargs})
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.floats(min_value=0.0, max_value=64.0).filter(
+    lambda c: not c.is_integer()))
+def test_fractional_blade_count_raises_config_error(count):
+    with pytest.raises(ConfigError, match="whole number"):
+        SplmParams(blade_count=count)
+    with pytest.raises(ConfigError, match="whole number"):
+        rotor_solidity(count, 0.03, 0.2)
+    whole = float(math.ceil(count))
+    if whole >= 1.0:
+        assert SplmParams(blade_count=whole).blade_count == whole

@@ -326,8 +326,9 @@ class TestBench:
         p = make_params()
         with pytest.raises(ConfigError):
             bench_torque_series(p, 900.0, 200.0, 0.0, 1.0, 30.0)
+        # the last pair rounds to zero output samples
         for duration, fs in ((math.nan, 1000.0), (1.0, math.nan),
-                             (math.inf, 1000.0)):
+                             (math.inf, 1000.0), (0.0004, 1000.0)):
             with pytest.raises(ConfigError):
                 bench_torque_series(p, 900.0, 200.0, 0.0, duration, fs)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from coaxtail import quat
+from coaxtail import kernels, quat
 from coaxtail.aero import TandemConfig, WingMode, WingPanel
 from coaxtail.control import ActuatorCommand, ActuatorLimits
 from coaxtail.errors import ConfigError, SimulationFault
@@ -157,6 +157,64 @@ class TestRigidStep:
         with pytest.raises(SimulationFault, match="non-finite vehicle state"):
             step_6dof(state, np.zeros(3), np.array([1e308, 0.0, 0.0]),
                       params, 1e-3)
+
+    def test_float_state_steps_like_vehicle_state(self):
+        """200 random states: the 13 floats step to the same bits as the
+        VehicleState, and come back as a tuple of floats."""
+        params = VehicleParams()
+        rng = np.random.default_rng(41)
+        for case in range(200):
+            q = rng.normal(size=4)
+            y = np.concatenate((rng.normal(size=3) * 10.0,
+                                rng.normal(size=3) * 5.0,
+                                q / np.linalg.norm(q),
+                                rng.normal(size=3) * 3.0))
+            if case % 4 == 0:
+                # signed zeros in position, velocity and body rate
+                for i in rng.choice([0, 1, 2, 3, 4, 5, 10, 11, 12], 4,
+                                    replace=False):
+                    y[i] = rng.choice([0.0, -0.0])
+            if case % 10 == 0:
+                y[6:10] = (1.0, -0.0, 0.0, -0.0)
+            state = VehicleState(y=y)
+            force = (rng.normal(size=3) * 10.0).tolist()
+            torque = (rng.normal(size=3) * 0.1).tolist()
+            dt = float(rng.choice([1e-3, 5e-4]))
+            packed = step_6dof(state, force, torque, params, dt)
+            floats = step_6dof(state.y.tolist(), force, torque, params, dt)
+            assert isinstance(packed, VehicleState)
+            assert type(floats) is tuple and len(floats) == 13
+            assert all(type(v) is float for v in floats)
+            assert np.array_equal(packed.y, floats)
+            assert np.array_equal(np.signbit(packed.y), np.signbit(floats))
+
+    def test_both_state_forms_raise_the_same_faults(self, monkeypatch):
+        params = VehicleParams()
+        state = resting_state()
+        zero = (0.0, 0.0, 0.0)
+        cases = (
+            ((math.nan, 0.0, 0.0), zero, "non-finite force or torque input"),
+            (zero, (0.0, math.inf, 0.0), "non-finite force or torque input"),
+            # a body-rate change that overflows makes the result inf
+            (zero, (1e308, 0.0, 0.0), "non-finite vehicle state"),
+        )
+        for given in (state, state.y.tolist()):
+            for force, torque, message in cases:
+                with pytest.raises(SimulationFault, match=f"^{message}$"):
+                    step_6dof(given, force, torque, params, 1e-3)
+        rigid_step = kernels.rigid_step
+
+        def off_the_unit_sphere(y, *args):
+            out = list(rigid_step(y, *args))
+            out[6] *= 1.5
+            return tuple(out)
+
+        monkeypatch.setattr(kernels, "rigid_step", off_the_unit_sphere)
+        for given in (state, state.y.tolist()):
+            with pytest.raises(SimulationFault,
+                               match="^orientation quaternion not "
+                                     "normalized$"):
+                step_6dof(given, zero, zero, params, 1e-3)
 
     def test_params_validation(self):
         for name in ("mass", "drag_cd", "lateral_area", "axial_area",
@@ -375,6 +433,26 @@ class TestWindProfile:
         assert w.vector(4.9)[1] == pytest.approx(4.0, rel=1e-12)
         assert w.vector(5.25)[1] == pytest.approx(2.0, rel=1e-12)
         assert np.all(w.vector(6.0) == 0.0)
+
+    def test_float_form_matches_the_array_form(self):
+        w = WindProfile(speed=5.0, direction=(3.0, -0.0, -4.0), start=1.0,
+                        stop=3.0, ramp=0.5)
+        assert all(type(c) is float for c in w.direction)
+        for t in np.linspace(0.0, 4.0, 161).tolist():
+            got = w.vector_floats(t)
+            assert type(got) is tuple and all(type(c) is float for c in got)
+            # the array form before the float form existed
+            if t < w.start:
+                want = np.zeros(3)
+            else:
+                up = min(1.0, (t - w.start) / w.ramp)
+                if t >= w.stop:
+                    up = max(0.0, 1.0 - (t - w.stop) / w.ramp)
+                want = w.speed * up * np.asarray(w.direction)
+            for form in (got, w.vector(t)):
+                assert np.array_equal(form, want)
+                assert np.array_equal(np.signbit(form), np.signbit(want))
+        assert isinstance(w.vector(2.0), np.ndarray)
 
     def test_direction_normalized(self):
         w = WindProfile(speed=2.0, direction=(3.0, 4.0, 0.0))
@@ -644,6 +722,21 @@ class TestScenarios:
         assert 0.0 < fraction < 1.0
         assert 0.0 <= min_scale < 1.0
         assert fraction == np.mean(tight.sat_scale < 1.0)
+
+    def test_a_fault_names_its_tick(self, monkeypatch):
+        rigid_step = kernels.rigid_step
+        calls = []
+
+        def diverges_at_tick_3(y, *args):
+            calls.append(None)
+            out = rigid_step(y, *args)
+            return out if len(calls) < 4 else (math.nan,) + out[1:]
+
+        monkeypatch.setattr(kernels, "rigid_step", diverges_at_tick_3)
+        with pytest.raises(SimulationFault,
+                           match=r"^tick 3 \(t=0\.003 s\): non-finite "
+                                 r"vehicle state$"):
+            run_scenario(ScenarioSpec(duration=0.01), VehicleParams())
 
     def test_hover_settles_to_setpoint(self):
         log = run_scenario(hover_spec(), VehicleParams())
