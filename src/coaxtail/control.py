@@ -270,6 +270,17 @@ class VectorPid:
                 in zip(self.kp, err, integral, self.kd, derr)]
 
 
+def _finite_vector3(value, name):
+    """value as a float array; ConfigError unless it is 3 finite numbers."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (3,) or not np.isfinite(v).all():
+        raise ConfigError(f"{name} must be 3 finite numbers")
+    return v
+
+
 def _rate_divisor(base, rate, name):
     if rate <= 0 or base % rate != 0:
         raise ConfigError(f"{name} rate {rate} must divide base rate {base}")
@@ -296,14 +307,14 @@ class CascadeGains:
     yaw_rate_rate: int = 200
 
     def __post_init__(self):
+        if self.base_rate <= 0:
+            raise ConfigError("base_rate must be positive")
         for name in ("pos_rate", "vel_rate", "att_rate", "yaw_rate_rate"):
             _rate_divisor(self.base_rate, getattr(self, name), name)
-        flat = (tuple(self.pos_p) + tuple(self.vel_kp) + tuple(self.vel_ki)
-                + tuple(self.vel_kd) + tuple(self.vel_i_limit)
-                + tuple(self.rate_kp) + tuple(self.rate_ki)
-                + tuple(self.rate_kd) + tuple(self.rate_i_limit)
-                + (self.att_p_tilt, self.att_p_yaw))
-        if not all(math.isfinite(v) for v in flat):
+        for name in ("pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit",
+                     "rate_kp", "rate_ki", "rate_kd", "rate_i_limit"):
+            _finite_vector3(getattr(self, name), name)
+        if not all(map(math.isfinite, (self.att_p_tilt, self.att_p_yaw))):
             raise ConfigError("cascade gains must be finite")
 
 
@@ -331,8 +342,10 @@ class CascadeController:
     TILT_MIN_PROJECTION = 0.15
 
     def __init__(self, gains, mass, gravity=9.81):
-        if mass <= 0.0:
-            raise ConfigError("mass must be positive")
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ConfigError("mass must be positive and finite")
+        if not (math.isfinite(gravity) and gravity >= 0.0):
+            raise ConfigError("gravity must be finite and non-negative")
         self.gains = gains
         self.mass = float(mass)
         self.gravity = float(gravity)

@@ -46,6 +46,7 @@ from .control import (
     CascadeController,
     CascadeGains,
     ControlSetpoint,
+    _finite_vector3,
     saturate,
 )
 from .errors import ConfigError, SimulationFault
@@ -122,15 +123,15 @@ _STATE_PARTS = (("position", 3), ("velocity", 3), ("orientation", 4),
 
 
 def _pack_state(parts):
-    arrays = []
+    values = []
     for (name, size), part in zip(_STATE_PARTS, parts):
         if part is None:
             raise ConfigError(f"vehicle state needs {name}")
         arr = np.asarray(part, dtype=float)
         if arr.shape != (size,):
             raise ConfigError(f"{name} must hold {size} numbers")
-        arrays.append(arr)
-    return np.concatenate(arrays)
+        values += arr.tolist()
+    return values
 
 
 def _check_state(values):
@@ -143,63 +144,57 @@ def _check_state(values):
         raise SimulationFault("orientation quaternion not normalized")
 
 
-class VehicleState:
-    """Rigid-body state packed as one 13-vector y = [p, v, q (wxyz), w].
+class VehicleState(tuple):
+    """Rigid-body state: the tuple of 13 floats [p, v, q (wxyz), w].
 
-    Build it from the four parts or from a packed ``y``; either way it is
-    validated once, on its Python floats (finite entries, unit
-    quaternion), and ``y`` is then read-only. position, velocity,
-    orientation (body to world) and body_rate are views into ``y``.
+    Build it from the four parts or from the packed ``y``; either way it
+    is validated once (finite entries, unit quaternion). position,
+    velocity, orientation (body to world) and body_rate are its slices.
     """
 
-    __slots__ = ("_y", "wing_mode")
+    __slots__ = ()
 
-    def __init__(self, position=None, velocity=None, orientation=None,
-                 body_rate=None, wing_mode=WingMode.RETRACTED, *, y=None):
+    def __new__(cls, position=None, velocity=None, orientation=None,
+                body_rate=None, *, y=None):
         if y is None:
-            y = _pack_state((position, velocity, orientation, body_rate))
+            values = _pack_state((position, velocity, orientation, body_rate))
         elif not (position is None and velocity is None
                   and orientation is None and body_rate is None):
             raise ConfigError("give the vehicle state as y or as parts, "
                               "not both")
         else:
-            y = np.array(y, dtype=float)  # own copy: y becomes read-only
+            y = np.asarray(y, dtype=float)
             if y.shape != (13,):
                 raise ConfigError("packed vehicle state must hold 13 numbers")
-        _check_state(y.tolist())
-        y.flags.writeable = False
-        self._y = y
-        self.wing_mode = wing_mode
+            values = y.tolist()
+        _check_state(values)
+        return tuple.__new__(cls, values)
 
-    @property
-    def y(self):
-        return self._y
+    def __getnewargs__(self):
+        # copy and pickle rebuild the state from its parts
+        return self[0:3], self[3:6], self[6:10], self[10:13]
 
     @property
     def position(self):
-        return self._y[0:3]
+        return self[0:3]
 
     @property
     def velocity(self):
-        return self._y[3:6]
+        return self[3:6]
 
     @property
     def orientation(self):
-        return self._y[6:10]
+        return self[6:10]
 
     @property
     def body_rate(self):
-        return self._y[10:13]
-
-    def __repr__(self):
-        return (f"VehicleState(y={self._y.tolist()!r}, "
-                f"wing_mode={self.wing_mode!r})")
+        return self[10:13]
 
     @classmethod
-    def at_rest(cls, position, wing_mode=WingMode.RETRACTED):
-        return cls(position=position, velocity=np.zeros(3),
-                   orientation=np.array([1.0, 0.0, 0.0, 0.0]),
-                   body_rate=np.zeros(3), wing_mode=wing_mode)
+    def at_rest(cls, position):
+        return cls(position=position, velocity=(0.0, 0.0, 0.0),
+                   orientation=(1.0, 0.0, 0.0, 0.0),
+                   body_rate=(0.0, 0.0, 0.0))
 
 
 _BODY_Z = (0.0, 0.0, 1.0)
@@ -217,25 +212,20 @@ def measured_pitch(orientation):
 def step_6dof(state, force_body, torque_body, params, dt):
     """Advance the rigid body one RK4 step under body force/torque + gravity.
 
-    state is a VehicleState or its 13 packed entries as Python floats;
-    the new state comes back in the same form (a tuple of floats for the
-    latter, which run_scenario carries from tick to tick). Either way it
-    is validated on its floats: finite entries and a unit quaternion.
-    force_body and torque_body are arrays or sequences of three floats,
-    such as the tuples realized_wrench returns.
+    Returns the next VehicleState, validated on its floats (finite
+    entries, unit quaternion) once, here. force_body and torque_body are
+    arrays or sequences of three floats, such as the tuples
+    realized_wrench returns.
     """
     if dt <= 0.0 or dt > _MAX_DT:
         raise ConfigError("dt must lie in (0, 1 ms]")
     if not all(map(math.isfinite, (*force_body, *torque_body))):
         raise SimulationFault("non-finite force or torque input")
-    packed = isinstance(state, VehicleState)
-    out = kernels.rigid_step(state.y if packed else state, force_body,
-                             torque_body, params.mass, params._inertia_rows,
-                             params._inertia_inv_rows, params._g_world, dt)
-    if packed:
-        return VehicleState(y=out, wing_mode=state.wing_mode)
+    out = kernels.rigid_step(state, force_body, torque_body, params.mass,
+                             params._inertia_rows, params._inertia_inv_rows,
+                             params._g_world, dt)
     _check_state(out)
-    return out
+    return tuple.__new__(VehicleState, out)
 
 
 def transition_profile(t):
@@ -255,13 +245,6 @@ def transition_profile(t):
     if t <= 44.0:
         return math.radians(-80.0) * (1.0 - (t - 42.0) / 2.0)
     return 0.0
-
-
-def _finite_vector3(value, name):
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,) or not np.isfinite(v).all():
-        raise ConfigError(f"{name} must be 3 finite numbers")
-    return v
 
 
 @dataclass(frozen=True)
@@ -291,9 +274,9 @@ class WindProfile:
                            tuple((d / n).tolist()) if n > 1e-12
                            else (1.0, 0.0, 0.0))
 
-    def vector_floats(self, t):
+    def vector(self, t):
         """The wind vector (world frame, m/s) at time t as a tuple of three
-        floats; the form run_scenario uses every tick."""
+        floats."""
         if self.speed == 0.0 or t < self.start:
             return (0.0, 0.0, 0.0)
         if self.ramp > 0.0:
@@ -308,10 +291,6 @@ class WindProfile:
         s = self.speed * up
         dx, dy, dz = self.direction
         return (s * dx, s * dy, s * dz)
-
-    def vector(self, t):
-        """vector_floats(t) as an array."""
-        return np.array(self.vector_floats(t))
 
 
 @dataclass(frozen=True)
@@ -388,8 +367,10 @@ class ScenarioSpec:
         base = 1.0 / self.dt
         if abs(base - round(base)) > 1e-6:
             raise ConfigError("1/dt must be an integer rate")
-        if round(self.duration / self.dt) < 1:
-            raise ConfigError("duration must cover at least one tick")
+        ticks = self.duration / self.dt
+        if not (math.isfinite(ticks) and round(ticks) >= 1):
+            raise ConfigError("duration must cover at least one tick and "
+                              "a finite number of them")
         if not math.isfinite(self.yaw):
             raise ConfigError("yaw must be finite")
         _finite_vector3(self.position, "position")
@@ -464,13 +445,11 @@ def _aft_thrust(params, t_d2, axial_speed):
 def realized_wrench(state, params, cmd, wind_world, wing_mode):
     """Aggregate non-gravity force and torque in the body frame.
 
-    state is a VehicleState or its 13 packed entries as Python floats
-    (run_scenario passes the state it carries). wind_world is an array
-    or a sequence of three floats, such as WindProfile.vector_floats
-    returns. Returns (force, torque), each a tuple of three floats.
+    wind_world is an array or a sequence of three floats, such as
+    WindProfile.vector returns. Returns (force, torque), each a tuple of
+    three floats.
     """
-    y = state.y.tolist() if isinstance(state, VehicleState) else state
-    vx, vy, vz, qw, qx, qy, qz = y[3:10]
+    vx, vy, vz, qw, qx, qy, qz = state[3:10]
     wx, wy, wz = quat.floats(wind_world)
     u_body = quat.rotate_floats((qw, -qx, -qy, -qz),
                                 (vx - wx, vy - wy, vz - wz))
@@ -511,7 +490,7 @@ class SimLog:
     lam: np.ndarray
     config: dict
     # thrust-priority scale s per tick (1 = no clipping); not in the CSV
-    sat_scale: np.ndarray = None
+    sat_scale: np.ndarray
 
     MODE_NAMES = {0: "retracted", 1: "extended"}
     COLUMNS = ("t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,wx,wy,wz,"
@@ -637,21 +616,26 @@ def run_scenario(spec, params):
 
     start = spec.start_position if spec.start_position is not None \
         else spec.position
-    # the 13 packed state entries as Python floats, carried tick to tick
-    y = VehicleState.at_rest(start).y.tolist()
+    # the tick reads the state's parts as slices, cheaper than properties
+    state = VehicleState.at_rest(start)
 
     n = int(round(spec.duration / spec.dt))
-    t_col = np.empty(n)
-    state_col = np.empty((n, 13))
-    td1 = np.empty(n)
-    td2 = np.empty(n)
-    mdx = np.empty(n)
-    mdy = np.empty(n)
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    mode_col = np.empty(n, dtype=np.int8)
-    lam_col = np.empty(n)
-    sat_col = np.empty(n)
+    try:
+        t_col = np.empty(n)
+        state_col = np.empty((n, 13))
+        td1 = np.empty(n)
+        td2 = np.empty(n)
+        mdx = np.empty(n)
+        mdy = np.empty(n)
+        d1 = np.empty(n)
+        d2 = np.empty(n)
+        mode_col = np.empty(n, dtype=np.int8)
+        lam_col = np.empty(n)
+        sat_col = np.empty(n)
+    except (ValueError, MemoryError) as exc:
+        # numpy: ValueError past its shape limit, MemoryError past memory
+        raise ConfigError(f"duration {spec.duration:g} s is {n:.6g} ticks, "
+                          f"too many to log") from exc
 
     target = np.asarray(spec.position, dtype=float)
     transition = spec.mode == "transition"
@@ -662,25 +646,25 @@ def run_scenario(spec, params):
 
     for k in range(n):
         t = k * spec.dt
-        orientation = y[6:10]
+        orientation = state[6:10]
         pitch = measured_pitch(orientation)
         wing_mode = spec.wing.mode_at(pitch)
         lam = spec.lam.value(pitch) if transition else spec.lam.lam_hover
 
         if transition:
             setpoint.pitch_override = transition_profile(t)
-        wrench = controller.step(setpoint, y[0:3], y[3:6], orientation,
-                                 y[10:13], spec.dt)
+        wrench = controller.step(setpoint, state[0:3], state[3:6],
+                                 orientation, state[10:13], spec.dt)
         if _differs(lam, alloc.lam):
             alloc = params.alloc if params.alloc.lam == lam \
                 else params.alloc._with_lam(lam)
         cmd, s = saturate(wrench, alloc, params.limits)
 
-        force, torque = realized_wrench(y, params, cmd,
-                                        spec.wind.vector_floats(t), wing_mode)
+        force, torque = realized_wrench(state, params, cmd,
+                                        spec.wind.vector(t), wing_mode)
 
         t_col[k] = t
-        state_col[k] = y
+        state_col[k] = state
         td1[k] = cmd.t_d1
         td2[k] = cmd.t_d2
         mdx[k] = cmd.m_dx
@@ -692,7 +676,7 @@ def run_scenario(spec, params):
         sat_col[k] = s
 
         try:
-            y = step_6dof(y, force, torque, params, spec.dt)
+            state = step_6dof(state, force, torque, params, spec.dt)
         except SimulationFault as exc:
             raise SimulationFault(
                 f"tick {k} (t={t:.3f} s): {exc}") from exc

@@ -512,7 +512,11 @@ class TestCli:
                      "[scenario]\nposition_m = 0 0 high\n",
                      "[wind]\nspeed_mps = nan\n",
                      "[vehicle]\nmass_kg = nan\n",
-                     "[vehicle]\ngravity = inf\n"):
+                     "[vehicle]\ngravity = inf\n",
+                     # tick counts no log can hold fail before allocating
+                     "[scenario]\nduration_s = 1e300\n",
+                     "[scenario]\nduration_s = 1e13\n",
+                     "[scenario]\nduration_s = 1e10\ndt_s = 1e-300\n"):
             cfg.write_text(text)
             code = cli_main(["simulate", str(cfg)])
             err = capsys.readouterr().err.splitlines()

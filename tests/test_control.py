@@ -503,6 +503,32 @@ class TestCascade:
     def test_rates_must_divide(self):
         with pytest.raises(ConfigError):
             CascadeGains(pos_rate=30)
+        # every rate divides 0 and -1000; the loop divisors would be 0
+        # (a ZeroDivisionError in step) or negative
+        for base in (0, -1000):
+            with pytest.raises(ConfigError, match="base_rate"):
+                CascadeGains(base_rate=base)
+
+    @pytest.mark.parametrize("name", (
+        "pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit", "rate_kp",
+        "rate_ki", "rate_kd", "rate_i_limit"))
+    def test_vector_gains_hold_three_numbers(self, name):
+        for bad in ((1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (), 1.0,
+                    np.ones((3, 1)), ("a", 1.0, 1.0)):
+            with pytest.raises(ConfigError, match=f"^{name} must be 3 "):
+                CascadeGains(**{name: bad})
+        for good in ((1.0, 2.0, 3.0), [1, 2, 3], np.array([1.0, 2.0, 3.0])):
+            CascadeGains(**{name: good})
+
+    def test_controller_checks_mass_and_gravity(self):
+        gains = CascadeGains()
+        for bad in (0.0, -1.2, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="mass"):
+                CascadeController(gains, bad)
+        for bad in (-9.81, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="gravity"):
+                CascadeController(gains, 1.2, bad)
+        CascadeController(gains, 1.2, 0.0)
 
     def test_equilibrium_outputs_weight_only(self):
         gains = CascadeGains()

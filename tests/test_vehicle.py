@@ -1,6 +1,8 @@
 """Closed-loop 6-DOF simulation: integrator physics, force model, scenarios."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,8 +33,8 @@ from coaxtail.vehicle import (
 RHO = 1.225
 
 
-def resting_state(z=2.0, mode=WingMode.RETRACTED):
-    return VehicleState.at_rest(np.array([0.0, 0.0, z]), mode)
+def resting_state(z=2.0):
+    return VehicleState.at_rest(np.array([0.0, 0.0, z]))
 
 
 def moving_state(velocity, z=2.0):
@@ -108,7 +110,7 @@ class TestRigidStep:
                          velocity=np.zeros(3),
                          orientation=np.array([1.0, 0, 0, 0]),
                          body_rate=np.zeros(3))
-        y = resting_state().y.copy()
+        y = np.array(resting_state())
         for bad in (np.inf, np.nan):
             y_bad = y.copy()
             y_bad[11] = bad
@@ -127,40 +129,47 @@ class TestRigidStep:
         with pytest.raises(ConfigError):
             VehicleState(position=np.zeros(3), y=y)
 
-    def test_packed_state_views_are_read_only(self):
+    def test_state_is_an_immutable_tuple_of_floats(self):
         y = np.arange(13.0)
         y[6:10] = [0.0, 0.6, 0.0, 0.8]
-        state = VehicleState(y=y, wing_mode=WingMode.EXTENDED)
-        y[0] = 99.0  # the state keeps its own copy
-        assert state.position.tolist() == [0.0, 1.0, 2.0]
-        assert state.velocity.tolist() == [3.0, 4.0, 5.0]
-        assert state.orientation.tolist() == [0.0, 0.6, 0.0, 0.8]
-        assert state.body_rate.tolist() == [10.0, 11.0, 12.0]
-        assert state.wing_mode is WingMode.EXTENDED
-        with pytest.raises(ValueError):
-            state.velocity[0] = 1.0
+        state = VehicleState(y=y)
+        y[0] = 99.0  # a later write to the caller's array
+        assert type(state) is VehicleState and isinstance(state, tuple)
+        assert len(state) == 13 and all(type(v) is float for v in state)
+        assert state.position == (0.0, 1.0, 2.0)
+        assert state.velocity == (3.0, 4.0, 5.0)
+        assert state.orientation == (0.0, 0.6, 0.0, 0.8)
+        assert state.body_rate == (10.0, 11.0, 12.0)
+        with pytest.raises(TypeError):
+            state[0] = 1.0
         with pytest.raises(AttributeError):
-            state.position = np.zeros(3)
+            state.position = (0.0, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            state.wing_mode = WingMode.EXTENDED
         parts = VehicleState(position=state.position,
                              velocity=state.velocity,
                              orientation=state.orientation,
                              body_rate=state.body_rate)
-        assert np.array_equal(parts.y, state.y)
+        assert parts == state
+        # copy and pickle rebuild it through the validating constructor
+        for copied in (copy.deepcopy(state),
+                       pickle.loads(pickle.dumps(state))):
+            assert type(copied) is VehicleState and copied == state
 
     def test_step_validates_the_kernel_result(self):
         params = VehicleParams()
         state = resting_state()
         nxt = step_6dof(state, (0.0, 0.0, 5.0), [0.0, 0.0, 0.0], params, 1e-3)
-        assert not nxt.y.flags.writeable
-        assert nxt.wing_mode is state.wing_mode
+        assert type(nxt) is VehicleState
         # a torque whose body-rate change overflows makes the result inf
         with pytest.raises(SimulationFault, match="non-finite vehicle state"):
             step_6dof(state, np.zeros(3), np.array([1e308, 0.0, 0.0]),
                       params, 1e-3)
 
-    def test_float_state_steps_like_vehicle_state(self):
-        """200 random states: the 13 floats step to the same bits as the
-        VehicleState, and come back as a tuple of floats."""
+    def test_step_returns_the_kernel_floats(self):
+        """200 random states: step_6dof returns a VehicleState of 13
+        Python floats, bit-equal (sign bits included) to the rigid-step
+        kernel's result on the same inputs."""
         params = VehicleParams()
         rng = np.random.default_rng(41)
         for case in range(200):
@@ -180,15 +189,17 @@ class TestRigidStep:
             force = (rng.normal(size=3) * 10.0).tolist()
             torque = (rng.normal(size=3) * 0.1).tolist()
             dt = float(rng.choice([1e-3, 5e-4]))
-            packed = step_6dof(state, force, torque, params, dt)
-            floats = step_6dof(state.y.tolist(), force, torque, params, dt)
-            assert isinstance(packed, VehicleState)
-            assert type(floats) is tuple and len(floats) == 13
-            assert all(type(v) is float for v in floats)
-            assert np.array_equal(packed.y, floats)
-            assert np.array_equal(np.signbit(packed.y), np.signbit(floats))
+            got = step_6dof(state, force, torque, params, dt)
+            want = kernels.rigid_step(
+                y, force, torque, params.mass, params.inertia,
+                np.linalg.inv(params.inertia), (0.0, 0.0, -params.gravity),
+                dt)
+            assert type(got) is VehicleState and len(got) == 13
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_both_state_forms_raise_the_same_faults(self, monkeypatch):
+    def test_step_faults(self, monkeypatch):
         params = VehicleParams()
         state = resting_state()
         zero = (0.0, 0.0, 0.0)
@@ -198,10 +209,9 @@ class TestRigidStep:
             # a body-rate change that overflows makes the result inf
             (zero, (1e308, 0.0, 0.0), "non-finite vehicle state"),
         )
-        for given in (state, state.y.tolist()):
-            for force, torque, message in cases:
-                with pytest.raises(SimulationFault, match=f"^{message}$"):
-                    step_6dof(given, force, torque, params, 1e-3)
+        for force, torque, message in cases:
+            with pytest.raises(SimulationFault, match=f"^{message}$"):
+                step_6dof(state, force, torque, params, 1e-3)
         rigid_step = kernels.rigid_step
 
         def off_the_unit_sphere(y, *args):
@@ -210,11 +220,9 @@ class TestRigidStep:
             return tuple(out)
 
         monkeypatch.setattr(kernels, "rigid_step", off_the_unit_sphere)
-        for given in (state, state.y.tolist()):
-            with pytest.raises(SimulationFault,
-                               match="^orientation quaternion not "
-                                     "normalized$"):
-                step_6dof(given, zero, zero, params, 1e-3)
+        with pytest.raises(SimulationFault,
+                           match="^orientation quaternion not normalized$"):
+            step_6dof(state, zero, zero, params, 1e-3)
 
     def test_params_validation(self):
         for name in ("mass", "drag_cd", "lateral_area", "axial_area",
@@ -390,7 +398,7 @@ class TestWindForce:
         still_air, _ = realized_wrench(state, params, ActuatorCommand(),
                                        np.zeros(3), WingMode.RETRACTED)
         with_wind, _ = realized_wrench(state, params, ActuatorCommand(),
-                                       state.velocity.copy(),
+                                       state.velocity,
                                        WingMode.RETRACTED)
         assert np.all(np.array(with_wind) == 0.0)
         assert np.all(np.array(still_air) != 0.0)
@@ -423,7 +431,7 @@ class TestWindProfile:
     def test_ramp_envelope(self):
         w = WindProfile(speed=5.0, direction=(1.0, 0.0, 0.0), start=2.0,
                         ramp=0.5)
-        assert np.all(w.vector(1.99) == 0.0)
+        assert w.vector(1.99) == (0.0, 0.0, 0.0)
         assert w.vector(2.25)[0] == pytest.approx(2.5, rel=1e-12)
         assert w.vector(3.0)[0] == pytest.approx(5.0, rel=1e-12)
 
@@ -432,16 +440,16 @@ class TestWindProfile:
                         stop=5.0, ramp=0.5)
         assert w.vector(4.9)[1] == pytest.approx(4.0, rel=1e-12)
         assert w.vector(5.25)[1] == pytest.approx(2.0, rel=1e-12)
-        assert np.all(w.vector(6.0) == 0.0)
+        assert w.vector(6.0) == (0.0, 0.0, 0.0)
 
     def test_float_form_matches_the_array_form(self):
         w = WindProfile(speed=5.0, direction=(3.0, -0.0, -4.0), start=1.0,
                         stop=3.0, ramp=0.5)
         assert all(type(c) is float for c in w.direction)
         for t in np.linspace(0.0, 4.0, 161).tolist():
-            got = w.vector_floats(t)
+            got = w.vector(t)
             assert type(got) is tuple and all(type(c) is float for c in got)
-            # the array form before the float form existed
+            # the array formula the wind was first computed with
             if t < w.start:
                 want = np.zeros(3)
             else:
@@ -449,10 +457,8 @@ class TestWindProfile:
                 if t >= w.stop:
                     up = max(0.0, 1.0 - (t - w.stop) / w.ramp)
                 want = w.speed * up * np.asarray(w.direction)
-            for form in (got, w.vector(t)):
-                assert np.array_equal(form, want)
-                assert np.array_equal(np.signbit(form), np.signbit(want))
-        assert isinstance(w.vector(2.0), np.ndarray)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_direction_normalized(self):
         w = WindProfile(speed=2.0, direction=(3.0, 4.0, 0.0))
@@ -576,21 +582,6 @@ class TestDragAndWrench:
         assert f[2] == pytest.approx(-0.5 * RHO * 0.02 * 1.0, rel=1e-12)
         assert np.all(np.array(_drag_body(0.0, 0.0, 0.0, 0.05, 0.02, 1.0,
                                           RHO)) == 0.0)
-
-    def test_packed_floats_give_the_same_wrench(self):
-        params = VehicleParams()
-        state = VehicleState(position=np.array([0.0, 0.0, 2.0]),
-                             velocity=np.array([3.0, -1.0, 0.5]),
-                             orientation=pitched_quat(-0.6),
-                             body_rate=np.array([0.1, 0.2, -0.3]),
-                             wing_mode=WingMode.EXTENDED)
-        cmd = ActuatorCommand(t_d1=700.0, t_d2=800.0, m_dx=20.0, m_dy=-10.0,
-                              d_1=0.1, d_2=-0.2)
-        wind = np.array([1.0, 2.0, 0.0])
-        a = realized_wrench(state, params, cmd, wind, WingMode.EXTENDED)
-        b = realized_wrench(state.y.tolist(), params, cmd, wind,
-                            WingMode.EXTENDED)
-        assert a == b
 
     def test_static_thrust_and_torque_maps(self):
         params = VehicleParams()
@@ -862,7 +853,7 @@ class TestSimLog:
                      td1=cols[:, 14], td2=cols[:, 15], mdx=cols[:, 16],
                      mdy=cols[:, 17], d1=cols[:, 18], d2=cols[:, 19],
                      mode=(np.arange(n) % 3 == 0).astype(np.int8), lam=lam,
-                     config={"b": "2", "a": "1"})
+                     config={"b": "2", "a": "1"}, sat_scale=np.ones(n))
         got = tmp_path / "chunked.csv"
         log.write_csv(got)
 
