@@ -64,6 +64,8 @@ class TimeSeries:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise ConfigError("time series needs at least 2 samples")
+        if not np.isfinite(values).all():
+            raise ConfigError("time series values must be finite")
         object.__setattr__(self, "values", values)
 
     def __len__(self):
@@ -91,6 +93,15 @@ class PsdResult:
         object.__setattr__(self, "density", density)
 
 
+def _sample_count(name, value, least):
+    """int of a whole number of samples (numpy integers included), at
+    least `least`; 2.5 or NaN is refused, not rounded."""
+    if not (value >= least and float(value).is_integer()):
+        raise ConfigError(f"{name} must be a whole number of samples, "
+                          f"at least {least}, got {value!r}")
+    return int(value)
+
+
 def mean_subtract(series, window):
     """Subtract each fixed, non-overlapping block's mean from its samples.
 
@@ -98,10 +109,8 @@ def mean_subtract(series, window):
     uses its own mean, so the output always matches the input length and
     a second application changes nothing.
     """
-    window = int(window)
+    window = _sample_count("window", window, 1)
     n = len(series)
-    if window < 1:
-        raise ConfigError("window must be at least 1 sample")
     if window > n:
         raise ConfigError(f"window {window} exceeds series length {n}")
     out = series.values.copy()
@@ -121,10 +130,8 @@ def psd(series, segment=1024, overlap=0.5):
     stationary input. The DC bin is kept; run mean_subtract first if the
     offset should not count.
     """
-    segment = int(segment)
+    segment = _sample_count("segment", segment, 2)
     n = len(series)
-    if segment < 2:
-        raise ConfigError("segment must be at least 2 samples")
     if segment > n:
         raise ConfigError(f"segment {segment} exceeds series length {n}")
     if not 0.0 <= overlap <= 0.9:

@@ -36,10 +36,12 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     of floats, such as SplmParams' unpacked rows.
     The arithmetic runs on Python floats in the same order as an
     element-by-element array version, so the result is the same to the
-    bit. The coupling gain g(beta) is an inline copy of
-    rotor._coupling_gain, kept here because this is the hot loop; both
-    use numpy's tan, which need not round like math.tan. Rows are
-    written out _CHUNK_ROWS at a time, which keeps memory at the size of
+    bit. The four RK4 stages are written out in the loop body, with no
+    call per stage. Each stage's coupling gain g(beta) is an inline copy
+    of rotor._coupling_gain, kept here because this is the hot loop; both
+    use numpy's tan, which need not round like math.tan. Each chunk of
+    _CHUNK_ROWS rows is gathered as one flat list of floats and stored
+    through a flat view of the output, which keeps memory at the size of
     the output array.
     Returns (trajectory[(n_steps+1) x 6], status).
     """
@@ -48,66 +50,121 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = floats(Kc)
     kb0, kb1, kb2 = floats(kb_col)
     tan = np.tan
-
-    def accel(x0, x1, x2, v0, v1, v2, u):
-        # x = [theta, zeta, beta], v = their azimuth derivatives
-        g = 1.0
-        if coupled:
-            # tan(beta + pi/4) via (1 + tan b)/(1 - tan b): exact 1.0 at beta = 0
-            tb = float(tan(x2))
-            g = (1.0 + tb) / (1.0 - tb)
-        s = 0.125 * g * x1
-        f0 = u - (c00 * v0 + c01 * v1 + c02 * v2) \
-            - (k00 * x0 + k01 * x1 + k02 * x2) - s * kb0
-        f1 = -(c10 * v0 + c11 * v1 + c12 * v2) \
-            - (k10 * x0 + k11 * x1 + k12 * x2) - s * kb1
-        f2 = -(c20 * v0 + c21 * v1 + c22 * v2) \
-            - (k20 * x0 + k21 * x1 + k22 * x2) - s * kb2
-        return (m00 * f0 + m01 * f1 + m02 * f2,
-                m10 * f0 + m11 * f1 + m12 * f2,
-                m20 * f0 + m21 * f1 + m22 * f2)
+    quarter_pi = _QUARTER_PI
+    guard = _SINGULAR_GUARD
 
     out = np.empty((n_steps + 1, 6))
     out[0] = y0
+    flat = out.reshape(-1)
     x0, x1, x2, v0, v1, v2 = out[0].tolist()
     half = 0.5 * h
     sixth = h / 6.0
+    # x = [theta, zeta, beta], v = their azimuth derivatives; stage n
+    # evaluates the acceleration M^-1 (u - C V - K_c X - s kb_col) with
+    # s = g(X2) X1 / 8 at stage position X and velocity V:
+    # k1 = (v, a), k2 = (q, b), k3 = (r, c), k4 = (w, d)
     for start in range(0, n_steps, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n_steps)
         u = u_half[2 * start:2 * stop + 1].tolist()
         rows = []
         for j in range(0, 2 * (stop - start), 2):
-            if coupled and abs(x2 - _QUARTER_PI) < _SINGULAR_GUARD:
-                i = start + len(rows)
-                if rows:
-                    out[start + 1:i + 1] = rows
+            if coupled and abs(x2 - quarter_pi) < guard:
+                i = start + len(rows) // 6
+                flat[6 * (start + 1):6 * (i + 1)] = rows
                 return out[: i + 1], STATUS_SINGULAR
             um = u[j + 1]
-            # k1 = (v, a), k2 = (q, b), k3 = (r, c), k4 = (w, d)
-            a0, a1, a2 = accel(x0, x1, x2, v0, v1, v2, u[j])
+
+            # stage 1 at (x, v)
+            g = 1.0
+            if coupled:
+                # tan(beta + pi/4) via (1 + tan b)/(1 - tan b): exact 1.0 at beta = 0
+                tb = float(tan(x2))
+                g = (1.0 + tb) / (1.0 - tb)
+            s = 0.125 * g * x1
+            f0 = u[j] - (c00 * v0 + c01 * v1 + c02 * v2) \
+                - (k00 * x0 + k01 * x1 + k02 * x2) - s * kb0
+            f1 = -(c10 * v0 + c11 * v1 + c12 * v2) \
+                - (k10 * x0 + k11 * x1 + k12 * x2) - s * kb1
+            f2 = -(c20 * v0 + c21 * v1 + c22 * v2) \
+                - (k20 * x0 + k21 * x1 + k22 * x2) - s * kb2
+            a0 = m00 * f0 + m01 * f1 + m02 * f2
+            a1 = m10 * f0 + m11 * f1 + m12 * f2
+            a2 = m20 * f0 + m21 * f1 + m22 * f2
+
+            # stage 2 at (x + h/2 v, q)
             q0 = v0 + half * a0
             q1 = v1 + half * a1
             q2 = v2 + half * a2
-            b0, b1, b2 = accel(x0 + half * v0, x1 + half * v1,
-                               x2 + half * v2, q0, q1, q2, um)
+            X0 = x0 + half * v0
+            X1 = x1 + half * v1
+            X2 = x2 + half * v2
+            g = 1.0
+            if coupled:
+                tb = float(tan(X2))
+                g = (1.0 + tb) / (1.0 - tb)
+            s = 0.125 * g * X1
+            f0 = um - (c00 * q0 + c01 * q1 + c02 * q2) \
+                - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
+            f1 = -(c10 * q0 + c11 * q1 + c12 * q2) \
+                - (k10 * X0 + k11 * X1 + k12 * X2) - s * kb1
+            f2 = -(c20 * q0 + c21 * q1 + c22 * q2) \
+                - (k20 * X0 + k21 * X1 + k22 * X2) - s * kb2
+            b0 = m00 * f0 + m01 * f1 + m02 * f2
+            b1 = m10 * f0 + m11 * f1 + m12 * f2
+            b2 = m20 * f0 + m21 * f1 + m22 * f2
+
+            # stage 3 at (x + h/2 q, r)
             r0 = v0 + half * b0
             r1 = v1 + half * b1
             r2 = v2 + half * b2
-            c0, c1, c2 = accel(x0 + half * q0, x1 + half * q1,
-                               x2 + half * q2, r0, r1, r2, um)
+            X0 = x0 + half * q0
+            X1 = x1 + half * q1
+            X2 = x2 + half * q2
+            g = 1.0
+            if coupled:
+                tb = float(tan(X2))
+                g = (1.0 + tb) / (1.0 - tb)
+            s = 0.125 * g * X1
+            f0 = um - (c00 * r0 + c01 * r1 + c02 * r2) \
+                - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
+            f1 = -(c10 * r0 + c11 * r1 + c12 * r2) \
+                - (k10 * X0 + k11 * X1 + k12 * X2) - s * kb1
+            f2 = -(c20 * r0 + c21 * r1 + c22 * r2) \
+                - (k20 * X0 + k21 * X1 + k22 * X2) - s * kb2
+            c0 = m00 * f0 + m01 * f1 + m02 * f2
+            c1 = m10 * f0 + m11 * f1 + m12 * f2
+            c2 = m20 * f0 + m21 * f1 + m22 * f2
+
+            # stage 4 at (x + h r, w)
             w0 = v0 + h * c0
             w1 = v1 + h * c1
             w2 = v2 + h * c2
-            d0, d1, d2 = accel(x0 + h * r0, x1 + h * r1, x2 + h * r2,
-                               w0, w1, w2, u[j + 2])
+            X0 = x0 + h * r0
+            X1 = x1 + h * r1
+            X2 = x2 + h * r2
+            g = 1.0
+            if coupled:
+                tb = float(tan(X2))
+                g = (1.0 + tb) / (1.0 - tb)
+            s = 0.125 * g * X1
+            f0 = u[j + 2] - (c00 * w0 + c01 * w1 + c02 * w2) \
+                - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
+            f1 = -(c10 * w0 + c11 * w1 + c12 * w2) \
+                - (k10 * X0 + k11 * X1 + k12 * X2) - s * kb1
+            f2 = -(c20 * w0 + c21 * w1 + c22 * w2) \
+                - (k20 * X0 + k21 * X1 + k22 * X2) - s * kb2
+            d0 = m00 * f0 + m01 * f1 + m02 * f2
+            d1 = m10 * f0 + m11 * f1 + m12 * f2
+            d2 = m20 * f0 + m21 * f1 + m22 * f2
+
             x0 = x0 + sixth * (v0 + 2.0 * q0 + 2.0 * r0 + w0)
             x1 = x1 + sixth * (v1 + 2.0 * q1 + 2.0 * r1 + w1)
             x2 = x2 + sixth * (v2 + 2.0 * q2 + 2.0 * r2 + w2)
             v0 = v0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
             v1 = v1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             v2 = v2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            rows.append((x0, x1, x2, v0, v1, v2))
-        out[start + 1:stop + 1] = rows
+            rows += (x0, x1, x2, v0, v1, v2)
+        flat[6 * (start + 1):6 * (stop + 1)] = rows
     return out, STATUS_OK
 
 

@@ -166,6 +166,14 @@ def _check_blade_count(blade_count):
         raise ConfigError("blade_count must be a whole number, at least 1")
 
 
+def _check_count(name, value, least):
+    """A step count must be an int (numpy's too), never a bool or a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ConfigError(f"{name} must be an int of at least {least}, "
+                          f"got {value!r}")
+
+
 def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
     """sigma = N c / (pi R)."""
     _check_blade_count(blade_count)
@@ -179,7 +187,8 @@ def _coupling_gain(beta, coupled):
 
     Evaluated as (1 + tan b)/(1 - tan b) with numpy's tan, so g(0) == 1.0
     exactly; the decoupled geometry has g = 1. The rotor kernel's hot loop
-    (kernels.splm_trajectory) keeps an inline copy of the same expression.
+    (kernels.splm_trajectory) keeps an inline copy of the same expression
+    in each of its four written-out RK4 stages.
     """
     if not coupled:
         return 1.0
@@ -221,6 +230,8 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     by bracketed bisection on the branch continuous from the decoupled
     solution.
     """
+    if not math.isfinite(u):
+        raise ConfigError(f"steady-state input u must be finite, got {u}")
     b = np.array([u * _input_scale(params), 0.0, 0.0])
     x0 = np.linalg.solve(stiffness_matrix(params, 0.0), b)
     if not params.coupled:
@@ -259,16 +270,21 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
               u_half: np.ndarray) -> np.ndarray:
     """Integrate over n_steps azimuth steps with input given on the half grid.
 
-    u_half must hold 2*n_steps + 1 samples (throttle counts). Returns the
-    (n_steps+1) x 6 state trajectory. Mostly a building block for the bench
-    and for frequency-response studies where the drive is known analytically.
+    y0 holds the 6 states [theta, zeta, beta] and their derivatives;
+    n_steps is an int >= 0. u_half must hold 2*n_steps + 1 samples
+    (throttle counts). Returns the (n_steps+1) x 6 state trajectory.
+    Mostly a building block for the bench and for frequency-response
+    studies where the drive is known analytically.
     """
+    _check_count("n_steps", n_steps, 0)
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (6,):
+        raise ConfigError(f"y0 must hold 6 states, got shape {y0.shape}")
     u_half = np.asarray(u_half, dtype=float)
     if u_half.shape != (2 * n_steps + 1,):
         raise ConfigError(
             f"u_half must have {2 * n_steps + 1} samples for {n_steps} steps"
         )
-    y0 = np.asarray(y0, dtype=float)
     if not (math.isfinite(psi_step) and np.isfinite(y0).all()
             and np.isfinite(u_half).all()):
         raise ConfigError("psi_step, y0 and u_half must be finite")
@@ -325,8 +341,7 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     if not (math.isfinite(duration) and duration > 0.0
             and math.isfinite(fs) and fs > 0.0):
         raise ConfigError("duration and fs must be positive and finite")
-    if substeps < 1:
-        raise ConfigError("substeps must be at least 1")
+    _check_count("substeps", substeps, 1)
     n_out = int(round(duration * fs))
     if n_out < 1:
         raise ConfigError(f"duration={duration} s at fs={fs} Hz gives no "

@@ -56,6 +56,11 @@ class TestTimeSeriesTypes:
         with pytest.raises(ConfigError):
             TimeSeries(fs=100.0, values=np.array([1.0]))
 
+    def test_values_must_be_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                TimeSeries(fs=100.0, values=[1.0, bad])
+
     def test_psd_result_invariants(self):
         with pytest.raises(ConfigError):
             PsdResult(freq=np.array([0.0, 2.0, 1.0]),
@@ -84,6 +89,12 @@ class TestMeanSubtract:
             mean_subtract(s, 11)
         with pytest.raises(ConfigError):
             mean_subtract(s, 0)
+        for window in (2.5, 0.5, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="whole number"):
+                mean_subtract(s, window)
+        # whole numbers of samples, numpy's included, are still windows
+        for window in (np.int64(5), 5.0):
+            assert np.all(mean_subtract(s, window).values == 0.0)
 
     def test_integer_period_sine_unchanged(self):
         # 40 Hz at 1 kHz: exactly one period per 25-sample block
@@ -131,6 +142,10 @@ class TestPsd:
             psd(s, segment=256, overlap=-0.1)
         with pytest.raises(ConfigError):
             psd(s, segment=2, overlap=0.9)  # rounds to a zero hop
+        for segment in (256.7, math.nan):
+            with pytest.raises(ConfigError, match="whole number"):
+                psd(s, segment=segment)
+        assert psd(s, segment=np.int32(256)).freq.size == 129
 
     def test_all_zero_series_floors(self):
         result = psd(series(np.zeros(4096)), segment=512)

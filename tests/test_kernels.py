@@ -120,18 +120,25 @@ class TestSplmKernel:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_singular_truncation_matches_reference(self):
-        # free motion: beta climbs 1e-6 rad per step and enters the guard
-        # band around pi/4 in the second output chunk
+    @pytest.mark.parametrize("trip_step", [0, 128, 200],
+                             ids=["first_step", "second_chunk_start",
+                                  "mid_chunk"])
+    def test_singular_truncation_matches_reference(self, trip_step):
+        # free motion: beta climbs 1e-6 rad per step and starts so that it
+        # sits half a step inside the 1e-6 guard band around pi/4 at
+        # trip_step: the very first step, the first step of the second
+        # output chunk (no row of that chunk gathered yet), or the middle
+        # of the second chunk
         n, h = 400, 1e-3
-        y0 = np.array([0.1, 0.0, 0.25 * math.pi - 2e-4, 0.3, 0.0, 1e-3])
+        beta0 = 0.25 * math.pi - (trip_step + 0.5) * 1e-6
+        y0 = np.array([0.1, 0.0, beta0, 0.3, 0.0, 1e-3])
         u_half = np.sin(np.arange(2 * n + 1) * (0.5 * h))
         args = (y0, n, h, np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)),
                 np.array([0.12, -0.1, -0.7]), True, u_half)
         got, got_status = kernels.splm_trajectory(*args)
         want, want_status = reference_splm_trajectory(*args)
         assert got_status == want_status == kernels.STATUS_SINGULAR
-        assert 129 < got.shape[0] < n + 1
+        assert got.shape == (trip_step + 1, 6)
         assert np.array_equal(got, want)
 
     def test_singular_pitch_truncates(self):

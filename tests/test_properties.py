@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from coaxtail.aero import TandemConfig, WingPanel
+from coaxtail.analysis import TimeSeries
 from coaxtail.control import ActuatorLimits, AllocationGains
 from coaxtail.errors import ConfigError
 from coaxtail.propulsion import PropellerTable, RpmSheet
@@ -59,6 +60,7 @@ FIELDS = {
     RpmSheet: {"rpm": 5000.0, "j": (0.0, 0.3, 0.6), "ct": (0.1, 0.08, 0.05),
                "cp": (0.05, 0.045, 0.04)},
     PropellerTable: {"diameter": 0.4064},
+    TimeSeries: {"fs": 1000.0, "values": (0.0, 1.0, 0.5, -0.2)},
 }
 
 # constructor -> its arguments that are not floats, passed unchanged

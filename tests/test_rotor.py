@@ -173,6 +173,13 @@ class TestStep:
                          np.full(10001, 700.0))
         assert np.max(np.abs(traj[-1, :3] - target) / np.abs(target)) < 1e-6
 
+    def test_steady_state_rejects_non_finite_input(self):
+        for variant in ("coupled", "decoupled"):
+            p = make_params(variant=variant)
+            for u in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError):
+                    steady_state(p, u)
+
     def test_coupled_steady_state_is_fixed_point(self):
         p = make_params(variant="coupled")
         x = steady_state(p, 900.0)
@@ -343,15 +350,42 @@ class TestBench:
     def test_integrate_rejects_non_finite_inputs(self):
         p = make_params()
         u_half = np.zeros(21)
+        rows = []  # (y0, psi_step, n_steps, u_half)
         for bad in (math.nan, math.inf):
             y0 = np.zeros(6)
             y0[4] = bad
             u_bad = u_half.copy()
             u_bad[7] = bad
-            for args in ((np.zeros(6), bad, u_half), (y0, 0.05, u_half),
-                         (np.zeros(6), 0.05, u_bad)):
-                with pytest.raises(ConfigError):
-                    integrate(p, args[0], args[1], 10, args[2])
+            rows += [(np.zeros(6), bad, 10, u_half), (y0, 0.05, 10, u_half),
+                     (np.zeros(6), 0.05, 10, u_bad)]
+        # y0 must hold exactly 6 states, never be broadcast from one
+        for y0 in (np.array([0.01]), np.zeros(5), np.zeros(7),
+                   np.zeros((6, 1)), 0.0):
+            rows.append((y0, 0.05, 10, u_half))
+        # n_steps must be an int >= 0: no float, bool or negative count
+        rows += [(np.zeros(6), 0.05, 2.5, np.zeros(6)),
+                 (np.zeros(6), 0.05, 10.0, u_half),
+                 (np.zeros(6), 0.05, -1, np.zeros(1)),
+                 (np.zeros(6), 0.05, True, np.zeros(3)),
+                 (np.zeros(6), 0.05, None, u_half)]
+        for y0, psi_step, n_steps, u in rows:
+            with pytest.raises(ConfigError):
+                integrate(p, y0, psi_step, n_steps, u)
+        # numpy integer step counts are counts too, and zero steps is valid
+        for n_steps in (np.int64(10), 0):
+            traj = integrate(p, np.zeros(6), 0.05, n_steps,
+                             np.zeros(2 * n_steps + 1))
+            assert traj.shape == (n_steps + 1, 6)
+
+    def test_substeps_must_be_a_whole_int(self):
+        p = make_params()
+        for substeps in (2.5, 4.0, True, 0, -1, math.nan):
+            with pytest.raises(ConfigError, match="substeps"):
+                bench_torque_series(p, 900.0, 200.0, 0.0, 0.01, 1000.0,
+                                    substeps=substeps)
+        t, tau = bench_torque_series(p, 900.0, 200.0, 0.0, 0.01, 1000.0,
+                                     substeps=np.int64(2))
+        assert t.shape == tau.shape == (11,)
 
     def test_torque_model_guards_singular_pitch(self):
         p = make_params(variant="coupled")
