@@ -16,7 +16,7 @@ angles without the yaw error polluting the tilt command.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,12 +247,9 @@ class VectorPid:
         self._prev_err = None
 
     def step(self, err, dt):
-        """One update on err, an array or a sequence of numbers, one per
-        axis."""
-        return self._step(quat.components(err), dt)
-
-    def _step(self, err, dt):
-        # err is a new list of Python floats; it is kept as _prev_err
+        """One update on err, a sequence of numbers, one per axis."""
+        # a new list, kept as _prev_err: it cannot alias the caller's err
+        err = list(err)
         integral = []
         for acc, ki, e, lim in zip(self.integral, self.ki, err, self.i_limit,
                                    strict=True):
@@ -327,7 +324,7 @@ class ControlSetpoint:
     controls altitude only, and no lateral force is commanded.
     """
 
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    position: tuple = (0.0, 0.0, 0.0)
     yaw: float = 0.0
     pitch_override: float | None = None
 
@@ -353,7 +350,7 @@ class CascadeController:
                                   gains.vel_i_limit)
         self._rate_pid = VectorPid(gains.rate_kp, gains.rate_ki, gains.rate_kd,
                                    gains.rate_i_limit)
-        self._pos_p = quat.components(gains.pos_p)
+        self._pos_p = [float(k) for k in gains.pos_p]
         # base ticks per update of each loop
         self._every = tuple(gains.base_rate // rate for rate in (
             gains.pos_rate, gains.vel_rate, gains.att_rate,
@@ -365,7 +362,7 @@ class CascadeController:
         self._rate_pid.reset()
         self._tick = 0
         self._vel_sp = [0.0, 0.0, 0.0]
-        self._f_des = np.array([0.0, 0.0, self.mass * self.gravity])
+        self._f_des = (0.0, 0.0, self.mass * self.gravity)
         self._rate_sp = [0.0, 0.0, 0.0]
         self._tau_z = 0.0
         self._yaw_key = self._override_key = None
@@ -373,10 +370,10 @@ class CascadeController:
     def step(self, setpoint, position, velocity, orientation, body_rate, dt):
         """One base-rate tick; returns the demanded Wrench (body frame).
 
-        The state parts may be arrays or sequences of floats (the
-        simulator passes slices of its float state, which are used as
-        they are; an array is converted once). Vector arithmetic
-        runs on Python floats, in the order the array form would use.
+        The setpoint position and the state parts are sequences of
+        floats: the simulator passes slices of its float state. Vectors
+        are tuples or lists of Python floats throughout, and the
+        arithmetic runs in the order the array form would use.
         Only np.dot and numpy's transcendental calls stay, because they
         need not round like a left-to-right Python sum or like libm;
         norms are sqrt(v·v) on numpy's dot, which is exactly what
@@ -388,8 +385,7 @@ class CascadeController:
 
         if self._tick % pos_every == 0:
             sp = [k * (a - b) for k, a, b in zip(
-                self._pos_p, quat.components(setpoint.position),
-                quat.floats(position))]
+                self._pos_p, setpoint.position, position)]
             if transition:
                 sp[0] = 0.0
                 sp[1] = 0.0
@@ -397,20 +393,18 @@ class CascadeController:
 
         if self._tick % vel_every == 0:
             vdt = dt * vel_every
-            err = [a - b for a, b in zip(self._vel_sp,
-                                         quat.floats(velocity))]
+            err = [a - b for a, b in zip(self._vel_sp, velocity)]
             if transition:
                 err[0] = 0.0
                 err[1] = 0.0
-            acc = self._vel_pid._step(err, vdt)
+            acc = self._vel_pid.step(err, vdt)
             if transition:
                 acc[0] = 0.0
                 acc[1] = 0.0
-            self._f_des = np.array([self.mass * (acc[0] + 0.0),
-                                    self.mass * (acc[1] + 0.0),
-                                    self.mass * (acc[2] + self.gravity)])
+            self._f_des = (self.mass * (acc[0] + 0.0),
+                           self.mass * (acc[1] + 0.0),
+                           self.mass * (acc[2] + self.gravity))
 
-        # an array: np.dot's operand for the thrust and the tilt angle
         z_body = quat.rotate(orientation, _Z_AXIS)
 
         if self._tick % att_every == 0:
@@ -419,8 +413,8 @@ class CascadeController:
                     setpoint.yaw, setpoint.pitch_override)
             else:
                 f_norm = quat.norm(self._f_des)
-                z_des = (self._f_des / f_norm if f_norm > 1e-9
-                         else np.array(_Z_AXIS))
+                z_des = (tuple(f / f_norm for f in self._f_des)
+                         if f_norm > 1e-9 else _Z_AXIS)
                 q_sp = quat.multiply(self._yaw_rotation(setpoint.yaw),
                                      _tilt_quaternion(z_des))
             axis = _cross(z_body, z_des)
@@ -431,21 +425,20 @@ class CascadeController:
                 tilt_w = [a / s_n * angle for a in axis]
             else:
                 tilt_w = [0.0, 0.0, 0.0]
-            tilt_b = quat.rotate_floats(quat.conjugate(orientation), tilt_w)
+            tilt_b = quat.rotate(quat.conjugate(orientation), tilt_w)
             full_b = quat.error_rotation_vector(orientation, q_sp)
             self._rate_sp = [g.att_p_tilt * tilt_b[0],
                              g.att_p_tilt * tilt_b[1],
                              g.att_p_yaw * full_b[2]]
 
-        rate_err = [a - b for a, b in zip(self._rate_sp,
-                                          quat.floats(body_rate))]
-        tau = self._rate_pid._step(rate_err, dt)
+        rate_err = [a - b for a, b in zip(self._rate_sp, body_rate)]
+        tau = self._rate_pid.step(rate_err, dt)
         if self._tick % yaw_every == 0:
             self._tau_z = tau[2]
 
         if transition:
-            proj = max(float(z_body[2]), self.TILT_MIN_PROJECTION)
-            thrust = float(self._f_des[2]) / proj
+            proj = max(z_body[2], self.TILT_MIN_PROJECTION)
+            thrust = self._f_des[2] / proj
         else:
             thrust = float(np.dot(self._f_des, z_body))
         thrust = max(thrust, 0.0)
@@ -484,14 +477,14 @@ _Z_AXIS = (0.0, 0.0, 1.0)
 
 def _cross(a, b):
     """np.cross of two 3-vectors, on Python floats, same operation order."""
-    a0, a1, a2 = quat.components(a)
-    b0, b1, b2 = quat.components(b)
+    a0, a1, a2 = a
+    b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def _tilt_quaternion(z_des):
     # shortest rotation taking world +z to z_des
-    c = float(np.dot(np.array(_Z_AXIS), z_des))
+    c = float(np.dot(_Z_AXIS, z_des))
     axis = _cross(_Z_AXIS, z_des)
     s = quat.norm(axis)
     if s < 1e-12:

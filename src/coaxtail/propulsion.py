@@ -390,7 +390,14 @@ def load_propeller_table(directory, name, diameter):
                     continue
                 if len(row) != 3:
                     raise ConfigError(f"{path.name}: malformed row {row!r}")
-                rows.append([float(x) for x in row])
+                try:
+                    cells = [float(x) for x in row]
+                except ValueError:
+                    cells = [math.nan]
+                if not all(map(math.isfinite, cells)):
+                    raise ConfigError(f"{path.name}: line {reader.line_num}: "
+                                      f"{row!r} is not three finite numbers")
+                rows.append(cells)
         if not rows:
             raise ConfigError(f"{path.name}: no data rows")
         data = np.array(rows)

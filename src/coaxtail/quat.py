@@ -4,14 +4,16 @@ Unit quaternions map body-frame vectors into the world frame via
 ``rotate(q, v_body) -> v_world``. Nothing here is vectorized over
 batches; the simulator works one state at a time.
 
-The arithmetic runs on Python floats in the operation order of the
-numpy array form, so results are the same to the bit. Three numpy calls
-stay because they need not round like their Python counterparts: the
-3-element dot inside ``norm`` (numpy's sum order), and np.sin, np.cos and
-np.arctan2 (numpy's own transcendental loops need not round like libm).
-``norm`` is ``sqrt(v·v)``, which is exactly what np.linalg.norm computes
-for a 1-D vector. Apart from ``rotate``, which returns an array, the
-helpers return tuples of floats; inputs may be arrays or sequences.
+Vectors and quaternions are tuples of Python floats: the helpers unpack
+their inputs (``w, x, y, z = q``) and return tuples. An array or a list
+works as an input too; numpy scalars round the same, only more slowly.
+The arithmetic runs in the operation order of the numpy array form, so
+results are the same to the bit. Three numpy calls stay because they
+need not round like their Python counterparts: the 3-element dot inside
+``norm`` (numpy's sum order), and np.sin, np.cos and np.arctan2 (numpy's
+own transcendental loops need not round like libm). ``norm`` is
+``sqrt(v·v)``, which is exactly what np.linalg.norm computes for a 1-D
+vector.
 """
 
 from __future__ import annotations
@@ -21,26 +23,6 @@ import math
 import numpy as np
 
 
-def components(a):
-    """Python floats of a small vector given as an array or a sequence.
-
-    Scalar arithmetic on these is several times cheaper than on numpy
-    scalars and gives the same IEEE results.
-    """
-    if isinstance(a, np.ndarray):
-        return a.astype(float, copy=False).tolist()
-    return [float(c) for c in a]
-
-
-def floats(a):
-    """Python floats of a vector or matrix: an array converts once; a
-    (nested) sequence, such as the rows VehicleParams and SplmParams
-    unpack once or the simulator's float state, is used as it is and
-    must already hold floats. The cheap form of components for values
-    that are floats on the hot path and may be arrays elsewhere."""
-    return a.tolist() if isinstance(a, np.ndarray) else a
-
-
 def norm(v) -> float:
     """Euclidean norm of a vector, rounded as np.linalg.norm rounds it."""
     a = np.array(v, dtype=float)
@@ -48,14 +30,14 @@ def norm(v) -> float:
 
 
 def conjugate(q) -> tuple:
-    w, x, y, z = components(q)
+    w, x, y, z = q
     return (w, -x, -y, -z)
 
 
 def multiply(a, b) -> tuple:
     """Hamilton product a*b."""
-    w1, x1, y1, z1 = components(a)
-    w2, x2, y2, z2 = components(b)
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
     return (
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -64,9 +46,8 @@ def multiply(a, b) -> tuple:
     )
 
 
-def rotate_floats(q, v) -> tuple:
-    """rotate on Python floats: q and v are sequences of floats (numpy
-    scalars give the same result, only slower); returns a tuple."""
+def rotate(q, v) -> tuple:
+    """Rotate vector v by unit quaternion q (body -> world for attitude quats)."""
     w, x, y, z = q
     vx, vy, vz = v
     # q * [0, v] * conj(q), expanded
@@ -80,17 +61,9 @@ def rotate_floats(q, v) -> tuple:
     )
 
 
-def rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q (body -> world for attitude quats).
-
-    q and v may be arrays or sequences; the result is an array.
-    """
-    return np.array(rotate_floats(components(q), components(v)))
-
-
 def from_axis_angle(axis, angle: float) -> tuple:
-    ax, ay, az = components(axis)
-    n = norm((ax, ay, az))
+    ax, ay, az = axis
+    n = norm(axis)
     if n == 0.0:
         return (1.0, 0.0, 0.0, 0.0)
     half = 0.5 * angle

@@ -342,6 +342,9 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
             and math.isfinite(fs) and fs > 0.0):
         raise ConfigError("duration and fs must be positive and finite")
     _check_count("substeps", substeps, 1)
+    if not math.isfinite(duration * fs):
+        raise ConfigError(f"duration={duration} s at fs={fs} Hz gives more "
+                          "output samples than a float can count")
     n_out = int(round(duration * fs))
     if n_out < 1:
         raise ConfigError(f"duration={duration} s at fs={fs} Hz gives no "
@@ -354,9 +357,16 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         )
     n_steps = n_out * substeps
     h = omega / (fs * substeps)
-    psi_half = np.arange(2 * n_steps + 1) * (0.5 * h)
     m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
-    u_half = modulation_signal(throttle, m_d, psi_half, params.delay_at(omega))
+    try:
+        psi_half = np.arange(2 * n_steps + 1) * (0.5 * h)
+        u_half = modulation_signal(throttle, m_d, psi_half,
+                                   params.delay_at(omega))
+    except (ValueError, MemoryError) as exc:
+        # numpy: ValueError past its shape limit, MemoryError past memory
+        raise ConfigError(f"duration={duration} s at fs={fs} Hz is "
+                          f"{n_out:.6g} output samples, too many to simulate"
+                          ) from exc
     y0 = np.concatenate([steady_state(params, throttle), np.zeros(3)])
     traj = integrate(params, y0, h, n_steps, u_half)
     traj_out = traj[::substeps]

@@ -203,10 +203,10 @@ _BODY_Z = (0.0, 0.0, 1.0)
 def measured_pitch(orientation):
     """Pitch angle (rad): asin of the world-x component of body +z.
 
-    orientation is (w, x, y, z) as Python floats, or an array.
+    orientation is (w, x, y, z) as Python floats.
     """
-    x_w = quat.rotate_floats(orientation, _BODY_Z)[0]
-    return math.asin(min(1.0, max(-1.0, float(x_w))))
+    x_w = quat.rotate(orientation, _BODY_Z)[0]
+    return math.asin(min(1.0, max(-1.0, x_w)))
 
 
 def step_6dof(state, force_body, torque_body, params, dt):
@@ -214,8 +214,7 @@ def step_6dof(state, force_body, torque_body, params, dt):
 
     Returns the next VehicleState, validated on its floats (finite
     entries, unit quaternion) once, here. force_body and torque_body are
-    arrays or sequences of three floats, such as the tuples
-    realized_wrench returns.
+    tuples of three floats, such as realized_wrench returns.
     """
     if dt <= 0.0 or dt > _MAX_DT:
         raise ConfigError("dt must lie in (0, 1 ms]")
@@ -304,6 +303,12 @@ class WingSchedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "pitch"):
             raise ConfigError("wing schedule kind must be 'fixed' or 'pitch'")
+        # the text "retracted" becomes WingMode.RETRACTED, which mode_at's
+        # callers compare by identity
+        try:
+            object.__setattr__(self, "mode", WingMode(self.mode))
+        except ValueError:
+            raise ConfigError(f"unknown wing mode {self.mode!r}") from None
         if not math.isfinite(self.extend_below):
             raise ConfigError("wing extend_below pitch must be finite")
 
@@ -373,9 +378,12 @@ class ScenarioSpec:
                               "a finite number of them")
         if not math.isfinite(self.yaw):
             raise ConfigError("yaw must be finite")
-        _finite_vector3(self.position, "position")
-        if self.start_position is not None:
-            _finite_vector3(self.start_position, "start_position")
+        # tuples of floats: a caller's later write cannot reach the spec
+        for name in ("position", "start_position"):
+            value = getattr(self, name)
+            if name == "position" or value is not None:
+                object.__setattr__(self, name, tuple(
+                    _finite_vector3(value, name).tolist()))
 
     @property
     def base_rate(self):
@@ -404,7 +412,7 @@ def _wing_wrench(u_body, tandem, mode):
     """(force_x, torque_y) from the tandem panels, body frame."""
     if mode is WingMode.RETRACTED:
         return 0.0, 0.0
-    ux, uz = float(u_body[0]), float(u_body[2])
+    ux, _, uz = u_body
     v_plane_sq = ux * ux + uz * uz
     if v_plane_sq < 1e-12:
         return 0.0, 0.0
@@ -445,14 +453,12 @@ def _aft_thrust(params, t_d2, axial_speed):
 def realized_wrench(state, params, cmd, wind_world, wing_mode):
     """Aggregate non-gravity force and torque in the body frame.
 
-    wind_world is an array or a sequence of three floats, such as
-    WindProfile.vector returns. Returns (force, torque), each a tuple of
-    three floats.
+    wind_world is a tuple of three floats, such as WindProfile.vector
+    returns. Returns (force, torque), each a tuple of three floats.
     """
     vx, vy, vz, qw, qx, qy, qz = state[3:10]
-    wx, wy, wz = quat.floats(wind_world)
-    u_body = quat.rotate_floats((qw, -qx, -qy, -qz),
-                                (vx - wx, vy - wy, vz - wz))
+    wx, wy, wz = wind_world
+    u_body = quat.rotate((qw, -qx, -qy, -qz), (vx - wx, vy - wy, vz - wz))
     ux, uy, uz = u_body
     alloc = params.alloc
 
@@ -637,10 +643,9 @@ def run_scenario(spec, params):
         raise ConfigError(f"duration {spec.duration:g} s is {n:.6g} ticks, "
                           f"too many to log") from exc
 
-    target = np.asarray(spec.position, dtype=float)
     transition = spec.mode == "transition"
     setpoint = ControlSetpoint(
-        position=target, yaw=spec.yaw,
+        position=spec.position, yaw=spec.yaw,
         pitch_override=transition_profile(0.0) if transition else None)
     alloc = params.alloc
 

@@ -375,10 +375,12 @@ class TestCriterion9:
             position=np.zeros(3), velocity=np.zeros(3),
             orientation=np.array([1.0, 0.0, 0.0, 0.0]),
             body_rate=np.array([2.0, -1.5, 3.0]))
-        l0 = quat.rotate(spin.orientation, inertia @ spin.body_rate)
+        l0 = np.array(quat.rotate(spin.orientation,
+                                   inertia @ spin.body_rate))
         for _ in range(10_000):
             spin = step_6dof(spin, np.zeros(3), np.zeros(3), params, 1e-3)
-        l1 = quat.rotate(spin.orientation, inertia @ spin.body_rate)
+        l1 = np.array(quat.rotate(spin.orientation,
+                                   inertia @ spin.body_rate))
         momentum_ok = (np.linalg.norm(l1 - l0) / np.linalg.norm(l0)) < 1e-6
 
         spec = ScenarioSpec(name="det", mode="hover", duration=2.0,

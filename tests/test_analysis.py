@@ -118,6 +118,11 @@ class TestMeanSubtract:
             want = max(1, int(round(fs / rev_rate)))
             assert default_mean_window(fs) == want
 
+    def test_default_window_needs_a_positive_finite_rate(self):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1000.0):
+            with pytest.raises(ConfigError, match="sample rate"):
+                default_mean_window(bad)
+
 
 class TestPsd:
     def test_bin_centered_sine_integrates_to_half(self):
@@ -492,7 +497,11 @@ class TestCli:
         # 0.0001 s at 1 kHz rounds to no output sample
         for argv in (["--duration", "nan"], ["--throttle", "nan"],
                      ["--amplitude", "nan"], ["--phase", "inf"],
-                     ["--throttle", "-900"], ["--duration", "0.0001"]):
+                     ["--throttle", "-900"], ["--duration", "0.0001"],
+                     # duration * fs overflows to inf
+                     ["--fs", "1e308", "--duration", "10"],
+                     # past numpy's shape limit: refused before allocating
+                     ["--fs", "1e12", "--duration", "1e12"]):
             code = cli_main(["bench-splm", *argv, "--out", out])
             err = capsys.readouterr().err
             assert code == 1, argv
@@ -500,6 +509,33 @@ class TestCli:
             assert len(lines) == 1 and "category=validation" in lines[0], argv
             assert "Traceback" not in err
         assert not (tmp_path / "tq.csv").exists()
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan"])
+    def test_table_commands_reject_a_bad_cell(self, tmp_path, capsys, cell):
+        """A propeller-table cell that is not a finite number fails both
+        commands that read tables with one validation line naming the
+        file and line."""
+        props = tmp_path / "props"
+        props.mkdir()
+        for sheet in PROPS_DIR.glob("*.csv"):
+            (props / sheet.name).write_text(sheet.read_text())
+        bad = props / "7in_9000.csv"
+        rows = bad.read_text().splitlines()
+        rows[2] = f"0.15,{cell},0.0560"
+        bad.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "scn.cfg"
+        cfg.write_text("[scenario]\nduration_s = 0.01\n[vehicle]\n"
+                       f"prop_tables_dir = {props}\n")
+        for argv in (["power-analysis", "--tables", str(props), "--out",
+                      str(tmp_path / "c.csv")],
+                     ["simulate", str(cfg), "--out", str(tmp_path / "s.csv")]):
+            code = cli_main(argv)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            lines = err.splitlines()
+            assert len(lines) == 1 and "category=validation" in lines[0], argv
+            assert "Traceback" not in err
+            assert "7in_9000.csv: line 3" in lines[0], argv
 
     def test_psd_missing_file(self, capsys, tmp_path):
         code = cli_main(["psd", str(tmp_path / "none.csv")])

@@ -498,6 +498,15 @@ class TestVectorPid:
         assert pid.step(np.array([3.0]), 0.01)[0] == 0.0
         assert pid.step(np.array([4.0]), 0.01)[0] == pytest.approx(100.0)
 
+    def test_previous_error_is_a_copy(self):
+        """A caller that reuses its error array does not change the next
+        derivative."""
+        pid = VectorPid(kp=(0.0,), ki=(0.0,), kd=(1.0,), i_limit=(0.0,))
+        err = np.array([3.0])
+        pid.step(err, 0.01)
+        err[0] = 4.0
+        assert pid.step(err, 0.01)[0] == pytest.approx(100.0)
+
 
 class TestCascade:
     def test_rates_must_divide(self):
@@ -529,6 +538,30 @@ class TestCascade:
             with pytest.raises(ConfigError, match="gravity"):
                 CascadeController(gains, 1.2, bad)
         CascadeController(gains, 1.2, 0.0)
+
+    def test_controller_state_holds_no_array(self):
+        """Vectors are tuples or lists of floats throughout: after hover
+        and transition ticks fed with arrays, no attribute of the
+        controller or its PIDs is (or holds) a numpy array."""
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                return 1
+            if isinstance(value, (tuple, list)):
+                return sum(map(arrays, value))
+            return 0
+
+        ctl = CascadeController(CascadeGains(), mass=1.2)
+        for override in (None, math.radians(-45.0)):
+            sp = ControlSetpoint(position=(0.5, -0.2, 1.5),
+                                 pitch_override=override)
+            for _ in range(20):
+                ctl.step(sp, np.zeros(3), np.zeros(3),
+                         np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 1e-3)
+            for owner in (ctl, ctl._vel_pid, ctl._rate_pid):
+                held = {k: v for k, v in vars(owner).items()
+                        if k != "gains"}
+                assert arrays(list(held.values())) == 0, held
+        assert ControlSetpoint().position == (0.0, 0.0, 0.0)
 
     def test_equilibrium_outputs_weight_only(self):
         gains = CascadeGains()
@@ -577,7 +610,8 @@ class TestCascade:
                 assert_same_bits(ctl._yaw_rotation(yaw), np.array(q_yaw))
             got_q, got_z = ctl._override_setpoint(yaw, pitch)
             assert_same_bits(got_q, np.array(q_sp))
-            assert_same_bits(got_z, quat.rotate(q_sp, z_axis))
+            assert_same_bits(got_z,
+                             np.array(quat.rotate(q_sp, z_axis)))
             assert_same_bits(ctl._yaw_rotation(yaw), np.array(q_yaw))
         ctl.reset()
         assert ctl._yaw_key is None and ctl._override_key is None

@@ -268,7 +268,7 @@ class TestRigidKernel:
         def world_momentum(y):
             from coaxtail import quat
             l_body = inertia @ y[10:13]
-            return quat.rotate(y[6:10], l_body)
+            return np.array(quat.rotate(y[6:10], l_body))
 
         l0 = world_momentum(y)
         for _ in range(2000):

@@ -257,7 +257,8 @@ class TestRigidStep:
 
         def invariants(s):
             e_rot = 0.5 * float(s.body_rate @ inertia @ s.body_rate)
-            l_world = quat.rotate(s.orientation, inertia @ s.body_rate)
+            l_world = np.array(quat.rotate(s.orientation,
+                                           inertia @ s.body_rate))
             return e_rot, l_world
 
         e0, l0 = invariants(state)
@@ -498,6 +499,21 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             WingSchedule(kind="sometimes")
 
+    def test_mode_text_becomes_the_enum(self):
+        """A mode given as its text is the WingMode member: the run applies
+        that mode's forces, logs its code and names it in the config."""
+        for mode in WingMode:
+            s = WingSchedule(kind="fixed", mode=mode.value)
+            assert s.mode is mode and s.mode_at(-1.5) is mode
+            log = run_scenario(ScenarioSpec(duration=0.01, wing=s),
+                               VehicleParams())
+            code = 1 if mode is WingMode.EXTENDED else 0
+            assert np.all(log.mode == code)
+            assert log.config["wing_schedule"] == f"fixed:{mode.value}"
+        for bad in ("RETRACTED", "folded", 0, None, [1]):
+            with pytest.raises(ConfigError, match="wing mode"):
+                WingSchedule(kind="fixed", mode=bad)
+
     def test_lambda_blend(self):
         lam = LambdaSchedule()
         assert lam.value(0.0) == 1.0
@@ -688,9 +704,23 @@ class TestScenarios:
                            {"start_position": (0.0, 0.0, bad)}):
                 with pytest.raises(ConfigError):
                     ScenarioSpec(**kwargs)
-        with pytest.raises(ConfigError):
-            ScenarioSpec(position=(0.0, 1.5))
+        for bad in ((0.0, 1.5), None):
+            with pytest.raises(ConfigError):
+                ScenarioSpec(position=bad)
         assert ScenarioSpec(dt=5e-4).base_rate == 2000
+
+    def test_spec_positions_are_tuples_of_floats(self):
+        """position and start_position are kept as tuples of floats, so a
+        later write to the caller's array does not reach the spec."""
+        source = np.array([0.5, -0.25, 2.0])
+        spec = ScenarioSpec(position=source, start_position=[0, 1, 2])
+        source[:] = 9.0
+        assert spec.position == (0.5, -0.25, 2.0)
+        assert spec.start_position == (0.0, 1.0, 2.0)
+        for value in (spec.position, spec.start_position):
+            assert type(value) is tuple
+            assert all(type(c) is float for c in value)
+        assert ScenarioSpec().start_position is None
 
     def test_spec_needs_one_tick(self):
         with pytest.raises(ConfigError, match="at least one tick"):
