@@ -5,102 +5,76 @@ Submodules group by subject: aero (tandem-wing statics), rotor (the
 swashplateless head), control (allocation and the cascade loops),
 propulsion (propeller tables and the configuration power study), vehicle
 (6-DOF simulation and scenarios), analysis (spectra, configs, CLI).
-The names most programs need are re-exported here.
+The names most programs need are re-exported here. Each resolves on
+first use, importing only its own submodule, so `import coaxtail` loads
+none of them and a CLI command loads only the layers it runs.
 """
 
-from .aero import TandemConfig, WingMode, WingPanel, static_stability_check
-from .analysis import (
-    PsdResult,
-    TimeSeries,
-    avg_psd_db,
-    cli_main,
-    load_scenario,
-    mean_subtract,
-    peak_to_peak_reduction,
-    psd,
-)
-from .control import (
-    ActuatorCommand,
-    AllocationGains,
-    CascadeController,
-    Wrench,
-    forward_model,
-    mix,
-    saturate,
-)
-from .errors import (
-    CoaxtailError,
-    ConfigError,
-    InfeasibleError,
-    LinearRangeError,
-    NumericalDomainError,
-    SimulationFault,
-    TableRangeError,
-)
-from .propulsion import (
-    ConfigPower,
-    PropellerTable,
-    fixture_config_powers,
-    mode_power,
-    solve_rpm_for_thrust,
-)
-from .rotor import SplmParams, bench_torque_series
-from .vehicle import (
-    ScenarioSpec,
-    SimLog,
-    VehicleParams,
-    VehicleState,
-    WindProfile,
-    WingSchedule,
-    run_scenario,
-    step_6dof,
-    transition_profile,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActuatorCommand",
-    "AllocationGains",
-    "CascadeController",
-    "CoaxtailError",
-    "ConfigError",
-    "ConfigPower",
-    "InfeasibleError",
-    "LinearRangeError",
-    "NumericalDomainError",
-    "PropellerTable",
-    "PsdResult",
-    "ScenarioSpec",
-    "SimLog",
-    "SimulationFault",
-    "SplmParams",
-    "TableRangeError",
-    "TandemConfig",
-    "TimeSeries",
-    "VehicleParams",
-    "VehicleState",
-    "WindProfile",
-    "WingMode",
-    "WingPanel",
-    "WingSchedule",
-    "Wrench",
-    "avg_psd_db",
-    "bench_torque_series",
-    "cli_main",
-    "fixture_config_powers",
-    "forward_model",
-    "load_scenario",
-    "mean_subtract",
-    "mix",
-    "mode_power",
-    "peak_to_peak_reduction",
-    "psd",
-    "run_scenario",
-    "saturate",
-    "solve_rpm_for_thrust",
-    "static_stability_check",
-    "step_6dof",
-    "transition_profile",
-    "__version__",
-]
+# re-exported name -> the submodule that defines it
+_SOURCES = {
+    "TandemConfig": "aero",
+    "WingMode": "aero",
+    "WingPanel": "aero",
+    "static_stability_check": "aero",
+    "PsdResult": "analysis",
+    "TimeSeries": "analysis",
+    "avg_psd_db": "analysis",
+    "cli_main": "analysis",
+    "load_scenario": "analysis",
+    "mean_subtract": "analysis",
+    "peak_to_peak_reduction": "analysis",
+    "psd": "analysis",
+    "ActuatorCommand": "control",
+    "AllocationGains": "control",
+    "CascadeController": "control",
+    "Wrench": "control",
+    "forward_model": "control",
+    "mix": "control",
+    "saturate": "control",
+    "CoaxtailError": "errors",
+    "ConfigError": "errors",
+    "InfeasibleError": "errors",
+    "LinearRangeError": "errors",
+    "NumericalDomainError": "errors",
+    "SimulationFault": "errors",
+    "TableRangeError": "errors",
+    "ConfigPower": "propulsion",
+    "PropellerTable": "propulsion",
+    "fixture_config_powers": "propulsion",
+    "mode_power": "propulsion",
+    "solve_rpm_for_thrust": "propulsion",
+    "SplmParams": "rotor",
+    "bench_torque_series": "rotor",
+    "ScenarioSpec": "vehicle",
+    "SimLog": "vehicle",
+    "VehicleParams": "vehicle",
+    "VehicleState": "vehicle",
+    "WindProfile": "vehicle",
+    "WingSchedule": "vehicle",
+    "run_scenario": "vehicle",
+    "step_6dof": "vehicle",
+    "transition_profile": "vehicle",
+}
+
+__all__ = sorted(_SOURCES) + ["__version__"]
+
+
+def __getattr__(name):
+    # an unknown name must raise AttributeError, so that
+    # `from coaxtail import vehicle` falls back to importing the submodule
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCES))

@@ -16,13 +16,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, InfeasibleError, LinearRangeError
+from .errors import ConfigError, LinearRangeError
 
 ALPHA_MIN = math.radians(-5.0)
 ALPHA_MAX = math.radians(10.0)
-
-_MOMENT_TOL = 1e-9
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -152,59 +149,6 @@ def static_stability_check(config, v=1.0):
     m_hi = pitch_moment(config, v, hi)
     trim_exists = m_lo == 0.0 or m_hi == 0.0 or (m_lo < 0.0) != (m_hi < 0.0)
     return StabilityReport(trim_exists=trim_exists, stable=stable, margin=margin)
-
-
-def total_lift(config, v, delta_alpha):
-    """Combined wing lift at the given AoA deviation, N."""
-    f, r = config.front, config.rear
-    return (wing_force(v, f.incidence + delta_alpha, f, config.rho)
-            + wing_force(v, r.incidence + delta_alpha, r, config.rho))
-
-
-def trim_solve(config, v, required_lift):
-    """AoA deviation zeroing the pitch moment at speed v.
-
-    Bisects M(delta_alpha) to below 1e-9 N*m inside the linear-range
-    interval. required_lift must be reachable inside that interval
-    (lift is monotone in AoA); it anchors feasibility, the returned
-    trim angle itself comes from the moment equation.
-    """
-    _require_identical_airfoils(config)
-    if v <= 0.0:
-        raise InfeasibleError("trim requires forward speed")
-    lo, hi = _delta_alpha_interval(config)
-    m_lo = pitch_moment(config, v, lo)
-    m_hi = pitch_moment(config, v, hi)
-    if m_lo == 0.0:
-        root = lo
-    elif m_hi == 0.0:
-        root = hi
-    elif (m_lo < 0.0) == (m_hi < 0.0):
-        raise InfeasibleError(
-            "pitch moment does not change sign inside the linear AoA range"
-        )
-    else:
-        a, b, m_a = lo, hi, m_lo
-        root = 0.5 * (a + b)
-        for _ in range(_MAX_BISECT):
-            root = 0.5 * (a + b)
-            m_mid = pitch_moment(config, v, root)
-            if abs(m_mid) < _MOMENT_TOL:
-                break
-            if (m_mid < 0.0) == (m_a < 0.0):
-                a, m_a = root, m_mid
-            else:
-                b = root
-        else:
-            raise InfeasibleError("trim bisection did not converge")
-    lift_min = total_lift(config, v, lo)
-    lift_max = total_lift(config, v, hi)
-    if not lift_min - 1e-9 <= required_lift <= lift_max + 1e-9:
-        raise InfeasibleError(
-            f"required lift {required_lift:.3f} N outside the achievable "
-            f"[{lift_min:.3f}, {lift_max:.3f}] N at {v:.1f} m/s"
-        )
-    return root
 
 
 def frontal_area(config, mode):

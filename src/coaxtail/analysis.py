@@ -6,6 +6,11 @@ which strips DC and slow drift but keeps the per-rev oscillation), then
 an averaged-periodogram PSD, then a scalar average density in dB/Hz.
 All numeric output is serialized with 9 significant digits so repeated
 runs produce byte-identical files.
+
+Only the rotor layer is imported at module level: the vehicle, control,
+propulsion and aero layers are imported inside the functions that use
+them, so a CLI command loads only the layers it runs (`psd` and
+`bench-splm` never load the simulator or the power study).
 """
 
 import argparse
@@ -17,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aero import WingMode
-from .control import AllocationGains, forward_model, mix, Wrench
 from .errors import (
     CoaxtailError,
     ConfigError,
@@ -26,25 +29,7 @@ from .errors import (
     NumericalDomainError,
     TableRangeError,
 )
-from .propulsion import (
-    PropulsionConfig,
-    average_power_curve,
-    fixture_config_powers,
-    load_propeller_table,
-    mode_power,
-    study_summary,
-    write_power_curve_csv,
-    ConfigPower,
-)
 from .rotor import SplmParams, bench_torque_series
-from .vehicle import (
-    LambdaSchedule,
-    ScenarioSpec,
-    VehicleParams,
-    WindProfile,
-    WingSchedule,
-    run_scenario,
-)
 
 DB_FLOOR = -300.0  # reported instead of -inf for silent signals
 _ZERO_POWER = 1e-30
@@ -221,10 +206,20 @@ def read_timeseries_csv(path):
     if len(t) < 2:
         raise ConfigError(f"{path}: need at least 2 samples")
     dt = np.diff(np.asarray(t))
-    step = float(np.median(dt))
+    step = _median(dt)
     if step <= 0.0 or np.max(np.abs(dt - step)) > 1e-6 * max(step, 1e-12):
         raise ConfigError(f"{path}: sampling is not uniform")
     return TimeSeries(fs=1.0 / step, values=np.asarray(x), unit=name)
+
+
+def _median(values):
+    """np.median of a 1-D float array, bit for bit, without the import of
+    numpy.ma that np.median makes on its first call."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
 
 
 def write_timeseries_csv(path, t, values, name="value"):
@@ -296,6 +291,8 @@ def _floats(text, count, where):
 
 
 def _wing_schedule(text, extend_below_deg):
+    from .vehicle import WingSchedule
+
     text = text.strip().lower()
     if text == "pitch":
         return WingSchedule(kind="pitch",
@@ -308,6 +305,10 @@ def _wing_schedule(text, extend_below_deg):
 
 def load_scenario(path):
     """Parse a scenario config file into (ScenarioSpec, VehicleParams)."""
+    from .propulsion import load_propeller_table
+    from .vehicle import (LambdaSchedule, ScenarioSpec, VehicleParams,
+                          WindProfile)
+
     cfg = _read_ini(path, _SCENARIO_KEYS)
     values = {name: dict(cfg[name]) for name in cfg.sections()}
 
@@ -369,6 +370,8 @@ def load_scenario(path):
 
 
 def load_allocation_gains(path):
+    from .control import AllocationGains
+
     cfg = _read_ini(path, {"allocation": _ALLOCATION_KEYS})
     if not cfg.has_section("allocation"):
         raise ConfigError(f"{path}: missing [allocation] section")
@@ -387,8 +390,18 @@ def table_config_powers(tables_dir, mass=1.2, gravity=9.81,
     Hover power produces the full weight split across both rotors at zero
     inflow; cruise power produces cruise_thrust at cruise_speed split
     across the active subset. Directory must hold 16in_<rpm>.csv and
-    7in_<rpm>.csv sheets.
+    7in_<rpm>.csv sheets. Every study parameter must be positive and
+    finite.
     """
+    from .propulsion import (ConfigPower, PropulsionConfig,
+                             load_propeller_table, mode_power)
+
+    for name, value in (("mass", mass), ("gravity", gravity),
+                        ("cruise_thrust", cruise_thrust),
+                        ("cruise_speed", cruise_speed), ("rho", rho)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(
+                f"{name} must be positive and finite, got {value!r}")
     big = load_propeller_table(tables_dir, "16in", diameter=0.4064)
     small = load_propeller_table(tables_dir, "7in", diameter=0.1778)
     configs = (
@@ -455,9 +468,10 @@ def _build_parser():
     p.add_argument("--tables", default=None,
                    help="directory of <prop>_<rpm>.csv coefficient sheets")
     p.add_argument("--out", default="power_curve.csv")
-    p.add_argument("--mass", type=_finite_float, default=1.2)
-    p.add_argument("--cruise-thrust", type=_finite_float, default=4.4)
-    p.add_argument("--cruise-speed", type=_finite_float, default=15.6)
+    # study parameters of --tables; None keeps table_config_powers' defaults
+    p.add_argument("--mass", type=_finite_float, default=None)
+    p.add_argument("--cruise-thrust", type=_finite_float, default=None)
+    p.add_argument("--cruise-speed", type=_finite_float, default=None)
 
     p = sub.add_parser("wind-test", help="gust rejection scenario")
     p.add_argument("--mode", choices=("extended", "retracted"),
@@ -483,6 +497,8 @@ def _build_parser():
 
 
 def _cmd_simulate(args):
+    from .vehicle import run_scenario
+
     spec, params = load_scenario(args.scenario)
     log = run_scenario(spec, params)
     out = args.out if args.out else f"{spec.name}_log.csv"
@@ -519,12 +535,20 @@ def _cmd_bench_splm(args):
 
 
 def _cmd_power_analysis(args):
+    from .propulsion import (average_power_curve, fixture_config_powers,
+                             study_summary, write_power_curve_csv)
+
     if args.fixture and args.tables:
         raise ConfigError("--fixture and --tables are mutually exclusive")
+    study = {name: value for name, value in (
+        ("mass", args.mass), ("cruise_thrust", args.cruise_thrust),
+        ("cruise_speed", args.cruise_speed)) if value is not None}
     if args.tables:
-        powers = table_config_powers(args.tables, mass=args.mass,
-                                     cruise_thrust=args.cruise_thrust,
-                                     cruise_speed=args.cruise_speed)
+        powers = table_config_powers(args.tables, **study)
+    elif study:
+        flags = ", ".join("--" + name.replace("_", "-") for name in study)
+        raise ConfigError(f"only --tables takes {flags}; the powers of a "
+                          f"wattage fixture are fixed")
     else:
         powers = fixture_config_powers(args.fixture or "paper-2025")
     curve = average_power_curve(powers, np.linspace(0.0, 1.0, 101))
@@ -539,6 +563,10 @@ _WIND_TEST_START_S = 2.0
 
 
 def _cmd_wind_test(args):
+    from .aero import WingMode
+    from .vehicle import (ScenarioSpec, VehicleParams, WindProfile,
+                          WingSchedule, run_scenario)
+
     mode = WingMode(args.mode)
     if not args.duration > _WIND_TEST_START_S:
         raise ConfigError(f"--duration must exceed the "
@@ -561,6 +589,8 @@ def _cmd_wind_test(args):
 
 
 def _cmd_mix_check(args):
+    from .control import AllocationGains, Wrench, forward_model, mix
+
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
     if args.seed < 0:

@@ -164,19 +164,6 @@ def forward_model(cmd, gains):
     return Wrench(f_t=f_t, tau_x=tau_x, tau_y=tau_y, tau_z=tau_z)
 
 
-def modulation_signal(t_d1, m_d, theta, beta_delay=0.0):
-    """Instantaneous fore-rotor command with once-per-rev modulation.
-
-    The modulation phase is taken from the direction of m_d in the motor
-    frame: phi = atan2(m_x, m_y), zero when the moment demand points
-    along +y. Accepts scalar or array theta.
-    """
-    m_d = np.asarray(m_d, dtype=float)
-    amp = math.hypot(float(m_d[0]), float(m_d[1]))
-    phi = math.atan2(float(m_d[0]), float(m_d[1]))
-    return t_d1 + amp * np.sin(np.asarray(theta, dtype=float) + phi - beta_delay)
-
-
 def saturate(wrench, gains, limits):
     """Allocate with thrust priority: torques scale down, thrust doesn't.
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalDomainError, SimulationFault
-from .control import modulation_signal
 from . import kernels
 
 
@@ -317,6 +316,19 @@ def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> n
     coupling_row0 = 0.125 * params.downwash_angle * g * zeta
     counts = u - params.torque_pickup * coupling_row0 / params._u_scale
     return params.torque_gain * counts
+
+
+def modulation_signal(t_d1, m_d, theta, beta_delay=0.0):
+    """Instantaneous fore-rotor command with once-per-rev modulation.
+
+    The modulation phase is taken from the direction of m_d in the motor
+    frame: phi = atan2(m_x, m_y), zero when the moment demand points
+    along +y. Accepts scalar or array theta.
+    """
+    m_d = np.asarray(m_d, dtype=float)
+    amp = math.hypot(float(m_d[0]), float(m_d[1]))
+    phi = math.atan2(float(m_d[0]), float(m_d[1]))
+    return t_d1 + amp * np.sin(np.asarray(theta, dtype=float) + phi - beta_delay)
 
 
 def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,

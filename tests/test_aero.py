@@ -1,11 +1,11 @@
-"""Tandem-wing statics: lift line, pitch moment, stability, trim."""
+"""Tandem-wing statics: lift line, pitch moment, stability."""
 
 import math
 
 import numpy as np
 import pytest
 
-from coaxtail.errors import ConfigError, InfeasibleError, LinearRangeError
+from coaxtail.errors import ConfigError, LinearRangeError
 from coaxtail.aero import (
     StabilityReport,
     TandemConfig,
@@ -16,8 +16,6 @@ from coaxtail.aero import (
     pitch_moment,
     stability_margin,
     static_stability_check,
-    total_lift,
-    trim_solve,
     wing_force,
 )
 
@@ -167,32 +165,6 @@ class TestStability:
                            - pitch_moment(cfg, v, da0 - h)) / (2.0 * h))
         assert slopes[0] == pytest.approx(slopes[1], rel=1e-9)
         assert slopes[1] == pytest.approx(slopes[2], rel=1e-9)
-
-
-class TestTrim:
-    def test_constructed_trim_returns_zero(self):
-        cfg = trimmed_config()
-        da = trim_solve(cfg, 12.0, total_lift(cfg, 12.0, 0.0))
-        assert abs(da) < 1e-8
-        assert abs(pitch_moment(cfg, 12.0, da)) < 1e-9
-
-    def test_published_geometry_residual(self):
-        cfg = table_config()
-        da = trim_solve(cfg, 16.0, 11.77)
-        assert abs(pitch_moment(cfg, 16.0, da)) < 1e-9
-
-    def test_unachievable_lift_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            trim_solve(table_config(), 16.0, 500.0)
-
-    def test_no_moment_zero_infeasible(self):
-        # equal incidences: moment zero needs Cl = 0, far outside range
-        front = WingPanel(area=0.048, lift_slope=2.0, cl0=0.4,
-                          incidence=math.radians(2.0), arm=0.24)
-        rear = WingPanel(area=0.056, lift_slope=2.0, cl0=0.4,
-                         incidence=math.radians(2.0), arm=0.30)
-        with pytest.raises(InfeasibleError):
-            trim_solve(TandemConfig(front, rear), 14.0, 5.0)
 
 
 class TestFrontalArea:

@@ -418,6 +418,13 @@ class TestTablePowers:
             < by_name["HSC"].hover_w
         assert by_name["HPC"].cruise_w < by_name["HLC"].cruise_w
 
+    @pytest.mark.parametrize("name", ["mass", "gravity", "cruise_thrust",
+                                      "cruise_speed", "rho"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_a_bad_study_parameter(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            table_config_powers(PROPS_DIR, **{name: value})
+
 
 class TestImport:
     def test_runtime_needs_numpy_only(self):
@@ -448,6 +455,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert "category=validation" in captured.err
+
+    @pytest.mark.parametrize("argv,named", [
+        # the study flags have no effect on a wattage fixture
+        (["--mass", "5"], "--mass"),
+        (["--fixture", "paper-2025", "--cruise-thrust", "3"],
+         "--cruise-thrust"),
+        (["--cruise-speed", "10", "--mass", "2"], "--mass, --cruise-speed"),
+        # with tables every study parameter must be positive
+        (["--tables", str(PROPS_DIR), "--mass", "0"], "mass"),
+        (["--tables", str(PROPS_DIR), "--mass", "-1"], "mass"),
+        (["--tables", str(PROPS_DIR), "--cruise-speed", "0"], "cruise_speed"),
+        (["--tables", str(PROPS_DIR), "--cruise-speed", "-3"],
+         "cruise_speed"),
+        (["--tables", str(PROPS_DIR), "--cruise-thrust", "0"],
+         "cruise_thrust"),
+    ])
+    def test_power_analysis_rejects_bad_study_flags(self, tmp_path, capsys,
+                                                    argv, named):
+        out = tmp_path / "c.csv"
+        code = cli_main(["power-analysis", *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "category=validation" in lines[0], argv
+        assert named in lines[0], argv
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_unknown_subcommand_usage(self, capsys):
         code = cli_main(["warp-drive"])

@@ -1,4 +1,4 @@
-"""Mixer algebra, modulation mapping, saturation, and cascade structure."""
+"""Mixer algebra, saturation, and cascade structure."""
 
 import math
 from dataclasses import FrozenInstanceError, replace
@@ -22,7 +22,6 @@ from coaxtail.control import (
     derived_params,
     forward_model,
     mix,
-    modulation_signal,
     saturate,
 )
 
@@ -168,27 +167,6 @@ class TestMixForward:
         c1, c2 = mix(w, g), mix(w2, g2)
         for f in ("t_d1", "t_d2", "m_dx", "m_dy", "d_1", "d_2"):
             assert getattr(c1, f) == pytest.approx(getattr(c2, f), rel=1e-12)
-
-
-class TestModulation:
-    def test_substitution_example(self):
-        out = modulation_signal(900.0, (0.0, 200.0), math.pi / 2.0, 0.0)
-        assert out == pytest.approx(1100.0, rel=1e-12)
-
-    def test_zero_amplitude_constant(self):
-        theta = np.linspace(0.0, 20.0, 100)
-        out = modulation_signal(750.0, (0.0, 0.0), theta)
-        assert np.all(out == 750.0)
-
-    def test_zero_mean_over_revolution(self):
-        theta = np.arange(0.0, 2.0 * math.pi, 2.0 * math.pi / 4096.0)
-        out = modulation_signal(900.0, (120.0, -80.0), theta, 0.3)
-        assert np.mean(out) == pytest.approx(900.0, abs=1e-9)
-
-    def test_phase_from_direction(self):
-        # moment along +x demands peak thrust a quarter revolution later
-        out_x = modulation_signal(0.0, (50.0, 0.0), 0.0)
-        assert out_x == pytest.approx(50.0 * math.sin(math.pi / 2.0), rel=1e-12)
 
 
 class TestSaturation:

@@ -12,6 +12,7 @@ from coaxtail.rotor import (
     _input_scale,
     bench_torque_series,
     integrate,
+    modulation_signal,
     rotor_solidity,
     steady_state,
     stiffness_matrix,
@@ -296,6 +297,27 @@ class TestIntegratorProperties:
                         + np.einsum("ij,jk,ik->i", x, k_total, x))
         assert np.all(np.diff(energy) <= 1e-12)
         assert energy[-1] < 0.01 * energy[0]
+
+
+class TestModulation:
+    def test_substitution_example(self):
+        out = modulation_signal(900.0, (0.0, 200.0), math.pi / 2.0, 0.0)
+        assert out == pytest.approx(1100.0, rel=1e-12)
+
+    def test_zero_amplitude_constant(self):
+        theta = np.linspace(0.0, 20.0, 100)
+        out = modulation_signal(750.0, (0.0, 0.0), theta)
+        assert np.all(out == 750.0)
+
+    def test_zero_mean_over_revolution(self):
+        theta = np.arange(0.0, 2.0 * math.pi, 2.0 * math.pi / 4096.0)
+        out = modulation_signal(900.0, (120.0, -80.0), theta, 0.3)
+        assert np.mean(out) == pytest.approx(900.0, abs=1e-9)
+
+    def test_phase_from_direction(self):
+        # moment along +x demands peak thrust a quarter revolution later
+        out_x = modulation_signal(0.0, (50.0, 0.0), 0.0)
+        assert out_x == pytest.approx(50.0 * math.sin(math.pi / 2.0), rel=1e-12)
 
 
 class TestBench:
