@@ -8,8 +8,7 @@ dM/d(alpha) < 0: pitching up loads the rear wing harder and the moment
 pushes the nose back down.
 
 The retracted wing mode models the wings folded along the fuselage: they
-stop producing lift and the lateral exposure area drops to a configured
-fraction of the extended area.
+stop producing lift (the simulator's panel force is then exactly zero).
 """
 
 import enum
@@ -49,19 +48,12 @@ class TandemConfig:
     front: WingPanel
     rear: WingPanel
     rho: float = 1.225
-    frontal_area_extended: float = 0.134
-    retracted_fraction: float = 0.338
 
     def __post_init__(self):
-        for name in ("rho", "frontal_area_extended", "retracted_fraction"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        if not math.isfinite(self.rho):
+            raise ConfigError("rho must be finite")
         if self.rho <= 0.0:
             raise ConfigError("air density must be positive")
-        if self.frontal_area_extended <= 0.0:
-            raise ConfigError("extended frontal area must be positive")
-        if not 0.0 < self.retracted_fraction <= 1.0:
-            raise ConfigError("retracted fraction must lie in (0, 1]")
 
 
 class WingMode(enum.Enum):
@@ -150,9 +142,3 @@ def static_stability_check(config, v=1.0):
     trim_exists = m_lo == 0.0 or m_hi == 0.0 or (m_lo < 0.0) != (m_hi < 0.0)
     return StabilityReport(trim_exists=trim_exists, stable=stable, margin=margin)
 
-
-def frontal_area(config, mode):
-    """Lateral wind exposure area for the given wing mode, m^2."""
-    if mode is WingMode.RETRACTED:
-        return config.frontal_area_extended * config.retracted_fraction
-    return config.frontal_area_extended

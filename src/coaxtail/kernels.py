@@ -24,13 +24,6 @@ _SINGULAR_GUARD = 1e-6
 _CHUNK_ROWS = 128
 
 
-def _floats(a):
-    """Python floats of a vector or matrix. The program passes tuples or
-    (nested) lists of floats, used as they are; an array, as a direct
-    caller may pass, converts once."""
-    return a.tolist() if isinstance(a, np.ndarray) else a
-
-
 def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     """Integrate the rotor perturbation dynamics over n_steps of size h.
 
@@ -38,7 +31,7 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     u_half holds the input sampled on the half-step grid (2*n_steps + 1
     values, an array) so each RK4 stage sees the input at its own
     abscissa. The matrices and kb_col are (nested) lists of floats, such
-    as SplmParams' unpacked rows; an array converts once.
+    as SplmParams' unpacked rows.
     The arithmetic runs on Python floats in the same order as an
     element-by-element array version, so the result is the same to the
     bit. The four RK4 stages are written out in the loop body, with no
@@ -50,10 +43,10 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     the output array.
     Returns (trajectory[(n_steps+1) x 6], status).
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _floats(Minv)
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = _floats(C)
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = _floats(Kc)
-    kb0, kb1, kb2 = _floats(kb_col)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = Minv
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = C
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = Kc
+    kb0, kb1, kb2 = kb_col
     tan = np.tan
     quarter_pi = _QUARTER_PI
     guard = _SINGULAR_GUARD
@@ -180,18 +173,18 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     constant in the body frame over the step; gravity is a constant world
     acceleration. Vectors and matrices are tuples or (nested) lists of
     floats, such as the simulator's state and VehicleParams' unpacked
-    rows; an array converts once. The arithmetic runs on Python floats in
-    the same order as an element-by-element array version, so the result
-    is the same to the bit; numpy scalars would cost several times more
-    per operation. The stages are written out: the rates depend only on q
-    and w, and the position rate of each stage is that stage's velocity.
+    rows. The arithmetic runs on Python floats in the same order as an
+    element-by-element array version, so the result is the same to the
+    bit; numpy scalars would cost several times more per operation. The
+    stages are written out: the rates depend only on q and w, and the
+    position rate of each stage is that stage's velocity.
     Returns the new state as a tuple of 13 floats.
     """
-    f0, f1, f2 = _floats(f_body)
-    t0, t1, t2 = _floats(tau_body)
-    g0, g1, g2 = _floats(g_world)
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = _floats(inertia)
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = _floats(inertia_inv)
+    f0, f1, f2 = f_body
+    t0, t1, t2 = tau_body
+    g0, g1, g2 = g_world
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = inertia_inv
     inv_mass = 1.0 / mass
 
     def rates(qw, qx, qy, qz, wx, wy, wz):
@@ -226,7 +219,7 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
             j20 * mx + j21 * my + j22 * mz,
         )
 
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = _floats(y)
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
     half = 0.5 * h
     # stage n has velocity vn*, acceleration an*, quaternion rate qn* and
     # angular acceleration wn*; stage 1 starts from y itself

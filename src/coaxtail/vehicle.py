@@ -248,7 +248,12 @@ def transition_profile(t):
 
 @dataclass(frozen=True)
 class WindProfile:
-    """Constant-speed wind with linear ramp-in (and optional ramp-out)."""
+    """Constant-speed wind with linear ramp-in (and optional ramp-out).
+
+    The ramp-out edge falls from full speed at stop; the wind follows the
+    lesser of the two edges, so one that stops before its ramp-in ends
+    never jumps.
+    """
 
     speed: float = 0.0
     direction: tuple = (1.0, 0.0, 0.0)
@@ -264,6 +269,8 @@ class WindProfile:
                               "finite")
         if self.speed < 0.0 or self.ramp < 0.0:
             raise ConfigError("wind speed and ramp must be non-negative")
+        if self.stop is not None and self.stop <= self.start:
+            raise ConfigError("wind stop must come after its start")
         d = _finite_vector3(self.direction, "wind direction")
         n = np.linalg.norm(d)
         if self.speed > 0.0 and n < 1e-12:
@@ -284,7 +291,7 @@ class WindProfile:
             up = 1.0
         if self.stop is not None and t >= self.stop:
             if self.ramp > 0.0:
-                up = max(0.0, 1.0 - (t - self.stop) / self.ramp)
+                up = min(up, max(0.0, 1.0 - (t - self.stop) / self.ramp))
             else:
                 up = 0.0
         s = self.speed * up
@@ -481,42 +488,61 @@ def realized_wrench(state, params, cmd, wind_world, wing_mode):
     return force, torque
 
 
+# The closed-loop log's columns, one row per tick. The CSV writes all but
+# the last, the thrust-priority scale s (1 = no clipping).
+LOG_COLUMNS = ("t", "px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy",
+               "qz", "wx", "wy", "wz", "Td1", "Td2", "Mdx", "Mdy", "d1",
+               "d2", "mode", "lambda", "s")
+_CSV_COLUMNS = LOG_COLUMNS[:-1]
+
+
+class _Column:
+    """Read-through view of SimLog.data: column first, or first..last."""
+
+    def __init__(self, first, last=None):
+        i = LOG_COLUMNS.index(first)
+        self.index = i if last is None \
+            else slice(i, LOG_COLUMNS.index(last) + 1)
+
+    def __get__(self, log, owner=None):
+        return self if log is None else log.data[:, self.index]
+
+
 @dataclass
 class SimLog:
+    """A closed-loop run: data holds one row of LOG_COLUMNS per tick.
+
+    The named attributes are views of data's columns. mode holds the
+    WingMode codes as floats (0.0 retracted, 1.0 extended).
+    """
+
     name: str
-    t: np.ndarray
-    state: np.ndarray  # n x 13: p, v, q, w
-    td1: np.ndarray
-    td2: np.ndarray
-    mdx: np.ndarray
-    mdy: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    mode: np.ndarray  # int8, WingMode codes
-    lam: np.ndarray
+    data: np.ndarray  # n x len(LOG_COLUMNS)
     config: dict
-    # thrust-priority scale s per tick (1 = no clipping); not in the CSV
-    sat_scale: np.ndarray
+
+    t = _Column("t")
+    state = _Column("px", "wz")  # n x 13: p, v, q, w
+    position = _Column("px", "pz")
+    velocity = _Column("vx", "vz")
+    quaternion = _Column("qw", "qz")
+    body_rate = _Column("wx", "wz")
+    td1 = _Column("Td1")
+    td2 = _Column("Td2")
+    mdx = _Column("Mdx")
+    mdy = _Column("Mdy")
+    d1 = _Column("d1")
+    d2 = _Column("d2")
+    mode = _Column("mode")
+    lam = _Column("lambda")
+    sat_scale = _Column("s")
 
     MODE_NAMES = {0: "retracted", 1: "extended"}
-    COLUMNS = ("t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,wx,wy,wz,"
-               "Td1,Td2,Mdx,Mdy,d1,d2,mode,lambda")
+    COLUMNS = ",".join(_CSV_COLUMNS)
 
-    @property
-    def position(self):
-        return self.state[:, 0:3]
-
-    @property
-    def velocity(self):
-        return self.state[:, 3:6]
-
-    @property
-    def quaternion(self):
-        return self.state[:, 6:10]
-
-    @property
-    def body_rate(self):
-        return self.state[:, 10:13]
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=float)
+        if self.data.ndim != 2 or self.data.shape[1] != len(LOG_COLUMNS):
+            raise ConfigError(f"log data must be n x {len(LOG_COLUMNS)}")
 
     def pitch(self):
         z_x = 2.0 * (self.state[:, 7] * self.state[:, 9]
@@ -531,8 +557,9 @@ class SimLog:
         err = self.position[sel] - np.asarray(target, dtype=float)
         return float(np.max(np.linalg.norm(err, axis=1)))
 
-    # t, 13 state entries and 6 actuator channels, then mode and lambda
-    _ROW_FORMAT = ",".join(["%.9g"] * 20) + ",%s,%.9g\n"
+    _ROW_FORMAT = ",".join("%s" if c == "mode" else "%.9g"
+                           for c in _CSV_COLUMNS) + "\n"
+    _MODE = LOG_COLUMNS.index("mode")
     # rows converted to Python floats at a time: 128 writes as fast as
     # 512 and adds no measurable peak memory (512 adds ~0.9 MB)
     _CSV_CHUNK = 128
@@ -542,17 +569,12 @@ class SimLog:
             for key in sorted(self.config):
                 fh.write(f"# {key} = {self.config[key]}\n")
             fh.write(self.COLUMNS + "\n")
-            fmt, names = self._ROW_FORMAT, self.MODE_NAMES
-            for a in range(0, self.t.size, self._CSV_CHUNK):
-                b = a + self._CSV_CHUNK
-                nums = np.column_stack((
-                    self.t[a:b], self.state[a:b], self.td1[a:b],
-                    self.td2[a:b], self.mdx[a:b], self.mdy[a:b],
-                    self.d1[a:b], self.d2[a:b])).tolist()
+            fmt, names, m = self._ROW_FORMAT, self.MODE_NAMES, self._MODE
+            end = len(_CSV_COLUMNS)
+            for a in range(0, len(self.data), self._CSV_CHUNK):
                 fh.write("".join(
-                    fmt % (*row, names[mode], lam) for row, mode, lam in zip(
-                        nums, self.mode[a:b].tolist(),
-                        self.lam[a:b].tolist())))
+                    fmt % (*row[:m], names[row[m]], *row[m + 1:end])
+                    for row in self.data[a:a + self._CSV_CHUNK].tolist()))
 
     def saturation(self):
         """(share of ticks with s < 1, minimum s) of the thrust-priority
@@ -598,8 +620,6 @@ def _config_snapshot(spec, params):
         "drag_cd": f"{params.drag_cd:.9g}",
         "lateral_area_m2": f"{params.lateral_area:.9g}",
         "axial_area_m2": f"{params.axial_area:.9g}",
-        "frontal_area_m2": f"{params.tandem.frontal_area_extended:.9g}",
-        "retracted_fraction": f"{params.tandem.retracted_fraction:.9g}",
         "lambda_hover": f"{spec.lam.lam_hover:.9g}",
         "lambda_fw": f"{spec.lam.lam_fw:.9g}",
         "aft_model": "table" if params.aft_table is not None else "linear",
@@ -627,17 +647,7 @@ def run_scenario(spec, params):
 
     n = int(round(spec.duration / spec.dt))
     try:
-        t_col = np.empty(n)
-        state_col = np.empty((n, 13))
-        td1 = np.empty(n)
-        td2 = np.empty(n)
-        mdx = np.empty(n)
-        mdy = np.empty(n)
-        d1 = np.empty(n)
-        d2 = np.empty(n)
-        mode_col = np.empty(n, dtype=np.int8)
-        lam_col = np.empty(n)
-        sat_col = np.empty(n)
+        data = np.empty((n, len(LOG_COLUMNS)))
     except (ValueError, MemoryError) as exc:
         # numpy: ValueError past its shape limit, MemoryError past memory
         raise ConfigError(f"duration {spec.duration:g} s is {n:.6g} ticks, "
@@ -668,17 +678,9 @@ def run_scenario(spec, params):
         force, torque = realized_wrench(state, params, cmd,
                                         spec.wind.vector(t), wing_mode)
 
-        t_col[k] = t
-        state_col[k] = state
-        td1[k] = cmd.t_d1
-        td2[k] = cmd.t_d2
-        mdx[k] = cmd.m_dx
-        mdy[k] = cmd.m_dy
-        d1[k] = cmd.d_1
-        d2[k] = cmd.d_2
-        mode_col[k] = 1 if wing_mode is WingMode.EXTENDED else 0
-        lam_col[k] = lam
-        sat_col[k] = s
+        data[k] = (t, *state, cmd.t_d1, cmd.t_d2, cmd.m_dx, cmd.m_dy,
+                   cmd.d_1, cmd.d_2,
+                   1.0 if wing_mode is WingMode.EXTENDED else 0.0, lam, s)
 
         try:
             state = step_6dof(state, force, torque, params, spec.dt)
@@ -686,6 +688,4 @@ def run_scenario(spec, params):
             raise SimulationFault(
                 f"tick {k} (t={t:.3f} s): {exc}") from exc
 
-    return SimLog(name=spec.name, t=t_col, state=state_col, td1=td1, td2=td2,
-                  mdx=mdx, mdy=mdy, d1=d1, d2=d2, mode=mode_col, lam=lam_col,
-                  config=_config_snapshot(spec, params), sat_scale=sat_col)
+    return SimLog(spec.name, data, _config_snapshot(spec, params))

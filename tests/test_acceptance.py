@@ -315,8 +315,8 @@ class TestCriterion7:
                 front=WingPanel(area=0.048 * scale, lift_slope=2.2, cl0=0.32,
                                 incidence=math.radians(4.5), arm=0.24),
                 rear=WingPanel(area=0.056 * scale, lift_slope=2.2, cl0=0.32,
-                               incidence=math.radians(2.0), arm=0.30),
-                frontal_area_extended=0.134 * scale)), WingMode.EXTENDED)
+                               incidence=math.radians(2.0), arm=0.30))),
+            WingMode.EXTENDED)
             for scale in (0.6, 1.0, 1.4)]
 
         checks = {

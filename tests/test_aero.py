@@ -9,9 +9,7 @@ from coaxtail.errors import ConfigError, LinearRangeError
 from coaxtail.aero import (
     StabilityReport,
     TandemConfig,
-    WingMode,
     WingPanel,
-    frontal_area,
     lift_coefficient,
     pitch_moment,
     stability_margin,
@@ -22,7 +20,7 @@ from coaxtail.aero import (
 AIRFOIL = dict(lift_slope=5.0, cl0=0.3)
 
 
-def table_config(l_front=0.24, l_rear=0.30, **kw):
+def table_config(l_front=0.24, l_rear=0.30):
     """Wing geometry from the published airframe: 480x100 and 560x100 mm
     panels at 4.5 and 2 degrees. Arms and airfoil constants are
     illustrative; the airfoil is shared by both panels."""
@@ -30,7 +28,7 @@ def table_config(l_front=0.24, l_rear=0.30, **kw):
                       **AIRFOIL)
     rear = WingPanel(area=0.056, incidence=math.radians(2.0), arm=l_rear,
                      **AIRFOIL)
-    return TandemConfig(front=front, rear=rear, **kw)
+    return TandemConfig(front=front, rear=rear)
 
 
 def trimmed_config():
@@ -166,25 +164,3 @@ class TestStability:
         assert slopes[0] == pytest.approx(slopes[1], rel=1e-9)
         assert slopes[1] == pytest.approx(slopes[2], rel=1e-9)
 
-
-class TestFrontalArea:
-    def test_retracted_fraction(self):
-        cfg = table_config(frontal_area_extended=1.0)
-        assert frontal_area(cfg, WingMode.RETRACTED) == pytest.approx(0.338)
-
-    def test_extended_identity(self):
-        cfg = table_config(frontal_area_extended=1.0)
-        assert frontal_area(cfg, WingMode.EXTENDED) == 1.0
-
-    def test_ratio_independent_of_area(self):
-        for a in (0.05, 0.134, 2.0):
-            cfg = table_config(frontal_area_extended=a)
-            ratio = frontal_area(cfg, WingMode.RETRACTED) / frontal_area(
-                cfg, WingMode.EXTENDED)
-            assert ratio == pytest.approx(0.338, rel=1e-12)
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ConfigError):
-            table_config(retracted_fraction=0.0)
-        with pytest.raises(ConfigError):
-            table_config(retracted_fraction=1.2)

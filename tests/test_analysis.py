@@ -596,6 +596,7 @@ class TestCli:
                      "[scenario]\nduration_s = abc\n",
                      "[scenario]\nposition_m = 0 0 high\n",
                      "[wind]\nspeed_mps = nan\n",
+                     "[wind]\nspeed_mps = 5\nstart_s = 2\nstop_s = 1.9\n",
                      "[vehicle]\nmass_kg = nan\n",
                      "[vehicle]\ngravity = inf\n",
                      # tick counts no log can hold fail before allocating

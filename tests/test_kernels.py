@@ -9,22 +9,28 @@ from coaxtail import kernels
 from coaxtail.rotor import SplmParams, _input_scale, _kbeta_column, steady_state
 
 
+def splm_lists(args):
+    """splm_trajectory's arguments with the matrices and kb_col as the
+    nested lists of floats it takes."""
+    return (*args[:3], *(a.tolist() for a in args[3:7]), *args[7:])
+
+
 def splm_args(variant="coupled", n=500, h=0.05):
     p = SplmParams(variant=variant)
     y0 = np.concatenate([steady_state(p, 900.0), np.zeros(3)])
     psi_half = np.arange(2 * n + 1) * (0.5 * h)
     u_half = (900.0 + 220.0 * np.sin(psi_half)) * _input_scale(p)
-    return (
+    return splm_lists((
         y0,
         n,
         h,
         np.linalg.inv(p.inertia),
-        p.damping.copy(),
-        p.stiffness_const.copy(),
+        p.damping,
+        p.stiffness_const,
         _kbeta_column(p),
         p.coupled,
         u_half,
-    )
+    ))
 
 
 def rigid_args():
@@ -33,13 +39,13 @@ def rigid_args():
     y[10:13] = [0.3, -1.1, 0.6]
     inertia = np.diag([0.011, 0.012, 0.004])
     return (
-        y,
-        np.array([0.2, -0.1, 11.0]),
-        np.array([0.001, 0.02, -0.004]),
+        y.tolist(),
+        [0.2, -0.1, 11.0],
+        [0.001, 0.02, -0.004],
         1.2,
-        inertia,
-        np.linalg.inv(inertia),
-        np.array([0.0, 0.0, -9.81]),
+        inertia.tolist(),
+        np.linalg.inv(inertia).tolist(),
+        [0.0, 0.0, -9.81],
         1e-3,
     )
 
@@ -112,7 +118,7 @@ class TestSplmKernel:
             u_half = rng.normal(size=2 * n + 1) * rng.choice([1e-3, 0.1, 1.0])
             args = (y0, n, h, np.linalg.inv(m), c, kc, kb_col,
                     case % 2 == 0, u_half)
-            got, got_status = kernels.splm_trajectory(*args)
+            got, got_status = kernels.splm_trajectory(*splm_lists(args))
             want, want_status = reference_splm_trajectory(*args)
             assert got_status == want_status == kernels.STATUS_OK
             assert got.shape == (n + 1, 6)
@@ -135,7 +141,7 @@ class TestSplmKernel:
         u_half = np.sin(np.arange(2 * n + 1) * (0.5 * h))
         args = (y0, n, h, np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)),
                 np.array([0.12, -0.1, -0.7]), True, u_half)
-        got, got_status = kernels.splm_trajectory(*args)
+        got, got_status = kernels.splm_trajectory(*splm_lists(args))
         want, want_status = reference_splm_trajectory(*args)
         assert got_status == want_status == kernels.STATUS_SINGULAR
         assert got.shape == (trip_step + 1, 6)
@@ -232,7 +238,8 @@ class TestRigidKernel:
                     rng.uniform(0.3, 5.0), inertia, np.linalg.inv(inertia),
                     np.array([0.0, 0.0, -rng.uniform(0.0, 10.0)]),
                     rng.choice([1e-3, 5e-4, 1e-4]))
-            got = kernels.rigid_step(*args)
+            # the kernel takes lists of Python floats
+            got = kernels.rigid_step(*(np.asarray(a).tolist() for a in args))
             want = reference_rigid_step(*args)
             assert isinstance(got, tuple) and len(got) == 13
             assert np.array_equal(got, want)
@@ -248,21 +255,19 @@ class TestRigidKernel:
 
     def test_free_fall(self):
         args = list(rigid_args())
-        y = np.zeros(13)
-        y[6] = 1.0
-        args[0] = y
-        args[1] = np.zeros(3)   # no body force
-        args[2] = np.zeros(3)   # no torque
+        args[0] = [0.0] * 6 + [1.0] + [0.0] * 6
+        args[1] = [0.0, 0.0, 0.0]   # no body force
+        args[2] = [0.0, 0.0, 0.0]   # no torque
         for _ in range(1000):
             args[0] = kernels.rigid_step(*args)
         assert args[0][5] == pytest.approx(-9.81, abs=1e-9)
 
     def test_momentum_conservation_free_spin(self):
         args = list(rigid_args())
-        args[1] = np.zeros(3)
-        args[2] = np.zeros(3)
-        args[6] = np.zeros(3)   # no gravity
-        inertia = args[4]
+        args[1] = [0.0, 0.0, 0.0]
+        args[2] = [0.0, 0.0, 0.0]
+        args[6] = [0.0, 0.0, 0.0]   # no gravity
+        inertia = np.array(args[4])
         y = args[0]
 
         def world_momentum(y):

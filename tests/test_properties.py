@@ -55,8 +55,7 @@ FIELDS = {
                       "lam": 0.5},
     WingPanel: {"area": 0.048, "lift_slope": 2.2, "cl0": 0.32,
                 "incidence": 0.08, "arm": 0.24},
-    TandemConfig: {"rho": 1.225, "frontal_area_extended": 0.134,
-                   "retracted_fraction": 0.338},
+    TandemConfig: {"rho": 1.225},
     RpmSheet: {"rpm": 5000.0, "j": (0.0, 0.3, 0.6), "ct": (0.1, 0.08, 0.05),
                "cp": (0.05, 0.045, 0.04)},
     PropellerTable: {"diameter": 0.4064},

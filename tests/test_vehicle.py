@@ -13,6 +13,7 @@ from coaxtail.control import ActuatorCommand, ActuatorLimits
 from coaxtail.errors import ConfigError, SimulationFault
 from coaxtail.propulsion import PropellerTable
 from coaxtail.vehicle import (
+    LOG_COLUMNS,
     LambdaSchedule,
     ScenarioSpec,
     SimLog,
@@ -163,8 +164,8 @@ class TestRigidStep:
         assert type(nxt) is VehicleState
         # a torque whose body-rate change overflows makes the result inf
         with pytest.raises(SimulationFault, match="non-finite vehicle state"):
-            step_6dof(state, np.zeros(3), np.array([1e308, 0.0, 0.0]),
-                      params, 1e-3)
+            step_6dof(state, (0.0, 0.0, 0.0), (1e308, 0.0, 0.0), params,
+                      1e-3)
 
     def test_step_returns_the_kernel_floats(self):
         """200 random states: step_6dof returns a VehicleState of 13
@@ -191,9 +192,10 @@ class TestRigidStep:
             dt = float(rng.choice([1e-3, 5e-4]))
             got = step_6dof(state, force, torque, params, dt)
             want = kernels.rigid_step(
-                y, force, torque, params.mass, params.inertia,
-                np.linalg.inv(params.inertia), (0.0, 0.0, -params.gravity),
-                dt)
+                y.tolist(), force, torque, params.mass,
+                params.inertia.tolist(),
+                np.linalg.inv(params.inertia).tolist(),
+                (0.0, 0.0, -params.gravity), dt)
             assert type(got) is VehicleState and len(got) == 13
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, want)
@@ -442,6 +444,23 @@ class TestWindProfile:
         assert w.vector(4.9)[1] == pytest.approx(4.0, rel=1e-12)
         assert w.vector(5.25)[1] == pytest.approx(2.0, rel=1e-12)
         assert w.vector(6.0) == (0.0, 0.0, 0.0)
+
+    def test_stop_during_the_ramp_in_does_not_jump(self):
+        """A wind that stops before its ramp-in ends ramps out from the
+        level it reached: it follows the lesser of the two edges."""
+        w = WindProfile(speed=5.0, start=2.0, stop=2.1, ramp=0.5)
+        assert w.vector(2.099)[0] == pytest.approx(0.99, rel=1e-12)
+        assert w.vector(2.1)[0] == pytest.approx(1.0, rel=1e-12)
+        for t in np.linspace(2.0, 3.0, 1001).tolist():
+            edges = min((t - 2.0) / 0.5, 1.0 - (t - 2.1) / 0.5)
+            assert w.vector(t)[0] == pytest.approx(
+                5.0 * max(0.0, edges), abs=1e-12)
+        assert w.vector(2.6) == (0.0, 0.0, 0.0)
+
+    def test_stop_must_follow_start(self):
+        for stop in (1.9, 2.0):
+            with pytest.raises(ConfigError, match="stop must come after"):
+                WindProfile(speed=5.0, start=2.0, stop=stop, ramp=0.5)
 
     def test_float_form_matches_the_array_form(self):
         w = WindProfile(speed=5.0, direction=(3.0, -0.0, -4.0), start=1.0,
@@ -879,11 +898,9 @@ class TestSimLog:
         cols[700, 2] = 42.0
         lam = rng.uniform(0.0, 1.0, n)
         lam[3] = -0.0
-        log = SimLog(name="fmt", t=cols[:, 0], state=cols[:, 1:14],
-                     td1=cols[:, 14], td2=cols[:, 15], mdx=cols[:, 16],
-                     mdy=cols[:, 17], d1=cols[:, 18], d2=cols[:, 19],
-                     mode=(np.arange(n) % 3 == 0).astype(np.int8), lam=lam,
-                     config={"b": "2", "a": "1"}, sat_scale=np.ones(n))
+        mode = (np.arange(n) % 3 == 0).astype(float)
+        data = np.column_stack((cols, mode, lam, np.ones(n)))
+        log = SimLog("fmt", data, {"b": "2", "a": "1"})
         got = tmp_path / "chunked.csv"
         log.write_csv(got)
 
@@ -895,6 +912,26 @@ class TestSimLog:
             want.append(f"{row},{SimLog.MODE_NAMES[int(log.mode[i])]},"
                         f"{log.lam[i]:.9g}")
         assert got.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_one_buffer_holds_every_column(self, tmp_path):
+        """A run's log is one n x len(LOG_COLUMNS) buffer: every named
+        array is a view of it, and the CSV header names all its columns
+        but the last, s."""
+        log = run_scenario(hover_spec(duration=0.2), VehicleParams())
+        assert log.data.shape == (200, len(LOG_COLUMNS))
+        for name in ("t", "state", "position", "velocity", "quaternion",
+                     "body_rate", "td1", "td2", "mdx", "mdy", "d1", "d2",
+                     "mode", "lam", "sat_scale"):
+            assert np.shares_memory(getattr(log, name), log.data), name
+        p = tmp_path / "log.csv"
+        log.write_csv(p)
+        lines = p.read_text().splitlines()
+        header = next(ln for ln in lines if not ln.startswith("# "))
+        assert header.split(",") == list(LOG_COLUMNS[:-1])
+        assert LOG_COLUMNS[-1] == "s"
+        for bad in (np.zeros((3, len(LOG_COLUMNS) - 1)), np.zeros(23)):
+            with pytest.raises(ConfigError, match="log data must be"):
+                SimLog("bad", bad, {})
 
     def test_peak_deviation_needs_samples(self):
         log = run_scenario(hover_spec(duration=0.5), VehicleParams())
