@@ -457,6 +457,25 @@ class TestWindProfile:
                 5.0 * max(0.0, edges), abs=1e-12)
         assert w.vector(2.6) == (0.0, 0.0, 0.0)
 
+    def test_late_stop_keeps_the_plain_ramp_out(self):
+        """When stop comes at or after the ramp-in ends, the wind after
+        stop is exactly the plain ramp-out edge, speed * (1 - (t - stop)
+        / ramp) clipped at zero."""
+        for stop in (2.5, 3.0, 7.25):
+            w = WindProfile(speed=5.0, start=2.0, stop=stop, ramp=0.5)
+            for t in np.linspace(stop, stop + 1.0, 401).tolist():
+                want = 5.0 * max(0.0, 1.0 - (t - stop) / 0.5)
+                assert w.vector(t) == (want, 0.0, 0.0), (stop, t)
+
+    def test_zero_ramp_steps_on_and_off(self):
+        w = WindProfile(speed=3.0, direction=(0.0, 0.0, 1.0), start=1.0,
+                        stop=2.0, ramp=0.0)
+        assert w.vector(0.999) == (0.0, 0.0, 0.0)
+        assert w.vector(1.0) == (0.0, 0.0, 3.0)
+        assert w.vector(1.999) == (0.0, 0.0, 3.0)
+        assert w.vector(2.0) == (0.0, 0.0, 0.0)
+        assert w.vector(5.0) == (0.0, 0.0, 0.0)
+
     def test_stop_must_follow_start(self):
         for stop in (1.9, 2.0):
             with pytest.raises(ConfigError, match="stop must come after"):
@@ -882,6 +901,18 @@ class TestSimLog:
         assert len(rows) == 500
         assert rows[0].split(",")[0] == "0"
         assert rows[0].split(",")[-2] == "retracted"
+
+    def test_csv_header_has_no_area_keys(self, tmp_path):
+        """No force reads a frontal area, so the header does not carry
+        one."""
+        log = run_scenario(hover_spec(duration=0.1), VehicleParams())
+        p = tmp_path / "log.csv"
+        log.write_csv(p)
+        keys = {ln[2:].split(" = ")[0]
+                for ln in p.read_text().splitlines() if ln.startswith("# ")}
+        assert "aft_model" in keys
+        assert not keys & {"frontal_area_m2", "frontal_area_extended",
+                           "retracted_fraction"}
 
     def test_csv_matches_per_row_formatting(self, tmp_path):
         """write_csv formats row chunks with one format string; the
