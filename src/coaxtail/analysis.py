@@ -63,7 +63,6 @@ class PsdResult:
 
     freq: np.ndarray  # Hz, ascending
     density: np.ndarray  # unit^2/Hz, non-negative
-    avg_db: float  # 10*log10(mean density), or DB_FLOOR
 
     def __post_init__(self):
         freq = np.asarray(self.freq, dtype=float)
@@ -134,20 +133,16 @@ def psd(series, segment=1024, overlap=0.5):
     # one-sided: fold negative frequencies in, except DC and even Nyquist
     density[1:(segment + 1) // 2] *= 2.0
     freq = np.fft.rfftfreq(segment, 1.0 / series.fs)
-    return PsdResult(freq=freq, density=density,
-                     avg_db=_mean_density_db(density))
-
-
-def _mean_density_db(density):
-    mean = float(np.mean(density))
-    if mean <= _ZERO_POWER:
-        return DB_FLOOR
-    return 10.0 * math.log10(mean)
+    return PsdResult(freq=freq, density=density)
 
 
 def avg_psd_db(result):
-    """Average density in dB/Hz: 10*log10 of the mean linear density."""
-    return _mean_density_db(result.density)
+    """Average density in dB/Hz: 10*log10 of the mean linear density, or
+    DB_FLOOR for a silent signal."""
+    mean = float(np.mean(result.density))
+    if mean <= _ZERO_POWER:
+        return DB_FLOOR
+    return 10.0 * math.log10(mean)
 
 
 def peak_to_peak_reduction(a, b):
@@ -179,30 +174,30 @@ def read_timeseries_csv(path):
     x = []
     name = ""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or len(header) < 2 or header[0].strip() != "t":
+                raise ConfigError(f"{path}: expected header t,<value>")
+            name = header[1].strip()
+            for row in reader:
+                if not row or not "".join(row).strip():
+                    continue
+                if len(row) < 2:
+                    raise ConfigError(f"{path}: malformed row {row!r}")
+                try:
+                    ti, xi = float(row[0]), float(row[1])
+                except ValueError:
+                    ti = xi = math.nan
+                if not (math.isfinite(ti) and math.isfinite(xi)):
+                    raise ConfigError(f"{path}: line {reader.line_num}: "
+                                      f"{row[0]!r}, {row[1]!r} are not two "
+                                      f"finite numbers")
+                t.append(ti)
+                x.append(xi)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        # no file, bytes that are not text, or a field past csv's limit
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0].strip() != "t":
-            raise ConfigError(f"{path}: expected header t,<value>")
-        name = header[1].strip()
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) < 2:
-                raise ConfigError(f"{path}: malformed row {row!r}")
-            try:
-                ti, xi = float(row[0]), float(row[1])
-            except ValueError:
-                ti = xi = math.nan
-            if not (math.isfinite(ti) and math.isfinite(xi)):
-                raise ConfigError(f"{path}: line {reader.line_num}: "
-                                  f"{row[0]!r}, {row[1]!r} are not two "
-                                  f"finite numbers")
-            t.append(ti)
-            x.append(xi)
     if len(t) < 2:
         raise ConfigError(f"{path}: need at least 2 samples")
     dt = np.diff(np.asarray(t))
@@ -258,7 +253,7 @@ def _read_ini(path, allowed):
     cfg = configparser.ConfigParser(interpolation=None)
     try:
         loaded = cfg.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
@@ -627,7 +622,7 @@ def _cmd_psd(args):
     print(f"file={args.csv} n={len(series)} fs={series.fs:.9g}")
     print(f"window={window} segment={args.segment} "
           f"overlap={args.overlap:.9g}")
-    print(f"avg_psd_db={result.avg_db:.9g}")
+    print(f"avg_psd_db={avg_psd_db(result):.9g}")
     return 0
 
 

@@ -265,6 +265,17 @@ def _finite_vector3(value, name):
     return v
 
 
+def _tick_rate(dt):
+    """1/dt as an int; ConfigError unless dt > 0 and 1/dt is a finite
+    whole rate in Hz to 1e-6 (a subnormal dt's overflows to inf)."""
+    rate = 1.0 / dt if dt > 0.0 else math.nan
+    if not (math.isfinite(rate) and round(rate) >= 1
+            and abs(rate - round(rate)) <= 1e-6):
+        raise ConfigError(f"dt={dt!r} must be positive, with 1/dt an "
+                          f"integer rate")
+    return int(round(rate))
+
+
 def _rate_divisor(base, rate, name):
     if rate <= 0 or base % rate != 0:
         raise ConfigError(f"{name} rate {rate} must divide base rate {base}")
@@ -284,17 +295,12 @@ class CascadeGains:
     rate_ki: tuple = (1.6, 1.9, 0.75)
     rate_kd: tuple = (0.001, 0.001, 0.0)
     rate_i_limit: tuple = (0.5, 0.8, 0.25)
-    base_rate: int = 1000
     pos_rate: int = 50
     vel_rate: int = 250
     att_rate: int = 250
     yaw_rate_rate: int = 200
 
     def __post_init__(self):
-        if self.base_rate <= 0:
-            raise ConfigError("base_rate must be positive")
-        for name in ("pos_rate", "vel_rate", "att_rate", "yaw_rate_rate"):
-            _rate_divisor(self.base_rate, getattr(self, name), name)
         for name in ("pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit",
                      "rate_kp", "rate_ki", "rate_kd", "rate_i_limit"):
             _finite_vector3(getattr(self, name), name)
@@ -320,28 +326,32 @@ class CascadeController:
     """Cascaded position/velocity/attitude/rate controller.
 
     Owns its integrator and hold state; one instance per vehicle, stepped
-    at the base rate. Not safe for concurrent stepping.
+    once per tick of dt seconds. 1/dt is the base rate, which each of the
+    gains' loop rates must divide. Not safe for concurrent stepping.
     """
 
     TILT_MIN_PROJECTION = 0.15
 
-    def __init__(self, gains, mass, gravity=9.81):
+    def __init__(self, gains, mass, gravity=9.81, dt=1e-3):
         if not (math.isfinite(mass) and mass > 0.0):
             raise ConfigError("mass must be positive and finite")
         if not (math.isfinite(gravity) and gravity >= 0.0):
             raise ConfigError("gravity must be finite and non-negative")
+        base = _tick_rate(dt)
         self.gains = gains
         self.mass = float(mass)
         self.gravity = float(gravity)
+        self.dt = float(dt)
         self._vel_pid = VectorPid(gains.vel_kp, gains.vel_ki, gains.vel_kd,
                                   gains.vel_i_limit)
         self._rate_pid = VectorPid(gains.rate_kp, gains.rate_ki, gains.rate_kd,
                                    gains.rate_i_limit)
         self._pos_p = [float(k) for k in gains.pos_p]
         # base ticks per update of each loop
-        self._every = tuple(gains.base_rate // rate for rate in (
-            gains.pos_rate, gains.vel_rate, gains.att_rate,
-            gains.yaw_rate_rate))
+        self._every = tuple(
+            _rate_divisor(base, getattr(gains, name), name)
+            for name in ("pos_rate", "vel_rate", "att_rate",
+                         "yaw_rate_rate"))
         self.reset()
 
     def reset(self):
@@ -354,8 +364,8 @@ class CascadeController:
         self._tau_z = 0.0
         self._yaw_key = self._override_key = None
 
-    def step(self, setpoint, position, velocity, orientation, body_rate, dt):
-        """One base-rate tick; returns the demanded Wrench (body frame).
+    def step(self, setpoint, position, velocity, orientation, body_rate):
+        """One tick of dt; returns the demanded Wrench (body frame).
 
         The setpoint position and the state parts are sequences of
         floats: the simulator passes slices of its float state. Vectors
@@ -379,7 +389,7 @@ class CascadeController:
             self._vel_sp = sp
 
         if self._tick % vel_every == 0:
-            vdt = dt * vel_every
+            vdt = self.dt * vel_every
             err = [a - b for a, b in zip(self._vel_sp, velocity)]
             if transition:
                 err[0] = 0.0
@@ -419,7 +429,7 @@ class CascadeController:
                              g.att_p_yaw * full_b[2]]
 
         rate_err = [a - b for a, b in zip(self._rate_sp, body_rate)]
-        tau = self._rate_pid.step(rate_err, dt)
+        tau = self._rate_pid.step(rate_err, self.dt)
         if self._tick % yaw_every == 0:
             self._tau_z = tau[2]
 

@@ -14,10 +14,9 @@ import math
 
 import numpy as np
 
-NUMBA_ENABLED = False  # no jit path; kept because the benchmark records it
+from .errors import NumericalDomainError
 
-STATUS_OK = 0
-STATUS_SINGULAR = 1
+NUMBA_ENABLED = False  # no jit path; kept because the benchmark records it
 
 _QUARTER_PI = 0.25 * np.pi
 _SINGULAR_GUARD = 1e-6
@@ -41,7 +40,8 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     _CHUNK_ROWS rows is gathered as one flat list of floats and stored
     through a flat view of the output, which keeps memory at the size of
     the output array.
-    Returns (trajectory[(n_steps+1) x 6], status).
+    Returns the (n_steps+1) x 6 trajectory; NumericalDomainError names
+    the step at whose start beta is within _SINGULAR_GUARD of pi/4.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = Minv
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = C
@@ -67,9 +67,9 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
         rows = []
         for j in range(0, 2 * (stop - start), 2):
             if coupled and abs(x2 - quarter_pi) < guard:
-                i = start + len(rows) // 6
-                flat[6 * (start + 1):6 * (i + 1)] = rows
-                return out[: i + 1], STATUS_SINGULAR
+                raise NumericalDomainError(
+                    f"step {start + j // 2}: blade pitch beta={x2!r} is "
+                    f"within {guard:g} rad of pi/4, where g(beta) is singular")
             um = u[j + 1]
 
             # stage 1 at (x, v)
@@ -163,7 +163,7 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
             v2 = v2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
             rows += (x0, x1, x2, v0, v1, v2)
         flat[6 * (start + 1):6 * (stop + 1)] = rows
-    return out, STATUS_OK
+    return out
 
 
 def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):

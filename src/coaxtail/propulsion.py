@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError, NumericalDomainError, TableRangeError
 
 _THRUST_TOL = 1e-6
-_DEFAULT_N_MAX = 350.0  # rev/s search ceiling for rpm solving
+_N_MAX = 350.0  # rev/s search ceiling for rpm solving
+_MULTIROTOR_ACTIVE = ("fore", "aft")
 
 
 @dataclass(frozen=True)
@@ -143,27 +144,27 @@ def thrust_power(table, rho, v, n):
     return thrust, power
 
 
-def _feasible_speed_range(table, v, n_max):
+def _feasible_speed_range(table, v):
     constant = len(table.sheets) == 1 and table.sheets[0].j.size == 1
     if v == 0.0 or constant:
-        return 1e-3, n_max
+        return 1e-3, _N_MAX
     # one ulp of margin so J(lo) cannot round past the table edge
     lo = v / (table.j_max * table.diameter) * (1.0 + 1e-12)
-    hi = n_max if table.j_min <= 0.0 else min(
-        n_max, v / (table.j_min * table.diameter) * (1.0 - 1e-12))
+    hi = _N_MAX if table.j_min <= 0.0 else min(
+        _N_MAX, v / (table.j_min * table.diameter) * (1.0 - 1e-12))
     return lo, hi
 
 
-def solve_rpm_for_thrust(table, rho, v, t_req, n_max=_DEFAULT_N_MAX):
+def solve_rpm_for_thrust(table, rho, v, t_req):
     """Lowest shaft speed (rev/s) whose thrust matches t_req within 1e-6 N.
 
-    Scans the J-feasible speed interval for the first sign change, then
-    bisects. Thrust demands outside what the table can deliver raise
-    InfeasibleError.
+    Scans the J-feasible speed interval, up to _N_MAX, for the first sign
+    change, then bisects. Thrust demands outside what the table can
+    deliver raise InfeasibleError.
     """
     if t_req < 0.0:
         raise ConfigError("thrust demand must be non-negative")
-    lo, hi = _feasible_speed_range(table, v, n_max)
+    lo, hi = _feasible_speed_range(table, v)
     if lo >= hi:
         raise InfeasibleError("no shaft speed keeps the advance ratio in range")
 
@@ -202,20 +203,18 @@ def solve_rpm_for_thrust(table, rho, v, t_req, n_max=_DEFAULT_N_MAX):
 
 @dataclass(frozen=True)
 class PropulsionConfig:
-    """A propeller pairing plus which props run in each flight mode."""
+    """A propeller pairing plus which props run in fixed-wing mode."""
 
     name: str
     fore: PropellerTable
     aft: PropellerTable
     fixedwing_active: tuple = ("aft",)
-    multirotor_active: tuple = ("fore", "aft")
 
     def __post_init__(self):
-        for rule in (self.fixedwing_active, self.multirotor_active):
-            if not rule:
-                raise ConfigError("each mode needs at least one active propeller")
-            if any(p not in ("fore", "aft") for p in rule):
-                raise ConfigError("active propellers must be 'fore' or 'aft'")
+        if not self.fixedwing_active:
+            raise ConfigError("fixed-wing mode needs an active propeller")
+        if any(p not in ("fore", "aft") for p in self.fixedwing_active):
+            raise ConfigError("active propellers must be 'fore' or 'aft'")
 
     def table(self, which):
         return self.fore if which == "fore" else self.aft
@@ -228,7 +227,7 @@ def mode_power(config, mode, rho, v, t_total_req):
     balance); fixed-wing mode splits equally across the active subset.
     """
     if mode == "multirotor":
-        active = config.multirotor_active
+        active = _MULTIROTOR_ACTIVE
     elif mode == "fixedwing":
         active = config.fixedwing_active
     else:
@@ -380,24 +379,28 @@ def load_propeller_table(directory, name, diameter):
         if m is None or m.group("name") != name:
             continue
         rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["J", "CT", "CP"]:
-                raise ConfigError(f"{path.name}: expected header J,CT,CP")
-            for row in reader:
-                if not row or not "".join(row).strip():
-                    continue
-                if len(row) != 3:
-                    raise ConfigError(f"{path.name}: malformed row {row!r}")
-                try:
-                    cells = [float(x) for x in row]
-                except ValueError:
-                    cells = [math.nan]
-                if not all(map(math.isfinite, cells)):
-                    raise ConfigError(f"{path.name}: line {reader.line_num}: "
-                                      f"{row!r} is not three finite numbers")
-                rows.append(cells)
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != ["J", "CT", "CP"]:
+                    raise ConfigError(f"{path.name}: expected header J,CT,CP")
+                for row in reader:
+                    if not row or not "".join(row).strip():
+                        continue
+                    if len(row) != 3:
+                        raise ConfigError(f"{path.name}: malformed row {row!r}")
+                    try:
+                        cells = [float(x) for x in row]
+                    except ValueError:
+                        cells = [math.nan]
+                    if not all(map(math.isfinite, cells)):
+                        raise ConfigError(f"{path.name}: line {reader.line_num}: "
+                                          f"{row!r} is not three finite numbers")
+                    rows.append(cells)
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            # a directory, bytes that are not text, or a field past csv's limit
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
         if not rows:
             raise ConfigError(f"{path.name}: no data rows")
         data = np.array(rows)

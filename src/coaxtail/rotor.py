@@ -44,6 +44,8 @@ import numpy as np
 from .errors import ConfigError, NumericalDomainError, SimulationFault
 from . import kernels
 
+_BENCH_SUBSTEPS = 4  # integrator steps per bench output sample
+
 
 def _default_inertia() -> np.ndarray:
     return np.array(
@@ -289,14 +291,10 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
         raise ConfigError("psi_step, y0 and u_half must be finite")
     if psi_step <= 0.0:
         raise ConfigError(f"psi_step must be positive, got {psi_step}")
-    traj, status = kernels.splm_trajectory(
+    traj = kernels.splm_trajectory(
         y0, n_steps, float(psi_step), params._inertia_inv_rows,
         params._damping_rows, params._stiffness_rows, params._kbeta,
         params.coupled, u_half * params._u_scale)
-    if status == kernels.STATUS_SINGULAR:
-        raise NumericalDomainError(
-            "trajectory reached the lag-pitch coupling singularity (beta ~ pi/4)"
-        )
     if not np.all(np.isfinite(traj)):
         raise SimulationFault("rotor trajectory diverged to non-finite values")
     return traj
@@ -332,8 +330,8 @@ def modulation_signal(t_d1, m_d, theta, beta_delay=0.0):
 
 
 def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
-                        phase: float, duration: float, fs: float,
-                        substeps: int = 4) -> tuple[np.ndarray, np.ndarray]:
+                        phase: float, duration: float,
+                        fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Simulate a bench run: fixed throttle, once-per-rev sinusoidal modulation.
 
     The command is modulation_signal(throttle, m_d, psi, delay(omega))
@@ -341,7 +339,7 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     phase equals `phase`. The head starts at the steady state for the bare
     throttle, so amplitude = 0 holds the fixed point exactly and the
     torque trace is flat up to integrator noise. Returns (t, torque)
-    sampled at fs; the integrator runs `substeps` internal steps per
+    sampled at fs; the integrator runs _BENCH_SUBSTEPS internal steps per
     output sample.
     """
     if not all(map(math.isfinite, (throttle, amplitude, phase))):
@@ -353,7 +351,6 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     if not (math.isfinite(duration) and duration > 0.0
             and math.isfinite(fs) and fs > 0.0):
         raise ConfigError("duration and fs must be positive and finite")
-    _check_count("substeps", substeps, 1)
     if not math.isfinite(duration * fs):
         raise ConfigError(f"duration={duration} s at fs={fs} Hz gives more "
                           "output samples than a float can count")
@@ -367,8 +364,8 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
             f"fs={fs} Hz undersamples the {omega / (2 * math.pi):.1f} Hz rotation; "
             "need fs >= 2x rotation frequency"
         )
-    n_steps = n_out * substeps
-    h = omega / (fs * substeps)
+    n_steps = n_out * _BENCH_SUBSTEPS
+    h = omega / (fs * _BENCH_SUBSTEPS)
     m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
     try:
         psi_half = np.arange(2 * n_steps + 1) * (0.5 * h)
@@ -381,7 +378,7 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
                           ) from exc
     y0 = np.concatenate([steady_state(params, throttle), np.zeros(3)])
     traj = integrate(params, y0, h, n_steps, u_half)
-    traj_out = traj[::substeps]
-    u_out = u_half[:: 2 * substeps]
+    traj_out = traj[::_BENCH_SUBSTEPS]
+    u_out = u_half[:: 2 * _BENCH_SUBSTEPS]
     t = np.arange(n_out + 1) / fs
     return t, torque_from_states(params, u_out, traj_out)

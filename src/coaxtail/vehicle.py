@@ -33,7 +33,7 @@ Force model, all declared rather than fitted:
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -47,6 +47,7 @@ from .control import (
     CascadeGains,
     ControlSetpoint,
     _finite_vector3,
+    _tick_rate,
     saturate,
 )
 from .errors import ConfigError, SimulationFault
@@ -376,9 +377,7 @@ class ScenarioSpec:
             raise ConfigError("duration must be positive and finite")
         if not (math.isfinite(self.dt) and 0.0 < self.dt <= _MAX_DT):
             raise ConfigError("dt must lie in (0, 1 ms]")
-        base = 1.0 / self.dt
-        if abs(base - round(base)) > 1e-6:
-            raise ConfigError("1/dt must be an integer rate")
+        _tick_rate(self.dt)
         ticks = self.duration / self.dt
         if not (math.isfinite(ticks) and round(ticks) >= 1):
             raise ConfigError("duration must cover at least one tick and "
@@ -391,10 +390,6 @@ class ScenarioSpec:
             if name == "position" or value is not None:
                 object.__setattr__(self, name, tuple(
                     _finite_vector3(value, name).tolist()))
-
-    @property
-    def base_rate(self):
-        return int(round(1.0 / self.dt))
 
 
 def _panel_cn(panel, alpha):
@@ -633,12 +628,10 @@ def _differs(a, b):
 
 
 def run_scenario(spec, params):
-    """Run one scenario at the base rate; deterministic for fixed inputs."""
-    base = spec.base_rate
-    gains = params.cascade
-    if gains.base_rate != base:
-        gains = replace(gains, base_rate=base)
-    controller = CascadeController(gains, params.mass, params.gravity)
+    """Run one scenario, one tick of spec.dt at a time; deterministic for
+    fixed inputs."""
+    controller = CascadeController(params.cascade, params.mass,
+                                   params.gravity, spec.dt)
 
     start = spec.start_position if spec.start_position is not None \
         else spec.position
@@ -669,7 +662,7 @@ def run_scenario(spec, params):
         if transition:
             setpoint.pitch_override = transition_profile(t)
         wrench = controller.step(setpoint, state[0:3], state[3:6],
-                                 orientation, state[10:13], spec.dt)
+                                 orientation, state[10:13])
         if _differs(lam, alloc.lam):
             alloc = params.alloc if params.alloc.lam == lam \
                 else params.alloc._with_lam(lam)

@@ -64,13 +64,12 @@ class TestTimeSeriesTypes:
     def test_psd_result_invariants(self):
         with pytest.raises(ConfigError):
             PsdResult(freq=np.array([0.0, 2.0, 1.0]),
-                      density=np.zeros(3), avg_db=0.0)
+                      density=np.zeros(3))
         with pytest.raises(ConfigError):
             PsdResult(freq=np.array([0.0, 1.0]),
-                      density=np.array([1.0, -1.0]), avg_db=0.0)
+                      density=np.array([1.0, -1.0]))
         with pytest.raises(ConfigError):
-            PsdResult(freq=np.array([0.0, 1.0]), density=np.zeros(3),
-                      avg_db=0.0)
+            PsdResult(freq=np.array([0.0, 1.0]), density=np.zeros(3))
 
 
 class TestMeanSubtract:
@@ -155,7 +154,6 @@ class TestPsd:
     def test_all_zero_series_floors(self):
         result = psd(series(np.zeros(4096)), segment=512)
         assert np.all(result.density == 0.0)
-        assert result.avg_db == DB_FLOOR
         assert avg_psd_db(result) == DB_FLOOR
 
     def test_white_noise_level_and_parseval(self):
@@ -210,17 +208,17 @@ class TestPsd:
 class TestAvgDb:
     def test_uniform_density_oracles(self):
         freq = np.arange(1.0, 11.0)
-        low = PsdResult(freq, np.full(10, 1e-5), avg_db=0.0)
+        low = PsdResult(freq, np.full(10, 1e-5))
         assert avg_psd_db(low) == pytest.approx(-50.0, abs=1e-9)
-        base = PsdResult(freq, np.full(10, 4e-5), avg_db=0.0)
+        base = PsdResult(freq, np.full(10, 4e-5))
         assert avg_psd_db(base) == pytest.approx(-43.979, abs=1e-3)
 
     def test_times_ten_adds_ten_db(self):
         rng = np.random.default_rng(3)
         dens = rng.uniform(1e-7, 1e-3, 64)
         freq = np.arange(64.0)
-        a = avg_psd_db(PsdResult(freq, dens, avg_db=0.0))
-        b = avg_psd_db(PsdResult(freq, 10.0 * dens, avg_db=0.0))
+        a = avg_psd_db(PsdResult(freq, dens))
+        b = avg_psd_db(PsdResult(freq, 10.0 * dens))
         assert b - a == pytest.approx(10.0, abs=1e-12)
 
 
@@ -592,6 +590,8 @@ class TestCli:
         for text in ("[scenario]\nmode = sideways\n",
                      "[scenario]\nduration_s = nan\n",
                      "[scenario]\ndt_s = nan\n",
+                     "[scenario]\ndt_s = 5e-324\n",  # 1/dt overflows
+                     b"[scenario]\nname = \xff\n",  # not UTF-8
                      "duration_s = 1\n",  # no section header
                      "[scenario]\nduration_s = abc\n",
                      "[scenario]\nposition_m = 0 0 high\n",
@@ -603,8 +603,11 @@ class TestCli:
                      "[scenario]\nduration_s = 1e300\n",
                      "[scenario]\nduration_s = 1e13\n",
                      "[scenario]\nduration_s = 1e10\ndt_s = 1e-300\n"):
-            cfg.write_text(text)
-            code = cli_main(["simulate", str(cfg)])
+            cfg.write_bytes(text if isinstance(text, bytes)
+                            else text.encode())
+            # a wrongly accepted row writes its log under tmp_path
+            code = cli_main(["simulate", str(cfg), "--out",
+                             str(tmp_path / "log.csv")])
             err = capsys.readouterr().err.splitlines()
             assert code == 1
             assert len(err) == 1 and "category=validation" in err[0]
@@ -617,6 +620,58 @@ class TestCli:
         assert code == 1
         assert len(err) == 1 and "category=validation" in err[0]
         assert "line 3" in err[0]
+
+    @pytest.mark.parametrize("command,fault", [
+        ("mix-check", "not_utf8"),
+        ("psd", "not_utf8"),
+        ("psd", "huge_field"),
+        ("power-analysis", "not_utf8"),
+        ("power-analysis", "huge_field"),
+        ("power-analysis", "directory"),
+        ("simulate", "directory"),
+    ])
+    def test_unreadable_input_file_is_a_validation_error(
+            self, tmp_path, capsys, command, fault):
+        """An input file that is not UTF-8 text, holds a field past csv's
+        131,072-character limit or is a directory fails with one
+        validation line naming the file."""
+        props = tmp_path / "props"
+        props.mkdir()
+        for sheet in PROPS_DIR.glob("*.csv"):
+            (props / sheet.name).write_text(sheet.read_text())
+        sheet = props / "7in_9000.csv"
+        cell = {"not_utf8": b"\xff", "huge_field": b"1" * 200_000}.get(fault)
+        if command == "mix-check":
+            bad = tmp_path / "gains.cfg"
+            bad.write_bytes(b"[allocation]\nc_t1 = " + cell + b"\n")
+            argv = ["mix-check", "--gains", str(bad)]
+        elif command == "psd":
+            bad = tmp_path / "series.csv"
+            bad.write_bytes(b"t,x\n0,1\n0.001," + cell + b"\n")
+            argv = ["psd", str(bad)]
+        else:
+            bad = sheet
+            if fault == "directory":
+                sheet.unlink()
+                sheet.mkdir()
+            else:
+                sheet.write_bytes(sheet.read_bytes() + b"0.5," + cell
+                                  + b",0.05\n")
+            cfg = tmp_path / "scn.cfg"
+            cfg.write_text("[scenario]\nduration_s = 0.01\n[vehicle]\n"
+                           f"prop_tables_dir = {props}\n")
+            argv = (["power-analysis", "--tables", str(props), "--out",
+                     str(tmp_path / "c.csv")]
+                    if command == "power-analysis"
+                    else ["simulate", str(cfg), "--out",
+                          str(tmp_path / "s.csv")])
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and "category=validation" in lines[0]
+        assert bad.name in lines[0]
+        assert "Traceback" not in err
 
     def test_simulate_transition_reports_tracking(self, tmp_path, capsys):
         cfg = tmp_path / "tr.cfg"

@@ -488,13 +488,36 @@ class TestVectorPid:
 
 class TestCascade:
     def test_rates_must_divide(self):
-        with pytest.raises(ConfigError):
-            CascadeGains(pos_rate=30)
+        with pytest.raises(ConfigError, match="pos_rate rate 30 must divide "
+                                              "base rate 1000"):
+            CascadeController(CascadeGains(pos_rate=30), 1.2)
         # every rate divides 0 and -1000; the loop divisors would be 0
         # (a ZeroDivisionError in step) or negative
-        for base in (0, -1000):
-            with pytest.raises(ConfigError, match="base_rate"):
-                CascadeGains(base_rate=base)
+        for rate in (0, -1000):
+            with pytest.raises(ConfigError, match="vel_rate"):
+                CascadeController(CascadeGains(vel_rate=rate), 1.2)
+
+    def test_controller_takes_its_tick_once(self):
+        """dt is set at construction: a bad tick is refused there, and the
+        loops subsample 1/dt (at 0.5 ms the 50 Hz position loop updates
+        every 40 ticks)."""
+        # 1/3e-4 is no whole rate; 5e-324 makes 1/dt overflow
+        for bad in (0.0, -1e-3, math.nan, math.inf, 3e-4, 5e-324):
+            with pytest.raises(ConfigError, match="dt"):
+                CascadeController(CascadeGains(), 1.2, dt=bad)
+        with pytest.raises(ConfigError, match="pos_rate rate 50 must divide "
+                                              "base rate 30"):
+            CascadeController(CascadeGains(), 1.2, dt=1.0 / 30.0)
+        ctl = CascadeController(CascadeGains(), 1.2, dt=5e-4)
+        sp = ControlSetpoint(position=(0.0, 0.0, 1.0))
+        updated = []
+        for tick in range(120):
+            before = ctl._vel_sp
+            ctl.step(sp, (0.0, 0.0, 1e-3 * tick), (0.0, 0.0, 0.0),
+                     (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+            if ctl._vel_sp is not before:
+                updated.append(tick)
+        assert updated == [0, 40, 80]
 
     @pytest.mark.parametrize("name", (
         "pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit", "rate_kp",
@@ -534,7 +557,7 @@ class TestCascade:
                                  pitch_override=override)
             for _ in range(20):
                 ctl.step(sp, np.zeros(3), np.zeros(3),
-                         np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 1e-3)
+                         np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
             for owner in (ctl, ctl._vel_pid, ctl._rate_pid):
                 held = {k: v for k, v in vars(owner).items()
                         if k != "gains"}
@@ -546,7 +569,7 @@ class TestCascade:
         ctl = CascadeController(gains, mass=1.2)
         sp = ControlSetpoint(position=np.array([1.0, -2.0, 3.0]))
         w = ctl.step(sp, np.array([1.0, -2.0, 3.0]), np.zeros(3),
-                     np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 1e-3)
+                     np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
         assert w.f_t == pytest.approx(1.2 * 9.81, rel=1e-12)
         assert w.tau_x == w.tau_y == w.tau_z == 0.0
 
@@ -554,7 +577,7 @@ class TestCascade:
         ctl = CascadeController(CascadeGains(), mass=1.2)
         sp = ControlSetpoint(position=np.zeros(3), yaw=0.4)
         w = ctl.step(sp, np.zeros(3), np.zeros(3),
-                     np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 1e-3)
+                     np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
         assert w.tau_x == pytest.approx(0.0, abs=1e-12)
         assert w.tau_y == pytest.approx(0.0, abs=1e-12)
         assert w.tau_z != 0.0
@@ -564,7 +587,7 @@ class TestCascade:
         sp = ControlSetpoint(position=np.array([5.0, 5.0, 2.0]),
                              pitch_override=math.radians(-45.0))
         ctl.step(sp, np.zeros(3), np.zeros(3),
-                 np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 1e-3)
+                 np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
         assert ctl._f_des[0] == 0.0 and ctl._f_des[1] == 0.0
 
 
@@ -610,8 +633,8 @@ class TestCascade:
                      rng.normal(size=3) * 0.1, random_unit(rng, 4),
                      rng.normal(size=3) * 0.1)
             fresh._yaw_key = fresh._override_key = None
-            a = kept.step(sp, *parts, 1e-3)
-            b = fresh.step(sp, *parts, 1e-3)
+            a = kept.step(sp, *parts)
+            b = fresh.step(sp, *parts)
             assert_same_bits(np.array(list(vars(a).values())),
                              np.array(list(vars(b).values())))
 
@@ -625,8 +648,7 @@ class TestAttitudeErrorSigns:
         ctl = CascadeController(CascadeGains(), mass=1.2)
         sp = ControlSetpoint(position=np.zeros(3), yaw=0.0,
                              pitch_override=pitch_override)
-        w = ctl.step(sp, np.zeros(3), np.zeros(3), orientation, np.zeros(3),
-                     1e-3)
+        w = ctl.step(sp, np.zeros(3), np.zeros(3), orientation, np.zeros(3))
         return w.tau_z
 
     def test_error_vector_semantics(self):
@@ -660,5 +682,5 @@ class TestAttitudeErrorSigns:
                                  math.radians(-10.0))
         ctl = CascadeController(CascadeGains(), mass=1.2)
         sp = ControlSetpoint(position=np.zeros(3))
-        w = ctl.step(sp, np.zeros(3), np.zeros(3), q, np.zeros(3), 1e-3)
+        w = ctl.step(sp, np.zeros(3), np.zeros(3), q, np.zeros(3))
         assert w.tau_y > 0.0

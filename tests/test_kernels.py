@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coaxtail import kernels
+from coaxtail.errors import NumericalDomainError
 from coaxtail.rotor import SplmParams, _input_scale, _kbeta_column, steady_state
 
 
@@ -53,7 +54,8 @@ def rigid_args():
 def reference_splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled,
                               u_half):
     """The rotor kernel written element by element on numpy arrays: the
-    form kernels.splm_trajectory must reproduce to the bit."""
+    form kernels.splm_trajectory must reproduce to the bit, and the step
+    at whose start it must find beta singular."""
 
     def deriv(y, u, out):
         g = 1.0
@@ -80,7 +82,7 @@ def reference_splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled,
     k1, k2, k3, k4, ytmp = (np.empty(6) for _ in range(5))
     for i in range(n_steps):
         if coupled and abs(y[2] - 0.25 * np.pi) < 1e-6:
-            return out[: i + 1], kernels.STATUS_SINGULAR
+            raise NumericalDomainError(f"step {i}: beta near pi/4")
         u0 = u_half[2 * i]
         um = u_half[2 * i + 1]
         u1 = u_half[2 * i + 2]
@@ -97,7 +99,7 @@ def reference_splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled,
         for j in range(6):
             y[j] = y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
         out[i + 1] = y
-    return out, kernels.STATUS_OK
+    return out
 
 
 class TestSplmKernel:
@@ -118,9 +120,8 @@ class TestSplmKernel:
             u_half = rng.normal(size=2 * n + 1) * rng.choice([1e-3, 0.1, 1.0])
             args = (y0, n, h, np.linalg.inv(m), c, kc, kb_col,
                     case % 2 == 0, u_half)
-            got, got_status = kernels.splm_trajectory(*splm_lists(args))
-            want, want_status = reference_splm_trajectory(*args)
-            assert got_status == want_status == kernels.STATUS_OK
+            got = kernels.splm_trajectory(*splm_lists(args))
+            want = reference_splm_trajectory(*args)
             assert got.shape == (n + 1, 6)
             assert np.isfinite(want).all()
             assert np.array_equal(got, want)
@@ -129,38 +130,38 @@ class TestSplmKernel:
     @pytest.mark.parametrize("trip_step", [0, 128, 200],
                              ids=["first_step", "second_chunk_start",
                                   "mid_chunk"])
-    def test_singular_truncation_matches_reference(self, trip_step):
+    def test_singular_step_matches_reference(self, trip_step):
         # free motion: beta climbs 1e-6 rad per step and starts so that it
         # sits half a step inside the 1e-6 guard band around pi/4 at
         # trip_step: the very first step, the first step of the second
         # output chunk (no row of that chunk gathered yet), or the middle
-        # of the second chunk
+        # of the second chunk; both forms name that step
         n, h = 400, 1e-3
         beta0 = 0.25 * math.pi - (trip_step + 0.5) * 1e-6
         y0 = np.array([0.1, 0.0, beta0, 0.3, 0.0, 1e-3])
         u_half = np.sin(np.arange(2 * n + 1) * (0.5 * h))
         args = (y0, n, h, np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)),
                 np.array([0.12, -0.1, -0.7]), True, u_half)
-        got, got_status = kernels.splm_trajectory(*splm_lists(args))
-        want, want_status = reference_splm_trajectory(*args)
-        assert got_status == want_status == kernels.STATUS_SINGULAR
-        assert got.shape == (trip_step + 1, 6)
-        assert np.array_equal(got, want)
+        step = rf"^step {trip_step}: "
+        with pytest.raises(NumericalDomainError, match=step):
+            kernels.splm_trajectory(*splm_lists(args))
+        with pytest.raises(NumericalDomainError, match=step):
+            reference_splm_trajectory(*args)
 
-    def test_singular_pitch_truncates(self):
+    def test_singular_pitch_raises(self):
         args = list(splm_args("coupled"))
         y0 = args[0].copy()
         y0[2] = 0.25 * math.pi - 5e-7
         y0[5] = 0.0
         args[0] = y0
-        traj, status = kernels.splm_trajectory(*args)
-        assert status == kernels.STATUS_SINGULAR
-        assert traj.shape[0] < args[1] + 1
+        with pytest.raises(NumericalDomainError,
+                           match=r"^step 0: blade pitch beta=.* pi/4"):
+            kernels.splm_trajectory(*args)
 
     def test_deterministic(self):
         args = splm_args("coupled")
-        a, _ = kernels.splm_trajectory(*args)
-        b, _ = kernels.splm_trajectory(*args)
+        a = kernels.splm_trajectory(*args)
+        b = kernels.splm_trajectory(*args)
         assert np.array_equal(a, b)
 
 

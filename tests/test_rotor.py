@@ -399,16 +399,6 @@ class TestBench:
                              np.zeros(2 * n_steps + 1))
             assert traj.shape == (n_steps + 1, 6)
 
-    def test_substeps_must_be_a_whole_int(self):
-        p = make_params()
-        for substeps in (2.5, 4.0, True, 0, -1, math.nan):
-            with pytest.raises(ConfigError, match="substeps"):
-                bench_torque_series(p, 900.0, 200.0, 0.0, 0.01, 1000.0,
-                                    substeps=substeps)
-        t, tau = bench_torque_series(p, 900.0, 200.0, 0.0, 0.01, 1000.0,
-                                     substeps=np.int64(2))
-        assert t.shape == tau.shape == (11,)
-
     def test_torque_model_guards_singular_pitch(self):
         p = make_params(variant="coupled")
         traj = np.zeros((3, 6))

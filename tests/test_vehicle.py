@@ -733,6 +733,8 @@ class TestScenarios:
             ScenarioSpec(dt=2e-3)
         with pytest.raises(ConfigError):
             ScenarioSpec(dt=3e-4)  # 1/dt not an integer rate
+        with pytest.raises(ConfigError):
+            ScenarioSpec(dt=5e-324)  # 1/dt overflows to inf
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError):
                 ScenarioSpec(duration=bad)
@@ -745,7 +747,7 @@ class TestScenarios:
         for bad in ((0.0, 1.5), None):
             with pytest.raises(ConfigError):
                 ScenarioSpec(position=bad)
-        assert ScenarioSpec(dt=5e-4).base_rate == 2000
+        assert ScenarioSpec(dt=5e-4).dt == 5e-4  # a 2 kHz tick
 
     def test_spec_positions_are_tuples_of_floats(self):
         """position and start_position are kept as tuples of floats, so a
