@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -491,12 +492,21 @@ def _build_parser():
     return parser
 
 
+def _output_dir_exists(path):
+    """ConfigError unless the directory that is to hold path exists: a
+    command checks its log path before the run, not after it."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out {path!r}: no directory {folder!r}")
+
+
 def _cmd_simulate(args):
     from .vehicle import run_scenario
 
     spec, params = load_scenario(args.scenario)
-    log = run_scenario(spec, params)
     out = args.out if args.out else f"{spec.name}_log.csv"
+    _output_dir_exists(out)
+    log = run_scenario(spec, params)
     log.write_csv(out)
     print(f"scenario={spec.name} ticks={log.t.size} out={out}")
     if spec.mode == "transition":
@@ -573,6 +583,8 @@ def _cmd_wind_test(args):
         wind=WindProfile(speed=args.speed, direction=(1.0, 0.0, 0.0),
                          start=_WIND_TEST_START_S),
         wing=WingSchedule(kind="fixed", mode=mode))
+    if args.out:
+        _output_dir_exists(args.out)
     log = run_scenario(spec, VehicleParams())
     if args.out:
         log.write_csv(args.out)

@@ -172,15 +172,24 @@ def saturate(wrench, gains, limits):
     (t_d1 +/- |m_d| inside the throttle box). All constraints are affine
     in s, so the bound is exact, not iterated. Returns (command, s).
     """
-    derived = gains._derived
+    eta, kappa, gamma, delta = gains._derived
+    lam, c_m = gains.lam, gains.c_m
+    one_m = 1.0 - lam
+    ey, ez = 2.0 * gains.k_ey, 2.0 * gains.k_ez
     f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,
                                 wrench.tau_z)
-    base_t1, base_t2 = _mix_channels(derived, gains, f_t, 0.0, 0.0, 0.0)[:2]
-    tq_t1, tq_t2, tq_mx, tq_my, tq_d1, tq_d2 = _mix_channels(
-        derived, gains, 0.0, tau_x, tau_y, tau_z)
+    # the mixer's channels of the thrust alone and of the torques alone,
+    # term for term as _mix_channels computes them (the zero terms decide
+    # the signs of zero channels)
+    base_t1 = eta * f_t + gamma * 0.0
+    base_t2 = kappa * f_t + delta * 0.0
+    tq_t1 = eta * 0.0 + gamma * tau_z
+    tq_t2 = kappa * 0.0 + delta * tau_z
+    d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
+    tq_d1, tq_d2 = d_y + d_z, d_y - d_z
 
     lo, hi = limits.throttle_min, limits.throttle_max
-    m_amp = math.hypot(tq_mx, tq_my)
+    m_amp = math.hypot(tau_x / c_m, lam * tau_y / c_m)
     # each row: s * coef <= rhs
     rows = (
         (tq_t1, hi - base_t1),
@@ -207,16 +216,19 @@ def saturate(wrench, gains, limits):
         t2 = min(max(base_t2, lo), hi)
         return ActuatorCommand(t_d1=t1, t_d2=t2), 0.0
     s = max(s, 0.0)
-    full = _mix_channels(derived, gains, f_t, s * tau_x, s * tau_y,
-                         s * tau_z)
-    return ActuatorCommand(*full), s
+    tau_x, tau_y, tau_z = s * tau_x, s * tau_y, s * tau_z
+    d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
+    return ActuatorCommand(eta * f_t + gamma * tau_z,
+                           kappa * f_t + delta * tau_z, tau_x / c_m,
+                           lam * tau_y / c_m, d_y + d_z, d_y - d_z), s
 
 
 class VectorPid:
     """Per-axis PID with clamped integrator. State is owned, not shared.
 
-    Gains and state are lists of Python floats, one entry per axis;
-    step returns the output as such a list.
+    The gains are held as one (kp, ki, kd, i_limit) tuple of Python
+    floats per axis; the state (integral, previous error) and step's
+    output are lists of Python floats, one entry per axis.
     """
 
     def __init__(self, kp, ki, kd, i_limit):
@@ -224,34 +236,35 @@ class VectorPid:
                  for g in (kp, ki, kd, i_limit)]
         if len({len(g) for g in gains}) != 1:
             raise ConfigError("PID gains must have one entry per axis")
-        self.kp, self.ki, self.kd, self.i_limit = gains
-        if any(lim < 0.0 for lim in self.i_limit):
+        if any(lim < 0.0 for lim in gains[3]):
             raise ConfigError("integrator limit must be non-negative")
+        self._axes = tuple(zip(*gains))
         self.reset()
 
     def reset(self):
-        self.integral = [0.0] * len(self.kp)
+        self.integral = [0.0] * len(self._axes)
         self._prev_err = None
 
     def step(self, err, dt):
         """One update on err, a sequence of numbers, one per axis."""
         # a new list, kept as _prev_err: it cannot alias the caller's err
         err = list(err)
+        # no derivative on the first step or without elapsed time
+        no_derr = self._prev_err is None or dt <= 0.0
+        prev = err if no_derr else self._prev_err
         integral = []
-        for acc, ki, e, lim in zip(self.integral, self.ki, err, self.i_limit,
-                                   strict=True):
+        out = []
+        for (kp, ki, kd, lim), acc, e, p in zip(
+                self._axes, self.integral, err, prev, strict=True):
             acc = acc + ki * e * dt
             # np.clip(acc, -lim, lim), ties and signed zeros included
             acc = acc if acc > -lim else -lim
-            integral.append(acc if acc < lim else lim)
+            acc = acc if acc < lim else lim
+            integral.append(acc)
+            out.append(kp * e + acc + kd * (0.0 if no_derr else (e - p) / dt))
         self.integral = integral
-        if self._prev_err is None or dt <= 0.0:
-            derr = [0.0] * len(err)
-        else:
-            derr = [(e - p) / dt for e, p in zip(err, self._prev_err)]
         self._prev_err = err
-        return [kp * e + acc + kd * d for kp, e, acc, kd, d
-                in zip(self.kp, err, integral, self.kd, derr)]
+        return out
 
 
 def _finite_vector3(value, name):

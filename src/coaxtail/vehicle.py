@@ -34,7 +34,6 @@ Force model, all declared rather than fitted:
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -489,6 +488,8 @@ LOG_COLUMNS = ("t", "px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy",
                "qz", "wx", "wy", "wz", "Td1", "Td2", "Mdx", "Mdy", "d1",
                "d2", "mode", "lambda", "s")
 _CSV_COLUMNS = LOG_COLUMNS[:-1]
+# ticks whose log rows run_scenario stores at a time
+_LOG_CHUNK = 128
 
 
 class _Column:
@@ -646,6 +647,12 @@ def run_scenario(spec, params):
         raise ConfigError(f"duration {spec.duration:g} s is {n:.6g} ticks, "
                           f"too many to log") from exc
 
+    # rows are gathered _LOG_CHUNK ticks at a time as one flat list of
+    # floats and stored through a flat view of data
+    flat = data.reshape(-1)
+    chunk = _LOG_CHUNK * len(LOG_COLUMNS)
+    rows = []
+
     transition = spec.mode == "transition"
     setpoint = ControlSetpoint(
         position=spec.position, yaw=spec.yaw,
@@ -671,9 +678,13 @@ def run_scenario(spec, params):
         force, torque = realized_wrench(state, params, cmd,
                                         spec.wind.vector(t), wing_mode)
 
-        data[k] = (t, *state, cmd.t_d1, cmd.t_d2, cmd.m_dx, cmd.m_dy,
-                   cmd.d_1, cmd.d_2,
-                   1.0 if wing_mode is WingMode.EXTENDED else 0.0, lam, s)
+        rows += (t, *state, cmd.t_d1, cmd.t_d2, cmd.m_dx, cmd.m_dy,
+                 cmd.d_1, cmd.d_2,
+                 1.0 if wing_mode is WingMode.EXTENDED else 0.0, lam, s)
+        if len(rows) == chunk:
+            end = (k + 1) * len(LOG_COLUMNS)
+            flat[end - chunk:end] = rows
+            rows = []
 
         try:
             state = step_6dof(state, force, torque, params, spec.dt)
@@ -681,4 +692,5 @@ def run_scenario(spec, params):
             raise SimulationFault(
                 f"tick {k} (t={t:.3f} s): {exc}") from exc
 
+    flat[flat.size - len(rows):] = rows
     return SimLog(spec.name, data, _config_snapshot(spec, params))

@@ -673,6 +673,31 @@ class TestCli:
         assert bad.name in lines[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "wind-test"])
+    def test_out_in_a_missing_directory_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, command):
+        """A log path whose directory does not exist is a validation
+        error raised before the simulation, not after it."""
+        from coaxtail import vehicle
+
+        def no_run(*args):
+            raise AssertionError("run_scenario was called")
+
+        monkeypatch.setattr(vehicle, "run_scenario", no_run)
+        out = tmp_path / "missing" / "log.csv"
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text("[scenario]\nname = quick\nduration_s = 1.0\n")
+        argv = (["simulate", str(cfg)] if command == "simulate"
+                else ["wind-test", "--mode", "retracted"])
+        code = cli_main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and "category=validation" in lines[0]
+        assert "--out" in lines[0] and str(out) in lines[0]
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
     def test_simulate_transition_reports_tracking(self, tmp_path, capsys):
         cfg = tmp_path / "tr.cfg"
         cfg.write_text("[scenario]\nname = tr\nmode = transition\n"

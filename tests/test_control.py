@@ -211,31 +211,81 @@ class TestSaturation:
 
     def test_command_is_mix_of_scaled_torques_bit_for_bit(self):
         """saturate computes the mixer terms on plain floats; the command
-        must equal mix(Wrench(f, s*tau)) exactly, clipped or not."""
+        must equal mix(Wrench(f, s*tau)) exactly, clipped or not, and s
+        must equal the row-table bound, sign bit included. The tight
+        limits make the servo and modulation-headroom rows bind too."""
+        tight = ActuatorLimits(throttle_min=200.0, throttle_max=1100.0,
+                               servo_max=0.05)
         rng = np.random.default_rng(7)
-        seen = {"free": 0, "clipped": 0, "infeasible": 0}
-        for _ in range(600):
-            gains = AllocationGains(lam=rng.choice([0.0, 0.3, 1.0,
-                                                    rng.uniform()]))
-            w = Wrench(rng.uniform(-2.0, 40.0),
-                       *(rng.normal(size=3) * rng.choice([1e-3, 0.1, 3.0])))
-            cmd, s = saturate(w, gains, self.LIMITS)
-            base = mix(Wrench(f_t=w.f_t), gains)
-            if s == 0.0 and (base.t_d1 < 0.0 or base.t_d1 > 2000.0
-                             or base.t_d2 < 0.0 or base.t_d2 > 2000.0):
-                seen["infeasible"] += 1
-                want = ActuatorCommand(
-                    t_d1=min(max(base.t_d1, 0.0), 2000.0),
-                    t_d2=min(max(base.t_d2, 0.0), 2000.0))
-            else:
-                seen["clipped" if s < 1.0 else "free"] += 1
-                want = mix(Wrench(w.f_t, s * w.tau_x, s * w.tau_y,
-                                  s * w.tau_z), gains)
-            assert cmd == want
-            assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
-                       for a, b in zip(vars(cmd).values(),
-                                       vars(want).values()))
-        assert min(seen.values()) > 20, seen
+        for limits in (self.LIMITS, tight):
+            lo, hi = limits.throttle_min, limits.throttle_max
+            seen = {"free": 0, "clipped": 0, "infeasible": 0}
+            bound_by = set()
+            for _ in range(600):
+                gains = AllocationGains(lam=rng.choice([0.0, 0.3, 1.0,
+                                                        rng.uniform()]))
+                parts = [rng.uniform(-2.0, 40.0),
+                         *(rng.normal(size=3)
+                           * rng.choice([1e-3, 0.1, 3.0]))]
+                # signed zeros in the thrust or a torque now and then
+                parts[rng.integers(4)] = rng.choice([0.0, -0.0, parts[0]])
+                w = Wrench(*parts)
+                cmd, s = saturate(w, gains, limits)
+                want_s, row = reference_thrust_priority_scale(w, gains,
+                                                              limits)
+                assert s == want_s
+                assert math.copysign(1.0, s) == math.copysign(1.0, want_s)
+                base = mix(Wrench(f_t=w.f_t), gains)
+                if s == 0.0 and (base.t_d1 < lo or base.t_d1 > hi
+                                 or base.t_d2 < lo or base.t_d2 > hi):
+                    seen["infeasible"] += 1
+                    want = ActuatorCommand(
+                        t_d1=min(max(base.t_d1, lo), hi),
+                        t_d2=min(max(base.t_d2, lo), hi))
+                else:
+                    seen["clipped" if s < 1.0 else "free"] += 1
+                    bound_by.add(row)
+                    want = mix(Wrench(w.f_t, s * w.tau_x, s * w.tau_y,
+                                      s * w.tau_z), gains)
+                assert cmd == want
+                assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
+                           for a, b in zip(vars(cmd).values(),
+                                           vars(want).values()))
+            assert min(seen.values()) > 20, seen
+            if limits is tight:
+                # a servo row (4-7) and a headroom row (8, 9) each bound s
+                assert bound_by & {4, 5, 6, 7}, bound_by
+                assert bound_by & {8, 9}, bound_by
+
+
+def reference_thrust_priority_scale(wrench, gains, limits):
+    """(s, row) of saturate's thrust-priority bound, from mix and the ten
+    (coef, rhs) rows in saturate's order: row is the index of the row
+    that set s, or None when no row is below 1 (or thrust alone is out
+    of the box)."""
+    base = mix(Wrench(f_t=wrench.f_t), gains)
+    tq = mix(Wrench(0.0, wrench.tau_x, wrench.tau_y, wrench.tau_z), gains)
+    lo, hi = limits.throttle_min, limits.throttle_max
+    m_amp = math.hypot(tq.m_dx, tq.m_dy)
+    rows = (
+        (tq.t_d1, hi - base.t_d1),
+        (-tq.t_d1, base.t_d1 - lo),
+        (tq.t_d2, hi - base.t_d2),
+        (-tq.t_d2, base.t_d2 - lo),
+        (tq.d_1, limits.servo_max),
+        (-tq.d_1, limits.servo_max),
+        (tq.d_2, limits.servo_max),
+        (-tq.d_2, limits.servo_max),
+        (m_amp + tq.t_d1, hi - base.t_d1),
+        (m_amp - tq.t_d1, base.t_d1 - lo),
+    )
+    s, row = 1.0, None
+    for i, (coef, rhs) in enumerate(rows):
+        if rhs < 0.0:
+            return 0.0, None
+        if coef > 0.0 and rhs / coef < s:
+            s, row = rhs / coef, i
+    return max(s, 0.0), row
 
 
 def reference_pid_step(pid_state, kp, ki, kd, i_limit, err, dt):
@@ -475,6 +525,76 @@ class TestVectorPid:
         pid = VectorPid(kp=(0.0,), ki=(0.0,), kd=(1.0,), i_limit=(0.0,))
         assert pid.step(np.array([3.0]), 0.01)[0] == 0.0
         assert pid.step(np.array([4.0]), 0.01)[0] == pytest.approx(100.0)
+
+    def test_no_derivative_on_the_first_step_or_without_elapsed_time(self):
+        """The first step and a step with dt <= 0 add kd * 0.0: the
+        output is kp*e + integral + kd*0.0 to the bit."""
+        kp, ki, kd = (0.5, 2.0, 0.25), (1.5, 0.5, 3.0), (3.0, -2.0, 0.5)
+        pid = VectorPid(kp, ki, kd, i_limit=(10.0, 10.0, 10.0))
+        steps = (((1.0, -2.0, -0.0), 1e-3), ((4.0, 1.0, 0.5), 0.0),
+                 ((2.0, -0.5, -3.0), -1e-3), ((2.5, 0.25, -1.0), 4e-3))
+        integral = [0.0, 0.0, 0.0]
+        prev = None
+        for err, dt in steps:
+            out = pid.step(err, dt)
+            integral = [a + i * e * dt for a, i, e in zip(integral, ki, err)]
+            if prev is None or dt <= 0.0:
+                derr = [0.0, 0.0, 0.0]
+            else:
+                derr = [(e - p) / dt for e, p in zip(err, prev)]
+            want = [p * e + a + d * de for p, e, a, d, de
+                    in zip(kp, err, integral, kd, derr)]
+            assert out == want, dt
+            assert [math.copysign(1.0, x) for x in out] \
+                == [math.copysign(1.0, x) for x in want], dt
+            assert pid.integral == integral
+            prev = err
+
+    def test_integrator_clamps_at_each_limit(self):
+        """The integral stops at +-limit exactly, as np.clip does, sign of
+        zero included; a zero limit holds it at zero."""
+        limits = (0.5, 0.0, 2.0)
+        pid = VectorPid(kp=(0.0,) * 3, ki=(1.0,) * 3, kd=(0.0,) * 3,
+                        i_limit=limits)
+        for sign in (1.0, -1.0, 1.0):
+            for _ in range(300):
+                out = pid.step([sign * 10.0, sign * 10.0, sign * 10.0], 0.01)
+            want = np.clip(np.full(3, sign * 1e3), -np.array(limits),
+                           limits)
+            assert np.array_equal(pid.integral, want)
+            assert np.array_equal(np.signbit(pid.integral),
+                                  np.signbit(want))
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("dt", [1e-3, 4e-3])
+    def test_signed_zero_errors_match_the_array_form(self, dt):
+        kp, ki, kd = (0.55, 0.65, 0.0), (1.6, 0.0, 0.75), (0.001, 0.0, 0.2)
+        i_limit = (0.5, 0.0, 0.25)
+        pid = VectorPid(kp, ki, kd, i_limit)
+        ref = {"integral": np.zeros(3), "prev": None}
+        for err in ((0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, -0.0),
+                    (-0.0, 1e-300, -1e-300), (0.0, -0.0, 0.0)):
+            got = np.array(pid.step(err, dt))
+            want = reference_pid_step(ref, np.array(kp), np.array(ki),
+                                      np.array(kd), np.array(i_limit), err,
+                                      dt)
+            assert np.array_equal(got, want), err
+            assert np.array_equal(np.signbit(got), np.signbit(want)), err
+            assert np.array_equal(np.signbit(pid.integral),
+                                  np.signbit(ref["integral"])), err
+
+    def test_wrong_length_error_is_refused(self):
+        """An err with too few or too many axes raises and leaves the
+        controller's state as it was."""
+        pid = VectorPid(kp=(1.0,) * 3, ki=(1.0,) * 3, kd=(1.0,) * 3,
+                        i_limit=(1.0,) * 3)
+        pid.step([0.1, 0.2, 0.3], 1e-3)
+        integral, prev = list(pid.integral), list(pid._prev_err)
+        for bad in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], []):
+            with pytest.raises(ValueError):
+                pid.step(bad, 1e-3)
+            assert pid.integral == integral
+            assert pid._prev_err == prev
 
     def test_previous_error_is_a_copy(self):
         """A caller that reuses its error array does not change the next

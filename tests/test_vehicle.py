@@ -966,6 +966,26 @@ class TestSimLog:
             with pytest.raises(ConfigError, match="log data must be"):
                 SimLog("bad", bad, {})
 
+    @pytest.mark.parametrize("mode", ["hover", "transition"])
+    def test_short_runs_equal_the_head_of_a_long_run(self, mode):
+        """run_scenario stores its log rows a chunk of ticks at a time; a
+        run that ends before, at or just past a chunk boundary still holds
+        every row, equal to the same ticks of a longer run."""
+        def log_data(ticks):
+            spec = ScenarioSpec(name=mode, mode=mode, duration=ticks * 1e-3,
+                                start_position=(0.1, -0.1, 1.3))
+            return run_scenario(spec, VehicleParams()).data
+
+        full = log_data(300)
+        for ticks in (1, 127, 128, 129, 257):
+            data = log_data(ticks)
+            head = full[:ticks]
+            assert data.shape == (ticks, len(LOG_COLUMNS)), ticks
+            assert np.isfinite(data).all(), ticks
+            assert np.array_equal(data, head), ticks
+            assert np.array_equal(np.signbit(data), np.signbit(head)), ticks
+            assert np.array_equal(data[:, 0], np.arange(ticks) * 1e-3), ticks
+
     def test_peak_deviation_needs_samples(self):
         log = run_scenario(hover_spec(duration=0.5), VehicleParams())
         with pytest.raises(ConfigError, match="no sample"):
