@@ -19,7 +19,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -235,22 +235,8 @@ def write_psd_csv(path, result):
 # ---------------------------------------------------------------------------
 # Scenario and gains config files (INI)
 
-_SCENARIO_KEYS = {
-    "scenario": {"name", "mode", "duration_s", "dt_s", "position_m",
-                 "yaw_deg", "start_position_m"},
-    "wind": {"speed_mps", "direction", "start_s", "stop_s", "ramp_s"},
-    "schedule": {"wing", "extend_below_deg", "lambda_hover", "lambda_fw",
-                 "lambda_start_deg", "lambda_end_deg"},
-    "vehicle": {"mass_kg", "inertia_diag", "drag_cd", "lateral_area_m2",
-                "axial_area_m2", "aft_speed_per_count", "gravity",
-                "prop_tables_dir"},
-}
-
-_ALLOCATION_KEYS = {"c_t1", "c_t2", "k_t1", "k_t2", "c_m", "k_ey", "k_ez",
-                    "lam"}
-
-
 def _read_ini(path, allowed):
+    """The parsed file; its sections and their keys must be in `allowed`."""
     cfg = configparser.ConfigParser(interpolation=None)
     try:
         loaded = cfg.read(path)
@@ -261,7 +247,7 @@ def _read_ini(path, allowed):
     for section in cfg.sections():
         if section not in allowed:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        extra = set(cfg[section]) - allowed[section]
+        extra = set(cfg[section]).difference(allowed[section])
         if extra:
             raise ConfigError(
                 f"{path}: unknown key(s) {sorted(extra)} in [{section}]")
@@ -279,96 +265,115 @@ def _finite(text, where):
     return value
 
 
-def _floats(text, count, where):
+def _vector3(text, where):
     parts = tuple(_finite(x, where) for x in text.split())
-    if len(parts) != count:
-        raise ConfigError(f"{where}: expected {count} numbers, got {text!r}")
+    if len(parts) != 3:
+        raise ConfigError(f"{where}: expected 3 numbers, got {text!r}")
     return parts
 
 
-def _wing_schedule(text, extend_below_deg):
-    from .vehicle import WingSchedule
+def _radians(text, where):
+    return math.radians(_finite(text, where))
 
-    text = text.strip().lower()
+
+def _text(text, where):
+    return text
+
+
+def _inertia_diag(text, where):
+    return np.diag(_vector3(text, where))
+
+
+def _aft_table(text, where):
+    from .propulsion import PROP_DIAMETERS, load_propeller_table
+
+    return load_propeller_table(text, "7in", diameter=PROP_DIAMETERS["7in"])
+
+
+def _wing_fields(text, where):
+    """WingSchedule fields of 'pitch' or 'fixed:<mode>'."""
+    text = text.lower()
     if text == "pitch":
-        return WingSchedule(kind="pitch",
-                            extend_below=math.radians(extend_below_deg))
+        return {"kind": "pitch"}
     if text.startswith("fixed:"):
-        return WingSchedule(kind="fixed", mode=text.split(":", 1)[1])
+        return {"kind": "fixed", "mode": text.split(":", 1)[1]}
     raise ConfigError(
         f"wing schedule must be 'pitch' or 'fixed:<mode>', got {text!r}")
 
 
+# [section] key -> (object, field, parser(text, where)). Only the keys a
+# file sets are passed on: every other field keeps its dataclass default,
+# except that an unnamed scenario is "scenario" (ScenarioSpec says
+# "hover"), whose log is scenario_log.csv by default. The parser of a None
+# field returns a dict of fields.
+_SCENARIO_SCHEMA = {
+    "scenario": {
+        "name": ("spec", "name", _text),
+        "mode": ("spec", "mode", _text),
+        "duration_s": ("spec", "duration", _finite),
+        "dt_s": ("spec", "dt", _finite),
+        "position_m": ("spec", "position", _vector3),
+        "yaw_deg": ("spec", "yaw", _radians),
+        "start_position_m": ("spec", "start_position", _vector3),
+    },
+    "wind": {
+        "speed_mps": ("wind", "speed", _finite),
+        "direction": ("wind", "direction", _vector3),
+        "start_s": ("wind", "start", _finite),
+        "stop_s": ("wind", "stop", _finite),
+        "ramp_s": ("wind", "ramp", _finite),
+    },
+    "schedule": {
+        "wing": ("wing", None, _wing_fields),
+        "extend_below_deg": ("wing", "extend_below", _radians),
+        "lambda_hover": ("lam", "lam_hover", _finite),
+        "lambda_fw": ("lam", "lam_fw", _finite),
+        "lambda_start_deg": ("lam", "pitch_start", _radians),
+        "lambda_end_deg": ("lam", "pitch_end", _radians),
+    },
+    "vehicle": {
+        "mass_kg": ("params", "mass", _finite),
+        "inertia_diag": ("params", "inertia", _inertia_diag),
+        "drag_cd": ("params", "drag_cd", _finite),
+        "lateral_area_m2": ("params", "lateral_area", _finite),
+        "axial_area_m2": ("params", "axial_area", _finite),
+        "aft_speed_per_count": ("params", "aft_speed_per_count", _finite),
+        "gravity": ("params", "gravity", _finite),
+        "prop_tables_dir": ("params", "aft_table", _aft_table),
+    },
+}
+
+# the keys whose empty value means "not set"; any other is refused
+_EMPTY_IS_UNSET = {("scenario", "start_position_m"), ("wind", "stop_s"),
+                   *(("vehicle", key) for key in _SCENARIO_SCHEMA["vehicle"])}
+
+
 def load_scenario(path):
     """Parse a scenario config file into (ScenarioSpec, VehicleParams)."""
-    from .propulsion import load_propeller_table
     from .vehicle import (LambdaSchedule, ScenarioSpec, VehicleParams,
-                          WindProfile)
+                          WindProfile, WingSchedule)
 
-    cfg = _read_ini(path, _SCENARIO_KEYS)
-    values = {name: dict(cfg[name]) for name in cfg.sections()}
-
-    def text(section, key, default=None):
-        return values.get(section, {}).get(key, default)
-
-    def number(section, key, default=None):
-        raw = text(section, key)
-        return default if raw is None else \
-            _finite(raw, f"{path}: [{section}] {key}")
-
-    def numbers(section, key, default=None):
-        return _floats(text(section, key, default), 3,
-                       f"{path}: [{section}] {key}")
-
-    # an empty stop_s, start_position_m or [vehicle] value means "not set"
-    wind = WindProfile(
-        speed=number("wind", "speed_mps", 0.0),
-        direction=numbers("wind", "direction", "1 0 0"),
-        start=number("wind", "start_s", 0.0),
-        stop=number("wind", "stop_s") if text("wind", "stop_s") else None,
-        ramp=number("wind", "ramp_s", 0.5))
-    wing = _wing_schedule(text("schedule", "wing", "fixed:retracted"),
-                          number("schedule", "extend_below_deg", -20.0))
-    lam = LambdaSchedule(
-        lam_hover=number("schedule", "lambda_hover", 1.0),
-        lam_fw=number("schedule", "lambda_fw", 0.3),
-        pitch_start=math.radians(number("schedule", "lambda_start_deg",
-                                        -30.0)),
-        pitch_end=math.radians(number("schedule", "lambda_end_deg", -70.0)))
-
-    spec = ScenarioSpec(
-        name=text("scenario", "name", "scenario"),
-        mode=text("scenario", "mode", "hover"),
-        duration=number("scenario", "duration_s", 10.0),
-        dt=number("scenario", "dt_s", 1e-3),
-        position=numbers("scenario", "position_m", "0 0 1.5"),
-        yaw=math.radians(number("scenario", "yaw_deg", 0.0)),
-        start_position=(numbers("scenario", "start_position_m")
-                        if text("scenario", "start_position_m") else None),
-        wind=wind, wing=wing, lam=lam)
-
-    kwargs = {}
-    if text("vehicle", "inertia_diag"):
-        kwargs["inertia"] = np.diag(numbers("vehicle", "inertia_diag"))
-    for key, field_name in (("mass_kg", "mass"),
-                            ("drag_cd", "drag_cd"),
-                            ("lateral_area_m2", "lateral_area"),
-                            ("axial_area_m2", "axial_area"),
-                            ("aft_speed_per_count", "aft_speed_per_count"),
-                            ("gravity", "gravity")):
-        if text("vehicle", key):
-            kwargs[field_name] = number("vehicle", key)
-    if text("vehicle", "prop_tables_dir"):
-        kwargs["aft_table"] = load_propeller_table(
-            text("vehicle", "prop_tables_dir"), "7in", diameter=0.1778)
-    params = VehicleParams(**kwargs)
-    return spec, params
+    cfg = _read_ini(path, _SCENARIO_SCHEMA)
+    given = {"spec": {}, "wind": {}, "wing": {}, "lam": {}, "params": {}}
+    for section in cfg.sections():
+        for key, text in cfg[section].items():
+            if not text and (section, key) in _EMPTY_IS_UNSET:
+                continue
+            target, field, parse = _SCENARIO_SCHEMA[section][key]
+            value = parse(text, f"{path}: [{section}] {key}")
+            given[target].update(value if field is None else {field: value})
+    given["spec"].setdefault("name", "scenario")
+    spec = ScenarioSpec(wind=WindProfile(**given["wind"]),
+                        wing=WingSchedule(**given["wing"]),
+                        lam=LambdaSchedule(**given["lam"]), **given["spec"])
+    return spec, VehicleParams(**given["params"])
 
 
 def load_allocation_gains(path):
     from .control import AllocationGains
 
-    cfg = _read_ini(path, {"allocation": _ALLOCATION_KEYS})
+    cfg = _read_ini(path, {"allocation": {
+        f.name for f in fields(AllocationGains)}})
     if not cfg.has_section("allocation"):
         raise ConfigError(f"{path}: missing [allocation] section")
     sec = cfg["allocation"]
@@ -381,16 +386,17 @@ def load_allocation_gains(path):
 
 def table_config_powers(tables_dir, mass=1.2, gravity=9.81,
                         cruise_thrust=4.4, cruise_speed=15.6, rho=1.225):
-    """Build the three study configurations from measured propeller tables.
+    """Build propulsion.STUDY_PAIRINGS from measured propeller tables.
 
     Hover power produces the full weight split across both rotors at zero
     inflow; cruise power produces cruise_thrust at cruise_speed split
-    across the active subset. Directory must hold 16in_<rpm>.csv and
-    7in_<rpm>.csv sheets. Every study parameter must be positive and
+    across the active subset. The directory holds <stem>_<rpm>.csv sheets
+    for each stem of PROP_DIAMETERS. Study parameters must be positive and
     finite.
     """
-    from .propulsion import (ConfigPower, PropulsionConfig,
-                             load_propeller_table, mode_power)
+    from .propulsion import (PROP_DIAMETERS, STUDY_PAIRINGS, ConfigPower,
+                             PropulsionConfig, load_propeller_table,
+                             mode_power)
 
     for name, value in (("mass", mass), ("gravity", gravity),
                         ("cruise_thrust", cruise_thrust),
@@ -398,17 +404,13 @@ def table_config_powers(tables_dir, mass=1.2, gravity=9.81,
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(
                 f"{name} must be positive and finite, got {value!r}")
-    big = load_propeller_table(tables_dir, "16in", diameter=0.4064)
-    small = load_propeller_table(tables_dir, "7in", diameter=0.1778)
-    configs = (
-        PropulsionConfig("HPC", fore=big, aft=small),
-        PropulsionConfig("HLC", fore=big, aft=big,
-                         fixedwing_active=("fore", "aft")),
-        PropulsionConfig("HSC", fore=small, aft=small),
-    )
+    tables = {stem: load_propeller_table(tables_dir, stem, diameter=d)
+              for stem, d in PROP_DIAMETERS.items()}
     hover_thrust = mass * gravity
     powers = []
-    for config in configs:
+    for name, fore, aft, fixedwing_active in STUDY_PAIRINGS:
+        config = PropulsionConfig(name, fore=tables[fore], aft=tables[aft],
+                                  fixedwing_active=fixedwing_active)
         hover_w = mode_power(config, "multirotor", rho, 0.0, hover_thrust)
         cruise_w = mode_power(config, "fixedwing", rho, cruise_speed,
                               cruise_thrust)
@@ -493,8 +495,8 @@ def _build_parser():
 
 
 def _output_dir_exists(path):
-    """ConfigError unless the directory that is to hold path exists: a
-    command checks its log path before the run, not after it."""
+    """ConfigError unless the directory that is to hold path exists: an
+    output path is checked before the work, not after it."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"--out {path!r}: no directory {folder!r}")
@@ -504,8 +506,10 @@ def _cmd_simulate(args):
     from .vehicle import run_scenario
 
     spec, params = load_scenario(args.scenario)
-    out = args.out if args.out else f"{spec.name}_log.csv"
-    _output_dir_exists(out)
+    out = args.out
+    if not out:  # cli_main has checked a given --out
+        out = f"{spec.name}_log.csv"
+        _output_dir_exists(out)
     log = run_scenario(spec, params)
     log.write_csv(out)
     print(f"scenario={spec.name} ticks={log.t.size} out={out}")
@@ -568,23 +572,17 @@ _WIND_TEST_START_S = 2.0
 
 
 def _cmd_wind_test(args):
-    from .aero import WingMode
     from .vehicle import (ScenarioSpec, VehicleParams, WindProfile,
                           WingSchedule, run_scenario)
 
-    mode = WingMode(args.mode)
     if not args.duration > _WIND_TEST_START_S:
         raise ConfigError(f"--duration must exceed the "
                           f"{_WIND_TEST_START_S:g} s wind start, "
                           f"got {args.duration:g}")
     spec = ScenarioSpec(
-        name=f"wind_{args.mode}", mode="hover", duration=args.duration,
-        position=(0.0, 0.0, 1.5),
-        wind=WindProfile(speed=args.speed, direction=(1.0, 0.0, 0.0),
-                         start=_WIND_TEST_START_S),
-        wing=WingSchedule(kind="fixed", mode=mode))
-    if args.out:
-        _output_dir_exists(args.out)
+        name=f"wind_{args.mode}", duration=args.duration,
+        wind=WindProfile(speed=args.speed, start=_WIND_TEST_START_S),
+        wing=WingSchedule(mode=args.mode))
     log = run_scenario(spec, VehicleParams())
     if args.out:
         log.write_csv(args.out)
@@ -671,6 +669,8 @@ def cli_main(argv=None):
         _error_line("validation", ConfigError("a subcommand is required"))
         return 1
     try:
+        if getattr(args, "out", None):
+            _output_dir_exists(args.out)
         return _COMMANDS[args.command](args)
     except (ConfigError, TableRangeError, LinearRangeError) as exc:
         _error_line("validation", exc)

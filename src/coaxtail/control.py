@@ -129,17 +129,11 @@ def derived_params(gains):
 
 def mix(wrench, gains):
     """Allocate a wrench to actuator commands (no saturation here)."""
-    return ActuatorCommand(*_mix_channels(
-        gains._derived, gains, wrench.f_t, wrench.tau_x, wrench.tau_y,
-        wrench.tau_z))
-
-
-def _mix_channels(derived, gains, f_t, tau_x, tau_y, tau_z):
-    """mix on plain floats: the six channels (t_d1, t_d2, m_dx, m_dy, d_1,
-    d_2), given derived_params(gains)."""
-    eta, kappa, gamma, delta = derived
+    eta, kappa, gamma, delta = gains._derived
+    f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,
+                                wrench.tau_z)
     one_m = 1.0 - gains.lam
-    return (
+    return ActuatorCommand(
         eta * f_t + gamma * tau_z,
         kappa * f_t + delta * tau_z,
         tau_x / gains.c_m,
@@ -179,7 +173,7 @@ def saturate(wrench, gains, limits):
     f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,
                                 wrench.tau_z)
     # the mixer's channels of the thrust alone and of the torques alone,
-    # term for term as _mix_channels computes them (the zero terms decide
+    # term for term as mix computes them (the zero terms decide
     # the signs of zero channels)
     base_t1 = eta * f_t + gamma * 0.0
     base_t2 = kappa * f_t + delta * 0.0

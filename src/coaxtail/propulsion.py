@@ -293,9 +293,18 @@ def crossover_ratio(power_a, power_b):
     return r
 
 
-# Reference per-propeller electrical wattages for the stock pairing:
-# 16-inch and 7-inch props, each measured in multi-rotor and fixed-wing
-# operation. Keyed by the fixture name the CLI accepts.
+# The stock props by sheet-file stem with their diameters (m), and the
+# study pairings: (name, fore stem, aft stem, props active in fixed-wing
+# mode). HPC pairs the 16-inch lift prop with the 7-inch cruise prop.
+PROP_DIAMETERS = {"16in": 0.4064, "7in": 0.1778}
+STUDY_PAIRINGS = (
+    ("HPC", "16in", "7in", ("aft",)),
+    ("HLC", "16in", "16in", ("fore", "aft")),
+    ("HSC", "7in", "7in", ("aft",)),
+)
+
+# Reference electrical wattages of each stock prop in multi-rotor and
+# fixed-wing operation, keyed by the fixture name the CLI accepts.
 WATTAGE_FIXTURES = {
     "paper-2025": {
         "16in": {"multirotor": 33.0, "fixedwing": 61.0},
@@ -305,25 +314,20 @@ WATTAGE_FIXTURES = {
 
 
 def fixture_config_powers(fixture="paper-2025"):
-    """The three study configurations built from a wattage fixture.
-
-    HPC pairs the 16-inch (lift) with the 7-inch (cruise); HLC runs two
-    16-inch props; HSC runs two 7-inch props with only one active in
-    cruise. Hover always uses both.
-    """
+    """STUDY_PAIRINGS from a wattage fixture: each mode's power is the sum
+    of its active props' wattages."""
     try:
         w = WATTAGE_FIXTURES[fixture]
     except KeyError:
         raise ConfigError(f"unknown wattage fixture {fixture!r}") from None
-    big, small = w["16in"], w["7in"]
-    return (
-        ConfigPower("HPC", hover_w=big["multirotor"] + small["multirotor"],
-                    cruise_w=small["fixedwing"]),
-        ConfigPower("HLC", hover_w=2.0 * big["multirotor"],
-                    cruise_w=2.0 * big["fixedwing"]),
-        ConfigPower("HSC", hover_w=2.0 * small["multirotor"],
-                    cruise_w=small["fixedwing"]),
-    )
+    powers = []
+    for name, fore, aft, fixedwing_active in STUDY_PAIRINGS:
+        stems = {"fore": fore, "aft": aft}
+        powers.append(ConfigPower(
+            name,
+            hover_w=sum(w[stems[p]]["multirotor"] for p in _MULTIROTOR_ACTIVE),
+            cruise_w=sum(w[stems[p]]["fixedwing"] for p in fixedwing_active)))
+    return tuple(powers)
 
 
 def study_summary(powers, r_probe=0.2):

@@ -195,7 +195,8 @@ def _coupling_gain(beta, coupled):
         return 1.0
     # count_nonzero, not np.any: several times cheaper on a scalar, and
     # steady_state's root search calls this some 500 times
-    if np.count_nonzero(abs(beta - 0.25 * math.pi) < 1e-6):
+    if np.count_nonzero(abs(beta - kernels._QUARTER_PI)
+                        < kernels._SINGULAR_GUARD):
         raise NumericalDomainError(
             "lag-pitch coupling singular: beta within 1e-6 rad of pi/4")
     tb = np.tan(beta)
@@ -212,7 +213,7 @@ def stiffness_matrix(params: SplmParams, beta: float = 0.0) -> np.ndarray:
     """Total stiffness K_c + K_beta at the given blade pitch angle."""
     g = _coupling_gain(beta, params.coupled)
     k = params.stiffness_const.copy()
-    k[:, 1] += 0.125 * g * _kbeta_column(params)
+    k[:, 1] += 0.125 * g * np.array(params._kbeta)
     return k
 
 
@@ -233,7 +234,7 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     """
     if not math.isfinite(u):
         raise ConfigError(f"steady-state input u must be finite, got {u}")
-    b = np.array([u * _input_scale(params), 0.0, 0.0])
+    b = np.array([u * params._u_scale, 0.0, 0.0])
     x0 = np.linalg.solve(stiffness_matrix(params, 0.0), b)
     if not params.coupled:
         return x0

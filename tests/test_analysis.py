@@ -1,6 +1,7 @@
 """Vibration analysis chain, config/CSV ingestion, and the CLI."""
 
 import argparse
+import dataclasses
 import math
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import coaxtail
 from coaxtail.analysis import (
     DB_FLOOR,
+    _SCENARIO_SCHEMA,
     _build_parser,
     PsdResult,
     TimeSeries,
@@ -29,9 +31,12 @@ from coaxtail.analysis import (
     write_timeseries_csv,
 )
 from coaxtail.aero import WingMode
+from coaxtail.control import AllocationGains
 from coaxtail.errors import ConfigError, NumericalDomainError
+from coaxtail.propulsion import fixture_config_powers, load_propeller_table
 from coaxtail.rotor import SplmParams
-from coaxtail.vehicle import run_scenario, transition_profile
+from coaxtail.vehicle import (ScenarioSpec, VehicleParams, run_scenario,
+                              transition_profile)
 
 PROPS_DIR = Path(__file__).resolve().parent.parent / "configs" / "props"
 
@@ -403,6 +408,101 @@ class TestConfigIngestion:
         assert params.aft_table.diameter == pytest.approx(0.1778)
 
 
+def _same(a, b):
+    """Field-by-field equality of nested dataclasses holding arrays."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+# one non-default value per scenario key: (section, key, text, part,
+# fields), where part is "spec", "params" or the ScenarioSpec field
+# ("wind", "wing", "lam") that the key sets
+SCHEMA_CASES = [
+    ("scenario", "name", "gust", "spec", {"name": "gust"}),
+    ("scenario", "mode", "transition", "spec", {"mode": "transition"}),
+    ("scenario", "duration_s", "3.5", "spec", {"duration": 3.5}),
+    ("scenario", "dt_s", "0.0005", "spec", {"dt": 0.0005}),
+    ("scenario", "position_m", "1 2 3", "spec", {"position": (1.0, 2.0, 3.0)}),
+    ("scenario", "yaw_deg", "90", "spec", {"yaw": math.radians(90.0)}),
+    ("scenario", "start_position_m", "0.5 0 1", "spec",
+     {"start_position": (0.5, 0.0, 1.0)}),
+    ("wind", "speed_mps", "4", "wind", {"speed": 4.0}),
+    ("wind", "direction", "0 1 0", "wind", {"direction": (0.0, 1.0, 0.0)}),
+    ("wind", "start_s", "2", "wind", {"start": 2.0}),
+    ("wind", "stop_s", "9", "wind", {"stop": 9.0}),
+    ("wind", "ramp_s", "0.25", "wind", {"ramp": 0.25}),
+    ("schedule", "wing", "pitch", "wing", {"kind": "pitch"}),
+    ("schedule", "wing", "fixed:extended", "wing",
+     {"mode": WingMode.EXTENDED}),
+    ("schedule", "extend_below_deg", "-10", "wing",
+     {"extend_below": math.radians(-10.0)}),
+    ("schedule", "lambda_hover", "0.8", "lam", {"lam_hover": 0.8}),
+    ("schedule", "lambda_fw", "0.5", "lam", {"lam_fw": 0.5}),
+    ("schedule", "lambda_start_deg", "-35", "lam",
+     {"pitch_start": math.radians(-35.0)}),
+    ("schedule", "lambda_end_deg", "-75", "lam",
+     {"pitch_end": math.radians(-75.0)}),
+    ("vehicle", "mass_kg", "1.5", "params", {"mass": 1.5}),
+    ("vehicle", "inertia_diag", "0.03 0.02 0.01", "params",
+     {"inertia": np.diag([0.03, 0.02, 0.01])}),
+    ("vehicle", "drag_cd", "1.3", "params", {"drag_cd": 1.3}),
+    ("vehicle", "lateral_area_m2", "0.05", "params", {"lateral_area": 0.05}),
+    ("vehicle", "axial_area_m2", "0.02", "params", {"axial_area": 0.02}),
+    ("vehicle", "aft_speed_per_count", "0.2", "params",
+     {"aft_speed_per_count": 0.2}),
+    ("vehicle", "gravity", "9.7", "params", {"gravity": 9.7}),
+    ("vehicle", "prop_tables_dir", str(PROPS_DIR), "params",
+     {"aft_table": load_propeller_table(PROPS_DIR, "7in", diameter=0.1778)}),
+]
+
+
+class TestScenarioSchema:
+    """load_scenario passes on only the keys a file sets, so every other
+    field keeps the dataclass default."""
+
+    def test_minimal_file_takes_the_dataclass_defaults(self, tmp_path):
+        p = tmp_path / "min.cfg"
+        p.write_text("[scenario]\n")
+        spec, params = load_scenario(p)
+        # an unnamed scenario is "scenario", not ScenarioSpec's "hover"
+        assert spec == ScenarioSpec(name="scenario")
+        assert _same(params, VehicleParams())
+
+    def test_cases_cover_every_key(self):
+        assert {(s, k) for s, k, *_ in SCHEMA_CASES} == {
+            (s, k) for s, keys in _SCENARIO_SCHEMA.items() for k in keys}
+
+    @pytest.mark.parametrize("section,key,text,part,fields", SCHEMA_CASES,
+                             ids=[f"{c[1]}={c[2]}" for c in SCHEMA_CASES])
+    def test_each_key_lands_on_its_field(self, tmp_path, section, key, text,
+                                         part, fields):
+        p = tmp_path / "one.cfg"
+        p.write_text(f"[{section}]\n{key} = {text}\n")
+        spec, params = load_scenario(p)
+        want_spec, want_params = ScenarioSpec(name="scenario"), VehicleParams()
+        if part == "params":
+            want_params = dataclasses.replace(want_params, **fields)
+        elif part == "spec":
+            want_spec = dataclasses.replace(want_spec, **fields)
+        else:
+            want_spec = dataclasses.replace(want_spec, **{
+                part: dataclasses.replace(getattr(want_spec, part), **fields)})
+        assert spec == want_spec
+        assert _same(params, want_params)
+
+    def test_gains_file_takes_the_defaults_it_leaves_out(self, tmp_path):
+        p = tmp_path / "gains.cfg"
+        p.write_text("[allocation]\nlam = 0.5\n")
+        assert load_allocation_gains(p) == AllocationGains(lam=0.5)
+
+
 class TestTablePowers:
     def test_shipped_tables_build_study(self):
         powers = table_config_powers(PROPS_DIR)
@@ -415,6 +515,11 @@ class TestTablePowers:
         assert by_name["HLC"].hover_w < by_name["HPC"].hover_w \
             < by_name["HSC"].hover_w
         assert by_name["HPC"].cruise_w < by_name["HLC"].cruise_w
+
+    def test_same_configs_in_the_same_order_as_the_fixture(self):
+        names = [p.name for p in table_config_powers(PROPS_DIR)]
+        assert names == [p.name for p in fixture_config_powers()]
+        assert names == ["HPC", "HLC", "HSC"]
 
     @pytest.mark.parametrize("name", ["mass", "gravity", "cruise_thrust",
                                       "cruise_speed", "rho"])
@@ -673,22 +778,29 @@ class TestCli:
         assert bad.name in lines[0]
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "wind-test"])
+    @pytest.mark.parametrize("command", ["simulate", "wind-test",
+                                         "bench-splm", "power-analysis",
+                                         "psd"])
     def test_out_in_a_missing_directory_fails_before_the_run(
             self, tmp_path, capsys, monkeypatch, command):
-        """A log path whose directory does not exist is a validation
-        error raised before the simulation, not after it."""
-        from coaxtail import vehicle
+        """An output path whose directory does not exist is a validation
+        error raised before the command's work, not after it."""
+        work = {"bench-splm": "coaxtail.analysis.bench_torque_series",
+                "power-analysis": "coaxtail.propulsion.fixture_config_powers",
+                "psd": "coaxtail.analysis.read_timeseries_csv",
+                }.get(command, "coaxtail.vehicle.run_scenario")
 
-        def no_run(*args):
-            raise AssertionError("run_scenario was called")
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} was called")
 
-        monkeypatch.setattr(vehicle, "run_scenario", no_run)
+        monkeypatch.setattr(work, no_work)
         out = tmp_path / "missing" / "log.csv"
         cfg = tmp_path / "quick.cfg"
         cfg.write_text("[scenario]\nname = quick\nduration_s = 1.0\n")
-        argv = (["simulate", str(cfg)] if command == "simulate"
-                else ["wind-test", "--mode", "retracted"])
+        argv = {"simulate": ["simulate", str(cfg)],
+                "wind-test": ["wind-test", "--mode", "retracted"],
+                "psd": ["psd", str(tmp_path / "in.csv")],
+                }.get(command, [command])
         code = cli_main([*argv, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
@@ -697,6 +809,26 @@ class TestCli:
         assert "--out" in lines[0] and str(out) in lines[0]
         assert "Traceback" not in err
         assert not out.parent.exists()
+
+    def test_simulate_checks_its_derived_log_path_before_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        """Without --out the log is <name>_log.csv, and a name with a
+        slash can point into a missing directory."""
+        from coaxtail import vehicle
+
+        def no_run(*args):
+            raise AssertionError("run_scenario was called")
+
+        monkeypatch.setattr(vehicle, "run_scenario", no_run)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text("[scenario]\nname = nodir/x\nduration_s = 1.0\n")
+        code = cli_main(["simulate", str(cfg)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and "category=validation" in lines[0]
+        assert "nodir/x_log.csv" in lines[0]
+        assert not (tmp_path / "nodir").exists()
 
     def test_simulate_transition_reports_tracking(self, tmp_path, capsys):
         cfg = tmp_path / "tr.cfg"
