@@ -42,7 +42,6 @@ class TimeSeries:
 
     fs: float
     values: np.ndarray
-    unit: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.fs) and self.fs > 0.0):
@@ -105,7 +104,7 @@ def mean_subtract(series, window):
         head -= head.mean(axis=1, keepdims=True)
     if n_full < n:
         out[n_full:] -= out[n_full:].mean()
-    return TimeSeries(series.fs, out, series.unit)
+    return TimeSeries(series.fs, out)
 
 
 def psd(series, segment=1024, overlap=0.5):
@@ -173,14 +172,12 @@ def read_timeseries_csv(path):
     """Read a `t,<value>` CSV with header; sampling must be uniform."""
     t = []
     x = []
-    name = ""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or len(header) < 2 or header[0].strip() != "t":
                 raise ConfigError(f"{path}: expected header t,<value>")
-            name = header[1].strip()
             for row in reader:
                 if not row or not "".join(row).strip():
                     continue
@@ -205,7 +202,7 @@ def read_timeseries_csv(path):
     step = _median(dt)
     if step <= 0.0 or np.max(np.abs(dt - step)) > 1e-6 * max(step, 1e-12):
         raise ConfigError(f"{path}: sampling is not uniform")
-    return TimeSeries(fs=1.0 / step, values=np.asarray(x), unit=name)
+    return TimeSeries(fs=1.0 / step, values=np.asarray(x))
 
 
 def _median(values):
@@ -287,7 +284,11 @@ def _inertia_diag(text, where):
 def _aft_table(text, where):
     from .propulsion import PROP_DIAMETERS, load_propeller_table
 
-    return load_propeller_table(text, "7in", diameter=PROP_DIAMETERS["7in"])
+    try:
+        return load_propeller_table(text, "7in",
+                                    diameter=PROP_DIAMETERS["7in"])
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _wing_fields(text, where):
@@ -297,8 +298,8 @@ def _wing_fields(text, where):
         return {"kind": "pitch"}
     if text.startswith("fixed:"):
         return {"kind": "fixed", "mode": text.split(":", 1)[1]}
-    raise ConfigError(
-        f"wing schedule must be 'pitch' or 'fixed:<mode>', got {text!r}")
+    raise ConfigError(f"{where}: wing schedule must be 'pitch' or "
+                      f"'fixed:<mode>', got {text!r}")
 
 
 # [section] key -> (object, field, parser(text, where)). Only the keys a
@@ -348,6 +349,15 @@ _EMPTY_IS_UNSET = {("scenario", "start_position_m"), ("wind", "stop_s"),
                    *(("vehicle", key) for key in _SCENARIO_SCHEMA["vehicle"])}
 
 
+def _build(path, keys, cls, **kwargs):
+    """cls(**kwargs); a ConfigError it raises is raised again naming the
+    file and every `[section] key` the file set for the object."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {', '.join(keys)}: {exc}") from exc
+
+
 def load_scenario(path):
     """Parse a scenario config file into (ScenarioSpec, VehicleParams)."""
     from .vehicle import (LambdaSchedule, ScenarioSpec, VehicleParams,
@@ -355,6 +365,7 @@ def load_scenario(path):
 
     cfg = _read_ini(path, _SCENARIO_SCHEMA)
     given = {"spec": {}, "wind": {}, "wing": {}, "lam": {}, "params": {}}
+    keys = {target: [] for target in given}
     for section in cfg.sections():
         for key, text in cfg[section].items():
             if not text and (section, key) in _EMPTY_IS_UNSET:
@@ -362,11 +373,16 @@ def load_scenario(path):
             target, field, parse = _SCENARIO_SCHEMA[section][key]
             value = parse(text, f"{path}: [{section}] {key}")
             given[target].update(value if field is None else {field: value})
+            keys[target].append(f"[{section}] {key}")
     given["spec"].setdefault("name", "scenario")
-    spec = ScenarioSpec(wind=WindProfile(**given["wind"]),
-                        wing=WingSchedule(**given["wing"]),
-                        lam=LambdaSchedule(**given["lam"]), **given["spec"])
-    return spec, VehicleParams(**given["params"])
+
+    def build(target, cls, **parts):
+        return _build(path, keys[target], cls, **given[target], **parts)
+
+    spec = build("spec", ScenarioSpec, wind=build("wind", WindProfile),
+                 wing=build("wing", WingSchedule),
+                 lam=build("lam", LambdaSchedule))
+    return spec, build("params", VehicleParams)
 
 
 def load_allocation_gains(path):
@@ -377,8 +393,9 @@ def load_allocation_gains(path):
     if not cfg.has_section("allocation"):
         raise ConfigError(f"{path}: missing [allocation] section")
     sec = cfg["allocation"]
-    return AllocationGains(**{
-        k: _finite(v, f"{path}: [allocation] {k}") for k, v in sec.items()})
+    return _build(path, [f"[allocation] {k}" for k in sec], AllocationGains,
+                  **{k: _finite(v, f"{path}: [allocation] {k}")
+                     for k, v in sec.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +624,9 @@ def _cmd_mix_check(args):
     for _ in range(args.trials):
         f_t = rng.uniform(0.0, 30.0)
         taus = rng.uniform(-5.0, 5.0, 3)
+        lam = rng.uniform(0.0, 1.0)
         wrench = Wrench(f_t, *taus)
-        back = forward_model(mix(wrench, gains), gains)
+        back = forward_model(mix(wrench, gains, lam), gains)
         worst = max(worst,
                     abs(back.f_t - wrench.f_t), abs(back.tau_x - wrench.tau_x),
                     abs(back.tau_y - wrench.tau_y),

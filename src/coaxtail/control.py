@@ -4,9 +4,10 @@ The mixer maps a desired wrench (collective thrust plus three body
 torques) to the six actuator channels: two rotor throttles, the fore
 rotor's two-axis speed modulation, and two elevon servos. Yaw and pitch
 authority is shared between rotors and elevons through the allocation
-ratio lam (1 = rotors only, 0 = surfaces only); the split cancels in the
-forward model, so mix followed by forward_model is the identity for any
-lam.
+ratio lam (1 = rotors only, 0 = surfaces only), which the caller passes
+on every call: the simulator's LambdaSchedule decides it each tick from
+the measured pitch. The split cancels in the forward model, so mix
+followed by forward_model is the identity for any lam in [0, 1].
 
 The cascade runs position P -> velocity PID -> attitude P -> rate PID.
 Loop rates subsample a common base clock; outputs are held between
@@ -26,7 +27,7 @@ from . import quat
 
 @dataclass(frozen=True)
 class AllocationGains:
-    """Static actuator effectiveness constants plus the moment split."""
+    """Static actuator effectiveness constants."""
 
     c_t1: float = 0.008    # fore rotor thrust per throttle unit, N
     c_t2: float = 0.0065   # aft rotor thrust per throttle unit, N
@@ -35,11 +36,9 @@ class AllocationGains:
     c_m: float = 0.002     # fore rotor moment per modulation unit, N*m
     k_ey: float = 0.6      # elevon pitch torque per servo unit at q_ref, N*m
     k_ez: float = 0.4      # elevon yaw torque per servo unit at q_ref, N*m
-    lam: float = 1.0       # rotor share of pitch/yaw moment
 
     def __post_init__(self):
-        for name in ("c_t1", "c_t2", "k_t1", "k_t2", "c_m", "k_ey", "k_ez",
-                     "lam"):
+        for name in ("c_t1", "c_t2", "k_t1", "k_t2", "c_m", "k_ey", "k_ez"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         for name in ("c_t1", "c_t2", "k_t1", "k_t2", "c_m"):
@@ -47,25 +46,12 @@ class AllocationGains:
                 raise ConfigError(f"{name} must be positive")
         if self.k_ey == 0.0 or self.k_ez == 0.0:
             raise ConfigError("elevon effectiveness must be nonzero")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError("lam must lie in [0, 1]")
-        if not self.c_t1 * self.k_t2 + self.c_t2 * self.k_t1 > 0.0:
+        den = self.c_t1 * self.k_t2 + self.c_t2 * self.k_t1
+        if not den > 0.0:
             raise ConfigError("allocation denominator must be positive")
-        object.__setattr__(self, "_derived", derived_params(self))
-
-    def _with_lam(self, lam):
-        """These gains with the moment split lam, for the per-tick blend.
-
-        Only lam and the derived mixer coefficients change, so the other
-        fields' checks and the frozen __init__ are skipped; lam is still
-        range-checked, which also refuses NaN.
-        """
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigError("lam must lie in [0, 1]")
-        gains = object.__new__(AllocationGains)
-        gains.__dict__.update(self.__dict__, lam=lam)
-        gains.__dict__["_derived"] = derived_params(gains)
-        return gains
+        # the mixer coefficients that do not depend on lam
+        object.__setattr__(self, "_den_eta_kappa",
+                           (den, self.k_t2 / den, self.k_t1 / den))
 
 
 # Wrench and ActuatorCommand are built every tick. They stay frozen, but
@@ -117,27 +103,29 @@ class ActuatorLimits:
             raise ConfigError("servo_max must be positive")
 
 
-def derived_params(gains):
-    """Closed-form mixer coefficients (eta, kappa, gamma, delta)."""
-    den = gains.c_t1 * gains.k_t2 + gains.c_t2 * gains.k_t1
-    eta = gains.k_t2 / den
-    kappa = gains.k_t1 / den
-    gamma = -gains.lam * gains.c_t2 / den
-    delta = gains.lam * gains.c_t1 / den
+def derived_params(gains, lam):
+    """Closed-form mixer coefficients (eta, kappa, gamma, delta) at the
+    allocation ratio lam, which must lie in [0, 1] (NaN is refused)."""
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError("lam must lie in [0, 1]")
+    den, eta, kappa = gains._den_eta_kappa
+    gamma = -lam * gains.c_t2 / den
+    delta = lam * gains.c_t1 / den
     return eta, kappa, gamma, delta
 
 
-def mix(wrench, gains):
-    """Allocate a wrench to actuator commands (no saturation here)."""
-    eta, kappa, gamma, delta = gains._derived
+def mix(wrench, gains, lam):
+    """Allocate a wrench to actuator commands at the allocation ratio lam
+    (no saturation here)."""
+    eta, kappa, gamma, delta = derived_params(gains, lam)
     f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,
                                 wrench.tau_z)
-    one_m = 1.0 - gains.lam
+    one_m = 1.0 - lam
     return ActuatorCommand(
         eta * f_t + gamma * tau_z,
         kappa * f_t + delta * tau_z,
         tau_x / gains.c_m,
-        gains.lam * tau_y / gains.c_m,
+        lam * tau_y / gains.c_m,
         one_m * tau_y / (2.0 * gains.k_ey)
         + one_m * tau_z / (2.0 * gains.k_ez),
         one_m * tau_y / (2.0 * gains.k_ey)
@@ -158,16 +146,16 @@ def forward_model(cmd, gains):
     return Wrench(f_t=f_t, tau_x=tau_x, tau_y=tau_y, tau_z=tau_z)
 
 
-def saturate(wrench, gains, limits):
+def saturate(wrench, gains, lam, limits):
     """Allocate with thrust priority: torques scale down, thrust doesn't.
 
-    Finds the largest s in [0, 1] such that mix(f, s*torque) respects the
-    throttle box, the servo box, and the modulation headroom
+    Finds the largest s in [0, 1] such that mix(f, s*torque, lam)
+    respects the throttle box, the servo box, and the modulation headroom
     (t_d1 +/- |m_d| inside the throttle box). All constraints are affine
     in s, so the bound is exact, not iterated. Returns (command, s).
     """
-    eta, kappa, gamma, delta = gains._derived
-    lam, c_m = gains.lam, gains.c_m
+    eta, kappa, gamma, delta = derived_params(gains, lam)
+    c_m = gains.c_m
     one_m = 1.0 - lam
     ey, ez = 2.0 * gains.k_ey, 2.0 * gains.k_ez
     f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,

@@ -77,11 +77,6 @@ def _default_stiffness_const() -> np.ndarray:
     )
 
 
-def _default_beta_delay() -> np.ndarray:
-    # columns: shaft speed (rad/s), phase lag (rad); identity-zero default
-    return np.array([[0.0, 0.0]])
-
-
 @dataclass(frozen=True)
 class SplmParams:
     """Configuration of one swashplateless rotor head."""
@@ -101,7 +96,6 @@ class SplmParams:
     speed_per_throttle: float = 0.2793  # rad/s of shaft speed per throttle count
     throttle_scale: float = 2000.0      # throttle counts at full modulation depth
     hover_throttle: float = 900.0       # nominal operating throttle, counts
-    beta_delay: np.ndarray = field(default_factory=_default_beta_delay)
 
     def __post_init__(self):
         for name in ("inertia", "damping", "stiffness_const"):
@@ -130,14 +124,6 @@ class SplmParams:
         _check_blade_count(self.blade_count)
         if self.torque_pickup < 0.0:
             raise ConfigError("torque_pickup must be non-negative")
-        tbl = np.atleast_2d(np.asarray(self.beta_delay, dtype=float))
-        if tbl.shape[1] != 2:
-            raise ConfigError("beta_delay table needs two columns: speed, lag")
-        if not np.isfinite(tbl).all():
-            raise ConfigError("beta_delay must be finite")
-        if tbl.shape[0] > 1 and np.any(np.diff(tbl[:, 0]) <= 0.0):
-            raise ConfigError("beta_delay speeds must be strictly increasing")
-        object.__setattr__(self, "beta_delay", tbl)
         # the integrator's inputs, computed and unpacked to floats once
         object.__setattr__(self, "_inertia_inv_rows",
                            np.linalg.inv(self.inertia).tolist())
@@ -155,11 +141,6 @@ class SplmParams:
     def omega_hover(self) -> float:
         """Shaft speed at the nominal operating throttle, rad/s."""
         return self.speed_per_throttle * self.hover_throttle
-
-    def delay_at(self, omega: float) -> float:
-        """Phase lag between commanded and realized modulation at shaft speed omega."""
-        tbl = self.beta_delay
-        return float(np.interp(omega, tbl[:, 0], tbl[:, 1]))
 
 
 def _check_blade_count(blade_count):
@@ -317,7 +298,7 @@ def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> n
     return params.torque_gain * counts
 
 
-def modulation_signal(t_d1, m_d, theta, beta_delay=0.0):
+def modulation_signal(t_d1, m_d, theta):
     """Instantaneous fore-rotor command with once-per-rev modulation.
 
     The modulation phase is taken from the direction of m_d in the motor
@@ -327,7 +308,7 @@ def modulation_signal(t_d1, m_d, theta, beta_delay=0.0):
     m_d = np.asarray(m_d, dtype=float)
     amp = math.hypot(float(m_d[0]), float(m_d[1]))
     phi = math.atan2(float(m_d[0]), float(m_d[1]))
-    return t_d1 + amp * np.sin(np.asarray(theta, dtype=float) + phi - beta_delay)
+    return t_d1 + amp * np.sin(np.asarray(theta, dtype=float) + phi)
 
 
 def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
@@ -335,9 +316,10 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
                         fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Simulate a bench run: fixed throttle, once-per-rev sinusoidal modulation.
 
-    The command is modulation_signal(throttle, m_d, psi, delay(omega))
-    with psi the nominal shaft azimuth and m_d oriented so the modulation
-    phase equals `phase`. The head starts at the steady state for the bare
+    The command is modulation_signal(throttle, m_d, psi) with psi the
+    nominal shaft azimuth and m_d oriented so the modulation phase equals
+    `phase`; amplitude may not exceed throttle, so the command never dips
+    below zero counts. The head starts at the steady state for the bare
     throttle, so amplitude = 0 holds the fixed point exactly and the
     torque trace is flat up to integrator noise. Returns (t, torque)
     sampled at fs; the integrator runs _BENCH_SUBSTEPS internal steps per
@@ -349,6 +331,10 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         raise ConfigError("throttle must be positive")
     if amplitude < 0.0:
         raise ConfigError("amplitude must be non-negative")
+    if amplitude > throttle:
+        raise ConfigError(f"amplitude {amplitude:g} exceeds throttle "
+                          f"{throttle:g}: the command would dip below zero "
+                          f"counts")
     if not (math.isfinite(duration) and duration > 0.0
             and math.isfinite(fs) and fs > 0.0):
         raise ConfigError("duration and fs must be positive and finite")
@@ -370,8 +356,7 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
     try:
         psi_half = np.arange(2 * n_steps + 1) * (0.5 * h)
-        u_half = modulation_signal(throttle, m_d, psi_half,
-                                   params.delay_at(omega))
+        u_half = modulation_signal(throttle, m_d, psi_half)
     except (ValueError, MemoryError) as exc:
         # numpy: ValueError past its shape limit, MemoryError past memory
         raise ConfigError(f"duration={duration} s at fs={fs} Hz is "

@@ -623,11 +623,6 @@ def _config_snapshot(spec, params):
     return snap
 
 
-def _differs(a, b):
-    """a != b, also telling 0.0 from -0.0, which the log can show."""
-    return a != b or math.copysign(1.0, a) != math.copysign(1.0, b)
-
-
 def run_scenario(spec, params):
     """Run one scenario, one tick of spec.dt at a time; deterministic for
     fixed inputs."""
@@ -657,7 +652,6 @@ def run_scenario(spec, params):
     setpoint = ControlSetpoint(
         position=spec.position, yaw=spec.yaw,
         pitch_override=transition_profile(0.0) if transition else None)
-    alloc = params.alloc
 
     for k in range(n):
         t = k * spec.dt
@@ -670,10 +664,7 @@ def run_scenario(spec, params):
             setpoint.pitch_override = transition_profile(t)
         wrench = controller.step(setpoint, state[0:3], state[3:6],
                                  orientation, state[10:13])
-        if _differs(lam, alloc.lam):
-            alloc = params.alloc if params.alloc.lam == lam \
-                else params.alloc._with_lam(lam)
-        cmd, s = saturate(wrench, alloc, params.limits)
+        cmd, s = saturate(wrench, params.alloc, lam, params.limits)
 
         force, torque = realized_wrench(state, params, cmd,
                                         spec.wind.vector(t), wing_mode)

@@ -77,25 +77,24 @@ class TestCriterion2:
                 k_t1=rng.uniform(1e-5, 0.5), k_t2=rng.uniform(1e-5, 0.5),
                 c_m=rng.uniform(1e-4, 0.1),
                 k_ey=rng.uniform(0.01, 0.5) * rng.choice([-1.0, 1.0]),
-                k_ez=rng.uniform(0.01, 0.5) * rng.choice([-1.0, 1.0]),
-                lam=rng.uniform(0.0, 1.0))
+                k_ez=rng.uniform(0.01, 0.5) * rng.choice([-1.0, 1.0]))
+            lam = rng.uniform(0.0, 1.0)
             w = Wrench(*(rng.uniform(-20.0, 20.0, 4)))
-            back = forward_model(mix(w, g), g)
+            back = forward_model(mix(w, g, lam), g)
             worst = max(worst,
                         abs(back.f_t - w.f_t), abs(back.tau_x - w.tau_x),
                         abs(back.tau_y - w.tau_y), abs(back.tau_z - w.tau_z))
         elapsed = time.perf_counter() - t0
 
-        g1 = AllocationGains(lam=1.0)
-        g0 = AllocationGains(lam=0.0)
+        g = AllocationGains()
         w = Wrench(f_t=10.0, tau_x=0.5, tau_y=0.4, tau_z=0.3)
-        full_elevon = mix(w, g0)
+        full_elevon = mix(w, g, 0.0)
         thrust_only = mix(Wrench(f_t=10.0, tau_x=0.5, tau_y=0.4,
-                                 tau_z=0.0), g0)
+                                 tau_z=0.0), g, 0.0)
         checks = {
             "round_trip_under_1e-9": worst < 1e-9,
-            "lam1_zeroes_elevons": mix(w, g1).d_1 == 0.0
-            and mix(w, g1).d_2 == 0.0,
+            "lam1_zeroes_elevons": mix(w, g, 1.0).d_1 == 0.0
+            and mix(w, g, 1.0).d_2 == 0.0,
             "lam0_zeroes_rotor_pitch": full_elevon.m_dy == 0.0,
             "lam0_zeroes_rotor_yaw": full_elevon.t_d1 == thrust_only.t_d1
             and full_elevon.t_d2 == thrust_only.t_d2,

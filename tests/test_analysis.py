@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,7 +258,6 @@ class TestCsvIngestion:
         write_timeseries_csv(p, t, x, name="torque")
         s = read_timeseries_csv(p)
         assert s.fs == pytest.approx(500.0, rel=1e-6)
-        assert s.unit == "torque"
         assert np.allclose(s.values, x, atol=1e-8)
 
     def test_header_required(self, tmp_path):
@@ -369,13 +369,22 @@ class TestConfigIngestion:
         p = tmp_path / "gains.cfg"
         p.write_text("[allocation]\nc_t1 = 0.01\nc_t2 = 0.005\n"
                      "k_t1 = 5e-5\nk_t2 = 3e-5\nc_m = 0.001\n"
-                     "k_ey = 0.5\nk_ez = 0.3\nlam = 0.8\n")
-        gains = load_allocation_gains(p)
-        assert gains.c_t1 == 0.01
-        assert gains.lam == 0.8
+                     "k_ey = 0.5\nk_ez = 0.3\n")
+        assert load_allocation_gains(p) == AllocationGains(
+            c_t1=0.01, c_t2=0.005, k_t1=5e-5, k_t2=3e-5, c_m=0.001,
+            k_ey=0.5, k_ez=0.3)
+
+    def test_gains_file_takes_no_allocation_ratio(self, tmp_path):
+        # the ratio is the scenario's [schedule] lambda_*, decided per tick
+        p = tmp_path / "gains.cfg"
+        p.write_text("[allocation]\nc_t1 = 0.01\nlam = 0.8\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown key(s) ['lam'] in [allocation]")):
+            load_allocation_gains(p)
 
     def test_non_numeric_values_name_file_and_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
+        prefix = "^" + re.escape(f"{p}: ")
         for text, where in (
                 ("[scenario]\nduration_s = abc\n", r"\[scenario\] duration_s"),
                 ("[scenario]\nposition_m = 0 x 1\n", r"\[scenario\] position_m"),
@@ -385,9 +394,12 @@ class TestConfigIngestion:
                 ("[vehicle]\nmass_kg = heavy\n", r"\[vehicle\] mass_kg"),
                 ("[vehicle]\ninertia_diag = 1 2\n",
                  r"\[vehicle\] inertia_diag"),
-                ("[scenario]\nyaw_deg = inf\n", r"\[scenario\] yaw_deg")):
+                ("[scenario]\nyaw_deg = inf\n", r"\[scenario\] yaw_deg"),
+                ("[schedule]\nwing = sideways\n", r"\[schedule\] wing"),
+                ("[vehicle]\nprop_tables_dir = no_such_dir\n",
+                 r"\[vehicle\] prop_tables_dir")):
             p.write_text(text)
-            with pytest.raises(ConfigError, match=where):
+            with pytest.raises(ConfigError, match=prefix + where):
                 load_scenario(p)
         p.write_text("[allocation]\nc_t1 = lots\n")
         with pytest.raises(ConfigError, match=r"\[allocation\] c_t1"):
@@ -499,8 +511,105 @@ class TestScenarioSchema:
 
     def test_gains_file_takes_the_defaults_it_leaves_out(self, tmp_path):
         p = tmp_path / "gains.cfg"
-        p.write_text("[allocation]\nlam = 0.5\n")
-        assert load_allocation_gains(p) == AllocationGains(lam=0.5)
+        p.write_text("[allocation]\nc_m = 0.003\n")
+        assert load_allocation_gains(p) == AllocationGains(c_m=0.003)
+
+
+# one refused value per scenario and allocation key: (section, key, the
+# section's text, the keys the error names). The keys named are every key
+# the file set for the refused object, in file order. A key that no check
+# refuses on its own is set beside a refused key of the same object.
+REFUSED_CASES = [
+    ("scenario", "name", "name = gust\ndt_s = 5",
+     "[scenario] name, [scenario] dt_s"),
+    ("scenario", "mode", "mode = glide", "[scenario] mode"),
+    ("scenario", "duration_s", "duration_s = -1", "[scenario] duration_s"),
+    ("scenario", "dt_s", "dt_s = 5", "[scenario] dt_s"),
+    ("scenario", "position_m", "position_m = 1 2 3\nduration_s = 0",
+     "[scenario] position_m, [scenario] duration_s"),
+    ("scenario", "yaw_deg", "yaw_deg = 90\nmode = glide",
+     "[scenario] yaw_deg, [scenario] mode"),
+    ("scenario", "start_position_m", "start_position_m = 0 0 1\ndt_s = 5",
+     "[scenario] start_position_m, [scenario] dt_s"),
+    ("wind", "speed_mps", "speed_mps = -1", "[wind] speed_mps"),
+    ("wind", "direction", "speed_mps = 4\ndirection = 0 0 0",
+     "[wind] speed_mps, [wind] direction"),
+    ("wind", "start_s", "start_s = 5\nstop_s = 3",
+     "[wind] start_s, [wind] stop_s"),
+    ("wind", "stop_s", "stop_s = -1", "[wind] stop_s"),
+    ("wind", "ramp_s", "ramp_s = -1", "[wind] ramp_s"),
+    # the wing and the allocation ratio are two objects of one section
+    ("schedule", "wing", "wing = fixed:sideways\nlambda_hover = 0.5",
+     "[schedule] wing"),
+    ("schedule", "extend_below_deg",
+     "extend_below_deg = -10\nwing = fixed:sideways",
+     "[schedule] extend_below_deg, [schedule] wing"),
+    ("schedule", "lambda_hover", "wing = pitch\nlambda_hover = 1.5",
+     "[schedule] lambda_hover"),
+    ("schedule", "lambda_fw", "lambda_fw = -0.5", "[schedule] lambda_fw"),
+    ("schedule", "lambda_start_deg", "lambda_start_deg = -80",
+     "[schedule] lambda_start_deg"),
+    ("schedule", "lambda_end_deg",
+     "lambda_start_deg = -40\nlambda_end_deg = -10",
+     "[schedule] lambda_start_deg, [schedule] lambda_end_deg"),
+    ("vehicle", "mass_kg", "mass_kg = 0", "[vehicle] mass_kg"),
+    ("vehicle", "inertia_diag", "inertia_diag = 0 0 0",
+     "[vehicle] inertia_diag"),
+    ("vehicle", "drag_cd", "drag_cd = 0", "[vehicle] drag_cd"),
+    ("vehicle", "lateral_area_m2", "lateral_area_m2 = 0",
+     "[vehicle] lateral_area_m2"),
+    ("vehicle", "axial_area_m2", "axial_area_m2 = 0",
+     "[vehicle] axial_area_m2"),
+    ("vehicle", "aft_speed_per_count", "aft_speed_per_count = 0",
+     "[vehicle] aft_speed_per_count"),
+    ("vehicle", "gravity", "gravity = -1", "[vehicle] gravity"),
+    ("vehicle", "prop_tables_dir",
+     f"prop_tables_dir = {PROPS_DIR}\nmass_kg = 0",
+     "[vehicle] prop_tables_dir, [vehicle] mass_kg"),
+    ("allocation", "c_t1", "c_t1 = -1", "[allocation] c_t1"),
+    ("allocation", "c_t2", "c_t2 = -1", "[allocation] c_t2"),
+    ("allocation", "k_t1", "k_t1 = -1", "[allocation] k_t1"),
+    ("allocation", "k_t2", "k_t2 = -1", "[allocation] k_t2"),
+    ("allocation", "c_m", "c_m = 0", "[allocation] c_m"),
+    ("allocation", "k_ey", "k_ey = 0", "[allocation] k_ey"),
+    # each product underflows to zero: a cross-field refusal
+    ("allocation", "k_ez", "c_t1 = 1e-200\nk_t2 = 1e-200\nc_t2 = 1e-200\n"
+     "k_t1 = 1e-200\nk_ez = 0.5",
+     "[allocation] c_t1, [allocation] k_t2, [allocation] c_t2, "
+     "[allocation] k_t1, [allocation] k_ez"),
+]
+
+
+class TestRefusedValueNamesFileAndKeys:
+    def test_cases_cover_every_key(self):
+        assert {(s, k) for s, k, *_ in REFUSED_CASES} == {
+            *((s, k) for s, keys in _SCENARIO_SCHEMA.items() for k in keys),
+            *(("allocation", f.name)
+              for f in dataclasses.fields(AllocationGains))}
+
+    @pytest.mark.parametrize("section,key,text,named", REFUSED_CASES,
+                             ids=[f"{c[0]}.{c[1]}" for c in REFUSED_CASES])
+    def test_refusal_is_prefixed(self, tmp_path, section, key, text, named):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[{section}]\n{text}\n")
+        load = (load_allocation_gains if section == "allocation"
+                else load_scenario)
+        with pytest.raises(ConfigError) as info:
+            load(p)
+        message = str(info.value)
+        assert message.startswith(f"{p}: {named}: "), message
+        # the object's own reason follows the prefix
+        assert len(message) > len(f"{p}: {named}: ")
+
+    def test_cli_exits_1_with_one_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("[scenario]\ndt_s = 5\n")
+        code = cli_main(["simulate", str(p)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: category=validation type=ConfigError "
+                       f"message={p}: [scenario] dt_s: dt must lie in "
+                       f"(0, 1 ms]"]
 
 
 class TestTablePowers:
@@ -616,6 +725,27 @@ class TestCli:
         assert int(fields["trials"]) == 1000
         assert float(fields["max_residual"]) < 1e-9
 
+    def test_mix_check_draws_lam_over_the_unit_interval(self, monkeypatch,
+                                                        capsys):
+        from coaxtail import control
+
+        lams = []
+        mix = control.mix
+
+        def recording_mix(wrench, gains, lam):
+            lams.append(lam)
+            return mix(wrench, gains, lam)
+
+        monkeypatch.setattr(control, "mix", recording_mix)
+        code = cli_main(["mix-check", "--trials", "2000", "--seed", "3",
+                         "--gains", str(PROPS_DIR.parent / "gains.cfg")])
+        fields = dict(kv.split("=", 1)
+                      for kv in capsys.readouterr().out.split())
+        assert code == 0
+        assert float(fields["max_residual"]) < 1e-9
+        assert len(lams) == 2000
+        assert 0.0 <= min(lams) < 0.01 and 0.99 < max(lams) <= 1.0
+
     def test_bench_then_psd_chain(self, tmp_path, capsys):
         torque = tmp_path / "tq.csv"
         code = cli_main(["bench-splm", "--variant", "decoupled",
@@ -635,6 +765,8 @@ class TestCli:
         for argv in (["--duration", "nan"], ["--throttle", "nan"],
                      ["--amplitude", "nan"], ["--phase", "inf"],
                      ["--throttle", "-900"], ["--duration", "0.0001"],
+                     # a command that would dip below zero counts
+                     ["--amplitude", "5000"],
                      # duration * fs overflows to inf
                      ["--fs", "1e308", "--duration", "10"],
                      # past numpy's shape limit: refused before allocating

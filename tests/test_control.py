@@ -1,7 +1,6 @@
 """Mixer algebra, saturation, and cascade structure."""
 
 import math
-from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -26,11 +25,12 @@ from coaxtail.control import (
 )
 
 UNIT = AllocationGains(c_t1=1.0, c_t2=1.0, k_t1=1.0, k_t2=1.0, c_m=1.0,
-                       k_ey=1.0, k_ez=1.0, lam=1.0)
+                       k_ey=1.0, k_ez=1.0)
 
 
 def random_gains(rng):
-    return AllocationGains(
+    """(gains, lam): random effectiveness constants and allocation ratio."""
+    gains = AllocationGains(
         c_t1=rng.uniform(0.001, 2.0),
         c_t2=rng.uniform(0.001, 2.0),
         k_t1=rng.uniform(1e-5, 0.5),
@@ -38,8 +38,8 @@ def random_gains(rng):
         c_m=rng.uniform(1e-4, 0.1),
         k_ey=rng.uniform(0.01, 0.5) * rng.choice([-1.0, 1.0]),
         k_ez=rng.uniform(0.01, 0.5) * rng.choice([-1.0, 1.0]),
-        lam=rng.uniform(0.0, 1.0),
     )
+    return gains, rng.uniform(0.0, 1.0)
 
 
 def random_wrench(rng):
@@ -48,53 +48,43 @@ def random_wrench(rng):
 
 class TestDerivedParams:
     def test_unit_gains(self):
-        eta, kappa, gamma, delta = derived_params(UNIT)
+        eta, kappa, gamma, delta = derived_params(UNIT, 1.0)
         assert (eta, kappa, gamma, delta) == (0.5, 0.5, -0.5, 0.5)
 
     def test_lambda_zero_removes_rotor_yaw(self):
-        g = AllocationGains(c_t1=1.0, c_t2=1.0, k_t1=1.0, k_t2=1.0, c_m=1.0,
-                            k_ey=1.0, k_ez=1.0, lam=0.0)
-        _, _, gamma, delta = derived_params(g)
+        _, _, gamma, delta = derived_params(UNIT, 0.0)
         assert gamma == 0.0 and delta == 0.0
 
     def test_thrust_partition_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            g = random_gains(rng)
-            eta, kappa, _, _ = derived_params(g)
+            g, lam = random_gains(rng)
+            eta, kappa, _, _ = derived_params(g, lam)
             assert eta * g.c_t1 + kappa * g.c_t2 == pytest.approx(1.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             AllocationGains(c_t1=0.0)
         with pytest.raises(ConfigError):
-            AllocationGains(lam=1.5)
-        with pytest.raises(ConfigError):
             AllocationGains(k_ey=0.0)
 
-
-    def test_blended_gains_equal_a_rebuilt_gain_set(self):
-        rng = np.random.default_rng(6)
-        for case in range(200):
-            g = random_gains(rng)
-            lam = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
-            got, want = g._with_lam(lam), replace(g, lam=lam)
-            assert vars(got) == vars(want)
-            assert_same_bits(got._derived, np.array(want._derived))
-        with pytest.raises(FrozenInstanceError):
-            got.lam = 0.5
-        for bad in (-0.1, 1.5, math.nan):
-            with pytest.raises(ConfigError):
-                UNIT._with_lam(bad)
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_lam_outside_unit_interval_refused(self, bad):
+        w = Wrench(8.0, 0.05, 0.02, 0.001)
+        for call in (lambda: derived_params(UNIT, bad),
+                     lambda: mix(w, UNIT, bad),
+                     lambda: saturate(w, UNIT, bad, ActuatorLimits())):
+            with pytest.raises(ConfigError, match=r"lam must lie in \[0, 1\]"):
+                call()
 
 
 class TestMixForward:
     def test_zero_wrench_zero_command(self):
-        cmd = mix(Wrench(), UNIT)
+        cmd = mix(Wrench(), UNIT, 1.0)
         assert cmd == ActuatorCommand()
 
     def test_unit_substitution(self):
-        cmd = mix(Wrench(f_t=2.0), UNIT)
+        cmd = mix(Wrench(f_t=2.0), UNIT, 1.0)
         assert cmd.t_d1 == pytest.approx(1.0, abs=1e-15)
         assert cmd.t_d2 == pytest.approx(1.0, abs=1e-15)
         assert cmd.m_dx == cmd.m_dy == cmd.d_1 == cmd.d_2 == 0.0
@@ -113,42 +103,42 @@ class TestMixForward:
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(1000):
-            g = random_gains(rng)
+            g, lam = random_gains(rng)
             w = random_wrench(rng)
-            back = forward_model(mix(w, g), g)
+            back = forward_model(mix(w, g, lam), g)
             worst = max(worst, abs(back.f_t - w.f_t), abs(back.tau_x - w.tau_x),
                         abs(back.tau_y - w.tau_y), abs(back.tau_z - w.tau_z))
         assert worst < 1e-9
 
     def test_round_trip_lambda_endpoints(self):
         rng = np.random.default_rng(3)
+        g = AllocationGains()
         for lam in (0.0, 1.0):
-            g = AllocationGains(lam=lam)
             for _ in range(50):
                 w = random_wrench(rng)
-                back = forward_model(mix(w, g), g)
+                back = forward_model(mix(w, g, lam), g)
                 assert back.tau_z == pytest.approx(w.tau_z, abs=1e-9)
 
     def test_lambda_one_zeroes_elevons(self):
-        cmd = mix(Wrench(3.0, 0.5, -0.4, 0.2), AllocationGains(lam=1.0))
+        cmd = mix(Wrench(3.0, 0.5, -0.4, 0.2), AllocationGains(), 1.0)
         assert cmd.d_1 == 0.0 and cmd.d_2 == 0.0
 
     def test_lambda_zero_zeroes_rotor_shares(self):
-        cmd = mix(Wrench(3.0, 0.5, -0.4, 0.2), AllocationGains(lam=0.0))
+        cmd = mix(Wrench(3.0, 0.5, -0.4, 0.2), AllocationGains(), 0.0)
         assert cmd.m_dy == 0.0
-        eta, kappa, _, _ = derived_params(AllocationGains(lam=0.0))
+        eta, kappa, _, _ = derived_params(AllocationGains(), 0.0)
         assert cmd.t_d1 == pytest.approx(eta * 3.0, rel=1e-12)
         assert cmd.t_d2 == pytest.approx(kappa * 3.0, rel=1e-12)
 
     def test_mix_linearity(self):
         rng = np.random.default_rng(23)
-        g = random_gains(rng)
+        g, lam = random_gains(rng)
         w1, w2 = random_wrench(rng), random_wrench(rng)
         a, b = 1.7, -0.6
         combo = Wrench(a * w1.f_t + b * w2.f_t, a * w1.tau_x + b * w2.tau_x,
                        a * w1.tau_y + b * w2.tau_y, a * w1.tau_z + b * w2.tau_z)
-        lhs = mix(combo, g)
-        m1, m2 = mix(w1, g), mix(w2, g)
+        lhs = mix(combo, g, lam)
+        m1, m2 = mix(w1, g, lam), mix(w2, g, lam)
         for f in ("t_d1", "t_d2", "m_dx", "m_dy", "d_1", "d_2"):
             assert getattr(lhs, f) == pytest.approx(
                 a * getattr(m1, f) + b * getattr(m2, f), rel=1e-12, abs=1e-12)
@@ -157,14 +147,14 @@ class TestMixForward:
         # scaling the effectiveness constants and the wrench by the same
         # factor leaves the commands unchanged
         rng = np.random.default_rng(31)
-        g = random_gains(rng)
+        g, lam = random_gains(rng)
         w = random_wrench(rng)
         s = 3.7
         g2 = AllocationGains(c_t1=s * g.c_t1, c_t2=s * g.c_t2, k_t1=s * g.k_t1,
                              k_t2=s * g.k_t2, c_m=s * g.c_m, k_ey=s * g.k_ey,
-                             k_ez=s * g.k_ez, lam=g.lam)
+                             k_ez=s * g.k_ez)
         w2 = Wrench(s * w.f_t, s * w.tau_x, s * w.tau_y, s * w.tau_z)
-        c1, c2 = mix(w, g), mix(w2, g2)
+        c1, c2 = mix(w, g, lam), mix(w2, g2, lam)
         for f in ("t_d1", "t_d2", "m_dx", "m_dy", "d_1", "d_2"):
             assert getattr(c1, f) == pytest.approx(getattr(c2, f), rel=1e-12)
 
@@ -175,14 +165,14 @@ class TestSaturation:
     def test_feasible_command_unscaled(self):
         g = AllocationGains()
         w = Wrench(8.0, 0.05, 0.02, 0.001)
-        cmd, s = saturate(w, g, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0, self.LIMITS)
         assert s == 1.0
-        assert cmd == mix(w, g)
+        assert cmd == mix(w, g, 1.0)
 
     def test_torque_scaled_thrust_kept(self):
         g = AllocationGains()
         w = Wrench(8.0, 2.0, 1.5, 0.4)
-        cmd, s = saturate(w, g, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0, self.LIMITS)
         assert 0.0 < s < 1.0
         back = forward_model(cmd, g)
         assert back.f_t == pytest.approx(8.0, rel=1e-9)
@@ -196,7 +186,7 @@ class TestSaturation:
     def test_infeasible_thrust_clamped(self):
         g = AllocationGains()
         w = Wrench(1e6, 0.0, 0.0, 0.0)
-        cmd, s = saturate(w, g, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0, self.LIMITS)
         assert s == 0.0
         assert cmd.t_d1 == 2000.0 and cmd.t_d2 == 2000.0
 
@@ -204,38 +194,38 @@ class TestSaturation:
         g = AllocationGains()
         # low thrust leaves little headroom below throttle_min for modulation
         w = Wrench(0.4, 0.6, 0.0, 0.0)
-        cmd, s = saturate(w, g, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0, self.LIMITS)
         amp = math.hypot(cmd.m_dx, cmd.m_dy)
         assert cmd.t_d1 - amp >= -1e-9
 
 
     def test_command_is_mix_of_scaled_torques_bit_for_bit(self):
         """saturate computes the mixer terms on plain floats; the command
-        must equal mix(Wrench(f, s*tau)) exactly, clipped or not, and s
+        must equal mix(Wrench(f, s*tau), lam) exactly, clipped or not, and s
         must equal the row-table bound, sign bit included. The tight
         limits make the servo and modulation-headroom rows bind too."""
         tight = ActuatorLimits(throttle_min=200.0, throttle_max=1100.0,
                                servo_max=0.05)
         rng = np.random.default_rng(7)
+        gains = AllocationGains()
         for limits in (self.LIMITS, tight):
             lo, hi = limits.throttle_min, limits.throttle_max
             seen = {"free": 0, "clipped": 0, "infeasible": 0}
             bound_by = set()
             for _ in range(600):
-                gains = AllocationGains(lam=rng.choice([0.0, 0.3, 1.0,
-                                                        rng.uniform()]))
+                lam = rng.choice([0.0, 0.3, 1.0, rng.uniform()])
                 parts = [rng.uniform(-2.0, 40.0),
                          *(rng.normal(size=3)
                            * rng.choice([1e-3, 0.1, 3.0]))]
                 # signed zeros in the thrust or a torque now and then
                 parts[rng.integers(4)] = rng.choice([0.0, -0.0, parts[0]])
                 w = Wrench(*parts)
-                cmd, s = saturate(w, gains, limits)
-                want_s, row = reference_thrust_priority_scale(w, gains,
+                cmd, s = saturate(w, gains, lam, limits)
+                want_s, row = reference_thrust_priority_scale(w, gains, lam,
                                                               limits)
                 assert s == want_s
                 assert math.copysign(1.0, s) == math.copysign(1.0, want_s)
-                base = mix(Wrench(f_t=w.f_t), gains)
+                base = mix(Wrench(f_t=w.f_t), gains, lam)
                 if s == 0.0 and (base.t_d1 < lo or base.t_d1 > hi
                                  or base.t_d2 < lo or base.t_d2 > hi):
                     seen["infeasible"] += 1
@@ -246,7 +236,7 @@ class TestSaturation:
                     seen["clipped" if s < 1.0 else "free"] += 1
                     bound_by.add(row)
                     want = mix(Wrench(w.f_t, s * w.tau_x, s * w.tau_y,
-                                      s * w.tau_z), gains)
+                                      s * w.tau_z), gains, lam)
                 assert cmd == want
                 assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
                            for a, b in zip(vars(cmd).values(),
@@ -258,13 +248,14 @@ class TestSaturation:
                 assert bound_by & {8, 9}, bound_by
 
 
-def reference_thrust_priority_scale(wrench, gains, limits):
+def reference_thrust_priority_scale(wrench, gains, lam, limits):
     """(s, row) of saturate's thrust-priority bound, from mix and the ten
     (coef, rhs) rows in saturate's order: row is the index of the row
     that set s, or None when no row is below 1 (or thrust alone is out
     of the box)."""
-    base = mix(Wrench(f_t=wrench.f_t), gains)
-    tq = mix(Wrench(0.0, wrench.tau_x, wrench.tau_y, wrench.tau_z), gains)
+    base = mix(Wrench(f_t=wrench.f_t), gains, lam)
+    tq = mix(Wrench(0.0, wrench.tau_x, wrench.tau_y, wrench.tau_z), gains,
+             lam)
     lo, hi = limits.throttle_min, limits.throttle_max
     m_amp = math.hypot(tq.m_dx, tq.m_dy)
     rows = (

@@ -39,7 +39,6 @@ FIELDS = {
         "inertia": _SPLM.inertia,
         "damping": _SPLM.damping,
         "stiffness_const": _SPLM.stiffness_const,
-        "beta_delay": np.array([[0.0, 0.0], [100.0, 0.1]]),
     },
     WindProfile: {"speed": 5.0, "direction": (1.0, 0.0, 0.0), "start": 2.0,
                   "stop": 8.0, "ramp": 0.5},
@@ -51,8 +50,7 @@ FIELDS = {
     ActuatorLimits: {"throttle_min": 0.0, "throttle_max": 2000.0,
                      "servo_max": 0.6},
     AllocationGains: {"c_t1": 0.008, "c_t2": 0.0065, "k_t1": 6.0e-5,
-                      "k_t2": 4.0e-5, "c_m": 0.002, "k_ey": 0.6, "k_ez": 0.4,
-                      "lam": 0.5},
+                      "k_t2": 4.0e-5, "c_m": 0.002, "k_ey": 0.6, "k_ez": 0.4},
     WingPanel: {"area": 0.048, "lift_slope": 2.2, "cl0": 0.32,
                 "incidence": 0.08, "arm": 0.24},
     TandemConfig: {"rho": 1.225},
