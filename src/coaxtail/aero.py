@@ -15,7 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, LinearRangeError
+from .errors import (ConfigError, LinearRangeError, check_finite,
+                     check_non_negative, check_positive)
 
 ALPHA_MIN = math.radians(-5.0)
 ALPHA_MAX = math.radians(10.0)
@@ -32,15 +33,9 @@ class WingPanel:
     arm: float              # distance from CG to panel aero center, m
 
     def __post_init__(self):
-        for name in ("area", "lift_slope", "cl0", "incidence", "arm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.area <= 0.0:
-            raise ConfigError("panel area must be positive")
-        if self.lift_slope <= 0.0:
-            raise ConfigError("lift slope must be positive")
-        if self.arm <= 0.0:
-            raise ConfigError("moment arm must be positive")
+        check_finite(cl0=self.cl0, incidence=self.incidence)
+        check_positive(area=self.area, lift_slope=self.lift_slope,
+                       arm=self.arm)
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,7 @@ class TandemConfig:
     rho: float = 1.225
 
     def __post_init__(self):
-        if not math.isfinite(self.rho):
-            raise ConfigError("rho must be finite")
-        if self.rho <= 0.0:
-            raise ConfigError("air density must be positive")
+        check_positive(rho=self.rho)
 
 
 class WingMode(enum.Enum):
@@ -80,8 +72,7 @@ def lift_coefficient(alpha_airfoil, panel):
 
 def wing_force(v, alpha_airfoil, panel, rho):
     """Panel lift 0.5*rho*S*v^2*Cl, N."""
-    if v < 0.0:
-        raise ConfigError("airspeed must be non-negative")
+    check_non_negative(v=v)
     cl = lift_coefficient(alpha_airfoil, panel)
     return 0.5 * rho * panel.area * v * v * cl
 

@@ -15,7 +15,6 @@ them, so a CLI command loads only the layers it runs (`psd` and
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
@@ -29,6 +28,11 @@ from .errors import (
     LinearRangeError,
     NumericalDomainError,
     TableRangeError,
+    check_positive,
+    finite_number,
+    finite_vector3,
+    read_number_rows,
+    whole_count,
 )
 from .rotor import SplmParams, bench_torque_series
 
@@ -44,8 +48,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.fs) and self.fs > 0.0):
-            raise ConfigError("sample rate must be positive and finite")
+        check_positive(fs=self.fs)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise ConfigError("time series needs at least 2 samples")
@@ -77,15 +80,6 @@ class PsdResult:
         object.__setattr__(self, "density", density)
 
 
-def _sample_count(name, value, least):
-    """int of a whole number of samples (numpy integers included), at
-    least `least`; 2.5 or NaN is refused, not rounded."""
-    if not (value >= least and float(value).is_integer()):
-        raise ConfigError(f"{name} must be a whole number of samples, "
-                          f"at least {least}, got {value!r}")
-    return int(value)
-
-
 def mean_subtract(series, window):
     """Subtract each fixed, non-overlapping block's mean from its samples.
 
@@ -93,7 +87,7 @@ def mean_subtract(series, window):
     uses its own mean, so the output always matches the input length and
     a second application changes nothing.
     """
-    window = _sample_count("window", window, 1)
+    window = whole_count("window", window, 1)
     n = len(series)
     if window > n:
         raise ConfigError(f"window {window} exceeds series length {n}")
@@ -114,7 +108,7 @@ def psd(series, segment=1024, overlap=0.5):
     stationary input. The DC bin is kept; run mean_subtract first if the
     offset should not count.
     """
-    segment = _sample_count("segment", segment, 2)
+    segment = whole_count("segment", segment, 2)
     n = len(series)
     if segment > n:
         raise ConfigError(f"segment {segment} exceeds series length {n}")
@@ -157,8 +151,7 @@ def peak_to_peak_reduction(a, b):
 
 def default_mean_window(fs):
     """Samples per shaft revolution at the nominal hover throttle."""
-    if not (math.isfinite(fs) and fs > 0.0):
-        raise ConfigError(f"sample rate must be positive and finite, got {fs}")
+    check_positive(fs=fs)
     # the SplmParams defaults, read without building the matrices
     omega_hover = SplmParams.speed_per_throttle * SplmParams.hover_throttle
     rev_rate = omega_hover / (2.0 * math.pi)
@@ -169,40 +162,16 @@ def default_mean_window(fs):
 # CSV ingestion and emission
 
 def read_timeseries_csv(path):
-    """Read a `t,<value>` CSV with header; sampling must be uniform."""
-    t = []
-    x = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < 2 or header[0].strip() != "t":
-                raise ConfigError(f"{path}: expected header t,<value>")
-            for row in reader:
-                if not row or not "".join(row).strip():
-                    continue
-                if len(row) < 2:
-                    raise ConfigError(f"{path}: malformed row {row!r}")
-                try:
-                    ti, xi = float(row[0]), float(row[1])
-                except ValueError:
-                    ti = xi = math.nan
-                if not (math.isfinite(ti) and math.isfinite(xi)):
-                    raise ConfigError(f"{path}: line {reader.line_num}: "
-                                      f"{row[0]!r}, {row[1]!r} are not two "
-                                      f"finite numbers")
-                t.append(ti)
-                x.append(xi)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        # no file, bytes that are not text, or a field past csv's limit
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if len(t) < 2:
+    """Read a `t,<value>` CSV with header, two numbers per row; sampling
+    must be uniform."""
+    rows = read_number_rows(path, ("t", None))
+    if len(rows) < 2:
         raise ConfigError(f"{path}: need at least 2 samples")
-    dt = np.diff(np.asarray(t))
+    dt = np.diff(rows[:, 0])
     step = _median(dt)
     if step <= 0.0 or np.max(np.abs(dt - step)) > 1e-6 * max(step, 1e-12):
         raise ConfigError(f"{path}: sampling is not uniform")
-    return TimeSeries(fs=1.0 / step, values=np.asarray(x))
+    return TimeSeries(fs=1.0 / step, values=rows[:, 1])
 
 
 def _median(values):
@@ -251,26 +220,13 @@ def _read_ini(path, allowed):
     return cfg
 
 
-def _finite(text, where):
-    """float(text); ConfigError naming `where` unless it is a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{where}: {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: {text!r} is not finite")
-    return value
-
-
 def _vector3(text, where):
-    parts = tuple(_finite(x, where) for x in text.split())
-    if len(parts) != 3:
-        raise ConfigError(f"{where}: expected 3 numbers, got {text!r}")
-    return parts
+    return finite_vector3([finite_number(x, where) for x in text.split()],
+                          where)
 
 
 def _radians(text, where):
-    return math.radians(_finite(text, where))
+    return math.radians(finite_number(text, where))
 
 
 def _text(text, where):
@@ -311,35 +267,36 @@ _SCENARIO_SCHEMA = {
     "scenario": {
         "name": ("spec", "name", _text),
         "mode": ("spec", "mode", _text),
-        "duration_s": ("spec", "duration", _finite),
-        "dt_s": ("spec", "dt", _finite),
+        "duration_s": ("spec", "duration", finite_number),
+        "dt_s": ("spec", "dt", finite_number),
         "position_m": ("spec", "position", _vector3),
         "yaw_deg": ("spec", "yaw", _radians),
         "start_position_m": ("spec", "start_position", _vector3),
     },
     "wind": {
-        "speed_mps": ("wind", "speed", _finite),
+        "speed_mps": ("wind", "speed", finite_number),
         "direction": ("wind", "direction", _vector3),
-        "start_s": ("wind", "start", _finite),
-        "stop_s": ("wind", "stop", _finite),
-        "ramp_s": ("wind", "ramp", _finite),
+        "start_s": ("wind", "start", finite_number),
+        "stop_s": ("wind", "stop", finite_number),
+        "ramp_s": ("wind", "ramp", finite_number),
     },
     "schedule": {
         "wing": ("wing", None, _wing_fields),
         "extend_below_deg": ("wing", "extend_below", _radians),
-        "lambda_hover": ("lam", "lam_hover", _finite),
-        "lambda_fw": ("lam", "lam_fw", _finite),
+        "lambda_hover": ("lam", "lam_hover", finite_number),
+        "lambda_fw": ("lam", "lam_fw", finite_number),
         "lambda_start_deg": ("lam", "pitch_start", _radians),
         "lambda_end_deg": ("lam", "pitch_end", _radians),
     },
     "vehicle": {
-        "mass_kg": ("params", "mass", _finite),
+        "mass_kg": ("params", "mass", finite_number),
         "inertia_diag": ("params", "inertia", _inertia_diag),
-        "drag_cd": ("params", "drag_cd", _finite),
-        "lateral_area_m2": ("params", "lateral_area", _finite),
-        "axial_area_m2": ("params", "axial_area", _finite),
-        "aft_speed_per_count": ("params", "aft_speed_per_count", _finite),
-        "gravity": ("params", "gravity", _finite),
+        "drag_cd": ("params", "drag_cd", finite_number),
+        "lateral_area_m2": ("params", "lateral_area", finite_number),
+        "axial_area_m2": ("params", "axial_area", finite_number),
+        "aft_speed_per_count": ("params", "aft_speed_per_count",
+                                finite_number),
+        "gravity": ("params", "gravity", finite_number),
         "prop_tables_dir": ("params", "aft_table", _aft_table),
     },
 }
@@ -394,7 +351,7 @@ def load_allocation_gains(path):
         raise ConfigError(f"{path}: missing [allocation] section")
     sec = cfg["allocation"]
     return _build(path, [f"[allocation] {k}" for k in sec], AllocationGains,
-                  **{k: _finite(v, f"{path}: [allocation] {k}")
+                  **{k: finite_number(v, f"{path}: [allocation] {k}")
                      for k, v in sec.items()})
 
 
@@ -415,12 +372,8 @@ def table_config_powers(tables_dir, mass=1.2, gravity=9.81,
                              PropulsionConfig, load_propeller_table,
                              mode_power)
 
-    for name, value in (("mass", mass), ("gravity", gravity),
-                        ("cruise_thrust", cruise_thrust),
-                        ("cruise_speed", cruise_speed), ("rho", rho)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(
-                f"{name} must be positive and finite, got {value!r}")
+    check_positive(mass=mass, gravity=gravity, cruise_thrust=cruise_thrust,
+                   cruise_speed=cruise_speed, rho=rho)
     tables = {stem: load_propeller_table(tables_dir, stem, diameter=d)
               for stem, d in PROP_DIAMETERS.items()}
     hover_thrust = mass * gravity
@@ -449,13 +402,9 @@ def _finite_float(text):
     """The type of every float flag: text that is not a finite number,
     NaN and infinities included, is refused while parsing."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
+        return finite_number(text, "value")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser():
@@ -613,10 +562,8 @@ def _cmd_wind_test(args):
 def _cmd_mix_check(args):
     from .control import AllocationGains, Wrench, forward_model, mix
 
-    if args.trials < 1:
-        raise ConfigError("--trials must be at least 1")
-    if args.seed < 0:
-        raise ConfigError("--seed must be non-negative")
+    whole_count("--trials", args.trials, 1)
+    whole_count("--seed", args.seed, 0)
     gains = (load_allocation_gains(args.gains) if args.gains
              else AllocationGains())
     rng = np.random.default_rng(args.seed)

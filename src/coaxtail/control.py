@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import (ConfigError, check_finite, check_non_negative,
+                     check_positive, finite_vector3, tick_rate)
 from . import quat
 
 
@@ -38,12 +39,9 @@ class AllocationGains:
     k_ez: float = 0.4      # elevon yaw torque per servo unit at q_ref, N*m
 
     def __post_init__(self):
-        for name in ("c_t1", "c_t2", "k_t1", "k_t2", "c_m", "k_ey", "k_ez"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        for name in ("c_t1", "c_t2", "k_t1", "k_t2", "c_m"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
+        check_finite(k_ey=self.k_ey, k_ez=self.k_ez)
+        check_positive(c_t1=self.c_t1, c_t2=self.c_t2, k_t1=self.k_t1,
+                       k_t2=self.k_t2, c_m=self.c_m)
         if self.k_ey == 0.0 or self.k_ez == 0.0:
             raise ConfigError("elevon effectiveness must be nonzero")
         den = self.c_t1 * self.k_t2 + self.c_t2 * self.k_t1
@@ -94,13 +92,11 @@ class ActuatorLimits:
     servo_max: float = 0.6
 
     def __post_init__(self):
-        for name in ("throttle_min", "throttle_max", "servo_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        check_finite(throttle_min=self.throttle_min,
+                     throttle_max=self.throttle_max)
+        check_positive(servo_max=self.servo_max)
         if self.throttle_max <= self.throttle_min:
             raise ConfigError("throttle_max must exceed throttle_min")
-        if self.servo_max <= 0.0:
-            raise ConfigError("servo_max must be positive")
 
 
 def derived_params(gains, lam):
@@ -218,7 +214,7 @@ class VectorPid:
                  for g in (kp, ki, kd, i_limit)]
         if len({len(g) for g in gains}) != 1:
             raise ConfigError("PID gains must have one entry per axis")
-        if any(lim < 0.0 for lim in gains[3]):
+        if not all(lim >= 0.0 for lim in gains[3]):
             raise ConfigError("integrator limit must be non-negative")
         self._axes = tuple(zip(*gains))
         self.reset()
@@ -249,28 +245,6 @@ class VectorPid:
         return out
 
 
-def _finite_vector3(value, name):
-    """value as a float array; ConfigError unless it is 3 finite numbers."""
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != (3,) or not np.isfinite(v).all():
-        raise ConfigError(f"{name} must be 3 finite numbers")
-    return v
-
-
-def _tick_rate(dt):
-    """1/dt as an int; ConfigError unless dt > 0 and 1/dt is a finite
-    whole rate in Hz to 1e-6 (a subnormal dt's overflows to inf)."""
-    rate = 1.0 / dt if dt > 0.0 else math.nan
-    if not (math.isfinite(rate) and round(rate) >= 1
-            and abs(rate - round(rate)) <= 1e-6):
-        raise ConfigError(f"dt={dt!r} must be positive, with 1/dt an "
-                          f"integer rate")
-    return int(round(rate))
-
-
 def _rate_divisor(base, rate, name):
     if rate <= 0 or base % rate != 0:
         raise ConfigError(f"{name} rate {rate} must divide base rate {base}")
@@ -298,9 +272,8 @@ class CascadeGains:
     def __post_init__(self):
         for name in ("pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit",
                      "rate_kp", "rate_ki", "rate_kd", "rate_i_limit"):
-            _finite_vector3(getattr(self, name), name)
-        if not all(map(math.isfinite, (self.att_p_tilt, self.att_p_yaw))):
-            raise ConfigError("cascade gains must be finite")
+            finite_vector3(getattr(self, name), name)
+        check_finite(att_p_tilt=self.att_p_tilt, att_p_yaw=self.att_p_yaw)
 
 
 @dataclass
@@ -328,11 +301,9 @@ class CascadeController:
     TILT_MIN_PROJECTION = 0.15
 
     def __init__(self, gains, mass, gravity=9.81, dt=1e-3):
-        if not (math.isfinite(mass) and mass > 0.0):
-            raise ConfigError("mass must be positive and finite")
-        if not (math.isfinite(gravity) and gravity >= 0.0):
-            raise ConfigError("gravity must be finite and non-negative")
-        base = _tick_rate(dt)
+        check_positive(mass=mass)
+        check_non_negative(gravity=gravity)
+        base = tick_rate(dt)
         self.gains = gains
         self.mass = float(mass)
         self.gravity = float(gravity)

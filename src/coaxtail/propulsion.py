@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError, NumericalDomainError, TableRangeError
+from .errors import (ConfigError, InfeasibleError, NumericalDomainError,
+                     TableRangeError, check_positive, read_number_rows)
 
 _THRUST_TOL = 1e-6
 _N_MAX = 350.0  # rev/s search ceiling for rpm solving
@@ -79,10 +80,7 @@ class PropellerTable:
     sheets: tuple
 
     def __post_init__(self):
-        if not math.isfinite(self.diameter):
-            raise ConfigError("diameter must be finite")
-        if self.diameter <= 0.0:
-            raise ConfigError("diameter must be positive")
+        check_positive(diameter=self.diameter)
         sheets = tuple(self.sheets)
         if not sheets:
             raise ConfigError("at least one coefficient sheet required")
@@ -123,19 +121,21 @@ class PropellerTable:
 
 def advance_ratio(v, n, d):
     """J = V/(n D)."""
-    if n <= 0.0:
-        raise NumericalDomainError("shaft speed must be positive")
-    if d <= 0.0:
-        raise ConfigError("diameter must be positive")
-    if v < 0.0:
-        raise ConfigError("airspeed must be non-negative")
+    # flipped comparisons, so that NaN fails them: the rpm solve calls
+    # this about 300 times
+    if not n > 0.0:
+        raise NumericalDomainError(f"shaft speed must be positive, got {n!r}")
+    if not d > 0.0:
+        raise ConfigError(f"diameter must be positive, got {d!r}")
+    if not v >= 0.0:
+        raise ConfigError(f"airspeed must be non-negative, got {v!r}")
     return v / (n * d)
 
 
 def thrust_power(table, rho, v, n):
     """(thrust N, shaft power W) at airspeed v and shaft speed n rev/s."""
-    if rho <= 0.0:
-        raise ConfigError("air density must be positive")
+    if not rho > 0.0:
+        raise ConfigError(f"air density must be positive, got {rho!r}")
     j = advance_ratio(v, n, table.diameter)
     ct, cp = table.coefficients(j, n)
     d = table.diameter
@@ -162,8 +162,8 @@ def solve_rpm_for_thrust(table, rho, v, t_req):
     change, then bisects. Thrust demands outside what the table can
     deliver raise InfeasibleError.
     """
-    if t_req < 0.0:
-        raise ConfigError("thrust demand must be non-negative")
+    if not t_req >= 0.0:
+        raise ConfigError(f"thrust demand must be non-negative, got {t_req!r}")
     lo, hi = _feasible_speed_range(table, v)
     if lo >= hi:
         raise InfeasibleError("no shaft speed keeps the advance ratio in range")
@@ -382,32 +382,9 @@ def load_propeller_table(directory, name, diameter):
         m = _SHEET_NAME.match(path.name)
         if m is None or m.group("name") != name:
             continue
-        rows = []
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None or [h.strip() for h in header] != ["J", "CT", "CP"]:
-                    raise ConfigError(f"{path.name}: expected header J,CT,CP")
-                for row in reader:
-                    if not row or not "".join(row).strip():
-                        continue
-                    if len(row) != 3:
-                        raise ConfigError(f"{path.name}: malformed row {row!r}")
-                    try:
-                        cells = [float(x) for x in row]
-                    except ValueError:
-                        cells = [math.nan]
-                    if not all(map(math.isfinite, cells)):
-                        raise ConfigError(f"{path.name}: line {reader.line_num}: "
-                                          f"{row!r} is not three finite numbers")
-                    rows.append(cells)
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            # a directory, bytes that are not text, or a field past csv's limit
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
-        if not rows:
-            raise ConfigError(f"{path.name}: no data rows")
-        data = np.array(rows)
+        data = read_number_rows(path, ("J", "CT", "CP"))
+        if not data.size:
+            raise ConfigError(f"{path}: no data rows")
         found.append(RpmSheet(float(m.group("rpm")), data[:, 0], data[:, 1],
                               data[:, 2]))
     if not found:

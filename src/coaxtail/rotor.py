@@ -41,7 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalDomainError, SimulationFault
+from .errors import (ConfigError, NumericalDomainError, SimulationFault,
+                     check_finite, check_non_negative, check_positive,
+                     whole_count)
 from . import kernels
 
 _BENCH_SUBSTEPS = 4  # integrator steps per bench output sample
@@ -107,23 +109,19 @@ class SplmParams:
                 raise ConfigError(f"{name} must be finite")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-        for name in ("downwash_angle", "hinge_offset", "lift_slope",
-                     "blade_count", "chord", "radius", "torque_gain",
-                     "torque_pickup", "speed_per_throttle", "throttle_scale",
-                     "hover_throttle"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        check_finite(downwash_angle=self.downwash_angle,
+                     hinge_offset=self.hinge_offset)
+        check_positive(lift_slope=self.lift_slope, chord=self.chord,
+                       radius=self.radius, torque_gain=self.torque_gain,
+                       speed_per_throttle=self.speed_per_throttle,
+                       throttle_scale=self.throttle_scale,
+                       hover_throttle=self.hover_throttle)
+        check_non_negative(torque_pickup=self.torque_pickup)
+        whole_count("blade_count", self.blade_count, 1)
         if abs(np.linalg.det(self.inertia)) < 1e-12:
             raise ConfigError("inertia matrix is singular")
         if self.variant not in ("coupled", "decoupled"):
             raise ConfigError(f"variant must be 'coupled' or 'decoupled', got {self.variant!r}")
-        for name in ("lift_slope", "chord", "radius", "torque_gain",
-                     "speed_per_throttle", "throttle_scale", "hover_throttle"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        _check_blade_count(self.blade_count)
-        if self.torque_pickup < 0.0:
-            raise ConfigError("torque_pickup must be non-negative")
         # the integrator's inputs, computed and unpacked to floats once
         object.__setattr__(self, "_inertia_inv_rows",
                            np.linalg.inv(self.inertia).tolist())
@@ -143,11 +141,6 @@ class SplmParams:
         return self.speed_per_throttle * self.hover_throttle
 
 
-def _check_blade_count(blade_count):
-    if not (blade_count >= 1 and float(blade_count).is_integer()):
-        raise ConfigError("blade_count must be a whole number, at least 1")
-
-
 def _check_count(name, value, least):
     """A step count must be an int (numpy's too), never a bool or a float."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
@@ -158,9 +151,8 @@ def _check_count(name, value, least):
 
 def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
     """sigma = N c / (pi R)."""
-    _check_blade_count(blade_count)
-    if chord <= 0.0 or radius <= 0.0:
-        raise ConfigError("chord and radius must be positive")
+    whole_count("blade_count", blade_count, 1)
+    check_positive(chord=chord, radius=radius)
     return blade_count * chord / (math.pi * radius)
 
 
@@ -213,8 +205,7 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     by bracketed bisection on the branch continuous from the decoupled
     solution.
     """
-    if not math.isfinite(u):
-        raise ConfigError(f"steady-state input u must be finite, got {u}")
+    check_finite(u=u)
     b = np.array([u * params._u_scale, 0.0, 0.0])
     x0 = np.linalg.solve(stiffness_matrix(params, 0.0), b)
     if not params.coupled:
@@ -268,11 +259,9 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
         raise ConfigError(
             f"u_half must have {2 * n_steps + 1} samples for {n_steps} steps"
         )
-    if not (math.isfinite(psi_step) and np.isfinite(y0).all()
-            and np.isfinite(u_half).all()):
-        raise ConfigError("psi_step, y0 and u_half must be finite")
-    if psi_step <= 0.0:
-        raise ConfigError(f"psi_step must be positive, got {psi_step}")
+    check_positive(psi_step=psi_step)
+    if not (np.isfinite(y0).all() and np.isfinite(u_half).all()):
+        raise ConfigError("y0 and u_half must be finite")
     traj = kernels.splm_trajectory(
         y0, n_steps, float(psi_step), params._inertia_inv_rows,
         params._damping_rows, params._stiffness_rows, params._kbeta,
@@ -318,26 +307,26 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
 
     The command is modulation_signal(throttle, m_d, psi) with psi the
     nominal shaft azimuth and m_d oriented so the modulation phase equals
-    `phase`; amplitude may not exceed throttle, so the command never dips
-    below zero counts. The head starts at the steady state for the bare
-    throttle, so amplitude = 0 holds the fixed point exactly and the
-    torque trace is flat up to integrator noise. Returns (t, torque)
-    sampled at fs; the integrator runs _BENCH_SUBSTEPS internal steps per
-    output sample.
+    `phase`. amplitude may not exceed throttle, so the command never dips
+    below zero counts, and throttle + amplitude may not exceed
+    params.throttle_scale, so it never peaks past full throttle. The head
+    starts at the steady state for the bare throttle, so amplitude = 0
+    holds the fixed point exactly and the torque trace is flat up to
+    integrator noise. Returns (t, torque) sampled at fs; the integrator
+    runs _BENCH_SUBSTEPS internal steps per output sample.
     """
-    if not all(map(math.isfinite, (throttle, amplitude, phase))):
-        raise ConfigError("throttle, amplitude and phase must be finite")
-    if throttle <= 0.0:
-        raise ConfigError("throttle must be positive")
-    if amplitude < 0.0:
-        raise ConfigError("amplitude must be non-negative")
+    check_positive(throttle=throttle, duration=duration, fs=fs)
+    check_non_negative(amplitude=amplitude)
+    check_finite(phase=phase)
     if amplitude > throttle:
         raise ConfigError(f"amplitude {amplitude:g} exceeds throttle "
                           f"{throttle:g}: the command would dip below zero "
                           f"counts")
-    if not (math.isfinite(duration) and duration > 0.0
-            and math.isfinite(fs) and fs > 0.0):
-        raise ConfigError("duration and fs must be positive and finite")
+    if throttle + amplitude > params.throttle_scale:
+        raise ConfigError(f"throttle {throttle:g} + amplitude {amplitude:g} "
+                          f"exceeds the throttle scale "
+                          f"{params.throttle_scale:g}: the command would "
+                          f"peak past full throttle")
     if not math.isfinite(duration * fs):
         raise ConfigError(f"duration={duration} s at fs={fs} Hz gives more "
                           "output samples than a float can count")

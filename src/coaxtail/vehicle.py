@@ -45,11 +45,11 @@ from .control import (
     CascadeController,
     CascadeGains,
     ControlSetpoint,
-    _finite_vector3,
-    _tick_rate,
     saturate,
 )
-from .errors import ConfigError, SimulationFault
+from .errors import (ConfigError, SimulationFault, check_finite,
+                     check_non_negative, check_positive, finite_vector3,
+                     tick_rate)
 
 _MAX_DT = 1e-3 + 1e-12
 _BLEND_BAND = math.radians(25.0)  # linear-to-post-stall crossfade width
@@ -87,12 +87,12 @@ class VehicleParams:
     gravity: float = 9.81
 
     def __post_init__(self):
-        for name in ("mass", "drag_cd", "lateral_area", "axial_area",
-                     "elevon_q_ref", "aft_speed_per_count", "gravity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.mass <= 0.0:
-            raise ConfigError("mass must be positive")
+        check_positive(mass=self.mass, drag_cd=self.drag_cd,
+                       lateral_area=self.lateral_area,
+                       axial_area=self.axial_area,
+                       elevon_q_ref=self.elevon_q_ref,
+                       aft_speed_per_count=self.aft_speed_per_count)
+        check_non_negative(gravity=self.gravity)
         # a read-only copy: the rows unpacked below must not go stale
         inertia = np.array(self.inertia, dtype=float)
         if inertia.shape != (3, 3):
@@ -103,12 +103,6 @@ class VehicleParams:
             raise ConfigError("inertia must be symmetric")
         if np.any(np.linalg.eigvalsh(inertia) <= 0.0):
             raise ConfigError("inertia must be positive definite")
-        for name in ("drag_cd", "lateral_area", "axial_area", "elevon_q_ref",
-                     "aft_speed_per_count"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if self.gravity < 0.0:
-            raise ConfigError("gravity must be non-negative")
         inertia.flags.writeable = False
         object.__setattr__(self, "inertia", inertia)
         # unpacked once for the rigid-step kernel
@@ -209,6 +203,12 @@ def measured_pitch(orientation):
     return math.asin(min(1.0, max(-1.0, x_w)))
 
 
+def _check_dt(dt):
+    """ConfigError unless dt lies in (0, 1 ms]; NaN is refused."""
+    if not 0.0 < dt <= _MAX_DT:
+        raise ConfigError(f"dt must lie in (0, 1 ms], got {dt!r}")
+
+
 def step_6dof(state, force_body, torque_body, params, dt):
     """Advance the rigid body one RK4 step under body force/torque + gravity.
 
@@ -216,8 +216,7 @@ def step_6dof(state, force_body, torque_body, params, dt):
     entries, unit quaternion) once, here. force_body and torque_body are
     tuples of three floats, such as realized_wrench returns.
     """
-    if dt <= 0.0 or dt > _MAX_DT:
-        raise ConfigError("dt must lie in (0, 1 ms]")
+    _check_dt(dt)
     if not all(map(math.isfinite, (*force_body, *torque_body))):
         raise SimulationFault("non-finite force or torque input")
     out = kernels.rigid_step(state, force_body, torque_body, params.mass,
@@ -233,8 +232,8 @@ def transition_profile(t):
     Hold -10 deg for 2 s, ramp linearly to -80 deg over 20 s, hold for
     20 s, ramp back to 0 deg over 2 s, then hold level.
     """
-    if t < 0.0:
-        raise ConfigError("profile time must be non-negative")
+    if not t >= 0.0:
+        raise ConfigError(f"profile time must be non-negative, got {t!r}")
     if t < 2.0:
         return math.radians(-10.0)
     if t < 22.0:
@@ -262,16 +261,13 @@ class WindProfile:
     ramp: float = 0.5
 
     def __post_init__(self):
-        timing = (self.speed, self.start, self.ramp) + (
-            () if self.stop is None else (self.stop,))
-        if not all(map(math.isfinite, timing)):
-            raise ConfigError("wind speed, start, stop and ramp must be "
-                              "finite")
-        if self.speed < 0.0 or self.ramp < 0.0:
-            raise ConfigError("wind speed and ramp must be non-negative")
-        if self.stop is not None and self.stop <= self.start:
-            raise ConfigError("wind stop must come after its start")
-        d = _finite_vector3(self.direction, "wind direction")
+        check_non_negative(speed=self.speed, ramp=self.ramp)
+        check_finite(start=self.start)
+        if self.stop is not None:
+            check_finite(stop=self.stop)
+            if self.stop <= self.start:
+                raise ConfigError("wind stop must come after its start")
+        d = finite_vector3(self.direction, "wind direction")
         n = np.linalg.norm(d)
         if self.speed > 0.0 and n < 1e-12:
             raise ConfigError("wind direction must be a nonzero vector")
@@ -316,8 +312,7 @@ class WingSchedule:
             object.__setattr__(self, "mode", WingMode(self.mode))
         except ValueError:
             raise ConfigError(f"unknown wing mode {self.mode!r}") from None
-        if not math.isfinite(self.extend_below):
-            raise ConfigError("wing extend_below pitch must be finite")
+        check_finite(extend_below=self.extend_below)
 
     def mode_at(self, pitch):
         if self.kind == "fixed":
@@ -337,13 +332,11 @@ class LambdaSchedule:
     pitch_end: float = math.radians(-70.0)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lam_hover, self.lam_fw,
-                                       self.pitch_start, self.pitch_end))):
-            raise ConfigError("allocation ratios and blend pitches must be "
-                              "finite")
-        for lam in (self.lam_hover, self.lam_fw):
+        check_finite(pitch_start=self.pitch_start, pitch_end=self.pitch_end)
+        for name in ("lam_hover", "lam_fw"):
+            lam = getattr(self, name)
             if not 0.0 <= lam <= 1.0:
-                raise ConfigError("allocation ratios must lie in [0, 1]")
+                raise ConfigError(f"{name} must lie in [0, 1], got {lam!r}")
         if self.pitch_end >= self.pitch_start:
             raise ConfigError("pitch_end must be below pitch_start")
 
@@ -372,23 +365,20 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.mode not in ("hover", "transition"):
             raise ConfigError("scenario mode must be 'hover' or 'transition'")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ConfigError("duration must be positive and finite")
-        if not (math.isfinite(self.dt) and 0.0 < self.dt <= _MAX_DT):
-            raise ConfigError("dt must lie in (0, 1 ms]")
-        _tick_rate(self.dt)
+        check_positive(duration=self.duration)
+        _check_dt(self.dt)
+        tick_rate(self.dt)
         ticks = self.duration / self.dt
         if not (math.isfinite(ticks) and round(ticks) >= 1):
             raise ConfigError("duration must cover at least one tick and "
                               "a finite number of them")
-        if not math.isfinite(self.yaw):
-            raise ConfigError("yaw must be finite")
+        check_finite(yaw=self.yaw)
         # tuples of floats: a caller's later write cannot reach the spec
         for name in ("position", "start_position"):
             value = getattr(self, name)
             if name == "position" or value is not None:
                 object.__setattr__(self, name, tuple(
-                    _finite_vector3(value, name).tolist()))
+                    finite_vector3(value, name).tolist()))
 
 
 def _panel_cn(panel, alpha):

@@ -125,7 +125,7 @@ class TestMeanSubtract:
 
     def test_default_window_needs_a_positive_finite_rate(self):
         for bad in (math.nan, math.inf, -math.inf, 0.0, -1000.0):
-            with pytest.raises(ConfigError, match="sample rate"):
+            with pytest.raises(ConfigError, match="fs"):
                 default_mean_window(bad)
 
 
@@ -283,6 +283,15 @@ class TestCsvIngestion:
             p.write_text("t,x\n" + body)
             line = body.count("\n") + 1
             with pytest.raises(ConfigError, match=rf"cells.csv: line {line}:"):
+                read_timeseries_csv(p)
+
+    def test_rows_hold_exactly_two_numbers(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        for text, where in (("t,x,y\n0,1,2\n0.001,2,3\n", "expected header"),
+                            ("t,x\n0,1\n0.001,2,7\n0.002,3\n", "line 3:"),
+                            ("t,x\n0,1\n0.001\n0.002,3\n", "line 3:")):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match=where):
                 read_timeseries_csv(p)
 
     def test_psd_csv_layout(self, tmp_path):
@@ -609,7 +618,7 @@ class TestRefusedValueNamesFileAndKeys:
         assert code == 1
         assert err == [f"error: category=validation type=ConfigError "
                        f"message={p}: [scenario] dt_s: dt must lie in "
-                       f"(0, 1 ms]"]
+                       f"(0, 1 ms], got 5.0"]
 
 
 class TestTablePowers:
@@ -778,6 +787,18 @@ class TestCli:
             assert len(lines) == 1 and "category=validation" in lines[0], argv
             assert "Traceback" not in err
         assert not (tmp_path / "tq.csv").exists()
+
+    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
+    def test_bench_splm_refuses_a_peak_past_full_throttle(
+            self, tmp_path, capsys, variant):
+        out = tmp_path / "tq.csv"
+        code = cli_main(["bench-splm", "--variant", variant, "--throttle",
+                         "1900", "--amplitude", "500", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and "category=validation" in err[0]
+        assert "throttle scale" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["abc", "", "nan"])
     def test_table_commands_reject_a_bad_cell(self, tmp_path, capsys, cell):

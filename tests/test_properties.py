@@ -3,23 +3,29 @@
 Each example puts one NaN or infinity into one float field (or one element
 of a vector or matrix field) of an otherwise valid constructor call. The
 call must raise ConfigError, never any other exception. A blade count
-must also be a whole number.
+must also be a whole number, and each field a constructor checks as
+positive (non-negative) must refuse zero and a negative value (a
+negative value).
 """
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coaxtail import aero, analysis, control, propulsion, rotor, vehicle
 from coaxtail.aero import TandemConfig, WingPanel
 from coaxtail.analysis import TimeSeries
-from coaxtail.control import ActuatorLimits, AllocationGains
+from coaxtail.control import ActuatorLimits, AllocationGains, CascadeGains
 from coaxtail.errors import ConfigError
 from coaxtail.propulsion import PropellerTable, RpmSheet
 from coaxtail.rotor import SplmParams, rotor_solidity
 from coaxtail.vehicle import (
     LambdaSchedule,
     ScenarioSpec,
+    VehicleParams,
     WindProfile,
     WingSchedule,
 )
@@ -27,7 +33,9 @@ from coaxtail.vehicle import (
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 _SPLM = SplmParams()
+_CASCADE = CascadeGains()
 
 # constructor -> {field: a valid value of the field's shape}
 FIELDS = {
@@ -58,6 +66,13 @@ FIELDS = {
                "cp": (0.05, 0.045, 0.04)},
     PropellerTable: {"diameter": 0.4064},
     TimeSeries: {"fs": 1000.0, "values": (0.0, 1.0, 0.5, -0.2)},
+    VehicleParams: {"mass": 1.2, "inertia": np.diag([0.022, 0.025, 0.010]),
+                    "drag_cd": 1.0, "lateral_area": 0.0453,
+                    "axial_area": 0.015, "elevon_q_ref": 149.0,
+                    "aft_speed_per_count": 0.16, "gravity": 9.81},
+    CascadeGains: {f.name: getattr(_CASCADE, f.name)
+                   for f in dataclasses.fields(CascadeGains)
+                   if not f.name.endswith("_rate")},
 }
 
 # constructor -> its arguments that are not floats, passed unchanged
@@ -106,3 +121,48 @@ def test_fractional_blade_count_raises_config_error(count):
     whole = float(math.ceil(count))
     if whole >= 1.0:
         assert SplmParams(blade_count=whole).blade_count == whole
+
+
+def test_fields_cover_every_class_a_config_file_builds(monkeypatch):
+    built = set()
+    build = analysis._build
+
+    def spy(path, keys, cls, **kwargs):
+        built.add(cls)
+        return build(path, keys, cls, **kwargs)
+
+    monkeypatch.setattr(analysis, "_build", spy)
+    analysis.load_scenario(CONFIGS / "transition.cfg")
+    analysis.load_allocation_gains(CONFIGS / "gains.cfg")
+    assert VehicleParams in built and AllocationGains in built
+    assert built <= set(FIELDS)
+
+
+_SIGN_RULES = {"check_positive": (0.0, -1.0), "check_non_negative": (-1.0,)}
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_sign_checked_field_refuses_its_bad_values(cls, monkeypatch):
+    """The fields a valid object's own __post_init__ hands to a sign rule
+    are recorded; each must refuse the rule's bad values."""
+    fields = {**FIXED.get(cls, {}), **FIELDS[cls]}
+    obj = cls(**fields)
+    bad = {}
+
+    def spy_on(rule, values):
+        def spy(**checked):
+            bad.update(dict.fromkeys(checked, values))
+            return rule(**checked)
+        return spy
+
+    for module in (aero, analysis, control, propulsion, rotor, vehicle):
+        for rule, values in _SIGN_RULES.items():
+            if hasattr(module, rule):
+                monkeypatch.setattr(module, rule,
+                                    spy_on(getattr(module, rule), values))
+    obj.__post_init__()
+    monkeypatch.undo()
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ConfigError, match=name):
+                cls(**{**fields, name: value})

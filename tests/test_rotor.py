@@ -326,6 +326,17 @@ class TestBench:
         _, tau = bench_torque_series(p, 900.0, 900.0, 0.0, 0.1, 1000.0)
         assert np.isfinite(tau).all()
 
+    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
+    def test_command_may_not_peak_past_full_throttle(self, variant):
+        p = make_params(variant=variant)
+        with pytest.raises(ConfigError, match="throttle scale"):
+            bench_torque_series(p, 1900.0, 500.0, 0.0, 0.1, 1000.0)
+        with pytest.raises(ConfigError, match="throttle scale"):
+            bench_torque_series(p, 1000.5, 1000.0, 0.0, 0.1, 1000.0)
+        # a peak of exactly the throttle scale is kept
+        _, tau = bench_torque_series(p, 1000.0, 1000.0, 0.0, 0.1, 1000.0)
+        assert np.isfinite(tau).all()
+
     def test_decoupled_quieter_than_coupled(self):
         # matched runs at the documented operating point
         p2p = {}
