@@ -72,9 +72,10 @@ class PsdResult:
         density = np.asarray(self.density, dtype=float)
         if freq.size == 0 or freq.size != density.size:
             raise ConfigError("frequency and density lengths must match")
-        if np.any(np.diff(freq) <= 0.0):
+        # each test is written so that NaN fails it
+        if not (np.isfinite(freq).all() and np.all(np.diff(freq) > 0.0)):
             raise ConfigError("frequency bins must ascend")
-        if np.any(density < 0.0):
+        if not np.all(density >= 0.0):
             raise ConfigError("power density must be non-negative")
         object.__setattr__(self, "freq", freq)
         object.__setattr__(self, "density", density)
@@ -184,18 +185,21 @@ def _median(values):
     return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
 
 
+def _write_pairs(path, header, x, y):
+    """Write the header line, then one "%.9g,%.9g" row per (x, y) pair;
+    the rows are formatted as bytes, from Python floats."""
+    rows = zip(np.asarray(x).tolist(), np.asarray(y).tolist())
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        fh.write(b"".join(b"%.9g,%.9g\n" % row for row in rows))
+
+
 def write_timeseries_csv(path, t, values, name="value"):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"t,{name}\n")
-        for ti, xi in zip(t, values):
-            fh.write(f"{ti:.9g},{xi:.9g}\n")
+    _write_pairs(path, f"t,{name}", t, values)
 
 
 def write_psd_csv(path, result):
-    with open(path, "w", newline="") as fh:
-        fh.write("f_Hz,psd\n")
-        for f, d in zip(result.freq, result.density):
-            fh.write(f"{f:.9g},{d:.9g}\n")
+    _write_pairs(path, "f_Hz,psd", result.freq, result.density)
 
 
 # ---------------------------------------------------------------------------

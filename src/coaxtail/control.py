@@ -18,6 +18,7 @@ angles without the yaw error polluting the tilt command.
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -65,7 +66,8 @@ class Wrench:
     tau_z: float
 
     def __init__(self, f_t=0.0, tau_x=0.0, tau_y=0.0, tau_z=0.0):
-        if not all(map(math.isfinite, (f_t, tau_x, tau_y, tau_z))):
+        if not (isfinite(f_t) and isfinite(tau_x) and isfinite(tau_y)
+                and isfinite(tau_z)):
             raise ConfigError("wrench entries must be finite")
         self.__dict__.update(f_t=f_t, tau_x=tau_x, tau_y=tau_y, tau_z=tau_z)
 
@@ -166,33 +168,59 @@ def saturate(wrench, gains, lam, limits):
     d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
     tq_d1, tq_d2 = d_y + d_z, d_y - d_z
 
-    lo, hi = limits.throttle_min, limits.throttle_max
+    lo, hi, servo = limits.throttle_min, limits.throttle_max, limits.servo_max
     m_amp = math.hypot(tau_x / c_m, lam * tau_y / c_m)
-    # each row: s * coef <= rhs
-    rows = (
-        (tq_t1, hi - base_t1),
-        (-tq_t1, base_t1 - lo),
-        (tq_t2, hi - base_t2),
-        (-tq_t2, base_t2 - lo),
-        (tq_d1, limits.servo_max),
-        (-tq_d1, limits.servo_max),
-        (tq_d2, limits.servo_max),
-        (-tq_d2, limits.servo_max),
-        (m_amp + tq_t1, hi - base_t1),
-        (m_amp - tq_t1, base_t1 - lo),
-    )
-    s = 1.0
-    feasible = True
-    for coef, rhs in rows:
-        if rhs < 0.0:
-            feasible = False
-        elif coef > 0.0:
-            s = min(s, rhs / coef)
-    if not feasible:
-        # thrust alone exceeds the box; clamp it and drop the torques
+    # s * coef <= rhs for ten rows; only the throttle rows' right-hand
+    # sides can be negative, and then thrust alone exceeds the box
+    hi_t1, lo_t1 = hi - base_t1, base_t1 - lo
+    hi_t2, lo_t2 = hi - base_t2, base_t2 - lo
+    if hi_t1 < 0.0 or lo_t1 < 0.0 or hi_t2 < 0.0 or lo_t2 < 0.0:
+        # clamp the thrust and drop the torques
         t1 = min(max(base_t1, lo), hi)
         t2 = min(max(base_t2, lo), hi)
         return ActuatorCommand(t_d1=t1, t_d2=t2), 0.0
+    # the rows in their order: rhs / coef counts only where coef > 0, and
+    # replaces s only where strictly smaller, as min(s, rhs / coef) would
+    # (ties keep the earlier row, signed zeros included); of two rows with
+    # coefficients c and -c at most one counts, so the servo pairs, which
+    # share their rhs, are one row on |c| each
+    s = 1.0
+    if tq_t1 > 0.0:
+        r = hi_t1 / tq_t1
+        if r < s:
+            s = r
+    elif tq_t1 < 0.0:
+        r = lo_t1 / -tq_t1
+        if r < s:
+            s = r
+    if tq_t2 > 0.0:
+        r = hi_t2 / tq_t2
+        if r < s:
+            s = r
+    elif tq_t2 < 0.0:
+        r = lo_t2 / -tq_t2
+        if r < s:
+            s = r
+    coef = abs(tq_d1)
+    if coef > 0.0:
+        r = servo / coef
+        if r < s:
+            s = r
+    coef = abs(tq_d2)
+    if coef > 0.0:
+        r = servo / coef
+        if r < s:
+            s = r
+    coef = m_amp + tq_t1
+    if coef > 0.0:
+        r = hi_t1 / coef
+        if r < s:
+            s = r
+    coef = m_amp - tq_t1
+    if coef > 0.0:
+        r = lo_t1 / coef
+        if r < s:
+            s = r
     s = max(s, 0.0)
     tau_x, tau_y, tau_z = s * tau_x, s * tau_y, s * tau_z
     d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
@@ -236,8 +264,10 @@ class VectorPid:
                 self._axes, self.integral, err, prev, strict=True):
             acc = acc + ki * e * dt
             # np.clip(acc, -lim, lim), ties and signed zeros included
-            acc = acc if acc > -lim else -lim
-            acc = acc if acc < lim else lim
+            if not acc > -lim:
+                acc = -lim
+            if not acc < lim:
+                acc = lim
             integral.append(acc)
             out.append(kp * e + acc + kd * (0.0 if no_derr else (e - p) / dt))
         self.integral = integral
@@ -342,11 +372,11 @@ class CascadeController:
         norms are sqrt(v·v) on numpy's dot, which is exactly what
         np.linalg.norm computes (see quat).
         """
-        g = self.gains
+        tick = self._tick
         transition = setpoint.pitch_override is not None
         pos_every, vel_every, att_every, yaw_every = self._every
 
-        if self._tick % pos_every == 0:
+        if tick % pos_every == 0:
             sp = [k * (a - b) for k, a, b in zip(
                 self._pos_p, setpoint.position, position)]
             if transition:
@@ -354,9 +384,11 @@ class CascadeController:
                 sp[1] = 0.0
             self._vel_sp = sp
 
-        if self._tick % vel_every == 0:
+        if tick % vel_every == 0:
             vdt = self.dt * vel_every
-            err = [a - b for a, b in zip(self._vel_sp, velocity)]
+            s0, s1, s2 = self._vel_sp
+            v0, v1, v2 = velocity
+            err = [s0 - v0, s1 - v1, s2 - v2]
             if transition:
                 err[0] = 0.0
                 err[1] = 0.0
@@ -370,33 +402,37 @@ class CascadeController:
 
         z_body = quat.rotate(orientation, _Z_AXIS)
 
-        if self._tick % att_every == 0:
+        if tick % att_every == 0:
             if transition:
                 q_sp, z_des = self._override_setpoint(
                     setpoint.yaw, setpoint.pitch_override)
             else:
+                f0, f1, f2 = self._f_des
                 f_norm = quat.norm(self._f_des)
-                z_des = (tuple(f / f_norm for f in self._f_des)
+                z_des = ((f0 / f_norm, f1 / f_norm, f2 / f_norm)
                          if f_norm > 1e-9 else _Z_AXIS)
                 q_sp = quat.multiply(self._yaw_rotation(setpoint.yaw),
                                      _tilt_quaternion(z_des))
-            axis = _cross(z_body, z_des)
+            axis = a0, a1, a2 = _cross(z_body, z_des)
             s_n = quat.norm(axis)
             c_n = float(np.dot(z_body, z_des))
             if s_n > 1e-12:
                 angle = math.atan2(s_n, c_n)
-                tilt_w = [a / s_n * angle for a in axis]
+                tilt_w = (a0 / s_n * angle, a1 / s_n * angle,
+                          a2 / s_n * angle)
             else:
-                tilt_w = [0.0, 0.0, 0.0]
+                tilt_w = (0.0, 0.0, 0.0)
             tilt_b = quat.rotate(quat.conjugate(orientation), tilt_w)
             full_b = quat.error_rotation_vector(orientation, q_sp)
+            g = self.gains
             self._rate_sp = [g.att_p_tilt * tilt_b[0],
                              g.att_p_tilt * tilt_b[1],
                              g.att_p_yaw * full_b[2]]
 
-        rate_err = [a - b for a, b in zip(self._rate_sp, body_rate)]
-        tau = self._rate_pid.step(rate_err, self.dt)
-        if self._tick % yaw_every == 0:
+        r0, r1, r2 = self._rate_sp
+        w0, w1, w2 = body_rate
+        tau = self._rate_pid.step([r0 - w0, r1 - w1, r2 - w2], self.dt)
+        if tick % yaw_every == 0:
             self._tau_z = tau[2]
 
         if transition:
@@ -406,7 +442,7 @@ class CascadeController:
             thrust = float(np.dot(self._f_des, z_body))
         thrust = max(thrust, 0.0)
 
-        self._tick += 1
+        self._tick = tick + 1
         return Wrench(thrust, tau[0], tau[1], self._tau_z)
 
     # The attitude setpoints below are kept while their inputs keep their

@@ -257,7 +257,7 @@ class MissionPowerCurve:
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > 1.0):
+        if not np.all((r >= 0.0) & (r <= 1.0)):
             raise ConfigError("hover-time ratios must lie in [0, 1]")
         object.__setattr__(self, "r", r)
 

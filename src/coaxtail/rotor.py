@@ -222,7 +222,9 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     vals = np.array([mismatch(g) for g in grid])
     sign_flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_flips) == 0:
-        raise SimulationFault("no steady-state pitch solution in the admissible range")
+        raise SimulationFault(
+            f"no steady-state pitch solution in the admissible range for "
+            f"the {params.variant} head at throttle {u:g} counts")
     centers = 0.5 * (grid[sign_flips] + grid[sign_flips + 1])
     i = sign_flips[np.argmin(np.abs(centers - x0[2]))]
     a, c = grid[i], grid[i + 1]

@@ -302,6 +302,30 @@ class TestCsvIngestion:
         assert lines[0] == "f_Hz,psd"
         assert len(lines) == 1 + result.freq.size
 
+    def test_writers_match_a_per_row_fstring_writer(self, tmp_path):
+        """Both two-column writers give the bytes of a text-mode writer
+        that f-strings each numpy scalar, one row at a time, signed zeros
+        and the extremes of the exponent range included."""
+        def reference(path, header, a, b):
+            with open(path, "w", newline="") as fh:
+                fh.write(f"{header}\n")
+                for ai, bi in zip(a, b):
+                    fh.write(f"{ai:.9g},{bi:.9g}\n")
+
+        ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+        t = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324,
+                      1.0 / 3.0, 123456789.125, math.pi])
+        x = t[::-1] * -7.0
+        reference(ref, "t,torque", t, x)
+        write_timeseries_csv(got, t, x, name="torque")
+        assert got.read_bytes() == ref.read_bytes()
+
+        freq = np.array([-1e300, -1e-300, -0.0, 1e-300, 1.0 / 3.0, 1e300])
+        density = np.array([0.0, -0.0, 1e-300, 1e300, 2.5, 5e-324])
+        reference(ref, "f_Hz,psd", freq, density)
+        write_psd_csv(got, PsdResult(freq, density))
+        assert got.read_bytes() == ref.read_bytes()
+
 
 SCENARIO_CFG = """\
 [scenario]
@@ -798,6 +822,21 @@ class TestCli:
         assert code == 1
         assert len(err) == 1 and "category=validation" in err[0]
         assert "throttle scale" in err[0]
+        assert not out.exists()
+
+    def test_bench_splm_fault_names_the_head_and_throttle(self, tmp_path,
+                                                          capsys):
+        """Past about 1,752 counts the coupled head's steady-state branch
+        ends; the one error line says which head and which throttle."""
+        out = tmp_path / "tq.csv"
+        code = cli_main(["bench-splm", "--variant", "coupled", "--throttle",
+                         "1800", "--amplitude", "0", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: category=runtime type=SimulationFault "
+                       "message=no steady-state pitch solution in the "
+                       "admissible range for the coupled head at throttle "
+                       "1800 counts"]
         assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["abc", "", "nan"])

@@ -291,6 +291,86 @@ def reference_pid_step(pid_state, kp, ki, kd, i_limit, err, dt):
     return kp * err + pid_state["integral"] + kd * derr
 
 
+def row_table_saturate(wrench, gains, lam, limits):
+    """saturate as it stood with a table of ten (coef, rhs) rows and one
+    min call per row: the reference for the rows written out in turn."""
+    eta, kappa, gamma, delta = derived_params(gains, lam)
+    c_m = gains.c_m
+    one_m = 1.0 - lam
+    ey, ez = 2.0 * gains.k_ey, 2.0 * gains.k_ez
+    f_t, tau_x, tau_y, tau_z = (wrench.f_t, wrench.tau_x, wrench.tau_y,
+                                wrench.tau_z)
+    base_t1 = eta * f_t + gamma * 0.0
+    base_t2 = kappa * f_t + delta * 0.0
+    tq_t1 = eta * 0.0 + gamma * tau_z
+    tq_t2 = kappa * 0.0 + delta * tau_z
+    d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
+    tq_d1, tq_d2 = d_y + d_z, d_y - d_z
+
+    lo, hi = limits.throttle_min, limits.throttle_max
+    m_amp = math.hypot(tau_x / c_m, lam * tau_y / c_m)
+    rows = (
+        (tq_t1, hi - base_t1),
+        (-tq_t1, base_t1 - lo),
+        (tq_t2, hi - base_t2),
+        (-tq_t2, base_t2 - lo),
+        (tq_d1, limits.servo_max),
+        (-tq_d1, limits.servo_max),
+        (tq_d2, limits.servo_max),
+        (-tq_d2, limits.servo_max),
+        (m_amp + tq_t1, hi - base_t1),
+        (m_amp - tq_t1, base_t1 - lo),
+    )
+    s = 1.0
+    feasible = True
+    for coef, rhs in rows:
+        if rhs < 0.0:
+            feasible = False
+        elif coef > 0.0:
+            s = min(s, rhs / coef)
+    if not feasible:
+        t1 = min(max(base_t1, lo), hi)
+        t2 = min(max(base_t2, lo), hi)
+        return ActuatorCommand(t_d1=t1, t_d2=t2), 0.0
+    s = max(s, 0.0)
+    tau_x, tau_y, tau_z = s * tau_x, s * tau_y, s * tau_z
+    d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
+    return ActuatorCommand(eta * f_t + gamma * tau_z,
+                           kappa * f_t + delta * tau_z, tau_x / c_m,
+                           lam * tau_y / c_m, d_y + d_z, d_y - d_z), s
+
+
+def test_saturate_matches_the_row_table_to_the_bit():
+    """20,000 random wrenches and allocation ratios under a tight throttle
+    and servo box: every command field and s equal the row-table form's,
+    sign bits included. Signed zeros appear in the wrench now and then;
+    a large share of the cases clips and some are infeasible."""
+    rng = np.random.default_rng(18)
+    gains = AllocationGains()
+    limits = ActuatorLimits(throttle_max=1100.0, servo_max=0.05)
+    got, want = [], []
+    infeasible = 0
+    for _ in range(20_000):
+        parts = [rng.uniform(-0.5, 14.5),
+                 *(rng.normal(size=3) * rng.choice([1e-3, 0.05, 1.0]))]
+        if rng.uniform() < 0.1:
+            parts[rng.integers(4)] = rng.choice([0.0, -0.0])
+        w = Wrench(*map(float, parts))
+        lam = float(rng.uniform(0.0, 1.0))
+        cmd, s = saturate(w, gains, lam, limits)
+        ref, ref_s = row_table_saturate(w, gains, lam, limits)
+        got.append([*vars(cmd).values(), s])
+        want.append([*vars(ref).values(), ref_s])
+        base = mix(Wrench(f_t=w.f_t), gains, lam)
+        infeasible += not (0.0 <= base.t_d1 <= 1100.0
+                           and 0.0 <= base.t_d2 <= 1100.0)
+    got, want = np.array(got), np.array(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    clipped = np.count_nonzero(want[:, -1] < 1.0) - infeasible
+    assert clipped > 5_000 and infeasible > 1_000, (clipped, infeasible)
+
+
 class TestFloatForms:
     """The per-tick control arithmetic runs on Python floats; each form
     must reproduce its numpy array form to the bit."""
@@ -571,6 +651,26 @@ class TestVectorPid:
                                       dt)
             assert np.array_equal(got, want), err
             assert np.array_equal(np.signbit(got), np.signbit(want)), err
+            assert np.array_equal(np.signbit(pid.integral),
+                                  np.signbit(ref["integral"])), err
+
+    def test_clamp_at_the_limit_and_at_signed_zero(self):
+        """An integral that lands exactly on +-limit, or on a signed
+        zero against a zero limit, is clamped as np.clip clamps it, sign
+        bit included."""
+        kp, ki, kd = (1.0, 0.5, 2.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)
+        i_limit = (0.5, 0.0, 2.0)
+        pid = VectorPid(kp, ki, kd, i_limit)
+        ref = {"integral": np.zeros(3), "prev": None}
+        for err in ((0.5, -0.0, -2.0), (-1.0, 0.0, 4.0), (-0.0, -0.0, -0.0),
+                    (0.0, -1.0, -0.0), (1.0, 1.0, -4.0), (-0.0, 0.0, 0.0)):
+            got = np.array(pid.step(err, 1.0))
+            want = reference_pid_step(ref, np.array(kp), np.array(ki),
+                                      np.array(kd), np.array(i_limit), err,
+                                      1.0)
+            assert np.array_equal(got, want), err
+            assert np.array_equal(np.signbit(got), np.signbit(want)), err
+            assert np.array_equal(pid.integral, ref["integral"]), err
             assert np.array_equal(np.signbit(pid.integral),
                                   np.signbit(ref["integral"])), err
 

@@ -11,10 +11,12 @@ import pytest
 
 from coaxtail.aero import (TandemConfig, WingPanel, static_stability_check,
                            wing_force)
+from coaxtail.analysis import PsdResult
 from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              check_positive, finite_number, read_number_rows,
                              whole_count)
-from coaxtail.propulsion import PropellerTable, advance_ratio, thrust_power
+from coaxtail.propulsion import (MissionPowerCurve, PropellerTable,
+                                 advance_ratio, thrust_power)
 from coaxtail.rotor import rotor_solidity
 from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
                               transition_profile)
@@ -105,6 +107,11 @@ NAN_CALLS = {
     "step_6dof": lambda: step_6dof(
         VehicleState.at_rest((0.0, 0.0, 1.0)), (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0), VehicleParams(), math.nan),
+    "PsdResult_density": lambda: PsdResult([0.0, 1.0], [math.nan, 1.0]),
+    "PsdResult_freq": lambda: PsdResult([0.0, math.nan], [1.0, 1.0]),
+    "PsdResult_one_freq": lambda: PsdResult([math.nan], [1.0]),
+    "MissionPowerCurve": lambda: MissionPowerCurve(r=[0.0, math.nan],
+                                                   watts={}),
 }
 
 

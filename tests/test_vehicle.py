@@ -946,6 +946,18 @@ class TestSimLog:
                         f"{log.lam[i]:.9g}")
         assert got.read_bytes() == ("\n".join(want) + "\n").encode()
 
+    def test_csv_header_is_utf8(self, tmp_path):
+        """A header value outside ASCII is written as UTF-8, whatever the
+        locale's encoding."""
+        name = "Schwebeflug \u00fcber B\u00f6en \u2713"
+        log = SimLog(name, np.zeros((2, len(LOG_COLUMNS))),
+                     {"scenario": name})
+        p = tmp_path / "utf8.csv"
+        log.write_csv(p)
+        raw = p.read_bytes()
+        assert raw.startswith(f"# scenario = {name}\n".encode("utf-8"))
+        assert raw.decode("utf-8").splitlines()[1] == SimLog.COLUMNS
+
     def test_one_buffer_holds_every_column(self, tmp_path):
         """A run's log is one n x len(LOG_COLUMNS) buffer: every named
         array is a view of it, and the CSV header names all its columns
