@@ -45,7 +45,7 @@ _SOURCES = {
     "ConfigPower": "propulsion",
     "PropellerTable": "propulsion",
     "fixture_config_powers": "propulsion",
-    "mode_power": "propulsion",
+    "shared_power": "propulsion",
     "solve_rpm_for_thrust": "propulsion",
     "SplmParams": "rotor",
     "bench_torque_series": "rotor",

@@ -362,34 +362,28 @@ def load_allocation_gains(path):
 # ---------------------------------------------------------------------------
 # Propulsion study from raw tables
 
-def table_config_powers(tables_dir, mass=1.2, gravity=9.81,
-                        cruise_thrust=4.4, cruise_speed=15.6, rho=1.225):
+def table_config_powers(tables_dir, mass=1.2, cruise_thrust=4.4,
+                        cruise_speed=15.6):
     """Build propulsion.STUDY_PAIRINGS from measured propeller tables.
 
-    Hover power produces the full weight split across both rotors at zero
-    inflow; cruise power produces cruise_thrust at cruise_speed split
-    across the active subset. The directory holds <stem>_<rpm>.csv sheets
-    for each stem of PROP_DIAMETERS. Study parameters must be positive and
-    finite.
+    Hover power produces the full weight (g = 9.81 m/s^2) split across
+    both rotors at zero inflow; cruise power produces cruise_thrust at
+    cruise_speed split across the active subset, both in sea-level air
+    (1.225 kg/m^3). The directory holds <stem>_<rpm>.csv sheets for each
+    stem of PROP_DIAMETERS. Study parameters must be positive and finite.
     """
-    from .propulsion import (PROP_DIAMETERS, STUDY_PAIRINGS, ConfigPower,
-                             PropulsionConfig, load_propeller_table,
-                             mode_power)
+    from .propulsion import (PROP_DIAMETERS, load_propeller_table,
+                             shared_power, study_powers)
 
-    check_positive(mass=mass, gravity=gravity, cruise_thrust=cruise_thrust,
-                   cruise_speed=cruise_speed, rho=rho)
+    check_positive(mass=mass, cruise_thrust=cruise_thrust,
+                   cruise_speed=cruise_speed)
     tables = {stem: load_propeller_table(tables_dir, stem, diameter=d)
               for stem, d in PROP_DIAMETERS.items()}
-    hover_thrust = mass * gravity
-    powers = []
-    for name, fore, aft, fixedwing_active in STUDY_PAIRINGS:
-        config = PropulsionConfig(name, fore=tables[fore], aft=tables[aft],
-                                  fixedwing_active=fixedwing_active)
-        hover_w = mode_power(config, "multirotor", rho, 0.0, hover_thrust)
-        cruise_w = mode_power(config, "fixedwing", rho, cruise_speed,
-                              cruise_thrust)
-        powers.append(ConfigPower(config.name, hover_w, cruise_w))
-    return tuple(powers)
+    # (airspeed, total thrust) of each mode
+    flight = {"multirotor": (0.0, mass * 9.81),
+              "fixedwing": (cruise_speed, cruise_thrust)}
+    return study_powers(lambda stems, mode: shared_power(
+        [tables[s] for s in stems], 1.225, *flight[mode]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +434,6 @@ def _build_parser():
     p.add_argument("--mass", type=_finite_float, default=None)
     p.add_argument("--cruise-thrust", type=_finite_float, default=None)
     p.add_argument("--cruise-speed", type=_finite_float, default=None)
-
-    p = sub.add_parser("wind-test", help="gust rejection scenario")
-    p.add_argument("--mode", choices=("extended", "retracted"),
-                   required=True)
-    p.add_argument("--speed", type=_finite_float, default=5.0)
-    p.add_argument("--duration", type=_finite_float, default=12.0)
-    p.add_argument("--out", default=None, help="optional log CSV path")
 
     p = sub.add_parser("mix-check", help="mixer round-trip property run")
     p.add_argument("--gains", default=None, help="allocation gains .cfg")
@@ -514,8 +501,8 @@ def _cmd_bench_splm(args):
 
 
 def _cmd_power_analysis(args):
-    from .propulsion import (average_power_curve, fixture_config_powers,
-                             study_summary, write_power_curve_csv)
+    from .propulsion import (fixture_config_powers, study_summary,
+                             write_power_curve_csv)
 
     if args.fixture and args.tables:
         raise ConfigError("--fixture and --tables are mutually exclusive")
@@ -530,36 +517,10 @@ def _cmd_power_analysis(args):
                           f"wattage fixture are fixed")
     else:
         powers = fixture_config_powers(args.fixture or "paper-2025")
-    curve = average_power_curve(powers, np.linspace(0.0, 1.0, 101))
-    write_power_curve_csv(args.out, curve)
+    write_power_curve_csv(args.out, powers, np.linspace(0.0, 1.0, 101))
     for line in study_summary(powers):
         print(line)
     print(f"out={args.out}")
-    return 0
-
-
-_WIND_TEST_START_S = 2.0
-
-
-def _cmd_wind_test(args):
-    from .vehicle import (ScenarioSpec, VehicleParams, WindProfile,
-                          WingSchedule, run_scenario)
-
-    if not args.duration > _WIND_TEST_START_S:
-        raise ConfigError(f"--duration must exceed the "
-                          f"{_WIND_TEST_START_S:g} s wind start, "
-                          f"got {args.duration:g}")
-    spec = ScenarioSpec(
-        name=f"wind_{args.mode}", duration=args.duration,
-        wind=WindProfile(speed=args.speed, start=_WIND_TEST_START_S),
-        wing=WingSchedule(mode=args.mode))
-    log = run_scenario(spec, VehicleParams())
-    if args.out:
-        log.write_csv(args.out)
-    peak = log.peak_deviation(np.asarray(spec.position),
-                              t_min=_WIND_TEST_START_S)
-    print(f"mode={args.mode} wind_mps={args.speed:.9g} "
-          f"peak_deviation_m={peak:.9g}")
     return 0
 
 
@@ -609,7 +570,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "bench-splm": _cmd_bench_splm,
     "power-analysis": _cmd_power_analysis,
-    "wind-test": _cmd_wind_test,
     "mix-check": _cmd_mix_check,
     "psd": _cmd_psd,
 }

@@ -263,10 +263,10 @@ class VectorPid:
         for (kp, ki, kd, lim), acc, e, p in zip(
                 self._axes, self.integral, err, prev, strict=True):
             acc = acc + ki * e * dt
-            # np.clip(acc, -lim, lim), ties and signed zeros included
-            if not acc > -lim:
+            # np.clip(acc, -lim, lim), ties, signed zeros and NaN included
+            if acc <= -lim:
                 acc = -lim
-            if not acc < lim:
+            if acc >= lim:
                 acc = lim
             integral.append(acc)
             out.append(kp * e + acc + kd * (0.0 if no_derr else (e - p) / dt))

@@ -72,8 +72,9 @@ def check_non_negative(**values):
 
 def whole_count(name, value, least):
     """int of a whole number (numpy integers included) of at least
-    `least`; 2.5, NaN or inf is refused, not rounded."""
-    if not (value >= least and float(value).is_integer()):
+    `least`; 2.5, NaN, inf or a bool is refused, not rounded."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            value >= least and float(value).is_integer()):
         raise ConfigError(f"{name} must be a whole number, at least {least}, "
                           f"got {value!r}")
     return int(value)

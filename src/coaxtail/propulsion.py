@@ -30,7 +30,6 @@ from .errors import (ConfigError, InfeasibleError, NumericalDomainError,
 
 _THRUST_TOL = 1e-6
 _N_MAX = 350.0  # rev/s search ceiling for rpm solving
-_MULTIROTOR_ACTIVE = ("fore", "aft")
 
 
 @dataclass(frozen=True)
@@ -201,41 +200,12 @@ def solve_rpm_for_thrust(table, rho, v, t_req):
     raise InfeasibleError("rpm bisection did not converge")
 
 
-@dataclass(frozen=True)
-class PropulsionConfig:
-    """A propeller pairing plus which props run in fixed-wing mode."""
-
-    name: str
-    fore: PropellerTable
-    aft: PropellerTable
-    fixedwing_active: tuple = ("aft",)
-
-    def __post_init__(self):
-        if not self.fixedwing_active:
-            raise ConfigError("fixed-wing mode needs an active propeller")
-        if any(p not in ("fore", "aft") for p in self.fixedwing_active):
-            raise ConfigError("active propellers must be 'fore' or 'aft'")
-
-    def table(self, which):
-        return self.fore if which == "fore" else self.aft
-
-
-def mode_power(config, mode, rho, v, t_total_req):
-    """Total electrical power (W) to produce t_total_req in the given mode.
-
-    Multi-rotor mode splits thrust equally across both propellers (torque
-    balance); fixed-wing mode splits equally across the active subset.
-    """
-    if mode == "multirotor":
-        active = _MULTIROTOR_ACTIVE
-    elif mode == "fixedwing":
-        active = config.fixedwing_active
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    share = t_total_req / len(active)
+def shared_power(tables, rho, v, t_total_req):
+    """Total shaft power (W) of the propellers in `tables` sharing
+    t_total_req equally at airspeed v."""
+    share = t_total_req / len(tables)
     total = 0.0
-    for which in active:
-        table = config.table(which)
+    for table in tables:
         n = solve_rpm_for_thrust(table, rho, v, share)
         total += thrust_power(table, rho, v, n)[1]
     return total
@@ -250,28 +220,9 @@ class ConfigPower:
     cruise_w: float
 
 
-@dataclass(frozen=True)
-class MissionPowerCurve:
-    r: np.ndarray
-    watts: dict  # name -> array over r
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if not np.all((r >= 0.0) & (r <= 1.0)):
-            raise ConfigError("hover-time ratios must lie in [0, 1]")
-        object.__setattr__(self, "r", r)
-
-
 def average_power(power, r):
     """Mission-average power at hover-time ratio r (affine in r)."""
     return r * power.hover_w + (1.0 - r) * power.cruise_w
-
-
-def average_power_curve(powers, r_grid):
-    r = np.asarray(r_grid, dtype=float)
-    watts = {p.name: np.array([average_power(p, ri) for ri in r])
-             for p in powers}
-    return MissionPowerCurve(r=r, watts=watts)
 
 
 def crossover_ratio(power_a, power_b):
@@ -313,6 +264,20 @@ WATTAGE_FIXTURES = {
 }
 
 
+def study_powers(watts):
+    """ConfigPower of each of STUDY_PAIRINGS, in order. watts(stems, mode)
+    is the power of the props named by `stems` sharing the mode's thrust
+    equally: the hover set is (fore, aft) in "multirotor", the cruise set
+    is the active props in "fixedwing"."""
+    powers = []
+    for name, fore, aft, fixedwing_active in STUDY_PAIRINGS:
+        stems = {"fore": fore, "aft": aft}
+        powers.append(ConfigPower(
+            name, watts((fore, aft), "multirotor"),
+            watts(tuple(stems[p] for p in fixedwing_active), "fixedwing")))
+    return tuple(powers)
+
+
 def fixture_config_powers(fixture="paper-2025"):
     """STUDY_PAIRINGS from a wattage fixture: each mode's power is the sum
     of its active props' wattages."""
@@ -320,18 +285,12 @@ def fixture_config_powers(fixture="paper-2025"):
         w = WATTAGE_FIXTURES[fixture]
     except KeyError:
         raise ConfigError(f"unknown wattage fixture {fixture!r}") from None
-    powers = []
-    for name, fore, aft, fixedwing_active in STUDY_PAIRINGS:
-        stems = {"fore": fore, "aft": aft}
-        powers.append(ConfigPower(
-            name,
-            hover_w=sum(w[stems[p]]["multirotor"] for p in _MULTIROTOR_ACTIVE),
-            cruise_w=sum(w[stems[p]]["fixedwing"] for p in fixedwing_active)))
-    return tuple(powers)
+    return study_powers(lambda stems, mode: sum(w[s][mode] for s in stems))
 
 
-def study_summary(powers, r_probe=0.2):
-    """key=value summary lines for a configuration study."""
+def study_summary(powers):
+    """key=value summary lines for a configuration study; the reductions
+    compare mission-average powers at a hover-time ratio of 0.2."""
     by_name = {p.name: p for p in powers}
     lines = []
     for p in powers:
@@ -341,15 +300,15 @@ def study_summary(powers, r_probe=0.2):
         r_star = crossover_ratio(by_name["HPC"], by_name["HLC"])
         if r_star is not None:
             lines.append(f"crossover_HPC_HLC={r_star:.3f}")
-        hpc = average_power(by_name["HPC"], r_probe)
-        hlc = average_power(by_name["HLC"], r_probe)
+        hpc = average_power(by_name["HPC"], 0.2)
+        hlc = average_power(by_name["HLC"], 0.2)
         lines.append(
-            f"reduction_at_r{r_probe:g}_vs_HLC={100.0 * (1.0 - hpc / hlc):.1f}%")
+            f"reduction_at_r0.2_vs_HLC={100.0 * (1.0 - hpc / hlc):.1f}%")
     if "HPC" in by_name and "HSC" in by_name:
-        hpc = average_power(by_name["HPC"], r_probe)
-        hsc = average_power(by_name["HSC"], r_probe)
+        hpc = average_power(by_name["HPC"], 0.2)
+        hsc = average_power(by_name["HSC"], 0.2)
         lines.append(
-            f"reduction_at_r{r_probe:g}_vs_HSC={100.0 * (1.0 - hpc / hsc):.1f}%")
+            f"reduction_at_r0.2_vs_HSC={100.0 * (1.0 - hpc / hsc):.1f}%")
         gap = 100.0 * (by_name["HSC"].hover_w - by_name["HPC"].hover_w) \
             / by_name["HSC"].hover_w
         lines.append(f"multirotor_gap_vs_HSC={gap:.1f}%")
@@ -360,15 +319,20 @@ def study_summary(powers, r_probe=0.2):
     return lines
 
 
-def write_power_curve_csv(path, curve):
-    """power_curve.csv: column r plus one <name>_W column per config."""
-    names = sorted(curve.watts)
+def write_power_curve_csv(path, powers, r):
+    """power_curve.csv: column r plus one <name>_W column per config, in
+    name order, of the mission-average power at each hover-time ratio in r
+    (each in [0, 1])."""
+    r = np.asarray(r, dtype=float)
+    if not np.all((r >= 0.0) & (r <= 1.0)):
+        raise ConfigError("hover-time ratios must lie in [0, 1]")
+    powers = sorted(powers, key=lambda p: p.name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["r"] + [f"{n}_W" for n in names])
-        for i, r in enumerate(curve.r):
-            writer.writerow([f"{r:.9g}"]
-                            + [f"{curve.watts[n][i]:.9g}" for n in names])
+        writer.writerow(["r"] + [f"{p.name}_W" for p in powers])
+        for ri in r:
+            writer.writerow([f"{ri:.9g}"]
+                            + [f"{average_power(p, ri):.9g}" for p in powers])
 
 
 _SHEET_NAME = re.compile(r"^(?P<name>.+)_(?P<rpm>\d+(?:\.\d+)?)\.csv$")

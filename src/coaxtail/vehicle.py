@@ -537,6 +537,12 @@ class SimLog:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[1] != len(LOG_COLUMNS):
             raise ConfigError(f"log data must be n x {len(LOG_COLUMNS)}")
+        mode = self.mode
+        bad = np.flatnonzero((mode != 0.0) & (mode != 1.0))
+        if bad.size:
+            row = int(bad[0])
+            raise ConfigError(f"log mode must be 0.0 or 1.0 (a WingMode "
+                              f"code), got {float(mode[row])!r} in row {row}")
 
     def pitch(self):
         z_x = 2.0 * (self.state[:, 7] * self.state[:, 9]

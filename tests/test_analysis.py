@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import math
 import re
 import subprocess
@@ -663,8 +664,8 @@ class TestTablePowers:
         assert names == [p.name for p in fixture_config_powers()]
         assert names == ["HPC", "HLC", "HSC"]
 
-    @pytest.mark.parametrize("name", ["mass", "gravity", "cruise_thrust",
-                                      "cruise_speed", "rho"])
+    @pytest.mark.parametrize("name", ["mass", "cruise_thrust",
+                                      "cruise_speed"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_refuses_a_bad_study_parameter(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -693,6 +694,28 @@ class TestCli:
         assert "reduction_at_r0.2_vs_HLC=29.2%" in captured.out
         header = out.read_text().splitlines()[0]
         assert header == "r,HLC_W,HPC_W,HSC_W"
+
+    def test_power_analysis_fixture_csv_is_pinned(self, tmp_path, capsys):
+        """The paper-2025 curve is IEEE arithmetic on fixed wattages (101
+        ratios, the csv module's CRLF rows), so its bytes hash the same on
+        any machine."""
+        out = tmp_path / "curve.csv"
+        assert cli_main(["power-analysis", "--fixture", "paper-2025",
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "dad2c61e6f5cc96f7c42b5c8bf570141618b19c18382e538ab076040fbc9b5f2")
+
+    @pytest.mark.parametrize("mode", ["retracted", "extended"])
+    def test_shipped_wind_config_peak_is_the_post_gust_peak(self, mode):
+        """simulate's peak_deviation_m of a shipped wind config, taken over
+        the whole run, is the peak after the gust starts, bit for bit: the
+        vehicle holds its target until the wind arrives."""
+        spec, params = load_scenario(PROPS_DIR.parent / f"wind_{mode}.cfg")
+        log = run_scenario(spec, params)
+        target = np.asarray(spec.position)
+        whole = log.peak_deviation(target)
+        assert whole > 0.0
+        assert whole == log.peak_deviation(target, t_min=spec.wind.start)
 
     def test_unknown_fixture_is_validation(self, tmp_path, capsys):
         code = cli_main(["power-analysis", "--fixture", "nope",
@@ -970,9 +993,8 @@ class TestCli:
         assert bad.name in lines[0]
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "wind-test",
-                                         "bench-splm", "power-analysis",
-                                         "psd"])
+    @pytest.mark.parametrize("command", ["simulate", "bench-splm",
+                                         "power-analysis", "psd"])
     def test_out_in_a_missing_directory_fails_before_the_run(
             self, tmp_path, capsys, monkeypatch, command):
         """An output path whose directory does not exist is a validation
@@ -990,7 +1012,6 @@ class TestCli:
         cfg = tmp_path / "quick.cfg"
         cfg.write_text("[scenario]\nname = quick\nduration_s = 1.0\n")
         argv = {"simulate": ["simulate", str(cfg)],
-                "wind-test": ["wind-test", "--mode", "retracted"],
                 "psd": ["psd", str(tmp_path / "in.csv")],
                 }.get(command, [command])
         code = cli_main([*argv, "--out", str(out)])
@@ -1069,25 +1090,6 @@ class TestCli:
         log = run_scenario(*load_scenario(PROPS_DIR.parent / "transition.cfg"))
         assert log.saturation() == (0.0, 1.0)
 
-    def test_wind_test_rejects_runs_ending_before_the_gust(self, capsys):
-        for argv in (["--duration", "1"], ["--duration", "2"],
-                     ["--duration", "nan"], ["--speed", "nan"],
-                     ["--speed", "inf"]):
-            code = cli_main(["wind-test", "--mode", "retracted", *argv])
-            err = capsys.readouterr().err.splitlines()
-            assert code == 1, argv
-            assert len(err) == 1 and "category=validation" in err[0], argv
-
-    def test_wind_test_prints_peak(self, capsys):
-        code = cli_main(["wind-test", "--mode", "retracted",
-                         "--duration", "4"])
-        captured = capsys.readouterr()
-        assert code == 0
-        line = captured.out.splitlines()[0]
-        assert line.startswith("mode=retracted ")
-        fields = dict(kv.split("=", 1) for kv in line.split())
-        assert float(fields["peak_deviation_m"]) >= 0.0
-
 
 # every float flag of every subcommand, and what the subcommand needs
 # besides it to get past the parser
@@ -1095,12 +1097,10 @@ FLOAT_FLAGS = {
     "bench-splm": ("--throttle", "--amplitude", "--phase", "--duration",
                    "--fs"),
     "power-analysis": ("--mass", "--cruise-thrust", "--cruise-speed"),
-    "wind-test": ("--speed", "--duration"),
     "psd": ("--overlap",),
 }
 REQUIRED_ARGS = {
     "power-analysis": ["--tables", str(PROPS_DIR)],
-    "wind-test": ["--mode", "retracted"],
     "psd": ["missing.csv"],
 }
 

@@ -674,6 +674,23 @@ class TestVectorPid:
             assert np.array_equal(np.signbit(pid.integral),
                                   np.signbit(ref["integral"])), err
 
+    @pytest.mark.parametrize("lim", [0.0, 0.5])
+    @pytest.mark.parametrize("acc", [math.nan, "lim", "-lim", 0.0, -0.0,
+                                     "2lim+1", "-2lim-1"])
+    def test_clamp_matches_np_clip(self, acc, lim):
+        """The integral after one step equals np.clip of the unclamped sum
+        on arrays, as the controller's reference takes it: NaN stays NaN,
+        +-limit and signed zeros keep their bits."""
+        acc = {"lim": lim, "-lim": -lim, "2lim+1": 2.0 * lim + 1.0,
+               "-2lim-1": -2.0 * lim - 1.0}.get(acc, acc)
+        pid = VectorPid(kp=(0.0,), ki=(1.0,), kd=(0.0,), i_limit=(lim,))
+        pid.integral = [acc]
+        pid.step([-0.0], 1.0)  # acc + 1.0 * -0.0 * 1.0 is acc, bit for bit
+        want = np.clip(np.array([acc]), -np.array([lim]), np.array([lim]))
+        got = np.array(pid.integral)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_wrong_length_error_is_refused(self):
         """An err with too few or too many axes raises and leaves the
         controller's state as it was."""

@@ -5,6 +5,7 @@ the field, key or file line at fault.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from coaxtail.analysis import PsdResult
 from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              check_positive, finite_number, read_number_rows,
                              whole_count)
-from coaxtail.propulsion import (MissionPowerCurve, PropellerTable,
-                                 advance_ratio, thrust_power)
-from coaxtail.rotor import rotor_solidity
+from coaxtail.propulsion import (PropellerTable, advance_ratio, thrust_power,
+                                 write_power_curve_csv)
+from coaxtail.rotor import SplmParams, rotor_solidity
 from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
                               transition_profile)
 
@@ -44,9 +45,12 @@ class TestNumberRules:
     def test_whole_count(self):
         assert whole_count("n", 3.0, 1) == 3
         assert whole_count("n", np.int64(4), 2) == 4
-        for bad in (2.5, 0, *NON_FINITE):
+        # True == 1, but it is not one blade or one sample
+        for bad in (2.5, 0, True, np.True_, *NON_FINITE):
             with pytest.raises(ConfigError, match="^n must be a whole number"):
                 whole_count("n", bad, 1)
+        with pytest.raises(ConfigError, match="^blade_count must be a whole"):
+            SplmParams(blade_count=True)
 
     def test_finite_number(self):
         assert finite_number(" 1e3 ", "k") == 1000.0
@@ -110,8 +114,8 @@ NAN_CALLS = {
     "PsdResult_density": lambda: PsdResult([0.0, 1.0], [math.nan, 1.0]),
     "PsdResult_freq": lambda: PsdResult([0.0, math.nan], [1.0, 1.0]),
     "PsdResult_one_freq": lambda: PsdResult([math.nan], [1.0]),
-    "MissionPowerCurve": lambda: MissionPowerCurve(r=[0.0, math.nan],
-                                                   watts={}),
+    "write_power_curve_csv": lambda: write_power_curve_csv(
+        os.devnull, (), [0.0, math.nan]),
 }
 
 

@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,25 +12,30 @@ from coaxtail.errors import (
     NumericalDomainError,
     TableRangeError,
 )
+from coaxtail import propulsion
+from coaxtail.analysis import table_config_powers
 from coaxtail.propulsion import (
+    PROP_DIAMETERS,
+    STUDY_PAIRINGS,
+    WATTAGE_FIXTURES,
     ConfigPower,
     PropellerTable,
-    PropulsionConfig,
     RpmSheet,
     advance_ratio,
     average_power,
-    average_power_curve,
     crossover_ratio,
     fixture_config_powers,
     load_propeller_table,
-    mode_power,
+    shared_power,
     solve_rpm_for_thrust,
+    study_powers,
     study_summary,
     thrust_power,
     write_power_curve_csv,
 )
 
 RHO = 1.225
+PROPS_DIR = Path(__file__).resolve().parent.parent / "configs" / "props"
 
 
 def constant_table(ct=0.10, cp=0.05, diameter=0.4064):
@@ -187,37 +195,154 @@ class TestSolveRpm:
             assert t_probe < 3.0
 
 
-class TestModePower:
-    def symmetric_config(self):
+class TestSharedPower:
+    def test_two_props_split_equally(self):
         table = constant_table(ct=0.08, cp=0.04, diameter=0.3)
-        return PropulsionConfig("sym", fore=table, aft=table,
-                                fixedwing_active=("aft",))
-
-    def test_multirotor_equal_split(self):
-        cfg = self.symmetric_config()
-        total = mode_power(cfg, "multirotor", RHO, 0.0, 8.0)
-        n_half = solve_rpm_for_thrust(cfg.fore, RHO, 0.0, 4.0)
-        _, p_half = thrust_power(cfg.fore, RHO, 0.0, n_half)
+        total = shared_power((table, table), RHO, 0.0, 8.0)
+        n_half = solve_rpm_for_thrust(table, RHO, 0.0, 4.0)
+        _, p_half = thrust_power(table, RHO, 0.0, n_half)
         assert total == pytest.approx(2.0 * p_half, rel=1e-9)
 
-    def test_fixedwing_single_active_takes_full_load(self):
-        cfg = self.symmetric_config()
-        total = mode_power(cfg, "fixedwing", RHO, 10.0, 3.0)
-        n = solve_rpm_for_thrust(cfg.aft, RHO, 10.0, 3.0)
-        _, p = thrust_power(cfg.aft, RHO, 10.0, n)
-        assert total == pytest.approx(p, rel=1e-12)
-
-    def test_fixedwing_pair_splits(self):
+    def test_single_prop_takes_full_load(self):
         table = constant_table(ct=0.08, cp=0.04, diameter=0.3)
-        cfg = PropulsionConfig("both", fore=table, aft=table,
-                               fixedwing_active=("fore", "aft"))
-        total = mode_power(cfg, "fixedwing", RHO, 10.0, 3.0)
-        single = mode_power(self.symmetric_config(), "fixedwing", RHO, 10.0, 1.5)
+        total = shared_power((table,), RHO, 10.0, 3.0)
+        n = solve_rpm_for_thrust(table, RHO, 10.0, 3.0)
+        _, p = thrust_power(table, RHO, 10.0, n)
+        assert total == 0.0 + p
+
+    def test_pair_is_twice_a_single_at_half_thrust(self):
+        table = constant_table(ct=0.08, cp=0.04, diameter=0.3)
+        total = shared_power((table, table), RHO, 10.0, 3.0)
+        single = shared_power((table,), RHO, 10.0, 1.5)
         assert total == pytest.approx(2.0 * single, rel=1e-9)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            mode_power(self.symmetric_config(), "hover", RHO, 0.0, 1.0)
+    def test_sums_in_order_from_zero(self):
+        """(0.0 + p_first) + p_second, each at its own shaft speed."""
+        big, small = constant_table(diameter=0.4064), ramp_table()
+        want = 0.0
+        for table in (big, small):
+            n = solve_rpm_for_thrust(table, RHO, 5.0, 1.5)
+            want += thrust_power(table, RHO, 5.0, n)[1]
+        got = shared_power((big, small), RHO, 5.0, 3.0)
+        assert got.hex() == want.hex()
+
+
+# The power study as it stood with a PropulsionConfig and a mode_power
+# dispatched on the mode's name: the reference the single study loop,
+# propulsion.study_powers, must match to the bit.
+@dataclass(frozen=True)
+class ReferencePropulsionConfig:
+    name: str
+    fore: PropellerTable
+    aft: PropellerTable
+    fixedwing_active: tuple = ("aft",)
+
+    def table(self, which):
+        return self.fore if which == "fore" else self.aft
+
+
+def reference_mode_power(config, mode, rho, v, t_total_req):
+    active = (("fore", "aft") if mode == "multirotor"
+              else config.fixedwing_active)
+    share = t_total_req / len(active)
+    total = 0.0
+    for which in active:
+        table = config.table(which)
+        n = propulsion.solve_rpm_for_thrust(table, rho, v, share)
+        total += thrust_power(table, rho, v, n)[1]
+    return total
+
+
+def reference_table_powers(tables_dir, mass=1.2, cruise_thrust=4.4,
+                           cruise_speed=15.6):
+    tables = {stem: load_propeller_table(tables_dir, stem, diameter=d)
+              for stem, d in PROP_DIAMETERS.items()}
+    powers = []
+    for name, fore, aft, fixedwing_active in STUDY_PAIRINGS:
+        config = ReferencePropulsionConfig(name, tables[fore], tables[aft],
+                                           fixedwing_active)
+        powers.append(ConfigPower(
+            name,
+            reference_mode_power(config, "multirotor", 1.225, 0.0,
+                                 mass * 9.81),
+            reference_mode_power(config, "fixedwing", 1.225, cruise_speed,
+                                 cruise_thrust)))
+    return tuple(powers)
+
+
+def hexes(powers):
+    return [(p.name, p.hover_w.hex(), p.cruise_w.hex()) for p in powers]
+
+
+class TestStudyPowers:
+    def test_calls_watts_per_pairing_hover_then_cruise(self):
+        calls = []
+
+        def watts(stems, mode):
+            calls.append((stems, mode))
+            return float(len(calls))
+
+        powers = study_powers(watts)
+        assert calls == [
+            (("16in", "7in"), "multirotor"), (("7in",), "fixedwing"),
+            (("16in", "16in"), "multirotor"), (("16in", "16in"), "fixedwing"),
+            (("7in", "7in"), "multirotor"), (("7in",), "fixedwing")]
+        assert powers == (ConfigPower("HPC", 1.0, 2.0),
+                          ConfigPower("HLC", 3.0, 4.0),
+                          ConfigPower("HSC", 5.0, 6.0))
+
+    def test_fixture_sums_the_active_wattages_in_order(self):
+        w = WATTAGE_FIXTURES["paper-2025"]
+        want = []
+        for name, fore, aft, active in STUDY_PAIRINGS:
+            stems = {"fore": fore, "aft": aft}
+            want.append(ConfigPower(
+                name, sum(w[stems[p]]["multirotor"] for p in ("fore", "aft")),
+                sum(w[stems[p]]["fixedwing"] for p in active)))
+        assert hexes(fixture_config_powers()) == hexes(want)
+
+    def test_shipped_tables_match_the_reference_to_the_bit(self):
+        assert hexes(table_config_powers(PROPS_DIR)) \
+            == hexes(reference_table_powers(PROPS_DIR))
+
+    def test_random_study_parameters_match_the_reference(self):
+        """Random (mass, cruise thrust, cruise speed): the same floats, bit
+        for bit, or the same InfeasibleError message."""
+        rng = np.random.default_rng(19)
+        feasible = infeasible = 0
+        for _ in range(32):
+            study = {"mass": rng.uniform(0.3, 4.0),
+                     "cruise_thrust": rng.uniform(0.5, 16.0),
+                     "cruise_speed": rng.uniform(2.0, 30.0)}
+            try:
+                want = hexes(reference_table_powers(PROPS_DIR, **study))
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError,
+                                   match=f"^{re.escape(str(exc))}$"):
+                    table_config_powers(PROPS_DIR, **study)
+                infeasible += 1
+                continue
+            assert hexes(table_config_powers(PROPS_DIR, **study)) == want, \
+                study
+            feasible += 1
+        assert feasible >= 20 and infeasible >= 1
+
+    def test_same_rpm_solves_as_the_reference(self, monkeypatch):
+        """One solve per prop and mode, in the same order and with the same
+        arguments."""
+        seen = []
+        solve = propulsion.solve_rpm_for_thrust
+
+        def recording(table, rho, v, t_req):
+            seen.append((table.diameter, rho, v, t_req))
+            return solve(table, rho, v, t_req)
+
+        monkeypatch.setattr(propulsion, "solve_rpm_for_thrust", recording)
+        reference_table_powers(PROPS_DIR)
+        want, seen[:] = list(seen), []
+        table_config_powers(PROPS_DIR)
+        assert seen == want
+        assert len(seen) == 10
 
 
 class TestFixturePowers:
@@ -253,17 +378,6 @@ class TestAveragePower:
         assert average_power(powers["HPC"], 0.2) == pytest.approx(78.46, abs=5e-3)
         assert average_power(powers["HLC"], 0.2) == pytest.approx(110.8, abs=5e-2)
         assert average_power(powers["HSC"], 0.2) == pytest.approx(92.92, abs=5e-3)
-
-    def test_curve_grid(self):
-        powers = fixture_config_powers()
-        curve = average_power_curve(powers, np.linspace(0.0, 1.0, 11))
-        assert set(curve.watts) == {"HPC", "HLC", "HSC"}
-        assert curve.watts["HLC"][0] == 122.0
-        assert curve.watts["HLC"][-1] == 66.0
-
-    def test_ratio_outside_unit_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            average_power_curve(fixture_config_powers(), [0.0, 1.2])
 
 
 class TestCrossover:
@@ -314,16 +428,23 @@ class TestStudySummary:
 
 class TestCsvIO:
     def test_power_curve_roundtrip(self, tmp_path):
-        curve = average_power_curve(fixture_config_powers(),
-                                    np.linspace(0.0, 1.0, 5))
         path = tmp_path / "power_curve.csv"
-        write_power_curve_csv(path, curve)
+        write_power_curve_csv(path, fixture_config_powers(),
+                              np.linspace(0.0, 1.0, 5))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r,HLC_W,HPC_W,HSC_W"
         assert len(lines) == 6
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == 122.0
+        first, last = lines[1].split(","), lines[-1].split(",")
+        assert (float(first[0]), float(first[1])) == (0.0, 122.0)  # HLC
+        assert (float(last[0]), float(last[1])) == (1.0, 66.0)
+
+    @pytest.mark.parametrize("r", [[0.0, 1.2], [-0.1], [0.5, math.nan]])
+    def test_power_curve_ratio_outside_unit_interval_rejected(self, tmp_path,
+                                                              r):
+        path = tmp_path / "power_curve.csv"
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            write_power_curve_csv(path, fixture_config_powers(), r)
+        assert not path.exists()
 
     def test_load_sheets_sorted_and_interpolated(self, tmp_path):
         (tmp_path / "aft7_6000.csv").write_text(

@@ -978,6 +978,27 @@ class TestSimLog:
             with pytest.raises(ConfigError, match="log data must be"):
                 SimLog("bad", bad, {})
 
+    @pytest.mark.parametrize("code", [0.0, -0.0, 1.0])
+    def test_mode_column_takes_the_wing_mode_codes(self, tmp_path, code):
+        data = np.zeros((3, len(LOG_COLUMNS)))
+        data[1, LOG_COLUMNS.index("mode")] = code
+        log = SimLog("ok", data, {})
+        log.write_csv(tmp_path / "ok.csv")
+        row = (tmp_path / "ok.csv").read_text().splitlines()[2]
+        assert row.split(",")[20] == SimLog.MODE_NAMES[int(code)]
+
+    @pytest.mark.parametrize("code", [0.5, 2.0, -1.0, math.nan, math.inf])
+    def test_mode_column_refuses_other_values(self, code):
+        """A mode that is not a WingMode code is a ConfigError naming the
+        first bad row, not a KeyError from write_csv."""
+        data = np.zeros((4, len(LOG_COLUMNS)))
+        mode = LOG_COLUMNS.index("mode")
+        data[2, mode] = code
+        data[3, mode] = 3.0
+        with pytest.raises(ConfigError, match=r"log mode must be 0\.0 or "
+                           rf"1\.0 .*got {code!r} in row 2$"):
+            SimLog("bad", data, {})
+
     @pytest.mark.parametrize("mode", ["hover", "transition"])
     def test_short_runs_equal_the_head_of_a_long_run(self, mode):
         """run_scenario stores its log rows a chunk of ticks at a time; a
