@@ -1,11 +1,13 @@
-"""Tandem-wing lift, pitch moment, and longitudinal static stability.
+"""Tandem-wing force law, pitch moment, and longitudinal static stability.
 
-Both wings are modeled with the same linear airfoil: Cl = k*alpha + Cl0,
-valid for alpha in [-5, +10] degrees. The vehicle pitch moment uses the
-nose-up-positive convention M = F_front*L_front - F_rear*L_rear, so a
-statically stable layout (rear wing doing relatively more work) gives
-dM/d(alpha) < 0: pitching up loads the rear wing harder and the moment
-pushes the nose back down.
+Both wings share one panel law, which the static-stability check and the
+6-DOF simulator both use: the lift line Cl = k*alpha + Cl0 inside the
+linear range [-5, +10] degrees, blended beyond it into the flat-plate
+post-stall law Cn_max*sin(alpha) (panel_cn). The vehicle pitch moment
+uses the nose-up-positive convention M = F_front*L_front -
+F_rear*L_rear, so a statically stable layout (rear wing doing relatively
+more work) gives dM/d(alpha) < 0: pitching up loads the rear wing harder
+and the moment pushes the nose back down.
 
 The retracted wing mode models the wings folded along the fuselage: they
 stop producing lift (the simulator's panel force is then exactly zero).
@@ -20,6 +22,8 @@ from .errors import (ConfigError, LinearRangeError, check_finite,
 
 ALPHA_MIN = math.radians(-5.0)
 ALPHA_MAX = math.radians(10.0)
+_BLEND_BAND = math.radians(25.0)  # linear-to-post-stall crossfade width
+_CN_MAX = 1.2  # flat-plate normal-force ceiling for a moderate-AR panel
 
 
 @dataclass(frozen=True)
@@ -60,21 +64,31 @@ class StabilityReport:
     margin: float  # dM/d(delta_alpha) at the reference speed, N*m/rad
 
 
-def lift_coefficient(alpha_airfoil, panel):
-    """Linear-range lift coefficient; rejects angles outside validity."""
-    if not ALPHA_MIN <= alpha_airfoil <= ALPHA_MAX:
-        raise LinearRangeError(
-            f"airfoil angle {math.degrees(alpha_airfoil):.2f} deg outside "
-            "the linear range [-5, +10] deg"
-        )
-    return panel.lift_slope * alpha_airfoil + panel.cl0
+def panel_cn(panel, alpha):
+    """Full-envelope normal-force coefficient for one panel.
+
+    Exactly the linear lift line inside the panel's valid range, then a
+    cosine crossfade into Cn_max*sin(alpha) over _BLEND_BAND beyond each
+    edge. Continuous, and its slope never turns steeply negative, which
+    keeps the heave/incidence coupling benign through the transition.
+    """
+    a = math.remainder(alpha, 2.0 * math.pi)
+    if ALPHA_MIN <= a <= ALPHA_MAX:
+        return panel.lift_slope * a + panel.cl0
+    edge = ALPHA_MAX if a > ALPHA_MAX else ALPHA_MIN
+    cn_edge = panel.lift_slope * edge + panel.cl0
+    frac = min(1.0, abs(a - edge) / _BLEND_BAND)
+    w = 0.5 * (1.0 + math.cos(math.pi * frac))
+    return w * cn_edge + (1.0 - w) * _CN_MAX * math.sin(a)
 
 
-def wing_force(v, alpha_airfoil, panel, rho):
-    """Panel lift 0.5*rho*S*v^2*Cl, N."""
-    check_non_negative(v=v)
-    cl = lift_coefficient(alpha_airfoil, panel)
-    return 0.5 * rho * panel.area * v * v * cl
+def tandem_wrench(config, q, alpha):
+    """(normal force, pitch moment) of both panels at dynamic pressure q
+    and vehicle angle of attack alpha; N and N*m, nose-up positive."""
+    f, r = config.front, config.rear
+    f_front = q * f.area * panel_cn(f, alpha + f.incidence)
+    f_rear = q * r.area * panel_cn(r, alpha + r.incidence)
+    return f_front + f_rear, f_front * f.arm - f_rear * r.arm
 
 
 def _require_identical_airfoils(config):
@@ -87,14 +101,18 @@ def _require_identical_airfoils(config):
 
 
 def pitch_moment(config, v, delta_alpha):
-    """Vehicle pitch moment about the CG, nose-up positive, N*m.
+    """Vehicle pitch moment about the CG at speed v, nose-up positive, N*m.
 
-    delta_alpha is the common AoA deviation added to both incidences.
+    delta_alpha is the common AoA deviation added to both incidences;
+    each panel must stay inside the linear range.
     """
-    f, r = config.front, config.rear
-    force_f = wing_force(v, f.incidence + delta_alpha, f, config.rho)
-    force_r = wing_force(v, r.incidence + delta_alpha, r, config.rho)
-    return force_f * f.arm - force_r * r.arm
+    check_non_negative(v=v)
+    for panel in (config.front, config.rear):
+        alpha = panel.incidence + delta_alpha
+        if not ALPHA_MIN <= alpha <= ALPHA_MAX:
+            raise LinearRangeError(f"airfoil angle {math.degrees(alpha):.2f} "
+                                   "deg outside the linear range [-5, +10] deg")
+    return tandem_wrench(config, 0.5 * config.rho * v * v, delta_alpha)[1]
 
 
 def _delta_alpha_interval(config):

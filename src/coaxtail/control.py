@@ -242,8 +242,9 @@ class VectorPid:
                  for g in (kp, ki, kd, i_limit)]
         if len({len(g) for g in gains}) != 1:
             raise ConfigError("PID gains must have one entry per axis")
-        if not all(lim >= 0.0 for lim in gains[3]):
-            raise ConfigError("integrator limit must be non-negative")
+        for name, g in zip(("kp", "ki", "kd", "i_limit"), gains):
+            rule = check_non_negative if name == "i_limit" else check_finite
+            rule(**{f"{name}[{i}]": x for i, x in enumerate(g)})
         self._axes = tuple(zip(*gains))
         self.reset()
 

@@ -219,6 +219,9 @@ class ConfigPower:
     hover_w: float
     cruise_w: float
 
+    def __post_init__(self):
+        check_positive(hover_w=self.hover_w, cruise_w=self.cruise_w)
+
 
 def average_power(power, r):
     """Mission-average power at hover-time ratio r (affine in r)."""

@@ -22,14 +22,11 @@ Force model, all declared rather than fitted:
   axial flow reduce to 0.5*rho*Cd*A*|v_rel|*v_rel with that area, v_rel
   the air velocity relative to the body.
 - Wings produce a normal force (body +x, the plate normal) from the
-  chordwise flow component. Inside the linear range the coefficient is
-  the panel's lift line; beyond it the coefficient blends smoothly into
-  the flat-plate post-stall law Cn_max*sin(alpha), which decomposes into
-  the familiar sin(2a)/2 lift and sin^2(a) drag and dies out at pure
-  crossflow the way a stalled plate does. Spanwise flow produces nothing
-  because only chordwise flow carries dynamic pressure. Retracted wings
-  produce exactly zero force, which is what the retract maneuver buys:
-  the wing planform's share of crossflow drag disappears with it.
+  chordwise flow component, by aero's full-envelope panel law
+  (aero.tandem_wrench). Spanwise flow produces nothing because only
+  chordwise flow carries dynamic pressure. Retracted wings produce
+  exactly zero force, which is what the retract maneuver buys: the wing
+  planform's share of crossflow drag disappears with it.
 """
 
 import math
@@ -39,7 +36,7 @@ from math import isfinite
 import numpy as np
 
 from . import kernels, quat
-from .aero import ALPHA_MAX, ALPHA_MIN, TandemConfig, WingMode, WingPanel
+from .aero import TandemConfig, WingMode, WingPanel, tandem_wrench
 from .control import (
     ActuatorLimits,
     AllocationGains,
@@ -53,8 +50,6 @@ from .errors import (ConfigError, SimulationFault, check_finite,
                      tick_rate)
 
 _MAX_DT = 1e-3 + 1e-12
-_BLEND_BAND = math.radians(25.0)  # linear-to-post-stall crossfade width
-_CN_MAX = 1.2  # flat-plate normal-force ceiling for a moderate-AR panel
 
 
 def _default_inertia():
@@ -389,43 +384,6 @@ class ScenarioSpec:
                     finite_vector3(value, name).tolist()))
 
 
-def _panel_cn(panel, alpha):
-    """Full-envelope normal-force coefficient for one panel.
-
-    Exactly the linear lift line inside the panel's valid range, then a
-    cosine crossfade into Cn_max*sin(alpha) over _BLEND_BAND beyond each
-    edge. Continuous, and its slope never turns steeply negative, which
-    keeps the heave/incidence coupling benign through the transition.
-    """
-    a = math.remainder(alpha, 2.0 * math.pi)
-    if ALPHA_MIN <= a <= ALPHA_MAX:
-        return panel.lift_slope * a + panel.cl0
-    edge = ALPHA_MAX if a > ALPHA_MAX else ALPHA_MIN
-    cn_edge = panel.lift_slope * edge + panel.cl0
-    frac = min(1.0, abs(a - edge) / _BLEND_BAND)
-    w = 0.5 * (1.0 + math.cos(math.pi * frac))
-    return w * cn_edge + (1.0 - w) * _CN_MAX * math.sin(a)
-
-
-def _wing_wrench(u_body, tandem, mode):
-    """(force_x, torque_y) from the tandem panels, body frame."""
-    if mode is WingMode.RETRACTED:
-        return 0.0, 0.0
-    ux, _, uz = u_body
-    v_plane_sq = ux * ux + uz * uz
-    if v_plane_sq < 1e-12:
-        return 0.0, 0.0
-    alpha_flow = math.atan2(-ux, uz)
-    q_plane = 0.5 * tandem.rho * v_plane_sq
-    f_front = q_plane * tandem.front.area * _panel_cn(
-        tandem.front, alpha_flow + tandem.front.incidence)
-    f_rear = q_plane * tandem.rear.area * _panel_cn(
-        tandem.rear, alpha_flow + tandem.rear.incidence)
-    force_x = f_front + f_rear
-    torque_y = f_front * tandem.front.arm - f_rear * tandem.rear.arm
-    return force_x, torque_y
-
-
 def _drag_body(ux, uy, uz, lateral_area, axial_area, cd, rho):
     """Quadratic per-axis body drag from the body-frame flow (ux, uy, uz),
     as a tuple of floats."""
@@ -465,11 +423,15 @@ def realized_wrench(state, params, cmd, wind_world, wing_mode):
     drag_x, drag_y, drag_z = _drag_body(
         ux, uy, uz, params.lateral_area, params.axial_area, params.drag_cd,
         params.tandem.rho)
-    wing_fx, wing_ty = _wing_wrench(u_body, params.tandem, wing_mode)
+    v_plane_sq = ux * ux + uz * uz
+    q_plane = 0.5 * params.tandem.rho * v_plane_sq
+    wing_fx = wing_ty = 0.0
+    if wing_mode is WingMode.EXTENDED and v_plane_sq >= 1e-12:
+        wing_fx, wing_ty = tandem_wrench(params.tandem, q_plane,
+                                         math.atan2(-ux, uz))
     force = (0.0 + drag_x + wing_fx, 0.0 + drag_y, thrust + drag_z)
 
-    q_scale = 0.5 * params.tandem.rho * (ux * ux + uz * uz) \
-        / params.elevon_q_ref
+    q_scale = q_plane / params.elevon_q_ref
     torque = (
         alloc.c_m * cmd.m_dx,
         alloc.c_m * cmd.m_dy + alloc.k_ey * (cmd.d_1 + cmd.d_2) * q_scale

@@ -8,6 +8,7 @@ run still shows the full scoreboard.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from coaxtail.propulsion import average_power, crossover_ratio, \
 from coaxtail.rotor import SplmParams, _input_scale, bench_torque_series, \
     integrate, steady_state, stiffness_matrix
 from coaxtail.vehicle import ScenarioSpec, VehicleParams, VehicleState, \
-    WindProfile, WingSchedule, run_scenario, step_6dof, transition_profile
+    run_scenario, step_6dof, transition_profile
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -285,38 +286,37 @@ class TestCriterion6:
         report(6, "static stability", checks, f"slope err {slope_err:.1e}")
 
 
-def _wind_spec(mode, duration=12.0):
-    return ScenarioSpec(
-        name=f"wind_{mode.value}", mode="hover", duration=duration,
-        position=(0.0, 0.0, 1.5),
-        wind=WindProfile(speed=5.0, direction=(1.0, 0.0, 0.0), start=2.0),
-        wing=WingSchedule(kind="fixed", mode=mode))
+def _wind_case(mode):
+    """The shipped gust scenario with the wings fixed in `mode`, loaded
+    from configs/wind_<mode>.cfg: (spec, vehicle params)."""
+    return load_scenario(CONFIG_DIR / f"wind_{mode.value}.cfg")
+
+
+def _scaled_wings(params, scale):
+    """params with both wing panels' areas times scale."""
+    t = params.tandem
+    return replace(params, tandem=replace(
+        t, front=replace(t.front, area=t.front.area * scale),
+        rear=replace(t.rear, area=t.rear.area * scale)))
 
 
 class TestCriterion7:
     def test_wind_rejection(self):
-        target = np.array([0.0, 0.0, 1.5])
         runtimes = []
 
-        def peak(params, mode):
+        def peak(spec, params):
             t0 = time.perf_counter()
-            log = run_scenario(_wind_spec(mode), params)
+            log = run_scenario(spec, params)
             runtimes.append(time.perf_counter() - t0)
-            return log.peak_deviation(target, t_min=2.0)
+            return log.peak_deviation(spec.position, t_min=spec.wind.start)
 
-        base = VehicleParams()
-        dev_ext = peak(base, WingMode.EXTENDED)
-        dev_ret = peak(base, WingMode.RETRACTED)
+        spec, params = _wind_case(WingMode.EXTENDED)
+        dev_ext = peak(spec, params)
+        dev_ret = peak(*_wind_case(WingMode.RETRACTED))
         ratio = dev_ret / dev_ext
 
         devs = [dev_ext if scale == 1.0 else peak(
-            VehicleParams(tandem=TandemConfig(
-                front=WingPanel(area=0.048 * scale, lift_slope=2.2, cl0=0.32,
-                                incidence=math.radians(4.5), arm=0.24),
-                rear=WingPanel(area=0.056 * scale, lift_slope=2.2, cl0=0.32,
-                               incidence=math.radians(2.0), arm=0.30))),
-            WingMode.EXTENDED)
-            for scale in (0.6, 1.0, 1.4)]
+            spec, _scaled_wings(params, scale)) for scale in (0.6, 1.0, 1.4)]
 
         checks = {
             "retracted_ratio_le_0.5": ratio <= 0.5,

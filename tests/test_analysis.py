@@ -525,8 +525,12 @@ class TestScenarioSchema:
         assert {(s, k) for s, k, *_ in SCHEMA_CASES} == {
             (s, k) for s, keys in _SCENARIO_SCHEMA.items() for k in keys}
 
+    # the props directory's text is the checkout's path, so its id is fixed
     @pytest.mark.parametrize("section,key,text,part,fields", SCHEMA_CASES,
-                             ids=[f"{c[1]}={c[2]}" for c in SCHEMA_CASES])
+                             ids=[f"{c[1]}=" + ("configs/props"
+                                                if c[2] == str(PROPS_DIR)
+                                                else c[2])
+                                  for c in SCHEMA_CASES])
     def test_each_key_lands_on_its_field(self, tmp_path, section, key, text,
                                          part, fields):
         p = tmp_path / "one.cfg"

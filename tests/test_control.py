@@ -704,6 +704,19 @@ class TestVectorPid:
             assert pid.integral == integral
             assert pid._prev_err == prev
 
+    @pytest.mark.parametrize("gain", ["kp", "ki", "kd", "i_limit"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_is_refused_by_name(self, gain, bad):
+        gains = {"kp": (1.0, 1.0), "ki": (1.0, 1.0), "kd": (0.0, 0.0),
+                 "i_limit": (0.5, 0.5)}
+        gains[gain] = (1.0, bad)
+        with pytest.raises(ConfigError, match=rf"^{gain}\[1\] must be "):
+            VectorPid(**gains)
+
+    def test_negative_integrator_limit_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^i_limit\[0\] must be non-neg"):
+            VectorPid((1.0,), (1.0,), (0.0,), (-0.5,))
+
     def test_previous_error_is_a_copy(self):
         """A caller that reuses its error array does not change the next
         derivative."""

@@ -10,14 +10,14 @@ import os
 import numpy as np
 import pytest
 
-from coaxtail.aero import (TandemConfig, WingPanel, static_stability_check,
-                           wing_force)
+from coaxtail.aero import (TandemConfig, WingPanel, pitch_moment,
+                           static_stability_check)
 from coaxtail.analysis import PsdResult
 from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              check_positive, finite_number, read_number_rows,
                              whole_count)
-from coaxtail.propulsion import (PropellerTable, advance_ratio, thrust_power,
-                                 write_power_curve_csv)
+from coaxtail.propulsion import (ConfigPower, PropellerTable, advance_ratio,
+                                 thrust_power, write_power_curve_csv)
 from coaxtail.rotor import SplmParams, rotor_solidity
 from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
                               transition_profile)
@@ -105,7 +105,8 @@ NAN_CALLS = {
     "transition_profile": lambda: transition_profile(math.nan),
     "advance_ratio": lambda: advance_ratio(math.nan, 10.0, 0.2),
     "thrust_power": lambda: thrust_power(_TABLE, math.nan, 0.0, 50.0),
-    "wing_force": lambda: wing_force(math.nan, 0.0, _PANELS[0], 1.225),
+    "pitch_moment": lambda: pitch_moment(TandemConfig(*_PANELS), math.nan,
+                                         0.0),
     "static_stability_check": lambda: static_stability_check(
         TandemConfig(*_PANELS), v=math.nan),
     "step_6dof": lambda: step_6dof(
@@ -116,6 +117,8 @@ NAN_CALLS = {
     "PsdResult_one_freq": lambda: PsdResult([math.nan], [1.0]),
     "write_power_curve_csv": lambda: write_power_curve_csv(
         os.devnull, (), [0.0, math.nan]),
+    "ConfigPower_hover": lambda: ConfigPower("HPC", math.nan, 61.0),
+    "ConfigPower_cruise": lambda: ConfigPower("HPC", 138.3, math.nan),
 }
 
 
@@ -123,3 +126,12 @@ NAN_CALLS = {
 def test_public_function_refuses_nan(call):
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize("hover,cruise,field", [
+    (0.0, 61.0, "hover_w"), (138.3, 0.0, "cruise_w"),
+    (-5.0, 61.0, "hover_w"), (138.3, math.inf, "cruise_w")])
+def test_config_power_refuses_watts_that_are_not_positive(hover, cruise,
+                                                          field):
+    with pytest.raises(ConfigError, match=f"^{field} must be positive"):
+        ConfigPower("HPC", hover, cruise)

@@ -3,12 +3,15 @@
 import copy
 import math
 import pickle
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coaxtail import kernels, quat
-from coaxtail.aero import TandemConfig, WingMode, WingPanel
+from coaxtail.aero import WingMode
+from coaxtail.analysis import load_scenario
 from coaxtail.control import ActuatorCommand, ActuatorLimits
 from coaxtail.errors import ConfigError, SimulationFault
 from coaxtail.propulsion import PropellerTable
@@ -22,8 +25,6 @@ from coaxtail.vehicle import (
     WindProfile,
     WingSchedule,
     _drag_body,
-    _panel_cn,
-    _wing_wrench,
     measured_pitch,
     realized_wrench,
     run_scenario,
@@ -32,6 +33,7 @@ from coaxtail.vehicle import (
 )
 
 RHO = 1.225
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def resting_state(z=2.0):
@@ -575,57 +577,28 @@ class TestSchedules:
                     LambdaSchedule(**{name: bad})
 
 
-class TestWingWrench:
-    def tandem(self):
-        return VehicleParams().tandem
+class TestWingGate:
+    """realized_wrench adds the tandem's force only with the wings
+    extended and in-plane (x-z) flow of at least 1e-6 m/s; the force law
+    itself is tested in test_aero."""
 
-    def test_retracted_is_exactly_zero(self):
-        fx, ty = _wing_wrench(np.array([-8.0, 0.0, 3.0]), self.tandem(),
-                              WingMode.RETRACTED)
-        assert fx == 0.0 and ty == 0.0
-
-    def test_linear_range_matches_static_model(self):
-        """Pure axial inflow puts each panel at its incidence angle, where
-        the coefficient is the plain lift line used by the static tool."""
-        tandem = self.tandem()
-        v = 12.0
-        fx, ty = _wing_wrench(np.array([0.0, 0.0, v]), tandem,
-                              WingMode.EXTENDED)
-        q = 0.5 * RHO * v * v
-        f_front = q * 0.048 * (2.2 * math.radians(4.5) + 0.32)
-        f_rear = q * 0.056 * (2.2 * math.radians(2.0) + 0.32)
-        assert fx == pytest.approx(f_front + f_rear, rel=1e-12)
-        assert ty == pytest.approx(0.24 * f_front - 0.30 * f_rear, rel=1e-12)
-
-    def test_spanwise_flow_produces_nothing(self):
-        fx, ty = _wing_wrench(np.array([0.0, 25.0, 0.0]), self.tandem(),
-                              WingMode.EXTENDED)
-        assert fx == 0.0 and ty == 0.0
-
-    def test_pure_crossflow_pushes_downwind(self):
-        # alpha near +90 deg: post-stall plate force, directed along +x
-        fx, _ = _wing_wrench(np.array([-6.0, 0.0, 0.0]), self.tandem(),
-                             WingMode.EXTENDED)
-        q = 0.5 * RHO * 36.0
-        expected = q * (0.048 * 1.2 * math.sin(math.pi / 2
-                                               + math.radians(4.5))
-                        + 0.056 * 1.2 * math.sin(math.pi / 2
-                                                 + math.radians(2.0)))
-        assert fx == pytest.approx(expected, rel=1e-12)
-        assert fx > 0.0
-
-    def test_coefficient_is_continuous(self):
-        panel = self.tandem().front
-        grid = np.radians(np.arange(-180.0, 180.01, 0.05))
-        vals = np.array([_panel_cn(panel, float(a)) for a in grid])
-        assert np.max(np.abs(np.diff(vals))) < 3e-3
-        assert np.max(np.abs(vals)) < 1.35
-
-    def test_coefficient_matches_lift_line_in_range(self):
-        panel = self.tandem().front
-        for deg in (-5.0, -2.0, 0.0, 4.0, 10.0):
-            a = math.radians(deg)
-            assert _panel_cn(panel, a) == panel.lift_slope * a + panel.cl0
+    @pytest.mark.parametrize("velocity,in_plane", [
+        ((-8.0, 0.0, 3.0), True), ((0.0, 0.0, -12.0), True),
+        ((-6.0, 0.0, 0.0), True), ((1.1e-6, 0.0, 0.0), True),
+        ((0.0, 25.0, 0.0), False), ((0.9e-6, 3.0, 0.0), False),
+        ((0.0, 0.0, 0.0), False)])
+    def test_retracted_and_extended_differ_only_with_in_plane_flow(
+            self, velocity, in_plane):
+        params = VehicleParams()
+        cmd = ActuatorCommand(t_d1=600.0, t_d2=900.0, d_1=0.2, d_2=0.1)
+        state = moving_state(np.array(velocity))
+        still = (0.0, 0.0, 0.0)
+        fe, te = realized_wrench(state, params, cmd, still, WingMode.EXTENDED)
+        fr, tr = realized_wrench(state, params, cmd, still, WingMode.RETRACTED)
+        # the wings act on body x force and pitch torque only
+        assert (fe[1], fe[2], te[0], te[2]) == (fr[1], fr[2], tr[0], tr[2])
+        assert (fe[0] != fr[0] and te[1] != tr[1]) is in_plane
+        assert ((fe, te) == (fr, tr)) is not in_plane
 
 
 class TestDragAndWrench:
@@ -715,12 +688,12 @@ def hover_spec(duration=8.0, **kw):
                         start_position=(0.1, -0.1, 1.3), **kw)
 
 
-def wind_spec(mode, duration=12.0, speed=5.0):
-    return ScenarioSpec(
-        name=f"wind_{mode.value}", mode="hover", duration=duration,
-        position=(0.0, 0.0, 1.5),
-        wind=WindProfile(speed=speed, direction=(1.0, 0.0, 0.0), start=2.0),
-        wing=WingSchedule(kind="fixed", mode=mode))
+def wind_case(mode, **changes):
+    """The shipped gust scenario with the wings fixed in `mode`, loaded
+    from configs/wind_<mode>.cfg with `changes` made to its spec: (spec,
+    vehicle params)."""
+    spec, params = load_scenario(CONFIG_DIR / f"wind_{mode.value}.cfg")
+    return replace(spec, **changes), params
 
 
 class TestScenarios:
@@ -814,43 +787,34 @@ class TestScenarios:
         assert np.all(np.isfinite(log.state))
 
     def test_wind_retracted_beats_extended(self):
-        params = VehicleParams()
-        target = np.array([0.0, 0.0, 1.5])
         dev = {}
         for mode in (WingMode.EXTENDED, WingMode.RETRACTED):
-            log = run_scenario(wind_spec(mode), params)
-            dev[mode] = log.peak_deviation(target, t_min=2.0)
+            spec, params = wind_case(mode)
+            log = run_scenario(spec, params)
+            dev[mode] = log.peak_deviation(spec.position,
+                                           t_min=spec.wind.start)
         assert dev[WingMode.RETRACTED] <= 0.5 * dev[WingMode.EXTENDED]
 
     def test_wind_deviation_grows_with_wing_area(self):
-        target = np.array([0.0, 0.0, 1.5])
+        spec, base = wind_case(WingMode.EXTENDED, duration=8.0)
         devs = []
         for scale in (0.6, 1.0, 1.4):
-            base = VehicleParams()
-            tandem = TandemConfig(
-                front=WingPanel(area=0.048 * scale, lift_slope=2.2, cl0=0.32,
-                                incidence=math.radians(4.5), arm=0.24),
-                rear=WingPanel(area=0.056 * scale, lift_slope=2.2, cl0=0.32,
-                               incidence=math.radians(2.0), arm=0.30))
-            params = VehicleParams(tandem=tandem)
-            log = run_scenario(wind_spec(WingMode.EXTENDED, duration=8.0),
-                               params)
-            devs.append(log.peak_deviation(target, t_min=2.0))
+            t = base.tandem
+            params = replace(base, tandem=replace(
+                t, front=replace(t.front, area=t.front.area * scale),
+                rear=replace(t.rear, area=t.rear.area * scale)))
+            log = run_scenario(spec, params)
+            devs.append(log.peak_deviation(spec.position,
+                                           t_min=spec.wind.start))
         assert devs[0] < devs[1] < devs[2]
 
     def test_wind_peak_converged_in_dt(self):
         # halving the step moves the wind-scenario peak by under 1 %
-        target = np.array([0.0, 0.0, 1.5])
         devs = []
         for dt in (1e-3, 5e-4):
-            spec = ScenarioSpec(
-                name="wind", mode="hover", duration=8.0, dt=dt,
-                position=tuple(target),
-                wind=WindProfile(speed=5.0, direction=(1.0, 0.0, 0.0),
-                                 start=2.0),
-                wing=WingSchedule(kind="fixed", mode=WingMode.EXTENDED))
-            devs.append(run_scenario(spec, VehicleParams())
-                        .peak_deviation(target, t_min=2.0))
+            spec, params = wind_case(WingMode.EXTENDED, duration=8.0, dt=dt)
+            devs.append(run_scenario(spec, params).peak_deviation(
+                spec.position, t_min=spec.wind.start))
         assert abs(devs[1] - devs[0]) / devs[0] < 0.01
 
     def test_transition_smoke_tracks_early_ramp(self):
