@@ -303,7 +303,9 @@ class CascadeGains:
     def __post_init__(self):
         for name in ("pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit",
                      "rate_kp", "rate_ki", "rate_kd", "rate_i_limit"):
-            finite_vector3(getattr(self, name), name)
+            v = finite_vector3(getattr(self, name), name)
+            if name.endswith("_i_limit"):
+                check_non_negative(**{name: min(v.tolist())})
         check_finite(att_p_tilt=self.att_p_tilt, att_p_yaw=self.att_p_yaw)
 
 

@@ -25,7 +25,8 @@ _SINGULAR_GUARD = 1e-6
 _CHUNK_ROWS = 128
 
 
-def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
+def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
+                    first_step=0):
     """Integrate the rotor perturbation dynamics over n_steps of size h.
 
     The independent variable is rotor azimuth (rad), not wall time.
@@ -43,7 +44,8 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
     through a flat view of the output, which keeps memory at the size of
     the output array.
     Returns the (n_steps+1) x 6 trajectory; NumericalDomainError names
-    the step at whose start beta is within _SINGULAR_GUARD of pi/4.
+    the step at whose start beta is within _SINGULAR_GUARD of pi/4,
+    counted from first_step.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = Minv
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = C
@@ -70,8 +72,9 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half):
         for j in range(0, 2 * (stop - start), 2):
             if coupled and abs(x2 - quarter_pi) < guard:
                 raise NumericalDomainError(
-                    f"step {start + j // 2}: blade pitch beta={x2!r} is "
-                    f"within {guard:g} rad of pi/4, where g(beta) is singular")
+                    f"step {first_step + start + j // 2}: blade pitch "
+                    f"beta={x2!r} is within {guard:g} rad of pi/4, where "
+                    f"g(beta) is singular")
             um = u[j + 1]
 
             # stage 1 at (x, v)

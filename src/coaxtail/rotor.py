@@ -47,6 +47,7 @@ from .errors import (ConfigError, NumericalDomainError, SimulationFault,
 from . import kernels
 
 _BENCH_SUBSTEPS = 4  # integrator steps per bench output sample
+_BENCH_BLOCK = 1024  # bench output samples integrated per integrate call
 
 
 def _default_inertia() -> np.ndarray:
@@ -243,16 +244,18 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
 
 
 def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
-              u_half: np.ndarray) -> np.ndarray:
+              u_half: np.ndarray, *, first_step: int = 0) -> np.ndarray:
     """Integrate over n_steps azimuth steps with input given on the half grid.
 
     y0 holds the 6 states [theta, zeta, beta] and their derivatives;
     n_steps is an int >= 0. u_half must hold 2*n_steps + 1 samples
     (throttle counts). Returns the (n_steps+1) x 6 state trajectory.
+    A singular-pitch NumericalDomainError counts steps from first_step.
     Mostly a building block for the bench and for frequency-response
     studies where the drive is known analytically.
     """
     _check_count("n_steps", n_steps, 0)
+    _check_count("first_step", first_step, 0)
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (6,):
         raise ConfigError(f"y0 must hold 6 states, got shape {y0.shape}")
@@ -267,7 +270,7 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
     traj = kernels.splm_trajectory(
         y0, n_steps, float(psi_step), params._inertia_inv_rows,
         params._damping_rows, params._stiffness_rows, params._kbeta,
-        params.coupled, u_half * params._u_scale)
+        params.coupled, u_half * params._u_scale, first_step)
     if not np.all(np.isfinite(traj)):
         raise SimulationFault("rotor trajectory diverged to non-finite values")
     return traj
@@ -315,7 +318,9 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     starts at the steady state for the bare throttle, so amplitude = 0
     holds the fixed point exactly and the torque trace is flat up to
     integrator noise. Returns (t, torque) sampled at fs; the integrator
-    runs _BENCH_SUBSTEPS internal steps per output sample.
+    runs _BENCH_SUBSTEPS internal steps per output sample, _BENCH_BLOCK
+    output samples at a time. A singular-pitch NumericalDomainError
+    counts its step from the run's first.
     """
     check_positive(throttle=throttle, duration=duration, fs=fs)
     check_non_negative(amplitude=amplitude)
@@ -342,20 +347,28 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
             f"fs={fs} Hz undersamples the {omega / (2 * math.pi):.1f} Hz rotation; "
             "need fs >= 2x rotation frequency"
         )
-    n_steps = n_out * _BENCH_SUBSTEPS
     h = omega / (fs * _BENCH_SUBSTEPS)
     m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
     try:
-        psi_half = np.arange(2 * n_steps + 1) * (0.5 * h)
-        u_half = modulation_signal(throttle, m_d, psi_half)
+        t = np.arange(n_out + 1) / fs
+        torque = np.empty(n_out + 1)
     except (ValueError, MemoryError) as exc:
         # numpy: ValueError past its shape limit, MemoryError past memory
         raise ConfigError(f"duration={duration} s at fs={fs} Hz is "
                           f"{n_out:.6g} output samples, too many to simulate"
                           ) from exc
-    y0 = np.concatenate([steady_state(params, throttle), np.zeros(3)])
-    traj = integrate(params, y0, h, n_steps, u_half)
-    traj_out = traj[::_BENCH_SUBSTEPS]
-    u_out = u_half[:: 2 * _BENCH_SUBSTEPS]
-    t = np.arange(n_out + 1) / fs
-    return t, torque_from_states(params, u_out, traj_out)
+    y = np.concatenate([steady_state(params, throttle), np.zeros(3)])
+    # one block per call, so only t and torque grow with the duration; step
+    # k's half-grid azimuths are (2k, 2k+1, 2k+2) * (h/2), as in one call
+    s = _BENCH_SUBSTEPS
+    for a in range(0, n_out, _BENCH_BLOCK):
+        b = min(a + _BENCH_BLOCK, n_out)
+        u_half = modulation_signal(
+            throttle, m_d, np.arange(2 * s * a, 2 * s * b + 1) * (0.5 * h))
+        traj = integrate(params, y, h, s * (b - a), u_half, first_step=s * a)
+        y = traj[-1]
+        # a block's end row starts the next block, which checks its pitch
+        n = b - a + (b == n_out)
+        torque[a:a + n] = torque_from_states(params, u_half[:2 * s * n:2 * s],
+                                             traj[:s * n:s])
+    return t, torque

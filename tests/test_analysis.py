@@ -709,6 +709,15 @@ class TestCli:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "dad2c61e6f5cc96f7c42b5c8bf570141618b19c18382e538ab076040fbc9b5f2")
 
+    def test_bench_splm_default_csv_is_pinned(self, tmp_path, capsys):
+        """The default bench (coupled head, 10 s at 1 kHz) is fixed
+        arithmetic on a fixed command, so its CSV bytes move only if the
+        bench's arithmetic does."""
+        out = tmp_path / "torque.csv"
+        assert cli_main(["bench-splm", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b1cbd639f4aa493dbb161271700df395cdcc7d6004af264c5acebbe2ee5488f9")
+
     @pytest.mark.parametrize("mode", ["retracted", "extended"])
     def test_shipped_wind_config_peak_is_the_post_gust_peak(self, mode):
         """simulate's peak_deviation_m of a shipped wind config, taken over

@@ -771,6 +771,20 @@ class TestCascade:
         for good in ((1.0, 2.0, 3.0), [1, 2, 3], np.array([1.0, 2.0, 3.0])):
             CascadeGains(**{name: good})
 
+    @pytest.mark.parametrize("name", ["vel_i_limit", "rate_i_limit"])
+    def test_integrator_limits_are_refused_by_gains_field(self, name):
+        """A negative limit is refused by the gains, naming their field,
+        not later by the controller's PID as i_limit[0]."""
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be non-negative and finite, "
+                                 f"got -0.5$"):
+            CascadeGains(**{name: (1.0, -0.5, 1.0)})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{name} must be 3 finite"):
+                CascadeGains(**{name: (1.0, bad, 1.0)})
+        # a zero limit holds the integrator at zero and is kept
+        CascadeController(CascadeGains(**{name: (0.0, 0.0, 0.0)}), 1.2)
+
     def test_controller_checks_mass_and_gravity(self):
         gains = CascadeGains()
         for bad in (0.0, -1.2, math.nan, math.inf, -math.inf):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coaxtail import rotor
 from coaxtail.errors import ConfigError, NumericalDomainError
 from coaxtail.rotor import (
     SplmParams,
@@ -402,6 +403,10 @@ class TestBench:
         for y0, psi_step, n_steps, u in rows:
             with pytest.raises(ConfigError):
                 integrate(p, y0, psi_step, n_steps, u)
+        for first_step in (-1, 2.0, True, None):
+            with pytest.raises(ConfigError, match="first_step"):
+                integrate(p, np.zeros(6), 0.05, 10, u_half,
+                          first_step=first_step)
         # numpy integer step counts are counts too, and zero steps is valid
         for n_steps in (np.int64(10), 0):
             traj = integrate(p, np.zeros(6), 0.05, n_steps,
@@ -414,3 +419,106 @@ class TestBench:
         traj[1, 2] = math.pi / 4.0
         with pytest.raises(NumericalDomainError):
             torque_from_states(p, np.full(3, 900.0), traj)
+
+
+def whole_run_bench(params, throttle, amplitude, phase, n_out, fs):
+    """The bench as one integrate call over the whole half grid, keeping
+    every _BENCH_SUBSTEPS-th row: the form the blocked bench must
+    reproduce to the bit."""
+    substeps = rotor._BENCH_SUBSTEPS
+    n_steps = n_out * substeps
+    h = params.speed_per_throttle * throttle / (fs * substeps)
+    m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
+    u_half = modulation_signal(throttle, m_d,
+                               np.arange(2 * n_steps + 1) * (0.5 * h))
+    y0 = np.concatenate([rotor.steady_state(params, throttle), np.zeros(3)])
+    traj = integrate(params, y0, h, n_steps, u_half)
+    t = np.arange(n_out + 1) / fs
+    return t, torque_from_states(params, u_half[::2 * substeps],
+                                 traj[::substeps])
+
+
+def pitch_ramp_head(beta_trip, trip_step, throttle, fs, monkeypatch):
+    """A coupled head whose pitch only accelerates, at a constant rate set
+    by the throttle (no damping, stiffness or lag-pitch feedback; the
+    inverse inertia carries the drive into beta). The bench's start state
+    is patched so that beta is first within the 1e-6 rad guard band of
+    pi/4 at the start of step trip_step, at beta_trip."""
+    c = 1e-7
+    p = make_params(variant="coupled",
+                    inertia=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-c, 0.0, 1.0]],
+                    damping=np.zeros((3, 3)), stiffness_const=np.zeros((3, 3)),
+                    downwash_angle=0.0, hinge_offset=0.75)
+    accel = c * throttle * _input_scale(p)
+    h = p.speed_per_throttle * throttle / (fs * rotor._BENCH_SUBSTEPS)
+    beta0 = beta_trip - 0.5 * accel * (trip_step * h) ** 2
+    y0 = np.array([0.0, 0.0, beta0])
+    monkeypatch.setattr(rotor, "steady_state", lambda params, u: y0.copy())
+    return p
+
+
+class TestBlockedBench:
+    """bench_torque_series integrates _BENCH_BLOCK output samples per
+    integrate call; the result is the whole-run form's, bit for bit."""
+
+    B = rotor._BENCH_BLOCK
+
+    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
+    @pytest.mark.parametrize("n_out", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_match_one_whole_run(self, variant, n_out):
+        p = make_params(variant=variant)
+        t, tau = bench_torque_series(p, 900.0, 200.0, 0.3, n_out / 1000.0,
+                                     1000.0)
+        t_ref, tau_ref = whole_run_bench(p, 900.0, 200.0, 0.3, n_out, 1000.0)
+        assert t.shape == tau.shape == (n_out + 1,)
+        for got, want in ((t, t_ref), (tau, tau_ref)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_each_integrate_call_holds_one_block(self, monkeypatch):
+        """A 60 s bench passes no integrate call more than one block's
+        half grid, and its calls together take every step exactly once."""
+        calls = []
+        real = rotor.integrate
+
+        def spy(params, y0, psi_step, n_steps, u_half, *, first_step=0):
+            calls.append((first_step, n_steps, len(u_half)))
+            return real(params, y0, psi_step, n_steps, u_half,
+                        first_step=first_step)
+
+        monkeypatch.setattr(rotor, "integrate", spy)
+        n_out = 60000
+        bench_torque_series(make_params(variant="decoupled"), 900.0, 200.0,
+                            0.0, 60.0, 1000.0)
+        substeps = rotor._BENCH_SUBSTEPS
+        assert max(size for _, _, size in calls) <= 2 * substeps * self.B + 1
+        assert sum(n for _, n, _ in calls) == substeps * n_out
+        assert [first for first, _, _ in calls] == list(
+            np.cumsum([0] + [n for _, n, _ in calls[:-1]]))
+
+    @pytest.mark.parametrize("trip_step", [4 * B, 4 * B + 1999],
+                             ids=["second_block_start", "mid_second_block"])
+    def test_singular_pitch_step_counts_from_the_run(self, monkeypatch,
+                                                     trip_step):
+        # the second block's first step starts from the first block's end
+        # row, which only the second block's integrate call checks
+        throttle, fs, n_out = 900.0, 1000.0, 2 * self.B + 5
+        p = pitch_ramp_head(0.25 * math.pi - 5e-7, trip_step, throttle, fs,
+                            monkeypatch)
+        step = rf"^step {trip_step}: blade pitch"
+        with pytest.raises(NumericalDomainError, match=step):
+            whole_run_bench(p, throttle, 0.0, 0.0, n_out, fs)
+        with pytest.raises(NumericalDomainError, match=step):
+            bench_torque_series(p, throttle, 0.0, 0.0, n_out / fs, fs)
+
+    @pytest.mark.parametrize("duration,cause", [(1e17, ValueError),
+                                                (1e13, MemoryError)])
+    def test_too_many_output_samples(self, duration, cause):
+        """numpy refuses the output arrays before anything is allocated:
+        past its shape limit (ValueError) or past memory (MemoryError)."""
+        with pytest.raises(ConfigError,
+                           match="output samples, too many to simulate"
+                           ) as info:
+            bench_torque_series(make_params(), 900.0, 200.0, 0.0, duration,
+                                1000.0)
+        assert isinstance(info.value.__cause__, cause)
