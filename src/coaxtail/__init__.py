@@ -4,7 +4,8 @@ tailsitter with retractable tandem wings and a swashplateless fore rotor.
 Submodules group by subject: aero (tandem-wing statics), rotor (the
 swashplateless head), control (allocation and the cascade loops),
 propulsion (propeller tables and the configuration power study), vehicle
-(6-DOF simulation and scenarios), analysis (spectra, configs, CLI).
+(6-DOF simulation and scenarios), analysis (spectra, configs, CLI),
+and stock (the flight values the layers share).
 The names most programs need are re-exported here. Each resolves on
 first use, importing only its own submodule, so `import coaxtail` loads
 none of them and a CLI command loads only the layers it runs.

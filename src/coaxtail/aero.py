@@ -11,6 +11,7 @@ and the moment pushes the nose back down.
 
 The retracted wing mode models the wings folded along the fuselage: they
 stop producing lift (the simulator's panel force is then exactly zero).
+Dynamic pressure is taken in sea-level air (stock.RHO).
 """
 
 import enum
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (ConfigError, LinearRangeError, check_finite,
                      check_non_negative, check_positive)
+from .stock import RHO
 
 ALPHA_MIN = math.radians(-5.0)
 ALPHA_MAX = math.radians(10.0)
@@ -46,10 +48,6 @@ class WingPanel:
 class TandemConfig:
     front: WingPanel
     rear: WingPanel
-    rho: float = 1.225
-
-    def __post_init__(self):
-        check_positive(rho=self.rho)
 
 
 class WingMode(enum.Enum):
@@ -112,7 +110,7 @@ def pitch_moment(config, v, delta_alpha):
         if not ALPHA_MIN <= alpha <= ALPHA_MAX:
             raise LinearRangeError(f"airfoil angle {math.degrees(alpha):.2f} "
                                    "deg outside the linear range [-5, +10] deg")
-    return tandem_wrench(config, 0.5 * config.rho * v * v, delta_alpha)[1]
+    return tandem_wrench(config, 0.5 * RHO * v * v, delta_alpha)[1]
 
 
 def _delta_alpha_interval(config):
@@ -130,7 +128,7 @@ def stability_margin(config, v):
     """Analytic dM/d(delta_alpha) at speed v, N*m/rad."""
     _require_identical_airfoils(config)
     f, r = config.front, config.rear
-    q = 0.5 * config.rho * v * v
+    q = 0.5 * RHO * v * v
     return q * f.lift_slope * (f.area * f.arm - r.area * r.arm)
 
 

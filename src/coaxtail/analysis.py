@@ -34,7 +34,9 @@ from .errors import (
     read_number_rows,
     whole_count,
 )
-from .rotor import SplmParams, bench_torque_series
+from .rotor import (HOVER_THROTTLE, SPEED_PER_THROTTLE, SplmParams,
+                    bench_torque_series)
+from .stock import CRUISE_SPEED, GRAVITY, MASS, RHO
 
 DB_FLOOR = -300.0  # reported instead of -inf for silent signals
 _ZERO_POWER = 1e-30
@@ -153,9 +155,7 @@ def peak_to_peak_reduction(a, b):
 def default_mean_window(fs):
     """Samples per shaft revolution at the nominal hover throttle."""
     check_positive(fs=fs)
-    # the SplmParams defaults, read without building the matrices
-    omega_hover = SplmParams.speed_per_throttle * SplmParams.hover_throttle
-    rev_rate = omega_hover / (2.0 * math.pi)
+    rev_rate = SPEED_PER_THROTTLE * HOVER_THROTTLE / (2.0 * math.pi)
     return max(1, int(round(fs / rev_rate)))
 
 
@@ -362,14 +362,14 @@ def load_allocation_gains(path):
 # ---------------------------------------------------------------------------
 # Propulsion study from raw tables
 
-def table_config_powers(tables_dir, mass=1.2, cruise_thrust=4.4,
-                        cruise_speed=15.6):
+def table_config_powers(tables_dir, mass=MASS, cruise_thrust=4.4,
+                        cruise_speed=CRUISE_SPEED):
     """Build propulsion.STUDY_PAIRINGS from measured propeller tables.
 
-    Hover power produces the full weight (g = 9.81 m/s^2) split across
-    both rotors at zero inflow; cruise power produces cruise_thrust at
-    cruise_speed split across the active subset, both in sea-level air
-    (1.225 kg/m^3). The directory holds <stem>_<rpm>.csv sheets for each
+    Hover power produces the full weight (mass * stock.GRAVITY) split
+    across both rotors at zero inflow; cruise power produces cruise_thrust
+    at cruise_speed split across the active subset, both in sea-level air
+    (stock.RHO). The directory holds <stem>_<rpm>.csv sheets for each
     stem of PROP_DIAMETERS. Study parameters must be positive and finite.
     """
     from .propulsion import (PROP_DIAMETERS, load_propeller_table,
@@ -380,10 +380,10 @@ def table_config_powers(tables_dir, mass=1.2, cruise_thrust=4.4,
     tables = {stem: load_propeller_table(tables_dir, stem, diameter=d)
               for stem, d in PROP_DIAMETERS.items()}
     # (airspeed, total thrust) of each mode
-    flight = {"multirotor": (0.0, mass * 9.81),
+    flight = {"multirotor": (0.0, mass * GRAVITY),
               "fixedwing": (cruise_speed, cruise_thrust)}
     return study_powers(lambda stems, mode: shared_power(
-        [tables[s] for s in stems], 1.225, *flight[mode]))
+        [tables[s] for s in stems], RHO, *flight[mode]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,8 @@ def _build_parser():
     p = sub.add_parser("bench-splm", help="simulate a rotor bench run")
     p.add_argument("--variant", choices=("coupled", "decoupled"),
                    default="coupled")
-    p.add_argument("--throttle", type=_finite_float, default=900.0)
+    p.add_argument("--throttle", type=_finite_float,
+                   default=HOVER_THROTTLE)
     p.add_argument("--amplitude", type=_finite_float, default=200.0)
     p.add_argument("--phase", type=_finite_float, default=0.0)
     p.add_argument("--duration", type=_finite_float, default=10.0)

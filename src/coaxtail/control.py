@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (ConfigError, check_finite, check_non_negative,
                      check_positive, finite_vector3, tick_rate)
 from . import quat
+from .stock import GRAVITY
 
 
 @dataclass(frozen=True)
@@ -333,7 +334,7 @@ class CascadeController:
 
     TILT_MIN_PROJECTION = 0.15
 
-    def __init__(self, gains, mass, gravity=9.81, dt=1e-3):
+    def __init__(self, gains, mass, gravity=GRAVITY, dt=1e-3):
         check_positive(mass=mass)
         check_non_negative(gravity=gravity)
         base = tick_rate(dt)

@@ -50,6 +50,29 @@ _BENCH_SUBSTEPS = 4  # integrator steps per bench output sample
 _BENCH_BLOCK = 1024  # bench output samples integrated per integrate call
 
 
+def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
+    """sigma = N c / (pi R)."""
+    whole_count("blade_count", blade_count, 1)
+    check_positive(chord=chord, radius=radius)
+    return blade_count * chord / (math.pi * radius)
+
+
+# The stock fore-rotor hardware. The paper flies one head; its studies vary
+# only the hinge geometry and head dynamics, which SplmParams holds.
+LIFT_SLOPE = 5.7             # a, per rad
+BLADE_COUNT = 2
+CHORD = 0.03                 # m
+RADIUS = 0.2032              # m
+TORQUE_GAIN = 0.002          # C_m, N*m per throttle count
+TORQUE_PICKUP = 20.0         # sensor weight on hinge-state feedback
+SPEED_PER_THROTTLE = 0.2793  # rad/s of shaft speed per throttle count
+THROTTLE_SCALE = 2000.0      # throttle counts at full modulation depth
+HOVER_THROTTLE = 900.0       # nominal operating throttle, counts
+# throttle counts -> equation forcing units
+_INPUT_SCALE = 1.0 / (THROTTLE_SCALE * LIFT_SLOPE
+                      * rotor_solidity(BLADE_COUNT, CHORD, RADIUS))
+
+
 def _default_inertia() -> np.ndarray:
     return np.array(
         [
@@ -82,23 +105,15 @@ def _default_stiffness_const() -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplmParams:
-    """Configuration of one swashplateless rotor head."""
+    """Configuration of one swashplateless rotor head; the stock hardware
+    around it (blades, torque sensor, throttle map) is module constants."""
 
     variant: str = "decoupled"
     inertia: np.ndarray = field(default_factory=_default_inertia)
     damping: np.ndarray = field(default_factory=_default_damping)
     stiffness_const: np.ndarray = field(default_factory=_default_stiffness_const)
-    downwash_angle: float = 0.12        # phi_3/4, rad, blade pitch at 3/4 span
-    hinge_offset: float = 0.20          # e, hinge location as fraction of radius
-    lift_slope: float = 5.7             # a, per rad
-    blade_count: int = 2
-    chord: float = 0.03                 # m
-    radius: float = 0.2032              # m
-    torque_gain: float = 0.002          # C_m, N*m per throttle count
-    torque_pickup: float = 20.0         # sensor weight on hinge-state feedback
-    speed_per_throttle: float = 0.2793  # rad/s of shaft speed per throttle count
-    throttle_scale: float = 2000.0      # throttle counts at full modulation depth
-    hover_throttle: float = 900.0       # nominal operating throttle, counts
+    downwash_angle: float = 0.12  # phi_3/4, rad, blade pitch at 3/4 span
+    hinge_offset: float = 0.20    # e, hinge location as fraction of radius
 
     def __post_init__(self):
         for name in ("inertia", "damping", "stiffness_const"):
@@ -112,13 +127,6 @@ class SplmParams:
             object.__setattr__(self, name, m)
         check_finite(downwash_angle=self.downwash_angle,
                      hinge_offset=self.hinge_offset)
-        check_positive(lift_slope=self.lift_slope, chord=self.chord,
-                       radius=self.radius, torque_gain=self.torque_gain,
-                       speed_per_throttle=self.speed_per_throttle,
-                       throttle_scale=self.throttle_scale,
-                       hover_throttle=self.hover_throttle)
-        check_non_negative(torque_pickup=self.torque_pickup)
-        whole_count("blade_count", self.blade_count, 1)
         if abs(np.linalg.det(self.inertia)) < 1e-12:
             raise ConfigError("inertia matrix is singular")
         if self.variant not in ("coupled", "decoupled"):
@@ -130,16 +138,10 @@ class SplmParams:
         object.__setattr__(self, "_stiffness_rows",
                            self.stiffness_const.tolist())
         object.__setattr__(self, "_kbeta", _kbeta_column(self).tolist())
-        object.__setattr__(self, "_u_scale", _input_scale(self))
 
     @property
     def coupled(self) -> bool:
         return self.variant == "coupled"
-
-    @property
-    def omega_hover(self) -> float:
-        """Shaft speed at the nominal operating throttle, rad/s."""
-        return self.speed_per_throttle * self.hover_throttle
 
 
 def _check_count(name, value, least):
@@ -148,13 +150,6 @@ def _check_count(name, value, least):
             or value < least):
         raise ConfigError(f"{name} must be an int of at least {least}, "
                           f"got {value!r}")
-
-
-def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
-    """sigma = N c / (pi R)."""
-    whole_count("blade_count", blade_count, 1)
-    check_positive(chord=chord, radius=radius)
-    return blade_count * chord / (math.pi * radius)
 
 
 def _coupling_gain(beta, coupled):
@@ -191,12 +186,6 @@ def stiffness_matrix(params: SplmParams, beta: float = 0.0) -> np.ndarray:
     return k
 
 
-def _input_scale(params: SplmParams) -> float:
-    """Throttle counts -> equation forcing units."""
-    sigma = rotor_solidity(params.blade_count, params.chord, params.radius)
-    return 1.0 / (params.throttle_scale * params.lift_slope * sigma)
-
-
 def steady_state(params: SplmParams, u: float) -> np.ndarray:
     """Equilibrium x for a constant input u (throttle counts).
 
@@ -207,7 +196,7 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     solution.
     """
     check_finite(u=u)
-    b = np.array([u * params._u_scale, 0.0, 0.0])
+    b = np.array([u * _INPUT_SCALE, 0.0, 0.0])
     x0 = np.linalg.solve(stiffness_matrix(params, 0.0), b)
     if not params.coupled:
         return x0
@@ -270,7 +259,7 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
     traj = kernels.splm_trajectory(
         y0, n_steps, float(psi_step), params._inertia_inv_rows,
         params._damping_rows, params._stiffness_rows, params._kbeta,
-        params.coupled, u_half * params._u_scale, first_step)
+        params.coupled, u_half * _INPUT_SCALE, first_step)
     if not np.all(np.isfinite(traj)):
         raise SimulationFault("rotor trajectory diverged to non-finite values")
     return traj
@@ -288,8 +277,8 @@ def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> n
     zeta = traj[:, 1]
     g = _coupling_gain(traj[:, 2], params.coupled)
     coupling_row0 = 0.125 * params.downwash_angle * g * zeta
-    counts = u - params.torque_pickup * coupling_row0 / params._u_scale
-    return params.torque_gain * counts
+    counts = u - TORQUE_PICKUP * coupling_row0 / _INPUT_SCALE
+    return TORQUE_GAIN * counts
 
 
 def modulation_signal(t_d1, m_d, theta):
@@ -314,7 +303,7 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     nominal shaft azimuth and m_d oriented so the modulation phase equals
     `phase`. amplitude may not exceed throttle, so the command never dips
     below zero counts, and throttle + amplitude may not exceed
-    params.throttle_scale, so it never peaks past full throttle. The head
+    THROTTLE_SCALE, so it never peaks past full throttle. The head
     starts at the steady state for the bare throttle, so amplitude = 0
     holds the fixed point exactly and the torque trace is flat up to
     integrator noise. Returns (t, torque) sampled at fs; the integrator
@@ -329,10 +318,10 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         raise ConfigError(f"amplitude {amplitude:g} exceeds throttle "
                           f"{throttle:g}: the command would dip below zero "
                           f"counts")
-    if throttle + amplitude > params.throttle_scale:
+    if throttle + amplitude > THROTTLE_SCALE:
         raise ConfigError(f"throttle {throttle:g} + amplitude {amplitude:g} "
                           f"exceeds the throttle scale "
-                          f"{params.throttle_scale:g}: the command would "
+                          f"{THROTTLE_SCALE:g}: the command would "
                           f"peak past full throttle")
     if not math.isfinite(duration * fs):
         raise ConfigError(f"duration={duration} s at fs={fs} Hz gives more "
@@ -341,7 +330,7 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     if n_out < 1:
         raise ConfigError(f"duration={duration} s at fs={fs} Hz gives no "
                           "output sample")
-    omega = params.speed_per_throttle * throttle
+    omega = SPEED_PER_THROTTLE * throttle
     if fs < 2.0 * omega / (2.0 * math.pi):
         raise ConfigError(
             f"fs={fs} Hz undersamples the {omega / (2 * math.pi):.1f} Hz rotation; "

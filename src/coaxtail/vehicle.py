@@ -48,8 +48,11 @@ from .control import (
 from .errors import (ConfigError, SimulationFault, check_finite,
                      check_non_negative, check_positive, finite_vector3,
                      tick_rate)
+from .stock import CRUISE_SPEED, GRAVITY, MASS, RHO
 
 _MAX_DT = 1e-3 + 1e-12
+# dynamic pressure at which the elevons have the mixer's nominal authority
+_ELEVON_Q_REF = 0.5 * RHO * CRUISE_SPEED ** 2
 
 
 def _default_inertia():
@@ -68,7 +71,7 @@ def _default_tandem():
 
 @dataclass(frozen=True)
 class VehicleParams:
-    mass: float = 1.2
+    mass: float = MASS
     inertia: np.ndarray = field(default_factory=_default_inertia)
     tandem: TandemConfig = field(default_factory=_default_tandem)
     alloc: AllocationGains = field(default_factory=AllocationGains)
@@ -77,16 +80,14 @@ class VehicleParams:
     drag_cd: float = 1.0
     lateral_area: float = 0.0453  # bare-body side area, m^2 (wings excluded)
     axial_area: float = 0.015
-    elevon_q_ref: float = 0.5 * 1.225 * 15.6 ** 2
     aft_table: object = None  # optional PropellerTable
     aft_speed_per_count: float = 0.16  # rev/s per throttle count
-    gravity: float = 9.81
+    gravity: float = GRAVITY
 
     def __post_init__(self):
         check_positive(mass=self.mass, drag_cd=self.drag_cd,
                        lateral_area=self.lateral_area,
                        axial_area=self.axial_area,
-                       elevon_q_ref=self.elevon_q_ref,
                        aft_speed_per_count=self.aft_speed_per_count)
         check_non_negative(gravity=self.gravity)
         # a read-only copy: the rows unpacked below must not go stale
@@ -400,11 +401,10 @@ def _aft_thrust(params, t_d2, axial_speed):
     n = params.aft_speed_per_count * t_d2
     if n <= 1e-9:
         return 0.0
-    rho = params.tandem.rho
     j = max(0.0, axial_speed) / (n * table.diameter)
     j = min(table.j_max, max(table.j_min, j))
     ct, _ = table.coefficients(j, n)
-    return ct * rho * n * n * table.diameter ** 4
+    return ct * RHO * n * n * table.diameter ** 4
 
 
 def realized_wrench(state, params, cmd, wind_world, wing_mode):
@@ -422,16 +422,16 @@ def realized_wrench(state, params, cmd, wind_world, wing_mode):
     thrust = alloc.c_t1 * cmd.t_d1 + _aft_thrust(params, cmd.t_d2, uz)
     drag_x, drag_y, drag_z = _drag_body(
         ux, uy, uz, params.lateral_area, params.axial_area, params.drag_cd,
-        params.tandem.rho)
+        RHO)
     v_plane_sq = ux * ux + uz * uz
-    q_plane = 0.5 * params.tandem.rho * v_plane_sq
+    q_plane = 0.5 * RHO * v_plane_sq
     wing_fx = wing_ty = 0.0
     if wing_mode is WingMode.EXTENDED and v_plane_sq >= 1e-12:
         wing_fx, wing_ty = tandem_wrench(params.tandem, q_plane,
                                          math.atan2(-ux, uz))
     force = (0.0 + drag_x + wing_fx, 0.0 + drag_y, thrust + drag_z)
 
-    q_scale = q_plane / params.elevon_q_ref
+    q_scale = q_plane / _ELEVON_Q_REF
     torque = (
         alloc.c_m * cmd.m_dx,
         alloc.c_m * cmd.m_dy + alloc.k_ey * (cmd.d_1 + cmd.d_2) * q_scale

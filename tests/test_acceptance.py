@@ -22,7 +22,7 @@ from coaxtail.analysis import TimeSeries, avg_psd_db, default_mean_window, \
 from coaxtail.control import AllocationGains, Wrench, forward_model, mix
 from coaxtail.propulsion import average_power, crossover_ratio, \
     fixture_config_powers
-from coaxtail.rotor import SplmParams, _input_scale, bench_torque_series, \
+from coaxtail.rotor import SplmParams, _INPUT_SCALE, bench_torque_series, \
     integrate, steady_state, stiffness_matrix
 from coaxtail.vehicle import ScenarioSpec, VehicleParams, VehicleState, \
     run_scenario, step_6dof, transition_profile
@@ -108,7 +108,7 @@ class TestCriterion2:
 def _tf_zeta(p, nu):
     k = stiffness_matrix(p, 0.0)
     a = k + 1j * nu * p.damping - nu * nu * p.inertia
-    return np.linalg.solve(a, np.array([_input_scale(p), 0.0, 0.0]))[1]
+    return np.linalg.solve(a, np.array([_INPUT_SCALE, 0.0, 0.0]))[1]
 
 
 def _sim_zeta(p, nu, u_amp, n_revs=40, steps_per_rev=512):
@@ -118,7 +118,7 @@ def _sim_zeta(p, nu, u_amp, n_revs=40, steps_per_rev=512):
     u_half = u_amp * np.sin(nu * psi_half)
     xhat = np.linalg.solve(
         stiffness_matrix(p, 0.0) + 1j * nu * p.damping - nu * nu * p.inertia,
-        np.array([u_amp * _input_scale(p), 0.0, 0.0]))
+        np.array([u_amp * _INPUT_SCALE, 0.0, 0.0]))
     y0 = np.concatenate([np.imag(xhat), nu * np.real(xhat)])
     traj = integrate(p, y0, h, n, u_half)
     psi = np.arange(n + 1) * h

@@ -114,7 +114,7 @@ class TestTandemWrench:
         for v in (0.0, 7.0, 13.0):
             for da in (math.radians(-3.0), 0.0, math.radians(2.5)):
                 assert pitch_moment(cfg, v, da) == tandem_wrench(
-                    cfg, 0.5 * cfg.rho * v * v, da)[1]
+                    cfg, 0.5 * RHO * v * v, da)[1]
 
 
 class TestPitchMoment:

@@ -36,11 +36,12 @@ from coaxtail.aero import WingMode
 from coaxtail.control import AllocationGains
 from coaxtail.errors import ConfigError, NumericalDomainError
 from coaxtail.propulsion import fixture_config_powers, load_propeller_table
-from coaxtail.rotor import SplmParams
+from coaxtail.rotor import HOVER_THROTTLE, SPEED_PER_THROTTLE
 from coaxtail.vehicle import (ScenarioSpec, VehicleParams, run_scenario,
                               transition_profile)
 
-PROPS_DIR = Path(__file__).resolve().parent.parent / "configs" / "props"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PROPS_DIR = CONFIG_DIR / "props"
 
 
 def series(values, fs=1000.0):
@@ -119,7 +120,7 @@ class TestMeanSubtract:
     def test_default_window_is_one_revolution(self):
         # hover shaft speed 0.2793 * 900 rad/s -> 25 samples at 1 kHz
         assert default_mean_window(1000.0) == 25
-        rev_rate = SplmParams().omega_hover / (2.0 * math.pi)
+        rev_rate = SPEED_PER_THROTTLE * HOVER_THROTTLE / (2.0 * math.pi)
         for fs in (500.0, 1000.0, 2000.0, 4000.0):
             want = max(1, int(round(fs / rev_rate)))
             assert default_mean_window(fs) == want
@@ -717,6 +718,34 @@ class TestCli:
         assert cli_main(["bench-splm", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "b1cbd639f4aa493dbb161271700df395cdcc7d6004af264c5acebbe2ee5488f9")
+
+    def test_simulate_wind_retracted_csv_is_pinned(self, tmp_path, capsys):
+        """12,000 ticks that read the air density through drag and the
+        elevon scale: the log's bytes move if either does."""
+        out = tmp_path / "log.csv"
+        assert cli_main(["simulate", str(CONFIG_DIR / "wind_retracted.cfg"),
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7faadde02203a5cb2378cef63a55ee0d8d7744f8b9e91f6f8796fe2401e6f30a")
+
+    def test_psd_of_the_pinned_bench_csv_is_pinned(self, tmp_path, capsys):
+        """The default mean-subtraction window reads the rotor's hover
+        speed, so the density's bytes move if the rotor constants do."""
+        bench, out = tmp_path / "torque.csv", tmp_path / "psd.csv"
+        assert cli_main(["bench-splm", "--out", str(bench)]) == 0
+        assert cli_main(["psd", str(bench), "--out", str(out)]) == 0
+        assert "avg_psd_db=-35.48969\n" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "395b696b263462459f27448e5b12701568e74b380e2852618b52107283956b25")
+
+    def test_power_analysis_tables_csv_is_pinned(self, tmp_path, capsys):
+        """The table study reads the air density, gravity, the stock mass
+        and the cruise speed."""
+        out = tmp_path / "curve.csv"
+        assert cli_main(["power-analysis", "--tables", str(PROPS_DIR),
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ba731e802322d3d848a776b75cc36f2b1cb7b8d0b34d8d9a56c6b1887d143e39")
 
     @pytest.mark.parametrize("mode", ["retracted", "extended"])
     def test_shipped_wind_config_peak_is_the_post_gust_peak(self, mode):

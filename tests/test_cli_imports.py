@@ -20,6 +20,18 @@ import coaxtail
 from coaxtail.analysis import _median, write_timeseries_csv
 
 SRC = str(Path(coaxtail.__file__).resolve().parents[1])
+PROPS = str(Path(SRC).parent / "configs" / "props")
+
+# the coaxtail modules each light command loads, as the README states them
+_ROTOR_LAYERS = {"coaxtail", "coaxtail.analysis", "coaxtail.errors",
+                 "coaxtail.kernels", "coaxtail.rotor", "coaxtail.stock"}
+LAYERS = {
+    "psd": _ROTOR_LAYERS,
+    "bench-splm": _ROTOR_LAYERS,
+    "power-analysis": _ROTOR_LAYERS | {"coaxtail.propulsion"},
+    "power-analysis --tables": _ROTOR_LAYERS | {"coaxtail.propulsion"},
+    "mix-check": _ROTOR_LAYERS | {"coaxtail.control", "coaxtail.quat"},
+}
 
 CHILD = """
 import json, sys
@@ -51,6 +63,8 @@ def loaded(tmp_path_factory):
                        "bench.csv"],
         "power-analysis": ["power-analysis", "--fixture", "paper-2025",
                            "--out", "power.csv"],
+        "power-analysis --tables": ["power-analysis", "--tables", PROPS,
+                                    "--out", "tables.csv"],
         "mix-check": ["mix-check", "--trials", "1"],
     }
     result = {}
@@ -68,10 +82,10 @@ def test_no_light_command_loads_the_simulator(loaded):
 
 
 def test_each_command_loads_only_its_layers(loaded):
+    """Any coaxtail module a cold command compiles shows here."""
     for name, modules in loaded.items():
-        assert ("coaxtail.control" in modules) == (name == "mix-check"), name
-        assert (("coaxtail.propulsion" in modules)
-                == (name == "power-analysis")), name
+        assert {m for m in modules if m.split(".")[0] == "coaxtail"} \
+            == LAYERS[name], name
 
 
 def test_psd_does_not_load_numpy_ma(loaded):

@@ -18,7 +18,7 @@ from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              whole_count)
 from coaxtail.propulsion import (ConfigPower, PropellerTable, advance_ratio,
                                  thrust_power, write_power_curve_csv)
-from coaxtail.rotor import SplmParams, rotor_solidity
+from coaxtail.rotor import rotor_solidity
 from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
                               transition_profile)
 
@@ -50,7 +50,7 @@ class TestNumberRules:
             with pytest.raises(ConfigError, match="^n must be a whole number"):
                 whole_count("n", bad, 1)
         with pytest.raises(ConfigError, match="^blade_count must be a whole"):
-            SplmParams(blade_count=True)
+            rotor_solidity(True, 0.03, 0.2)
 
     def test_finite_number(self):
         assert finite_number(" 1e3 ", "k") == 1000.0

@@ -7,7 +7,7 @@ import pytest
 
 from coaxtail import kernels
 from coaxtail.errors import NumericalDomainError
-from coaxtail.rotor import SplmParams, _input_scale, _kbeta_column, steady_state
+from coaxtail.rotor import SplmParams, _INPUT_SCALE, _kbeta_column, steady_state
 
 
 def splm_lists(args):
@@ -20,7 +20,7 @@ def splm_args(variant="coupled", n=500, h=0.05):
     p = SplmParams(variant=variant)
     y0 = np.concatenate([steady_state(p, 900.0), np.zeros(3)])
     psi_half = np.arange(2 * n + 1) * (0.5 * h)
-    u_half = (900.0 + 220.0 * np.sin(psi_half)) * _input_scale(p)
+    u_half = (900.0 + 220.0 * np.sin(psi_half)) * _INPUT_SCALE
     return splm_lists((
         y0,
         n,

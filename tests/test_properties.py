@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from coaxtail import aero, analysis, control, propulsion, rotor, vehicle
-from coaxtail.aero import TandemConfig, WingPanel
+from coaxtail.aero import WingPanel
 from coaxtail.analysis import TimeSeries
 from coaxtail.control import ActuatorLimits, AllocationGains, CascadeGains
 from coaxtail.errors import ConfigError
@@ -40,10 +40,8 @@ _CASCADE = CascadeGains()
 # constructor -> {field: a valid value of the field's shape}
 FIELDS = {
     SplmParams: {
-        **{name: float(getattr(_SPLM, name)) for name in (
-            "downwash_angle", "hinge_offset", "lift_slope", "blade_count",
-            "chord", "radius", "torque_gain", "torque_pickup",
-            "speed_per_throttle", "throttle_scale", "hover_throttle")},
+        "downwash_angle": _SPLM.downwash_angle,
+        "hinge_offset": _SPLM.hinge_offset,
         "inertia": _SPLM.inertia,
         "damping": _SPLM.damping,
         "stiffness_const": _SPLM.stiffness_const,
@@ -61,25 +59,21 @@ FIELDS = {
                       "k_t2": 4.0e-5, "c_m": 0.002, "k_ey": 0.6, "k_ez": 0.4},
     WingPanel: {"area": 0.048, "lift_slope": 2.2, "cl0": 0.32,
                 "incidence": 0.08, "arm": 0.24},
-    TandemConfig: {"rho": 1.225},
     RpmSheet: {"rpm": 5000.0, "j": (0.0, 0.3, 0.6), "ct": (0.1, 0.08, 0.05),
                "cp": (0.05, 0.045, 0.04)},
     PropellerTable: {"diameter": 0.4064},
     TimeSeries: {"fs": 1000.0, "values": (0.0, 1.0, 0.5, -0.2)},
     VehicleParams: {"mass": 1.2, "inertia": np.diag([0.022, 0.025, 0.010]),
                     "drag_cd": 1.0, "lateral_area": 0.0453,
-                    "axial_area": 0.015, "elevon_q_ref": 149.0,
-                    "aft_speed_per_count": 0.16, "gravity": 9.81},
+                    "axial_area": 0.015, "aft_speed_per_count": 0.16,
+                    "gravity": 9.81},
     CascadeGains: {f.name: getattr(_CASCADE, f.name)
                    for f in dataclasses.fields(CascadeGains)
                    if not f.name.endswith("_rate")},
 }
 
 # constructor -> its arguments that are not floats, passed unchanged
-_PANEL = WingPanel(area=0.048, lift_slope=2.2, cl0=0.32, incidence=0.08,
-                   arm=0.24)
 FIXED = {
-    TandemConfig: {"front": _PANEL, "rear": _PANEL},
     PropellerTable: {"sheets": (RpmSheet(5000.0, (0.0, 0.5), (0.1, 0.05),
                                          (0.05, 0.04)),)},
 }
@@ -87,16 +81,44 @@ FIXED = {
 non_finite = st.sampled_from((math.nan, -math.nan, math.inf, -math.inf))
 
 
+def planted(valid, bad, index):
+    """A field's valid value with bad in place of it, or in place of its
+    entry `index` if it is a vector or matrix, in the field's own form."""
+    value = np.array(valid, dtype=float)
+    if value.ndim == 0:
+        return bad
+    value.flat[index] = bad
+    return value if value.ndim > 1 else tuple(value.tolist())
+
+
 @st.composite
 def poisoned(draw, fields):
     """Valid keyword arguments with one non-finite float planted in them."""
     name = draw(st.sampled_from(sorted(fields)))
     bad = draw(non_finite)
-    value = np.array(fields[name], dtype=float)
-    if value.ndim == 0:
-        return {name: bad}
-    value.flat[draw(st.integers(0, value.size - 1))] = bad
-    return {name: value if value.ndim > 1 else tuple(value.tolist())}
+    index = draw(st.integers(0, np.size(fields[name]) - 1))
+    return {name: planted(fields[name], bad, index)}
+
+
+def is_float_valued(value):
+    """A float, or a non-empty vector or matrix of floats."""
+    if isinstance(value, float):
+        return True
+    if not isinstance(value, (tuple, list, np.ndarray)):
+        return False
+    array = np.asarray(value)
+    return array.size > 0 and array.dtype.kind == "f"
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_fields_name_every_float_field(cls):
+    """FIELDS names each float-valued field of the classes it lists, and
+    only those, so a float field added later cannot skip the checks
+    below."""
+    obj = cls(**FIXED.get(cls, {}), **FIELDS[cls])
+    floats = {f.name for f in dataclasses.fields(cls)
+              if is_float_valued(getattr(obj, f.name))}
+    assert set(FIELDS[cls]) == floats
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
@@ -115,12 +137,11 @@ def test_non_finite_field_raises_config_error(cls, data):
     lambda c: not c.is_integer()))
 def test_fractional_blade_count_raises_config_error(count):
     with pytest.raises(ConfigError, match="whole number"):
-        SplmParams(blade_count=count)
-    with pytest.raises(ConfigError, match="whole number"):
         rotor_solidity(count, 0.03, 0.2)
-    whole = float(math.ceil(count))
-    if whole >= 1.0:
-        assert SplmParams(blade_count=whole).blade_count == whole
+    whole = math.ceil(count)
+    if whole >= 1:
+        assert rotor_solidity(float(whole), 0.03, 0.2) == rotor_solidity(
+            whole, 0.03, 0.2)
 
 
 def test_fields_cover_every_class_a_config_file_builds(monkeypatch):
@@ -138,31 +159,53 @@ def test_fields_cover_every_class_a_config_file_builds(monkeypatch):
     assert built <= set(FIELDS)
 
 
-_SIGN_RULES = {"check_positive": (0.0, -1.0), "check_non_negative": (-1.0,)}
+# constructor -> {field: the sign rule its __post_init__ applies to it}
+SIGN_CHECKED = {
+    WindProfile: {"speed": "check_non_negative",
+                  "ramp": "check_non_negative"},
+    ScenarioSpec: {"duration": "check_positive"},
+    ActuatorLimits: {"servo_max": "check_positive"},
+    AllocationGains: dict.fromkeys(("c_t1", "c_t2", "k_t1", "k_t2", "c_m"),
+                                   "check_positive"),
+    WingPanel: dict.fromkeys(("area", "lift_slope", "arm"), "check_positive"),
+    PropellerTable: {"diameter": "check_positive"},
+    TimeSeries: {"fs": "check_positive"},
+    VehicleParams: {**dict.fromkeys(("mass", "drag_cd", "lateral_area",
+                                     "axial_area", "aft_speed_per_count"),
+                                    "check_positive"),
+                    "gravity": "check_non_negative"},
+    CascadeGains: {"vel_i_limit": "check_non_negative",
+                   "rate_i_limit": "check_non_negative"},
+}
+_BAD_VALUES = {"check_positive": (0.0, -1.0), "check_non_negative": (-1.0,)}
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 def test_sign_checked_field_refuses_its_bad_values(cls, monkeypatch):
-    """The fields a valid object's own __post_init__ hands to a sign rule
-    are recorded; each must refuse the rule's bad values."""
+    """A valid object's own __post_init__ hands exactly the fields
+    SIGN_CHECKED names to their sign rules, and each field refuses its
+    rule's bad values, planted in each entry of a vector field in turn."""
     fields = {**FIXED.get(cls, {}), **FIELDS[cls]}
     obj = cls(**fields)
-    bad = {}
+    seen = {}
 
-    def spy_on(rule, values):
+    def spy_on(rule, name):
         def spy(**checked):
-            bad.update(dict.fromkeys(checked, values))
+            seen.update(dict.fromkeys(checked, name))
             return rule(**checked)
         return spy
 
     for module in (aero, analysis, control, propulsion, rotor, vehicle):
-        for rule, values in _SIGN_RULES.items():
-            if hasattr(module, rule):
-                monkeypatch.setattr(module, rule,
-                                    spy_on(getattr(module, rule), values))
+        for name in _BAD_VALUES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    spy_on(getattr(module, name), name))
     obj.__post_init__()
     monkeypatch.undo()
-    for name, values in bad.items():
-        for value in values:
-            with pytest.raises(ConfigError, match=name):
-                cls(**{**fields, name: value})
+    assert seen == SIGN_CHECKED.get(cls, {})
+    for name, rule in seen.items():
+        for value in _BAD_VALUES[rule]:
+            for index in range(np.size(fields[name])):
+                with pytest.raises(ConfigError, match=name):
+                    cls(**{**fields, name: planted(fields[name], value,
+                                                   index)})

@@ -230,7 +230,7 @@ class TestRigidStep:
 
     def test_params_validation(self):
         for name in ("mass", "drag_cd", "lateral_area", "axial_area",
-                     "elevon_q_ref", "aft_speed_per_count", "gravity"):
+                     "aft_speed_per_count", "gravity"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError, match=name):
                     VehicleParams(**{name: bad})
