@@ -17,6 +17,7 @@ import argparse
 import configparser
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass, fields
 
@@ -532,13 +533,14 @@ def _cmd_mix_check(args):
     whole_count("--seed", args.seed, 0)
     gains = (load_allocation_gains(args.gains) if args.gains
              else AllocationGains())
-    rng = np.random.default_rng(args.seed)
+    # the standard library's generator: numpy's own import loads random,
+    # not numpy.random
+    uniform = random.Random(args.seed).uniform
     worst = 0.0
     for _ in range(args.trials):
-        f_t = rng.uniform(0.0, 30.0)
-        taus = rng.uniform(-5.0, 5.0, 3)
-        lam = rng.uniform(0.0, 1.0)
-        wrench = Wrench(f_t, *taus)
+        wrench = Wrench(uniform(0.0, 30.0), uniform(-5.0, 5.0),
+                        uniform(-5.0, 5.0), uniform(-5.0, 5.0))
+        lam = uniform(0.0, 1.0)
         back = forward_model(mix(wrench, gains, lam), gains)
         worst = max(worst,
                     abs(back.f_t - wrench.f_t), abs(back.tau_x - wrench.tau_x),

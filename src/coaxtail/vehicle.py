@@ -30,6 +30,7 @@ Force model, all declared rather than fitted:
 """
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from math import isfinite
 
@@ -450,6 +451,10 @@ LOG_COLUMNS = ("t", "px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy",
 _CSV_COLUMNS = LOG_COLUMNS[:-1]
 # ticks whose log rows run_scenario stores at a time
 _LOG_CHUNK = 128
+# the log buffer's mapping flags: MAP_PRIVATE where the platform has it,
+# so after a fork each process writes its own copy of a log
+_PRIVATE = ({"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE")
+            else {})
 
 
 class _Column:
@@ -605,11 +610,14 @@ def run_scenario(spec, params):
 
     n = int(round(spec.duration / spec.dt))
     try:
-        data = np.empty((n, len(LOG_COLUMNS)))
-    except (ValueError, MemoryError) as exc:
-        # numpy: ValueError past its shape limit, MemoryError past memory
+        # an anonymous mapping, not malloc: its pages leave the process
+        # with the log's last view
+        buf = mmap.mmap(-1, n * len(LOG_COLUMNS) * 8, **_PRIVATE)
+    except (OverflowError, OSError) as exc:
+        # OverflowError past sys.maxsize bytes, OSError (ENOMEM) past memory
         raise ConfigError(f"duration {spec.duration:g} s is {n:.6g} ticks, "
                           f"too many to log") from exc
+    data = np.frombuffer(buf).reshape(n, len(LOG_COLUMNS))
 
     # rows are gathered _LOG_CHUNK ticks at a time as one flat list of
     # floats and stored through a flat view of data

@@ -88,6 +88,14 @@ def test_each_command_loads_only_its_layers(loaded):
             == LAYERS[name], name
 
 
+def test_no_light_command_loads_numpy_random(loaded):
+    """mix-check draws from the standard library's random, which numpy's
+    own import already loads; numpy.random would add secrets, hmac and
+    _hashlib."""
+    for name, modules in loaded.items():
+        assert "numpy.random" not in modules, name
+
+
 def test_psd_does_not_load_numpy_ma(loaded):
     assert "numpy.ma" not in loaded["psd"]
 

@@ -1,8 +1,12 @@
 """Closed-loop 6-DOF simulation: integrator physics, force model, scenarios."""
 
 import copy
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -995,3 +999,82 @@ class TestSimLog:
                            VehicleParams())
         direct = np.array([measured_pitch(q) for q in log.quaternion])
         assert np.allclose(log.pitch(), direct, atol=1e-12)
+
+
+# One fresh interpreter flies the four shipped configs: a short run of
+# each first (the first calls fill caches and allocator arenas that are
+# not log memory), then each full run, its log hashed and dropped.
+FLY_AND_DROP = """
+import dataclasses, hashlib, json, os, sys
+from coaxtail.analysis import load_scenario
+from coaxtail.vehicle import run_scenario
+
+def resident_mb():
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[1])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+
+cases = [load_scenario(path) for path in sys.argv[1:]]
+for spec, params in cases:
+    run_scenario(dataclasses.replace(spec, duration=0.2), params)
+before = resident_mb()
+digests = {spec.name: hashlib.sha256(run_scenario(spec, params).data)
+           .hexdigest() for spec, params in cases}
+after = resident_mb()
+print(json.dumps([digests, before, after]))
+"""
+
+
+class TestLogBuffer:
+    # hover first, then the transition, then the wind pair: after the
+    # transition's 8.5 MB log, malloc would serve the wind logs from a heap
+    # it does not trim
+    CONFIGS = ("hover", "transition", "wind_retracted", "wind_extended")
+
+    @pytest.fixture(scope="class")
+    def flown(self):
+        """(digests, resident MB before the runs, after them)."""
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        out = subprocess.run(
+            [sys.executable, "-c", FLY_AND_DROP,
+             *(str(CONFIG_DIR / f"{name}.cfg") for name in self.CONFIGS)],
+            env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_dropped_logs_leave_the_process(self, flown):
+        _, before, after = flown
+        if before is None:
+            pytest.skip("no /proc/self/statm to read resident memory from")
+        assert after - before < 1.0
+
+    def test_shipped_logs_keep_their_bits(self, flown):
+        """The four shipped logs are pinned to the byte, so every entry
+        keeps its value and its sign (np.array_equal and np.signbit)."""
+        digests, _, _ = flown
+        assert digests == {
+            "hover":
+            "6b03a38994cc9936f9c3aa02f893af9cdd3cdd9e0cc46f69972e766d2fed5631",
+            "transition":
+            "a8eaa6c4c50383ffa7ae4611ef1b32b3bed9449d8af3c9f0dac037100c2ca9f0",
+            "wind_retracted":
+            "44b79e54a1a7f8ba863e7af364219590ed1f6643c800ac348453ce17800e579c",
+            "wind_extended":
+            "b5dcf30f37ab18d2ba16bf2ff2e6bc39136b2a2db8dec35c29148069df150645",
+        }
+
+    @pytest.mark.parametrize("duration,cause", [(1e17, OverflowError),
+                                                (1e13, OSError)])
+    def test_too_many_ticks(self, duration, cause):
+        """The log's mapping is refused before anything is allocated: past
+        sys.maxsize bytes (OverflowError) or past memory (OSError)."""
+        spec = replace(hover_spec(), duration=duration)
+        with pytest.raises(ConfigError, match=r"ticks, too many to log$"
+                           ) as info:
+            run_scenario(spec, VehicleParams())
+        assert isinstance(info.value.__cause__, cause)
