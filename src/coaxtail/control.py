@@ -23,7 +23,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import (ConfigError, check_finite, check_non_negative,
-                     check_positive, finite_vector3, tick_rate)
+                     check_positive, tick_rate)
 from . import quat
 from .stock import GRAVITY
 
@@ -277,37 +277,34 @@ class VectorPid:
         return out
 
 
-def _rate_divisor(base, rate, name):
-    if rate <= 0 or base % rate != 0:
-        raise ConfigError(f"{name} rate {rate} must divide base rate {base}")
-    return base // rate
+# The stock cascade tuning, one entry per world (position, velocity) or
+# body (rate) axis: position P -> velocity PID -> attitude P -> rate PID.
+POS_P = (1.0, 1.0, 1.5)
+VEL_KP = (2.5, 2.5, 3.5)
+VEL_KI = (0.8, 0.8, 1.5)
+VEL_KD = (0.0, 0.0, 0.0)
+VEL_I_LIMIT = (4.0, 4.0, 12.0)
+ATT_P_TILT = 6.0
+ATT_P_YAW = 3.0
+RATE_KP = (0.55, 0.65, 0.25)
+RATE_KI = (1.6, 1.9, 0.75)
+RATE_KD = (0.001, 0.001, 0.0)
+RATE_I_LIMIT = (0.5, 0.8, 0.25)
+# update rates in Hz of the position, velocity, attitude and yaw-torque
+# loops; each must divide the base rate 1/dt
+LOOP_RATES = (("pos_rate", 50), ("vel_rate", 250), ("att_rate", 250),
+              ("yaw_rate_rate", 200))
 
 
-@dataclass(frozen=True)
-class CascadeGains:
-    pos_p: tuple = (1.0, 1.0, 1.5)
-    vel_kp: tuple = (2.5, 2.5, 3.5)
-    vel_ki: tuple = (0.8, 0.8, 1.5)
-    vel_kd: tuple = (0.0, 0.0, 0.0)
-    vel_i_limit: tuple = (4.0, 4.0, 12.0)
-    att_p_tilt: float = 6.0
-    att_p_yaw: float = 3.0
-    rate_kp: tuple = (0.55, 0.65, 0.25)
-    rate_ki: tuple = (1.6, 1.9, 0.75)
-    rate_kd: tuple = (0.001, 0.001, 0.0)
-    rate_i_limit: tuple = (0.5, 0.8, 0.25)
-    pos_rate: int = 50
-    vel_rate: int = 250
-    att_rate: int = 250
-    yaw_rate_rate: int = 200
-
-    def __post_init__(self):
-        for name in ("pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit",
-                     "rate_kp", "rate_ki", "rate_kd", "rate_i_limit"):
-            v = finite_vector3(getattr(self, name), name)
-            if name.endswith("_i_limit"):
-                check_non_negative(**{name: min(v.tolist())})
-        check_finite(att_p_tilt=self.att_p_tilt, att_p_yaw=self.att_p_yaw)
+def loop_divisors(dt):
+    """Base ticks per update of each LOOP_RATES loop at a tick of dt
+    seconds; ConfigError unless 1/dt is a whole rate that each divides."""
+    base = tick_rate(dt)
+    for name, rate in LOOP_RATES:
+        if base % rate != 0:
+            raise ConfigError(f"{name} rate {rate} must divide base rate "
+                              f"{base}")
+    return tuple(base // rate for _, rate in LOOP_RATES)
 
 
 @dataclass
@@ -329,29 +326,20 @@ class CascadeController:
 
     Owns its integrator and hold state; one instance per vehicle, stepped
     once per tick of dt seconds. 1/dt is the base rate, which each of the
-    gains' loop rates must divide. Not safe for concurrent stepping.
+    LOOP_RATES must divide. Not safe for concurrent stepping.
     """
 
     TILT_MIN_PROJECTION = 0.15
 
-    def __init__(self, gains, mass, gravity=GRAVITY, dt=1e-3):
+    def __init__(self, mass, gravity=GRAVITY, dt=1e-3):
         check_positive(mass=mass)
         check_non_negative(gravity=gravity)
-        base = tick_rate(dt)
-        self.gains = gains
+        self._every = loop_divisors(dt)
         self.mass = float(mass)
         self.gravity = float(gravity)
         self.dt = float(dt)
-        self._vel_pid = VectorPid(gains.vel_kp, gains.vel_ki, gains.vel_kd,
-                                  gains.vel_i_limit)
-        self._rate_pid = VectorPid(gains.rate_kp, gains.rate_ki, gains.rate_kd,
-                                   gains.rate_i_limit)
-        self._pos_p = [float(k) for k in gains.pos_p]
-        # base ticks per update of each loop
-        self._every = tuple(
-            _rate_divisor(base, getattr(gains, name), name)
-            for name in ("pos_rate", "vel_rate", "att_rate",
-                         "yaw_rate_rate"))
+        self._vel_pid = VectorPid(VEL_KP, VEL_KI, VEL_KD, VEL_I_LIMIT)
+        self._rate_pid = VectorPid(RATE_KP, RATE_KI, RATE_KD, RATE_I_LIMIT)
         self.reset()
 
     def reset(self):
@@ -382,7 +370,7 @@ class CascadeController:
 
         if tick % pos_every == 0:
             sp = [k * (a - b) for k, a, b in zip(
-                self._pos_p, setpoint.position, position)]
+                POS_P, setpoint.position, position)]
             if transition:
                 sp[0] = 0.0
                 sp[1] = 0.0
@@ -428,10 +416,9 @@ class CascadeController:
                 tilt_w = (0.0, 0.0, 0.0)
             tilt_b = quat.rotate(quat.conjugate(orientation), tilt_w)
             full_b = quat.error_rotation_vector(orientation, q_sp)
-            g = self.gains
-            self._rate_sp = [g.att_p_tilt * tilt_b[0],
-                             g.att_p_tilt * tilt_b[1],
-                             g.att_p_yaw * full_b[2]]
+            self._rate_sp = [ATT_P_TILT * tilt_b[0],
+                             ATT_P_TILT * tilt_b[1],
+                             ATT_P_YAW * full_b[2]]
 
         r0, r1, r2 = self._rate_sp
         w0, w1, w2 = body_rate

@@ -72,9 +72,19 @@ def check_non_negative(**values):
 
 def whole_count(name, value, least):
     """int of a whole number (numpy integers included) of at least
-    `least`; 2.5, NaN, inf or a bool is refused, not rounded."""
-    if isinstance(value, (bool, np.bool_)) or not (
-            value >= least and float(value).is_integer()):
+    `least`; 2.5, NaN, inf, a bool or a non-number is refused, not
+    rounded."""
+    if isinstance(value, (bool, np.bool_)):
+        ok = False
+    elif isinstance(value, (int, np.integer)):
+        # whole at any size, where float() of an int past 1e308 overflows
+        ok = value >= least
+    else:
+        try:
+            ok = float(value).is_integer() and value >= least
+        except (TypeError, ValueError):
+            ok = False
+    if not ok:
         raise ConfigError(f"{name} must be a whole number, at least {least}, "
                           f"got {value!r}")
     return int(value)

@@ -144,14 +144,6 @@ class SplmParams:
         return self.variant == "coupled"
 
 
-def _check_count(name, value, least):
-    """A step count must be an int (numpy's too), never a bool or a float."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < least):
-        raise ConfigError(f"{name} must be an int of at least {least}, "
-                          f"got {value!r}")
-
-
 def _coupling_gain(beta, coupled):
     """g(beta) = tan(beta + pi/4) of a float or an array of pitch angles.
 
@@ -237,14 +229,14 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
     """Integrate over n_steps azimuth steps with input given on the half grid.
 
     y0 holds the 6 states [theta, zeta, beta] and their derivatives;
-    n_steps is an int >= 0. u_half must hold 2*n_steps + 1 samples
+    n_steps is a whole count >= 0. u_half must hold 2*n_steps + 1 samples
     (throttle counts). Returns the (n_steps+1) x 6 state trajectory.
     A singular-pitch NumericalDomainError counts steps from first_step.
     Mostly a building block for the bench and for frequency-response
     studies where the drive is known analytically.
     """
-    _check_count("n_steps", n_steps, 0)
-    _check_count("first_step", first_step, 0)
+    n_steps = whole_count("n_steps", n_steps, 0)
+    first_step = whole_count("first_step", first_step, 0)
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (6,):
         raise ConfigError(f"y0 must hold 6 states, got shape {y0.shape}")

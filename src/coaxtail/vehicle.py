@@ -42,13 +42,12 @@ from .control import (
     ActuatorLimits,
     AllocationGains,
     CascadeController,
-    CascadeGains,
     ControlSetpoint,
+    loop_divisors,
     saturate,
 )
 from .errors import (ConfigError, SimulationFault, check_finite,
-                     check_non_negative, check_positive, finite_vector3,
-                     tick_rate)
+                     check_non_negative, check_positive, finite_vector3)
 from .stock import CRUISE_SPEED, GRAVITY, MASS, RHO
 
 _MAX_DT = 1e-3 + 1e-12
@@ -76,7 +75,6 @@ class VehicleParams:
     inertia: np.ndarray = field(default_factory=_default_inertia)
     tandem: TandemConfig = field(default_factory=_default_tandem)
     alloc: AllocationGains = field(default_factory=AllocationGains)
-    cascade: CascadeGains = field(default_factory=CascadeGains)
     limits: ActuatorLimits = field(default_factory=ActuatorLimits)
     drag_cd: float = 1.0
     lateral_area: float = 0.0453  # bare-body side area, m^2 (wings excluded)
@@ -372,7 +370,7 @@ class ScenarioSpec:
             raise ConfigError("scenario mode must be 'hover' or 'transition'")
         check_positive(duration=self.duration)
         _check_dt(self.dt)
-        tick_rate(self.dt)
+        loop_divisors(self.dt)
         ticks = self.duration / self.dt
         if not (math.isfinite(ticks) and round(ticks) >= 1):
             raise ConfigError("duration must cover at least one tick and "
@@ -600,8 +598,7 @@ def _config_snapshot(spec, params):
 def run_scenario(spec, params):
     """Run one scenario, one tick of spec.dt at a time; deterministic for
     fixed inputs."""
-    controller = CascadeController(params.cascade, params.mass,
-                                   params.gravity, spec.dt)
+    controller = CascadeController(params.mass, params.gravity, spec.dt)
 
     start = spec.start_position if spec.start_position is not None \
         else spec.position

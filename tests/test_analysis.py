@@ -642,13 +642,18 @@ class TestRefusedValueNamesFileAndKeys:
 
     def test_cli_exits_1_with_one_line(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
-        p.write_text("[scenario]\ndt_s = 5\n")
-        code = cli_main(["simulate", str(p)])
-        err = capsys.readouterr().err.splitlines()
-        assert code == 1
-        assert err == [f"error: category=validation type=ConfigError "
-                       f"message={p}: [scenario] dt_s: dt must lie in "
-                       f"(0, 1 ms], got 5.0"]
+        for dt_s, reason in (
+                ("5", "dt must lie in (0, 1 ms], got 5.0"),
+                # a whole tick rate that a controller loop rate does not
+                # divide is refused with the file, before the run
+                ("0.0004", "yaw_rate_rate rate 200 must divide base rate "
+                           "2500")):
+            p.write_text(f"[scenario]\ndt_s = {dt_s}\n")
+            code = cli_main(["simulate", str(p)])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1
+            assert err == [f"error: category=validation type=ConfigError "
+                           f"message={p}: [scenario] dt_s: {reason}"]
 
 
 class TestTablePowers:
@@ -813,6 +818,22 @@ class TestCli:
             assert code == 1, argv
             assert err.count("category=validation") == 1, argv
             assert "Traceback" not in err
+
+    def test_counts_past_float_range_are_whole(self, tmp_path, capsys):
+        """A count flag of 400 digits is checked as a whole number, not
+        converted to a float that overflows."""
+        huge = "1" + "0" * 399
+        assert cli_main(["mix-check", "--trials", "1", "--seed", huge]) == 0
+        assert capsys.readouterr().out.startswith("trials=1 max_residual=")
+        series = tmp_path / "x.csv"
+        series.write_text("t,x\n" + "".join(f"{i / 1000},{i % 3}\n"
+                                            for i in range(64)))
+        code = cli_main(["psd", str(series), "--window", "4",
+                         "--segment", huge])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1
+        assert f"message=segment {huge} exceeds series length 64" in err[0]
 
     def test_mix_check_reports_residual(self, capsys):
         code = cli_main(["mix-check", "--trials", "1000"])

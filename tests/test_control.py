@@ -12,7 +12,6 @@ from coaxtail.control import (
     ActuatorLimits,
     AllocationGains,
     CascadeController,
-    CascadeGains,
     ControlSetpoint,
     VectorPid,
     Wrench,
@@ -728,16 +727,6 @@ class TestVectorPid:
 
 
 class TestCascade:
-    def test_rates_must_divide(self):
-        with pytest.raises(ConfigError, match="pos_rate rate 30 must divide "
-                                              "base rate 1000"):
-            CascadeController(CascadeGains(pos_rate=30), 1.2)
-        # every rate divides 0 and -1000; the loop divisors would be 0
-        # (a ZeroDivisionError in step) or negative
-        for rate in (0, -1000):
-            with pytest.raises(ConfigError, match="vel_rate"):
-                CascadeController(CascadeGains(vel_rate=rate), 1.2)
-
     def test_controller_takes_its_tick_once(self):
         """dt is set at construction: a bad tick is refused there, and the
         loops subsample 1/dt (at 0.5 ms the 50 Hz position loop updates
@@ -745,11 +734,11 @@ class TestCascade:
         # 1/3e-4 is no whole rate; 5e-324 makes 1/dt overflow
         for bad in (0.0, -1e-3, math.nan, math.inf, 3e-4, 5e-324):
             with pytest.raises(ConfigError, match="dt"):
-                CascadeController(CascadeGains(), 1.2, dt=bad)
+                CascadeController(1.2, dt=bad)
         with pytest.raises(ConfigError, match="pos_rate rate 50 must divide "
                                               "base rate 30"):
-            CascadeController(CascadeGains(), 1.2, dt=1.0 / 30.0)
-        ctl = CascadeController(CascadeGains(), 1.2, dt=5e-4)
+            CascadeController(1.2, dt=1.0 / 30.0)
+        ctl = CascadeController(1.2, dt=5e-4)
         sp = ControlSetpoint(position=(0.0, 0.0, 1.0))
         updated = []
         for tick in range(120):
@@ -760,40 +749,14 @@ class TestCascade:
                 updated.append(tick)
         assert updated == [0, 40, 80]
 
-    @pytest.mark.parametrize("name", (
-        "pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit", "rate_kp",
-        "rate_ki", "rate_kd", "rate_i_limit"))
-    def test_vector_gains_hold_three_numbers(self, name):
-        for bad in ((1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (), 1.0,
-                    np.ones((3, 1)), ("a", 1.0, 1.0)):
-            with pytest.raises(ConfigError, match=f"^{name} must be 3 "):
-                CascadeGains(**{name: bad})
-        for good in ((1.0, 2.0, 3.0), [1, 2, 3], np.array([1.0, 2.0, 3.0])):
-            CascadeGains(**{name: good})
-
-    @pytest.mark.parametrize("name", ["vel_i_limit", "rate_i_limit"])
-    def test_integrator_limits_are_refused_by_gains_field(self, name):
-        """A negative limit is refused by the gains, naming their field,
-        not later by the controller's PID as i_limit[0]."""
-        with pytest.raises(ConfigError,
-                           match=f"^{name} must be non-negative and finite, "
-                                 f"got -0.5$"):
-            CascadeGains(**{name: (1.0, -0.5, 1.0)})
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigError, match=f"^{name} must be 3 finite"):
-                CascadeGains(**{name: (1.0, bad, 1.0)})
-        # a zero limit holds the integrator at zero and is kept
-        CascadeController(CascadeGains(**{name: (0.0, 0.0, 0.0)}), 1.2)
-
     def test_controller_checks_mass_and_gravity(self):
-        gains = CascadeGains()
         for bad in (0.0, -1.2, math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match="mass"):
-                CascadeController(gains, bad)
+                CascadeController(bad)
         for bad in (-9.81, math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match="gravity"):
-                CascadeController(gains, 1.2, bad)
-        CascadeController(gains, 1.2, 0.0)
+                CascadeController(1.2, bad)
+        CascadeController(1.2, 0.0)
 
     def test_controller_state_holds_no_array(self):
         """Vectors are tuples or lists of floats throughout: after hover
@@ -806,7 +769,7 @@ class TestCascade:
                 return sum(map(arrays, value))
             return 0
 
-        ctl = CascadeController(CascadeGains(), mass=1.2)
+        ctl = CascadeController(1.2)
         for override in (None, math.radians(-45.0)):
             sp = ControlSetpoint(position=(0.5, -0.2, 1.5),
                                  pitch_override=override)
@@ -814,14 +777,11 @@ class TestCascade:
                 ctl.step(sp, np.zeros(3), np.zeros(3),
                          np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
             for owner in (ctl, ctl._vel_pid, ctl._rate_pid):
-                held = {k: v for k, v in vars(owner).items()
-                        if k != "gains"}
-                assert arrays(list(held.values())) == 0, held
+                assert arrays(list(vars(owner).values())) == 0, vars(owner)
         assert ControlSetpoint().position == (0.0, 0.0, 0.0)
 
     def test_equilibrium_outputs_weight_only(self):
-        gains = CascadeGains()
-        ctl = CascadeController(gains, mass=1.2)
+        ctl = CascadeController(1.2)
         sp = ControlSetpoint(position=np.array([1.0, -2.0, 3.0]))
         w = ctl.step(sp, np.array([1.0, -2.0, 3.0]), np.zeros(3),
                      np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
@@ -829,7 +789,7 @@ class TestCascade:
         assert w.tau_x == w.tau_y == w.tau_z == 0.0
 
     def test_pure_yaw_error_only_tau_z(self):
-        ctl = CascadeController(CascadeGains(), mass=1.2)
+        ctl = CascadeController(1.2)
         sp = ControlSetpoint(position=np.zeros(3), yaw=0.4)
         w = ctl.step(sp, np.zeros(3), np.zeros(3),
                      np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
@@ -838,7 +798,7 @@ class TestCascade:
         assert w.tau_z != 0.0
 
     def test_transition_mode_commands_no_lateral_force(self):
-        ctl = CascadeController(CascadeGains(), mass=1.2)
+        ctl = CascadeController(1.2)
         sp = ControlSetpoint(position=np.array([5.0, 5.0, 2.0]),
                              pitch_override=math.radians(-45.0))
         ctl.step(sp, np.zeros(3), np.zeros(3),
@@ -858,7 +818,7 @@ class TestCascade:
         pairs += [(float(rng.choice([0.0, -0.0, 0.3])),
                    float(rng.choice([0.0, -0.0, rng.uniform(-1.5, 0.0)])))
                   for _ in range(200)]
-        ctl = CascadeController(CascadeGains(), mass=1.2)
+        ctl = CascadeController(1.2)
         for case, (yaw, pitch) in enumerate(pairs):
             q_yaw = quat.from_axis_angle(z_axis, yaw)
             q_sp = quat.multiply(q_yaw, quat.from_axis_angle(y_axis, pitch))
@@ -876,8 +836,8 @@ class TestCascade:
         """A controller that keeps its attitude setpoints and one that
         recomputes them every tick demand the same wrenches."""
         rng = np.random.default_rng(13)
-        kept = CascadeController(CascadeGains(), mass=1.2)
-        fresh = CascadeController(CascadeGains(), mass=1.2)
+        kept = CascadeController(1.2)
+        fresh = CascadeController(1.2)
         sp = ControlSetpoint(position=np.array([0.5, -0.2, 1.5]))
         for tick in range(400):
             if tick % 40 == 0:
@@ -900,7 +860,7 @@ class TestAttitudeErrorSigns:
     seconds into a pitched flight, so the signs are pinned here."""
 
     def yaw_torque_at(self, orientation, pitch_override=None):
-        ctl = CascadeController(CascadeGains(), mass=1.2)
+        ctl = CascadeController(1.2)
         sp = ControlSetpoint(position=np.zeros(3), yaw=0.0,
                              pitch_override=pitch_override)
         w = ctl.step(sp, np.zeros(3), np.zeros(3), orientation, np.zeros(3))
@@ -935,7 +895,7 @@ class TestAttitudeErrorSigns:
         # nose tipped toward -x in hover: positive pitch torque rights it
         q = quat.from_axis_angle(np.array([0.0, 1.0, 0.0]),
                                  math.radians(-10.0))
-        ctl = CascadeController(CascadeGains(), mass=1.2)
+        ctl = CascadeController(1.2)
         sp = ControlSetpoint(position=np.zeros(3))
         w = ctl.step(sp, np.zeros(3), np.zeros(3), q, np.zeros(3))
         assert w.tau_y > 0.0

@@ -45,8 +45,11 @@ class TestNumberRules:
     def test_whole_count(self):
         assert whole_count("n", 3.0, 1) == 3
         assert whole_count("n", np.int64(4), 2) == 4
+        # an int past float's range is whole without a float conversion
+        assert whole_count("n", 10**400, 1) == 10**400
         # True == 1, but it is not one blade or one sample
-        for bad in (2.5, 0, True, np.True_, *NON_FINITE):
+        for bad in (2.5, 0, True, np.True_, None, "3", -10**400,
+                    *NON_FINITE):
             with pytest.raises(ConfigError, match="^n must be a whole number"):
                 whole_count("n", bad, 1)
         with pytest.raises(ConfigError, match="^blade_count must be a whole"):

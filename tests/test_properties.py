@@ -18,7 +18,7 @@ import pytest
 from coaxtail import aero, analysis, control, propulsion, rotor, vehicle
 from coaxtail.aero import WingPanel
 from coaxtail.analysis import TimeSeries
-from coaxtail.control import ActuatorLimits, AllocationGains, CascadeGains
+from coaxtail.control import ActuatorLimits, AllocationGains
 from coaxtail.errors import ConfigError
 from coaxtail.propulsion import PropellerTable, RpmSheet
 from coaxtail.rotor import SplmParams, rotor_solidity
@@ -35,7 +35,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 _SPLM = SplmParams()
-_CASCADE = CascadeGains()
 
 # constructor -> {field: a valid value of the field's shape}
 FIELDS = {
@@ -67,9 +66,6 @@ FIELDS = {
                     "drag_cd": 1.0, "lateral_area": 0.0453,
                     "axial_area": 0.015, "aft_speed_per_count": 0.16,
                     "gravity": 9.81},
-    CascadeGains: {f.name: getattr(_CASCADE, f.name)
-                   for f in dataclasses.fields(CascadeGains)
-                   if not f.name.endswith("_rate")},
 }
 
 # constructor -> its arguments that are not floats, passed unchanged
@@ -174,8 +170,6 @@ SIGN_CHECKED = {
                                      "axial_area", "aft_speed_per_count"),
                                     "check_positive"),
                     "gravity": "check_non_negative"},
-    CascadeGains: {"vel_i_limit": "check_non_negative",
-                   "rate_i_limit": "check_non_negative"},
 }
 _BAD_VALUES = {"check_positive": (0.0, -1.0), "check_non_negative": (-1.0,)}
 

@@ -389,24 +389,27 @@ class TestBench:
         for y0 in (np.array([0.01]), np.zeros(5), np.zeros(7),
                    np.zeros((6, 1)), 0.0):
             rows.append((y0, 0.05, 10, u_half))
-        # n_steps must be an int >= 0: no float, bool or negative count
-        rows += [(np.zeros(6), 0.05, 2.5, np.zeros(6)),
-                 (np.zeros(6), 0.05, 10.0, u_half),
-                 (np.zeros(6), 0.05, -1, np.zeros(1)),
-                 (np.zeros(6), 0.05, True, np.zeros(3)),
-                 (np.zeros(6), 0.05, None, u_half)]
         for y0, psi_step, n_steps, u in rows:
             with pytest.raises(ConfigError):
                 integrate(p, y0, psi_step, n_steps, u)
-        for first_step in (-1, 2.0, True, None):
-            with pytest.raises(ConfigError, match="first_step"):
+        # step counts are whole numbers >= 0: no fraction, bool or negative
+        for n_steps, u in ((2.5, np.zeros(6)), (-1, np.zeros(1)),
+                           (True, np.zeros(3)), (None, u_half)):
+            with pytest.raises(ConfigError, match="^n_steps must be a whole"):
+                integrate(p, np.zeros(6), 0.05, n_steps, u)
+        for first_step in (-1, 2.5, True, None):
+            with pytest.raises(ConfigError, match="^first_step must be a "):
                 integrate(p, np.zeros(6), 0.05, 10, u_half,
                           first_step=first_step)
-        # numpy integer step counts are counts too, and zero steps is valid
-        for n_steps in (np.int64(10), 0):
+        # numpy integers and whole floats are counts too, and zero steps is
+        # valid
+        for n_steps in (np.int64(10), 10.0, 0):
             traj = integrate(p, np.zeros(6), 0.05, n_steps,
-                             np.zeros(2 * n_steps + 1))
+                             np.zeros(2 * int(n_steps) + 1))
             assert traj.shape == (n_steps + 1, 6)
+        assert np.array_equal(
+            integrate(p, np.zeros(6), 0.05, 10, u_half, first_step=2.0),
+            integrate(p, np.zeros(6), 0.05, 10, u_half, first_step=2))
 
     def test_torque_model_guards_singular_pitch(self):
         p = make_params(variant="coupled")

@@ -712,6 +712,10 @@ class TestScenarios:
             ScenarioSpec(dt=3e-4)  # 1/dt not an integer rate
         with pytest.raises(ConfigError):
             ScenarioSpec(dt=5e-324)  # 1/dt overflows to inf
+        # a whole rate that the controller's 200 Hz loop does not divide
+        with pytest.raises(ConfigError, match="^yaw_rate_rate rate 200 must "
+                                              "divide base rate 2500$"):
+            ScenarioSpec(dt=4e-4)
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError):
                 ScenarioSpec(duration=bad)
