@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from coaxtail import quat
+from coaxtail import control, quat
 from coaxtail.errors import ConfigError
 from coaxtail.control import (
     ActuatorCommand,
@@ -19,6 +19,7 @@ from coaxtail.control import (
     _tilt_quaternion,
     derived_params,
     forward_model,
+    loop_divisors,
     mix,
     saturate,
 )
@@ -727,6 +728,68 @@ class TestVectorPid:
 
 
 class TestCascade:
+    def test_rates_must_divide(self):
+        """Each loop's rate must divide the base rate 1/dt; the message
+        names the first loop that does not."""
+        for dt, message in ((1.0 / 30.0, "pos_rate rate 50 must divide "
+                                         "base rate 30"),
+                            (1.0 / 400.0, "vel_rate rate 250 must divide "
+                                          "base rate 400"),
+                            (1.0 / 2500.0, "yaw_rate_rate rate 200 must "
+                                           "divide base rate 2500")):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                loop_divisors(dt)
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                CascadeController(1.2, dt=dt)
+
+    @pytest.mark.parametrize("dt, base", [(1e-3, 1000), (5e-4, 2000),
+                                          (2e-4, 5000)])
+    def test_loop_divisors_split_the_base_rate(self, dt, base):
+        every = loop_divisors(dt)
+        assert all(isinstance(n, int) for n in every)
+        assert [n * rate for n, (_, rate) in
+                zip(every, control.LOOP_RATES, strict=True)] == [base] * 4
+        assert CascadeController(1.2, dt=dt)._every == every
+
+    @pytest.mark.parametrize("name", (
+        "pos_p", "vel_kp", "vel_ki", "vel_kd", "vel_i_limit", "rate_kp",
+        "rate_ki", "rate_kd", "rate_i_limit"))
+    def test_vector_gains_hold_three_numbers(self, name, monkeypatch):
+        """Each vector gain holds one finite float per axis; a PID gain of
+        another length is refused when the controller is built."""
+        value = getattr(control, name.upper())
+        assert isinstance(value, tuple) and len(value) == 3
+        assert all(isinstance(x, float) and math.isfinite(x) for x in value)
+        if name == "pos_p":
+            return
+        for bad in ((1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (), 1.0):
+            monkeypatch.setattr(control, name.upper(), bad)
+            with pytest.raises(ConfigError, match="one entry per axis"):
+                CascadeController(1.2)
+
+    @pytest.mark.parametrize("name", ["vel_i_limit", "rate_i_limit"])
+    def test_integrator_limit_constants_are_checked(self, name, monkeypatch):
+        """A negative or non-finite integrator limit is refused by the
+        controller's PID; a zero limit is kept and holds the integrator
+        at zero."""
+        monkeypatch.setattr(control, name.upper(), (1.0, -0.5, 1.0))
+        with pytest.raises(ConfigError,
+                           match=r"^i_limit\[1\] must be non-negative and "
+                                 r"finite, got -0.5$"):
+            CascadeController(1.2)
+        for bad in (math.nan, math.inf, -math.inf):
+            monkeypatch.setattr(control, name.upper(), (1.0, bad, 1.0))
+            with pytest.raises(ConfigError, match=r"^i_limit\[1\] must be"):
+                CascadeController(1.2)
+        monkeypatch.setattr(control, name.upper(), (0.0, 0.0, 0.0))
+        ctl = CascadeController(1.2)
+        pid = ctl._vel_pid if name == "vel_i_limit" else ctl._rate_pid
+        sp = ControlSetpoint(position=(0.5, -0.2, 1.5), yaw=0.4)
+        for _ in range(50):
+            ctl.step(sp, np.zeros(3), np.zeros(3),
+                     np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+        assert pid.integral == [0.0, 0.0, 0.0]
+
     def test_controller_takes_its_tick_once(self):
         """dt is set at construction: a bad tick is refused there, and the
         loops subsample 1/dt (at 0.5 ms the 50 Hz position loop updates
