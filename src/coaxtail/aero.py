@@ -132,20 +132,21 @@ def stability_margin(config, v):
     return q * f.lift_slope * (f.area * f.arm - r.area * r.arm)
 
 
-def static_stability_check(config, v=1.0):
+def static_stability_check(config):
     """Longitudinal static stability of the extended configuration.
 
     stable requires rear incidence strictly below front incidence and
     front area-arm product strictly below the rear one; margin is the
-    analytic moment slope at the reference speed v.
+    analytic moment slope at the 1 m/s reference speed, where the trim
+    search takes its moments too.
     """
     _require_identical_airfoils(config)
     f, r = config.front, config.rear
     stable = (r.incidence < f.incidence) and (f.area * f.arm < r.area * r.arm)
-    margin = stability_margin(config, v)
+    margin = stability_margin(config, 1.0)
     lo, hi = _delta_alpha_interval(config)
-    m_lo = pitch_moment(config, v, lo)
-    m_hi = pitch_moment(config, v, hi)
+    m_lo = pitch_moment(config, 1.0, lo)
+    m_hi = pitch_moment(config, 1.0, hi)
     trim_exists = m_lo == 0.0 or m_hi == 0.0 or (m_lo < 0.0) != (m_hi < 0.0)
     return StabilityReport(trim_exists=trim_exists, stable=stable, margin=margin)
 

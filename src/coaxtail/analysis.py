@@ -527,12 +527,11 @@ def _cmd_power_analysis(args):
 
 
 def _cmd_mix_check(args):
-    from .control import AllocationGains, Wrench, forward_model, mix
+    from .control import ALLOCATION, Wrench, forward_model, mix
 
     whole_count("--trials", args.trials, 1)
     whole_count("--seed", args.seed, 0)
-    gains = (load_allocation_gains(args.gains) if args.gains
-             else AllocationGains())
+    gains = load_allocation_gains(args.gains) if args.gains else ALLOCATION
     # the standard library's generator: numpy's own import loads random,
     # not numpy.random
     uniform = random.Random(args.seed).uniform

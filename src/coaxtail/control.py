@@ -36,7 +36,7 @@ class AllocationGains:
     c_t2: float = 0.0065   # aft rotor thrust per throttle unit, N
     k_t1: float = 6.0e-5   # fore rotor yaw torque per throttle unit, N*m
     k_t2: float = 4.0e-5   # aft rotor yaw torque per throttle unit, N*m
-    c_m: float = 0.002     # fore rotor moment per modulation unit, N*m
+    c_m: float = 0.002     # fore rotor cyclic moment per modulation unit, N*m
     k_ey: float = 0.6      # elevon pitch torque per servo unit at q_ref, N*m
     k_ez: float = 0.4      # elevon yaw torque per servo unit at q_ref, N*m
 
@@ -52,6 +52,10 @@ class AllocationGains:
         # the mixer coefficients that do not depend on lam
         object.__setattr__(self, "_den_eta_kappa",
                            (den, self.k_t2 / den, self.k_t1 / den))
+
+
+# the stock airframe's mixer; a --gains file builds another for mix-check
+ALLOCATION = AllocationGains()
 
 
 # Wrench and ActuatorCommand are built every tick. They stay frozen, but
@@ -100,6 +104,10 @@ class ActuatorLimits:
         check_positive(servo_max=self.servo_max)
         if self.throttle_max <= self.throttle_min:
             raise ConfigError("throttle_max must exceed throttle_min")
+
+
+# the stock actuator ranges, which the simulator saturates to
+LIMITS = ActuatorLimits()
 
 
 def derived_params(gains, lam):

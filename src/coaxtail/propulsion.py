@@ -88,10 +88,6 @@ class PropellerTable:
             raise ConfigError("sheets must be sorted by strictly increasing rpm")
         object.__setattr__(self, "sheets", sheets)
 
-    @classmethod
-    def single(cls, diameter, j, ct, cp, rpm=0.0):
-        return cls(diameter, (RpmSheet(rpm, j, ct, cp),))
-
     @property
     def j_min(self):
         return max(s.j[0] for s in self.sheets)
@@ -293,32 +289,25 @@ def fixture_config_powers(fixture="paper-2025"):
 
 def study_summary(powers):
     """key=value summary lines for a configuration study; the reductions
-    compare mission-average powers at a hover-time ratio of 0.2."""
+    compare mission-average powers at a hover-time ratio of 0.2. powers
+    holds every STUDY_PAIRINGS entry, as study_powers returns them."""
     by_name = {p.name: p for p in powers}
+    hpc, hlc, hsc = by_name["HPC"], by_name["HLC"], by_name["HSC"]
     lines = []
     for p in powers:
         lines.append(f"{p.name}_hover_W={p.hover_w:.9g}")
         lines.append(f"{p.name}_cruise_W={p.cruise_w:.9g}")
-    if "HPC" in by_name and "HLC" in by_name:
-        r_star = crossover_ratio(by_name["HPC"], by_name["HLC"])
-        if r_star is not None:
-            lines.append(f"crossover_HPC_HLC={r_star:.3f}")
-        hpc = average_power(by_name["HPC"], 0.2)
-        hlc = average_power(by_name["HLC"], 0.2)
-        lines.append(
-            f"reduction_at_r0.2_vs_HLC={100.0 * (1.0 - hpc / hlc):.1f}%")
-    if "HPC" in by_name and "HSC" in by_name:
-        hpc = average_power(by_name["HPC"], 0.2)
-        hsc = average_power(by_name["HSC"], 0.2)
-        lines.append(
-            f"reduction_at_r0.2_vs_HSC={100.0 * (1.0 - hpc / hsc):.1f}%")
-        gap = 100.0 * (by_name["HSC"].hover_w - by_name["HPC"].hover_w) \
-            / by_name["HSC"].hover_w
-        lines.append(f"multirotor_gap_vs_HSC={gap:.1f}%")
-    if "HPC" in by_name and "HLC" in by_name:
-        gap = 100.0 * (by_name["HLC"].cruise_w - by_name["HPC"].cruise_w) \
-            / by_name["HLC"].cruise_w
-        lines.append(f"fixedwing_gap_vs_HLC={gap:.1f}%")
+    r_star = crossover_ratio(hpc, hlc)
+    if r_star is not None:
+        lines.append(f"crossover_HPC_HLC={r_star:.3f}")
+    hpc_mean = average_power(hpc, 0.2)
+    for other in (hlc, hsc):
+        cut = 100.0 * (1.0 - hpc_mean / average_power(other, 0.2))
+        lines.append(f"reduction_at_r0.2_vs_{other.name}={cut:.1f}%")
+    gap = 100.0 * (hsc.hover_w - hpc.hover_w) / hsc.hover_w
+    lines.append(f"multirotor_gap_vs_HSC={gap:.1f}%")
+    gap = 100.0 * (hlc.cruise_w - hpc.cruise_w) / hlc.cruise_w
+    lines.append(f"fixedwing_gap_vs_HLC={gap:.1f}%")
     return lines
 
 

@@ -63,7 +63,7 @@ LIFT_SLOPE = 5.7             # a, per rad
 BLADE_COUNT = 2
 CHORD = 0.03                 # m
 RADIUS = 0.2032              # m
-TORQUE_GAIN = 0.002          # C_m, N*m per throttle count
+TORQUE_GAIN = 0.002          # K_q, shaft torque, N*m per throttle count
 TORQUE_PICKUP = 20.0         # sensor weight on hinge-state feedback
 SPEED_PER_THROTTLE = 0.2793  # rad/s of shaft speed per throttle count
 THROTTLE_SCALE = 2000.0      # throttle counts at full modulation depth
@@ -260,11 +260,11 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
 def torque_from_states(params: SplmParams, u: np.ndarray, traj: np.ndarray) -> np.ndarray:
     """Shaft torque seen by a bench sensor, N*m.
 
-    C_m times the instantaneous throttle command, minus torque_pickup
-    times the drive-axis component of the lag-pitch stiffness feedback
-    (the blade loading change the hinge deflection causes), converted to
-    the same throttle-count scale. The pickup opposes the command: extra
-    blade pitch unloads the motor.
+    K_q (TORQUE_GAIN) times the instantaneous throttle command, minus
+    TORQUE_PICKUP times the drive-axis component of the lag-pitch
+    stiffness feedback (the blade loading change the hinge deflection
+    causes), converted to the same throttle-count scale. The pickup
+    opposes the command: extra blade pitch unloads the motor.
     """
     zeta = traj[:, 1]
     g = _coupling_gain(traj[:, 2], params.coupled)

@@ -39,8 +39,8 @@ import numpy as np
 from . import kernels, quat
 from .aero import TandemConfig, WingMode, WingPanel, tandem_wrench
 from .control import (
-    ActuatorLimits,
-    AllocationGains,
+    ALLOCATION,
+    LIMITS,
     CascadeController,
     ControlSetpoint,
     loop_divisors,
@@ -50,6 +50,8 @@ from .errors import (ConfigError, SimulationFault, check_finite,
                      check_non_negative, check_positive, finite_vector3)
 from .stock import CRUISE_SPEED, GRAVITY, MASS, RHO
 
+# a tick's range: 1 us to 1 ms
+_MIN_DT = 1e-6
 _MAX_DT = 1e-3 + 1e-12
 # dynamic pressure at which the elevons have the mixer's nominal authority
 _ELEVON_Q_REF = 0.5 * RHO * CRUISE_SPEED ** 2
@@ -74,8 +76,6 @@ class VehicleParams:
     mass: float = MASS
     inertia: np.ndarray = field(default_factory=_default_inertia)
     tandem: TandemConfig = field(default_factory=_default_tandem)
-    alloc: AllocationGains = field(default_factory=AllocationGains)
-    limits: ActuatorLimits = field(default_factory=ActuatorLimits)
     drag_cd: float = 1.0
     lateral_area: float = 0.0453  # bare-body side area, m^2 (wings excluded)
     axial_area: float = 0.015
@@ -112,18 +112,6 @@ _STATE_PARTS = (("position", 3), ("velocity", 3), ("orientation", 4),
                 ("body_rate", 3))
 
 
-def _pack_state(parts):
-    values = []
-    for (name, size), part in zip(_STATE_PARTS, parts):
-        if part is None:
-            raise ConfigError(f"vehicle state needs {name}")
-        arr = np.asarray(part, dtype=float)
-        if arr.shape != (size,):
-            raise ConfigError(f"{name} must hold {size} numbers")
-        values += arr.tolist()
-    return values
-
-
 def _check_state(values):
     """Raise SimulationFault unless the 13 packed floats are finite and
     hold a unit quaternion."""
@@ -139,26 +127,21 @@ def _check_state(values):
 class VehicleState(tuple):
     """Rigid-body state: the tuple of 13 floats [p, v, q (wxyz), w].
 
-    Build it from the four parts or from the packed ``y``; either way it
-    is validated once (finite entries, unit quaternion). position,
-    velocity, orientation (body to world) and body_rate are its slices.
+    Built from its four parts and validated once (finite entries, unit
+    quaternion); position, velocity, orientation (body to world) and
+    body_rate are its slices.
     """
 
     __slots__ = ()
 
-    def __new__(cls, position=None, velocity=None, orientation=None,
-                body_rate=None, *, y=None):
-        if y is None:
-            values = _pack_state((position, velocity, orientation, body_rate))
-        elif not (position is None and velocity is None
-                  and orientation is None and body_rate is None):
-            raise ConfigError("give the vehicle state as y or as parts, "
-                              "not both")
-        else:
-            y = np.asarray(y, dtype=float)
-            if y.shape != (13,):
-                raise ConfigError("packed vehicle state must hold 13 numbers")
-            values = y.tolist()
+    def __new__(cls, position, velocity, orientation, body_rate):
+        values = []
+        for (name, size), part in zip(_STATE_PARTS, (position, velocity,
+                                                      orientation, body_rate)):
+            arr = np.asarray(part, dtype=float)
+            if arr.shape != (size,):
+                raise ConfigError(f"{name} must hold {size} numbers")
+            values += arr.tolist()
         _check_state(values)
         return tuple.__new__(cls, values)
 
@@ -202,9 +185,9 @@ def measured_pitch(orientation):
 
 
 def _check_dt(dt):
-    """ConfigError unless dt lies in (0, 1 ms]; NaN is refused."""
-    if not 0.0 < dt <= _MAX_DT:
-        raise ConfigError(f"dt must lie in (0, 1 ms], got {dt!r}")
+    """ConfigError unless dt lies in [1 us, 1 ms]; NaN is refused."""
+    if not _MIN_DT <= dt <= _MAX_DT:
+        raise ConfigError(f"dt must lie in [1 us, 1 ms], got {dt!r}")
 
 
 def step_6dof(state, force_body, torque_body, params, dt):
@@ -215,7 +198,7 @@ def step_6dof(state, force_body, torque_body, params, dt):
     tuples of three floats, such as realized_wrench returns.
     """
     # _check_dt's rule, tested inline to save the call; it raises
-    if not 0.0 < dt <= _MAX_DT:
+    if not _MIN_DT <= dt <= _MAX_DT:
         _check_dt(dt)
     fx, fy, fz = force_body
     tx, ty, tz = torque_body
@@ -229,6 +212,17 @@ def step_6dof(state, force_body, torque_body, params, dt):
     return tuple.__new__(VehicleState, out)
 
 
+# The transition maneuver's breakpoints, pitch (rad) and time (s), which
+# transition_profile follows and SimLog.transition_tracking's windows
+# read
+_PITCH_START = math.radians(-10.0)
+_PITCH_CRUISE = math.radians(-80.0)
+_RAMP_START = 2.0
+_RAMP_END = 22.0
+_CRUISE_END = 42.0
+_LEVEL_AT = 44.0
+
+
 def transition_profile(t):
     """Pitch setpoint (rad) for the transition maneuver.
 
@@ -237,14 +231,16 @@ def transition_profile(t):
     """
     if not t >= 0.0:
         raise ConfigError(f"profile time must be non-negative, got {t!r}")
-    if t < 2.0:
-        return math.radians(-10.0)
-    if t < 22.0:
-        return math.radians(-10.0) + (t - 2.0) / 20.0 * math.radians(-70.0)
-    if t < 42.0:
-        return math.radians(-80.0)
-    if t <= 44.0:
-        return math.radians(-80.0) * (1.0 - (t - 42.0) / 2.0)
+    if t < _RAMP_START:
+        return _PITCH_START
+    if t < _RAMP_END:
+        return _PITCH_START + (t - _RAMP_START) / (_RAMP_END - _RAMP_START) \
+            * (_PITCH_CRUISE - _PITCH_START)
+    if t < _CRUISE_END:
+        return _PITCH_CRUISE
+    if t <= _LEVEL_AT:
+        return _PITCH_CRUISE * (1.0 - (t - _CRUISE_END)
+                                / (_LEVEL_AT - _CRUISE_END))
     return 0.0
 
 
@@ -396,7 +392,7 @@ def _drag_body(ux, uy, uz, lateral_area, axial_area, cd, rho):
 def _aft_thrust(params, t_d2, axial_speed):
     table = params.aft_table
     if table is None:
-        return params.alloc.c_t2 * t_d2
+        return ALLOCATION.c_t2 * t_d2
     n = params.aft_speed_per_count * t_d2
     if n <= 1e-9:
         return 0.0
@@ -407,7 +403,8 @@ def _aft_thrust(params, t_d2, axial_speed):
 
 
 def realized_wrench(state, params, cmd, wind_world, wing_mode):
-    """Aggregate non-gravity force and torque in the body frame.
+    """Aggregate non-gravity force and torque in the body frame; the
+    actuator maps are the stock mixer's, control.ALLOCATION.
 
     wind_world is a tuple of three floats, such as WindProfile.vector
     returns. Returns (force, torque), each a tuple of three floats.
@@ -416,7 +413,7 @@ def realized_wrench(state, params, cmd, wind_world, wing_mode):
     wx, wy, wz = wind_world
     u_body = quat.rotate((qw, -qx, -qy, -qz), (vx - wx, vy - wy, vz - wz))
     ux, uy, uz = u_body
-    alloc = params.alloc
+    alloc = ALLOCATION
 
     thrust = alloc.c_t1 * cmd.t_d1 + _aft_thrust(params, cmd.t_d2, uz)
     drag_x, drag_y, drag_z = _drag_body(
@@ -553,12 +550,13 @@ class SimLog:
     def transition_tracking(self):
         """(ramp pitch RMS in deg, cruise speed in m/s) of a transition.
 
-        The RMS of pitch minus transition_profile over 2-22 s, and the
-        mean |v_x| over 41-42 s, as acceptance criterion 8 computes them;
-        either is None when the log does not reach its window.
+        The RMS of pitch minus transition_profile over its ramp (2-22 s),
+        and the mean |v_x| over the last second of its cruise hold
+        (41-42 s), as acceptance criterion 8 computes them; either is None
+        when the log does not reach its window.
         """
-        ramp = (self.t >= 2.0) & (self.t <= 22.0)
-        cruise = (self.t >= 41.0) & (self.t < 42.0)
+        ramp = (self.t >= _RAMP_START) & (self.t <= _RAMP_END)
+        cruise = (self.t >= _CRUISE_END - 1.0) & (self.t < _CRUISE_END)
         rms = speed = None
         if ramp.any():
             sp = np.array([transition_profile(t) for t in self.t[ramp]])
@@ -634,7 +632,7 @@ def run_scenario(spec, params):
     mode_at, lam_at, wind_at = spec.wing.mode_at, spec.lam.value, \
         spec.wind.vector
     lam_hover = spec.lam.lam_hover
-    alloc, limits = params.alloc, params.limits
+    alloc, limits = ALLOCATION, LIMITS
     control_step = controller.step
     extended = WingMode.EXTENDED
 

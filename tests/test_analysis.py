@@ -643,7 +643,10 @@ class TestRefusedValueNamesFileAndKeys:
     def test_cli_exits_1_with_one_line(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         for dt_s, reason in (
-                ("5", "dt must lie in (0, 1 ms], got 5.0"),
+                ("5", "dt must lie in [1 us, 1 ms], got 5.0"),
+                # a tick below 1 us, by the tick's own rule, not by the
+                # loop-rate check with its 300-digit base rate
+                ("1e-300", "dt must lie in [1 us, 1 ms], got 1e-300"),
                 # a whole tick rate that a controller loop rate does not
                 # divide is refused with the file, before the run
                 ("0.0004", "yaw_rate_rate rate 200 must divide base rate "

@@ -10,14 +10,14 @@ import os
 import numpy as np
 import pytest
 
-from coaxtail.aero import (TandemConfig, WingPanel, pitch_moment,
-                           static_stability_check)
+from coaxtail.aero import TandemConfig, WingPanel, pitch_moment
 from coaxtail.analysis import PsdResult
 from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              check_positive, finite_number, read_number_rows,
                              whole_count)
-from coaxtail.propulsion import (ConfigPower, PropellerTable, advance_ratio,
-                                 thrust_power, write_power_curve_csv)
+from coaxtail.propulsion import (ConfigPower, PropellerTable, RpmSheet,
+                                 advance_ratio, thrust_power,
+                                 write_power_curve_csv)
 from coaxtail.rotor import rotor_solidity
 from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
                               transition_profile)
@@ -100,7 +100,8 @@ _PANELS = (WingPanel(area=0.048, lift_slope=2.2, cl0=0.32,
                      incidence=math.radians(4.5), arm=0.24),
            WingPanel(area=0.056, lift_slope=2.2, cl0=0.32,
                      incidence=math.radians(2.0), arm=0.30))
-_TABLE = PropellerTable.single(0.2, (0.0, 0.5), (0.1, 0.05), (0.05, 0.04))
+_TABLE = PropellerTable(0.2, (RpmSheet(0.0, (0.0, 0.5), (0.1, 0.05),
+                                        (0.05, 0.04)),))
 
 # each public function that let a NaN argument through, called with one
 NAN_CALLS = {
@@ -110,8 +111,6 @@ NAN_CALLS = {
     "thrust_power": lambda: thrust_power(_TABLE, math.nan, 0.0, 50.0),
     "pitch_moment": lambda: pitch_moment(TandemConfig(*_PANELS), math.nan,
                                          0.0),
-    "static_stability_check": lambda: static_stability_check(
-        TandemConfig(*_PANELS), v=math.nan),
     "step_6dof": lambda: step_6dof(
         VehicleState.at_rest((0.0, 0.0, 1.0)), (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0), VehicleParams(), math.nan),

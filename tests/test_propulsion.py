@@ -39,7 +39,7 @@ PROPS_DIR = Path(__file__).resolve().parent.parent / "configs" / "props"
 
 
 def constant_table(ct=0.10, cp=0.05, diameter=0.4064):
-    return PropellerTable.single(diameter, [0.0], [ct], [cp])
+    return PropellerTable(diameter, (RpmSheet(0.0, [0.0], [ct], [cp]),))
 
 
 def ramp_table(diameter=0.1778):
@@ -47,7 +47,7 @@ def ramp_table(diameter=0.1778):
     j = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     ct = np.array([0.12, 0.11, 0.095, 0.075, 0.05, 0.02])
     cp = np.array([0.045, 0.048, 0.05, 0.052, 0.05, 0.046])
-    return PropellerTable.single(diameter, j, ct, cp)
+    return PropellerTable(diameter, (RpmSheet(0.0, j, ct, cp),))
 
 
 class TestAdvanceRatio:
@@ -82,7 +82,7 @@ class TestTableValidation:
 
     def test_bad_diameter(self):
         with pytest.raises(ConfigError):
-            PropellerTable.single(0.0, [0.0], [0.1], [0.05])
+            PropellerTable(0.0, (RpmSheet(0.0, [0.0], [0.1], [0.05]),))
 
     def test_unsorted_sheets(self):
         a = RpmSheet(5000.0, [0.0], [0.1], [0.05])

@@ -7,7 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,10 @@ import pytest
 from coaxtail import kernels, quat
 from coaxtail.aero import WingMode
 from coaxtail.analysis import load_scenario
-from coaxtail.control import ActuatorCommand, ActuatorLimits
+from coaxtail.control import (ALLOCATION, LIMITS, ActuatorCommand,
+                              ActuatorLimits, AllocationGains)
 from coaxtail.errors import ConfigError, SimulationFault
-from coaxtail.propulsion import PropellerTable
+from coaxtail.propulsion import PropellerTable, RpmSheet
 from coaxtail.vehicle import (
     LOG_COLUMNS,
     LambdaSchedule,
@@ -42,6 +43,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def resting_state(z=2.0):
     return VehicleState.at_rest(np.array([0.0, 0.0, z]))
+
+
+def packed_state(y):
+    """The VehicleState of the 13 numbers y = [p, v, q, w]."""
+    return VehicleState(y[0:3], y[3:6], y[6:10], y[10:13])
 
 
 def moving_state(velocity, z=2.0):
@@ -93,9 +99,12 @@ class TestRigidStep:
     def test_dt_bounds_enforced(self):
         params = VehicleParams()
         state = resting_state()
-        for dt in (0.0, -1e-3, 2e-3):
-            with pytest.raises(ConfigError):
+        for dt in (0.0, -1e-3, 2e-3, 1e-9, 1e-300):
+            with pytest.raises(ConfigError, match=r"^dt must lie in "
+                                                  r"\[1 us, 1 ms\], got "):
                 step_6dof(state, np.zeros(3), np.zeros(3), params, dt)
+        for dt in (1e-6, 1e-3):
+            step_6dof(state, np.zeros(3), np.zeros(3), params, dt)
 
     def test_nonfinite_inputs_fault(self):
         params = VehicleParams()
@@ -122,24 +131,20 @@ class TestRigidStep:
             y_bad = y.copy()
             y_bad[11] = bad
             with pytest.raises(SimulationFault):
-                VehicleState(y=y_bad)
+                packed_state(y_bad)
         y_bad = y.copy()
         y_bad[6] = 0.5
         with pytest.raises(SimulationFault):
-            VehicleState(y=y_bad)
-        with pytest.raises(ConfigError):
-            VehicleState(y=y[:12])
-        with pytest.raises(ConfigError):
+            packed_state(y_bad)
+        with pytest.raises(ConfigError, match="position must hold 3"):
             VehicleState(position=np.zeros(4), velocity=np.zeros(2),
                          orientation=np.array([1.0, 0, 0, 0]),
                          body_rate=np.zeros(3))
-        with pytest.raises(ConfigError):
-            VehicleState(position=np.zeros(3), y=y)
 
     def test_state_is_an_immutable_tuple_of_floats(self):
         y = np.arange(13.0)
         y[6:10] = [0.0, 0.6, 0.0, 0.8]
-        state = VehicleState(y=y)
+        state = packed_state(y)
         y[0] = 99.0  # a later write to the caller's array
         assert type(state) is VehicleState and isinstance(state, tuple)
         assert len(state) == 13 and all(type(v) is float for v in state)
@@ -192,7 +197,7 @@ class TestRigidStep:
                     y[i] = rng.choice([0.0, -0.0])
             if case % 10 == 0:
                 y[6:10] = (1.0, -0.0, 0.0, -0.0)
-            state = VehicleState(y=y)
+            state = packed_state(y)
             force = (rng.normal(size=3) * 10.0).tolist()
             torque = (rng.normal(size=3) * 0.1).tolist()
             dt = float(rng.choice([1e-3, 5e-4]))
@@ -620,7 +625,7 @@ class TestDragAndWrench:
                               d_1=0.2, d_2=0.1)
         force, torque = realized_wrench(resting_state(), params, cmd,
                                         np.zeros(3), WingMode.RETRACTED)
-        a = params.alloc
+        a = ALLOCATION
         assert force[2] == pytest.approx(a.c_t1 * 600 + a.c_t2 * 900,
                                          rel=1e-12)
         assert force[0] == 0.0 and force[1] == 0.0
@@ -636,8 +641,8 @@ class TestDragAndWrench:
         cmd = ActuatorCommand(d_1=0.3, d_2=-0.1)
         _, torque = realized_wrench(state, params, cmd, np.zeros(3),
                                     WingMode.RETRACTED)
-        assert torque[1] == pytest.approx(params.alloc.k_ey * 0.2, rel=1e-9)
-        assert torque[2] == pytest.approx(params.alloc.k_ez * 0.4, rel=1e-9)
+        assert torque[1] == pytest.approx(ALLOCATION.k_ey * 0.2, rel=1e-9)
+        assert torque[2] == pytest.approx(ALLOCATION.k_ez * 0.4, rel=1e-9)
 
     def test_descending_drag_opposes_motion(self):
         params = VehicleParams()
@@ -650,9 +655,8 @@ class TestDragAndWrench:
     def test_aft_table_thrust(self):
         """A constant-coefficient table makes the aft rotor quadratic in
         commanded speed regardless of inflow."""
-        table = PropellerTable.single(diameter=0.1778, j=np.array([0.5]),
-                                      ct=np.array([0.09]),
-                                      cp=np.array([0.05]))
+        table = PropellerTable(0.1778, (RpmSheet(0.0, [0.5], [0.09],
+                                                 [0.05]),))
         params = VehicleParams(aft_table=table, aft_speed_per_count=0.2)
         cmd = ActuatorCommand(t_d2=800.0)
         force, _ = realized_wrench(resting_state(), params, cmd, np.zeros(3),
@@ -711,7 +715,7 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             ScenarioSpec(dt=3e-4)  # 1/dt not an integer rate
         with pytest.raises(ConfigError):
-            ScenarioSpec(dt=5e-324)  # 1/dt overflows to inf
+            ScenarioSpec(dt=5e-324)  # below 1 us (1/dt overflows to inf)
         # a whole rate that the controller's 200 Hz loop does not divide
         with pytest.raises(ConfigError, match="^yaw_rate_rate rate 200 must "
                                               "divide base rate 2500$"):
@@ -729,6 +733,14 @@ class TestScenarios:
             with pytest.raises(ConfigError):
                 ScenarioSpec(position=bad)
         assert ScenarioSpec(dt=5e-4).dt == 5e-4  # a 2 kHz tick
+        # a tick below 1 us is refused by the tick's own rule, before the
+        # loop-rate check could print its base rate of about 1/dt Hz
+        for dt in (1e-9, 1e-300):
+            with pytest.raises(ConfigError) as info:
+                ScenarioSpec(dt=dt)
+            assert str(info.value) == (f"dt must lie in [1 us, 1 ms], "
+                                       f"got {dt!r}")
+        assert ScenarioSpec(dt=1e-6).dt == 1e-6  # a 1 MHz tick
 
     def test_spec_positions_are_tuples_of_floats(self):
         """position and start_position are kept as tuples of floats, so a
@@ -749,21 +761,32 @@ class TestScenarios:
         log = run_scenario(ScenarioSpec(duration=1e-3), VehicleParams())
         assert log.t.size == 1
 
+    def test_mixer_and_limits_are_stock_constants(self):
+        """VehicleParams sets neither the mixer nor the actuator ranges:
+        the simulator flies control's ALLOCATION and LIMITS, the classes'
+        defaults."""
+        names = [f.name for f in fields(VehicleParams)]
+        assert len(names) == 9
+        assert "alloc" not in names and "limits" not in names
+        assert ALLOCATION == AllocationGains()
+        assert LIMITS == ActuatorLimits()
+
     def test_saturation_is_logged(self):
-        """The mixer's thrust-priority scale is kept per tick; a throttle
-        ceiling just above the hover trim makes it clip."""
-        spec = ScenarioSpec(name="tight", mode="hover", duration=2.0,
+        """The mixer's thrust-priority scale is kept per tick; under the
+        stock limits a hover near its setpoint never clips, and a 3 m
+        lateral step clips on 1.8 % of ticks, down to s = 0.519."""
+        spec = ScenarioSpec(name="near", mode="hover", duration=2.0,
                             position=(0.0, 0.0, 1.5),
                             start_position=(0.3, -0.3, 1.2))
         free = run_scenario(spec, VehicleParams())
         assert free.sat_scale.shape == free.t.shape
         assert free.saturation() == (0.0, 1.0)
-        tight = run_scenario(
-            spec, VehicleParams(limits=ActuatorLimits(throttle_max=1100.0)))
-        fraction, min_scale = tight.saturation()
-        assert 0.0 < fraction < 1.0
-        assert 0.0 <= min_scale < 1.0
-        assert fraction == np.mean(tight.sat_scale < 1.0)
+        step = run_scenario(replace(spec, start_position=(3.0, 0.0, 1.5)),
+                            VehicleParams())
+        fraction, min_scale = step.saturation()
+        assert fraction == pytest.approx(0.018, abs=0.01)
+        assert min_scale == pytest.approx(0.519, abs=0.05)
+        assert fraction == np.mean(step.sat_scale < 1.0)
 
     def test_a_fault_names_its_tick(self, monkeypatch):
         rigid_step = kernels.rigid_step
