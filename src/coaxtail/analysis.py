@@ -37,7 +37,7 @@ from .errors import (
 )
 from .rotor import (HOVER_THROTTLE, SPEED_PER_THROTTLE, SplmParams,
                     bench_torque_series)
-from .stock import CRUISE_SPEED, GRAVITY, MASS, RHO
+from .stock import CRUISE_SPEED, GRAVITY, MASS
 
 DB_FLOOR = -300.0  # reported instead of -inf for silent signals
 _ZERO_POWER = 1e-30
@@ -243,11 +243,10 @@ def _inertia_diag(text, where):
 
 
 def _aft_table(text, where):
-    from .propulsion import PROP_DIAMETERS, load_propeller_table
+    from .propulsion import load_propeller_table
 
     try:
-        return load_propeller_table(text, "7in",
-                                    diameter=PROP_DIAMETERS["7in"])
+        return load_propeller_table(text, "7in")
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -301,7 +300,6 @@ _SCENARIO_SCHEMA = {
         "axial_area_m2": ("params", "axial_area", finite_number),
         "aft_speed_per_count": ("params", "aft_speed_per_count",
                                 finite_number),
-        "gravity": ("params", "gravity", finite_number),
         "prop_tables_dir": ("params", "aft_table", _aft_table),
     },
 }
@@ -378,13 +376,13 @@ def table_config_powers(tables_dir, mass=MASS, cruise_thrust=4.4,
 
     check_positive(mass=mass, cruise_thrust=cruise_thrust,
                    cruise_speed=cruise_speed)
-    tables = {stem: load_propeller_table(tables_dir, stem, diameter=d)
-              for stem, d in PROP_DIAMETERS.items()}
+    tables = {stem: load_propeller_table(tables_dir, stem)
+              for stem in PROP_DIAMETERS}
     # (airspeed, total thrust) of each mode
     flight = {"multirotor": (0.0, mass * GRAVITY),
               "fixedwing": (cruise_speed, cruise_thrust)}
     return study_powers(lambda stems, mode: shared_power(
-        [tables[s] for s in stems], RHO, *flight[mode]))
+        [tables[s] for s in stems], *flight[mode]))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +517,7 @@ def _cmd_power_analysis(args):
                           f"wattage fixture are fixed")
     else:
         powers = fixture_config_powers(args.fixture or "paper-2025")
-    write_power_curve_csv(args.out, powers, np.linspace(0.0, 1.0, 101))
+    write_power_curve_csv(args.out, powers)
     for line in study_summary(powers):
         print(line)
     print(f"out={args.out}")

@@ -339,12 +339,10 @@ class CascadeController:
 
     TILT_MIN_PROJECTION = 0.15
 
-    def __init__(self, mass, gravity=GRAVITY, dt=1e-3):
+    def __init__(self, mass, dt=1e-3):
         check_positive(mass=mass)
-        check_non_negative(gravity=gravity)
         self._every = loop_divisors(dt)
         self.mass = float(mass)
-        self.gravity = float(gravity)
         self.dt = float(dt)
         self._vel_pid = VectorPid(VEL_KP, VEL_KI, VEL_KD, VEL_I_LIMIT)
         self._rate_pid = VectorPid(RATE_KP, RATE_KI, RATE_KD, RATE_I_LIMIT)
@@ -355,7 +353,7 @@ class CascadeController:
         self._rate_pid.reset()
         self._tick = 0
         self._vel_sp = [0.0, 0.0, 0.0]
-        self._f_des = (0.0, 0.0, self.mass * self.gravity)
+        self._f_des = (0.0, 0.0, self.mass * GRAVITY)
         self._rate_sp = [0.0, 0.0, 0.0]
         self._tau_z = 0.0
         self._yaw_key = self._override_key = None
@@ -398,7 +396,7 @@ class CascadeController:
                 acc[1] = 0.0
             self._f_des = (self.mass * (acc[0] + 0.0),
                            self.mass * (acc[1] + 0.0),
-                           self.mass * (acc[2] + self.gravity))
+                           self.mass * (acc[2] + GRAVITY))
 
         z_body = quat.rotate(orientation, _Z_AXIS)
 

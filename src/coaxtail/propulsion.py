@@ -1,6 +1,7 @@
 """Propeller thrust/power model and mission-average power studies.
 
-Thrust and shaft power come from nondimensional coefficient tables:
+Thrust and shaft power come from nondimensional coefficient tables; the
+whole power study runs in sea-level air, rho = stock.RHO:
 
     J = V / (n D),   T = C_T(J) rho n^2 D^4,   P = C_P(J) rho n^3 D^5,
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import (ConfigError, InfeasibleError, NumericalDomainError,
                      TableRangeError, check_positive, read_number_rows)
+from .stock import RHO
 
 _THRUST_TOL = 1e-6
 _N_MAX = 350.0  # rev/s search ceiling for rpm solving
@@ -127,15 +129,13 @@ def advance_ratio(v, n, d):
     return v / (n * d)
 
 
-def thrust_power(table, rho, v, n):
+def thrust_power(table, v, n):
     """(thrust N, shaft power W) at airspeed v and shaft speed n rev/s."""
-    if not rho > 0.0:
-        raise ConfigError(f"air density must be positive, got {rho!r}")
     j = advance_ratio(v, n, table.diameter)
     ct, cp = table.coefficients(j, n)
     d = table.diameter
-    thrust = ct * rho * n * n * d ** 4
-    power = cp * rho * n ** 3 * d ** 5
+    thrust = ct * RHO * n * n * d ** 4
+    power = cp * RHO * n ** 3 * d ** 5
     return thrust, power
 
 
@@ -150,7 +150,7 @@ def _feasible_speed_range(table, v):
     return lo, hi
 
 
-def solve_rpm_for_thrust(table, rho, v, t_req):
+def solve_rpm_for_thrust(table, v, t_req):
     """Lowest shaft speed (rev/s) whose thrust matches t_req within 1e-6 N.
 
     Scans the J-feasible speed interval, up to _N_MAX, for the first sign
@@ -164,7 +164,7 @@ def solve_rpm_for_thrust(table, rho, v, t_req):
         raise InfeasibleError("no shaft speed keeps the advance ratio in range")
 
     def miss(n):
-        return thrust_power(table, rho, v, n)[0] - t_req
+        return thrust_power(table, v, n)[0] - t_req
 
     grid = np.linspace(lo, hi, 256)
     prev_n, prev_m = grid[0], miss(grid[0])
@@ -181,8 +181,8 @@ def solve_rpm_for_thrust(table, rho, v, t_req):
         prev_n, prev_m = n, m
     if bracket is None:
         raise InfeasibleError(
-            f"thrust {t_req:.3f} N not reachable at {v:.1f} m/s within the table"
-        )
+            f"thrust {t_req:.6g} N not reachable at {v:.6g} m/s within the "
+            f"table")
     a, b, m_a = bracket
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -196,14 +196,14 @@ def solve_rpm_for_thrust(table, rho, v, t_req):
     raise InfeasibleError("rpm bisection did not converge")
 
 
-def shared_power(tables, rho, v, t_total_req):
+def shared_power(tables, v, t_total_req):
     """Total shaft power (W) of the propellers in `tables` sharing
     t_total_req equally at airspeed v."""
     share = t_total_req / len(tables)
     total = 0.0
     for table in tables:
-        n = solve_rpm_for_thrust(table, rho, v, share)
-        total += thrust_power(table, rho, v, n)[1]
+        n = solve_rpm_for_thrust(table, v, share)
+        total += thrust_power(table, v, n)[1]
     return total
 
 
@@ -311,18 +311,18 @@ def study_summary(powers):
     return lines
 
 
-def write_power_curve_csv(path, powers, r):
+# the hover-time ratios at which the power curve is written
+POWER_CURVE_R = np.linspace(0.0, 1.0, 101)
+
+
+def write_power_curve_csv(path, powers):
     """power_curve.csv: column r plus one <name>_W column per config, in
-    name order, of the mission-average power at each hover-time ratio in r
-    (each in [0, 1])."""
-    r = np.asarray(r, dtype=float)
-    if not np.all((r >= 0.0) & (r <= 1.0)):
-        raise ConfigError("hover-time ratios must lie in [0, 1]")
+    name order, of the mission-average power at each of POWER_CURVE_R."""
     powers = sorted(powers, key=lambda p: p.name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r"] + [f"{p.name}_W" for p in powers])
-        for ri in r:
+        for ri in POWER_CURVE_R:
             writer.writerow([f"{ri:.9g}"]
                             + [f"{average_power(p, ri):.9g}" for p in powers])
 
@@ -330,8 +330,9 @@ def write_power_curve_csv(path, powers, r):
 _SHEET_NAME = re.compile(r"^(?P<name>.+)_(?P<rpm>\d+(?:\.\d+)?)\.csv$")
 
 
-def load_propeller_table(directory, name, diameter):
-    """Load `<name>_<rpm>.csv` sheets (header J,CT,CP) from a directory."""
+def load_propeller_table(directory, name):
+    """Load `<name>_<rpm>.csv` sheets (header J,CT,CP) from a directory;
+    the diameter is PROP_DIAMETERS[name]."""
     directory = Path(directory)
     found = []
     for path in sorted(directory.glob(f"{name}_*.csv")):
@@ -346,4 +347,4 @@ def load_propeller_table(directory, name, diameter):
     if not found:
         raise ConfigError(f"no sheets matching {name}_<rpm>.csv in {directory}")
     found.sort(key=lambda s: s.rpm)
-    return PropellerTable(diameter, tuple(found))
+    return PropellerTable(PROP_DIAMETERS[name], tuple(found))

@@ -55,6 +55,8 @@ _MIN_DT = 1e-6
 _MAX_DT = 1e-3 + 1e-12
 # dynamic pressure at which the elevons have the mixer's nominal authority
 _ELEVON_Q_REF = 0.5 * RHO * CRUISE_SPEED ** 2
+# the rigid step's gravity, world frame (z up)
+_G_WORLD = (0.0, 0.0, -GRAVITY)
 
 
 def _default_inertia():
@@ -81,14 +83,12 @@ class VehicleParams:
     axial_area: float = 0.015
     aft_table: object = None  # optional PropellerTable
     aft_speed_per_count: float = 0.16  # rev/s per throttle count
-    gravity: float = GRAVITY
 
     def __post_init__(self):
         check_positive(mass=self.mass, drag_cd=self.drag_cd,
                        lateral_area=self.lateral_area,
                        axial_area=self.axial_area,
                        aft_speed_per_count=self.aft_speed_per_count)
-        check_non_negative(gravity=self.gravity)
         # a read-only copy: the rows unpacked below must not go stale
         inertia = np.array(self.inertia, dtype=float)
         if inertia.shape != (3, 3):
@@ -105,7 +105,6 @@ class VehicleParams:
         object.__setattr__(self, "_inertia_rows", inertia.tolist())
         object.__setattr__(self, "_inertia_inv_rows",
                            np.linalg.inv(inertia).tolist())
-        object.__setattr__(self, "_g_world", (0.0, 0.0, -self.gravity))
 
 
 _STATE_PARTS = (("position", 3), ("velocity", 3), ("orientation", 4),
@@ -207,7 +206,7 @@ def step_6dof(state, force_body, torque_body, params, dt):
         raise SimulationFault("non-finite force or torque input")
     out = kernels.rigid_step(state, force_body, torque_body, params.mass,
                              params._inertia_rows, params._inertia_inv_rows,
-                             params._g_world, dt)
+                             _G_WORLD, dt)
     _check_state(out)
     return tuple.__new__(VehicleState, out)
 
@@ -380,10 +379,10 @@ class ScenarioSpec:
                     finite_vector3(value, name).tolist()))
 
 
-def _drag_body(ux, uy, uz, lateral_area, axial_area, cd, rho):
+def _drag_body(ux, uy, uz, lateral_area, axial_area, cd):
     """Quadratic per-axis body drag from the body-frame flow (ux, uy, uz),
     as a tuple of floats."""
-    k = -0.5 * rho * cd
+    k = -0.5 * RHO * cd
     return (k * lateral_area * abs(ux) * ux,
             k * lateral_area * abs(uy) * uy,
             k * axial_area * abs(uz) * uz)
@@ -417,8 +416,7 @@ def realized_wrench(state, params, cmd, wind_world, wing_mode):
 
     thrust = alloc.c_t1 * cmd.t_d1 + _aft_thrust(params, cmd.t_d2, uz)
     drag_x, drag_y, drag_z = _drag_body(
-        ux, uy, uz, params.lateral_area, params.axial_area, params.drag_cd,
-        RHO)
+        ux, uy, uz, params.lateral_area, params.axial_area, params.drag_cd)
     v_plane_sq = ux * ux + uz * uz
     q_plane = 0.5 * RHO * v_plane_sq
     wing_fx = wing_ty = 0.0
@@ -596,7 +594,7 @@ def _config_snapshot(spec, params):
 def run_scenario(spec, params):
     """Run one scenario, one tick of spec.dt at a time; deterministic for
     fixed inputs."""
-    controller = CascadeController(params.mass, params.gravity, spec.dt)
+    controller = CascadeController(params.mass, spec.dt)
 
     start = spec.start_position if spec.start_position is not None \
         else spec.position

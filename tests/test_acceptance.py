@@ -342,13 +342,8 @@ class TestCriterion8:
         log = run_scenario(spec, params)
         elapsed = time.perf_counter() - t0
 
-        cruise_tail = (log.t >= 41.0) & (log.t < 42.0)
-        speed = float(np.mean(np.abs(log.velocity[cruise_tail, 0])))
-
-        ramp = (log.t >= 2.0) & (log.t <= 22.0)
-        sp = np.array([transition_profile(t) for t in log.t[ramp]])
-        rms_deg = math.degrees(
-            float(np.sqrt(np.mean((log.pitch()[ramp] - sp) ** 2))))
+        # the ramp (2-22 s) and the last second of the cruise hold (41-42 s)
+        rms_deg, speed = log.transition_tracking()
 
         checks = {
             "profile_breakpoints_exact": profile_exact,

@@ -504,9 +504,8 @@ SCHEMA_CASES = [
     ("vehicle", "axial_area_m2", "0.02", "params", {"axial_area": 0.02}),
     ("vehicle", "aft_speed_per_count", "0.2", "params",
      {"aft_speed_per_count": 0.2}),
-    ("vehicle", "gravity", "9.7", "params", {"gravity": 9.7}),
     ("vehicle", "prop_tables_dir", str(PROPS_DIR), "params",
-     {"aft_table": load_propeller_table(PROPS_DIR, "7in", diameter=0.1778)}),
+     {"aft_table": load_propeller_table(PROPS_DIR, "7in")}),
 ]
 
 
@@ -601,7 +600,6 @@ REFUSED_CASES = [
      "[vehicle] axial_area_m2"),
     ("vehicle", "aft_speed_per_count", "aft_speed_per_count = 0",
      "[vehicle] aft_speed_per_count"),
-    ("vehicle", "gravity", "gravity = -1", "[vehicle] gravity"),
     ("vehicle", "prop_tables_dir",
      f"prop_tables_dir = {PROPS_DIR}\nmass_kg = 0",
      "[vehicle] prop_tables_dir, [vehicle] mass_kg"),
@@ -657,6 +655,18 @@ class TestRefusedValueNamesFileAndKeys:
             assert code == 1
             assert err == [f"error: category=validation type=ConfigError "
                            f"message={p}: [scenario] dt_s: {reason}"]
+
+    def test_cli_refuses_a_gravity_key(self, tmp_path, capsys):
+        """The simulator flies under stock.GRAVITY; [vehicle] has no
+        gravity key, so setting one is an unknown key."""
+        p = tmp_path / "bad.cfg"
+        p.write_text("[vehicle]\ngravity = 9.81\n")
+        code = cli_main(["simulate", str(p)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: category=validation type=ConfigError "
+                       f"message={p}: unknown key(s) ['gravity'] in "
+                       f"[vehicle]"]
 
 
 class TestTablePowers:

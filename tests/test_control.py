@@ -812,14 +812,21 @@ class TestCascade:
                 updated.append(tick)
         assert updated == [0, 40, 80]
 
-    def test_controller_checks_mass_and_gravity(self):
+    def test_controller_takes_mass_then_tick(self):
+        """g is stock.GRAVITY, so the second argument is the tick, as
+        run_scenario passes it."""
+        ctl = CascadeController(1.2, 5e-4)
+        assert (ctl.mass, ctl.dt) == (1.2, 5e-4)
+        assert ctl._every == loop_divisors(5e-4)
+        assert not hasattr(ctl, "gravity")
+
+    def test_controller_checks_mass(self):
         for bad in (0.0, -1.2, math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match="mass"):
                 CascadeController(bad)
-        for bad in (-9.81, math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigError, match="gravity"):
-                CascadeController(1.2, bad)
-        CascadeController(1.2, 0.0)
+        # the held demand before the first velocity tick is the weight
+        # under stock.GRAVITY
+        assert CascadeController(1.2)._f_des == (0.0, 0.0, 1.2 * 9.81)
 
     def test_controller_state_holds_no_array(self):
         """Vectors are tuples or lists of floats throughout: after hover

@@ -5,7 +5,6 @@ the field, key or file line at fault.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              check_positive, finite_number, read_number_rows,
                              whole_count)
 from coaxtail.propulsion import (ConfigPower, PropellerTable, RpmSheet,
-                                 advance_ratio, thrust_power,
-                                 write_power_curve_csv)
+                                 advance_ratio, thrust_power)
 from coaxtail.rotor import rotor_solidity
 from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
                               transition_profile)
@@ -108,7 +106,7 @@ NAN_CALLS = {
     "rotor_solidity": lambda: rotor_solidity(2, math.nan, 0.2),
     "transition_profile": lambda: transition_profile(math.nan),
     "advance_ratio": lambda: advance_ratio(math.nan, 10.0, 0.2),
-    "thrust_power": lambda: thrust_power(_TABLE, math.nan, 0.0, 50.0),
+    "thrust_power": lambda: thrust_power(_TABLE, math.nan, 50.0),
     "pitch_moment": lambda: pitch_moment(TandemConfig(*_PANELS), math.nan,
                                          0.0),
     "step_6dof": lambda: step_6dof(
@@ -117,8 +115,6 @@ NAN_CALLS = {
     "PsdResult_density": lambda: PsdResult([0.0, 1.0], [math.nan, 1.0]),
     "PsdResult_freq": lambda: PsdResult([0.0, math.nan], [1.0, 1.0]),
     "PsdResult_one_freq": lambda: PsdResult([math.nan], [1.0]),
-    "write_power_curve_csv": lambda: write_power_curve_csv(
-        os.devnull, (), [0.0, math.nan]),
     "ConfigPower_hover": lambda: ConfigPower("HPC", math.nan, 61.0),
     "ConfigPower_cruise": lambda: ConfigPower("HPC", 138.3, math.nan),
 }

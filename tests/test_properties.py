@@ -64,8 +64,7 @@ FIELDS = {
     TimeSeries: {"fs": 1000.0, "values": (0.0, 1.0, 0.5, -0.2)},
     VehicleParams: {"mass": 1.2, "inertia": np.diag([0.022, 0.025, 0.010]),
                     "drag_cd": 1.0, "lateral_area": 0.0453,
-                    "axial_area": 0.015, "aft_speed_per_count": 0.16,
-                    "gravity": 9.81},
+                    "axial_area": 0.015, "aft_speed_per_count": 0.16},
 }
 
 # constructor -> its arguments that are not floats, passed unchanged
@@ -182,10 +181,9 @@ SIGN_CHECKED = {
     WingPanel: dict.fromkeys(("area", "lift_slope", "arm"), "check_positive"),
     PropellerTable: {"diameter": "check_positive"},
     TimeSeries: {"fs": "check_positive"},
-    VehicleParams: {**dict.fromkeys(("mass", "drag_cd", "lateral_area",
-                                     "axial_area", "aft_speed_per_count"),
-                                    "check_positive"),
-                    "gravity": "check_non_negative"},
+    VehicleParams: dict.fromkeys(("mass", "drag_cd", "lateral_area",
+                                  "axial_area", "aft_speed_per_count"),
+                                 "check_positive"),
 }
 _BAD_VALUES = {"check_positive": (0.0, -1.0), "check_non_negative": (-1.0,)}
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from dataclasses import dataclass
@@ -93,22 +94,17 @@ class TestTableValidation:
 
 class TestThrustPower:
     def test_static_thrust_example(self):
-        t, _ = thrust_power(constant_table(), RHO, 0.0, 100.0)
+        t, _ = thrust_power(constant_table(), 0.0, 100.0)
         assert t == pytest.approx(33.41, abs=0.01)
 
     def test_closed_form_power(self):
         table = constant_table(cp=0.05, diameter=0.3)
-        _, p = thrust_power(table, RHO, 0.0, 80.0)
+        _, p = thrust_power(table, 0.0, 80.0)
         assert p == pytest.approx(0.05 * RHO * 80.0 ** 3 * 0.3 ** 5, rel=1e-12)
 
-    def test_thrust_scales_with_density(self):
-        t1, _ = thrust_power(ramp_table(), 1.0, 5.0, 100.0)
-        t2, _ = thrust_power(ramp_table(), 1.225, 5.0, 100.0)
-        assert t2 == pytest.approx(1.225 * t1, rel=1e-12)
-
     def test_thrust_quadratic_in_speed_for_constant_ct(self):
-        t1, _ = thrust_power(constant_table(), RHO, 0.0, 50.0)
-        t2, _ = thrust_power(constant_table(), RHO, 0.0, 100.0)
+        t1, _ = thrust_power(constant_table(), 0.0, 50.0)
+        t2, _ = thrust_power(constant_table(), 0.0, 100.0)
         assert t2 == pytest.approx(4.0 * t1, rel=1e-12)
 
     def test_interpolation_hits_tabulated_rows(self):
@@ -116,7 +112,7 @@ class TestThrustPower:
         sheet = table.sheets[0]
         for j, ct, cp in zip(sheet.j[1:], sheet.ct[1:], sheet.cp[1:]):
             n = 5.0 / (j * table.diameter)
-            t, p = thrust_power(table, RHO, 5.0, n)
+            t, p = thrust_power(table, 5.0, n)
             d = table.diameter
             assert t == pytest.approx(ct * RHO * n * n * d ** 4, rel=1e-12)
             assert p == pytest.approx(cp * RHO * n ** 3 * d ** 5, rel=1e-12)
@@ -139,7 +135,26 @@ class TestThrustPower:
 
     def test_advance_ratio_outside_table_refused(self):
         with pytest.raises(TableRangeError):
-            thrust_power(ramp_table(), RHO, 16.0, 10.0)
+            thrust_power(ramp_table(), 16.0, 10.0)
+
+
+# the air density is stock.RHO, a stock prop's diameter is
+# PROP_DIAMETERS[name] and the power-curve grid is POWER_CURVE_R: no
+# function takes them
+STOCK_FREE_ARGUMENTS = {
+    thrust_power: ["table", "v", "n"],
+    solve_rpm_for_thrust: ["table", "v", "t_req"],
+    shared_power: ["tables", "v", "t_total_req"],
+    load_propeller_table: ["directory", "name"],
+    write_power_curve_csv: ["path", "powers"],
+}
+
+
+@pytest.mark.parametrize("func", list(STOCK_FREE_ARGUMENTS),
+                         ids=lambda f: f.__name__)
+def test_stock_values_are_not_arguments(func):
+    assert list(inspect.signature(func).parameters) \
+        == STOCK_FREE_ARGUMENTS[func]
 
 
 class TestRpmSheets:
@@ -163,27 +178,35 @@ class TestSolveRpm:
     def test_matches_closed_form(self):
         table = constant_table(ct=0.09, diameter=0.3556)
         t_req = 6.0
-        n = solve_rpm_for_thrust(table, RHO, 4.0, t_req)
+        n = solve_rpm_for_thrust(table, 4.0, t_req)
         n_exact = math.sqrt(t_req / (0.09 * RHO * 0.3556 ** 4))
         assert n == pytest.approx(n_exact, rel=1e-6)
-        t, _ = thrust_power(table, RHO, 4.0, n)
+        t, _ = thrust_power(table, 4.0, n)
         assert abs(t - t_req) < 1e-6
 
     def test_zero_thrust_returns_lower_bound(self):
-        n = solve_rpm_for_thrust(constant_table(), RHO, 0.0, 0.0)
+        n = solve_rpm_for_thrust(constant_table(), 0.0, 0.0)
         assert n == pytest.approx(1e-3)
-        t, _ = thrust_power(constant_table(), RHO, 0.0, n)
+        t, _ = thrust_power(constant_table(), 0.0, n)
         assert abs(t) < 1e-6
 
     def test_unreachable_thrust(self):
         small = constant_table(ct=0.1, diameter=0.1)
         with pytest.raises(InfeasibleError):
-            solve_rpm_for_thrust(small, RHO, 0.0, 50.0)
+            solve_rpm_for_thrust(small, 0.0, 50.0)
+
+    def test_unreachable_thrust_message_keeps_small_numbers(self):
+        """A demand too small for the table's lowest J-feasible speed is
+        named as given, not rounded to 0.000 N."""
+        with pytest.raises(InfeasibleError, match=re.escape(
+                "thrust 1e-12 N not reachable at 15.6 m/s within the table")):
+            solve_rpm_for_thrust(load_propeller_table(PROPS_DIR, "7in"),
+                                 15.6, 1e-12)
 
     def test_lowest_root_returned_on_tabulated_curve(self):
         table = ramp_table()
-        n = solve_rpm_for_thrust(table, RHO, 8.0, 3.0)
-        t, _ = thrust_power(table, RHO, 8.0, n)
+        n = solve_rpm_for_thrust(table, 8.0, 3.0)
+        t, _ = thrust_power(table, 8.0, n)
         assert abs(t - 3.0) < 1e-6
         # no smaller feasible speed gives the same thrust
         lo = 8.0 / (1.0 * table.diameter)
@@ -191,29 +214,29 @@ class TestSolveRpm:
             probe = lo + (n - lo) * frac
             if probe <= lo:
                 continue
-            t_probe, _ = thrust_power(table, RHO, 8.0, probe)
+            t_probe, _ = thrust_power(table, 8.0, probe)
             assert t_probe < 3.0
 
 
 class TestSharedPower:
     def test_two_props_split_equally(self):
         table = constant_table(ct=0.08, cp=0.04, diameter=0.3)
-        total = shared_power((table, table), RHO, 0.0, 8.0)
-        n_half = solve_rpm_for_thrust(table, RHO, 0.0, 4.0)
-        _, p_half = thrust_power(table, RHO, 0.0, n_half)
+        total = shared_power((table, table), 0.0, 8.0)
+        n_half = solve_rpm_for_thrust(table, 0.0, 4.0)
+        _, p_half = thrust_power(table, 0.0, n_half)
         assert total == pytest.approx(2.0 * p_half, rel=1e-9)
 
     def test_single_prop_takes_full_load(self):
         table = constant_table(ct=0.08, cp=0.04, diameter=0.3)
-        total = shared_power((table,), RHO, 10.0, 3.0)
-        n = solve_rpm_for_thrust(table, RHO, 10.0, 3.0)
-        _, p = thrust_power(table, RHO, 10.0, n)
+        total = shared_power((table,), 10.0, 3.0)
+        n = solve_rpm_for_thrust(table, 10.0, 3.0)
+        _, p = thrust_power(table, 10.0, n)
         assert total == 0.0 + p
 
     def test_pair_is_twice_a_single_at_half_thrust(self):
         table = constant_table(ct=0.08, cp=0.04, diameter=0.3)
-        total = shared_power((table, table), RHO, 10.0, 3.0)
-        single = shared_power((table,), RHO, 10.0, 1.5)
+        total = shared_power((table, table), 10.0, 3.0)
+        single = shared_power((table,), 10.0, 1.5)
         assert total == pytest.approx(2.0 * single, rel=1e-9)
 
     def test_sums_in_order_from_zero(self):
@@ -221,9 +244,9 @@ class TestSharedPower:
         big, small = constant_table(diameter=0.4064), ramp_table()
         want = 0.0
         for table in (big, small):
-            n = solve_rpm_for_thrust(table, RHO, 5.0, 1.5)
-            want += thrust_power(table, RHO, 5.0, n)[1]
-        got = shared_power((big, small), RHO, 5.0, 3.0)
+            n = solve_rpm_for_thrust(table, 5.0, 1.5)
+            want += thrust_power(table, 5.0, n)[1]
+        got = shared_power((big, small), 5.0, 3.0)
         assert got.hex() == want.hex()
 
 
@@ -241,31 +264,30 @@ class ReferencePropulsionConfig:
         return self.fore if which == "fore" else self.aft
 
 
-def reference_mode_power(config, mode, rho, v, t_total_req):
+def reference_mode_power(config, mode, v, t_total_req):
     active = (("fore", "aft") if mode == "multirotor"
               else config.fixedwing_active)
     share = t_total_req / len(active)
     total = 0.0
     for which in active:
         table = config.table(which)
-        n = propulsion.solve_rpm_for_thrust(table, rho, v, share)
-        total += thrust_power(table, rho, v, n)[1]
+        n = propulsion.solve_rpm_for_thrust(table, v, share)
+        total += thrust_power(table, v, n)[1]
     return total
 
 
 def reference_table_powers(tables_dir, mass=1.2, cruise_thrust=4.4,
                            cruise_speed=15.6):
-    tables = {stem: load_propeller_table(tables_dir, stem, diameter=d)
-              for stem, d in PROP_DIAMETERS.items()}
+    tables = {stem: load_propeller_table(tables_dir, stem)
+              for stem in PROP_DIAMETERS}
     powers = []
     for name, fore, aft, fixedwing_active in STUDY_PAIRINGS:
         config = ReferencePropulsionConfig(name, tables[fore], tables[aft],
                                            fixedwing_active)
         powers.append(ConfigPower(
             name,
-            reference_mode_power(config, "multirotor", 1.225, 0.0,
-                                 mass * 9.81),
-            reference_mode_power(config, "fixedwing", 1.225, cruise_speed,
+            reference_mode_power(config, "multirotor", 0.0, mass * 9.81),
+            reference_mode_power(config, "fixedwing", cruise_speed,
                                  cruise_thrust)))
     return tuple(powers)
 
@@ -333,9 +355,9 @@ class TestStudyPowers:
         seen = []
         solve = propulsion.solve_rpm_for_thrust
 
-        def recording(table, rho, v, t_req):
-            seen.append((table.diameter, rho, v, t_req))
-            return solve(table, rho, v, t_req)
+        def recording(table, v, t_req):
+            seen.append((table.diameter, v, t_req))
+            return solve(table, v, t_req)
 
         monkeypatch.setattr(propulsion, "solve_rpm_for_thrust", recording)
         reference_table_powers(PROPS_DIR)
@@ -429,38 +451,31 @@ class TestStudySummary:
 class TestCsvIO:
     def test_power_curve_roundtrip(self, tmp_path):
         path = tmp_path / "power_curve.csv"
-        write_power_curve_csv(path, fixture_config_powers(),
-                              np.linspace(0.0, 1.0, 5))
+        write_power_curve_csv(path, fixture_config_powers())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r,HLC_W,HPC_W,HSC_W"
-        assert len(lines) == 6
+        assert [line.split(",")[0] for line in lines[1:]] \
+            == [f"{r:.9g}" for r in np.linspace(0.0, 1.0, 101)]
         first, last = lines[1].split(","), lines[-1].split(",")
         assert (float(first[0]), float(first[1])) == (0.0, 122.0)  # HLC
         assert (float(last[0]), float(last[1])) == (1.0, 66.0)
 
-    @pytest.mark.parametrize("r", [[0.0, 1.2], [-0.1], [0.5, math.nan]])
-    def test_power_curve_ratio_outside_unit_interval_rejected(self, tmp_path,
-                                                              r):
-        path = tmp_path / "power_curve.csv"
-        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
-            write_power_curve_csv(path, fixture_config_powers(), r)
-        assert not path.exists()
-
     def test_load_sheets_sorted_and_interpolated(self, tmp_path):
-        (tmp_path / "aft7_6000.csv").write_text(
+        (tmp_path / "7in_6000.csv").write_text(
             "J,CT,CP\n0,0.12,0.054\n1,0.12,0.054\n")
-        (tmp_path / "aft7_3000.csv").write_text(
+        (tmp_path / "7in_3000.csv").write_text(
             "J,CT,CP\n0,0.10,0.050\n1,0.10,0.050\n")
-        table = load_propeller_table(tmp_path, "aft7", 0.1778)
+        table = load_propeller_table(tmp_path, "7in")
+        assert table.diameter == PROP_DIAMETERS["7in"]
         assert [s.rpm for s in table.sheets] == [3000.0, 6000.0]
         ct, _ = table.coefficients(0.5, 75.0)
         assert ct == pytest.approx(0.11, rel=1e-12)
 
     def test_load_rejects_bad_header(self, tmp_path):
-        (tmp_path / "bad_1000.csv").write_text("J,CT\n0,0.1\n")
+        (tmp_path / "16in_1000.csv").write_text("J,CT\n0,0.1\n")
         with pytest.raises(ConfigError):
-            load_propeller_table(tmp_path, "bad", 0.2)
+            load_propeller_table(tmp_path, "16in")
 
     def test_load_missing(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_propeller_table(tmp_path, "ghost", 0.2)
+            load_propeller_table(tmp_path, "7in")

@@ -20,6 +20,7 @@ from coaxtail.control import (ALLOCATION, LIMITS, ActuatorCommand,
                               ActuatorLimits, AllocationGains)
 from coaxtail.errors import ConfigError, SimulationFault
 from coaxtail.propulsion import PropellerTable, RpmSheet
+from coaxtail.stock import GRAVITY
 from coaxtail.vehicle import (
     LOG_COLUMNS,
     LambdaSchedule,
@@ -76,21 +77,24 @@ class TestRigidStep:
 
     def test_free_body_coasts(self):
         """No force and no gravity: translation and spin are untouched for
-        10 s of integration."""
-        params = VehicleParams(gravity=0.0)
-        state = VehicleState(
-            position=np.zeros(3), velocity=np.array([1.0, -2.0, 0.5]),
-            orientation=np.array([1.0, 0.0, 0.0, 0.0]),
-            body_rate=np.array([0.0, 0.0, 1.3]))  # principal axis spin
+        10 s of integration. The simulator always flies under stock.GRAVITY,
+        so the zero gravity is the kernel's own argument."""
+        params = VehicleParams()
+        zero = (0.0, 0.0, 0.0)
+        # principal axis spin
+        y = (0.0, 0.0, 0.0, 1.0, -2.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.3)
         for _ in range(10000):
-            state = step_6dof(state, np.zeros(3), np.zeros(3), params, 1e-3)
-        assert np.allclose(state.velocity, [1.0, -2.0, 0.5], atol=1e-12)
-        assert np.allclose(state.body_rate, [0.0, 0.0, 1.3], atol=1e-12)
+            y = kernels.rigid_step(y, zero, zero, params.mass,
+                                   params.inertia.tolist(),
+                                   np.linalg.inv(params.inertia).tolist(),
+                                   zero, 1e-3)
+        assert np.allclose(y[3:6], [1.0, -2.0, 0.5], atol=1e-12)
+        assert np.allclose(y[10:13], [0.0, 0.0, 1.3], atol=1e-12)
 
     def test_weight_balanced_by_body_thrust(self):
         params = VehicleParams()
         state = resting_state()
-        hold = np.array([0.0, 0.0, params.mass * params.gravity])
+        hold = np.array([0.0, 0.0, params.mass * GRAVITY])
         for _ in range(500):
             state = step_6dof(state, hold, np.zeros(3), params, 1e-3)
         assert np.allclose(state.position, [0, 0, 2.0], atol=1e-12)
@@ -206,7 +210,7 @@ class TestRigidStep:
                 y.tolist(), force, torque, params.mass,
                 params.inertia.tolist(),
                 np.linalg.inv(params.inertia).tolist(),
-                (0.0, 0.0, -params.gravity), dt)
+                (0.0, 0.0, -GRAVITY), dt)
             assert type(got) is VehicleState and len(got) == 13
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, want)
@@ -239,7 +243,7 @@ class TestRigidStep:
 
     def test_params_validation(self):
         for name in ("mass", "drag_cd", "lateral_area", "axial_area",
-                     "aft_speed_per_count", "gravity"):
+                     "aft_speed_per_count"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError, match=name):
                     VehicleParams(**{name: bad})
@@ -383,7 +387,7 @@ class TestWindForce:
     LATERAL, AXIAL = 0.05, 0.02
 
     def drag(self, u, cd=1.0):
-        return np.array(_drag_body(*u, self.LATERAL, self.AXIAL, cd, RHO))
+        return np.array(_drag_body(*u, self.LATERAL, self.AXIAL, cd))
 
     def test_quadratic_oracle(self):
         # pure crossflow sees the lateral area, pure axial flow the axial
@@ -399,9 +403,9 @@ class TestWindForce:
         assert f[1] == 0.0 and f[2] == 0.0
 
     def test_quadratic_in_speed_linear_in_area(self):
-        base = _drag_body(4.0, 0.0, 0.0, 0.05, 0.02, 1.0, RHO)
-        double_v = _drag_body(8.0, 0.0, 0.0, 0.05, 0.02, 1.0, RHO)
-        double_a = _drag_body(4.0, 0.0, 0.0, 0.10, 0.02, 1.0, RHO)
+        base = _drag_body(4.0, 0.0, 0.0, 0.05, 0.02, 1.0)
+        double_v = _drag_body(8.0, 0.0, 0.0, 0.05, 0.02, 1.0)
+        double_a = _drag_body(4.0, 0.0, 0.0, 0.10, 0.02, 1.0)
         assert double_v[0] == pytest.approx(4.0 * base[0], rel=1e-12)
         assert double_a[0] == pytest.approx(2.0 * base[0], rel=1e-12)
 
@@ -612,12 +616,12 @@ class TestWingGate:
 
 class TestDragAndWrench:
     def test_per_axis_drag_signs(self):
-        f = _drag_body(3.0, -2.0, 1.0, 0.05, 0.02, 1.0, RHO)
+        f = _drag_body(3.0, -2.0, 1.0, 0.05, 0.02, 1.0)
         assert f[0] == pytest.approx(-0.5 * RHO * 0.05 * 9.0, rel=1e-12)
         assert f[1] == pytest.approx(+0.5 * RHO * 0.05 * 4.0, rel=1e-12)
         assert f[2] == pytest.approx(-0.5 * RHO * 0.02 * 1.0, rel=1e-12)
-        assert np.all(np.array(_drag_body(0.0, 0.0, 0.0, 0.05, 0.02, 1.0,
-                                          RHO)) == 0.0)
+        assert np.all(np.array(_drag_body(0.0, 0.0, 0.0, 0.05, 0.02,
+                                          1.0)) == 0.0)
 
     def test_static_thrust_and_torque_maps(self):
         params = VehicleParams()
@@ -674,14 +678,14 @@ class TestDragOnlyDescent:
         """Free fall with quadratic drag: speed rises monotonically toward
         sqrt(2 m g / (rho Cd A)) and never exceeds it."""
         params = VehicleParams()
-        v_t = math.sqrt(2.0 * params.mass * params.gravity
+        v_t = math.sqrt(2.0 * params.mass * GRAVITY
                         / (RHO * params.drag_cd * params.axial_area))
         state = resting_state(z=0.0)
         speeds = []
         for _ in range(12000):
             u = state.velocity  # identity attitude, body equals world
             drag = _drag_body(*u, params.lateral_area, params.axial_area,
-                              params.drag_cd, RHO)
+                              params.drag_cd)
             state = step_6dof(state, drag, np.zeros(3), params, 1e-3)
             speeds.append(-state.velocity[2])
         speeds = np.array(speeds)
@@ -762,12 +766,12 @@ class TestScenarios:
         assert log.t.size == 1
 
     def test_mixer_and_limits_are_stock_constants(self):
-        """VehicleParams sets neither the mixer nor the actuator ranges:
+        """VehicleParams sets neither the mixer, the actuator ranges nor g:
         the simulator flies control's ALLOCATION and LIMITS, the classes'
-        defaults."""
+        defaults, under stock.GRAVITY."""
         names = [f.name for f in fields(VehicleParams)]
-        assert len(names) == 9
-        assert "alloc" not in names and "limits" not in names
+        assert len(names) == 8
+        assert not {"alloc", "limits", "gravity"} & set(names)
         assert ALLOCATION == AllocationGains()
         assert LIMITS == ActuatorLimits()
 
