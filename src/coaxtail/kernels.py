@@ -26,7 +26,7 @@ _CHUNK_ROWS = 128
 
 
 def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
-                    first_step=0):
+                    first_step=0, stride=1):
     """Integrate the rotor perturbation dynamics over n_steps of size h.
 
     The independent variable is rotor azimuth (rad), not wall time.
@@ -37,15 +37,17 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
     The arithmetic runs on Python floats in the same order as an
     element-by-element array version, so the result is the same to the
     bit. The four RK4 stages are written out in the loop body, with no
-    call per stage. Each stage's coupling gain g(beta) is an inline copy
-    of rotor._coupling_gain, kept here because this is the hot loop; both
-    use numpy's tan, which need not round like math.tan. Each chunk of
-    _CHUNK_ROWS rows is gathered as one flat list of floats and stored
-    through a flat view of the output, which keeps memory at the size of
-    the output array.
-    Returns the (n_steps+1) x 6 trajectory; NumericalDomainError names
-    the step at whose start beta is within _SINGULAR_GUARD of pi/4,
-    counted from first_step.
+    call per stage. Each stage's coupling factor g(beta)/8 is an inline
+    copy of rotor._coupling_gain, kept here because this is the hot loop;
+    both use numpy's tan, which need not round like math.tan. Only every
+    stride-th row is kept (stride divides n_steps): each chunk of
+    _CHUNK_ROWS kept rows is gathered as one flat list of floats and
+    stored through a flat view of the output, which keeps memory at the
+    size of the output array.
+    Returns the (n_steps // stride + 1) x 6 trajectory at steps 0,
+    stride, 2 stride, ...; NumericalDomainError names the step at whose
+    start beta is within _SINGULAR_GUARD of pi/4, counted from
+    first_step, whether or not its row is kept.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = Minv
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = C
@@ -55,22 +57,24 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
     quarter_pi = _QUARTER_PI
     guard = _SINGULAR_GUARD
 
-    out = np.empty((n_steps + 1, 6))
+    out = np.empty((n_steps // stride + 1, 6))
     out[0] = y0
     flat = out.reshape(-1)
     x0, x1, x2, v0, v1, v2 = out[0].tolist()
     half = 0.5 * h
     sixth = h / 6.0
+    eg = 0.125  # g(beta) / 8, set per stage on the coupled head
     # x = [theta, zeta, beta], v = their azimuth derivatives; stage n
     # evaluates the acceleration M^-1 (u - C V - K_c X - s kb_col) with
     # s = g(X2) X1 / 8 at stage position X and velocity V:
     # k1 = (v, a), k2 = (q, b), k3 = (r, c), k4 = (w, d)
-    for start in range(0, n_steps, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n_steps)
+    for start in range(0, n_steps, _CHUNK_ROWS * stride):
+        stop = min(start + _CHUNK_ROWS * stride, n_steps)
         u = u_half[2 * start:2 * stop + 1].tolist()
         rows = []
+        keep = 2 * stride - 2  # j of the step whose end row is kept next
         for j in range(0, 2 * (stop - start), 2):
-            if coupled and abs(x2 - quarter_pi) < guard:
+            if coupled and -guard < x2 - quarter_pi < guard:
                 raise NumericalDomainError(
                     f"step {first_step + start + j // 2}: blade pitch "
                     f"beta={x2!r} is within {guard:g} rad of pi/4, where "
@@ -78,12 +82,11 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             um = u[j + 1]
 
             # stage 1 at (x, v)
-            g = 1.0
             if coupled:
                 # tan(beta + pi/4) via (1 + tan b)/(1 - tan b): exact 1.0 at beta = 0
                 tb = float(tan(x2))
-                g = (1.0 + tb) / (1.0 - tb)
-            s = 0.125 * g * x1
+                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
+            s = eg * x1
             f0 = u[j] - (c00 * v0 + c01 * v1 + c02 * v2) \
                 - (k00 * x0 + k01 * x1 + k02 * x2) - s * kb0
             f1 = -(c10 * v0 + c11 * v1 + c12 * v2) \
@@ -101,11 +104,10 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             X0 = x0 + half * v0
             X1 = x1 + half * v1
             X2 = x2 + half * v2
-            g = 1.0
             if coupled:
                 tb = float(tan(X2))
-                g = (1.0 + tb) / (1.0 - tb)
-            s = 0.125 * g * X1
+                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
+            s = eg * X1
             f0 = um - (c00 * q0 + c01 * q1 + c02 * q2) \
                 - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
             f1 = -(c10 * q0 + c11 * q1 + c12 * q2) \
@@ -123,11 +125,10 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             X0 = x0 + half * q0
             X1 = x1 + half * q1
             X2 = x2 + half * q2
-            g = 1.0
             if coupled:
                 tb = float(tan(X2))
-                g = (1.0 + tb) / (1.0 - tb)
-            s = 0.125 * g * X1
+                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
+            s = eg * X1
             f0 = um - (c00 * r0 + c01 * r1 + c02 * r2) \
                 - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
             f1 = -(c10 * r0 + c11 * r1 + c12 * r2) \
@@ -145,11 +146,10 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             X0 = x0 + h * r0
             X1 = x1 + h * r1
             X2 = x2 + h * r2
-            g = 1.0
             if coupled:
                 tb = float(tan(X2))
-                g = (1.0 + tb) / (1.0 - tb)
-            s = 0.125 * g * X1
+                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
+            s = eg * X1
             f0 = u[j + 2] - (c00 * w0 + c01 * w1 + c02 * w2) \
                 - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
             f1 = -(c10 * w0 + c11 * w1 + c12 * w2) \
@@ -166,8 +166,10 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             v0 = v0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
             v1 = v1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             v2 = v2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            rows += (x0, x1, x2, v0, v1, v2)
-        flat[6 * (start + 1):6 * (stop + 1)] = rows
+            if j == keep:
+                keep += 2 * stride
+                rows += (x0, x1, x2, v0, v1, v2)
+        flat[6 * (start // stride + 1):6 * (stop // stride + 1)] = rows
     return out
 
 

@@ -155,7 +155,7 @@ def _coupling_gain(beta, coupled):
     if not coupled:
         return 1.0
     # count_nonzero, not np.any: several times cheaper on a scalar, and
-    # steady_state's root search calls this some 500 times
+    # steady_state calls this some 47 times, mostly on one pitch
     if np.count_nonzero(abs(beta - kernels._QUARTER_PI)
                         < kernels._SINGULAR_GUARD):
         raise NumericalDomainError(
@@ -170,12 +170,20 @@ def _kbeta_column(params: SplmParams) -> np.ndarray:
     return np.array([phi, -phi * (1.0 - 4.0 * e / 3.0), 4.0 * e / 3.0 - 1.0])
 
 
-def stiffness_matrix(params: SplmParams, beta: float = 0.0) -> np.ndarray:
-    """Total stiffness K_c + K_beta at the given blade pitch angle."""
+def stiffness_matrix(params: SplmParams, beta=0.0) -> np.ndarray:
+    """Total stiffness K_c + K_beta at a blade pitch angle (a 3x3 matrix),
+    or at an array of them (a stack of 3x3 matrices, one per angle)."""
     g = _coupling_gain(beta, params.coupled)
-    k = params.stiffness_const.copy()
-    k[:, 1] += 0.125 * g * np.array(params._kbeta)
+    k = np.empty(np.shape(beta) + (3, 3))
+    k[...] = params.stiffness_const
+    k[..., 1] += np.multiply.outer(0.125 * g, params._kbeta)
     return k
+
+
+def _pitch_mismatch(params: SplmParams, b: np.ndarray, beta):
+    """x[2] - beta for K(beta) x = b, at one pitch or at an array of them:
+    numpy solves each matrix of a stack with the same LAPACK call."""
+    return np.linalg.solve(stiffness_matrix(params, beta), b)[..., 2] - beta
 
 
 def steady_state(params: SplmParams, u: float) -> np.ndarray:
@@ -185,7 +193,8 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     exact. The coupled variant closes a scalar consistency loop in beta
     (the stiffness depends on the pitch it produces); that root is found
     by bracketed bisection on the branch continuous from the decoupled
-    solution.
+    solution, in a bracket from a 281-point pitch grid whose matrices are
+    solved as one stack.
     """
     check_finite(u=u)
     b = np.array([u * _INPUT_SCALE, 0.0, 0.0])
@@ -193,15 +202,11 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     if not params.coupled:
         return x0
 
-    def mismatch(beta: float) -> float:
-        x = np.linalg.solve(stiffness_matrix(params, beta), b)
-        return float(x[2]) - beta
-
     # grid search for the sign change nearest the decoupled pitch estimate,
     # staying clear of the tan singularity at pi/4
     lo, hi = -0.70, 0.70
     grid = np.linspace(lo, hi, 281)
-    vals = np.array([mismatch(g) for g in grid])
+    vals = _pitch_mismatch(params, b, grid)
     sign_flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_flips) == 0:
         raise SimulationFault(
@@ -213,7 +218,7 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
     fa = vals[i]
     for _ in range(200):
         m = 0.5 * (a + c)
-        fm = mismatch(m)
+        fm = _pitch_mismatch(params, b, m)
         if fm == 0.0 or (c - a) < 1e-15:
             break
         if (fa < 0.0) == (fm < 0.0):
@@ -225,18 +230,24 @@ def steady_state(params: SplmParams, u: float) -> np.ndarray:
 
 
 def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
-              u_half: np.ndarray, *, first_step: int = 0) -> np.ndarray:
+              u_half: np.ndarray, *, first_step: int = 0,
+              stride: int = 1) -> np.ndarray:
     """Integrate over n_steps azimuth steps with input given on the half grid.
 
     y0 holds the 6 states [theta, zeta, beta] and their derivatives;
     n_steps is a whole count >= 0. u_half must hold 2*n_steps + 1 samples
-    (throttle counts). Returns the (n_steps+1) x 6 state trajectory.
-    A singular-pitch NumericalDomainError counts steps from first_step.
+    (throttle counts). Returns the (n_steps // stride + 1) x 6 state
+    trajectory: every stride-th row, for a whole stride >= 1 that
+    divides n_steps. A singular-pitch NumericalDomainError counts steps
+    from first_step.
     Mostly a building block for the bench and for frequency-response
     studies where the drive is known analytically.
     """
     n_steps = whole_count("n_steps", n_steps, 0)
     first_step = whole_count("first_step", first_step, 0)
+    stride = whole_count("stride", stride, 1)
+    if n_steps % stride:
+        raise ConfigError(f"stride {stride} does not divide n_steps {n_steps}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (6,):
         raise ConfigError(f"y0 must hold 6 states, got shape {y0.shape}")
@@ -251,7 +262,7 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
     traj = kernels.splm_trajectory(
         y0, n_steps, float(psi_step), params._inertia_inv_rows,
         params._damping_rows, params._stiffness_rows, params._kbeta,
-        params.coupled, u_half * _INPUT_SCALE, first_step)
+        params.coupled, u_half * _INPUT_SCALE, first_step, stride)
     if not np.all(np.isfinite(traj)):
         raise SimulationFault("rotor trajectory diverged to non-finite values")
     return traj
@@ -300,8 +311,9 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     holds the fixed point exactly and the torque trace is flat up to
     integrator noise. Returns (t, torque) sampled at fs; the integrator
     runs _BENCH_SUBSTEPS internal steps per output sample, _BENCH_BLOCK
-    output samples at a time. A singular-pitch NumericalDomainError
-    counts its step from the run's first.
+    output samples at a time, and keeps only the rows it samples. A
+    singular-pitch NumericalDomainError counts its step from the run's
+    first.
     """
     check_positive(throttle=throttle, duration=duration, fs=fs)
     check_non_negative(amplitude=amplitude)
@@ -346,10 +358,11 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         b = min(a + _BENCH_BLOCK, n_out)
         u_half = modulation_signal(
             throttle, m_d, np.arange(2 * s * a, 2 * s * b + 1) * (0.5 * h))
-        traj = integrate(params, y, h, s * (b - a), u_half, first_step=s * a)
+        traj = integrate(params, y, h, s * (b - a), u_half, first_step=s * a,
+                         stride=s)
         y = traj[-1]
         # a block's end row starts the next block, which checks its pitch
         n = b - a + (b == n_out)
         torque[a:a + n] = torque_from_states(params, u_half[:2 * s * n:2 * s],
-                                             traj[:s * n:s])
+                                             traj[:n])
     return t, torque

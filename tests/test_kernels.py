@@ -103,12 +103,16 @@ def reference_splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled,
 
 
 class TestSplmKernel:
-    def test_matches_array_reference_bit_for_bit(self):
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_matches_array_reference_bit_for_bit(self, stride):
+        """Every stride-th row of the reference, to the bit."""
         rng = np.random.default_rng(20261019)
-        # step counts around the kernel's 128-row output chunks included
-        counts = [0, 1, 127, 128, 129, 257]
-        for case in range(120):
-            n = counts[case] if case < len(counts) else int(rng.integers(2, 300))
+        # step counts around the kernel's chunks of 128 kept rows included
+        counts = [0, stride, 127 * stride, 128 * stride, 129 * stride,
+                  257 * stride]
+        for case in range(120 // stride):
+            n = counts[case] if case < len(counts) else stride * int(
+                rng.integers(2, 300 // stride))
             h = float(rng.uniform(0.005, 0.2))
             y0 = rng.normal(size=6) * np.array([1.0, 0.1, 0.1, 0.5, 0.1, 0.1])
             if case % 10 == 0:
@@ -120,22 +124,24 @@ class TestSplmKernel:
             u_half = rng.normal(size=2 * n + 1) * rng.choice([1e-3, 0.1, 1.0])
             args = (y0, n, h, np.linalg.inv(m), c, kc, kb_col,
                     case % 2 == 0, u_half)
-            got = kernels.splm_trajectory(*splm_lists(args))
-            want = reference_splm_trajectory(*args)
-            assert got.shape == (n + 1, 6)
+            got = kernels.splm_trajectory(*splm_lists(args), 0, stride)
+            want = reference_splm_trajectory(*args)[::stride]
+            assert got.shape == (n // stride + 1, 6)
             assert np.isfinite(want).all()
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("trip_step", [0, 128, 200],
+    @pytest.mark.parametrize("trip_step,stride", [(0, 1), (128, 1), (200, 1),
+                                                  (203, 4)],
                              ids=["first_step", "second_chunk_start",
-                                  "mid_chunk"])
-    def test_singular_step_matches_reference(self, trip_step):
+                                  "mid_chunk", "between_kept_rows"])
+    def test_singular_step_matches_reference(self, trip_step, stride):
         # free motion: beta climbs 1e-6 rad per step and starts so that it
         # sits half a step inside the 1e-6 guard band around pi/4 at
         # trip_step: the very first step, the first step of the second
-        # output chunk (no row of that chunk gathered yet), or the middle
-        # of the second chunk; both forms name that step
+        # output chunk (no row of that chunk gathered yet), the middle
+        # of the second chunk, or a step whose start row a stride of 4
+        # does not keep; both forms name that step
         n, h = 400, 1e-3
         beta0 = 0.25 * math.pi - (trip_step + 0.5) * 1e-6
         y0 = np.array([0.1, 0.0, beta0, 0.3, 0.0, 1e-3])
@@ -144,7 +150,7 @@ class TestSplmKernel:
                 np.array([0.12, -0.1, -0.7]), True, u_half)
         step = rf"^step {trip_step}: "
         with pytest.raises(NumericalDomainError, match=step):
-            kernels.splm_trajectory(*splm_lists(args))
+            kernels.splm_trajectory(*splm_lists(args), 0, stride)
         with pytest.raises(NumericalDomainError, match=step):
             reference_splm_trajectory(*args)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coaxtail import rotor
-from coaxtail.errors import ConfigError, NumericalDomainError
+from coaxtail.errors import ConfigError, NumericalDomainError, SimulationFault
 from coaxtail.rotor import (
     HOVER_THROTTLE,
     SPEED_PER_THROTTLE,
@@ -173,6 +173,94 @@ class TestStep:
         b = np.array([900.0 * _INPUT_SCALE, 0.0, 0.0])
         resid = stiffness_matrix(p, float(x[2])) @ x - b
         assert np.max(np.abs(resid)) < 1e-12
+
+
+CRITERION4_HEADS = [(phi, e) for phi in (0.08, 0.12, 0.16)
+                    for e in (0.15, 0.20, 0.25)]
+
+
+def per_point_mismatch(params, b, beta):
+    """x[2] - beta for K(beta) x = b, one linear solve per pitch."""
+    return float(np.linalg.solve(stiffness_matrix(params, beta), b)[2]) - beta
+
+
+def per_point_steady_state(params, u):
+    """The coupled steady state with one linear solve per pitch: the form
+    whose grid steady_state solves as one stack, and whose bits it must
+    keep."""
+    b = np.array([u * _INPUT_SCALE, 0.0, 0.0])
+    x0 = np.linalg.solve(stiffness_matrix(params, 0.0), b)
+    grid = np.linspace(-0.70, 0.70, 281)
+    vals = np.array([per_point_mismatch(params, b, g) for g in grid])
+    flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if len(flips) == 0:
+        raise SimulationFault(
+            f"no steady-state pitch solution in the admissible range for "
+            f"the {params.variant} head at throttle {u:g} counts")
+    centers = 0.5 * (grid[flips] + grid[flips + 1])
+    i = flips[np.argmin(np.abs(centers - x0[2]))]
+    a, c, fa = grid[i], grid[i + 1], vals[i]
+    for _ in range(200):
+        m = 0.5 * (a + c)
+        fm = per_point_mismatch(params, b, m)
+        if fm == 0.0 or (c - a) < 1e-15:
+            break
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = m, fm
+        else:
+            c = m
+    return np.linalg.solve(stiffness_matrix(params, 0.5 * (a + c)), b)
+
+
+class TestStackedSteadyState:
+    """steady_state solves the coupled head's pitch grid as one stack of
+    matrices; every value is the one-solve-per-pitch value, to the bit."""
+
+    GRID = np.linspace(-0.70, 0.70, 281)
+
+    @pytest.mark.parametrize("phi,e", CRITERION4_HEADS)
+    def test_stack_is_each_pitch_alone(self, phi, e):
+        p = make_params(variant="coupled", downwash_angle=phi, hinge_offset=e)
+        stack = stiffness_matrix(p, self.GRID)
+        assert stack.shape == (281, 3, 3)
+        for i, beta in enumerate(self.GRID):
+            alone = stiffness_matrix(p, beta)
+            assert np.array_equal(stack[i], alone)
+            assert np.array_equal(np.signbit(stack[i]), np.signbit(alone))
+        for u in (900.0, 1700.0):
+            b = np.array([u * _INPUT_SCALE, 0.0, 0.0])
+            vals = rotor._pitch_mismatch(p, b, self.GRID)
+            each = np.array([per_point_mismatch(p, b, beta)
+                             for beta in self.GRID])
+            assert np.array_equal(vals, each)
+            assert np.array_equal(np.signbit(vals), np.signbit(each))
+            # the same point or the same fault: past about 1,700 counts
+            # some of these heads have no steady-state branch left
+            try:
+                want = per_point_steady_state(p, u)
+            except SimulationFault as exc:
+                with pytest.raises(SimulationFault) as info:
+                    steady_state(p, u)
+                assert str(info.value) == str(exc)
+            else:
+                got = steady_state(p, u)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_decoupled_stack_is_the_constant_head(self):
+        p = make_params(variant="decoupled")
+        stack = stiffness_matrix(p, self.GRID)
+        assert np.array_equal(stack, np.broadcast_to(stiffness_matrix(p),
+                                                     (281, 3, 3)))
+
+    def test_no_branch_past_the_throttle_edge(self):
+        p = make_params(variant="coupled")
+        steady_state(p, 1752.0)
+        with pytest.raises(SimulationFault) as info:
+            steady_state(p, 1753.0)
+        assert str(info.value) == (
+            "no steady-state pitch solution in the admissible range for the "
+            "coupled head at throttle 1753 counts")
 
 
 def transfer_function_zeta(p, nu):
@@ -411,6 +499,36 @@ class TestBench:
             integrate(p, np.zeros(6), 0.05, 10, u_half, first_step=2.0),
             integrate(p, np.zeros(6), 0.05, 10, u_half, first_step=2))
 
+    def test_integrate_refuses_a_bad_stride_before_the_kernel(self,
+                                                              monkeypatch):
+        """A stride is a whole count >= 1 that divides n_steps; anything
+        else is one ConfigError naming stride, and nothing integrates."""
+        def kernel(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(rotor.kernels, "splm_trajectory", kernel)
+        p = make_params()
+        for stride in (0, -4, 2.5, True, None, math.nan):
+            with pytest.raises(ConfigError, match="^stride must be a whole"):
+                integrate(p, np.zeros(6), 0.05, 12, np.zeros(25),
+                          stride=stride)
+        for n_steps, stride in ((12, 5), (10, 4), (1, 2)):
+            with pytest.raises(ConfigError,
+                               match=f"^stride {stride} does not divide "
+                                     f"n_steps {n_steps}$"):
+                integrate(p, np.zeros(6), 0.05, n_steps,
+                          np.zeros(2 * n_steps + 1), stride=stride)
+
+    def test_integrate_keeps_every_stride_th_row(self):
+        p = make_params(variant="coupled")
+        n = 24
+        u_half = 900.0 + 200.0 * np.sin(np.arange(2 * n + 1) * 0.025)
+        y0 = np.concatenate([steady_state(p, 900.0), np.zeros(3)])
+        full = integrate(p, y0, 0.05, n, u_half)
+        for stride in (1, 3, 4.0, np.int64(8), 24):
+            got = integrate(p, y0, 0.05, n, u_half, stride=stride)
+            assert np.array_equal(got, full[::int(stride)])
+
     def test_torque_model_guards_singular_pitch(self):
         p = make_params(variant="coupled")
         traj = np.zeros((3, 6))
@@ -475,20 +593,26 @@ class TestBlockedBench:
 
     def test_each_integrate_call_holds_one_block(self, monkeypatch):
         """A 60 s bench passes no integrate call more than one block's
-        half grid, and its calls together take every step exactly once."""
-        calls = []
+        half grid, its calls together take every step exactly once, and
+        each call gets back only the rows the bench samples."""
+        calls, strides, rows = [], [], []
         real = rotor.integrate
 
-        def spy(params, y0, psi_step, n_steps, u_half, *, first_step=0):
+        def spy(params, y0, psi_step, n_steps, u_half, *, first_step=0,
+                stride=1):
             calls.append((first_step, n_steps, len(u_half)))
-            return real(params, y0, psi_step, n_steps, u_half,
-                        first_step=first_step)
+            strides.append(stride)
+            traj = real(params, y0, psi_step, n_steps, u_half,
+                        first_step=first_step, stride=stride)
+            rows.append(len(traj) == n_steps // stride + 1)
+            return traj
 
         monkeypatch.setattr(rotor, "integrate", spy)
         n_out = 60000
         bench_torque_series(make_params(variant="decoupled"), 900.0, 200.0,
                             0.0, 60.0, 1000.0)
         substeps = rotor._BENCH_SUBSTEPS
+        assert set(strides) == {substeps} and all(rows)
         assert max(size for _, _, size in calls) <= 2 * substeps * self.B + 1
         assert sum(n for _, n, _ in calls) == substeps * n_out
         assert [first for first, _, _ in calls] == list(
