@@ -182,8 +182,10 @@ def stiffness_matrix(params: SplmParams, beta=0.0) -> np.ndarray:
 
 def _pitch_mismatch(params: SplmParams, b: np.ndarray, beta):
     """x[2] - beta for K(beta) x = b, at one pitch or at an array of them:
-    numpy solves each matrix of a stack with the same LAPACK call."""
-    return np.linalg.solve(stiffness_matrix(params, beta), b)[..., 2] - beta
+    b goes in as a column, which numpy 1.x and 2.x both solve against each
+    matrix of a stack with the same LAPACK call."""
+    return np.linalg.solve(stiffness_matrix(params, beta),
+                           b[:, None])[..., 2, 0] - beta
 
 
 def steady_state(params: SplmParams, u: float) -> np.ndarray:

@@ -247,6 +247,23 @@ class TestStackedSteadyState:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    def test_solves_keep_to_numpy_1_broadcasting(self, monkeypatch):
+        # numpy 1.x takes a 1-D b as one vector per matrix only when
+        # b.ndim == a.ndim - 1; any other b must be a (stack of) column(s)
+        solve = np.linalg.solve
+
+        def numpy1_solve(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            if b.ndim != a.ndim - 1 and b.ndim < 2:
+                raise ValueError("solve: Input operand 1 does not have "
+                                 "enough dimensions")
+            return solve(a, b)
+
+        p = make_params(variant="coupled")
+        want = steady_state(p, HOVER_THROTTLE)
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        assert np.array_equal(steady_state(p, HOVER_THROTTLE), want)
+
     def test_decoupled_stack_is_the_constant_head(self):
         p = make_params(variant="decoupled")
         stack = stiffness_matrix(p, self.GRID)
