@@ -140,7 +140,6 @@ def static_stability_check(config):
     analytic moment slope at the 1 m/s reference speed, where the trim
     search takes its moments too.
     """
-    _require_identical_airfoils(config)
     f, r = config.front, config.rear
     stable = (r.incidence < f.incidence) and (f.area * f.arm < r.area * r.arm)
     margin = stability_margin(config, 1.0)

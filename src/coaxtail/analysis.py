@@ -452,11 +452,14 @@ def _build_parser():
 
 
 def _output_dir_exists(path):
-    """ConfigError unless the directory that is to hold path exists: an
-    output path is checked before the work, not after it."""
+    """ConfigError unless the directory that is to hold path exists and
+    path is not a directory itself: an output path is checked before the
+    work, not after it."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"--out {path!r}: no directory {folder!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r}: is a directory")
 
 
 def _cmd_simulate(args):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (ConfigError, check_finite, check_non_negative,
                      check_positive, tick_rate)
 from . import quat
-from .stock import GRAVITY
+from .stock import FULL_THROTTLE, GRAVITY
 
 
 @dataclass(frozen=True)
@@ -92,22 +92,11 @@ class ActuatorCommand:
                              d_1=d_1, d_2=d_2)
 
 
-@dataclass(frozen=True)
-class ActuatorLimits:
-    throttle_min: float = 0.0
-    throttle_max: float = 2000.0
-    servo_max: float = 0.6
-
-    def __post_init__(self):
-        check_finite(throttle_min=self.throttle_min,
-                     throttle_max=self.throttle_max)
-        check_positive(servo_max=self.servo_max)
-        if self.throttle_max <= self.throttle_min:
-            raise ConfigError("throttle_max must exceed throttle_min")
-
-
-# the stock actuator ranges, which the simulator saturates to
-LIMITS = ActuatorLimits()
+# the stock actuator box, which saturate holds the command to: each
+# throttle in [THROTTLE_MIN, stock.FULL_THROTTLE], each servo in
+# [-SERVO_MAX, SERVO_MAX]
+THROTTLE_MIN = 0.0
+SERVO_MAX = 0.6
 
 
 def derived_params(gains, lam):
@@ -153,13 +142,14 @@ def forward_model(cmd, gains):
     return Wrench(f_t=f_t, tau_x=tau_x, tau_y=tau_y, tau_z=tau_z)
 
 
-def saturate(wrench, gains, lam, limits):
+def saturate(wrench, gains, lam):
     """Allocate with thrust priority: torques scale down, thrust doesn't.
 
     Finds the largest s in [0, 1] such that mix(f, s*torque, lam)
-    respects the throttle box, the servo box, and the modulation headroom
-    (t_d1 +/- |m_d| inside the throttle box). All constraints are affine
-    in s, so the bound is exact, not iterated. Returns (command, s).
+    respects the stock throttle box, the servo box, and the modulation
+    headroom (t_d1 +/- |m_d| inside the throttle box). All constraints
+    are affine in s, so the bound is exact, not iterated. Returns
+    (command, s).
     """
     eta, kappa, gamma, delta = derived_params(gains, lam)
     c_m = gains.c_m
@@ -177,7 +167,7 @@ def saturate(wrench, gains, lam, limits):
     d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
     tq_d1, tq_d2 = d_y + d_z, d_y - d_z
 
-    lo, hi, servo = limits.throttle_min, limits.throttle_max, limits.servo_max
+    lo, hi, servo = THROTTLE_MIN, FULL_THROTTLE, SERVO_MAX
     m_amp = math.hypot(tau_x / c_m, lam * tau_y / c_m)
     # s * coef <= rhs for ten rows; only the throttle rows' right-hand
     # sides can be negative, and then thrust alone exceeds the box

@@ -37,7 +37,7 @@ stiffness ripple, is what the bench comparison measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +45,10 @@ from .errors import (ConfigError, NumericalDomainError, SimulationFault,
                      check_finite, check_non_negative, check_positive,
                      whole_count)
 from . import kernels
+from .stock import FULL_THROTTLE
 
 _BENCH_SUBSTEPS = 4  # integrator steps per bench output sample
 _BENCH_BLOCK = 1024  # bench output samples integrated per integrate call
-
-
-def rotor_solidity(blade_count: int, chord: float, radius: float) -> float:
-    """sigma = N c / (pi R)."""
-    whole_count("blade_count", blade_count, 1)
-    check_positive(chord=chord, radius=radius)
-    return blade_count * chord / (math.pi * radius)
 
 
 # The stock fore-rotor hardware. The paper flies one head; its studies vary
@@ -66,52 +60,29 @@ RADIUS = 0.2032              # m
 TORQUE_GAIN = 0.002          # K_q, shaft torque, N*m per throttle count
 TORQUE_PICKUP = 20.0         # sensor weight on hinge-state feedback
 SPEED_PER_THROTTLE = 0.2793  # rad/s of shaft speed per throttle count
-THROTTLE_SCALE = 2000.0      # throttle counts at full modulation depth
 HOVER_THROTTLE = 900.0       # nominal operating throttle, counts
+SOLIDITY = BLADE_COUNT * CHORD / (math.pi * RADIUS)  # sigma = N c / (pi R)
 # throttle counts -> equation forcing units
-_INPUT_SCALE = 1.0 / (THROTTLE_SCALE * LIFT_SLOPE
-                      * rotor_solidity(BLADE_COUNT, CHORD, RADIUS))
-
-
-def _default_inertia() -> np.ndarray:
-    return np.array(
-        [
-            [1.00, 0.25, 0.00],
-            [0.25, 0.14, 0.03],
-            [0.00, 0.03, 0.06],
-        ]
-    )
-
-
-def _default_damping() -> np.ndarray:
-    return np.array(
-        [
-            [0.45, 0.04, 0.00],
-            [0.04, 0.20, 0.01],
-            [0.00, 0.01, 0.24],
-        ]
-    )
-
-
-def _default_stiffness_const() -> np.ndarray:
-    return np.array(
-        [
-            [2.000, 0.000, 0.000],
-            [-0.045, 0.150, 0.010],
-            [0.000, 0.010, 0.140],
-        ]
-    )
+_INPUT_SCALE = 1.0 / (FULL_THROTTLE * LIFT_SLOPE * SOLIDITY)
 
 
 @dataclass(frozen=True)
 class SplmParams:
     """Configuration of one swashplateless rotor head; the stock hardware
-    around it (blades, torque sensor, throttle map) is module constants."""
+    around it (blades, torque sensor, throttle map) is module constants.
+    The matrices may be given as any 3x3 array-like; each is held as a
+    read-only float array."""
 
     variant: str = "decoupled"
-    inertia: np.ndarray = field(default_factory=_default_inertia)
-    damping: np.ndarray = field(default_factory=_default_damping)
-    stiffness_const: np.ndarray = field(default_factory=_default_stiffness_const)
+    inertia: np.ndarray = ((1.00, 0.25, 0.00),
+                           (0.25, 0.14, 0.03),
+                           (0.00, 0.03, 0.06))
+    damping: np.ndarray = ((0.45, 0.04, 0.00),
+                           (0.04, 0.20, 0.01),
+                           (0.00, 0.01, 0.24))
+    stiffness_const: np.ndarray = ((2.000, 0.000, 0.000),
+                                   (-0.045, 0.150, 0.010),
+                                   (0.000, 0.010, 0.140))
     downwash_angle: float = 0.12  # phi_3/4, rad, blade pitch at 3/4 span
     hinge_offset: float = 0.20    # e, hinge location as fraction of radius
 
@@ -308,7 +279,7 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     nominal shaft azimuth and m_d oriented so the modulation phase equals
     `phase`. amplitude may not exceed throttle, so the command never dips
     below zero counts, and throttle + amplitude may not exceed
-    THROTTLE_SCALE, so it never peaks past full throttle. The head
+    FULL_THROTTLE, so it never peaks past full throttle. The head
     starts at the steady state for the bare throttle, so amplitude = 0
     holds the fixed point exactly and the torque trace is flat up to
     integrator noise. Returns (t, torque) sampled at fs; the integrator
@@ -324,10 +295,10 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         raise ConfigError(f"amplitude {amplitude:g} exceeds throttle "
                           f"{throttle:g}: the command would dip below zero "
                           f"counts")
-    if throttle + amplitude > THROTTLE_SCALE:
+    if throttle + amplitude > FULL_THROTTLE:
         raise ConfigError(f"throttle {throttle:g} + amplitude {amplitude:g} "
                           f"exceeds the throttle scale "
-                          f"{THROTTLE_SCALE:g}: the command would "
+                          f"{FULL_THROTTLE:g}: the command would "
                           f"peak past full throttle")
     if not math.isfinite(duration * fs):
         raise ConfigError(f"duration={duration} s at fs={fs} Hz gives more "

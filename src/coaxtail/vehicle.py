@@ -40,7 +40,6 @@ from . import kernels, quat
 from .aero import TandemConfig, WingMode, WingPanel, tandem_wrench
 from .control import (
     ALLOCATION,
-    LIMITS,
     CascadeController,
     ControlSetpoint,
     loop_divisors,
@@ -59,25 +58,23 @@ _ELEVON_Q_REF = 0.5 * RHO * CRUISE_SPEED ** 2
 _G_WORLD = (0.0, 0.0, -GRAVITY)
 
 
-def _default_inertia():
-    return np.diag([0.022, 0.025, 0.010])
-
-
-def _default_tandem():
-    # stock tandem geometry: 480x100 and 560x100 panels at 4.5 and 2 deg
-    return TandemConfig(
-        front=WingPanel(area=0.048, lift_slope=2.2, cl0=0.32,
-                        incidence=math.radians(4.5), arm=0.24),
-        rear=WingPanel(area=0.056, lift_slope=2.2, cl0=0.32,
-                       incidence=math.radians(2.0), arm=0.30),
-    )
+# stock tandem geometry: 480x100 and 560x100 panels at 4.5 and 2 deg
+_TANDEM = TandemConfig(
+    front=WingPanel(area=0.048, lift_slope=2.2, cl0=0.32,
+                    incidence=math.radians(4.5), arm=0.24),
+    rear=WingPanel(area=0.056, lift_slope=2.2, cl0=0.32,
+                   incidence=math.radians(2.0), arm=0.30),
+)
 
 
 @dataclass(frozen=True)
 class VehicleParams:
     mass: float = MASS
-    inertia: np.ndarray = field(default_factory=_default_inertia)
-    tandem: TandemConfig = field(default_factory=_default_tandem)
+    # any 3x3 array-like; held as a read-only float array
+    inertia: np.ndarray = ((0.022, 0.0, 0.0),
+                           (0.0, 0.025, 0.0),
+                           (0.0, 0.0, 0.010))
+    tandem: TandemConfig = _TANDEM
     drag_cd: float = 1.0
     lateral_area: float = 0.0453  # bare-body side area, m^2 (wings excluded)
     axial_area: float = 0.015
@@ -630,7 +627,7 @@ def run_scenario(spec, params):
     mode_at, lam_at, wind_at = spec.wing.mode_at, spec.lam.value, \
         spec.wind.vector
     lam_hover = spec.lam.lam_hover
-    alloc, limits = ALLOCATION, LIMITS
+    alloc = ALLOCATION
     control_step = controller.step
     extended = WingMode.EXTENDED
 
@@ -645,7 +642,7 @@ def run_scenario(spec, params):
             setpoint.pitch_override = transition_profile(t)
         wrench = control_step(setpoint, state[0:3], state[3:6],
                               orientation, state[10:13])
-        cmd, s = saturate(wrench, alloc, lam, limits)
+        cmd, s = saturate(wrench, alloc, lam)
 
         force, torque = realized_wrench(state, params, cmd, wind_at(t),
                                         wing_mode)

@@ -706,6 +706,10 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
 
+# the commands that take --out
+_OUT_COMMANDS = ("simulate", "bench-splm", "power-analysis", "psd")
+
+
 class TestCli:
     def test_power_analysis_fixture_summary(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -1069,12 +1073,15 @@ class TestCli:
         assert bad.name in lines[0]
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "bench-splm",
-                                         "power-analysis", "psd"])
+    @pytest.mark.parametrize(
+        "command,existing",
+        [(c, e) for e in (False, True) for c in _OUT_COMMANDS],
+        ids=[*_OUT_COMMANDS, *(f"{c}-is-a-dir" for c in _OUT_COMMANDS)])
     def test_out_in_a_missing_directory_fails_before_the_run(
-            self, tmp_path, capsys, monkeypatch, command):
-        """An output path whose directory does not exist is a validation
-        error raised before the command's work, not after it."""
+            self, tmp_path, capsys, monkeypatch, command, existing):
+        """An output path whose directory does not exist, or that names
+        an existing directory, is a validation error raised before the
+        command's work, not after it."""
         work = {"bench-splm": "coaxtail.analysis.bench_torque_series",
                 "power-analysis": "coaxtail.propulsion.fixture_config_powers",
                 "psd": "coaxtail.analysis.read_timeseries_csv",
@@ -1085,6 +1092,9 @@ class TestCli:
 
         monkeypatch.setattr(work, no_work)
         out = tmp_path / "missing" / "log.csv"
+        if existing:
+            out = tmp_path / "outdir"
+            out.mkdir()
         cfg = tmp_path / "quick.cfg"
         cfg.write_text("[scenario]\nname = quick\nduration_s = 1.0\n")
         argv = {"simulate": ["simulate", str(cfg)],
@@ -1097,12 +1107,16 @@ class TestCli:
         assert len(lines) == 1 and "category=validation" in lines[0]
         assert "--out" in lines[0] and str(out) in lines[0]
         assert "Traceback" not in err
-        assert not out.parent.exists()
+        if existing:
+            assert out.is_dir() and not any(out.iterdir())
+        else:
+            assert not out.parent.exists()
 
     def test_simulate_checks_its_derived_log_path_before_the_run(
             self, tmp_path, capsys, monkeypatch):
         """Without --out the log is <name>_log.csv, and a name with a
-        slash can point into a missing directory."""
+        slash can point into a missing directory; that path may not name
+        an existing directory either."""
         from coaxtail import vehicle
 
         def no_run(*args):
@@ -1118,6 +1132,13 @@ class TestCli:
         assert len(lines) == 1 and "category=validation" in lines[0]
         assert "nodir/x_log.csv" in lines[0]
         assert not (tmp_path / "nodir").exists()
+        (tmp_path / "x_log.csv").mkdir()
+        cfg.write_text("[scenario]\nname = x\nduration_s = 1.0\n")
+        code = cli_main(["simulate", str(cfg)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and "category=validation" in lines[0]
+        assert "x_log.csv" in lines[0] and "is a directory" in lines[0]
 
     def test_simulate_transition_reports_tracking(self, tmp_path, capsys):
         cfg = tmp_path / "tr.cfg"

@@ -8,8 +8,9 @@ import pytest
 from coaxtail import control, quat
 from coaxtail.errors import ConfigError
 from coaxtail.control import (
+    SERVO_MAX,
+    THROTTLE_MIN,
     ActuatorCommand,
-    ActuatorLimits,
     AllocationGains,
     CascadeController,
     ControlSetpoint,
@@ -23,6 +24,7 @@ from coaxtail.control import (
     mix,
     saturate,
 )
+from coaxtail.stock import FULL_THROTTLE
 
 UNIT = AllocationGains(c_t1=1.0, c_t2=1.0, k_t1=1.0, k_t2=1.0, c_m=1.0,
                        k_ey=1.0, k_ez=1.0)
@@ -73,7 +75,7 @@ class TestDerivedParams:
         w = Wrench(8.0, 0.05, 0.02, 0.001)
         for call in (lambda: derived_params(UNIT, bad),
                      lambda: mix(w, UNIT, bad),
-                     lambda: saturate(w, UNIT, bad, ActuatorLimits())):
+                     lambda: saturate(w, UNIT, bad)):
             with pytest.raises(ConfigError, match=r"lam must lie in \[0, 1\]"):
                 call()
 
@@ -160,19 +162,17 @@ class TestMixForward:
 
 
 class TestSaturation:
-    LIMITS = ActuatorLimits(throttle_min=0.0, throttle_max=2000.0, servo_max=0.6)
-
     def test_feasible_command_unscaled(self):
         g = AllocationGains()
         w = Wrench(8.0, 0.05, 0.02, 0.001)
-        cmd, s = saturate(w, g, 1.0, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0)
         assert s == 1.0
         assert cmd == mix(w, g, 1.0)
 
     def test_torque_scaled_thrust_kept(self):
         g = AllocationGains()
         w = Wrench(8.0, 2.0, 1.5, 0.4)
-        cmd, s = saturate(w, g, 1.0, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0)
         assert 0.0 < s < 1.0
         back = forward_model(cmd, g)
         assert back.f_t == pytest.approx(8.0, rel=1e-9)
@@ -186,7 +186,7 @@ class TestSaturation:
     def test_infeasible_thrust_clamped(self):
         g = AllocationGains()
         w = Wrench(1e6, 0.0, 0.0, 0.0)
-        cmd, s = saturate(w, g, 1.0, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0)
         assert s == 0.0
         assert cmd.t_d1 == 2000.0 and cmd.t_d2 == 2000.0
 
@@ -194,61 +194,56 @@ class TestSaturation:
         g = AllocationGains()
         # low thrust leaves little headroom below throttle_min for modulation
         w = Wrench(0.4, 0.6, 0.0, 0.0)
-        cmd, s = saturate(w, g, 1.0, self.LIMITS)
+        cmd, s = saturate(w, g, 1.0)
         amp = math.hypot(cmd.m_dx, cmd.m_dy)
         assert cmd.t_d1 - amp >= -1e-9
-
 
     def test_command_is_mix_of_scaled_torques_bit_for_bit(self):
         """saturate computes the mixer terms on plain floats; the command
         must equal mix(Wrench(f, s*tau), lam) exactly, clipped or not, and s
-        must equal the row-table bound, sign bit included. The tight
-        limits make the servo and modulation-headroom rows bind too."""
-        tight = ActuatorLimits(throttle_min=200.0, throttle_max=1100.0,
-                               servo_max=0.05)
+        must equal the row-table bound, sign bit included. Torques up to
+        tens of N*m make the servo and modulation-headroom rows bind in
+        the stock box too."""
         rng = np.random.default_rng(7)
         gains = AllocationGains()
-        for limits in (self.LIMITS, tight):
-            lo, hi = limits.throttle_min, limits.throttle_max
-            seen = {"free": 0, "clipped": 0, "infeasible": 0}
-            bound_by = set()
-            for _ in range(600):
-                lam = rng.choice([0.0, 0.3, 1.0, rng.uniform()])
-                parts = [rng.uniform(-2.0, 40.0),
-                         *(rng.normal(size=3)
-                           * rng.choice([1e-3, 0.1, 3.0]))]
-                # signed zeros in the thrust or a torque now and then
-                parts[rng.integers(4)] = rng.choice([0.0, -0.0, parts[0]])
-                w = Wrench(*parts)
-                cmd, s = saturate(w, gains, lam, limits)
-                want_s, row = reference_thrust_priority_scale(w, gains, lam,
-                                                              limits)
-                assert s == want_s
-                assert math.copysign(1.0, s) == math.copysign(1.0, want_s)
-                base = mix(Wrench(f_t=w.f_t), gains, lam)
-                if s == 0.0 and (base.t_d1 < lo or base.t_d1 > hi
-                                 or base.t_d2 < lo or base.t_d2 > hi):
-                    seen["infeasible"] += 1
-                    want = ActuatorCommand(
-                        t_d1=min(max(base.t_d1, lo), hi),
-                        t_d2=min(max(base.t_d2, lo), hi))
-                else:
-                    seen["clipped" if s < 1.0 else "free"] += 1
-                    bound_by.add(row)
-                    want = mix(Wrench(w.f_t, s * w.tau_x, s * w.tau_y,
-                                      s * w.tau_z), gains, lam)
-                assert cmd == want
-                assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
-                           for a, b in zip(vars(cmd).values(),
-                                           vars(want).values()))
-            assert min(seen.values()) > 20, seen
-            if limits is tight:
-                # a servo row (4-7) and a headroom row (8, 9) each bound s
-                assert bound_by & {4, 5, 6, 7}, bound_by
-                assert bound_by & {8, 9}, bound_by
+        lo, hi = THROTTLE_MIN, FULL_THROTTLE
+        seen = {"free": 0, "clipped": 0, "infeasible": 0}
+        bound_by = set()
+        for _ in range(600):
+            lam = rng.choice([0.0, 0.3, 1.0, rng.uniform()])
+            parts = [rng.uniform(-2.0, 40.0),
+                     *(rng.normal(size=3)
+                       * rng.choice([1e-3, 0.1, 3.0, 30.0]))]
+            # signed zeros in the thrust or a torque now and then
+            parts[rng.integers(4)] = rng.choice([0.0, -0.0, parts[0]])
+            w = Wrench(*parts)
+            cmd, s = saturate(w, gains, lam)
+            want_s, row = reference_thrust_priority_scale(w, gains, lam)
+            assert s == want_s
+            assert math.copysign(1.0, s) == math.copysign(1.0, want_s)
+            base = mix(Wrench(f_t=w.f_t), gains, lam)
+            if s == 0.0 and (base.t_d1 < lo or base.t_d1 > hi
+                             or base.t_d2 < lo or base.t_d2 > hi):
+                seen["infeasible"] += 1
+                want = ActuatorCommand(
+                    t_d1=min(max(base.t_d1, lo), hi),
+                    t_d2=min(max(base.t_d2, lo), hi))
+            else:
+                seen["clipped" if s < 1.0 else "free"] += 1
+                bound_by.add(row)
+                want = mix(Wrench(w.f_t, s * w.tau_x, s * w.tau_y,
+                                  s * w.tau_z), gains, lam)
+            assert cmd == want
+            assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
+                       for a, b in zip(vars(cmd).values(),
+                                       vars(want).values()))
+        assert min(seen.values()) > 20, seen
+        # a servo row (4-7) and a headroom row (8, 9) each bound s
+        assert bound_by & {4, 5, 6, 7}, bound_by
+        assert bound_by & {8, 9}, bound_by
 
 
-def reference_thrust_priority_scale(wrench, gains, lam, limits):
+def reference_thrust_priority_scale(wrench, gains, lam):
     """(s, row) of saturate's thrust-priority bound, from mix and the ten
     (coef, rhs) rows in saturate's order: row is the index of the row
     that set s, or None when no row is below 1 (or thrust alone is out
@@ -256,17 +251,17 @@ def reference_thrust_priority_scale(wrench, gains, lam, limits):
     base = mix(Wrench(f_t=wrench.f_t), gains, lam)
     tq = mix(Wrench(0.0, wrench.tau_x, wrench.tau_y, wrench.tau_z), gains,
              lam)
-    lo, hi = limits.throttle_min, limits.throttle_max
+    lo, hi = THROTTLE_MIN, FULL_THROTTLE
     m_amp = math.hypot(tq.m_dx, tq.m_dy)
     rows = (
         (tq.t_d1, hi - base.t_d1),
         (-tq.t_d1, base.t_d1 - lo),
         (tq.t_d2, hi - base.t_d2),
         (-tq.t_d2, base.t_d2 - lo),
-        (tq.d_1, limits.servo_max),
-        (-tq.d_1, limits.servo_max),
-        (tq.d_2, limits.servo_max),
-        (-tq.d_2, limits.servo_max),
+        (tq.d_1, SERVO_MAX),
+        (-tq.d_1, SERVO_MAX),
+        (tq.d_2, SERVO_MAX),
+        (-tq.d_2, SERVO_MAX),
         (m_amp + tq.t_d1, hi - base.t_d1),
         (m_amp - tq.t_d1, base.t_d1 - lo),
     )
@@ -291,7 +286,7 @@ def reference_pid_step(pid_state, kp, ki, kd, i_limit, err, dt):
     return kp * err + pid_state["integral"] + kd * derr
 
 
-def row_table_saturate(wrench, gains, lam, limits):
+def row_table_saturate(wrench, gains, lam):
     """saturate as it stood with a table of ten (coef, rhs) rows and one
     min call per row: the reference for the rows written out in turn."""
     eta, kappa, gamma, delta = derived_params(gains, lam)
@@ -307,17 +302,17 @@ def row_table_saturate(wrench, gains, lam, limits):
     d_y, d_z = one_m * tau_y / ey, one_m * tau_z / ez
     tq_d1, tq_d2 = d_y + d_z, d_y - d_z
 
-    lo, hi = limits.throttle_min, limits.throttle_max
+    lo, hi = THROTTLE_MIN, FULL_THROTTLE
     m_amp = math.hypot(tau_x / c_m, lam * tau_y / c_m)
     rows = (
         (tq_t1, hi - base_t1),
         (-tq_t1, base_t1 - lo),
         (tq_t2, hi - base_t2),
         (-tq_t2, base_t2 - lo),
-        (tq_d1, limits.servo_max),
-        (-tq_d1, limits.servo_max),
-        (tq_d2, limits.servo_max),
-        (-tq_d2, limits.servo_max),
+        (tq_d1, SERVO_MAX),
+        (-tq_d1, SERVO_MAX),
+        (tq_d2, SERVO_MAX),
+        (-tq_d2, SERVO_MAX),
         (m_amp + tq_t1, hi - base_t1),
         (m_amp - tq_t1, base_t1 - lo),
     )
@@ -341,29 +336,29 @@ def row_table_saturate(wrench, gains, lam, limits):
 
 
 def test_saturate_matches_the_row_table_to_the_bit():
-    """20,000 random wrenches and allocation ratios under a tight throttle
-    and servo box: every command field and s equal the row-table form's,
-    sign bits included. Signed zeros appear in the wrench now and then;
-    a large share of the cases clips and some are infeasible."""
+    """20,000 random wrenches and allocation ratios in the stock box:
+    every command field and s equal the row-table form's, sign bits
+    included. Signed zeros appear in the wrench now and then; thrusts
+    past full throttle and torques near 1 N*m make a large share of the
+    cases clip and some infeasible."""
     rng = np.random.default_rng(18)
     gains = AllocationGains()
-    limits = ActuatorLimits(throttle_max=1100.0, servo_max=0.05)
     got, want = [], []
     infeasible = 0
     for _ in range(20_000):
-        parts = [rng.uniform(-0.5, 14.5),
-                 *(rng.normal(size=3) * rng.choice([1e-3, 0.05, 1.0]))]
+        parts = [rng.uniform(-0.5, 28.5),
+                 *(rng.normal(size=3) * rng.choice([1e-3, 0.1, 1.0]))]
         if rng.uniform() < 0.1:
             parts[rng.integers(4)] = rng.choice([0.0, -0.0])
         w = Wrench(*map(float, parts))
         lam = float(rng.uniform(0.0, 1.0))
-        cmd, s = saturate(w, gains, lam, limits)
-        ref, ref_s = row_table_saturate(w, gains, lam, limits)
+        cmd, s = saturate(w, gains, lam)
+        ref, ref_s = row_table_saturate(w, gains, lam)
         got.append([*vars(cmd).values(), s])
         want.append([*vars(ref).values(), ref_s])
         base = mix(Wrench(f_t=w.f_t), gains, lam)
-        infeasible += not (0.0 <= base.t_d1 <= 1100.0
-                           and 0.0 <= base.t_d2 <= 1100.0)
+        infeasible += not (THROTTLE_MIN <= base.t_d1 <= FULL_THROTTLE
+                           and THROTTLE_MIN <= base.t_d2 <= FULL_THROTTLE)
     got, want = np.array(got), np.array(want)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))

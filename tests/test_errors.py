@@ -16,7 +16,6 @@ from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              whole_count)
 from coaxtail.propulsion import (ConfigPower, PropellerTable, RpmSheet,
                                  advance_ratio, thrust_power)
-from coaxtail.rotor import rotor_solidity
 from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
                               transition_profile)
 
@@ -50,8 +49,6 @@ class TestNumberRules:
                     *NON_FINITE):
             with pytest.raises(ConfigError, match="^n must be a whole number"):
                 whole_count("n", bad, 1)
-        with pytest.raises(ConfigError, match="^blade_count must be a whole"):
-            rotor_solidity(True, 0.03, 0.2)
 
     def test_finite_number(self):
         assert finite_number(" 1e3 ", "k") == 1000.0
@@ -103,7 +100,6 @@ _TABLE = PropellerTable(0.2, (RpmSheet(0.0, (0.0, 0.5), (0.1, 0.05),
 
 # each public function that let a NaN argument through, called with one
 NAN_CALLS = {
-    "rotor_solidity": lambda: rotor_solidity(2, math.nan, 0.2),
     "transition_profile": lambda: transition_profile(math.nan),
     "advance_ratio": lambda: advance_ratio(math.nan, 10.0, 0.2),
     "thrust_power": lambda: thrust_power(_TABLE, math.nan, 50.0),

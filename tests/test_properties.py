@@ -2,10 +2,9 @@
 
 Each example puts one NaN or infinity into one float field (or one element
 of a vector or matrix field) of an otherwise valid constructor call. The
-call must raise ConfigError, never any other exception. A blade count
-must also be a whole number, and each field a constructor checks as
-positive (non-negative) must refuse zero and a negative value (a
-negative value).
+call must raise ConfigError, never any other exception. Each field a
+constructor checks as positive (non-negative) must refuse zero and a
+negative value (a negative value).
 """
 
 import dataclasses
@@ -18,10 +17,10 @@ import pytest
 from coaxtail import aero, analysis, control, propulsion, rotor, vehicle
 from coaxtail.aero import WingPanel
 from coaxtail.analysis import TimeSeries
-from coaxtail.control import ActuatorLimits, AllocationGains
+from coaxtail.control import AllocationGains
 from coaxtail.errors import ConfigError
 from coaxtail.propulsion import PropellerTable, RpmSheet
-from coaxtail.rotor import SplmParams, rotor_solidity
+from coaxtail.rotor import SplmParams
 from coaxtail.vehicle import (
     LambdaSchedule,
     ScenarioSpec,
@@ -52,8 +51,6 @@ FIELDS = {
     LambdaSchedule: {"lam_hover": 1.0, "lam_fw": 0.3, "pitch_start": -0.5,
                      "pitch_end": -1.2},
     WingSchedule: {"extend_below": -0.35},
-    ActuatorLimits: {"throttle_min": 0.0, "throttle_max": 2000.0,
-                     "servo_max": 0.6},
     AllocationGains: {"c_t1": 0.008, "c_t2": 0.0065, "k_t1": 6.0e-5,
                       "k_t2": 4.0e-5, "c_m": 0.002, "k_ey": 0.6, "k_ez": 0.4},
     WingPanel: {"area": 0.048, "lift_slope": 2.2, "cl0": 0.32,
@@ -143,18 +140,6 @@ def test_non_finite_pid_constant_raises_config_error(name, bad, index):
     control.CascadeController(1.2)  # the stock constants are valid
 
 
-@settings(max_examples=60, deadline=None)
-@given(count=st.floats(min_value=0.0, max_value=64.0).filter(
-    lambda c: not c.is_integer()))
-def test_fractional_blade_count_raises_config_error(count):
-    with pytest.raises(ConfigError, match="whole number"):
-        rotor_solidity(count, 0.03, 0.2)
-    whole = math.ceil(count)
-    if whole >= 1:
-        assert rotor_solidity(float(whole), 0.03, 0.2) == rotor_solidity(
-            whole, 0.03, 0.2)
-
-
 def test_fields_cover_every_class_a_config_file_builds(monkeypatch):
     built = set()
     build = analysis._build
@@ -175,7 +160,6 @@ SIGN_CHECKED = {
     WindProfile: {"speed": "check_non_negative",
                   "ramp": "check_non_negative"},
     ScenarioSpec: {"duration": "check_positive"},
-    ActuatorLimits: {"servo_max": "check_positive"},
     AllocationGains: dict.fromkeys(("c_t1", "c_t2", "k_t1", "k_t2", "c_m"),
                                    "check_positive"),
     WingPanel: dict.fromkeys(("area", "lift_slope", "arm"), "check_positive"),

@@ -16,7 +16,6 @@ from coaxtail.rotor import (
     bench_torque_series,
     integrate,
     modulation_signal,
-    rotor_solidity,
     steady_state,
     stiffness_matrix,
     torque_from_states,
@@ -28,25 +27,6 @@ OMEGA_HOVER = SPEED_PER_THROTTLE * HOVER_THROTTLE  # rad/s
 
 def make_params(**kw):
     return SplmParams(**kw)
-
-
-class TestSolidity:
-    def test_constructed_identity(self):
-        assert rotor_solidity(2, math.pi / 2.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_scalar_value(self):
-        assert rotor_solidity(2, 0.03, 0.2) == pytest.approx(0.09549, abs=5e-6)
-
-    def test_blade_count_linearity(self):
-        assert rotor_solidity(4, 0.03, 0.2) == 2.0 * rotor_solidity(2, 0.03, 0.2)
-
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(ConfigError):
-            rotor_solidity(0, 0.03, 0.2)
-        with pytest.raises(ConfigError):
-            rotor_solidity(2, -0.01, 0.2)
-        with pytest.raises(ConfigError):
-            rotor_solidity(2, 0.03, 0.0)
 
 
 class TestParamsValidation:

@@ -1,6 +1,7 @@
 """Closed-loop 6-DOF simulation: integrator physics, force model, scenarios."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -13,11 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coaxtail import kernels, quat
+from coaxtail import control, kernels, quat, rotor
 from coaxtail.aero import WingMode
 from coaxtail.analysis import load_scenario
-from coaxtail.control import (ALLOCATION, LIMITS, ActuatorCommand,
-                              ActuatorLimits, AllocationGains)
+from coaxtail.control import ALLOCATION, ActuatorCommand, AllocationGains
 from coaxtail.errors import ConfigError, SimulationFault
 from coaxtail.propulsion import PropellerTable, RpmSheet
 from coaxtail.stock import GRAVITY
@@ -767,13 +767,21 @@ class TestScenarios:
 
     def test_mixer_and_limits_are_stock_constants(self):
         """VehicleParams sets neither the mixer, the actuator ranges nor g:
-        the simulator flies control's ALLOCATION and LIMITS, the classes'
-        defaults, under stock.GRAVITY."""
+        the simulator flies control's ALLOCATION, the class's defaults,
+        saturates to the stock box of plain constants, and flies under
+        stock.GRAVITY. The rotor's forcing scale reads the same full
+        throttle and a constant solidity."""
         names = [f.name for f in fields(VehicleParams)]
         assert len(names) == 8
         assert not {"alloc", "limits", "gravity"} & set(names)
         assert ALLOCATION == AllocationGains()
-        assert LIMITS == ActuatorLimits()
+        assert list(inspect.signature(control.saturate).parameters) == [
+            "wrench", "gains", "lam"]
+        assert not hasattr(control, "ActuatorLimits")
+        assert not hasattr(control, "LIMITS")
+        assert not hasattr(rotor, "rotor_solidity")
+        assert not hasattr(rotor, "THROTTLE_SCALE")
+        assert rotor._INPUT_SCALE.hex() == "0x1.e9504fe0bcd8bp-11"
 
     def test_saturation_is_logged(self):
         """The mixer's thrust-priority scale is kept per tick; under the
