@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from coaxtail import control, quat
+from coaxtail import control, quat, rotor
 from coaxtail.errors import ConfigError
 from coaxtail.control import (
     SERVO_MAX,
@@ -189,6 +189,17 @@ class TestSaturation:
         cmd, s = saturate(w, g, 1.0)
         assert s == 0.0
         assert cmd.t_d1 == 2000.0 and cmd.t_d2 == 2000.0
+
+    def test_negative_thrust_clamped_to_throttle_min(self):
+        cmd, s = saturate(Wrench(-1e6, 0.0, 0.0, 0.0), AllocationGains(), 1.0)
+        assert s == 0.0
+        assert cmd.t_d1 == THROTTLE_MIN and cmd.t_d2 == THROTTLE_MIN
+
+    def test_box_is_the_stock_constants(self):
+        """control and rotor read the one full throttle of stock."""
+        assert (THROTTLE_MIN, SERVO_MAX, FULL_THROTTLE) == (0.0, 0.6, 2000.0)
+        assert control.FULL_THROTTLE is FULL_THROTTLE
+        assert rotor.FULL_THROTTLE is FULL_THROTTLE
 
     def test_modulation_headroom_respected(self):
         g = AllocationGains()

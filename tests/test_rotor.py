@@ -1,5 +1,6 @@
 """Swashplateless rotor dynamics: oracles, invariants, bench behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from coaxtail.rotor import (
     stiffness_matrix,
     torque_from_states,
 )
+from coaxtail.stock import FULL_THROTTLE
 
 
 OMEGA_HOVER = SPEED_PER_THROTTLE * HOVER_THROTTLE  # rad/s
@@ -29,7 +31,43 @@ def make_params(**kw):
     return SplmParams(**kw)
 
 
+class TestSolidity:
+    """The stock head's solidity, sigma = N c / (pi R), is a constant; it
+    sets the throttle-to-forcing scale."""
+
+    def test_constructed_identity(self):
+        assert rotor.SOLIDITY == (rotor.BLADE_COUNT * rotor.CHORD
+                                  / (math.pi * rotor.RADIUS))
+        assert _INPUT_SCALE == 1.0 / (FULL_THROTTLE * rotor.LIFT_SLOPE
+                                      * rotor.SOLIDITY)
+
+    def test_scalar_value(self):
+        assert rotor.SOLIDITY == pytest.approx(0.09399, abs=5e-6)
+
+    def test_blade_area_over_disc_area(self):
+        blade_area = rotor.BLADE_COUNT * rotor.CHORD * rotor.RADIUS
+        disc_area = math.pi * rotor.RADIUS ** 2
+        assert rotor.SOLIDITY == pytest.approx(blade_area / disc_area,
+                                               rel=1e-12)
+
+    def test_stock_geometry_is_valid(self):
+        assert type(rotor.BLADE_COUNT) is int and rotor.BLADE_COUNT >= 1
+        assert 0.0 < rotor.CHORD < rotor.RADIUS
+
+
 class TestParamsValidation:
+    def test_default_matrices_are_read_only_arrays(self):
+        """The tuple-of-tuples defaults are held as read-only float
+        arrays, one copy per instance."""
+        a, b = SplmParams(), SplmParams()
+        defaults = {f.name: f.default for f in dataclasses.fields(SplmParams)}
+        for name in ("inertia", "damping", "stiffness_const"):
+            m = getattr(a, name)
+            assert m.dtype == float and m.shape == (3, 3)
+            assert not m.flags.writeable
+            assert np.array_equal(m, np.array(defaults[name]))
+            assert m is not getattr(b, name)
+
     def test_bad_shape_rejected(self):
         with pytest.raises(ConfigError):
             make_params(inertia=np.eye(2))

@@ -253,6 +253,19 @@ class TestRigidStep:
         with pytest.raises(ConfigError):
             VehicleParams(mass=0.0)
 
+    def test_params_defaults_are_the_stock_airframe(self):
+        """The inertia default is a fresh read-only array per instance;
+        every instance shares the one frozen stock tandem."""
+        a, b = VehicleParams(), VehicleParams()
+        assert np.array_equal(a.inertia, np.diag([0.022, 0.025, 0.010]))
+        assert not a.inertia.flags.writeable
+        assert a.inertia is not b.inertia
+        assert a.tandem is b.tandem
+        assert (a.tandem.front.area, a.tandem.rear.area) == (0.048, 0.056)
+        assert a.tandem.front.incidence == math.radians(4.5)
+        assert a.tandem.rear.incidence == math.radians(2.0)
+        assert (a.tandem.front.arm, a.tandem.rear.arm) == (0.24, 0.30)
+
     def test_params_inertia_is_a_read_only_copy(self):
         given = np.diag([0.02, 0.025, 0.01])
         params = VehicleParams(inertia=given)
