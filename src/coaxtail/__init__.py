@@ -53,9 +53,9 @@ _SOURCES = {
     "ScenarioSpec": "vehicle",
     "SimLog": "vehicle",
     "VehicleParams": "vehicle",
-    "VehicleState": "vehicle",
     "WindProfile": "vehicle",
     "WingSchedule": "vehicle",
+    "pack_state": "vehicle",
     "run_scenario": "vehicle",
     "step_6dof": "vehicle",
     "transition_profile": "vehicle",

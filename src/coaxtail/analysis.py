@@ -601,6 +601,10 @@ def cli_main(argv=None):
         _error_line("validation", ConfigError("a subcommand is required"))
         return 1
     try:
+        # an empty value is refused, not taken as the flag left unset
+        for flag in ("out", "fixture", "tables", "gains"):
+            if getattr(args, flag, None) == "":
+                raise ConfigError(f"--{flag} must not be empty")
         if getattr(args, "out", None):
             _output_dir_exists(args.out)
         return _COMMANDS[args.command](args)

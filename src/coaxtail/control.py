@@ -17,6 +17,7 @@ angles without the yaw error polluting the tilt command.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from math import isfinite
 
@@ -58,8 +59,8 @@ class AllocationGains:
 ALLOCATION = AllocationGains()
 
 
-# Wrench and ActuatorCommand are built every tick. They stay frozen, but
-# their __init__ (which holds the defaults) fills __dict__ directly: the
+# Wrench is built every tick. It stays frozen, but its __init__ (which
+# holds the defaults and checks the entries) fills __dict__ directly: the
 # generated frozen __init__ pays one object.__setattr__ per field, about
 # three times the cost.
 
@@ -77,19 +78,11 @@ class Wrench:
         self.__dict__.update(f_t=f_t, tau_x=tau_x, tau_y=tau_y, tau_z=tau_z)
 
 
-@dataclass(frozen=True, init=False)
-class ActuatorCommand:
-    t_d1: float   # fore throttle
-    t_d2: float   # aft throttle
-    m_dx: float   # modulation, x component
-    m_dy: float   # modulation, y component
-    d_1: float    # elevon 1
-    d_2: float    # elevon 2
-
-    def __init__(self, t_d1=0.0, t_d2=0.0, m_dx=0.0, m_dy=0.0, d_1=0.0,
-                 d_2=0.0):
-        self.__dict__.update(t_d1=t_d1, t_d2=t_d2, m_dx=m_dx, m_dy=m_dy,
-                             d_1=d_1, d_2=d_2)
+# the six actuator channels: fore and aft throttle, the fore rotor's
+# modulation (x, y) and the two elevon servos; in the order of the log's
+# Td1 ... d2 columns
+ActuatorCommand = namedtuple("ActuatorCommand", "t_d1 t_d2 m_dx m_dy d_1 d_2",
+                             defaults=(0.0,) * 6)
 
 
 # the stock actuator box, which saturate holds the command to: each

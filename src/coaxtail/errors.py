@@ -6,9 +6,10 @@ failures onto exit codes without chasing individual modules.
 Every input boundary (a constructor, a file reader, a flag parser)
 checks what it is given with the rules below, each written once here:
 finite, positive, non-negative, a whole count, text that is a finite
-number, a 3-vector, a tick rate and a numeric CSV file. NaN and the
-infinities fail every numeric rule. A refusal is a ConfigError whose
-message names the field, key or file line at fault.
+number, an array of numbers in a given shape, a 3-vector, a 3x3 matrix,
+a tick rate and a numeric CSV file. NaN and the infinities fail every
+numeric rule but the shape rule, float_array. A refusal is a ConfigError
+whose message names the field, key or file line at fault.
 """
 
 import csv
@@ -102,15 +103,33 @@ def finite_number(text, where):
     return value
 
 
+def float_array(value, shape):
+    """value as a new float array of `shape`, or None unless it is numbers
+    in that shape (text, a dict and ragged nesting are not); NaN and inf
+    pass, for the caller's own rule."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return a if a.shape == shape else None
+
+
 def finite_vector3(value, name):
     """value as a float array; ConfigError unless it is 3 finite numbers."""
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != (3,) or not np.isfinite(v).all():
+    v = float_array(value, (3,))
+    if v is None or not np.isfinite(v).all():
         raise ConfigError(f"{name} must be 3 finite numbers")
     return v
+
+
+def finite_matrix3(value, name):
+    """value as a read-only float array; ConfigError unless it is a 3x3
+    matrix of finite numbers."""
+    m = float_array(value, (3, 3))
+    if m is None or not np.isfinite(m).all():
+        raise ConfigError(f"{name} must be a 3x3 matrix of finite numbers")
+    m.flags.writeable = False
+    return m
 
 
 def tick_rate(dt):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (ConfigError, NumericalDomainError, SimulationFault,
                      check_finite, check_non_negative, check_positive,
-                     whole_count)
+                     finite_matrix3, whole_count)
 from . import kernels
 from .stock import FULL_THROTTLE
 
@@ -89,13 +89,8 @@ class SplmParams:
     def __post_init__(self):
         for name in ("inertia", "damping", "stiffness_const"):
             # a read-only copy: the rows unpacked below must not go stale
-            m = np.array(getattr(self, name), dtype=float)
-            if m.shape != (3, 3):
-                raise ConfigError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
-            if not np.isfinite(m).all():
-                raise ConfigError(f"{name} must be finite")
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name,
+                               finite_matrix3(getattr(self, name), name))
         check_finite(downwash_angle=self.downwash_angle,
                      hinge_offset=self.hinge_offset)
         if abs(np.linalg.det(self.inertia)) < 1e-12:

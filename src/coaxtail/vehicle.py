@@ -46,7 +46,8 @@ from .control import (
     saturate,
 )
 from .errors import (ConfigError, SimulationFault, check_finite,
-                     check_non_negative, check_positive, finite_vector3)
+                     check_non_negative, check_positive, finite_matrix3,
+                     finite_vector3, float_array)
 from .stock import CRUISE_SPEED, GRAVITY, MASS, RHO
 
 # a tick's range: 1 us to 1 ms
@@ -87,16 +88,11 @@ class VehicleParams:
                        axial_area=self.axial_area,
                        aft_speed_per_count=self.aft_speed_per_count)
         # a read-only copy: the rows unpacked below must not go stale
-        inertia = np.array(self.inertia, dtype=float)
-        if inertia.shape != (3, 3):
-            raise ConfigError("inertia must be 3x3")
-        if not np.isfinite(inertia).all():
-            raise ConfigError("inertia must be finite")
+        inertia = finite_matrix3(self.inertia, "inertia")
         if not np.allclose(inertia, inertia.T, atol=1e-12):
             raise ConfigError("inertia must be symmetric")
         if np.any(np.linalg.eigvalsh(inertia) <= 0.0):
             raise ConfigError("inertia must be positive definite")
-        inertia.flags.writeable = False
         object.__setattr__(self, "inertia", inertia)
         # unpacked once for the rigid-step kernel
         object.__setattr__(self, "_inertia_rows", inertia.tolist())
@@ -120,52 +116,20 @@ def _check_state(values):
         raise SimulationFault("orientation quaternion not normalized")
 
 
-class VehicleState(tuple):
-    """Rigid-body state: the tuple of 13 floats [p, v, q (wxyz), w].
-
-    Built from its four parts and validated once (finite entries, unit
-    quaternion); position, velocity, orientation (body to world) and
-    body_rate are its slices.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, position, velocity, orientation, body_rate):
-        values = []
-        for (name, size), part in zip(_STATE_PARTS, (position, velocity,
-                                                      orientation, body_rate)):
-            arr = np.asarray(part, dtype=float)
-            if arr.shape != (size,):
-                raise ConfigError(f"{name} must hold {size} numbers")
-            values += arr.tolist()
-        _check_state(values)
-        return tuple.__new__(cls, values)
-
-    def __getnewargs__(self):
-        # copy and pickle rebuild the state from its parts
-        return self[0:3], self[3:6], self[6:10], self[10:13]
-
-    @property
-    def position(self):
-        return self[0:3]
-
-    @property
-    def velocity(self):
-        return self[3:6]
-
-    @property
-    def orientation(self):
-        return self[6:10]
-
-    @property
-    def body_rate(self):
-        return self[10:13]
-
-    @classmethod
-    def at_rest(cls, position):
-        return cls(position=position, velocity=(0.0, 0.0, 0.0),
-                   orientation=(1.0, 0.0, 0.0, 0.0),
-                   body_rate=(0.0, 0.0, 0.0))
+def pack_state(position, velocity=(0.0, 0.0, 0.0),
+               orientation=(1.0, 0.0, 0.0, 0.0), body_rate=(0.0, 0.0, 0.0)):
+    """The rigid-body state, the tuple of 13 floats [p, v, q (wxyz), w]
+    that the tick carries, from its four parts (the orientation is body
+    to world); validated once (finite entries, unit quaternion)."""
+    values = []
+    for (name, size), part in zip(_STATE_PARTS, (position, velocity,
+                                                  orientation, body_rate)):
+        arr = float_array(part, (size,))
+        if arr is None:
+            raise ConfigError(f"{name} must hold {size} numbers")
+        values += arr.tolist()
+    _check_state(values)
+    return tuple(values)
 
 
 _BODY_Z = (0.0, 0.0, 1.0)
@@ -189,9 +153,10 @@ def _check_dt(dt):
 def step_6dof(state, force_body, torque_body, params, dt):
     """Advance the rigid body one RK4 step under body force/torque + gravity.
 
-    Returns the next VehicleState, validated on its floats (finite
-    entries, unit quaternion) once, here. force_body and torque_body are
-    tuples of three floats, such as realized_wrench returns.
+    state is the 13-float tuple of pack_state. Returns the kernel's next
+    state, validated (finite entries, unit quaternion) once, here.
+    force_body and torque_body are tuples of three floats, such as
+    realized_wrench returns.
     """
     # _check_dt's rule, tested inline to save the call; it raises
     if not _MIN_DT <= dt <= _MAX_DT:
@@ -205,7 +170,7 @@ def step_6dof(state, force_body, torque_body, params, dt):
                              params._inertia_rows, params._inertia_inv_rows,
                              _G_WORLD, dt)
     _check_state(out)
-    return tuple.__new__(VehicleState, out)
+    return out
 
 
 # The transition maneuver's breakpoints, pitch (rad) and time (s), which
@@ -595,8 +560,7 @@ def run_scenario(spec, params):
 
     start = spec.start_position if spec.start_position is not None \
         else spec.position
-    # the tick reads the state's parts as slices, cheaper than properties
-    state = VehicleState.at_rest(start)
+    state = pack_state(start)
 
     n = int(round(spec.duration / spec.dt))
     try:
@@ -647,8 +611,7 @@ def run_scenario(spec, params):
         force, torque = realized_wrench(state, params, cmd, wind_at(t),
                                         wing_mode)
 
-        rows += (t, *state, cmd.t_d1, cmd.t_d2, cmd.m_dx, cmd.m_dy,
-                 cmd.d_1, cmd.d_2, 1.0 if wing_mode is extended else 0.0,
+        rows += (t, *state, *cmd, 1.0 if wing_mode is extended else 0.0,
                  lam, s)
         if len(rows) == chunk:
             end = (k + 1) * len(LOG_COLUMNS)

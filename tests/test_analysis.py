@@ -1074,14 +1074,16 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "command,existing",
-        [(c, e) for e in (False, True) for c in _OUT_COMMANDS],
-        ids=[*_OUT_COMMANDS, *(f"{c}-is-a-dir" for c in _OUT_COMMANDS)])
+        "command,case",
+        [(c, k) for k in ("missing", "is-a-dir", "empty")
+         for c in _OUT_COMMANDS],
+        ids=[*_OUT_COMMANDS, *(f"{c}-is-a-dir" for c in _OUT_COMMANDS),
+             *(f"{c}-empty" for c in _OUT_COMMANDS)])
     def test_out_in_a_missing_directory_fails_before_the_run(
-            self, tmp_path, capsys, monkeypatch, command, existing):
-        """An output path whose directory does not exist, or that names
-        an existing directory, is a validation error raised before the
-        command's work, not after it."""
+            self, tmp_path, capsys, monkeypatch, command, case):
+        """An output path whose directory does not exist, that names an
+        existing directory or that is empty is a validation error raised
+        before the command's work, not after it."""
         work = {"bench-splm": "coaxtail.analysis.bench_torque_series",
                 "power-analysis": "coaxtail.propulsion.fixture_config_powers",
                 "psd": "coaxtail.analysis.read_timeseries_csv",
@@ -1092,7 +1094,7 @@ class TestCli:
 
         monkeypatch.setattr(work, no_work)
         out = tmp_path / "missing" / "log.csv"
-        if existing:
+        if case == "is-a-dir":
             out = tmp_path / "outdir"
             out.mkdir()
         cfg = tmp_path / "quick.cfg"
@@ -1100,17 +1102,49 @@ class TestCli:
         argv = {"simulate": ["simulate", str(cfg)],
                 "psd": ["psd", str(tmp_path / "in.csv")],
                 }.get(command, [command])
-        code = cli_main([*argv, "--out", str(out)])
+        monkeypatch.chdir(tmp_path)
+        given = "" if case == "empty" else str(out)
+        code = cli_main([*argv, "--out", given])
         err = capsys.readouterr().err
         assert code == 1
         lines = err.splitlines()
         assert len(lines) == 1 and "category=validation" in lines[0]
-        assert "--out" in lines[0] and str(out) in lines[0]
+        assert "--out" in lines[0] and given in lines[0]
         assert "Traceback" not in err
-        if existing:
+        if case == "is-a-dir":
             assert out.is_dir() and not any(out.iterdir())
-        else:
+        elif case == "missing":
             assert not out.parent.exists()
+        else:
+            assert "empty" in lines[0]
+            # nothing written, not even a default output
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "quick.cfg"]
+
+    @pytest.mark.parametrize("command,flag,work", [
+        ("power-analysis", "--fixture",
+         "coaxtail.propulsion.fixture_config_powers"),
+        ("power-analysis", "--tables", "coaxtail.analysis.table_config_powers"),
+        ("mix-check", "--gains", "coaxtail.control.mix"),
+    ])
+    def test_an_empty_source_is_refused_before_the_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, work):
+        """An empty --fixture, --tables or --gains is refused before the
+        command's work; it is not read as the flag left unset (the stock
+        fixture, the fixture and the stock mixer)."""
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} was called")
+
+        monkeypatch.setattr(work, no_work)
+        monkeypatch.chdir(tmp_path)
+        code = cli_main([command, f"{flag}="])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and "category=validation" in lines[0]
+        assert f"{flag} must not be empty" in lines[0]
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_simulate_checks_its_derived_log_path_before_the_run(
             self, tmp_path, capsys, monkeypatch):

@@ -246,8 +246,7 @@ class TestSaturation:
                                   s * w.tau_z), gains, lam)
             assert cmd == want
             assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
-                       for a, b in zip(vars(cmd).values(),
-                                       vars(want).values()))
+                       for a, b in zip(cmd, want, strict=True))
         assert min(seen.values()) > 20, seen
         # a servo row (4-7) and a headroom row (8, 9) each bound s
         assert bound_by & {4, 5, 6, 7}, bound_by
@@ -365,8 +364,8 @@ def test_saturate_matches_the_row_table_to_the_bit():
         lam = float(rng.uniform(0.0, 1.0))
         cmd, s = saturate(w, gains, lam)
         ref, ref_s = row_table_saturate(w, gains, lam)
-        got.append([*vars(cmd).values(), s])
-        want.append([*vars(ref).values(), ref_s])
+        got.append([*cmd, s])
+        want.append([*ref, ref_s])
         base = mix(Wrench(f_t=w.f_t), gains, lam)
         infeasible += not (THROTTLE_MIN <= base.t_d1 <= FULL_THROTTLE
                            and THROTTLE_MIN <= base.t_d2 <= FULL_THROTTLE)

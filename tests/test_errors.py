@@ -16,7 +16,7 @@ from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
                              whole_count)
 from coaxtail.propulsion import (ConfigPower, PropellerTable, RpmSheet,
                                  advance_ratio, thrust_power)
-from coaxtail.vehicle import (VehicleParams, VehicleState, step_6dof,
+from coaxtail.vehicle import (VehicleParams, pack_state, step_6dof,
                               transition_profile)
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -106,7 +106,7 @@ NAN_CALLS = {
     "pitch_moment": lambda: pitch_moment(TandemConfig(*_PANELS), math.nan,
                                          0.0),
     "step_6dof": lambda: step_6dof(
-        VehicleState.at_rest((0.0, 0.0, 1.0)), (0.0, 0.0, 0.0),
+        pack_state((0.0, 0.0, 1.0)), (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0), VehicleParams(), math.nan),
     "PsdResult_density": lambda: PsdResult([0.0, 1.0], [math.nan, 1.0]),
     "PsdResult_freq": lambda: PsdResult([0.0, math.nan], [1.0, 1.0]),

@@ -69,8 +69,14 @@ class TestParamsValidation:
             assert m is not getattr(b, name)
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ConfigError):
-            make_params(inertia=np.eye(2))
+        """A wrong shape, ragged rows, text or a dict is refused with a
+        ConfigError naming the matrix, not a raw ValueError or TypeError."""
+        for bad in (np.eye(2), [[1, 0], [0, 1, 0], [0, 0, 1]],
+                    [[1, "a", 0], [0, 1, 0], [0, 0, 1]], {1: 2}, "eye"):
+            for name in ("inertia", "damping", "stiffness_const"):
+                with pytest.raises(ConfigError,
+                                   match=f"^{name} must be a 3x3 matrix"):
+                    make_params(**{name: bad})
 
     def test_singular_inertia_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,11 +1,9 @@
 """Closed-loop 6-DOF simulation: integrator physics, force model, scenarios."""
 
-import copy
 import inspect
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -14,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coaxtail import control, kernels, quat, rotor
+from coaxtail import control, kernels, quat, rotor, vehicle
 from coaxtail.aero import WingMode
 from coaxtail.analysis import load_scenario
 from coaxtail.control import ALLOCATION, ActuatorCommand, AllocationGains
@@ -27,11 +25,11 @@ from coaxtail.vehicle import (
     ScenarioSpec,
     SimLog,
     VehicleParams,
-    VehicleState,
     WindProfile,
     WingSchedule,
     _drag_body,
     measured_pitch,
+    pack_state,
     realized_wrench,
     run_scenario,
     step_6dof,
@@ -43,19 +41,18 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def resting_state(z=2.0):
-    return VehicleState.at_rest(np.array([0.0, 0.0, z]))
+    return pack_state(np.array([0.0, 0.0, z]))
 
 
 def packed_state(y):
-    """The VehicleState of the 13 numbers y = [p, v, q, w]."""
-    return VehicleState(y[0:3], y[3:6], y[6:10], y[10:13])
+    """The state of the 13 numbers y = [p, v, q, w], built from its
+    parts."""
+    return pack_state(y[0:3], y[3:6], y[6:10], y[10:13])
 
 
 def moving_state(velocity, z=2.0):
     """Level attitude at (0, 0, z), no spin, the given world velocity."""
-    return VehicleState(position=np.array([0.0, 0.0, z]), velocity=velocity,
-                        orientation=np.array([1.0, 0.0, 0.0, 0.0]),
-                        body_rate=np.zeros(3))
+    return pack_state(np.array([0.0, 0.0, z]), velocity)
 
 
 def pitched_quat(theta):
@@ -70,10 +67,9 @@ class TestRigidStep:
         for _ in range(1000):
             state = step_6dof(state, np.zeros(3), np.zeros(3), params, dt)
         t = 1.0
-        assert state.velocity[2] == pytest.approx(-9.81 * t, abs=1e-9)
-        assert state.position[2] == pytest.approx(100.0 - 0.5 * 9.81 * t * t,
-                                                  abs=1e-9)
-        assert np.allclose(state.orientation, [1, 0, 0, 0], atol=1e-12)
+        assert state[5] == pytest.approx(-9.81 * t, abs=1e-9)
+        assert state[2] == pytest.approx(100.0 - 0.5 * 9.81 * t * t, abs=1e-9)
+        assert np.allclose(state[6:10], [1, 0, 0, 0], atol=1e-12)
 
     def test_free_body_coasts(self):
         """No force and no gravity: translation and spin are untouched for
@@ -97,8 +93,8 @@ class TestRigidStep:
         hold = np.array([0.0, 0.0, params.mass * GRAVITY])
         for _ in range(500):
             state = step_6dof(state, hold, np.zeros(3), params, 1e-3)
-        assert np.allclose(state.position, [0, 0, 2.0], atol=1e-12)
-        assert np.allclose(state.velocity, 0.0, atol=1e-12)
+        assert np.allclose(state[0:3], [0, 0, 2.0], atol=1e-12)
+        assert np.allclose(state[3:6], 0.0, atol=1e-12)
 
     def test_dt_bounds_enforced(self):
         params = VehicleParams()
@@ -122,14 +118,14 @@ class TestRigidStep:
 
     def test_state_validation(self):
         with pytest.raises(SimulationFault):
-            VehicleState(position=np.zeros(3), velocity=np.zeros(3),
-                         orientation=np.array([1.0, 0.0, 0.1, 0.0]),
-                         body_rate=np.zeros(3))
+            pack_state(position=np.zeros(3), velocity=np.zeros(3),
+                       orientation=np.array([1.0, 0.0, 0.1, 0.0]),
+                       body_rate=np.zeros(3))
         with pytest.raises(SimulationFault):
-            VehicleState(position=np.array([np.nan, 0, 0]),
-                         velocity=np.zeros(3),
-                         orientation=np.array([1.0, 0, 0, 0]),
-                         body_rate=np.zeros(3))
+            pack_state(position=np.array([np.nan, 0, 0]),
+                       velocity=np.zeros(3),
+                       orientation=np.array([1.0, 0, 0, 0]),
+                       body_rate=np.zeros(3))
         y = np.array(resting_state())
         for bad in (np.inf, np.nan):
             y_bad = y.copy()
@@ -141,50 +137,47 @@ class TestRigidStep:
         with pytest.raises(SimulationFault):
             packed_state(y_bad)
         with pytest.raises(ConfigError, match="position must hold 3"):
-            VehicleState(position=np.zeros(4), velocity=np.zeros(2),
-                         orientation=np.array([1.0, 0, 0, 0]),
-                         body_rate=np.zeros(3))
+            pack_state(position=np.zeros(4), velocity=np.zeros(2),
+                       orientation=np.array([1.0, 0, 0, 0]),
+                       body_rate=np.zeros(3))
+        # text, a dict or a ragged part is refused the same way, naming
+        # the part
+        for name, size, bad in (("position", 3, [1, "a", 2]),
+                                ("velocity", 3, {0: 1.0, 1: 2.0, 2: 3.0}),
+                                ("orientation", 4, [1.0, [0.0, 0.0], 0.0]),
+                                ("body_rate", 3, "abc")):
+            with pytest.raises(ConfigError,
+                               match=f"^{name} must hold {size} numbers$"):
+                pack_state(**{"position": (0.0, 0.0, 0.0), name: bad})
 
     def test_state_is_an_immutable_tuple_of_floats(self):
         y = np.arange(13.0)
         y[6:10] = [0.0, 0.6, 0.0, 0.8]
         state = packed_state(y)
         y[0] = 99.0  # a later write to the caller's array
-        assert type(state) is VehicleState and isinstance(state, tuple)
+        assert type(state) is tuple
         assert len(state) == 13 and all(type(v) is float for v in state)
-        assert state.position == (0.0, 1.0, 2.0)
-        assert state.velocity == (3.0, 4.0, 5.0)
-        assert state.orientation == (0.0, 0.6, 0.0, 0.8)
-        assert state.body_rate == (10.0, 11.0, 12.0)
+        assert state == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.6, 0.0, 0.8,
+                         10.0, 11.0, 12.0)
         with pytest.raises(TypeError):
             state[0] = 1.0
-        with pytest.raises(AttributeError):
-            state.position = (0.0, 0.0, 0.0)
-        with pytest.raises(AttributeError):
-            state.wing_mode = WingMode.EXTENDED
-        parts = VehicleState(position=state.position,
-                             velocity=state.velocity,
-                             orientation=state.orientation,
-                             body_rate=state.body_rate)
-        assert parts == state
-        # copy and pickle rebuild it through the validating constructor
-        for copied in (copy.deepcopy(state),
-                       pickle.loads(pickle.dumps(state))):
-            assert type(copied) is VehicleState and copied == state
+        # the parts left out are at rest
+        assert pack_state([1, 2, 3]) == (1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 1.0,
+                                         0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_step_validates_the_kernel_result(self):
         params = VehicleParams()
         state = resting_state()
         nxt = step_6dof(state, (0.0, 0.0, 5.0), [0.0, 0.0, 0.0], params, 1e-3)
-        assert type(nxt) is VehicleState
+        assert type(nxt) is tuple
         # a torque whose body-rate change overflows makes the result inf
         with pytest.raises(SimulationFault, match="non-finite vehicle state"):
             step_6dof(state, (0.0, 0.0, 0.0), (1e308, 0.0, 0.0), params,
                       1e-3)
 
     def test_step_returns_the_kernel_floats(self):
-        """200 random states: step_6dof returns a VehicleState of 13
-        Python floats, bit-equal (sign bits included) to the rigid-step
+        """200 random states: step_6dof returns a tuple of 13 Python
+        floats, bit-equal (sign bits included) to the rigid-step
         kernel's result on the same inputs."""
         params = VehicleParams()
         rng = np.random.default_rng(41)
@@ -211,7 +204,7 @@ class TestRigidStep:
                 params.inertia.tolist(),
                 np.linalg.inv(params.inertia).tolist(),
                 (0.0, 0.0, -GRAVITY), dt)
-            assert type(got) is VehicleState and len(got) == 13
+            assert type(got) is tuple and len(got) == 13
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -247,9 +240,13 @@ class TestRigidStep:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError, match=name):
                     VehicleParams(**{name: bad})
-        inertia = np.diag([0.02, 0.025, np.nan])
-        with pytest.raises(ConfigError, match="inertia"):
-            VehicleParams(inertia=inertia)
+        # non-finite, a dict, ragged rows and text are refused, naming
+        # the field
+        for inertia in (np.diag([0.02, 0.025, np.nan]), {1: 2},
+                        [[1, 0], [0, 1, 0]],
+                        [[1, "a", 0], [0, 1, 0], [0, 0, 1]], "inertia"):
+            with pytest.raises(ConfigError, match="^inertia must be a 3x3"):
+                VehicleParams(inertia=inertia)
         with pytest.raises(ConfigError):
             VehicleParams(mass=0.0)
 
@@ -280,15 +277,15 @@ class TestRigidStep:
         exactly ballistic."""
         params = VehicleParams()
         inertia = params.inertia
-        state = VehicleState(
+        state = pack_state(
             position=np.zeros(3), velocity=np.array([3.0, 1.0, 2.0]),
             orientation=np.array([1.0, 0.0, 0.0, 0.0]),
             body_rate=np.array([2.0, -1.5, 3.0]))
 
         def invariants(s):
-            e_rot = 0.5 * float(s.body_rate @ inertia @ s.body_rate)
-            l_world = np.array(quat.rotate(s.orientation,
-                                           inertia @ s.body_rate))
+            w = np.array(s[10:13])
+            e_rot = 0.5 * float(w @ inertia @ w)
+            l_world = np.array(quat.rotate(s[6:10], inertia @ w))
             return e_rot, l_world
 
         e0, l0 = invariants(state)
@@ -298,13 +295,13 @@ class TestRigidStep:
         e1, l1 = invariants(state)
         assert abs(e1 - e0) / e0 < 1e-6
         assert np.linalg.norm(l1 - l0) / np.linalg.norm(l0) < 1e-6
-        assert abs(np.linalg.norm(state.orientation) - 1.0) < 1e-9
-        assert state.velocity[0] == pytest.approx(3.0, abs=1e-9)
-        assert state.velocity[2] == pytest.approx(2.0 - 9.81 * 10.0, abs=1e-6)
+        assert abs(np.linalg.norm(state[6:10]) - 1.0) < 1e-9
+        assert state[3] == pytest.approx(3.0, abs=1e-9)
+        assert state[5] == pytest.approx(2.0 - 9.81 * 10.0, abs=1e-6)
 
     def test_step_is_deterministic(self):
         params = VehicleParams()
-        state = VehicleState(
+        state = pack_state(
             position=np.array([1.0, 2.0, 3.0]),
             velocity=np.array([0.3, -0.2, 0.1]),
             orientation=quat.from_axis_angle(np.array([1.0, 1.0, 0.0])
@@ -314,14 +311,13 @@ class TestRigidStep:
         tau = np.array([0.01, 0.02, -0.005])
         a = step_6dof(state, f, tau, params, 1e-3)
         b = step_6dof(state, f, tau, params, 1e-3)
-        for name in ("position", "velocity", "orientation", "body_rate"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a, b)
 
     def test_halving_dt_changes_little(self):
         # RK4 is O(dt^4); one tumbling second at 1 ms vs 0.5 ms
         params = VehicleParams()
         def run(dt):
-            s = VehicleState(
+            s = pack_state(
                 position=np.zeros(3), velocity=np.array([1.0, 0.0, 0.0]),
                 orientation=np.array([1.0, 0.0, 0.0, 0.0]),
                 body_rate=np.array([2.0, -1.5, 3.0]))
@@ -329,8 +325,8 @@ class TestRigidStep:
                 s = step_6dof(s, np.zeros(3), np.zeros(3), params, dt)
             return s
         a, b = run(1e-3), run(5e-4)
-        assert np.allclose(a.orientation, b.orientation, atol=1e-9)
-        assert np.allclose(a.position, b.position, atol=1e-9)
+        assert np.allclose(a[6:10], b[6:10], atol=1e-9)
+        assert np.allclose(a[0:3], b[0:3], atol=1e-9)
 
 
 class TestMeasuredPitch:
@@ -429,7 +425,7 @@ class TestWindForce:
         still_air, _ = realized_wrench(state, params, ActuatorCommand(),
                                        np.zeros(3), WingMode.RETRACTED)
         with_wind, _ = realized_wrench(state, params, ActuatorCommand(),
-                                       state.velocity,
+                                       state[3:6],
                                        WingMode.RETRACTED)
         assert np.all(np.array(with_wind) == 0.0)
         assert np.all(np.array(still_air) != 0.0)
@@ -696,11 +692,11 @@ class TestDragOnlyDescent:
         state = resting_state(z=0.0)
         speeds = []
         for _ in range(12000):
-            u = state.velocity  # identity attitude, body equals world
+            u = state[3:6]  # identity attitude, body equals world
             drag = _drag_body(*u, params.lateral_area, params.axial_area,
                               params.drag_cd)
             state = step_6dof(state, drag, np.zeros(3), params, 1e-3)
-            speeds.append(-state.velocity[2])
+            speeds.append(-state[5])
         speeds = np.array(speeds)
         assert np.all(np.diff(speeds) > 0.0)
         assert np.all(speeds < v_t)
@@ -795,6 +791,37 @@ class TestScenarios:
         assert not hasattr(rotor, "rotor_solidity")
         assert not hasattr(rotor, "THROTTLE_SCALE")
         assert rotor._INPUT_SCALE.hex() == "0x1.e9504fe0bcd8bp-11"
+
+    def test_command_fields_are_the_log_columns_in_order(self,
+                                                         monkeypatch):
+        """run_scenario logs the command by position, so its fields are
+        LOG_COLUMNS[14:20] in order, and each tick's row holds the command
+        saturate returned."""
+        assert ActuatorCommand._fields == ("t_d1", "t_d2", "m_dx", "m_dy",
+                                           "d_1", "d_2")
+        assert LOG_COLUMNS[14:20] == ("Td1", "Td2", "Mdx", "Mdy", "d1", "d2")
+        assert [f.replace("_", "").lower() for f in ActuatorCommand._fields] \
+            == [c.lower() for c in LOG_COLUMNS[14:20]]
+        saturate = vehicle.saturate
+        commands = []
+
+        def kept(*args):
+            cmd, s = saturate(*args)
+            commands.append(cmd)
+            return cmd, s
+
+        monkeypatch.setattr(vehicle, "saturate", kept)
+        log = run_scenario(ScenarioSpec(duration=0.05,
+                                        start_position=(0.5, -0.3, 1.2)),
+                           VehicleParams())
+        assert len(commands) == log.t.size
+        for name, column in zip(ActuatorCommand._fields,
+                                (log.td1, log.td2, log.mdx, log.mdy, log.d1,
+                                 log.d2)):
+            want = [getattr(cmd, name) for cmd in commands]
+            assert np.array_equal(column, want)
+            assert np.array_equal(np.signbit(column), np.signbit(want))
+        assert np.any(log.data[:, 14:20] != 0.0, axis=0).sum() >= 4
 
     def test_saturation_is_logged(self):
         """The mixer's thrust-priority scale is kept per tick; under the
