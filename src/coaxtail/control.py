@@ -222,50 +222,67 @@ def saturate(wrench, gains, lam):
 
 
 class VectorPid:
-    """Per-axis PID with clamped integrator. State is owned, not shared.
+    """Three-axis PID with clamped integrator. State is owned, not shared.
 
-    The gains are held as one (kp, ki, kd, i_limit) tuple of Python
-    floats per axis; the state (integral, previous error) and step's
-    output are lists of Python floats, one entry per axis.
+    Each gain holds three numbers, one per axis, kept as a tuple of
+    Python floats; the state (integral, previous error) and step's
+    output are lists of three Python floats.
     """
 
     def __init__(self, kp, ki, kd, i_limit):
-        gains = [np.asarray(g, dtype=float).ravel().tolist()
-                 for g in (kp, ki, kd, i_limit)]
-        if len({len(g) for g in gains}) != 1:
-            raise ConfigError("PID gains must have one entry per axis")
-        for name, g in zip(("kp", "ki", "kd", "i_limit"), gains):
+        gains = []
+        for name, g in zip(("kp", "ki", "kd", "i_limit"),
+                           (kp, ki, kd, i_limit)):
+            g = np.asarray(g, dtype=float).ravel().tolist()
+            if len(g) != 3:
+                raise ConfigError(f"{name} must have one entry per axis, "
+                                  f"3, got {len(g)}")
             rule = check_non_negative if name == "i_limit" else check_finite
             rule(**{f"{name}[{i}]": x for i, x in enumerate(g)})
-        self._axes = tuple(zip(*gains))
+            gains += g
+        # kp, ki, kd and i_limit, three axes each
+        self._gains = tuple(gains)
         self.reset()
 
     def reset(self):
-        self.integral = [0.0] * len(self._axes)
+        self.integral = [0.0, 0.0, 0.0]
         self._prev_err = None
 
     def step(self, err, dt):
-        """One update on err, a sequence of numbers, one per axis."""
+        """One update on err, a sequence of three numbers."""
+        # unpacked before any state changes: a wrong length raises here
+        e0, e1, e2 = err
+        (kp0, kp1, kp2, ki0, ki1, ki2, kd0, kd1, kd2,
+         lim0, lim1, lim2) = self._gains
+        a0, a1, a2 = self.integral
+        # np.clip(acc, -lim, lim), ties, signed zeros and NaN included
+        a0 = a0 + ki0 * e0 * dt
+        if a0 <= -lim0:
+            a0 = -lim0
+        if a0 >= lim0:
+            a0 = lim0
+        a1 = a1 + ki1 * e1 * dt
+        if a1 <= -lim1:
+            a1 = -lim1
+        if a1 >= lim1:
+            a1 = lim1
+        a2 = a2 + ki2 * e2 * dt
+        if a2 <= -lim2:
+            a2 = -lim2
+        if a2 >= lim2:
+            a2 = lim2
+        self.integral = [a0, a1, a2]
+        prev = self._prev_err
         # a new list, kept as _prev_err: it cannot alias the caller's err
-        err = list(err)
+        self._prev_err = [e0, e1, e2]
         # no derivative on the first step or without elapsed time
-        no_derr = self._prev_err is None or dt <= 0.0
-        prev = err if no_derr else self._prev_err
-        integral = []
-        out = []
-        for (kp, ki, kd, lim), acc, e, p in zip(
-                self._axes, self.integral, err, prev, strict=True):
-            acc = acc + ki * e * dt
-            # np.clip(acc, -lim, lim), ties, signed zeros and NaN included
-            if acc <= -lim:
-                acc = -lim
-            if acc >= lim:
-                acc = lim
-            integral.append(acc)
-            out.append(kp * e + acc + kd * (0.0 if no_derr else (e - p) / dt))
-        self.integral = integral
-        self._prev_err = err
-        return out
+        if prev is None or dt <= 0.0:
+            return [kp0 * e0 + a0 + kd0 * 0.0, kp1 * e1 + a1 + kd1 * 0.0,
+                    kp2 * e2 + a2 + kd2 * 0.0]
+        p0, p1, p2 = prev
+        return [kp0 * e0 + a0 + kd0 * ((e0 - p0) / dt),
+                kp1 * e1 + a1 + kd1 * ((e1 - p1) / dt),
+                kp2 * e2 + a2 + kd2 * ((e2 - p2) / dt)]
 
 
 # The stock cascade tuning, one entry per world (position, velocity) or

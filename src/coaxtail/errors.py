@@ -105,13 +105,19 @@ def finite_number(text, where):
 
 def float_array(value, shape):
     """value as a new float array of `shape`, or None unless it is numbers
-    in that shape (text, a dict and ragged nesting are not); NaN and inf
+    in that shape: text and booleans are not, even where numpy reads them
+    as numbers ("1", True), nor are a dict and ragged nesting; NaN and inf
     pass, for the caller's own rule."""
     try:
-        a = np.array(value, dtype=float)
+        # each entry as given: numpy would cast [True, 2] to ints first
+        items = np.array(value, dtype=object)
+        if items.shape != shape or any(
+                isinstance(x, (str, bytes, bool, np.bool_))
+                for x in items.flat):
+            return None
+        return items.astype(float)
     except (TypeError, ValueError):
         return None
-    return a if a.shape == shape else None
 
 
 def finite_vector3(value, name):

@@ -173,29 +173,35 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
     return out
 
 
-def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
+def rigid_step(y, f_body, tau_body, mass, inertia_diag, inertia_inv_diag,
+               g_world, h):
     """One RK4 step of the 13-state rigid body; quaternion renormalized.
 
     State layout [p(3), v(3), q(4, wxyz), w(3)]. Force and torque are held
     constant in the body frame over the step; gravity is a constant world
-    acceleration. Vectors and matrices are tuples or (nested) lists of
+    acceleration. The body axes are principal axes: inertia_diag holds
+    the principal moments d and inertia_inv_diag 1.0 / d, so I w and
+    I^-1 m are three products each. Vectors are tuples or lists of
     floats, such as the simulator's state and VehicleParams' unpacked
-    rows. The arithmetic runs on Python floats in the same order as an
-    element-by-element array version, so the result is the same to the
-    bit; numpy scalars would cost several times more per operation. The
-    four RK4 stages are written out, with no call per stage: each binds
-    its quaternion and body rate once, then computes the world-frame
-    acceleration (R(q) f / m + g), the quaternion rate (0.5 q ⊗ [0, w])
-    and the angular acceleration (I^-1 (tau - w x I w)). The rates depend
-    only on q and w, and the position rate of each stage is that stage's
-    velocity.
+    moments. The arithmetic runs on Python floats in the same order as an
+    element-by-element array version on the full diagonal matrices, so
+    the result is the same to the bit, save one sign of zero: a -0.0 body
+    rate whose angular acceleration is an exact zero may stay -0.0, where
+    the matrix form's +0.0 products gave +0.0 (a simulated rate starts at
+    +0.0 and never becomes -0.0). numpy scalars would cost several times
+    more per operation. The four RK4 stages are written out, with no call
+    per stage: each binds its quaternion and body rate once, then computes
+    the world-frame acceleration (R(q) f / m + g), the quaternion rate
+    (0.5 q ⊗ [0, w]) and the angular acceleration (I^-1 (tau - w x I w)).
+    The rates depend only on q and w, and the position rate of each stage
+    is that stage's velocity.
     Returns the new state as a tuple of 13 floats.
     """
     f0, f1, f2 = f_body
     t0, t1, t2 = tau_body
     g0, g1, g2 = g_world
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = inertia_inv
+    ix, iy, iz = inertia_diag
+    jx, jy, jz = inertia_inv_diag
     inv_mass = 1.0 / mass
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
     half = 0.5 * h
@@ -214,15 +220,11 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     q1x = 0.5 * (qw * wx + qy * wz - qz * wy)
     q1y = 0.5 * (qw * wy - qx * wz + qz * wx)
     q1z = 0.5 * (qw * wz + qx * wy - qy * wx)
-    hx = i00 * wx + i01 * wy + i02 * wz
-    hy = i10 * wx + i11 * wy + i12 * wz
-    hz = i20 * wx + i21 * wy + i22 * wz
+    hx, hy, hz = ix * wx, iy * wy, iz * wz
     mx = t0 - (wy * hz - wz * hy)
     my = t1 - (wz * hx - wx * hz)
     mz = t2 - (wx * hy - wy * hx)
-    w1x = j00 * mx + j01 * my + j02 * mz
-    w1y = j10 * mx + j11 * my + j12 * mz
-    w1z = j20 * mx + j21 * my + j22 * mz
+    w1x, w1y, w1z = jx * mx, jy * my, jz * mz
 
     # stage 2 at (q + h/2 q1, w + h/2 w1)
     v2x, v2y, v2z = vx + half * a1x, vy + half * a1y, vz + half * a1z
@@ -241,15 +243,11 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     q2x = 0.5 * (Qw * Wx + Qy * Wz - Qz * Wy)
     q2y = 0.5 * (Qw * Wy - Qx * Wz + Qz * Wx)
     q2z = 0.5 * (Qw * Wz + Qx * Wy - Qy * Wx)
-    hx = i00 * Wx + i01 * Wy + i02 * Wz
-    hy = i10 * Wx + i11 * Wy + i12 * Wz
-    hz = i20 * Wx + i21 * Wy + i22 * Wz
+    hx, hy, hz = ix * Wx, iy * Wy, iz * Wz
     mx = t0 - (Wy * hz - Wz * hy)
     my = t1 - (Wz * hx - Wx * hz)
     mz = t2 - (Wx * hy - Wy * hx)
-    w2x = j00 * mx + j01 * my + j02 * mz
-    w2y = j10 * mx + j11 * my + j12 * mz
-    w2z = j20 * mx + j21 * my + j22 * mz
+    w2x, w2y, w2z = jx * mx, jy * my, jz * mz
 
     # stage 3 at (q + h/2 q2, w + h/2 w2)
     v3x, v3y, v3z = vx + half * a2x, vy + half * a2y, vz + half * a2z
@@ -268,15 +266,11 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     q3x = 0.5 * (Qw * Wx + Qy * Wz - Qz * Wy)
     q3y = 0.5 * (Qw * Wy - Qx * Wz + Qz * Wx)
     q3z = 0.5 * (Qw * Wz + Qx * Wy - Qy * Wx)
-    hx = i00 * Wx + i01 * Wy + i02 * Wz
-    hy = i10 * Wx + i11 * Wy + i12 * Wz
-    hz = i20 * Wx + i21 * Wy + i22 * Wz
+    hx, hy, hz = ix * Wx, iy * Wy, iz * Wz
     mx = t0 - (Wy * hz - Wz * hy)
     my = t1 - (Wz * hx - Wx * hz)
     mz = t2 - (Wx * hy - Wy * hx)
-    w3x = j00 * mx + j01 * my + j02 * mz
-    w3y = j10 * mx + j11 * my + j12 * mz
-    w3z = j20 * mx + j21 * my + j22 * mz
+    w3x, w3y, w3z = jx * mx, jy * my, jz * mz
 
     # stage 4 at (q + h q3, w + h w3)
     v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
@@ -295,15 +289,11 @@ def rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv, g_world, h):
     q4x = 0.5 * (Qw * Wx + Qy * Wz - Qz * Wy)
     q4y = 0.5 * (Qw * Wy - Qx * Wz + Qz * Wx)
     q4z = 0.5 * (Qw * Wz + Qx * Wy - Qy * Wx)
-    hx = i00 * Wx + i01 * Wy + i02 * Wz
-    hy = i10 * Wx + i11 * Wy + i12 * Wz
-    hz = i20 * Wx + i21 * Wy + i22 * Wz
+    hx, hy, hz = ix * Wx, iy * Wy, iz * Wz
     mx = t0 - (Wy * hz - Wz * hy)
     my = t1 - (Wz * hx - Wx * hz)
     mz = t2 - (Wx * hy - Wy * hx)
-    w4x = j00 * mx + j01 * my + j02 * mz
-    w4y = j10 * mx + j11 * my + j12 * mz
-    w4z = j20 * mx + j21 * my + j22 * mz
+    w4x, w4y, w4z = jx * mx, jy * my, jz * mz
 
     sixth = h / 6.0
     ow = qw + sixth * (q1w + 2.0 * q2w + 2.0 * q3w + q4w)

@@ -71,7 +71,8 @@ _TANDEM = TandemConfig(
 @dataclass(frozen=True)
 class VehicleParams:
     mass: float = MASS
-    # any 3x3 array-like; held as a read-only float array
+    # a diagonal 3x3 array-like (principal axes); held as a read-only
+    # float array
     inertia: np.ndarray = ((0.022, 0.0, 0.0),
                            (0.0, 0.025, 0.0),
                            (0.0, 0.0, 0.010))
@@ -87,17 +88,20 @@ class VehicleParams:
                        lateral_area=self.lateral_area,
                        axial_area=self.axial_area,
                        aft_speed_per_count=self.aft_speed_per_count)
-        # a read-only copy: the rows unpacked below must not go stale
+        # a read-only copy: the moments unpacked below must not go stale
         inertia = finite_matrix3(self.inertia, "inertia")
-        if not np.allclose(inertia, inertia.T, atol=1e-12):
-            raise ConfigError("inertia must be symmetric")
-        if np.any(np.linalg.eigvalsh(inertia) <= 0.0):
-            raise ConfigError("inertia must be positive definite")
+        diag = inertia.diagonal().tolist()
+        if np.count_nonzero(inertia) > np.count_nonzero(diag):
+            raise ConfigError("inertia must be diagonal (principal axes): "
+                              "products of inertia are not modelled")
+        if not min(diag) > 0.0:
+            raise ConfigError(f"inertia's diagonal entries must be positive, "
+                              f"got {diag}")
         object.__setattr__(self, "inertia", inertia)
-        # unpacked once for the rigid-step kernel
-        object.__setattr__(self, "_inertia_rows", inertia.tolist())
-        object.__setattr__(self, "_inertia_inv_rows",
-                           np.linalg.inv(inertia).tolist())
+        # the principal moments and their inverses, unpacked once for the
+        # rigid-step kernel; 1.0 / d is np.linalg.inv's diagonal to the bit
+        object.__setattr__(self, "_inertia_diag", diag)
+        object.__setattr__(self, "_inertia_inv_diag", [1.0 / d for d in diag])
 
 
 _STATE_PARTS = (("position", 3), ("velocity", 3), ("orientation", 4),
@@ -167,7 +171,7 @@ def step_6dof(state, force_body, torque_body, params, dt):
             and isfinite(tx) and isfinite(ty) and isfinite(tz)):
         raise SimulationFault("non-finite force or torque input")
     out = kernels.rigid_step(state, force_body, torque_body, params.mass,
-                             params._inertia_rows, params._inertia_inv_rows,
+                             params._inertia_diag, params._inertia_inv_diag,
                              _G_WORLD, dt)
     _check_state(out)
     return out

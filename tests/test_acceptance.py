@@ -9,7 +9,6 @@ run still shows the full scoreboard.
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from coaxtail import quat
 from coaxtail.aero import TandemConfig, WingMode, WingPanel, pitch_moment, \
     stability_margin, static_stability_check
 from coaxtail.analysis import TimeSeries, avg_psd_db, default_mean_window, \
-    load_scenario, mean_subtract, peak_to_peak_reduction, psd
+    mean_subtract, peak_to_peak_reduction, psd
 from coaxtail.control import AllocationGains, Wrench, forward_model, mix
 from coaxtail.propulsion import average_power, crossover_ratio, \
     fixture_config_powers
@@ -26,8 +25,6 @@ from coaxtail.rotor import SplmParams, _INPUT_SCALE, bench_torque_series, \
     integrate, steady_state, stiffness_matrix
 from coaxtail.vehicle import ScenarioSpec, VehicleParams, pack_state, \
     run_scenario, step_6dof, transition_profile
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(num, label, checks, timing=""):
@@ -286,12 +283,6 @@ class TestCriterion6:
         report(6, "static stability", checks, f"slope err {slope_err:.1e}")
 
 
-def _wind_case(mode):
-    """The shipped gust scenario with the wings fixed in `mode`, loaded
-    from configs/wind_<mode>.cfg: (spec, vehicle params)."""
-    return load_scenario(CONFIG_DIR / f"wind_{mode.value}.cfg")
-
-
 def _scaled_wings(params, scale):
     """params with both wing panels' areas times scale."""
     t = params.tandem
@@ -301,7 +292,7 @@ def _scaled_wings(params, scale):
 
 
 class TestCriterion7:
-    def test_wind_rejection(self):
+    def test_wind_rejection(self, shipped_run):
         runtimes = []
 
         def peak(spec, params):
@@ -310,9 +301,16 @@ class TestCriterion7:
             runtimes.append(time.perf_counter() - t0)
             return log.peak_deviation(spec.position, t_min=spec.wind.start)
 
-        spec, params = _wind_case(WingMode.EXTENDED)
-        dev_ext = peak(spec, params)
-        dev_ret = peak(*_wind_case(WingMode.RETRACTED))
+        def shipped_peak(mode):
+            spec, _, log, seconds = shipped_run(f"wind_{mode.value}")
+            runtimes.append(seconds)
+            return log.peak_deviation(spec.position, t_min=spec.wind.start)
+
+        # the shipped gust scenario, configs/wind_<mode>.cfg, with the
+        # wings fixed in each mode
+        spec, params, _, _ = shipped_run("wind_extended")
+        dev_ext = shipped_peak(WingMode.EXTENDED)
+        dev_ret = shipped_peak(WingMode.RETRACTED)
         ratio = dev_ret / dev_ext
 
         devs = [dev_ext if scale == 1.0 else peak(
@@ -328,7 +326,7 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_transition(self):
+    def test_transition(self, shipped_run):
         profile_exact = (
             transition_profile(0.0) == pytest.approx(math.radians(-10.0),
                                                      abs=1e-12)
@@ -337,10 +335,7 @@ class TestCriterion8:
             and transition_profile(44.0) == 0.0
             and transition_profile(90.0) == 0.0)
 
-        spec, params = load_scenario(CONFIG_DIR / "transition.cfg")
-        t0 = time.perf_counter()
-        log = run_scenario(spec, params)
-        elapsed = time.perf_counter() - t0
+        _, _, log, elapsed = shipped_run("transition")
 
         # the ramp (2-22 s) and the last second of the cruise hold (41-42 s)
         rms_deg, speed = log.transition_tracking()

@@ -17,6 +17,7 @@ from coaxtail.analysis import (
     DB_FLOOR,
     _SCENARIO_SCHEMA,
     _build_parser,
+    _finite_float,
     PsdResult,
     TimeSeries,
     avg_psd_db,
@@ -770,12 +771,12 @@ class TestCli:
             "ba731e802322d3d848a776b75cc36f2b1cb7b8d0b34d8d9a56c6b1887d143e39")
 
     @pytest.mark.parametrize("mode", ["retracted", "extended"])
-    def test_shipped_wind_config_peak_is_the_post_gust_peak(self, mode):
+    def test_shipped_wind_config_peak_is_the_post_gust_peak(self, mode,
+                                                           shipped_run):
         """simulate's peak_deviation_m of a shipped wind config, taken over
         the whole run, is the peak after the gust starts, bit for bit: the
         vehicle holds its target until the wind arrives."""
-        spec, params = load_scenario(PROPS_DIR.parent / f"wind_{mode}.cfg")
-        log = run_scenario(spec, params)
+        spec, _, log, _ = shipped_run(f"wind_{mode}")
         target = np.asarray(spec.position)
         whole = log.peak_deviation(target)
         assert whole > 0.0
@@ -1217,8 +1218,8 @@ class TestCli:
             fields = dict(kv.split("=", 1) for kv in lines[2].split())
             assert fields == {"sat_clip_fraction": "0", "sat_min_scale": "1"}
 
-    def test_shipped_transition_never_clips(self):
-        log = run_scenario(*load_scenario(PROPS_DIR.parent / "transition.cfg"))
+    def test_shipped_transition_never_clips(self, shipped_run):
+        log = shipped_run("transition")[2]
         assert log.saturation() == (0.0, 1.0)
 
 
@@ -1238,12 +1239,15 @@ REQUIRED_ARGS = {
 
 class TestCliFloatFlags:
     def test_table_lists_every_float_flag(self):
+        """The float flags are those parsed by _finite_float; none uses the
+        bare float, which would let NaN and inf through."""
         sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         found = {}
         for name, parser in sub.choices.items():
+            assert all(a.type is not float for a in parser._actions), name
             flags = tuple(a.option_strings[0] for a in parser._actions
-                          if a.type not in (None, int))
+                          if a.type is _finite_float)
             if flags:
                 found[name] = flags
         assert found == FLOAT_FLAGS

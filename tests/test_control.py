@@ -589,18 +589,28 @@ class TestQuaternionFloatForms:
         assert degenerate > 20
 
 
+def on_axis(axis, value, rest=0.0):
+    """Three PID entries: value on axis, rest on the other two."""
+    return tuple(value if i == axis else rest for i in range(3))
+
+
 class TestVectorPid:
     def test_integrator_clamps(self):
-        pid = VectorPid(kp=(0.0,), ki=(1.0,), kd=(0.0,), i_limit=(0.5,))
-        for _ in range(1000):
-            out = pid.step(np.array([10.0]), 0.01)
-        assert out[0] == pytest.approx(0.5)
-        assert abs(pid.integral[0]) <= 0.5
+        for axis in range(3):
+            pid = VectorPid(kp=(0.0,) * 3, ki=on_axis(axis, 1.0),
+                            kd=(0.0,) * 3, i_limit=on_axis(axis, 0.5))
+            for _ in range(1000):
+                out = pid.step(np.array(on_axis(axis, 10.0)), 0.01)
+            assert out[axis] == pytest.approx(0.5)
+            assert abs(pid.integral[axis]) <= 0.5
 
     def test_first_derivative_is_zero(self):
-        pid = VectorPid(kp=(0.0,), ki=(0.0,), kd=(1.0,), i_limit=(0.0,))
-        assert pid.step(np.array([3.0]), 0.01)[0] == 0.0
-        assert pid.step(np.array([4.0]), 0.01)[0] == pytest.approx(100.0)
+        for axis in range(3):
+            pid = VectorPid(kp=(0.0,) * 3, ki=(0.0,) * 3,
+                            kd=on_axis(axis, 1.0), i_limit=(0.0,) * 3)
+            assert pid.step(np.array(on_axis(axis, 3.0)), 0.01)[axis] == 0.0
+            assert pid.step(np.array(on_axis(axis, 4.0)), 0.01)[axis] \
+                == pytest.approx(100.0)
 
     def test_no_derivative_on_the_first_step_or_without_elapsed_time(self):
         """The first step and a step with dt <= 0 add kd * 0.0: the
@@ -685,16 +695,32 @@ class TestVectorPid:
     def test_clamp_matches_np_clip(self, acc, lim):
         """The integral after one step equals np.clip of the unclamped sum
         on arrays, as the controller's reference takes it: NaN stays NaN,
-        +-limit and signed zeros keep their bits."""
+        +-limit and signed zeros keep their bits. The case runs on each
+        axis in turn, the other two holding a zero integral under a unit
+        limit. The output is the reference's too, its first step's
+        kd * 0.0 included (it turns a -0.0 sum into +0.0)."""
         acc = {"lim": lim, "-lim": -lim, "2lim+1": 2.0 * lim + 1.0,
                "-2lim-1": -2.0 * lim - 1.0}.get(acc, acc)
-        pid = VectorPid(kp=(0.0,), ki=(1.0,), kd=(0.0,), i_limit=(lim,))
-        pid.integral = [acc]
-        pid.step([-0.0], 1.0)  # acc + 1.0 * -0.0 * 1.0 is acc, bit for bit
-        want = np.clip(np.array([acc]), -np.array([lim]), np.array([lim]))
-        got = np.array(pid.integral)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for axis in range(3):
+            limits = on_axis(axis, lim, 1.0)
+            pid = VectorPid(kp=(0.0,) * 3, ki=(1.0,) * 3, kd=(0.0,) * 3,
+                            i_limit=limits)
+            pid.integral = list(on_axis(axis, acc))
+            # acc + 1.0 * -0.0 * 1.0 is acc, bit for bit
+            out = np.array(pid.step([-0.0] * 3, 1.0))
+            want = np.clip(np.array(on_axis(axis, acc)), -np.array(limits),
+                           np.array(limits))
+            got = np.array(pid.integral)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            ref = {"integral": np.array(on_axis(axis, acc)), "prev": None}
+            want_out = reference_pid_step(ref, np.zeros(3), np.ones(3),
+                                          np.zeros(3), np.array(limits),
+                                          [-0.0] * 3, 1.0)
+            assert np.array_equal(out, want_out, equal_nan=True)
+            keep = ~np.isnan(want_out)
+            assert np.array_equal(np.signbit(out[keep]),
+                                  np.signbit(want_out[keep]))
 
     def test_wrong_length_error_is_refused(self):
         """An err with too few or too many axes raises and leaves the
@@ -712,24 +738,82 @@ class TestVectorPid:
     @pytest.mark.parametrize("gain", ["kp", "ki", "kd", "i_limit"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_gain_is_refused_by_name(self, gain, bad):
-        gains = {"kp": (1.0, 1.0), "ki": (1.0, 1.0), "kd": (0.0, 0.0),
-                 "i_limit": (0.5, 0.5)}
-        gains[gain] = (1.0, bad)
-        with pytest.raises(ConfigError, match=rf"^{gain}\[1\] must be "):
-            VectorPid(**gains)
+        for axis in range(3):
+            gains = {"kp": (1.0,) * 3, "ki": (1.0,) * 3, "kd": (0.0,) * 3,
+                     "i_limit": (0.5,) * 3}
+            gains[gain] = on_axis(axis, bad, 1.0)
+            with pytest.raises(ConfigError,
+                               match=rf"^{gain}\[{axis}\] must be "):
+                VectorPid(**gains)
 
     def test_negative_integrator_limit_is_refused(self):
-        with pytest.raises(ConfigError, match=r"^i_limit\[0\] must be non-neg"):
-            VectorPid((1.0,), (1.0,), (0.0,), (-0.5,))
+        for axis in range(3):
+            with pytest.raises(ConfigError,
+                               match=rf"^i_limit\[{axis}\] must be non-neg"):
+                VectorPid((1.0,) * 3, (1.0,) * 3, (0.0,) * 3,
+                          on_axis(axis, -0.5, 0.5))
+
+    @pytest.mark.parametrize("gain", ["kp", "ki", "kd", "i_limit"])
+    def test_gains_hold_three_entries(self, gain):
+        """A gain of 1, 2 or 4 entries (or a bare number) is refused,
+        naming the gain and its count."""
+        for bad, count in (((0.5,), 1), ((0.5, 0.5), 2), ((0.5,) * 4, 4),
+                           (0.5, 1), ((), 0)):
+            gains = {"kp": (1.0,) * 3, "ki": (1.0,) * 3, "kd": (0.0,) * 3,
+                     "i_limit": (0.5,) * 3}
+            gains[gain] = bad
+            with pytest.raises(ConfigError,
+                               match=rf"^{gain} must have one entry per "
+                                     rf"axis, 3, got {count}$"):
+                VectorPid(**gains)
+
+    def test_three_axis_step_matches_the_array_form(self):
+        """Random episodes against reference_pid_step: errors with signed
+        zeros, NaN errors that make the integral NaN, and integrals that
+        land exactly on +-limit (a zero error on a clamped axis, or a zero
+        limit). Output, integral and previous error agree to the bit."""
+        rng = np.random.default_rng(34)
+        ties = nans = 0
+        for episode in range(40):
+            kp, ki, kd = (rng.uniform(0.0, 3.0, 3) for _ in range(3))
+            i_limit = rng.choice([0.0, 0.25, 0.5, 2.0], 3)
+            pid = VectorPid(kp, ki, kd, i_limit)
+            ref = {"integral": np.zeros(3), "prev": None}
+            dt = float(rng.choice([1e-3, 4e-3, 1.0]))
+            for _ in range(80):
+                err = rng.normal(size=3) * rng.choice([1e-3, 1.0, 1e3])
+                i = rng.integers(3)
+                kind = rng.integers(4)
+                if kind == 0:
+                    err[i] = rng.choice([0.0, -0.0])
+                elif kind == 1:
+                    err[:] = rng.choice([0.0, -0.0], 3)
+                elif kind == 2 and episode % 6 == 0:
+                    err[i] = math.nan
+                unclamped = ref["integral"] + ki * err * dt
+                ties += np.count_nonzero(np.abs(unclamped) == i_limit)
+                got = np.array(pid.step(err.tolist(), dt))
+                want = reference_pid_step(ref, kp, ki, kd, i_limit, err, dt)
+                integral = np.array(pid.integral)
+                nans += np.count_nonzero(np.isnan(integral))
+                for a, b in ((got, want), (integral, ref["integral"]),
+                             (np.array(pid._prev_err), ref["prev"])):
+                    assert np.array_equal(a, b, equal_nan=True)
+                    keep = ~np.isnan(b)
+                    assert np.array_equal(np.signbit(a[keep]),
+                                          np.signbit(b[keep]))
+        assert ties > 1_000 and nans > 1_000, (ties, nans)
 
     def test_previous_error_is_a_copy(self):
         """A caller that reuses its error array does not change the next
         derivative."""
-        pid = VectorPid(kp=(0.0,), ki=(0.0,), kd=(1.0,), i_limit=(0.0,))
-        err = np.array([3.0])
-        pid.step(err, 0.01)
-        err[0] = 4.0
-        assert pid.step(err, 0.01)[0] == pytest.approx(100.0)
+        for axis in range(3):
+            pid = VectorPid(kp=(0.0,) * 3, ki=(0.0,) * 3,
+                            kd=on_axis(axis, 1.0), i_limit=(0.0,) * 3)
+            err = np.array(on_axis(axis, 3.0))
+            pid.step(err, 0.01)
+            err[axis] = 4.0
+            assert pid.step(err, 0.01)[axis] == pytest.approx(100.0)
 
 
 class TestCascade:

@@ -12,8 +12,8 @@ import pytest
 from coaxtail.aero import TandemConfig, WingPanel, pitch_moment
 from coaxtail.analysis import PsdResult
 from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
-                             check_positive, finite_number, read_number_rows,
-                             whole_count)
+                             check_positive, finite_number, float_array,
+                             read_number_rows, whole_count)
 from coaxtail.propulsion import (ConfigPower, PropellerTable, RpmSheet,
                                  advance_ratio, thrust_power)
 from coaxtail.vehicle import (VehicleParams, pack_state, step_6dof,
@@ -55,6 +55,23 @@ class TestNumberRules:
         for text in ("abc", "", "nan", "inf", "-infinity", "1e999"):
             with pytest.raises(ConfigError, match="^f.cfg: k must be a finite"):
                 finite_number(text, "f.cfg: k")
+
+
+def test_float_array_keeps_numbers_as_numpy_reads_them():
+    """Numbers of any numeric type convert as np.array(value, dtype=float)
+    converts them, NaN and inf included; text and booleans give None."""
+    for value in ([1, 2.5, -0.0], np.arange(3, dtype=np.int32),
+                  np.array([0.1, 0.2, 0.3], dtype=np.float32),
+                  [np.float64(1.5), 2, math.nan], (math.inf, -1, 10**20)):
+        got = float_array(value, (3,))
+        want = np.array(value, dtype=float)
+        assert got.dtype == float
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for value in (["1", "2", "3"], [True, 2.0, 3.0], np.ones(3, dtype=bool),
+                  [1.0, "2", 3.0], "123", {0: 1.0}, [[1.0], 2.0, 3.0]):
+        assert float_array(value, (3,)) is None, value
+    assert float_array([1.0, 2.0], (3,)) is None
 
 
 class TestReadNumberRows:

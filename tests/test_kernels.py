@@ -1,5 +1,6 @@
 """Numerical kernels: rotor trajectory and rigid-body RK4 step."""
 
+import itertools
 import math
 
 import numpy as np
@@ -38,14 +39,14 @@ def rigid_args():
     y = np.zeros(13)
     y[6] = 1.0
     y[10:13] = [0.3, -1.1, 0.6]
-    inertia = np.diag([0.011, 0.012, 0.004])
+    moments = [0.011, 0.012, 0.004]
     return (
         y.tolist(),
         [0.2, -0.1, 11.0],
         [0.001, 0.02, -0.004],
         1.2,
-        inertia.tolist(),
-        np.linalg.inv(inertia).tolist(),
+        moments,
+        [1.0 / d for d in moments],
         [0.0, 0.0, -9.81],
         1e-3,
     )
@@ -230,28 +231,84 @@ def reference_rigid_step(y, f_body, tau_body, mass, inertia, inertia_inv,
     return out
 
 
+def principal_args(rng, moments, y, torque):
+    """(kernel arguments, reference arguments) of one rigid step: the
+    kernel takes the principal moments and their inverses 1.0 / d, the
+    full-matrix reference np.diag(d) and its np.linalg.inv."""
+    force = rng.normal(size=3) * 10.0
+    mass = rng.uniform(0.3, 5.0)
+    g = np.array([0.0, 0.0, -rng.uniform(0.0, 10.0)])
+    h = rng.choice([1e-3, 5e-4, 1e-4])
+    y, torque = np.asarray(y, dtype=float), np.asarray(torque, dtype=float)
+    inertia = np.diag(moments)
+    kernel = (y.tolist(), force.tolist(), torque.tolist(), float(mass),
+              moments.tolist(), (1.0 / moments).tolist(), g.tolist(),
+              float(h))
+    ref = (y, force, torque, mass, inertia, np.linalg.inv(inertia), g, h)
+    return kernel, ref
+
+
 class TestRigidKernel:
     def test_matches_array_reference_bit_for_bit(self):
+        """The principal-axis kernel equals the full-matrix reference fed
+        np.diag(d) and its np.linalg.inv, so every product it drops was an
+        exact zero. Signed zeros appear in the state, among the body rates
+        and among the torques: a body rate that is zero is +0.0 there (the
+        sign a simulated rate can hold), or -0.0 beside a torque that is
+        not zero; test_negative_zero_rate_on_a_torque_free_axis covers the
+        rest."""
         rng = np.random.default_rng(20261018)
-        for case in range(200):
+        for case in range(400):
             y = rng.normal(size=13) * rng.choice([1e-3, 1.0, 30.0])
             q = rng.normal(size=4)
             y[6:10] = q / np.linalg.norm(q)
+            torque = rng.normal(size=3) * 0.1
             if case % 10 == 0:
                 y[rng.integers(13)] = -0.0
-            a = rng.normal(size=(3, 3)) * 0.05
-            inertia = a @ a.T + np.diag(rng.uniform(0.002, 0.03, 3))
-            args = (y, rng.normal(size=3) * 10.0, rng.normal(size=3) * 0.1,
-                    rng.uniform(0.3, 5.0), inertia, np.linalg.inv(inertia),
-                    np.array([0.0, 0.0, -rng.uniform(0.0, 10.0)]),
-                    rng.choice([1e-3, 5e-4, 1e-4]))
-            # the kernel takes lists of Python floats
-            got = kernels.rigid_step(*(np.asarray(a).tolist() for a in args))
-            want = reference_rigid_step(*args)
+            elif case % 10 in (1, 2):
+                # a zero rate and a signed-zero torque on random axes
+                for i in rng.choice(3, rng.integers(1, 4), replace=False):
+                    y[10 + i] = 0.0
+                for i in rng.choice(3, rng.integers(1, 4), replace=False):
+                    torque[i] = rng.choice([0.0, -0.0])
+            elif case % 10 == 3:
+                # -0.0 rates about axes that feel a torque
+                for i in rng.choice(3, rng.integers(1, 4), replace=False):
+                    y[10 + i] = -0.0
+            moments = rng.uniform(0.002, 0.03, 3) * rng.choice([1e-3, 1.0,
+                                                                 50.0])
+            args, ref = principal_args(rng, moments, y, torque)
+            got = kernels.rigid_step(*args)
+            want = reference_rigid_step(*ref)
             assert isinstance(got, tuple) and len(got) == 13
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    def test_negative_zero_rate_on_a_torque_free_axis(self):
+        """Every body rate and torque from {+0.0, -0.0, 1, -1}: the kernel
+        equals the full-matrix reference in value throughout, and in sign
+        bits too unless a rate is -0.0. That is the one place the two
+        part: a body rate of -0.0 whose angular acceleration is an exact
+        zero can keep its -0.0, where the matrix form's +0.0 products made
+        it +0.0."""
+        rng = np.random.default_rng(8)
+        moments = np.array([0.022, 0.025, 0.010])
+        signed = (0.0, -0.0, 1.0, -1.0)
+        parted = 0
+        for rates in itertools.product(signed, repeat=3):
+            for torque in itertools.product(signed, repeat=3):
+                y = np.zeros(13)
+                y[6], y[10:13] = 1.0, rates
+                args, ref = principal_args(rng, moments, y, torque)
+                got = np.array(kernels.rigid_step(*args))
+                want = reference_rigid_step(*ref)
+                assert np.array_equal(got, want)
+                differ = np.signbit(got) != np.signbit(want)
+                may = np.zeros(13, dtype=bool)
+                may[10:13] = np.signbit(rates) & (got[10:13] == 0.0)
+                assert not np.any(differ & ~may), (rates, torque)
+                parted += np.any(differ)
+        assert parted > 0
 
     def test_quaternion_stays_normalized(self):
         y = rigid_args()[0]
@@ -274,7 +331,7 @@ class TestRigidKernel:
         args[1] = [0.0, 0.0, 0.0]
         args[2] = [0.0, 0.0, 0.0]
         args[6] = [0.0, 0.0, 0.0]   # no gravity
-        inertia = np.array(args[4])
+        inertia = np.diag(args[4])
         y = args[0]
 
         def world_momentum(y):

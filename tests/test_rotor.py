@@ -69,10 +69,14 @@ class TestParamsValidation:
             assert m is not getattr(b, name)
 
     def test_bad_shape_rejected(self):
-        """A wrong shape, ragged rows, text or a dict is refused with a
-        ConfigError naming the matrix, not a raw ValueError or TypeError."""
+        """A wrong shape, ragged rows, text (numeric text too), booleans or
+        a dict is refused with a ConfigError naming the matrix, not a raw
+        ValueError or TypeError, nor read as numbers."""
         for bad in (np.eye(2), [[1, 0], [0, 1, 0], [0, 0, 1]],
-                    [[1, "a", 0], [0, 1, 0], [0, 0, 1]], {1: 2}, "eye"):
+                    [[1, "a", 0], [0, 1, 0], [0, 0, 1]], {1: 2}, "eye",
+                    [["1", "0.25", "0"], ["0.25", "1", "0"], ["0", "0", "1"]],
+                    np.eye(3, dtype=bool), [[1.0, 0.0, 0.0], [0.0, True, 0.0],
+                                            [0.0, 0.0, 1.0]]):
             for name in ("inertia", "damping", "stiffness_const"):
                 with pytest.raises(ConfigError,
                                    match=f"^{name} must be a 3x3 matrix"):

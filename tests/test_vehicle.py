@@ -79,11 +79,10 @@ class TestRigidStep:
         zero = (0.0, 0.0, 0.0)
         # principal axis spin
         y = (0.0, 0.0, 0.0, 1.0, -2.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.3)
+        moments = np.diag(params.inertia).tolist()
         for _ in range(10000):
-            y = kernels.rigid_step(y, zero, zero, params.mass,
-                                   params.inertia.tolist(),
-                                   np.linalg.inv(params.inertia).tolist(),
-                                   zero, 1e-3)
+            y = kernels.rigid_step(y, zero, zero, params.mass, moments,
+                                   [1.0 / d for d in moments], zero, 1e-3)
         assert np.allclose(y[3:6], [1.0, -2.0, 0.5], atol=1e-12)
         assert np.allclose(y[10:13], [0.0, 0.0, 1.3], atol=1e-12)
 
@@ -140,12 +139,16 @@ class TestRigidStep:
             pack_state(position=np.zeros(4), velocity=np.zeros(2),
                        orientation=np.array([1.0, 0, 0, 0]),
                        body_rate=np.zeros(3))
-        # text, a dict or a ragged part is refused the same way, naming
-        # the part
+        # text (numeric text too), booleans, a dict or a ragged part is
+        # refused the same way, naming the part
         for name, size, bad in (("position", 3, [1, "a", 2]),
                                 ("velocity", 3, {0: 1.0, 1: 2.0, 2: 3.0}),
                                 ("orientation", 4, [1.0, [0.0, 0.0], 0.0]),
-                                ("body_rate", 3, "abc")):
+                                ("body_rate", 3, "abc"),
+                                ("position", 3, ["1", "2", "3"]),
+                                ("position", 3, [b"1", b"2", b"3"]),
+                                ("position", 3, [True, False, 1]),
+                                ("body_rate", 3, [0.0, np.True_, 0.0])):
             with pytest.raises(ConfigError,
                                match=f"^{name} must hold {size} numbers$"):
                 pack_state(**{"position": (0.0, 0.0, 0.0), name: bad})
@@ -201,8 +204,8 @@ class TestRigidStep:
             got = step_6dof(state, force, torque, params, dt)
             want = kernels.rigid_step(
                 y.tolist(), force, torque, params.mass,
-                params.inertia.tolist(),
-                np.linalg.inv(params.inertia).tolist(),
+                np.diag(params.inertia).tolist(),
+                (1.0 / np.diag(params.inertia)).tolist(),
                 (0.0, 0.0, -GRAVITY), dt)
             assert type(got) is tuple and len(got) == 13
             assert all(type(v) is float for v in got)
@@ -240,15 +243,52 @@ class TestRigidStep:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError, match=name):
                     VehicleParams(**{name: bad})
-        # non-finite, a dict, ragged rows and text are refused, naming
-        # the field
+        # non-finite, a dict, ragged rows, text (numeric text too) and
+        # booleans are refused, naming the field
         for inertia in (np.diag([0.02, 0.025, np.nan]), {1: 2},
                         [[1, 0], [0, 1, 0]],
-                        [[1, "a", 0], [0, 1, 0], [0, 0, 1]], "inertia"):
+                        [[1, "a", 0], [0, 1, 0], [0, 0, 1]], "inertia",
+                        np.array([["0.02", "0", "0"], ["0", "0.025", "0"],
+                                  ["0", "0", "0.01"]]),
+                        np.eye(3, dtype=bool)):
             with pytest.raises(ConfigError, match="^inertia must be a 3x3"):
                 VehicleParams(inertia=inertia)
         with pytest.raises(ConfigError):
             VehicleParams(mass=0.0)
+
+    def test_params_inertia_is_principal(self):
+        """A product of inertia is refused by name, as is a principal
+        moment that is not positive; a -0.0 product is a zero. The kernel
+        reads the diagonal and 1.0 / d, which is np.linalg.inv's diagonal
+        to the bit."""
+        for i, j in ((0, 1), (1, 0), (0, 2), (2, 1)):
+            for product in (1e-4, -1e-300):
+                inertia = np.diag([0.022, 0.025, 0.010])
+                inertia[i, j] = product
+                with pytest.raises(ConfigError,
+                                   match="^inertia must be diagonal"):
+                    VehicleParams(inertia=inertia)
+        for moment in (0.0, -0.0, -0.01):
+            with pytest.raises(ConfigError, match="^inertia's diagonal "
+                                                  "entries must be positive"):
+                VehicleParams(inertia=np.diag([0.022, moment, 0.010]))
+        signed = np.diag([0.022, 0.025, 0.010])
+        signed[0, 1] = signed[2, 0] = -0.0
+        p = VehicleParams(inertia=signed)
+        assert p._inertia_diag == [0.022, 0.025, 0.010]
+        rng = np.random.default_rng(33)
+        moments = rng.uniform(1e-4, 1.0, (20_000, 3)) \
+            * rng.choice([1e-3, 1.0, 1e3], (20_000, 1))
+        full = np.zeros((20_000, 3, 3))
+        full[:, [0, 1, 2], [0, 1, 2]] = moments
+        inv = np.linalg.inv(full)
+        assert np.array_equal(inv[:, [0, 1, 2], [0, 1, 2]], 1.0 / moments)
+        assert np.count_nonzero(inv - inv * np.eye(3)) == 0
+        assert not np.signbit(inv).any()
+        for d in moments[:50]:
+            p = VehicleParams(inertia=np.diag(d))
+            assert p._inertia_diag == d.tolist()
+            assert p._inertia_inv_diag == (1.0 / d).tolist()
 
     def test_params_defaults_are_the_stock_airframe(self):
         """The inertia default is a fresh read-only array per instance;
@@ -869,11 +909,10 @@ class TestScenarios:
         assert log.t.size == 4000
         assert np.all(np.isfinite(log.state))
 
-    def test_wind_retracted_beats_extended(self):
+    def test_wind_retracted_beats_extended(self, shipped_run):
         dev = {}
         for mode in (WingMode.EXTENDED, WingMode.RETRACTED):
-            spec, params = wind_case(mode)
-            log = run_scenario(spec, params)
+            spec, _, log, _ = shipped_run(f"wind_{mode.value}")
             dev[mode] = log.peak_deviation(spec.position,
                                            t_min=spec.wind.start)
         assert dev[WingMode.RETRACTED] <= 0.5 * dev[WingMode.EXTENDED]
