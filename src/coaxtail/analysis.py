@@ -463,6 +463,7 @@ def _output_dir_exists(path):
 
 
 def _cmd_simulate(args):
+    from . import quat
     from .vehicle import run_scenario
 
     spec, params = load_scenario(args.scenario)
@@ -480,7 +481,7 @@ def _cmd_simulate(args):
               f"cruise_speed_mps={_optional(speed)}")
     else:
         target = np.asarray(spec.position, dtype=float)
-        final_err = float(np.linalg.norm(log.position[-1] - target))
+        final_err = quat.norm(log.position[-1] - target)
         print(f"final_error_m={final_err:.9g} "
               f"peak_deviation_m={log.peak_deviation(target):.9g}")
     clip_fraction, min_scale = log.saturation()

@@ -21,10 +21,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from math import isfinite
 
-import numpy as np
-
 from .errors import (ConfigError, check_finite, check_non_negative,
-                     check_positive, tick_rate)
+                     check_positive, float_array, tick_rate)
 from . import quat
 from .stock import FULL_THROTTLE, GRAVITY
 
@@ -233,10 +231,17 @@ class VectorPid:
         gains = []
         for name, g in zip(("kp", "ki", "kd", "i_limit"),
                            (kp, ki, kd, i_limit)):
-            g = np.asarray(g, dtype=float).ravel().tolist()
-            if len(g) != 3:
+            v = float_array(g, (3,))
+            if v is None:
+                try:
+                    count = len(g)
+                except TypeError:
+                    count = 1  # a bare number
+                if count == 3:  # three entries, not all numbers
+                    raise ConfigError(f"{name} must be 3 numbers, got {g!r}")
                 raise ConfigError(f"{name} must have one entry per axis, "
-                                  f"3, got {len(g)}")
+                                  f"3, got {count}")
+            g = v.tolist()
             rule = check_non_negative if name == "i_limit" else check_finite
             rule(**{f"{name}[{i}]": x for i, x in enumerate(g)})
             gains += g
@@ -364,11 +369,11 @@ class CascadeController:
         The setpoint position and the state parts are sequences of
         floats: the simulator passes slices of its float state. Vectors
         are tuples or lists of Python floats throughout, and the
-        arithmetic runs in the order the array form would use.
-        Only np.dot and numpy's transcendental calls stay, because they
-        need not round like a left-to-right Python sum or like libm;
-        norms are sqrt(v·v) on numpy's dot, which is exactly what
-        np.linalg.norm computes (see quat).
+        arithmetic runs in the order the array form would use. Dot
+        products and norms are quat.dot and quat.norm, left-to-right sums
+        that do not depend on a BLAS kernel; only numpy's transcendental
+        calls stay (np.sin, np.cos and np.arctan2, through quat), because
+        they need not round like libm.
         """
         tick = self._tick
         transition = setpoint.pitch_override is not None
@@ -413,7 +418,7 @@ class CascadeController:
                                      _tilt_quaternion(z_des))
             axis = a0, a1, a2 = _cross(z_body, z_des)
             s_n = quat.norm(axis)
-            c_n = float(np.dot(z_body, z_des))
+            c_n = quat.dot(z_body, z_des)
             if s_n > 1e-12:
                 angle = math.atan2(s_n, c_n)
                 tilt_w = (a0 / s_n * angle, a1 / s_n * angle,
@@ -436,7 +441,7 @@ class CascadeController:
             proj = max(z_body[2], self.TILT_MIN_PROJECTION)
             thrust = self._f_des[2] / proj
         else:
-            thrust = float(np.dot(self._f_des, z_body))
+            thrust = quat.dot(self._f_des, z_body)
         thrust = max(thrust, 0.0)
 
         self._tick = tick + 1
@@ -480,7 +485,7 @@ def _cross(a, b):
 
 def _tilt_quaternion(z_des):
     # shortest rotation taking world +z to z_des
-    c = float(np.dot(_Z_AXIS, z_des))
+    c = quat.dot(_Z_AXIS, z_des)
     axis = _cross(_Z_AXIS, z_des)
     s = quat.norm(axis)
     if s < 1e-12:

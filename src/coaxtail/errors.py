@@ -8,13 +8,15 @@ checks what it is given with the rules below, each written once here:
 finite, positive, non-negative, a whole count, text that is a finite
 number, an array of numbers in a given shape, a 3-vector, a 3x3 matrix,
 a tick rate and a numeric CSV file. NaN and the infinities fail every
-numeric rule but the shape rule, float_array. A refusal is a ConfigError
-whose message names the field, key or file line at fault.
+numeric rule but the shape rule, float_array; a bool, text and any other
+non-number fail them all. A refusal is a ConfigError whose message names
+the field, key or file line at fault.
 """
 
 import csv
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -55,7 +57,9 @@ class SimulationFault(CoaxtailError, RuntimeError):
 
 def _check(values, ok, rule):
     for name, value in values.items():
-        if not ok(value):
+        # a bool is no number here, though Python counts True as 1
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not ok(value)):
             raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 

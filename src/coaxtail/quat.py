@@ -8,12 +8,16 @@ Vectors and quaternions are tuples of Python floats: the helpers unpack
 their inputs (``w, x, y, z = q``) and return tuples. An array or a list
 works as an input too; numpy scalars round the same, only more slowly.
 The arithmetic runs in the operation order of the numpy array form, so
-results are the same to the bit. Three numpy calls stay because they
-need not round like their Python counterparts: the 3-element dot inside
-``norm`` (numpy's sum order), and np.sin, np.cos and np.arctan2 (numpy's
-own transcendental loops need not round like libm). ``norm`` is
-``sqrt(v·v)``, which is exactly what np.linalg.norm computes for a 1-D
-vector.
+results are the same to the bit.
+
+``dot`` and ``norm`` sum left to right from +0.0: ``dot(a, b)`` is
+``((0.0 + a0*b0) + a1*b1) + a2*b2`` and ``norm(v)`` is the ``math.sqrt``
+of that sum of squares. That is what np.dot and np.linalg.norm return
+under OpenBLAS's Haswell kernel, but not under every BLAS kernel (the
+SkylakeX one chains fused multiply-adds), so the results here do not
+depend on which kernel a machine's BLAS picks. np.sin, np.cos and
+np.arctan2 stay: numpy's own transcendental loops need not round like
+libm, and they may round differently on each of numpy's dispatch levels.
 """
 
 from __future__ import annotations
@@ -23,10 +27,23 @@ import math
 import numpy as np
 
 
+def dot(a, b) -> float:
+    """Dot product of two 3-vectors, summed left to right from +0.0."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return 0.0 + a0 * b0 + a1 * b1 + a2 * b2
+
+
 def norm(v) -> float:
-    """Euclidean norm of a vector, rounded as np.linalg.norm rounds it."""
-    a = np.array(v, dtype=float)
-    return math.sqrt(a.dot(a))
+    """Euclidean norm of a vector of any length: the square root of its
+    sum of squares, summed left to right from +0.0."""
+    if len(v) == 3:
+        x, y, z = v
+        return math.sqrt(0.0 + x * x + y * y + z * z)
+    s = 0.0
+    for x in v:
+        s += x * x
+    return math.sqrt(s)
 
 
 def conjugate(q) -> tuple:

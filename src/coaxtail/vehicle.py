@@ -232,7 +232,7 @@ class WindProfile:
             if self.stop <= self.start:
                 raise ConfigError("wind stop must come after its start")
         d = finite_vector3(self.direction, "wind direction")
-        n = np.linalg.norm(d)
+        n = quat.norm(d)
         if self.speed > 0.0 and n < 1e-12:
             raise ConfigError("wind direction must be a nonzero vector")
         # Python floats: numpy scalars would spread through the tick

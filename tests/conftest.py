@@ -1,5 +1,9 @@
 """Shared fixtures."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +13,7 @@ from coaxtail.analysis import load_scenario
 from coaxtail.vehicle import run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="session")
@@ -28,5 +33,48 @@ def shipped_run():
             log.data.flags.writeable = False
             runs[name] = (spec, params, log, seconds)
         return runs[name]
+
+    return run
+
+
+@pytest.fixture
+def openblas_kernels():
+    """Skips the test unless OPENBLAS_CORETYPE can pick OpenBLAS's Haswell
+    and Prescott kernels here: numpy's BLAS must be an OpenBLAS that picks
+    its kernel at run time, on a CPU with the AVX2 and FMA that the
+    Haswell kernel runs on."""
+    from numpy import __config__
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    blas = __config__.CONFIG["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in \
+            blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not an OpenBLAS "
+                    f"built with DYNAMIC_ARCH")
+    if not (__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
+        pytest.skip("the CPU lacks AVX2 or FMA, which OpenBLAS's Haswell "
+                    "kernel needs")
+
+
+@pytest.fixture
+def cli_sha256():
+    """cli_sha256(args, out, **env) runs `python -m coaxtail *args --out
+    out` in a fresh interpreter and returns the sha256 of the file it
+    wrote. Each keyword sets that environment variable for the run, or
+    removes it where the value is None."""
+
+    def run(args, out, **env):
+        environ = dict(os.environ)
+        environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC_DIR), environ.get("PYTHONPATH"))))
+        for name, value in env.items():
+            if value is None:
+                environ.pop(name, None)
+            else:
+                environ[name] = value
+        subprocess.run([sys.executable, "-m", "coaxtail", *map(str, args),
+                        "--out", str(out)],
+                       env=environ, capture_output=True, check=True)
+        return hashlib.sha256(Path(out).read_bytes()).hexdigest()
 
     return run

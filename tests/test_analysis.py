@@ -710,6 +710,20 @@ class TestImport:
 # the commands that take --out
 _OUT_COMMANDS = ("simulate", "bench-splm", "power-analysis", "psd")
 
+# sha256 of each pinned CLI output (the file --out names), by command
+PINNED = {
+    "power-analysis --fixture paper-2025":
+    "dad2c61e6f5cc96f7c42b5c8bf570141618b19c18382e538ab076040fbc9b5f2",
+    "bench-splm":
+    "b1cbd639f4aa493dbb161271700df395cdcc7d6004af264c5acebbe2ee5488f9",
+    "simulate wind_retracted.cfg":
+    "06cfe794f3a35aec5482042fbadc6607c263c79f6b184ae33c7d42ea3fb959af",
+    "psd":
+    "395b696b263462459f27448e5b12701568e74b380e2852618b52107283956b25",
+    "power-analysis --tables":
+    "ba731e802322d3d848a776b75cc36f2b1cb7b8d0b34d8d9a56c6b1887d143e39",
+}
+
 
 class TestCli:
     def test_power_analysis_fixture_summary(self, tmp_path, capsys):
@@ -730,8 +744,8 @@ class TestCli:
         out = tmp_path / "curve.csv"
         assert cli_main(["power-analysis", "--fixture", "paper-2025",
                          "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "dad2c61e6f5cc96f7c42b5c8bf570141618b19c18382e538ab076040fbc9b5f2")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[
+            "power-analysis --fixture paper-2025"]
 
     def test_bench_splm_default_csv_is_pinned(self, tmp_path, capsys):
         """The default bench (coupled head, 10 s at 1 kHz) is fixed
@@ -739,8 +753,8 @@ class TestCli:
         bench's arithmetic does."""
         out = tmp_path / "torque.csv"
         assert cli_main(["bench-splm", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "b1cbd639f4aa493dbb161271700df395cdcc7d6004af264c5acebbe2ee5488f9")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[
+            "bench-splm"]
 
     def test_simulate_wind_retracted_csv_is_pinned(self, tmp_path, capsys):
         """12,000 ticks that read the air density through drag and the
@@ -748,8 +762,8 @@ class TestCli:
         out = tmp_path / "log.csv"
         assert cli_main(["simulate", str(CONFIG_DIR / "wind_retracted.cfg"),
                          "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7faadde02203a5cb2378cef63a55ee0d8d7744f8b9e91f6f8796fe2401e6f30a")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[
+            "simulate wind_retracted.cfg"]
 
     def test_psd_of_the_pinned_bench_csv_is_pinned(self, tmp_path, capsys):
         """The default mean-subtraction window reads the rotor's hover
@@ -758,8 +772,8 @@ class TestCli:
         assert cli_main(["bench-splm", "--out", str(bench)]) == 0
         assert cli_main(["psd", str(bench), "--out", str(out)]) == 0
         assert "avg_psd_db=-35.48969\n" in capsys.readouterr().out
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "395b696b263462459f27448e5b12701568e74b380e2852618b52107283956b25")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[
+            "psd"]
 
     def test_power_analysis_tables_csv_is_pinned(self, tmp_path, capsys):
         """The table study reads the air density, gravity, the stock mass
@@ -767,8 +781,8 @@ class TestCli:
         out = tmp_path / "curve.csv"
         assert cli_main(["power-analysis", "--tables", str(PROPS_DIR),
                          "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "ba731e802322d3d848a776b75cc36f2b1cb7b8d0b34d8d9a56c6b1887d143e39")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[
+            "power-analysis --tables"]
 
     @pytest.mark.parametrize("mode", ["retracted", "extended"])
     def test_shipped_wind_config_peak_is_the_post_gust_peak(self, mode,
@@ -1221,6 +1235,54 @@ class TestCli:
     def test_shipped_transition_never_clips(self, shipped_run):
         log = shipped_run("transition")[2]
         assert log.saturation() == (0.0, 1.0)
+
+
+class TestPortableBytes:
+    """The pinned CLI outputs are portable bytes: neither numpy's dispatch
+    level nor OpenBLAS's kernel moves them (README, Determinism)."""
+
+    def test_pinned_outputs_hold_without_dispatched_features(
+            self, cli_sha256, tmp_path):
+        """Every pinned output, re-run with each feature numpy dispatches
+        to on this CPU turned off, keeps its hash."""
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+
+        features = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+        if not features:
+            pytest.skip("numpy dispatches to no feature beyond its baseline "
+                        "on this CPU, so none can be turned off")
+        off = {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}
+        bench = tmp_path / "torque.csv"
+        assert {
+            "power-analysis --fixture paper-2025": cli_sha256(
+                ["power-analysis", "--fixture", "paper-2025"],
+                tmp_path / "curve.csv", **off),
+            "bench-splm": cli_sha256(["bench-splm"], bench, **off),
+            "simulate wind_retracted.cfg": cli_sha256(
+                ["simulate", CONFIG_DIR / "wind_retracted.cfg"],
+                tmp_path / "log.csv", **off),
+            "psd": cli_sha256(["psd", bench], tmp_path / "psd.csv", **off),
+            "power-analysis --tables": cli_sha256(
+                ["power-analysis", "--tables", PROPS_DIR],
+                tmp_path / "tables.csv", **off),
+        } == PINNED
+
+    def test_simulate_bytes_hold_across_blas_kernels(
+            self, openblas_kernels, cli_sha256, tmp_path):
+        """simulate's logs are the same bytes whichever kernel OpenBLAS
+        picks: its default for this CPU, Haswell's (a left-to-right dot)
+        or Prescott's. The hover and wind runs take every dot product
+        and norm of the tick, the hover thrust's among them."""
+        runs = {}
+        for core in (None, "Haswell", "Prescott"):
+            runs[core] = [cli_sha256(["simulate", CONFIG_DIR / f"{name}.cfg"],
+                                     tmp_path / f"{name}.csv",
+                                     OPENBLAS_CORETYPE=core)
+                          for name in ("hover", "wind_retracted")]
+        assert runs[None][1] == PINNED["simulate wind_retracted.cfg"]
+        assert runs["Haswell"] == runs[None]
+        assert runs["Prescott"] == runs[None]
 
 
 # every float flag of every subcommand, and what the subcommand needs

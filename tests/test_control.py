@@ -1,6 +1,12 @@
 """Mixer algebra, saturation, and cascade structure."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,7 +431,19 @@ class TestFloatForms:
 
 # The numpy array forms the quaternion helpers and the tilt quaternion
 # had before they moved to Python floats; the float forms must reproduce
-# them to the bit.
+# them to the bit. Their dot products and norms are spelled out as
+# OpenBLAS's Haswell kernel rounds np.dot and np.linalg.norm, a sum left
+# to right from +0.0; test_dot_and_norm_are_blas_haswell_forms checks
+# numpy's own under that kernel.
+
+def reference_dot(a, b):
+    # np.add.accumulate adds in order: ((0.0 + a0*b0) + a1*b1) + ...
+    return np.add.accumulate(np.concatenate(([0.0], np.multiply(a, b))))[-1]
+
+
+def reference_norm(v):
+    return np.sqrt(reference_dot(v, v))
+
 
 def reference_multiply(a, b):
     w1, x1, y1, z1 = np.asarray(a, dtype=float)
@@ -440,7 +458,7 @@ def reference_multiply(a, b):
 
 def reference_from_axis_angle(axis, angle):
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    n = reference_norm(axis)
     if n == 0.0:
         return np.array([1.0, 0.0, 0.0, 0.0])
     half = 0.5 * angle
@@ -454,7 +472,7 @@ def reference_error_rotation_vector(q, q_sp):
     if qe[0] < 0.0:
         qe = -qe
     vec = qe[1:4]
-    s = np.linalg.norm(vec)
+    s = reference_norm(vec)
     if s < 1e-12:
         return 2.0 * vec
     angle = 2.0 * np.arctan2(s, qe[0])
@@ -463,9 +481,9 @@ def reference_error_rotation_vector(q, q_sp):
 
 def reference_tilt_quaternion(z_des):
     z0 = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(z0, z_des))
+    c = float(reference_dot(z0, z_des))
     axis = np.cross(z0, z_des)
-    s = np.linalg.norm(axis)
+    s = reference_norm(axis)
     if s < 1e-12:
         if c > 0.0:
             return np.array([1.0, 0.0, 0.0, 0.0])
@@ -491,9 +509,54 @@ def with_signed_zero(rng, v):
     return v
 
 
+# Run in a fresh interpreter under OPENBLAS_CORETYPE=Haswell: prints the
+# number of dot products and of norms compared and how many differ from
+# numpy's in value or sign.
+HASWELL_CHECK = """
+import itertools, json, math
+import numpy as np
+from coaxtail import quat
+
+def differ(got, want):
+    return got != want or math.copysign(1.0, got) != math.copysign(1.0, want)
+
+values = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0)
+pairs = [(np.array(p[:3]), np.array(p[3:]))
+         for p in itertools.product(values, repeat=6)]
+rng = np.random.default_rng(35)
+for case in range(20000):
+    a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-3, 4, (2, 1))
+    if case % 4 == 0:
+        a[rng.integers(3)] = rng.choice(values[:2])
+    pairs.append((a, b))
+bad_dots = sum(differ(quat.dot(tuple(a.tolist()), tuple(b.tolist())),
+                      np.dot(a, b)) for a, b in pairs)
+vectors = [rng.normal(size=size) * 10.0 ** rng.integers(-150, 150)
+           for size in (3, 4) for _ in range(2000)]
+for v in vectors[::5]:
+    v[rng.integers(v.size)] = rng.choice(values[:2])
+bad_norms = sum(differ(quat.norm(tuple(v.tolist())), np.linalg.norm(v))
+                for v in vectors)
+print(json.dumps([len(pairs), bad_dots, len(vectors), bad_norms]))
+"""
+
+
 class TestQuaternionFloatForms:
-    """quat.multiply, from_axis_angle, error_rotation_vector and norm, and
-    the controller's tilt quaternion, against their numpy forms."""
+    """quat.multiply, from_axis_angle, error_rotation_vector, dot and norm,
+    and the controller's tilt quaternion, against their numpy forms."""
+
+    def test_dot_and_norm_are_blas_haswell_forms(self, openblas_kernels):
+        """quat.dot and quat.norm equal np.dot and np.linalg.norm, value
+        and sign, under OpenBLAS's Haswell kernel: every signed-zero
+        combination over {+-0, +-1, 0.5, -2}, random dots, and norms of 3
+        and 4 entries at magnitudes to 1e+-150."""
+        src = str(Path(quat.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", HASWELL_CHECK], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == [6 ** 6 + 20000, 0, 4000, 0]
 
     def test_norm_is_numpy_norm(self):
         rng = np.random.default_rng(21)
@@ -502,7 +565,7 @@ class TestQuaternionFloatForms:
                 v = rng.normal(size=size) * 10.0 ** rng.integers(-150, 150)
                 if case % 5 == 0:
                     v = with_signed_zero(rng, v)
-                want = np.linalg.norm(v)
+                want = reference_norm(v)
                 for arg in (v, tuple(v.tolist()), v.tolist()):
                     got = quat.norm(arg)
                     assert got == want
@@ -592,6 +655,14 @@ class TestQuaternionFloatForms:
 def on_axis(axis, value, rest=0.0):
     """Three PID entries: value on axis, rest on the other two."""
     return tuple(value if i == axis else rest for i in range(3))
+
+
+def test_control_imports_no_numpy():
+    """The mixer and the cascade run on Python floats: the module binds no
+    numpy module (errors and quat still import it)."""
+    assert not [name for name, value in vars(control).items()
+                if isinstance(value, types.ModuleType)
+                and value.__name__.split(".")[0] == "numpy"]
 
 
 class TestVectorPid:
@@ -766,6 +837,27 @@ class TestVectorPid:
                                match=rf"^{gain} must have one entry per "
                                      rf"axis, 3, got {count}$"):
                 VectorPid(**gains)
+
+    @pytest.mark.parametrize("gain", ["kp", "ki", "kd", "i_limit"])
+    def test_gains_are_numbers(self, gain):
+        """Text and booleans are refused by name, even where numpy would
+        read them as numbers, and so are three entries nested."""
+        for bad in (("1", "2", "3"), (True, False, True), "0.5",
+                    ((0.5,), (0.5,), (0.5,))):
+            gains = {"kp": (1.0,) * 3, "ki": (1.0,) * 3, "kd": (0.0,) * 3,
+                     "i_limit": (0.5,) * 3}
+            gains[gain] = bad
+            with pytest.raises(ConfigError, match=rf"^{gain} must be 3 "
+                                                  rf"numbers, got "):
+                VectorPid(**gains)
+
+    def test_gains_are_python_floats(self):
+        pid = VectorPid(np.arange(3), [1, 2.5, np.float32(0.5)],
+                        (0.0, -0.0, 1.0), np.ones(3))
+        assert all(type(g) is float for g in pid._gains)
+        assert pid._gains == (0.0, 1.0, 2.0, 1.0, 2.5, 0.5, 0.0, -0.0, 1.0,
+                              1.0, 1.0, 1.0)
+        assert math.copysign(1.0, pid._gains[7]) == -1.0
 
     def test_three_axis_step_matches_the_array_form(self):
         """Random episodes against reference_pid_step: errors with signed

@@ -5,6 +5,7 @@ the field, key or file line at fault.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,28 @@ class TestNumberRules:
         for bad in (0.0, -1.0):
             with pytest.raises(ConfigError, match="^x must be positive"):
                 check_positive(one=1.0, x=bad)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_, "1.2",
+                                     b"1", None, 1 + 2j, [1.0], {}])
+    def test_every_rule_refuses_a_non_number_and_names_the_field(self, bad):
+        """A bool is no number here (True would pass as 1), and text, None
+        or a container is a ConfigError naming the field, not a raw
+        TypeError from the comparison."""
+        for rule in (check_finite, check_positive, check_non_negative):
+            with pytest.raises(ConfigError, match="^speed must be "):
+                rule(mass=1.0, speed=bad)
+
+    def test_number_rules_take_numpy_numbers(self):
+        for value in (np.float64(2.0), np.float32(2.0), np.int64(2), 2,
+                      Fraction(1, 2)):
+            check_finite(x=value)
+            check_positive(x=value)
+            check_non_negative(x=value)
+
+    def test_a_bool_or_text_field_is_refused_by_name(self):
+        for bad in (True, np.True_, "1.2"):
+            with pytest.raises(ConfigError, match="^mass must be positive"):
+                VehicleParams(mass=bad)
 
     def test_whole_count(self):
         assert whole_count("n", 3.0, 1) == 3

@@ -1177,13 +1177,13 @@ class TestLogBuffer:
         digests, _, _ = flown
         assert digests == {
             "hover":
-            "6b03a38994cc9936f9c3aa02f893af9cdd3cdd9e0cc46f69972e766d2fed5631",
+            "36641885db14a7670bec6d51e544cb6c818dcfffd99983ee74ce3bfa73dd1caa",
             "transition":
-            "a8eaa6c4c50383ffa7ae4611ef1b32b3bed9449d8af3c9f0dac037100c2ca9f0",
+            "c2bb15d4f7aa986b7b2862a241a8b3d9e694ea3d05cdb74003b843713c537250",
             "wind_retracted":
-            "44b79e54a1a7f8ba863e7af364219590ed1f6643c800ac348453ce17800e579c",
+            "ef2923ce716139f8707fe8472641f5e8b50428ae3ac568a09fc515f42fc5b528",
             "wind_extended":
-            "b5dcf30f37ab18d2ba16bf2ff2e6bc39136b2a2db8dec35c29148069df150645",
+            "a295cf9b50d43799a33847e30a65f3b834783809c5748c771f99c89c0e829165",
         }
 
     @pytest.mark.parametrize("duration,cause", [(1e17, OverflowError),
