@@ -371,9 +371,11 @@ class CascadeController:
         are tuples or lists of Python floats throughout, and the
         arithmetic runs in the order the array form would use. Dot
         products and norms are quat.dot and quat.norm, left-to-right sums
-        that do not depend on a BLAS kernel; only numpy's transcendental
-        calls stay (np.sin, np.cos and np.arctan2, through quat), because
-        they need not round like libm.
+        that do not depend on a BLAS kernel. Sines, cosines and
+        arctangents are libm's (math.atan2 here, math.sin, math.cos and
+        math.atan2 in quat), which round the same whatever numpy
+        dispatches to, but as the libm variant glibc picks by CPU. The
+        step calls no numpy.
         """
         tick = self._tick
         transition = setpoint.pitch_override is not None
@@ -456,6 +458,8 @@ class CascadeController:
         """from_axis_angle(z, yaw)."""
         key = (yaw, math.copysign(1.0, yaw))
         if key != self._yaw_key:
+            # math.sin raises on an infinite angle, where np.sin gave NaN
+            check_finite(yaw=yaw)
             self._yaw_key = key
             self._q_yaw = quat.from_axis_angle(_Z_AXIS, yaw)
         return self._q_yaw
@@ -465,6 +469,7 @@ class CascadeController:
         world y, and the body z axis it asks for."""
         key = (yaw, math.copysign(1.0, yaw), pitch, math.copysign(1.0, pitch))
         if key != self._override_key:
+            check_finite(pitch_override=pitch)
             q_sp = quat.multiply(self._yaw_rotation(yaw),
                                  quat.from_axis_angle(_Y_AXIS, pitch))
             self._override_key = key

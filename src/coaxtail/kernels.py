@@ -6,7 +6,10 @@ swashplateless-rotor dynamics, and the single RK4 step of the rigid-body
 once, in the operation order of an element-by-element array version, so
 its result is the same to the bit at several times the speed. Both have
 their four RK4 stages written out in the function body, with no call per
-stage.
+stage. Their only transcendental call is libm's, through the math
+module (the rotor kernel's tan): numpy's ufuncs cost several times more
+on one float, and their rounding depends on which SIMD loop numpy
+dispatches to, where libm's does not.
 ``perfbench/run.py --trace 1`` reports their per-call cost.
 """
 
@@ -20,7 +23,7 @@ from .errors import NumericalDomainError
 
 NUMBA_ENABLED = False  # no jit path; kept because the benchmark records it
 
-_QUARTER_PI = 0.25 * np.pi
+_QUARTER_PI = 0.25 * math.pi
 _SINGULAR_GUARD = 1e-6
 _CHUNK_ROWS = 128
 
@@ -39,7 +42,11 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
     bit. The four RK4 stages are written out in the loop body, with no
     call per stage. Each stage's coupling factor g(beta)/8 is an inline
     copy of rotor._coupling_gain, kept here because this is the hot loop;
-    both use numpy's tan, which need not round like math.tan. Only every
+    both take tan from libm (math.tan), so the trajectory's bits do not
+    depend on numpy's dispatch level. np.tan rounds like libm only at
+    numpy's baseline level; its AVX-512 loop is 1 ulp off on some
+    pitches. An infinite pitch makes math.tan raise ValueError, which
+    rotor.integrate reports as divergence. Only every
     stride-th row is kept (stride divides n_steps): each chunk of
     _CHUNK_ROWS kept rows is gathered as one flat list of floats and
     stored through a flat view of the output, which keeps memory at the
@@ -53,7 +60,7 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = C
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = Kc
     kb0, kb1, kb2 = kb_col
-    tan = np.tan
+    tan = math.tan
     quarter_pi = _QUARTER_PI
     guard = _SINGULAR_GUARD
 
@@ -84,7 +91,7 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             # stage 1 at (x, v)
             if coupled:
                 # tan(beta + pi/4) via (1 + tan b)/(1 - tan b): exact 1.0 at beta = 0
-                tb = float(tan(x2))
+                tb = tan(x2)
                 eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
             s = eg * x1
             f0 = u[j] - (c00 * v0 + c01 * v1 + c02 * v2) \
@@ -105,7 +112,7 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             X1 = x1 + half * v1
             X2 = x2 + half * v2
             if coupled:
-                tb = float(tan(X2))
+                tb = tan(X2)
                 eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
             s = eg * X1
             f0 = um - (c00 * q0 + c01 * q1 + c02 * q2) \
@@ -126,7 +133,7 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             X1 = x1 + half * q1
             X2 = x2 + half * q2
             if coupled:
-                tb = float(tan(X2))
+                tb = tan(X2)
                 eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
             s = eg * X1
             f0 = um - (c00 * r0 + c01 * r1 + c02 * r2) \
@@ -147,7 +154,7 @@ def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
             X1 = x1 + h * r1
             X2 = x2 + h * r2
             if coupled:
-                tb = float(tan(X2))
+                tb = tan(X2)
                 eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
             s = eg * X1
             f0 = u[j + 2] - (c00 * w0 + c01 * w1 + c02 * w2) \

@@ -15,16 +15,16 @@ results are the same to the bit.
 of that sum of squares. That is what np.dot and np.linalg.norm return
 under OpenBLAS's Haswell kernel, but not under every BLAS kernel (the
 SkylakeX one chains fused multiply-adds), so the results here do not
-depend on which kernel a machine's BLAS picks. np.sin, np.cos and
-np.arctan2 stay: numpy's own transcendental loops need not round like
-libm, and they may round differently on each of numpy's dispatch levels.
+depend on which kernel a machine's BLAS picks. Sines, cosines and
+arctangents are libm's, through the math module: numpy's np.arctan2
+rounds differently on some inputs at its AVX-512 level, so the results
+here do not depend on numpy's dispatch level either. They do depend on
+the libm variant glibc picks by CPU. Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def dot(a, b) -> float:
@@ -84,8 +84,8 @@ def from_axis_angle(axis, angle: float) -> tuple:
     if n == 0.0:
         return (1.0, 0.0, 0.0, 0.0)
     half = 0.5 * angle
-    s = float(np.sin(half)) / n
-    return (float(np.cos(half)), ax * s, ay * s, az * s)
+    s = math.sin(half) / n
+    return (math.cos(half), ax * s, ay * s, az * s)
 
 
 def error_rotation_vector(q, q_sp) -> tuple:
@@ -100,5 +100,5 @@ def error_rotation_vector(q, q_sp) -> tuple:
     s = norm((x, y, z))
     if s < 1e-12:
         return (2.0 * x, 2.0 * y, 2.0 * z)  # small-angle limit
-    k = 2.0 * float(np.arctan2(s, w)) / s
+    k = 2.0 * math.atan2(s, w) / s
     return (x * k, y * k, z * k)

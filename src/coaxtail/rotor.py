@@ -113,10 +113,14 @@ class SplmParams:
 def _coupling_gain(beta, coupled):
     """g(beta) = tan(beta + pi/4) of a float or an array of pitch angles.
 
-    Evaluated as (1 + tan b)/(1 - tan b) with numpy's tan, so g(0) == 1.0
-    exactly; the decoupled geometry has g = 1. The rotor kernel's hot loop
-    (kernels.splm_trajectory) keeps an inline copy of the same expression
-    in each of its four written-out RK4 stages.
+    Evaluated as (1 + tan b)/(1 - tan b), so g(0) == 1.0 exactly; the
+    decoupled geometry has g = 1. tan is libm's (math.tan), element by
+    element for an array, so an angle gives the same bits alone, in an
+    array and in the rotor kernel's hot loop (kernels.splm_trajectory),
+    which keeps an inline copy of the expression in each of its four
+    written-out RK4 stages. np.tan would round differently on some
+    angles at numpy's AVX-512 level. An infinite angle is a
+    NumericalDomainError.
     """
     if not coupled:
         return 1.0
@@ -126,7 +130,15 @@ def _coupling_gain(beta, coupled):
                         < kernels._SINGULAR_GUARD):
         raise NumericalDomainError(
             "lag-pitch coupling singular: beta within 1e-6 rad of pi/4")
-    tb = np.tan(beta)
+    try:
+        if np.ndim(beta) == 0:
+            tb = math.tan(beta)
+        else:
+            tb = np.fromiter(map(math.tan, beta.ravel().tolist()), float,
+                             beta.size).reshape(beta.shape)
+    except ValueError:
+        raise NumericalDomainError(
+            "lag-pitch coupling undefined: beta is infinite") from None
     return (1.0 + tb) / (1.0 - tb)
 
 
@@ -227,11 +239,14 @@ def integrate(params: SplmParams, y0: np.ndarray, psi_step: float, n_steps: int,
     check_positive(psi_step=psi_step)
     if not (np.isfinite(y0).all() and np.isfinite(u_half).all()):
         raise ConfigError("y0 and u_half must be finite")
-    traj = kernels.splm_trajectory(
-        y0, n_steps, float(psi_step), params._inertia_inv_rows,
-        params._damping_rows, params._stiffness_rows, params._kbeta,
-        params.coupled, u_half * _INPUT_SCALE, first_step, stride)
-    if not np.all(np.isfinite(traj)):
+    try:
+        traj = kernels.splm_trajectory(
+            y0, n_steps, float(psi_step), params._inertia_inv_rows,
+            params._damping_rows, params._stiffness_rows, params._kbeta,
+            params.coupled, u_half * _INPUT_SCALE, first_step, stride)
+    except ValueError:
+        traj = None  # math.tan of a pitch that overflowed to infinity
+    if traj is None or not np.all(np.isfinite(traj)):
         raise SimulationFault("rotor trajectory diverged to non-finite values")
     return traj
 

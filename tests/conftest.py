@@ -56,6 +56,34 @@ def openblas_kernels():
                     "kernel needs")
 
 
+def _environment(env):
+    """os.environ with src/ first on PYTHONPATH; each keyword sets that
+    variable, or removes it where the value is None."""
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC_DIR), environ.get("PYTHONPATH"))))
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    return environ
+
+
+@pytest.fixture(scope="session")
+def run_snippet():
+    """run_snippet(code, *args, **env) runs `python -c code *args` in a
+    fresh interpreter and returns its stdout. Keywords set or remove
+    environment variables as cli_sha256's do."""
+
+    def run(code, *args, **env):
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              env=_environment(env), capture_output=True,
+                              text=True, check=True).stdout
+
+    return run
+
+
 @pytest.fixture
 def cli_sha256():
     """cli_sha256(args, out, **env) runs `python -m coaxtail *args --out
@@ -64,17 +92,24 @@ def cli_sha256():
     removes it where the value is None."""
 
     def run(args, out, **env):
-        environ = dict(os.environ)
-        environ["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(SRC_DIR), environ.get("PYTHONPATH"))))
-        for name, value in env.items():
-            if value is None:
-                environ.pop(name, None)
-            else:
-                environ[name] = value
         subprocess.run([sys.executable, "-m", "coaxtail", *map(str, args),
                         "--out", str(out)],
-                       env=environ, capture_output=True, check=True)
+                       env=_environment(env), capture_output=True, check=True)
         return hashlib.sha256(Path(out).read_bytes()).hexdigest()
 
     return run
+
+
+@pytest.fixture
+def numpy_features_off():
+    """The environment that turns off every feature numpy dispatches to
+    on this CPU ({"NPY_DISABLE_CPU_FEATURES": ...}), which leaves numpy
+    on its baseline loops. Skips the test where there is none."""
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+
+    features = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches to no feature beyond its baseline "
+                    "on this CPU, so none can be turned off")
+    return {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}

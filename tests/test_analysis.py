@@ -3,10 +3,13 @@
 import argparse
 import dataclasses
 import hashlib
+import json
 import math
+import platform
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1237,36 +1240,100 @@ class TestCli:
         assert log.saturation() == (0.0, 1.0)
 
 
+def pinned_outputs(cli_sha256, tmp_path, **env):
+    """The sha256 of each pinned CLI output, re-run under env, by command."""
+    bench = tmp_path / "torque.csv"
+    return {
+        "power-analysis --fixture paper-2025": cli_sha256(
+            ["power-analysis", "--fixture", "paper-2025"],
+            tmp_path / "curve.csv", **env),
+        "bench-splm": cli_sha256(["bench-splm"], bench, **env),
+        "simulate wind_retracted.cfg": cli_sha256(
+            ["simulate", CONFIG_DIR / "wind_retracted.cfg"],
+            tmp_path / "log.csv", **env),
+        "psd": cli_sha256(["psd", bench], tmp_path / "psd.csv", **env),
+        "power-analysis --tables": cli_sha256(
+            ["power-analysis", "--tables", PROPS_DIR],
+            tmp_path / "tables.csv", **env),
+    }
+
+
+# Prints, as JSON, the sha256 of the 18 criterion-4 torque series and of
+# the logs of six scenarios with a yaw target and wind off every axis,
+# the first of them a transition.
+RAW_DIGESTS = """
+import hashlib, json
+import numpy as np
+from coaxtail.rotor import SplmParams, bench_torque_series
+from coaxtail.vehicle import (ScenarioSpec, VehicleParams, WindProfile,
+                              WingSchedule, run_scenario)
+
+series = hashlib.sha256()
+for phi in (0.08, 0.12, 0.16):
+    for e in (0.15, 0.20, 0.25):
+        for variant in ("coupled", "decoupled"):
+            p = SplmParams(variant=variant, downwash_angle=phi, hinge_offset=e)
+            series.update(bench_torque_series(p, 900.0, 200.0, 0.0, 10.0,
+                                              1000.0)[1])
+rng = np.random.default_rng(1501)
+logs = []
+for i in range(6):
+    wind = WindProfile(speed=float(rng.uniform(1.0, 6.0)),
+                       direction=tuple(rng.normal(size=3).tolist()),
+                       start=float(rng.uniform(0.2, 1.0)))
+    spec = ScenarioSpec(
+        mode="transition" if i == 0 else "hover",
+        duration=8.0 if i == 0 else 2.0,
+        position=(0.0, 0.0, 2.0), yaw=float(rng.uniform(-3.0, 3.0)),
+        start_position=tuple((rng.normal(size=3) * 0.3 + [0.0, 0.0, 1.8])
+                             .tolist()),
+        wind=wind, wing=WingSchedule(kind="pitch" if i == 0 else "fixed"))
+    logs.append(hashlib.sha256(run_scenario(spec, VehicleParams()).data)
+                .hexdigest())
+print(json.dumps([series.hexdigest(), logs]))
+"""
+
+
 class TestPortableBytes:
     """The pinned CLI outputs are portable bytes: neither numpy's dispatch
-    level nor OpenBLAS's kernel moves them (README, Determinism)."""
+    level, nor OpenBLAS's kernel, nor glibc's libm variant moves them.
+    Raw arrays do not move with numpy's dispatch level (README,
+    Determinism)."""
 
     def test_pinned_outputs_hold_without_dispatched_features(
-            self, cli_sha256, tmp_path):
+            self, numpy_features_off, cli_sha256, tmp_path):
         """Every pinned output, re-run with each feature numpy dispatches
         to on this CPU turned off, keeps its hash."""
-        from numpy._core._multiarray_umath import (__cpu_dispatch__,
-                                                   __cpu_features__)
+        assert pinned_outputs(cli_sha256, tmp_path,
+                              **numpy_features_off) == PINNED
 
-        features = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
-        if not features:
-            pytest.skip("numpy dispatches to no feature beyond its baseline "
-                        "on this CPU, so none can be turned off")
-        off = {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}
-        bench = tmp_path / "torque.csv"
-        assert {
-            "power-analysis --fixture paper-2025": cli_sha256(
-                ["power-analysis", "--fixture", "paper-2025"],
-                tmp_path / "curve.csv", **off),
-            "bench-splm": cli_sha256(["bench-splm"], bench, **off),
-            "simulate wind_retracted.cfg": cli_sha256(
-                ["simulate", CONFIG_DIR / "wind_retracted.cfg"],
-                tmp_path / "log.csv", **off),
-            "psd": cli_sha256(["psd", bench], tmp_path / "psd.csv", **off),
-            "power-analysis --tables": cli_sha256(
-                ["power-analysis", "--tables", PROPS_DIR],
-                tmp_path / "tables.csv", **off),
-        } == PINNED
+    def test_pinned_outputs_hold_across_libm_variants(self, cli_sha256,
+                                                      tmp_path):
+        """Every pinned output keeps its hash with glibc held to its
+        baseline libm, without the AVX2, FMA and AVX-512 variants it
+        picks by CPU. (The transition log's CSV is not pinned: it moves
+        there.)"""
+        if platform.libc_ver()[0] != "glibc" or \
+                platform.machine() not in ("x86_64", "AMD64"):
+            pytest.skip("GLIBC_TUNABLES picks libm variants on glibc "
+                        "x86-64 only")
+        assert pinned_outputs(
+            cli_sha256, tmp_path,
+            GLIBC_TUNABLES="glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F") == PINNED
+
+    def test_raw_arrays_hold_without_dispatched_features(
+            self, numpy_features_off, run_snippet):
+        """The 18 criterion-4 torque series and six closed-loop logs with
+        a yaw target and wind off every axis keep every bit with each
+        feature numpy dispatches to turned off: the rotor kernel's tan
+        and the tick's sin, cos and atan2 are libm's, which do not
+        depend on numpy's dispatch level."""
+        with ThreadPoolExecutor(2) as pool:
+            on, off = pool.map(
+                lambda env: json.loads(run_snippet(RAW_DIGESTS, **env)),
+                ({"NPY_DISABLE_CPU_FEATURES": None}, numpy_features_off))
+        assert len(on[1]) == 6
+        assert off == on
 
     def test_simulate_bytes_hold_across_blas_kernels(
             self, openblas_kernels, cli_sha256, tmp_path):

@@ -2,11 +2,7 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,8 +458,8 @@ def reference_from_axis_angle(axis, angle):
     if n == 0.0:
         return np.array([1.0, 0.0, 0.0, 0.0])
     half = 0.5 * angle
-    s = np.sin(half) / n
-    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+    s = math.sin(half) / n
+    return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
 
 
 def reference_error_rotation_vector(q, q_sp):
@@ -475,7 +471,7 @@ def reference_error_rotation_vector(q, q_sp):
     s = reference_norm(vec)
     if s < 1e-12:
         return 2.0 * vec
-    angle = 2.0 * np.arctan2(s, qe[0])
+    angle = 2.0 * math.atan2(s, qe[0])
     return vec * (angle / s)
 
 
@@ -545,18 +541,14 @@ class TestQuaternionFloatForms:
     """quat.multiply, from_axis_angle, error_rotation_vector, dot and norm,
     and the controller's tilt quaternion, against their numpy forms."""
 
-    def test_dot_and_norm_are_blas_haswell_forms(self, openblas_kernels):
+    def test_dot_and_norm_are_blas_haswell_forms(self, openblas_kernels,
+                                                 run_snippet):
         """quat.dot and quat.norm equal np.dot and np.linalg.norm, value
         and sign, under OpenBLAS's Haswell kernel: every signed-zero
         combination over {+-0, +-1, 0.5, -2}, random dots, and norms of 3
         and 4 entries at magnitudes to 1e+-150."""
-        src = str(Path(quat.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH"))))
-        out = subprocess.run([sys.executable, "-c", HASWELL_CHECK], env=env,
-                             capture_output=True, text=True, check=True)
-        assert json.loads(out.stdout) == [6 ** 6 + 20000, 0, 4000, 0]
+        out = run_snippet(HASWELL_CHECK, OPENBLAS_CORETYPE="Haswell")
+        assert json.loads(out) == [6 ** 6 + 20000, 0, 4000, 0]
 
     def test_norm_is_numpy_norm(self):
         rng = np.random.default_rng(21)
@@ -659,10 +651,20 @@ def on_axis(axis, value, rest=0.0):
 
 def test_control_imports_no_numpy():
     """The mixer and the cascade run on Python floats: the module binds no
-    numpy module (errors and quat still import it)."""
+    numpy module (errors still imports it; quat does not)."""
     assert not [name for name, value in vars(control).items()
                 if isinstance(value, types.ModuleType)
                 and value.__name__.split(".")[0] == "numpy"]
+
+
+def test_quat_imports_no_numpy(run_snippet):
+    """The quaternion helpers take their trig from libm: the module binds
+    no numpy module, and importing it alone loads none."""
+    assert not [name for name, value in vars(quat).items()
+                if isinstance(value, types.ModuleType)
+                and value.__name__.split(".")[0] == "numpy"]
+    assert run_snippet("import sys, coaxtail.quat; "
+                       "print('numpy' in sys.modules)").strip() == "False"
 
 
 class TestVectorPid:
@@ -970,6 +972,20 @@ class TestCascade:
             ctl.step(sp, np.zeros(3), np.zeros(3),
                      np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
         assert pid.integral == [0.0, 0.0, 0.0]
+
+    def test_non_finite_attitude_target_is_refused_by_name(self):
+        """A yaw or pitch-override target that is NaN or infinite is a
+        ConfigError naming it, not a bare ValueError from math.sin."""
+        for bad in (math.nan, math.inf, -math.inf):
+            for field, sp in (
+                    ("yaw", ControlSetpoint(yaw=bad)),
+                    ("yaw", ControlSetpoint(yaw=bad, pitch_override=-0.3)),
+                    ("pitch_override", ControlSetpoint(pitch_override=bad))):
+                ctl = CascadeController(1.2)
+                with pytest.raises(ConfigError,
+                                   match=f"^{field} must be finite, got"):
+                    ctl.step(sp, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                             (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
     def test_controller_takes_its_tick_once(self):
         """dt is set at construction: a bad tick is refused there, and the

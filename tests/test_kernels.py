@@ -1,6 +1,7 @@
 """Numerical kernels: rotor trajectory and rigid-body RK4 step."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -56,12 +57,14 @@ def reference_splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled,
                               u_half):
     """The rotor kernel written element by element on numpy arrays: the
     form kernels.splm_trajectory must reproduce to the bit, and the step
-    at whose start it must find beta singular."""
+    at whose start it must find beta singular. tan is libm's, as in the
+    kernel; np.tan equals it only at numpy's baseline level
+    (test_numpy_baseline_trig_is_libm)."""
 
     def deriv(y, u, out):
         g = 1.0
         if coupled:
-            tb = np.tan(y[2])
+            tb = math.tan(y[2])
             g = (1.0 + tb) / (1.0 - tb)
         s = 0.125 * g * y[1]
         f0 = u - (C[0, 0] * y[3] + C[0, 1] * y[4] + C[0, 2] * y[5]) \
@@ -101,6 +104,42 @@ def reference_splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled,
             y[j] = y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
         out[i + 1] = y
     return out
+
+
+# Prints, as JSON, how many of np.tan, np.sin, np.cos and np.arctan2's
+# results over 200,002 inputs differ in any bit from math's.
+BASELINE_TRIG = """
+import json, math
+import numpy as np
+rng = np.random.default_rng(35)
+x = np.concatenate([rng.uniform(-0.8, 0.8, 100000),
+                    rng.uniform(-8.0, 8.0, 100000), [0.0, -0.0]])
+y = np.concatenate([rng.uniform(-2.0, 2.0, x.size - 2), [-1.0, 1.0]])
+xs, ys = x.tolist(), y.tolist()
+
+def differ(got, want):
+    return int(np.count_nonzero(got.view(np.int64)
+                                != np.array(want).view(np.int64)))
+
+print(json.dumps({
+    "inputs": x.size,
+    "tan": differ(np.tan(x), [math.tan(v) for v in xs]),
+    "sin": differ(np.sin(x), [math.sin(v) for v in xs]),
+    "cos": differ(np.cos(x), [math.cos(v) for v in xs]),
+    "arctan2": differ(np.arctan2(x, y),
+                      [math.atan2(a, b) for a, b in zip(xs, ys)]),
+}))
+"""
+
+
+def test_numpy_baseline_trig_is_libm(numpy_features_off, run_snippet):
+    """The parity anchor of the libm trig in the rotor kernel and the
+    tick: with every feature numpy dispatches to turned off, np.tan,
+    np.sin, np.cos and np.arctan2 equal math's to the bit, so a run here
+    reproduces what numpy's baseline loops compute."""
+    counts = json.loads(run_snippet(BASELINE_TRIG, **numpy_features_off))
+    assert counts == {"inputs": 200002, "tan": 0, "sin": 0, "cos": 0,
+                      "arctan2": 0}
 
 
 class TestSplmKernel:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ class TestStiffness:
                 _coupling_gain(b, True)
         for b in (0.3, math.pi / 4.0):
             assert _coupling_gain(b, False) == 1.0
+
+    def test_coupling_gain_takes_libm_tan(self):
+        """g is (1 + math.tan b)/(1 - math.tan b) to the bit, for a float
+        and each entry of an array, whatever numpy dispatches to; an
+        infinite pitch is a domain error, and NaN stays NaN."""
+        rng = np.random.default_rng(35)
+        beta = rng.uniform(-0.78, 0.78, 5000)
+        want = np.array([(1.0 + math.tan(b)) / (1.0 - math.tan(b))
+                         for b in beta.tolist()])
+        assert np.array_equal(_coupling_gain(beta, True), want)
+        assert np.array_equal(_coupling_gain(beta.reshape(50, 100), True),
+                              want.reshape(50, 100))
+        assert all(_coupling_gain(b, True) == w
+                   for b, w in zip(beta.tolist()[:500], want.tolist()))
+        for b in (math.inf, -math.inf, np.array([0.1, math.inf])):
+            with pytest.raises(NumericalDomainError, match="beta is infinite"):
+                _coupling_gain(b, True)
+        assert math.isnan(_coupling_gain(math.nan, True))
+        assert np.isnan(_coupling_gain(np.array([0.1, math.nan]), True)[1])
 
 
 class TestStep:
@@ -543,6 +563,26 @@ class TestBench:
         assert np.array_equal(
             integrate(p, np.zeros(6), 0.05, 10, u_half, first_step=2.0),
             integrate(p, np.zeros(6), 0.05, 10, u_half, first_step=2))
+
+    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
+    def test_diverging_head_is_a_simulation_fault(self, variant):
+        """A head with negative damping grows until its states overflow.
+        On the coupled head the pitch reaches infinity, where the
+        kernel's math.tan raises ValueError; integrate reports either
+        head as diverged, with no warning."""
+        p = make_params(variant=variant, damping=np.diag([-2.0] * 3))
+        y0 = np.array([0.0, 0.01, 0.01, 0.0, 0.0, 0.0])
+        n = 4000
+        if variant == "coupled":
+            with pytest.raises(ValueError, match="math domain error"):
+                rotor.kernels.splm_trajectory(
+                    y0, n, 0.1, p._inertia_inv_rows, p._damping_rows,
+                    p._stiffness_rows, p._kbeta, True, np.zeros(2 * n + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationFault, match="^rotor trajectory "
+                               "diverged to non-finite values$"):
+                integrate(p, y0, 0.1, n, np.zeros(2 * n + 1))
 
     def test_integrate_refuses_a_bad_stride_before_the_kernel(self,
                                                               monkeypatch):

@@ -3,9 +3,6 @@
 import inspect
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -1153,17 +1150,11 @@ class TestLogBuffer:
     CONFIGS = ("hover", "transition", "wind_retracted", "wind_extended")
 
     @pytest.fixture(scope="class")
-    def flown(self):
+    def flown(self, run_snippet):
         """(digests, resident MB before the runs, after them)."""
-        src = str(Path(kernels.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
-                                   if env.get("PYTHONPATH") else "")
-        out = subprocess.run(
-            [sys.executable, "-c", FLY_AND_DROP,
-             *(str(CONFIG_DIR / f"{name}.cfg") for name in self.CONFIGS)],
-            env=env, capture_output=True, text=True, check=True)
-        return json.loads(out.stdout.splitlines()[-1])
+        out = run_snippet(FLY_AND_DROP, *(CONFIG_DIR / f"{name}.cfg"
+                                          for name in self.CONFIGS))
+        return json.loads(out.splitlines()[-1])
 
     def test_dropped_logs_leave_the_process(self, flown):
         _, before, after = flown
