@@ -37,7 +37,7 @@ from .errors import (
 )
 from .rotor import (HOVER_THROTTLE, SPEED_PER_THROTTLE, SplmParams,
                     bench_torque_series)
-from .stock import CRUISE_SPEED, GRAVITY, MASS
+from .stock import CRUISE_SPEED, CRUISE_THRUST, GRAVITY, MASS
 
 DB_FLOOR = -300.0  # reported instead of -inf for silent signals
 _ZERO_POWER = 1e-30
@@ -361,26 +361,23 @@ def load_allocation_gains(path):
 # ---------------------------------------------------------------------------
 # Propulsion study from raw tables
 
-def table_config_powers(tables_dir, mass=MASS, cruise_thrust=4.4,
-                        cruise_speed=CRUISE_SPEED):
+def table_config_powers(tables_dir):
     """Build propulsion.STUDY_PAIRINGS from measured propeller tables.
 
-    Hover power produces the full weight (mass * stock.GRAVITY) split
-    across both rotors at zero inflow; cruise power produces cruise_thrust
-    at cruise_speed split across the active subset, both in sea-level air
-    (stock.RHO). The directory holds <stem>_<rpm>.csv sheets for each
-    stem of PROP_DIAMETERS. Study parameters must be positive and finite.
+    Hover power produces the stock weight (stock.MASS * stock.GRAVITY)
+    split across both rotors at zero inflow; cruise power produces
+    stock.CRUISE_THRUST at stock.CRUISE_SPEED split across the active
+    subset, both in sea-level air (stock.RHO). The directory holds
+    <stem>_<rpm>.csv sheets for each stem of PROP_DIAMETERS.
     """
     from .propulsion import (PROP_DIAMETERS, load_propeller_table,
                              shared_power, study_powers)
 
-    check_positive(mass=mass, cruise_thrust=cruise_thrust,
-                   cruise_speed=cruise_speed)
     tables = {stem: load_propeller_table(tables_dir, stem)
               for stem in PROP_DIAMETERS}
     # (airspeed, total thrust) of each mode
-    flight = {"multirotor": (0.0, mass * GRAVITY),
-              "fixedwing": (cruise_speed, cruise_thrust)}
+    flight = {"multirotor": (0.0, MASS * GRAVITY),
+              "fixedwing": (CRUISE_SPEED, CRUISE_THRUST)}
     return study_powers(lambda stems, mode: shared_power(
         [tables[s] for s in stems], *flight[mode]))
 
@@ -430,10 +427,6 @@ def _build_parser():
     p.add_argument("--tables", default=None,
                    help="directory of <prop>_<rpm>.csv coefficient sheets")
     p.add_argument("--out", default="power_curve.csv")
-    # study parameters of --tables; None keeps table_config_powers' defaults
-    p.add_argument("--mass", type=_finite_float, default=None)
-    p.add_argument("--cruise-thrust", type=_finite_float, default=None)
-    p.add_argument("--cruise-speed", type=_finite_float, default=None)
 
     p = sub.add_parser("mix-check", help="mixer round-trip property run")
     p.add_argument("--gains", default=None, help="allocation gains .cfg")
@@ -510,15 +503,8 @@ def _cmd_power_analysis(args):
 
     if args.fixture and args.tables:
         raise ConfigError("--fixture and --tables are mutually exclusive")
-    study = {name: value for name, value in (
-        ("mass", args.mass), ("cruise_thrust", args.cruise_thrust),
-        ("cruise_speed", args.cruise_speed)) if value is not None}
     if args.tables:
-        powers = table_config_powers(args.tables, **study)
-    elif study:
-        flags = ", ".join("--" + name.replace("_", "-") for name in study)
-        raise ConfigError(f"only --tables takes {flags}; the powers of a "
-                          f"wattage fixture are fixed")
+        powers = table_config_powers(args.tables)
     else:
         powers = fixture_config_powers(args.fixture or "paper-2025")
     write_power_curve_csv(args.out, powers)

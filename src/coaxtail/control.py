@@ -21,8 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from math import isfinite
 
-from .errors import (ConfigError, check_finite, check_non_negative,
-                     check_positive, float_array, tick_rate)
+from .errors import ConfigError, check_finite, check_positive, tick_rate
 from . import quat
 from .stock import FULL_THROTTLE, GRAVITY
 
@@ -219,75 +218,38 @@ def saturate(wrench, gains, lam):
                            lam * tau_y / c_m, d_y + d_z, d_y - d_z), s
 
 
-class VectorPid:
-    """Three-axis PID with clamped integrator. State is owned, not shared.
-
-    Each gain holds three numbers, one per axis, kept as a tuple of
-    Python floats; the state (integral, previous error) and step's
-    output are lists of three Python floats.
-    """
-
-    def __init__(self, kp, ki, kd, i_limit):
-        gains = []
-        for name, g in zip(("kp", "ki", "kd", "i_limit"),
-                           (kp, ki, kd, i_limit)):
-            v = float_array(g, (3,))
-            if v is None:
-                try:
-                    count = len(g)
-                except TypeError:
-                    count = 1  # a bare number
-                if count == 3:  # three entries, not all numbers
-                    raise ConfigError(f"{name} must be 3 numbers, got {g!r}")
-                raise ConfigError(f"{name} must have one entry per axis, "
-                                  f"3, got {count}")
-            g = v.tolist()
-            rule = check_non_negative if name == "i_limit" else check_finite
-            rule(**{f"{name}[{i}]": x for i, x in enumerate(g)})
-            gains += g
-        # kp, ki, kd and i_limit, three axes each
-        self._gains = tuple(gains)
-        self.reset()
-
-    def reset(self):
-        self.integral = [0.0, 0.0, 0.0]
-        self._prev_err = None
-
-    def step(self, err, dt):
-        """One update on err, a sequence of three numbers."""
-        # unpacked before any state changes: a wrong length raises here
-        e0, e1, e2 = err
-        (kp0, kp1, kp2, ki0, ki1, ki2, kd0, kd1, kd2,
-         lim0, lim1, lim2) = self._gains
-        a0, a1, a2 = self.integral
-        # np.clip(acc, -lim, lim), ties, signed zeros and NaN included
-        a0 = a0 + ki0 * e0 * dt
-        if a0 <= -lim0:
-            a0 = -lim0
-        if a0 >= lim0:
-            a0 = lim0
-        a1 = a1 + ki1 * e1 * dt
-        if a1 <= -lim1:
-            a1 = -lim1
-        if a1 >= lim1:
-            a1 = lim1
-        a2 = a2 + ki2 * e2 * dt
-        if a2 <= -lim2:
-            a2 = -lim2
-        if a2 >= lim2:
-            a2 = lim2
-        self.integral = [a0, a1, a2]
-        prev = self._prev_err
-        # a new list, kept as _prev_err: it cannot alias the caller's err
-        self._prev_err = [e0, e1, e2]
-        # no derivative on the first step or without elapsed time
-        if prev is None or dt <= 0.0:
-            return [kp0 * e0 + a0 + kd0 * 0.0, kp1 * e1 + a1 + kd1 * 0.0,
-                    kp2 * e2 + a2 + kd2 * 0.0]
-        p0, p1, p2 = prev
-        return [kp0 * e0 + a0 + kd0 * ((e0 - p0) / dt),
-                kp1 * e1 + a1 + kd1 * ((e1 - p1) / dt),
-                kp2 * e2 + a2 + kd2 * ((e2 - p2) / dt)]
+def pid_step(gains, integral, prev, err, dt):
+    """One three-axis PID update with a clamped integrator: (output,
+    integral), each three floats. gains is kp, ki, kd and i_limit, three
+    axes each; prev is the last update's err, or None on the first, which
+    adds kd * 0.0 in place of the derivative. dt must be positive."""
+    e0, e1, e2 = err
+    (kp0, kp1, kp2, ki0, ki1, ki2, kd0, kd1, kd2,
+     lim0, lim1, lim2) = gains
+    a0, a1, a2 = integral
+    # np.clip(acc, -lim, lim), ties, signed zeros and NaN included
+    a0 = a0 + ki0 * e0 * dt
+    if a0 <= -lim0:
+        a0 = -lim0
+    if a0 >= lim0:
+        a0 = lim0
+    a1 = a1 + ki1 * e1 * dt
+    if a1 <= -lim1:
+        a1 = -lim1
+    if a1 >= lim1:
+        a1 = lim1
+    a2 = a2 + ki2 * e2 * dt
+    if a2 <= -lim2:
+        a2 = -lim2
+    if a2 >= lim2:
+        a2 = lim2
+    if prev is None:
+        return (kp0 * e0 + a0 + kd0 * 0.0, kp1 * e1 + a1 + kd1 * 0.0,
+                kp2 * e2 + a2 + kd2 * 0.0), (a0, a1, a2)
+    p0, p1, p2 = prev
+    return (kp0 * e0 + a0 + kd0 * ((e0 - p0) / dt),
+            kp1 * e1 + a1 + kd1 * ((e1 - p1) / dt),
+            kp2 * e2 + a2 + kd2 * ((e2 - p2) / dt)), (a0, a1, a2)
 
 
 # The stock cascade tuning, one entry per world (position, velocity) or
@@ -303,6 +265,9 @@ RATE_KP = (0.55, 0.65, 0.25)
 RATE_KI = (1.6, 1.9, 0.75)
 RATE_KD = (0.001, 0.001, 0.0)
 RATE_I_LIMIT = (0.5, 0.8, 0.25)
+# each PID's gains as pid_step takes them
+_VEL_GAINS = VEL_KP + VEL_KI + VEL_KD + VEL_I_LIMIT
+_RATE_GAINS = RATE_KP + RATE_KI + RATE_KD + RATE_I_LIMIT
 # update rates in Hz of the position, velocity, attitude and yaw-torque
 # loops; each must divide the base rate 1/dt
 LOOP_RATES = (("pos_rate", 50), ("vel_rate", 250), ("att_rate", 250),
@@ -337,9 +302,16 @@ class ControlSetpoint:
 class CascadeController:
     """Cascaded position/velocity/attitude/rate controller.
 
-    Owns its integrator and hold state; one instance per vehicle, stepped
-    once per tick of dt seconds. 1/dt is the base rate, which each of the
-    LOOP_RATES must divide. Not safe for concurrent stepping.
+    One instance per vehicle, stepped once per tick of dt seconds. 1/dt
+    is the base rate, which each of the LOOP_RATES must divide. Not safe
+    for concurrent stepping. The state is the tick count _tick; the held
+    velocity setpoint _vel_sp, force demand _f_des, rate setpoint
+    _rate_sp and yaw torque _tau_z; and each PID's integral and previous
+    error, _vel_integral, _vel_prev, _rate_integral and _rate_prev (None
+    before the loop's first update). Each is a number, a tuple of three
+    floats or None, so copy.copy(ctl) is a snapshot and assigning its
+    attributes back restores it. _yaw_key, _q_yaw, _override_key and
+    _override only cache the attitude setpoints.
     """
 
     TILT_MIN_PROJECTION = 0.15
@@ -349,17 +321,17 @@ class CascadeController:
         self._every = loop_divisors(dt)
         self.mass = float(mass)
         self.dt = float(dt)
-        self._vel_pid = VectorPid(VEL_KP, VEL_KI, VEL_KD, VEL_I_LIMIT)
-        self._rate_pid = VectorPid(RATE_KP, RATE_KI, RATE_KD, RATE_I_LIMIT)
         self.reset()
 
     def reset(self):
-        self._vel_pid.reset()
-        self._rate_pid.reset()
         self._tick = 0
-        self._vel_sp = [0.0, 0.0, 0.0]
+        self._vel_sp = (0.0, 0.0, 0.0)
+        self._vel_integral = (0.0, 0.0, 0.0)
+        self._vel_prev = None
         self._f_des = (0.0, 0.0, self.mass * GRAVITY)
-        self._rate_sp = [0.0, 0.0, 0.0]
+        self._rate_sp = (0.0, 0.0, 0.0)
+        self._rate_integral = (0.0, 0.0, 0.0)
+        self._rate_prev = None
         self._tau_z = 0.0
         self._yaw_key = self._override_key = None
 
@@ -382,28 +354,26 @@ class CascadeController:
         pos_every, vel_every, att_every, yaw_every = self._every
 
         if tick % pos_every == 0:
-            sp = [k * (a - b) for k, a, b in zip(
-                POS_P, setpoint.position, position)]
-            if transition:
-                sp[0] = 0.0
-                sp[1] = 0.0
-            self._vel_sp = sp
+            k0, k1, k2 = POS_P
+            p0, p1, p2 = setpoint.position
+            x0, x1, x2 = position
+            sp_z = k2 * (p2 - x2)
+            self._vel_sp = ((0.0, 0.0, sp_z) if transition
+                            else (k0 * (p0 - x0), k1 * (p1 - x1), sp_z))
 
         if tick % vel_every == 0:
-            vdt = self.dt * vel_every
             s0, s1, s2 = self._vel_sp
             v0, v1, v2 = velocity
-            err = [s0 - v0, s1 - v1, s2 - v2]
+            err = ((0.0, 0.0, s2 - v2) if transition
+                   else (s0 - v0, s1 - v1, s2 - v2))
+            (a0, a1, a2), self._vel_integral = pid_step(
+                _VEL_GAINS, self._vel_integral, self._vel_prev, err,
+                self.dt * vel_every)
+            self._vel_prev = err
             if transition:
-                err[0] = 0.0
-                err[1] = 0.0
-            acc = self._vel_pid.step(err, vdt)
-            if transition:
-                acc[0] = 0.0
-                acc[1] = 0.0
-            self._f_des = (self.mass * (acc[0] + 0.0),
-                           self.mass * (acc[1] + 0.0),
-                           self.mass * (acc[2] + GRAVITY))
+                a0 = a1 = 0.0
+            self._f_des = (self.mass * (a0 + 0.0), self.mass * (a1 + 0.0),
+                           self.mass * (a2 + GRAVITY))
 
         z_body = quat.rotate(orientation, _Z_AXIS)
 
@@ -429,13 +399,16 @@ class CascadeController:
                 tilt_w = (0.0, 0.0, 0.0)
             tilt_b = quat.rotate(quat.conjugate(orientation), tilt_w)
             full_b = quat.error_rotation_vector(orientation, q_sp)
-            self._rate_sp = [ATT_P_TILT * tilt_b[0],
+            self._rate_sp = (ATT_P_TILT * tilt_b[0],
                              ATT_P_TILT * tilt_b[1],
-                             ATT_P_YAW * full_b[2]]
+                             ATT_P_YAW * full_b[2])
 
         r0, r1, r2 = self._rate_sp
         w0, w1, w2 = body_rate
-        tau = self._rate_pid.step([r0 - w0, r1 - w1, r2 - w2], self.dt)
+        err = (r0 - w0, r1 - w1, r2 - w2)
+        tau, self._rate_integral = pid_step(
+            _RATE_GAINS, self._rate_integral, self._rate_prev, err, self.dt)
+        self._rate_prev = err
         if tick % yaw_every == 0:
             self._tau_z = tau[2]
 

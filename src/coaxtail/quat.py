@@ -35,15 +35,10 @@ def dot(a, b) -> float:
 
 
 def norm(v) -> float:
-    """Euclidean norm of a vector of any length: the square root of its
-    sum of squares, summed left to right from +0.0."""
-    if len(v) == 3:
-        x, y, z = v
-        return math.sqrt(0.0 + x * x + y * y + z * z)
-    s = 0.0
-    for x in v:
-        s += x * x
-    return math.sqrt(s)
+    """Euclidean norm of a 3-vector: the square root of its sum of
+    squares, summed left to right from +0.0."""
+    x, y, z = v
+    return math.sqrt(0.0 + x * x + y * y + z * z)
 
 
 def conjugate(q) -> tuple:

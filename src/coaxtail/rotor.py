@@ -47,7 +47,10 @@ from .errors import (ConfigError, NumericalDomainError, SimulationFault,
 from . import kernels
 from .stock import FULL_THROTTLE
 
-_BENCH_SUBSTEPS = 4  # integrator steps per bench output sample
+_BENCH_SUBSTEPS = 4  # integrator steps per bench output sample, at least
+# the largest azimuth step (rad) the bench takes: RK4 on the head diverges
+# past about 0.57 rad
+H_STABLE = 0.4
 _BENCH_BLOCK = 1024  # bench output samples integrated per integrate call
 
 
@@ -293,10 +296,12 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     starts at the steady state for the bare throttle, so amplitude = 0
     holds the fixed point exactly and the torque trace is flat up to
     integrator noise. Returns (t, torque) sampled at fs; the integrator
-    runs _BENCH_SUBSTEPS internal steps per output sample, _BENCH_BLOCK
-    output samples at a time, and keeps only the rows it samples. A
+    runs _BENCH_SUBSTEPS internal steps per output sample, or as many
+    more as keep each azimuth step within H_STABLE, _BENCH_BLOCK output
+    samples at a time, and keeps only the rows it samples. A
     singular-pitch NumericalDomainError counts its step from the run's
-    first.
+    first, and a torque sample that is not finite is a SimulationFault
+    naming it.
     """
     check_positive(throttle=throttle, duration=duration, fs=fs)
     check_non_negative(amplitude=amplitude)
@@ -323,7 +328,8 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
             f"fs={fs} Hz undersamples the {omega / (2 * math.pi):.1f} Hz rotation; "
             "need fs >= 2x rotation frequency"
         )
-    h = omega / (fs * _BENCH_SUBSTEPS)
+    s = max(_BENCH_SUBSTEPS, math.ceil(omega / (fs * H_STABLE)))
+    h = omega / (fs * s)
     m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
     try:
         t = np.arange(n_out + 1) / fs
@@ -336,7 +342,6 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     y = np.concatenate([steady_state(params, throttle), np.zeros(3)])
     # one block per call, so only t and torque grow with the duration; step
     # k's half-grid azimuths are (2k, 2k+1, 2k+2) * (h/2), as in one call
-    s = _BENCH_SUBSTEPS
     for a in range(0, n_out, _BENCH_BLOCK):
         b = min(a + _BENCH_BLOCK, n_out)
         u_half = modulation_signal(
@@ -346,6 +351,12 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
         y = traj[-1]
         # a block's end row starts the next block, which checks its pitch
         n = b - a + (b == n_out)
-        torque[a:a + n] = torque_from_states(params, u_half[:2 * s * n:2 * s],
-                                             traj[:n])
+        # a finite state can still overflow the readout; checked below
+        with np.errstate(all="ignore"):
+            torque[a:a + n] = torque_from_states(
+                params, u_half[:2 * s * n:2 * s], traj[:n])
+    bad = np.flatnonzero(~np.isfinite(torque))
+    if bad.size:
+        raise SimulationFault(f"bench torque sample {bad[0]} (t={t[bad[0]]:g} "
+                              f"s) is not finite: {torque[bad[0]]}")
     return t, torque

@@ -124,22 +124,6 @@ def test_non_finite_field_raises_config_error(cls, data):
         cls(**{**fields, **kwargs})
 
 
-@pytest.mark.parametrize("name", ("VEL_KP", "VEL_KI", "VEL_KD", "VEL_I_LIMIT",
-                                  "RATE_KP", "RATE_KI", "RATE_KD",
-                                  "RATE_I_LIMIT"))
-@settings(max_examples=60, deadline=None)
-@given(bad=non_finite, index=st.integers(0, 2))
-def test_non_finite_pid_constant_raises_config_error(name, bad, index):
-    """The cascade's PID gains are module constants; one non-finite entry
-    in any of them makes building the controller raise ConfigError."""
-    valid = getattr(control, name)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(control, name, planted(valid, bad, index))
-        with pytest.raises(ConfigError):
-            control.CascadeController(1.2)
-    control.CascadeController(1.2)  # the stock constants are valid
-
-
 def test_fields_cover_every_class_a_config_file_builds(monkeypatch):
     built = set()
     build = analysis._build

@@ -328,24 +328,34 @@ class TestStudyPowers:
             == hexes(reference_table_powers(PROPS_DIR))
 
     def test_random_study_parameters_match_the_reference(self):
-        """Random (mass, cruise thrust, cruise speed): the same floats, bit
-        for bit, or the same InfeasibleError message."""
+        """Random (mass, cruise thrust, cruise speed), each pairing's
+        powers through shared_power: the same floats, bit for bit, or the
+        same InfeasibleError message."""
+        tables = {stem: load_propeller_table(PROPS_DIR, stem)
+                  for stem in PROP_DIAMETERS}
         rng = np.random.default_rng(19)
         feasible = infeasible = 0
         for _ in range(32):
             study = {"mass": rng.uniform(0.3, 4.0),
                      "cruise_thrust": rng.uniform(0.5, 16.0),
                      "cruise_speed": rng.uniform(2.0, 30.0)}
+            flight = {"multirotor": (0.0, study["mass"] * 9.81),
+                      "fixedwing": (study["cruise_speed"],
+                                    study["cruise_thrust"])}
+
+            def powers():
+                return study_powers(lambda stems, mode: shared_power(
+                    [tables[s] for s in stems], *flight[mode]))
+
             try:
                 want = hexes(reference_table_powers(PROPS_DIR, **study))
             except InfeasibleError as exc:
                 with pytest.raises(InfeasibleError,
                                    match=f"^{re.escape(str(exc))}$"):
-                    table_config_powers(PROPS_DIR, **study)
+                    powers()
                 infeasible += 1
                 continue
-            assert hexes(table_config_powers(PROPS_DIR, **study)) == want, \
-                study
+            assert hexes(powers()) == want, study
             feasible += 1
         assert feasible >= 20 and infeasible >= 1
 

@@ -519,6 +519,54 @@ class TestBench:
             with pytest.raises(ConfigError):
                 bench_torque_series(p, 900.0, 200.0, 0.0, duration, fs)
 
+    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
+    def test_the_fs_floor_is_stable(self, variant, monkeypatch):
+        """At fs = 2x the rotation frequency, the lowest rate the bench
+        takes, every integrator step stays within H_STABLE: the run is
+        finite and warns of nothing, at low, hover and high throttle."""
+        steps = []
+        real = rotor.integrate
+
+        def spy(params, y0, psi_step, n_steps, u_half, **kwargs):
+            steps.append((psi_step, kwargs["stride"]))
+            return real(params, y0, psi_step, n_steps, u_half, **kwargs)
+
+        monkeypatch.setattr(rotor, "integrate", spy)
+        p = make_params(variant=variant)
+        for throttle in (300.0, 900.0, 1600.0):
+            omega = SPEED_PER_THROTTLE * throttle
+            fs = omega / math.pi
+            steps.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, tau = bench_torque_series(p, throttle, 0.25 * throttle,
+                                             0.3, 40.0 / (fs / 2.0), fs)
+            assert np.isfinite(tau).all() and np.ptp(tau) > 0.0
+            # pi / 0.4 rad: 8 steps per output sample
+            assert {stride for _, stride in steps} == {8}
+            assert max(h for h, _ in steps) <= rotor.H_STABLE
+
+    def test_non_finite_torque_is_a_simulation_fault(self, monkeypatch):
+        """With the step bound lifted (4 steps per sample at any fs), a
+        decoupled head at 300 +- 150 counts sampled at 33.0106084 Hz takes
+        0.63 rad steps: its states stay finite, but the torque readout
+        overflows to -inf in the last sample. That is a SimulationFault
+        naming the sample, with no numpy warning; a head that diverges
+        outright is one too."""
+        monkeypatch.setattr(rotor, "H_STABLE", math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationFault,
+                               match=r"^bench torque sample 660 "
+                                     r"\(t=19\.9936 s\) is not finite: "
+                                     r"-inf$"):
+                bench_torque_series(make_params(variant="decoupled"), 300.0,
+                                    150.0, 0.0, 20.0, 33.0106084)
+            with pytest.raises(SimulationFault, match="^rotor trajectory "
+                               "diverged to non-finite values$"):
+                bench_torque_series(make_params(variant="coupled"), 900.0,
+                                    200.0, 0.0, 10.0, 100.0)
+
     def test_non_finite_command_rejected(self):
         p = make_params()
         for bad in (math.nan, math.inf, -math.inf):

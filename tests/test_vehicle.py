@@ -927,14 +927,17 @@ class TestScenarios:
                                            t_min=spec.wind.start))
         assert devs[0] < devs[1] < devs[2]
 
-    def test_wind_peak_converged_in_dt(self):
-        # halving the step moves the wind-scenario peak by under 1 %
-        devs = []
-        for dt in (1e-3, 5e-4):
-            spec, params = wind_case(WingMode.EXTENDED, duration=8.0, dt=dt)
-            devs.append(run_scenario(spec, params).peak_deviation(
-                spec.position, t_min=spec.wind.start))
-        assert abs(devs[1] - devs[0]) / devs[0] < 0.01
+    @pytest.mark.parametrize("mode", ["extended", "retracted"])
+    def test_wind_peak_converged_in_dt(self, mode, shipped_run):
+        """The closed loop's error is first order in dt, from holding the
+        wrench over each tick: halving the shipped wind runs' 1 ms tick
+        moves each peak deviation by about 1e-5 m (7e-6 m extended, 9e-6
+        m retracted). The bound catches a tick change that grows it."""
+        spec, params, log, _ = shipped_run(f"wind_{mode}")
+        half = run_scenario(replace(spec, dt=0.5 * spec.dt), params)
+        change = (half.peak_deviation(spec.position)
+                  - log.peak_deviation(spec.position))
+        assert abs(change) < 5e-5, change
 
     def test_transition_smoke_tracks_early_ramp(self):
         spec = ScenarioSpec(name="transition", mode="transition",
