@@ -42,6 +42,7 @@ from coaxtail.control import AllocationGains
 from coaxtail.errors import ConfigError, NumericalDomainError
 from coaxtail.propulsion import fixture_config_powers, load_propeller_table
 from coaxtail.rotor import HOVER_THROTTLE, SPEED_PER_THROTTLE
+from coaxtail.stock import CRUISE_SPEED, CRUISE_THRUST, MASS
 from coaxtail.vehicle import (ScenarioSpec, VehicleParams, run_scenario,
                               transition_profile)
 
@@ -692,6 +693,17 @@ class TestTablePowers:
         assert names == [p.name for p in fixture_config_powers()]
         assert names == ["HPC", "HLC", "HSC"]
 
+    @pytest.mark.parametrize("name", ["mass", "cruise_thrust",
+                                      "cruise_speed"])
+    def test_study_parameters_are_not_arguments(self, name):
+        """The study's mass, cruise thrust and cruise speed are the stock
+        constants: passing one is a TypeError naming it, not a study at
+        another operating point."""
+        value = {"mass": MASS, "cruise_thrust": CRUISE_THRUST,
+                 "cruise_speed": CRUISE_SPEED}[name]
+        with pytest.raises(TypeError, match=name):
+            table_config_powers(PROPS_DIR, **{name: value})
+
 
 class TestImport:
     def test_runtime_needs_numpy_only(self):
@@ -911,6 +923,10 @@ class TestCli:
         # 4 steps per sample overflowed the torque readout to -inf
         ["--variant", "decoupled", "--throttle", "300", "--amplitude", "150",
          "--duration", "20", "--fs", "33.0106084"],
+        ["--variant", "decoupled", "--fs", "100"],
+        # just above 2x the rotation at hover and at 1600 counts
+        ["--fs", "80.1"],
+        ["--throttle", "1600", "--amplitude", "400", "--fs", "142.3"],
     ])
     def test_bench_at_a_low_rate_is_finite(self, tmp_path, capsys, argv):
         """A sample rate the bench admits is one it can integrate: exit

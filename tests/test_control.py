@@ -567,9 +567,15 @@ class TestQuaternionFloatForms:
                 assert got == want
                 assert math.copysign(1.0, got) == math.copysign(1.0, want)
         assert quat.norm((0.0, -0.0, 0.0)) == 0.0
-        for bad in ((), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
-            with pytest.raises(ValueError):
-                quat.norm(bad)
+
+    @pytest.mark.parametrize("bad", [
+        (), (1.0,), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), [1.0, 2.0, 3.0, 4.0],
+        np.ones(4)], ids=lambda bad: f"{type(bad).__name__}{len(bad)}")
+    def test_norm_takes_three_entries_only(self, bad):
+        """A vector of any other length is a ValueError, not the norm of
+        its first three entries or of all of them."""
+        with pytest.raises(ValueError):
+            quat.norm(bad)
 
     def test_multiply(self):
         rng = np.random.default_rng(22)
@@ -822,14 +828,16 @@ class TestPidStep:
             assert np.array_equal(np.signbit(out[keep]),
                                   np.signbit(want_out[keep]))
 
-    def test_wrong_length_error_is_refused(self):
+    @pytest.mark.parametrize("prev", [None, (0.1, 0.2, 0.3)],
+                             ids=["first", "later"])
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], []],
+                             ids=len)
+    def test_wrong_length_error_is_refused(self, bad, prev):
         """An err with too few or too many axes raises ValueError, with or
         without a previous error."""
         gains = pack((1.0,) * 3, (1.0,) * 3, (1.0,) * 3, (1.0,) * 3)
-        for prev in (None, (0.1, 0.2, 0.3)):
-            for bad in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], []):
-                with pytest.raises(ValueError):
-                    pid_step(gains, (0.0, 0.0, 0.0), prev, bad, 1e-3)
+        with pytest.raises(ValueError):
+            pid_step(gains, (0.0, 0.0, 0.0), prev, bad, 1e-3)
 
     def test_three_axis_step_matches_the_array_form(self):
         """Random episodes against reference_pid_step: errors with signed
@@ -869,6 +877,33 @@ class TestPidStep:
                     assert np.array_equal(np.signbit(a[keep]),
                                           np.signbit(b[keep]))
         assert ties > 1_000 and nans > 1_000, (ties, nans)
+
+    @pytest.mark.parametrize("tick", [1e-3, 5e-4, 2e-4])
+    @pytest.mark.parametrize("loop", ["vel", "rate"])
+    def test_stock_gains_match_the_array_form(self, loop, tick):
+        """The gains the controller passes, packed at import, are the
+        module's KP, KI, KD and I_LIMIT in that order: a run over them at
+        the loop's period (the velocity loop's divisor times the tick, or
+        the tick) matches the reference on those constants to the bit,
+        through clamped and unclamped integrals."""
+        gains = getattr(control, f"_{loop.upper()}_GAINS")
+        kp, ki, kd, i_limit = (np.array(getattr(control, f"{loop}_{k}".upper()))
+                               for k in ("kp", "ki", "kd", "i_limit"))
+        dt = tick * (loop_divisors(tick)[1] if loop == "vel" else 1)
+        rng = np.random.default_rng(42)
+        integral, prev = (0.0, 0.0, 0.0), None
+        ref = {"integral": np.zeros(3), "prev": None}
+        clamped = 0
+        for _ in range(400):
+            err = rng.normal(size=3) * rng.choice([1e-2, 1.0, 1e3])
+            step_err = tuple(err.tolist())
+            got, integral = pid_step(gains, integral, prev, step_err, dt)
+            prev = step_err
+            want = reference_pid_step(ref, kp, ki, kd, i_limit, err, dt)
+            assert_same_bits(got, want)
+            assert_same_bits(integral, ref["integral"])
+            clamped += np.count_nonzero(np.abs(ref["integral"]) == i_limit)
+        assert clamped > 100, clamped
 
 
 class TestCascade:
@@ -1000,20 +1035,26 @@ class TestCascade:
                 assert all(map(plain, vars(ctl).values())), vars(ctl)
         assert ControlSetpoint().position == (0.0, 0.0, 0.0)
 
-    def test_copy_is_a_snapshot(self):
-        """copy.copy of a controller taken mid-run steps to the same
-        wrenches as the original, bit for bit, and stepping the copy
+    @pytest.mark.parametrize("dt", [1e-3, 5e-4, 2e-4])
+    @pytest.mark.parametrize("split", [0, 1, 4, 20, 97, 120])
+    def test_copy_is_a_snapshot(self, split, dt):
+        """copy.copy of a controller taken after split ticks steps to the
+        same wrenches as the original, bit for bit, and stepping the copy
         leaves the original unchanged; assigning the copy's attributes
-        back to the original restores it."""
+        back to the original restores it. The splits hold different
+        state: none stepped (no previous errors), one tick, a velocity
+        or a position loop boundary at 1 ms, mid-loop (no loop divides
+        97), and the switch to a pitch override; the ticks move the
+        boundaries."""
         ticks = self.random_ticks(np.random.default_rng(41), 240)
-        ctl = CascadeController(1.2)
-        for args in ticks[:97]:  # mid-loop: no loop divides 97
+        ctl = CascadeController(1.2, dt)
+        for args in ticks[:split]:
             ctl.step(*args)
         snap, kept = copy.copy(ctl), copy.copy(ctl)
 
         def run(controller):
             return np.array([list(vars(controller.step(*args)).values())
-                             for args in ticks[97:]])
+                             for args in ticks[split:]])
 
         from_snap = run(snap)
         assert vars(ctl) == vars(kept)
@@ -1022,6 +1063,27 @@ class TestCascade:
         for name, value in vars(kept).items():
             setattr(ctl, name, value)
         assert_same_bits(run(ctl), from_ctl)
+
+    def test_reset_is_a_fresh_controller(self):
+        """reset() after a run leaves the same attributes as a new
+        controller of the same mass and tick (the attitude setpoint
+        caches keep their values under a cleared key), and the same
+        wrenches follow."""
+        def state(controller):
+            return {name: value for name, value in vars(controller).items()
+                    if name not in ("_q_yaw", "_override")}
+
+        ticks = self.random_ticks(np.random.default_rng(43), 120)
+        ctl, fresh = CascadeController(1.2, 5e-4), CascadeController(1.2, 5e-4)
+        for args in ticks:
+            ctl.step(*args)
+        assert state(ctl) != state(fresh)
+        ctl.reset()
+        assert state(ctl) == state(fresh)
+        assert_same_bits([list(vars(ctl.step(*args)).values())
+                          for args in ticks],
+                         np.array([list(vars(fresh.step(*args)).values())
+                                   for args in ticks]))
 
     def test_equilibrium_outputs_weight_only(self):
         ctl = CascadeController(1.2)

@@ -519,11 +519,10 @@ class TestBench:
             with pytest.raises(ConfigError):
                 bench_torque_series(p, 900.0, 200.0, 0.0, duration, fs)
 
-    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
-    def test_the_fs_floor_is_stable(self, variant, monkeypatch):
-        """At fs = 2x the rotation frequency, the lowest rate the bench
-        takes, every integrator step stays within H_STABLE: the run is
-        finite and warns of nothing, at low, hover and high throttle."""
+    @staticmethod
+    def spy_on_steps(monkeypatch):
+        """A list that collects (psi_step, stride) of each integrate call
+        the bench makes."""
         steps = []
         real = rotor.integrate
 
@@ -532,19 +531,49 @@ class TestBench:
             return real(params, y0, psi_step, n_steps, u_half, **kwargs)
 
         monkeypatch.setattr(rotor, "integrate", spy)
+        return steps
+
+    @pytest.mark.parametrize("throttle", [300.0, 900.0, 1600.0])
+    @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
+    def test_the_fs_floor_is_stable(self, variant, throttle, monkeypatch):
+        """At fs = 2x the rotation frequency, the lowest rate the bench
+        takes, every integrator step stays within H_STABLE: the run is
+        finite and warns of nothing, at low, hover and high throttle."""
+        steps = self.spy_on_steps(monkeypatch)
         p = make_params(variant=variant)
-        for throttle in (300.0, 900.0, 1600.0):
-            omega = SPEED_PER_THROTTLE * throttle
-            fs = omega / math.pi
-            steps.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _, tau = bench_torque_series(p, throttle, 0.25 * throttle,
-                                             0.3, 40.0 / (fs / 2.0), fs)
-            assert np.isfinite(tau).all() and np.ptp(tau) > 0.0
-            # pi / 0.4 rad: 8 steps per output sample
-            assert {stride for _, stride in steps} == {8}
-            assert max(h for h, _ in steps) <= rotor.H_STABLE
+        omega = SPEED_PER_THROTTLE * throttle
+        fs = omega / math.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, tau = bench_torque_series(p, throttle, 0.25 * throttle,
+                                         0.3, 40.0 / (fs / 2.0), fs)
+        assert np.isfinite(tau).all() and np.ptp(tau) > 0.0
+        # pi / 0.4 rad: 8 steps per output sample
+        assert {stride for _, stride in steps} == {8}
+        assert max(h for h, _ in steps) <= rotor.H_STABLE
+
+    @pytest.mark.parametrize("throttle, fs, stride", [
+        # at the pinned 1 kHz the count stays _BENCH_SUBSTEPS up to full
+        # throttle, so the pinned series do not move
+        (300.0, 1000.0, 4), (900.0, 1000.0, 4), (1800.0, 1000.0, 4),
+        (900.0, 250.0, 4),
+        # below about 2.5 omega rad/s the bound takes over: ceil(omega /
+        # (fs * 0.4))
+        (900.0, 100.0, 7), (300.0, 33.0106084, 7), (1600.0, 150.0, 8),
+    ])
+    def test_substeps_keep_the_step_bound(self, throttle, fs, stride,
+                                          monkeypatch):
+        """The bench takes max(_BENCH_SUBSTEPS, ceil(omega / (fs *
+        H_STABLE))) integrator steps per output sample, each omega / (fs
+        * stride) rad long."""
+        steps = self.spy_on_steps(monkeypatch)
+        omega = SPEED_PER_THROTTLE * throttle
+        _, tau = bench_torque_series(make_params(), throttle, 0.1 * throttle,
+                                     0.0, 20.0 / fs, fs)
+        assert np.isfinite(tau).all()
+        assert steps and {s for _, s in steps} == {stride}
+        assert {h for h, _ in steps} == {omega / (fs * stride)}
+        assert omega / (fs * stride) <= rotor.H_STABLE
 
     def test_non_finite_torque_is_a_simulation_fault(self, monkeypatch):
         """With the step bound lifted (4 steps per sample at any fs), a
