@@ -21,7 +21,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from math import isfinite
 
-from .errors import ConfigError, check_finite, check_positive, tick_rate
+from .errors import (ConfigError, check_finite, check_positive,
+                     finite_vector3, tick_rate)
 from . import quat
 from .stock import FULL_THROTTLE, GRAVITY
 
@@ -292,11 +293,23 @@ class ControlSetpoint:
     With pitch_override set (radians), the attitude setpoint is the given
     pitch about world y composed with the yaw target, the position loop
     controls altitude only, and no lateral force is commanded.
+
+    Construction holds position as a tuple of three finite floats and
+    refuses a yaw or pitch_override that is not finite, naming the field.
+    step checks yaw and pitch_override again, since a caller may assign
+    them later (run_scenario sets pitch_override every tick).
     """
 
     position: tuple = (0.0, 0.0, 0.0)
     yaw: float = 0.0
     pitch_override: float | None = None
+
+    def __post_init__(self):
+        self.position = tuple(finite_vector3(self.position,
+                                             "position").tolist())
+        check_finite(yaw=self.yaw)
+        if self.pitch_override is not None:
+            check_finite(pitch_override=self.pitch_override)
 
 
 class CascadeController:

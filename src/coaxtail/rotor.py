@@ -47,10 +47,9 @@ from .errors import (ConfigError, NumericalDomainError, SimulationFault,
 from . import kernels
 from .stock import FULL_THROTTLE
 
-_BENCH_SUBSTEPS = 4  # integrator steps per bench output sample, at least
-# the largest azimuth step (rad) the bench takes: RK4 on the head diverges
-# past about 0.57 rad
-H_STABLE = 0.4
+# the largest azimuth step (rad) the bench takes: its peak-to-peak is 7e-6
+# from an 8x finer step's, and RK4 on the head diverges past about 0.57 rad
+H_MAX = 0.13
 _BENCH_BLOCK = 1024  # bench output samples integrated per integrate call
 
 
@@ -296,12 +295,11 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
     starts at the steady state for the bare throttle, so amplitude = 0
     holds the fixed point exactly and the torque trace is flat up to
     integrator noise. Returns (t, torque) sampled at fs; the integrator
-    runs _BENCH_SUBSTEPS internal steps per output sample, or as many
-    more as keep each azimuth step within H_STABLE, _BENCH_BLOCK output
-    samples at a time, and keeps only the rows it samples. A
-    singular-pitch NumericalDomainError counts its step from the run's
-    first, and a torque sample that is not finite is a SimulationFault
-    naming it.
+    takes as few equal steps per output sample as keep each azimuth step
+    within H_MAX, _BENCH_BLOCK output samples at a time, and keeps only
+    the rows it samples. A singular-pitch NumericalDomainError counts its
+    step from the run's first, and a torque sample that is not finite is
+    a SimulationFault naming it.
     """
     check_positive(throttle=throttle, duration=duration, fs=fs)
     check_non_negative(amplitude=amplitude)
@@ -328,8 +326,11 @@ def bench_torque_series(params: SplmParams, throttle: float, amplitude: float,
             f"fs={fs} Hz undersamples the {omega / (2 * math.pi):.1f} Hz rotation; "
             "need fs >= 2x rotation frequency"
         )
-    s = max(_BENCH_SUBSTEPS, math.ceil(omega / (fs * H_STABLE)))
+    s = max(1, math.ceil(omega / (fs * H_MAX)))
     h = omega / (fs * s)
+    if h == 0.0:
+        raise ConfigError(f"throttle={throttle:g} at fs={fs:g} Hz gives an "
+                          "azimuth step that underflows to zero")
     m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
     try:
         t = np.arange(n_out + 1) / fs

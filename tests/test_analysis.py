@@ -724,11 +724,11 @@ PINNED = {
     "power-analysis --fixture paper-2025":
     "dad2c61e6f5cc96f7c42b5c8bf570141618b19c18382e538ab076040fbc9b5f2",
     "bench-splm":
-    "b1cbd639f4aa493dbb161271700df395cdcc7d6004af264c5acebbe2ee5488f9",
+    "5f3f8e247c30da58f80257825d28f40f252ee2ac606b08604db9f50f28266952",
     "simulate wind_retracted.cfg":
     "06cfe794f3a35aec5482042fbadc6607c263c79f6b184ae33c7d42ea3fb959af",
     "psd":
-    "395b696b263462459f27448e5b12701568e74b380e2852618b52107283956b25",
+    "5e6ea3219958aac3a21d6a1d523f59885f2a9bf00a2a6fff7b06219ac546360a",
     "power-analysis --tables":
     "ba731e802322d3d848a776b75cc36f2b1cb7b8d0b34d8d9a56c6b1887d143e39",
 }
@@ -780,7 +780,7 @@ class TestCli:
         bench, out = tmp_path / "torque.csv", tmp_path / "psd.csv"
         assert cli_main(["bench-splm", "--out", str(bench)]) == 0
         assert cli_main(["psd", str(bench), "--out", str(out)]) == 0
-        assert "avg_psd_db=-35.48969\n" in capsys.readouterr().out
+        assert "avg_psd_db=-35.4896431\n" in capsys.readouterr().out
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[
             "psd"]
 
@@ -905,17 +905,21 @@ class TestCli:
         assert 0.0 <= min(lams) < 0.01 and 0.99 < max(lams) <= 1.0
 
     def test_bench_then_psd_chain(self, tmp_path, capsys):
+        """The decoupled head at zero amplitude holds its fixed point to
+        the bit at 1, 2 and 4 integrator steps per sample (300, 900 and
+        1,500 counts at 1 kHz), so its torque is flat and its PSD floors."""
         torque = tmp_path / "tq.csv"
-        code = cli_main(["bench-splm", "--variant", "decoupled",
-                         "--amplitude", "0", "--duration", "2",
-                         "--out", str(torque)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "torque_p2p=0" in out
-        code = cli_main(["psd", str(torque), "--segment", "512"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"avg_psd_db={DB_FLOOR:.9g}" in out
+        for throttle in ("300", "900", "1500"):
+            code = cli_main(["bench-splm", "--variant", "decoupled",
+                             "--throttle", throttle, "--amplitude", "0",
+                             "--duration", "2", "--out", str(torque)])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "torque_p2p=0\n" in out, throttle
+            code = cli_main(["psd", str(torque), "--segment", "512"])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert f"avg_psd_db={DB_FLOOR:.9g}" in out, throttle
 
     @pytest.mark.parametrize("argv", [
         # 2.5x the 40 Hz rotation: diverged at 4 steps per sample
@@ -960,6 +964,21 @@ class TestCli:
             assert len(lines) == 1 and "category=validation" in lines[0], argv
             assert "Traceback" not in err
         assert not (tmp_path / "tq.csv").exists()
+
+    def test_bench_splm_refuses_an_underflowing_step(self, tmp_path,
+                                                      capsys):
+        """An azimuth step that rounds to zero is one validation line
+        naming the throttle and the rate, not a traceback."""
+        out = tmp_path / "tq.csv"
+        code = cli_main(["bench-splm", "--throttle", "1e-300", "--amplitude",
+                         "0", "--fs", "1e300", "--duration", "1e-300",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: category=validation type=ConfigError message=throttle="
+            "1e-300 at fs=1e+300 Hz gives an azimuth step that underflows "
+            "to zero"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
     def test_bench_splm_refuses_a_peak_past_full_throttle(

@@ -944,17 +944,57 @@ class TestCascade:
 
     def test_non_finite_attitude_target_is_refused_by_name(self):
         """A yaw or pitch-override target that is NaN or infinite is a
-        ConfigError naming it, not a bare ValueError from math.sin."""
+        ConfigError naming it, not a bare ValueError from math.sin: at
+        construction, and in step when it is assigned afterwards."""
         for bad in (math.nan, math.inf, -math.inf):
-            for field, sp in (
-                    ("yaw", ControlSetpoint(yaw=bad)),
-                    ("yaw", ControlSetpoint(yaw=bad, pitch_override=-0.3)),
-                    ("pitch_override", ControlSetpoint(pitch_override=bad))):
+            for field, kwargs in (
+                    ("yaw", {}),
+                    ("yaw", {"pitch_override": -0.3}),
+                    ("pitch_override", {})):
+                match = f"^{field} must be finite, got"
+                with pytest.raises(ConfigError, match=match):
+                    ControlSetpoint(**{**kwargs, field: bad})
+                sp = ControlSetpoint(**{field: 0.2, **kwargs})
+                setattr(sp, field, bad)
                 ctl = CascadeController(1.2)
-                with pytest.raises(ConfigError,
-                                   match=f"^{field} must be finite, got"):
+                with pytest.raises(ConfigError, match=match):
                     ctl.step(sp, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
                              (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("position", [
+        (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (1.0, math.nan, 3.0),
+        (math.inf, 0.0, 0.0), ("1", 2.0, 3.0), (True, 0.0, 0.0), 1.0, None,
+        np.zeros((3, 1)),
+    ], ids=["two", "four", "nan", "inf", "text", "bool", "scalar", "none",
+            "column"])
+    def test_setpoint_position_is_three_finite_numbers(self, position):
+        """A position that is not three finite numbers is refused when the
+        setpoint is built, naming the field, not in step as a bare
+        ValueError or as a non-finite wrench."""
+        with pytest.raises(ConfigError,
+                           match="^position must be 3 finite numbers$"):
+            ControlSetpoint(position=position)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("yaw", "0.1"), ("yaw", True), ("yaw", None), ("yaw", (0.1,)),
+        ("pitch_override", "0.1"), ("pitch_override", True),
+        ("pitch_override", (0.1,)),
+    ], ids=["yaw-text", "yaw-bool", "yaw-none", "yaw-tuple", "pitch-text",
+            "pitch-bool", "pitch-tuple"])
+    def test_setpoint_angle_is_a_finite_number(self, field, bad):
+        """yaw and a pitch_override other than None are finite numbers,
+        refused by name at construction."""
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, "):
+            ControlSetpoint(**{field: bad})
+
+    def test_setpoint_position_is_held_as_floats(self):
+        """The position is copied to a tuple of Python floats, so a later
+        write to the caller's array cannot move the target."""
+        given = np.array([0.5, -0.2, 1.5])
+        sp = ControlSetpoint(position=given)
+        given[:] = 0.0
+        assert sp.position == (0.5, -0.2, 1.5)
+        assert all(type(x) is float for x in sp.position)
 
     def test_controller_takes_its_tick_once(self):
         """dt is set at construction: a bad tick is refused there, and the

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from coaxtail import rotor
+from coaxtail.analysis import (TimeSeries, avg_psd_db, default_mean_window,
+                               mean_subtract, psd)
 from coaxtail.errors import ConfigError, NumericalDomainError, SimulationFault
 from coaxtail.rotor import (
     HOVER_THROTTLE,
@@ -537,7 +540,7 @@ class TestBench:
     @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
     def test_the_fs_floor_is_stable(self, variant, throttle, monkeypatch):
         """At fs = 2x the rotation frequency, the lowest rate the bench
-        takes, every integrator step stays within H_STABLE: the run is
+        takes, every integrator step stays within H_MAX: the run is
         finite and warns of nothing, at low, hover and high throttle."""
         steps = self.spy_on_steps(monkeypatch)
         p = make_params(variant=variant)
@@ -548,24 +551,22 @@ class TestBench:
             _, tau = bench_torque_series(p, throttle, 0.25 * throttle,
                                          0.3, 40.0 / (fs / 2.0), fs)
         assert np.isfinite(tau).all() and np.ptp(tau) > 0.0
-        # pi / 0.4 rad: 8 steps per output sample
-        assert {stride for _, stride in steps} == {8}
-        assert max(h for h, _ in steps) <= rotor.H_STABLE
+        # pi / 0.13 rad: 25 steps per output sample
+        assert {stride for _, stride in steps} == {25}
+        assert max(h for h, _ in steps) <= rotor.H_MAX
 
     @pytest.mark.parametrize("throttle, fs, stride", [
-        # at the pinned 1 kHz the count stays _BENCH_SUBSTEPS up to full
-        # throttle, so the pinned series do not move
-        (300.0, 1000.0, 4), (900.0, 1000.0, 4), (1800.0, 1000.0, 4),
-        (900.0, 250.0, 4),
-        # below about 2.5 omega rad/s the bound takes over: ceil(omega /
-        # (fs * 0.4))
-        (900.0, 100.0, 7), (300.0, 33.0106084, 7), (1600.0, 150.0, 8),
+        # at 1 kHz the count follows the throttle: 2 at the criterion-4
+        # point, 1 near idle and 4 near full throttle
+        (300.0, 1000.0, 1), (900.0, 1000.0, 2), (1800.0, 1000.0, 4),
+        (900.0, 250.0, 8),
+        # down to 25 at the fs floor
+        (900.0, 100.0, 20), (300.0, 33.0106084, 20), (1600.0, 150.0, 23),
     ])
     def test_substeps_keep_the_step_bound(self, throttle, fs, stride,
                                           monkeypatch):
-        """The bench takes max(_BENCH_SUBSTEPS, ceil(omega / (fs *
-        H_STABLE))) integrator steps per output sample, each omega / (fs
-        * stride) rad long."""
+        """The bench takes ceil(omega / (fs * H_MAX)) integrator steps per
+        output sample, each omega / (fs * stride) rad long."""
         steps = self.spy_on_steps(monkeypatch)
         omega = SPEED_PER_THROTTLE * throttle
         _, tau = bench_torque_series(make_params(), throttle, 0.1 * throttle,
@@ -573,16 +574,16 @@ class TestBench:
         assert np.isfinite(tau).all()
         assert steps and {s for _, s in steps} == {stride}
         assert {h for h, _ in steps} == {omega / (fs * stride)}
-        assert omega / (fs * stride) <= rotor.H_STABLE
+        assert omega / (fs * stride) <= rotor.H_MAX
 
     def test_non_finite_torque_is_a_simulation_fault(self, monkeypatch):
-        """With the step bound lifted (4 steps per sample at any fs), a
-        decoupled head at 300 +- 150 counts sampled at 33.0106084 Hz takes
-        0.63 rad steps: its states stay finite, but the torque readout
-        overflows to -inf in the last sample. That is a SimulationFault
-        naming the sample, with no numpy warning; a head that diverges
-        outright is one too."""
-        monkeypatch.setattr(rotor, "H_STABLE", math.inf)
+        """With the step bound lifted to 0.64 rad (4 steps per sample at
+        these rates), a decoupled head at 300 +- 150 counts sampled at
+        33.0106084 Hz takes 0.63 rad steps: its states stay finite, but
+        the torque readout overflows to -inf in the last sample. That is a
+        SimulationFault naming the sample, with no numpy warning; a head
+        that diverges outright is one too."""
+        monkeypatch.setattr(rotor, "H_MAX", 0.64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SimulationFault,
@@ -595,6 +596,54 @@ class TestBench:
                                "diverged to non-finite values$"):
                 bench_torque_series(make_params(variant="coupled"), 900.0,
                                     200.0, 0.0, 10.0, 100.0)
+
+    @pytest.mark.parametrize("fs, duration", [
+        # fs * H_MAX dwarfs omega: the step count itself underflows to 0
+        (1e300, 1e-300),
+        # one step per sample, whose length omega / fs underflows to 0
+        (2.793e23, 3.6e-24),
+    ])
+    def test_an_underflowing_step_is_refused(self, fs, duration,
+                                             monkeypatch):
+        """An azimuth step that rounds to zero is one ConfigError naming
+        the throttle and the rate, before anything integrates."""
+        steps = self.spy_on_steps(monkeypatch)
+        message = (f"throttle=1e-300 at fs={fs:g} Hz gives an azimuth step "
+                   "that underflows to zero")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            bench_torque_series(make_params(), 1e-300, 0.0, 0.0, duration, fs)
+        assert steps == []
+
+    @pytest.mark.parametrize("phi, e", [(0.08, 0.15), (0.16, 0.25)])
+    def test_h_max_agrees_with_a_step_eight_times_finer(self, phi, e,
+                                                        monkeypatch):
+        """On two opposite corners of the criterion-4 matrix, the figures
+        the criterion orders read the same at H_MAX as at H_MAX / 8: the
+        peak-to-peak to 1e-4 relative, the average PSD to 1e-3 dB and the
+        decoupled/coupled peak-to-peak ratio to 1e-5 (measured 7.0e-6,
+        6.1e-5 dB and 2.2e-7)."""
+        fs = 1000.0
+
+        def figures(variant):
+            p = make_params(variant=variant, downwash_angle=phi,
+                            hinge_offset=e)
+            _, tau = bench_torque_series(p, 900.0, 200.0, 0.0, 10.0, fs)
+            x = mean_subtract(TimeSeries(fs=fs, values=tau[2000:]),
+                              default_mean_window(fs))
+            return (float(np.ptp(x.values)),
+                    avg_psd_db(psd(x, segment=1024, overlap=0.5)))
+
+        coarse = {v: figures(v) for v in ("coupled", "decoupled")}
+        monkeypatch.setattr(rotor, "H_MAX", rotor.H_MAX / 8.0)
+        fine = {v: figures(v) for v in ("coupled", "decoupled")}
+        for v in coarse:
+            assert coarse[v][0] == pytest.approx(fine[v][0], rel=1e-4)
+            assert coarse[v][1] == pytest.approx(fine[v][1], abs=1e-3)
+
+        def ratio(figs):
+            return figs["decoupled"][0] / figs["coupled"][0]
+
+        assert ratio(coarse) == pytest.approx(ratio(fine), abs=1e-5)
 
     def test_non_finite_command_rejected(self):
         p = make_params()
@@ -699,11 +748,16 @@ class TestBench:
             torque_from_states(p, np.full(3, 900.0), traj)
 
 
+def bench_steps(throttle, fs):
+    """The bench's integrator steps per output sample."""
+    return math.ceil(SPEED_PER_THROTTLE * throttle / (fs * rotor.H_MAX))
+
+
 def whole_run_bench(params, throttle, amplitude, phase, n_out, fs):
     """The bench as one integrate call over the whole half grid, keeping
-    every _BENCH_SUBSTEPS-th row: the form the blocked bench must
+    every row the bench samples: the form the blocked bench must
     reproduce to the bit."""
-    substeps = rotor._BENCH_SUBSTEPS
+    substeps = bench_steps(throttle, fs)
     n_steps = n_out * substeps
     h = SPEED_PER_THROTTLE * throttle / (fs * substeps)
     m_d = (amplitude * math.sin(phase), amplitude * math.cos(phase))
@@ -728,7 +782,7 @@ def pitch_ramp_head(beta_trip, trip_step, throttle, fs, monkeypatch):
                     damping=np.zeros((3, 3)), stiffness_const=np.zeros((3, 3)),
                     downwash_angle=0.0, hinge_offset=0.75)
     accel = c * throttle * _INPUT_SCALE
-    h = SPEED_PER_THROTTLE * throttle / (fs * rotor._BENCH_SUBSTEPS)
+    h = SPEED_PER_THROTTLE * throttle / (fs * bench_steps(throttle, fs))
     beta0 = beta_trip - 0.5 * accel * (trip_step * h) ** 2
     y0 = np.array([0.0, 0.0, beta0])
     monkeypatch.setattr(rotor, "steady_state", lambda params, u: y0.copy())
@@ -740,6 +794,8 @@ class TestBlockedBench:
     integrate call; the result is the whole-run form's, bit for bit."""
 
     B = rotor._BENCH_BLOCK
+    # steps per output sample at 900 counts and 1 kHz
+    S = bench_steps(900.0, 1000.0)
 
     @pytest.mark.parametrize("variant", ["coupled", "decoupled"])
     @pytest.mark.parametrize("n_out", [1, B - 1, B, B + 1, 2 * B + 3])
@@ -773,14 +829,14 @@ class TestBlockedBench:
         n_out = 60000
         bench_torque_series(make_params(variant="decoupled"), 900.0, 200.0,
                             0.0, 60.0, 1000.0)
-        substeps = rotor._BENCH_SUBSTEPS
+        substeps = self.S
         assert set(strides) == {substeps} and all(rows)
         assert max(size for _, _, size in calls) <= 2 * substeps * self.B + 1
         assert sum(n for _, n, _ in calls) == substeps * n_out
         assert [first for first, _, _ in calls] == list(
             np.cumsum([0] + [n for _, n, _ in calls[:-1]]))
 
-    @pytest.mark.parametrize("trip_step", [4 * B, 4 * B + 1999],
+    @pytest.mark.parametrize("trip_step", [S * B, S * B + 1999],
                              ids=["second_block_start", "mid_second_block"])
     def test_singular_pitch_step_counts_from_the_run(self, monkeypatch,
                                                      trip_step):
