@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (ConfigError, LinearRangeError, check_finite,
-                     check_non_negative, check_positive)
+                     check_instance, check_non_negative, check_positive)
 from .stock import RHO
 
 ALPHA_MIN = math.radians(-5.0)
@@ -48,6 +48,9 @@ class WingPanel:
 class TandemConfig:
     front: WingPanel
     rear: WingPanel
+
+    def __post_init__(self):
+        check_instance(WingPanel, front=self.front, rear=self.rear)
 
 
 class WingMode(enum.Enum):

@@ -238,10 +238,6 @@ def _text(text, where):
     return text
 
 
-def _inertia_diag(text, where):
-    return np.diag(_vector3(text, where))
-
-
 def _aft_table(text, where):
     from .propulsion import load_propeller_table
 
@@ -294,7 +290,7 @@ _SCENARIO_SCHEMA = {
     },
     "vehicle": {
         "mass_kg": ("params", "mass", finite_number),
-        "inertia_diag": ("params", "inertia", _inertia_diag),
+        "inertia_diag": ("params", "inertia", _vector3),
         "drag_cd": ("params", "drag_cd", finite_number),
         "lateral_area_m2": ("params", "lateral_area", finite_number),
         "axial_area_m2": ("params", "axial_area", finite_number),

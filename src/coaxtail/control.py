@@ -305,8 +305,7 @@ class ControlSetpoint:
     pitch_override: float | None = None
 
     def __post_init__(self):
-        self.position = tuple(finite_vector3(self.position,
-                                             "position").tolist())
+        self.position = finite_vector3(self.position, "position")
         check_finite(yaw=self.yaw)
         if self.pitch_override is not None:
             check_finite(pitch_override=self.pitch_override)

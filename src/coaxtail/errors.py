@@ -5,12 +5,13 @@ failures onto exit codes without chasing individual modules.
 
 Every input boundary (a constructor, a file reader, a flag parser)
 checks what it is given with the rules below, each written once here:
-finite, positive, non-negative, a whole count, text that is a finite
-number, an array of numbers in a given shape, a 3-vector, a 3x3 matrix,
-a tick rate and a numeric CSV file. NaN and the infinities fail every
-numeric rule but the shape rule, float_array; a bool, text and any other
-non-number fail them all. A refusal is a ConfigError whose message names
-the field, key or file line at fault.
+finite, positive, non-negative, an instance of a given class, a whole
+count, text that is a finite number, an array of numbers in a given
+shape, a 3-vector (returned as a tuple of three Python floats), a 3x3
+matrix, a tick rate and a numeric CSV file. NaN and the infinities fail
+every numeric rule but the shape rule, float_array; a bool, text and any
+other non-number fail them all. A refusal is a ConfigError whose message
+names the field, key or file line at fault.
 """
 
 import csv
@@ -75,6 +76,17 @@ def check_non_negative(**values):
     _check(values, lambda v: 0.0 <= v < math.inf, "non-negative and finite")
 
 
+def check_instance(kind, **values):
+    """ConfigError naming the field unless each value is an instance of
+    kind, a class or a tuple of classes (type(None) admits None)."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for name, value in values.items():
+        if not isinstance(value, kinds):
+            want = " or ".join("None" if k is type(None) else k.__name__
+                               for k in kinds)
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+
+
 def whole_count(name, value, least):
     """int of a whole number (numpy integers included) of at least
     `least`; 2.5, NaN, inf, a bool or a non-number is refused, not
@@ -125,11 +137,12 @@ def float_array(value, shape):
 
 
 def finite_vector3(value, name):
-    """value as a float array; ConfigError unless it is 3 finite numbers."""
+    """value as a tuple of three Python floats; ConfigError unless it is
+    3 finite numbers."""
     v = float_array(value, (3,))
     if v is None or not np.isfinite(v).all():
         raise ConfigError(f"{name} must be 3 finite numbers")
-    return v
+    return tuple(v.tolist())
 
 
 def finite_matrix3(value, name):

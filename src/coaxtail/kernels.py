@@ -189,8 +189,9 @@ def rigid_step(y, f_body, tau_body, mass, inertia_diag, inertia_inv_diag,
     acceleration. The body axes are principal axes: inertia_diag holds
     the principal moments d and inertia_inv_diag 1.0 / d, so I w and
     I^-1 m are three products each. Vectors are tuples or lists of
-    floats, such as the simulator's state and VehicleParams' unpacked
-    moments. The arithmetic runs on Python floats in the same order as an
+    floats, such as the simulator's state and VehicleParams.inertia (the
+    principal moments, which step_6dof passes as inertia_diag). The
+    arithmetic runs on Python floats in the same order as an
     element-by-element array version on the full diagonal matrices, so
     the result is the same to the bit, save one sign of zero: a -0.0 body
     rate whose angular acceleration is an exact zero may stay -0.0, where

@@ -317,7 +317,11 @@ POWER_CURVE_R = np.linspace(0.0, 1.0, 101)
 
 def write_power_curve_csv(path, powers):
     """power_curve.csv: column r plus one <name>_W column per config, in
-    name order, of the mission-average power at each of POWER_CURVE_R."""
+    name order, of the mission-average power at each of POWER_CURVE_R.
+
+    csv.writer ends each row in CR LF (its default dialect's line
+    terminator); every other CSV the CLI writes ends its rows in LF.
+    """
     powers = sorted(powers, key=lambda p: p.name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -46,7 +46,7 @@ from .control import (
     saturate,
 )
 from .errors import (ConfigError, SimulationFault, check_finite,
-                     check_non_negative, check_positive, finite_matrix3,
+                     check_instance, check_non_negative, check_positive,
                      finite_vector3, float_array)
 from .stock import CRUISE_SPEED, GRAVITY, MASS, RHO
 
@@ -71,11 +71,9 @@ _TANDEM = TandemConfig(
 @dataclass(frozen=True)
 class VehicleParams:
     mass: float = MASS
-    # a diagonal 3x3 array-like (principal axes); held as a read-only
-    # float array
-    inertia: np.ndarray = ((0.022, 0.0, 0.0),
-                           (0.0, 0.025, 0.0),
-                           (0.0, 0.0, 0.010))
+    # the principal moments about body x, y and z (the body axes are
+    # principal axes), held as a tuple of floats
+    inertia: tuple = (0.022, 0.025, 0.010)
     tandem: TandemConfig = _TANDEM
     drag_cd: float = 1.0
     lateral_area: float = 0.0453  # bare-body side area, m^2 (wings excluded)
@@ -88,20 +86,20 @@ class VehicleParams:
                        lateral_area=self.lateral_area,
                        axial_area=self.axial_area,
                        aft_speed_per_count=self.aft_speed_per_count)
-        # a read-only copy: the moments unpacked below must not go stale
-        inertia = finite_matrix3(self.inertia, "inertia")
-        diag = inertia.diagonal().tolist()
-        if np.count_nonzero(inertia) > np.count_nonzero(diag):
-            raise ConfigError("inertia must be diagonal (principal axes): "
-                              "products of inertia are not modelled")
-        if not min(diag) > 0.0:
-            raise ConfigError(f"inertia's diagonal entries must be positive, "
-                              f"got {diag}")
+        check_instance(TandemConfig, tandem=self.tandem)
+        if self.aft_table is not None:
+            # propulsion loads only for a run that flies a table
+            from .propulsion import PropellerTable
+            check_instance((type(None), PropellerTable),
+                           aft_table=self.aft_table)
+        inertia = finite_vector3(self.inertia, "inertia")
+        # the smallest moment is positive, so all three are
+        check_positive(inertia=min(inertia))
         object.__setattr__(self, "inertia", inertia)
-        # the principal moments and their inverses, unpacked once for the
-        # rigid-step kernel; 1.0 / d is np.linalg.inv's diagonal to the bit
-        object.__setattr__(self, "_inertia_diag", diag)
-        object.__setattr__(self, "_inertia_inv_diag", [1.0 / d for d in diag])
+        # for the rigid-step kernel; 1.0 / d is np.linalg.inv's diagonal
+        # to the bit
+        object.__setattr__(self, "_inertia_inv_diag",
+                           tuple(1.0 / d for d in inertia))
 
 
 _STATE_PARTS = (("position", 3), ("velocity", 3), ("orientation", 4),
@@ -171,7 +169,7 @@ def step_6dof(state, force_body, torque_body, params, dt):
             and isfinite(tx) and isfinite(ty) and isfinite(tz)):
         raise SimulationFault("non-finite force or torque input")
     out = kernels.rigid_step(state, force_body, torque_body, params.mass,
-                             params._inertia_diag, params._inertia_inv_diag,
+                             params.inertia, params._inertia_inv_diag,
                              _G_WORLD, dt)
     _check_state(out)
     return out
@@ -235,9 +233,8 @@ class WindProfile:
         n = quat.norm(d)
         if self.speed > 0.0 and n < 1e-12:
             raise ConfigError("wind direction must be a nonzero vector")
-        # Python floats: numpy scalars would spread through the tick
         object.__setattr__(self, "direction",
-                           tuple((d / n).tolist()) if n > 1e-12
+                           tuple(x / n for x in d) if n > 1e-12
                            else (1.0, 0.0, 0.0))
 
     def vector(self, t):
@@ -327,6 +324,10 @@ class ScenarioSpec:
     lam: LambdaSchedule = field(default_factory=LambdaSchedule)
 
     def __post_init__(self):
+        check_instance(str, name=self.name)
+        check_instance(WindProfile, wind=self.wind)
+        check_instance(WingSchedule, wing=self.wing)
+        check_instance(LambdaSchedule, lam=self.lam)
         if self.mode not in ("hover", "transition"):
             raise ConfigError("scenario mode must be 'hover' or 'transition'")
         check_positive(duration=self.duration)
@@ -341,8 +342,7 @@ class ScenarioSpec:
         for name in ("position", "start_position"):
             value = getattr(self, name)
             if name == "position" or value is not None:
-                object.__setattr__(self, name, tuple(
-                    finite_vector3(value, name).tolist()))
+                object.__setattr__(self, name, finite_vector3(value, name))
 
 
 def _drag_body(ux, uy, uz, lateral_area, axial_area, cd):
@@ -546,7 +546,7 @@ def _config_snapshot(spec, params):
         "wing_schedule": (spec.wing.kind if spec.wing.kind == "pitch"
                           else f"fixed:{spec.wing.mode.name.lower()}"),
         "mass_kg": f"{params.mass:.9g}",
-        "inertia_diag": " ".join(f"{x:.9g}" for x in np.diag(params.inertia)),
+        "inertia_diag": " ".join(f"{x:.9g}" for x in params.inertia),
         "drag_cd": f"{params.drag_cd:.9g}",
         "lateral_area_m2": f"{params.lateral_area:.9g}",
         "axial_area_m2": f"{params.axial_area:.9g}",

@@ -360,7 +360,7 @@ class TestCriterion9:
             state = step_6dof(state, np.zeros(3), np.zeros(3), params, 1e-3)
         free_fall_ok = abs(state[5] + 9.81) < 1e-9
 
-        inertia = params.inertia
+        inertia = np.diag(params.inertia)
         spin = pack_state(
             position=np.zeros(3), velocity=np.zeros(3),
             orientation=np.array([1.0, 0.0, 0.0, 0.0]),

@@ -373,7 +373,7 @@ class TestConfigIngestion:
         assert spec.wing.mode_at(0.0) is WingMode.EXTENDED
         assert params.mass == 1.1
         assert params.drag_cd == 1.2
-        assert params.inertia[2, 2] == 0.009
+        assert params.inertia == (0.02, 0.024, 0.009)
 
     def test_defaults_for_minimal_file(self, tmp_path):
         p = tmp_path / "min.cfg"
@@ -504,7 +504,7 @@ SCHEMA_CASES = [
      {"pitch_end": math.radians(-75.0)}),
     ("vehicle", "mass_kg", "1.5", "params", {"mass": 1.5}),
     ("vehicle", "inertia_diag", "0.03 0.02 0.01", "params",
-     {"inertia": np.diag([0.03, 0.02, 0.01])}),
+     {"inertia": (0.03, 0.02, 0.01)}),
     ("vehicle", "drag_cd", "1.3", "params", {"drag_cd": 1.3}),
     ("vehicle", "lateral_area_m2", "0.05", "params", {"lateral_area": 0.05}),
     ("vehicle", "axial_area_m2", "0.02", "params", {"axial_area": 0.02}),
@@ -783,6 +783,28 @@ class TestCli:
         assert "avg_psd_db=-35.4896431\n" in capsys.readouterr().out
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[
             "psd"]
+
+    def test_only_the_power_curve_ends_its_rows_in_crlf(self, tmp_path,
+                                                        capsys):
+        """power_curve.csv goes through csv.writer, whose rows end in
+        CR LF; every other CSV a command writes ends its rows in LF."""
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[scenario]\nduration_s = 0.05\n")
+        outs = {name: tmp_path / f"{name}.csv"
+                for name in ("curve", "log", "torque", "psd")}
+        for argv in (["power-analysis", "--out", outs["curve"]],
+                     ["simulate", cfg, "--out", outs["log"]],
+                     ["bench-splm", "--duration", "2", "--out",
+                      outs["torque"]],
+                     ["psd", outs["torque"], "--segment", "256", "--out",
+                      outs["psd"]]):
+            assert cli_main([str(a) for a in argv]) == 0
+        curve = outs.pop("curve").read_bytes()
+        assert curve.count(b"\r\n") == curve.count(b"\n") == 102
+        assert curve.endswith(b"\r\n")
+        for path in outs.values():
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path.name
 
     def test_power_analysis_tables_csv_is_pinned(self, tmp_path, capsys):
         """The table study reads the air density, gravity, the stock mass

@@ -12,8 +12,9 @@ import pytest
 
 from coaxtail.aero import TandemConfig, WingPanel, pitch_moment
 from coaxtail.analysis import PsdResult
-from coaxtail.errors import (ConfigError, check_finite, check_non_negative,
-                             check_positive, finite_number, float_array,
+from coaxtail.errors import (ConfigError, check_finite, check_instance,
+                             check_non_negative, check_positive,
+                             finite_number, finite_vector3, float_array,
                              read_number_rows, whole_count)
 from coaxtail.propulsion import (ConfigPower, PropellerTable, RpmSheet,
                                  advance_ratio, thrust_power)
@@ -49,6 +50,27 @@ class TestNumberRules:
         for rule in (check_finite, check_positive, check_non_negative):
             with pytest.raises(ConfigError, match="^speed must be "):
                 rule(mass=1.0, speed=bad)
+
+    def test_instance_rule_names_the_field_and_the_classes(self):
+        check_instance(int, a=1, b=2)
+        check_instance((type(None), str), a=None, b="x")
+        with pytest.raises(ConfigError, match="^b must be str, got 1$"):
+            check_instance(str, a="x", b=1)
+        with pytest.raises(ConfigError, match="^t must be None or "
+                                              "TandemConfig, got 'x'$"):
+            check_instance((type(None), TandemConfig), t="x")
+
+    def test_vector_rule_returns_a_tuple_of_python_floats(self):
+        for given in ([1, 2, 3], np.array([1.0, 2.0, 3.0]),
+                      (np.float32(1.0), 2, Fraction(3))):
+            v = finite_vector3(given, "v")
+            assert v == (1.0, 2.0, 3.0) and type(v) is tuple
+            assert all(type(x) is float for x in v)
+        for bad in ((1.0, 2.0, math.nan), (1.0, 2.0), np.eye(3), "abc",
+                    (True, 1.0, 1.0)):
+            with pytest.raises(ConfigError,
+                               match="^v must be 3 finite numbers$"):
+                finite_vector3(bad, "v")
 
     def test_number_rules_take_numpy_numbers(self):
         for value in (np.float64(2.0), np.float32(2.0), np.int64(2), 2,

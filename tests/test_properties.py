@@ -59,7 +59,7 @@ FIELDS = {
                "cp": (0.05, 0.045, 0.04)},
     PropellerTable: {"diameter": 0.4064},
     TimeSeries: {"fs": 1000.0, "values": (0.0, 1.0, 0.5, -0.2)},
-    VehicleParams: {"mass": 1.2, "inertia": np.diag([0.022, 0.025, 0.010]),
+    VehicleParams: {"mass": 1.2, "inertia": (0.022, 0.025, 0.010),
                     "drag_cd": 1.0, "lateral_area": 0.0453,
                     "axial_area": 0.015, "aft_speed_per_count": 0.16},
 }
@@ -149,9 +149,9 @@ SIGN_CHECKED = {
     WingPanel: dict.fromkeys(("area", "lift_slope", "arm"), "check_positive"),
     PropellerTable: {"diameter": "check_positive"},
     TimeSeries: {"fs": "check_positive"},
-    VehicleParams: dict.fromkeys(("mass", "drag_cd", "lateral_area",
-                                  "axial_area", "aft_speed_per_count"),
-                                 "check_positive"),
+    VehicleParams: dict.fromkeys(("mass", "inertia", "drag_cd",
+                                  "lateral_area", "axial_area",
+                                  "aft_speed_per_count"), "check_positive"),
 }
 _BAD_VALUES = {"check_positive": (0.0, -1.0), "check_non_negative": (-1.0,)}
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coaxtail import control, kernels, quat, rotor, vehicle
-from coaxtail.aero import WingMode
+from coaxtail.aero import TandemConfig, WingMode, WingPanel
 from coaxtail.analysis import load_scenario
 from coaxtail.control import ALLOCATION, ActuatorCommand, AllocationGains
 from coaxtail.errors import ConfigError, SimulationFault
@@ -76,7 +76,7 @@ class TestRigidStep:
         zero = (0.0, 0.0, 0.0)
         # principal axis spin
         y = (0.0, 0.0, 0.0, 1.0, -2.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.3)
-        moments = np.diag(params.inertia).tolist()
+        moments = params.inertia
         for _ in range(10000):
             y = kernels.rigid_step(y, zero, zero, params.mass, moments,
                                    [1.0 / d for d in moments], zero, 1e-3)
@@ -200,10 +200,8 @@ class TestRigidStep:
             dt = float(rng.choice([1e-3, 5e-4]))
             got = step_6dof(state, force, torque, params, dt)
             want = kernels.rigid_step(
-                y.tolist(), force, torque, params.mass,
-                np.diag(params.inertia).tolist(),
-                (1.0 / np.diag(params.inertia)).tolist(),
-                (0.0, 0.0, -GRAVITY), dt)
+                y.tolist(), force, torque, params.mass, params.inertia,
+                [1.0 / d for d in params.inertia], (0.0, 0.0, -GRAVITY), dt)
             assert type(got) is tuple and len(got) == 13
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, want)
@@ -240,39 +238,36 @@ class TestRigidStep:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError, match=name):
                     VehicleParams(**{name: bad})
-        # non-finite, a dict, ragged rows, text (numeric text too) and
-        # booleans are refused, naming the field
-        for inertia in (np.diag([0.02, 0.025, np.nan]), {1: 2},
-                        [[1, 0], [0, 1, 0]],
-                        [[1, "a", 0], [0, 1, 0], [0, 0, 1]], "inertia",
-                        np.array([["0.02", "0", "0"], ["0", "0.025", "0"],
-                                  ["0", "0", "0.01"]]),
-                        np.eye(3, dtype=bool)):
-            with pytest.raises(ConfigError, match="^inertia must be a 3x3"):
+        # non-finite, a dict, ragged rows, the wrong length, text (numeric
+        # text too), booleans and a 3x3 tensor are refused, naming the
+        # field
+        for inertia in ((0.02, 0.025, np.nan), {1: 2}, [[1, 0], [0, 1, 0]],
+                        (0.02, 0.025), (0.02, 0.025, 0.01, 0.0),
+                        [1, "a", 0], "inertia",
+                        np.array(["0.02", "0.025", "0.01"]),
+                        np.ones(3, dtype=bool), (True, 1.0, 1.0),
+                        np.diag([0.022, 0.025, 0.010]), np.eye(3)):
+            with pytest.raises(ConfigError,
+                               match="^inertia must be 3 finite numbers$"):
                 VehicleParams(inertia=inertia)
         with pytest.raises(ConfigError):
             VehicleParams(mass=0.0)
 
     def test_params_inertia_is_principal(self):
-        """A product of inertia is refused by name, as is a principal
-        moment that is not positive; a -0.0 product is a zero. The kernel
-        reads the diagonal and 1.0 / d, which is np.linalg.inv's diagonal
-        to the bit."""
-        for i, j in ((0, 1), (1, 0), (0, 2), (2, 1)):
-            for product in (1e-4, -1e-300):
-                inertia = np.diag([0.022, 0.025, 0.010])
-                inertia[i, j] = product
+        """The inertia is the three principal moments; one that is not
+        positive is refused by name. The kernel reads the moments d and
+        1.0 / d, which is np.linalg.inv's diagonal of the tensor to the
+        bit."""
+        for i in range(3):
+            for moment in (0.0, -0.0, -0.01, -1e-300):
+                given = [0.022, 0.025, 0.010]
+                given[i] = moment
                 with pytest.raises(ConfigError,
-                                   match="^inertia must be diagonal"):
-                    VehicleParams(inertia=inertia)
-        for moment in (0.0, -0.0, -0.01):
-            with pytest.raises(ConfigError, match="^inertia's diagonal "
-                                                  "entries must be positive"):
-                VehicleParams(inertia=np.diag([0.022, moment, 0.010]))
-        signed = np.diag([0.022, 0.025, 0.010])
-        signed[0, 1] = signed[2, 0] = -0.0
-        p = VehicleParams(inertia=signed)
-        assert p._inertia_diag == [0.022, 0.025, 0.010]
+                                   match="^inertia must be positive"):
+                    VehicleParams(inertia=given)
+        p = VehicleParams(inertia=np.array([0.022, 0.025, 0.010]))
+        assert p.inertia == (0.022, 0.025, 0.010)
+        assert all(type(d) is float for d in p.inertia)
         rng = np.random.default_rng(33)
         moments = rng.uniform(1e-4, 1.0, (20_000, 3)) \
             * rng.choice([1e-3, 1.0, 1e3], (20_000, 1))
@@ -283,17 +278,19 @@ class TestRigidStep:
         assert np.count_nonzero(inv - inv * np.eye(3)) == 0
         assert not np.signbit(inv).any()
         for d in moments[:50]:
-            p = VehicleParams(inertia=np.diag(d))
-            assert p._inertia_diag == d.tolist()
-            assert p._inertia_inv_diag == (1.0 / d).tolist()
+            p = VehicleParams(inertia=d)
+            assert p.inertia == tuple(d.tolist())
+            assert p._inertia_inv_diag == tuple((1.0 / d).tolist())
 
     def test_params_defaults_are_the_stock_airframe(self):
-        """The inertia default is a fresh read-only array per instance;
-        every instance shares the one frozen stock tandem."""
+        """The inertia default is the stock airframe's three principal
+        moments as Python floats; every instance shares the one frozen
+        stock tandem."""
         a, b = VehicleParams(), VehicleParams()
-        assert np.array_equal(a.inertia, np.diag([0.022, 0.025, 0.010]))
-        assert not a.inertia.flags.writeable
-        assert a.inertia is not b.inertia
+        assert a.inertia == (0.022, 0.025, 0.010)
+        assert type(a.inertia) is tuple
+        assert all(type(d) is float for d in a.inertia)
+        assert a._inertia_inv_diag == (1.0 / 0.022, 1.0 / 0.025, 1.0 / 0.010)
         assert a.tandem is b.tandem
         assert (a.tandem.front.area, a.tandem.rear.area) == (0.048, 0.056)
         assert a.tandem.front.incidence == math.radians(4.5)
@@ -301,19 +298,36 @@ class TestRigidStep:
         assert (a.tandem.front.arm, a.tandem.rear.arm) == (0.24, 0.30)
 
     def test_params_inertia_is_a_read_only_copy(self):
-        given = np.diag([0.02, 0.025, 0.01])
-        params = VehicleParams(inertia=given)
-        given[0, 0] = 1.0
-        assert params.inertia[0, 0] == 0.02
-        with pytest.raises(ValueError):
-            params.inertia[1, 1] = 1.0
+        """A caller's later write to the moments it gave cannot reach the
+        params, nor can a write to the params' own tuple."""
+        for given in (np.array([0.02, 0.025, 0.01]), [0.02, 0.025, 0.01]):
+            params = VehicleParams(inertia=given)
+            given[0] = 1.0
+            assert params.inertia == (0.02, 0.025, 0.01)
+            assert params._inertia_inv_diag[0] == 1.0 / 0.02
+            with pytest.raises(TypeError):
+                params.inertia[1] = 1.0
+
+    def test_params_compare_and_hash_by_value(self):
+        """Equal fields make equal params with equal hashes, whatever form
+        the moments were given in; dataclasses.replace round-trips."""
+        a = VehicleParams()
+        b = VehicleParams(inertia=np.array([0.022, 0.025, 0.010]))
+        assert a == b and hash(a) == hash(b)
+        c = replace(a, inertia=[0.03, 0.025, 0.010])
+        assert c != a and c.inertia == (0.03, 0.025, 0.010)
+        assert c._inertia_inv_diag[0] == 1.0 / 0.03
+        assert replace(c, inertia=a.inertia) == a
+        assert replace(a) == a
+        assert len({a, b, c}) == 2
+        assert replace(a, mass=1.5) != a
 
     def test_torque_free_tumble_conserves_invariants(self):
         """Asymmetric-inertia tumble: rotational energy and the world-frame
         angular momentum vector must survive 10 s of RK4, and the fall is
         exactly ballistic."""
         params = VehicleParams()
-        inertia = params.inertia
+        inertia = np.diag(params.inertia)
         state = pack_state(
             position=np.zeros(3), velocity=np.array([3.0, 1.0, 2.0]),
             orientation=np.array([1.0, 0.0, 0.0, 0.0]),
@@ -364,6 +378,69 @@ class TestRigidStep:
         a, b = run(1e-3), run(5e-4)
         assert np.allclose(a[6:10], b[6:10], atol=1e-9)
         assert np.allclose(a[0:3], b[0:3], atol=1e-9)
+
+
+_PANEL = WingPanel(area=0.05, lift_slope=2.2, cl0=0.3, incidence=0.05,
+                   arm=0.25)
+_TABLE = PropellerTable(0.1778, (RpmSheet(6000.0, [0.0, 0.5], [0.1, 0.05],
+                                          [0.05, 0.04]),))
+# constructor -> the valid arguments its composite-field cases start from
+_VALID = {VehicleParams: {}, ScenarioSpec: {},
+          TandemConfig: {"front": _PANEL, "rear": _PANEL}}
+
+
+class TestCompositeFields:
+    """A field that holds an object or text refuses any other type at
+    construction, naming the field, so a run never meets it mid-tick."""
+
+    @pytest.mark.parametrize("cls,name,bad,want", [
+        (VehicleParams, "tandem", "x", "TandemConfig"),
+        (VehicleParams, "tandem", None, "TandemConfig"),
+        (VehicleParams, "tandem", _PANEL, "TandemConfig"),
+        (VehicleParams, "aft_table", 123, "None or PropellerTable"),
+        (VehicleParams, "aft_table", _TABLE.sheets[0],
+         "None or PropellerTable"),
+        (ScenarioSpec, "wind", "x", "WindProfile"),
+        (ScenarioSpec, "wind", None, "WindProfile"),
+        (ScenarioSpec, "wing", "pitch", "WingSchedule"),
+        (ScenarioSpec, "lam", None, "LambdaSchedule"),
+        (ScenarioSpec, "lam", 0.5, "LambdaSchedule"),
+        (ScenarioSpec, "name", None, "str"),
+        (ScenarioSpec, "name", 3, "str"),
+        (ScenarioSpec, "name", b"hover", "str"),
+        (TandemConfig, "front", 1, "WingPanel"),
+        (TandemConfig, "rear", 2, "WingPanel"),
+        (TandemConfig, "rear", None, "WingPanel"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_wrong_type_is_refused_by_name(self, cls, name, bad, want):
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be {want}, got "):
+            cls(**{**_VALID[cls], name: bad})
+
+    def test_right_types_are_taken(self):
+        assert VehicleParams(aft_table=_TABLE).aft_table is _TABLE
+        assert VehicleParams(aft_table=None).aft_table is None
+        tandem = TandemConfig(front=_PANEL, rear=_PANEL)
+        assert VehicleParams(tandem=tandem).tandem is tandem
+        wind = WindProfile(speed=2.0)
+        assert ScenarioSpec(name="gust", wind=wind).wind is wind
+
+    def test_tandem_refuses_both_panels_wrong(self):
+        with pytest.raises(ConfigError, match="^front must be WingPanel, "
+                                              "got 1$"):
+            TandemConfig(front=1, rear=2)
+
+    def test_runs_that_died_mid_tick_are_refused_before_it(self):
+        """A wrong aft table or wind once reached the tick and died there
+        with an AttributeError; now the run is never built."""
+        with pytest.raises(ConfigError, match="^aft_table must be None or "
+                                              "PropellerTable, got 123$"):
+            run_scenario(ScenarioSpec(duration=0.01),
+                         VehicleParams(aft_table=123))
+        with pytest.raises(ConfigError,
+                           match="^wind must be WindProfile, got 'x'$"):
+            run_scenario(ScenarioSpec(duration=0.01, wind="x"),
+                         VehicleParams())
 
 
 class TestMeasuredPitch:
