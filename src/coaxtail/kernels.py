@@ -2,19 +2,20 @@
 
 Two kernels live here: the azimuth-domain RK4 integrator for the
 swashplateless-rotor dynamics, and the single RK4 step of the rigid-body
-6-DOF state. Each is self-contained and runs on Python floats unpacked
-once, in the operation order of an element-by-element array version, so
-its result is the same to the bit at several times the speed. Both have
-their four RK4 stages written out in the function body, with no call per
-stage. Their only transcendental call is libm's, through the math
-module (the rotor kernel's tan): numpy's ufuncs cost several times more
-on one float, and their rounding depends on which SIMD loop numpy
-dispatches to, where libm's does not.
-``perfbench/run.py --trace 1`` reports their per-call cost.
+6-DOF state. Both run on Python floats unpacked once, with no call per
+stage. The rigid step writes its four stages out in the operation order
+of an element-by-element array version, so its result is the same to the
+bit at several times the speed; the rotor kernel takes RK4 in residual
+form, one linear map per step precomposed from Python floats. Their only
+transcendental call is libm's, through the math module (the rotor
+kernel's tan): numpy's ufuncs cost several times more on one float, and
+their rounding depends on which SIMD loop numpy dispatches to, where
+libm's does not. ``perfbench/run.py --trace 1`` reports their cost.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,151 +29,150 @@ _SINGULAR_GUARD = 1e-6
 _CHUNK_ROWS = 128
 
 
+@functools.lru_cache(maxsize=64)  # a sweep revisits each head and step
+def _splm_map(h, Minv, C, Kc, kb):
+    """The rotor's RK4 step of size h as rows of a linear map over
+    z = (v, f, u_m - u_j, r_2 - r_1, r_3 - r_1, u_{j+2} - u_j, r_4 - r_1):
+    the lag and pitch offsets of stages 3 and 4 over z's first 6 and 8
+    entries, and the step's increments of x and v over its first 9 and
+    all 11. The classic stages are taken on linear forms over z in Python
+    floats, in a fixed order, with the g = 1 part of the coupling (kb / 8
+    in column 1) folded into K_c. The arguments are floats and tuples of
+    them, so the cache keys on their values."""
+    zero = (0.0,) * 11
+    e = [zero[:i] + (1.0,) + zero[i + 1:] for i in range(11)]
+    lin = [(k0, k1 + 0.125 * b, k2) for (k0, k1, k2), b in zip(Kc, kb)]
+
+    def times(A, X):  # A X, for three forms X
+        return [[a0 * p + a1 * q + a2 * r for p, q, r in zip(*X)]
+                for a0, a1, a2 in A]
+
+    def plus(X, c, Y):  # X + c Y
+        return [tuple(p + c * q for p, q in zip(x, y)) for x, y in zip(X, Y)]
+
+    def accel(V, X, du, dr):  # M^-1 (f + du e0 - C V - lin X - dr kb)
+        return times(Minv, [
+            [a + w - c - k - b * r for a, w, c, k, r in zip(*rows, dr)]
+            for *rows, b in zip(e[3:6], (du, zero, zero), times(C, V),
+                                times(lin, X), kb)])
+
+    half, sixth, v, none = 0.5 * h, h / 6.0, e[0:3], (zero,) * 3
+    a1 = accel(v, none, zero, zero)
+    v2, x2 = plus(v, half, a1), plus(none, half, v)
+    a2 = accel(v2, x2, e[6], e[7])
+    v3, x3 = plus(v, half, a2), plus(none, half, v2)
+    a3 = accel(v3, x3, e[6], e[8])
+    v4, x4 = plus(v, h, a3), plus(none, h, v3)
+    a4 = accel(v4, x4, e[9], e[10])
+    step = [tuple(sixth * (p + 2.0 * q + 2.0 * r + s)
+                  for p, q, r, s in zip(*k))
+            for k in zip(v + a1, v2 + a2, v3 + a3, v4 + a4)]
+    return ((x3[1][:6], x3[2][:6], x4[1][:8], x4[2][:8]),
+            tuple(row[:9] for row in step[:3]), tuple(step[3:]))
+
+
 def splm_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col, coupled, u_half,
                     first_step=0, stride=1):
     """Integrate the rotor perturbation dynamics over n_steps of size h.
 
     The independent variable is rotor azimuth (rad), not wall time.
-    u_half holds the input sampled on the half-step grid (2*n_steps + 1
-    values, an array) so each RK4 stage sees the input at its own
-    abscissa. The matrices and kb_col are (nested) lists of floats, such
-    as SplmParams' unpacked rows.
-    The arithmetic runs on Python floats in the same order as an
-    element-by-element array version, so the result is the same to the
-    bit. The four RK4 stages are written out in the loop body, with no
-    call per stage. Each stage's coupling factor g(beta)/8 is an inline
-    copy of rotor._coupling_gain, kept here because this is the hot loop;
-    both take tan from libm (math.tan), so the trajectory's bits do not
-    depend on numpy's dispatch level. np.tan rounds like libm only at
-    numpy's baseline level; its AVX-512 loop is 1 ulp off on some
+    u_half holds the input on the half-step grid (2*n_steps + 1 values,
+    an array), so each RK4 stage sees the input at its own abscissa. The
+    matrices and kb_col are (nested) lists of floats, such as SplmParams'
+    unpacked rows. Each step is the classic RK4 step in residual form:
+    the stage-1 force residual f = u_j e0 - K_c x - s kb_col, s = g(beta)
+    zeta / 8, in the classic stage's order without damping, then x and v
+    plus _splm_map's rows times z. On the coupled head z holds r_k - r_1,
+    where r_k = tan(b)/(1 - tan b) zeta / 4 = (g - 1) zeta / 8 at stage
+    k's pitch b and lag zeta, which the map's stage rows place. The rows
+    equal the classic step's to rounding. Exact still: with v = 0, a
+    constant input and a zero residual, z is zero and the state stays put
+    to the bit; the same inputs give the same bits; every step's start
+    pitch is checked. tan is libm's (math.tan), as in
+    rotor._coupling_gain: np.tan's AVX-512 loop is 1 ulp off on some
     pitches. An infinite pitch makes math.tan raise ValueError, which
-    rotor.integrate reports as divergence. Only every
-    stride-th row is kept (stride divides n_steps): each chunk of
-    _CHUNK_ROWS kept rows is gathered as one flat list of floats and
-    stored through a flat view of the output, which keeps memory at the
-    size of the output array.
+    rotor.integrate reports as divergence. Only every stride-th row is
+    kept (stride divides n_steps), gathered _CHUNK_ROWS rows at a time
+    as one flat list of floats stored through a flat view of the output.
     Returns the (n_steps // stride + 1) x 6 trajectory at steps 0,
     stride, 2 stride, ...; NumericalDomainError names the step at whose
     start beta is within _SINGULAR_GUARD of pi/4, counted from
     first_step, whether or not its row is kept.
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = Minv
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = C
+    mats = (tuple(tuple(map(float, r)) for r in m) for m in (Minv, C, Kc))
+    stages, dx, dv = _splm_map(float(h), *mats, tuple(map(float, kb_col)))
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = Kc
     kb0, kb1, kb2 = kb_col
-    tan = math.tan
-    quarter_pi = _QUARTER_PI
-    guard = _SINGULAR_GUARD
+    ((z30, z31, z32, z33, z34, z35), (b30, b31, b32, b33, b34, b35),
+     (z40, z41, z42, z43, z44, z45, z46, z47),
+     (b40, b41, b42, b43, b44, b45, b46, b47)) = stages
+    ((p00, p01, p02, p03, p04, p05, p06, p07, p08),
+     (p10, p11, p12, p13, p14, p15, p16, p17, p18),
+     (p20, p21, p22, p23, p24, p25, p26, p27, p28)) = dx
+    ((q00, q01, q02, q03, q04, q05, q06, q07, q08, q09, q0a),
+     (q10, q11, q12, q13, q14, q15, q16, q17, q18, q19, q1a),
+     (q20, q21, q22, q23, q24, q25, q26, q27, q28, q29, q2a)) = dv
+    tan, quarter_pi, guard = math.tan, _QUARTER_PI, _SINGULAR_GUARD
 
     out = np.empty((n_steps // stride + 1, 6))
     out[0] = y0
     flat = out.reshape(-1)
     x0, x1, x2, v0, v1, v2 = out[0].tolist()
     half = 0.5 * h
-    sixth = h / 6.0
-    eg = 0.125  # g(beta) / 8, set per stage on the coupled head
-    # x = [theta, zeta, beta], v = their azimuth derivatives; stage n
-    # evaluates the acceleration M^-1 (u - C V - K_c X - s kb_col) with
-    # s = g(X2) X1 / 8 at stage position X and velocity V:
-    # k1 = (v, a), k2 = (q, b), k3 = (r, c), k4 = (w, d)
+    eg = 0.125  # g(beta) / 8, set per step on the coupled head
+    d2 = d3 = e4 = 0.0  # the remainders, zero on the decoupled head
+    # x = [theta, zeta, beta], v = dx/dpsi, z = (v, f, dm, d2, d3, d4, e4)
     for start in range(0, n_steps, _CHUNK_ROWS * stride):
         stop = min(start + _CHUNK_ROWS * stride, n_steps)
         u = u_half[2 * start:2 * stop + 1].tolist()
         rows = []
         keep = 2 * stride - 2  # j of the step whose end row is kept next
         for j in range(0, 2 * (stop - start), 2):
-            if coupled and -guard < x2 - quarter_pi < guard:
-                raise NumericalDomainError(
-                    f"step {first_step + start + j // 2}: blade pitch "
-                    f"beta={x2!r} is within {guard:g} rad of pi/4, where "
-                    f"g(beta) is singular")
-            um = u[j + 1]
-
-            # stage 1 at (x, v)
+            uj = u[j]
             if coupled:
-                # tan(beta + pi/4) via (1 + tan b)/(1 - tan b): exact 1.0 at beta = 0
-                tb = tan(x2)
-                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
+                if -guard < x2 - quarter_pi < guard:
+                    raise NumericalDomainError(
+                        f"step {first_step + start + j // 2}: blade pitch "
+                        f"beta={x2!r} is within {guard:g} rad of pi/4, "
+                        f"where g(beta) is singular")
+                tb = tan(x2)  # g = (1 + tan b)/(1 - tan b), 1.0 at b = 0
+                d = 1.0 - tb
+                eg = 0.125 * ((1.0 + tb) / d)
+                r1 = 0.25 * tb / d * x1
             s = eg * x1
-            f0 = u[j] - (c00 * v0 + c01 * v1 + c02 * v2) \
-                - (k00 * x0 + k01 * x1 + k02 * x2) - s * kb0
-            f1 = -(c10 * v0 + c11 * v1 + c12 * v2) \
-                - (k10 * x0 + k11 * x1 + k12 * x2) - s * kb1
-            f2 = -(c20 * v0 + c21 * v1 + c22 * v2) \
-                - (k20 * x0 + k21 * x1 + k22 * x2) - s * kb2
-            a0 = m00 * f0 + m01 * f1 + m02 * f2
-            a1 = m10 * f0 + m11 * f1 + m12 * f2
-            a2 = m20 * f0 + m21 * f1 + m22 * f2
-
-            # stage 2 at (x + h/2 v, q)
-            q0 = v0 + half * a0
-            q1 = v1 + half * a1
-            q2 = v2 + half * a2
-            X0 = x0 + half * v0
-            X1 = x1 + half * v1
-            X2 = x2 + half * v2
+            f0 = uj - (k00 * x0 + k01 * x1 + k02 * x2) - s * kb0
+            f1 = -(k10 * x0 + k11 * x1 + k12 * x2) - s * kb1
+            f2 = -(k20 * x0 + k21 * x1 + k22 * x2) - s * kb2
+            dm, d4 = u[j + 1] - uj, u[j + 2] - uj
             if coupled:
-                tb = tan(X2)
-                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
-            s = eg * X1
-            f0 = um - (c00 * q0 + c01 * q1 + c02 * q2) \
-                - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
-            f1 = -(c10 * q0 + c11 * q1 + c12 * q2) \
-                - (k10 * X0 + k11 * X1 + k12 * X2) - s * kb1
-            f2 = -(c20 * q0 + c21 * q1 + c22 * q2) \
-                - (k20 * X0 + k21 * X1 + k22 * X2) - s * kb2
-            b0 = m00 * f0 + m01 * f1 + m02 * f2
-            b1 = m10 * f0 + m11 * f1 + m12 * f2
-            b2 = m20 * f0 + m21 * f1 + m22 * f2
-
-            # stage 3 at (x + h/2 q, r)
-            r0 = v0 + half * b0
-            r1 = v1 + half * b1
-            r2 = v2 + half * b2
-            X0 = x0 + half * q0
-            X1 = x1 + half * q1
-            X2 = x2 + half * q2
-            if coupled:
-                tb = tan(X2)
-                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
-            s = eg * X1
-            f0 = um - (c00 * r0 + c01 * r1 + c02 * r2) \
-                - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
-            f1 = -(c10 * r0 + c11 * r1 + c12 * r2) \
-                - (k10 * X0 + k11 * X1 + k12 * X2) - s * kb1
-            f2 = -(c20 * r0 + c21 * r1 + c22 * r2) \
-                - (k20 * X0 + k21 * X1 + k22 * X2) - s * kb2
-            c0 = m00 * f0 + m01 * f1 + m02 * f2
-            c1 = m10 * f0 + m11 * f1 + m12 * f2
-            c2 = m20 * f0 + m21 * f1 + m22 * f2
-
-            # stage 4 at (x + h r, w)
-            w0 = v0 + h * c0
-            w1 = v1 + h * c1
-            w2 = v2 + h * c2
-            X0 = x0 + h * r0
-            X1 = x1 + h * r1
-            X2 = x2 + h * r2
-            if coupled:
-                tb = tan(X2)
-                eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
-            s = eg * X1
-            f0 = u[j + 2] - (c00 * w0 + c01 * w1 + c02 * w2) \
-                - (k00 * X0 + k01 * X1 + k02 * X2) - s * kb0
-            f1 = -(c10 * w0 + c11 * w1 + c12 * w2) \
-                - (k10 * X0 + k11 * X1 + k12 * X2) - s * kb1
-            f2 = -(c20 * w0 + c21 * w1 + c22 * w2) \
-                - (k20 * X0 + k21 * X1 + k22 * X2) - s * kb2
-            d0 = m00 * f0 + m01 * f1 + m02 * f2
-            d1 = m10 * f0 + m11 * f1 + m12 * f2
-            d2 = m20 * f0 + m21 * f1 + m22 * f2
-
-            x0 = x0 + sixth * (v0 + 2.0 * q0 + 2.0 * r0 + w0)
-            x1 = x1 + sixth * (v1 + 2.0 * q1 + 2.0 * r1 + w1)
-            x2 = x2 + sixth * (v2 + 2.0 * q2 + 2.0 * r2 + w2)
-            v0 = v0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-            v1 = v1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            v2 = v2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+                tb = tan(x2 + half * v2)
+                d2 = 0.25 * tb / (1.0 - tb) * (x1 + half * v1) - r1
+                z = x1 + (z30 * v0 + z31 * v1 + z32 * v2 + z33 * f0
+                          + z34 * f1 + z35 * f2)
+                tb = tan(x2 + (b30 * v0 + b31 * v1 + b32 * v2 + b33 * f0
+                               + b34 * f1 + b35 * f2))
+                d3 = 0.25 * tb / (1.0 - tb) * z - r1
+                z = x1 + (z40 * v0 + z41 * v1 + z42 * v2 + z43 * f0
+                          + z44 * f1 + z45 * f2 + z46 * dm + z47 * d2)
+                tb = tan(x2 + (b40 * v0 + b41 * v1 + b42 * v2 + b43 * f0
+                               + b44 * f1 + b45 * f2 + b46 * dm + b47 * d2))
+                e4 = 0.25 * tb / (1.0 - tb) * z - r1
+            x0 = x0 + (p00 * v0 + p01 * v1 + p02 * v2 + p03 * f0 + p04 * f1
+                       + p05 * f2 + p06 * dm + p07 * d2 + p08 * d3)
+            x1 = x1 + (p10 * v0 + p11 * v1 + p12 * v2 + p13 * f0 + p14 * f1
+                       + p15 * f2 + p16 * dm + p17 * d2 + p18 * d3)
+            x2 = x2 + (p20 * v0 + p21 * v1 + p22 * v2 + p23 * f0 + p24 * f1
+                       + p25 * f2 + p26 * dm + p27 * d2 + p28 * d3)
+            v0, v1, v2 = (
+                v0 + (q00 * v0 + q01 * v1 + q02 * v2 + q03 * f0
+                      + q04 * f1 + q05 * f2 + q06 * dm + q07 * d2
+                      + q08 * d3 + q09 * d4 + q0a * e4),
+                v1 + (q10 * v0 + q11 * v1 + q12 * v2 + q13 * f0
+                      + q14 * f1 + q15 * f2 + q16 * dm + q17 * d2
+                      + q18 * d3 + q19 * d4 + q1a * e4),
+                v2 + (q20 * v0 + q21 * v1 + q22 * v2 + q23 * f0
+                      + q24 * f1 + q25 * f2 + q26 * dm + q27 * d2
+                      + q28 * d3 + q29 * d4 + q2a * e4))
             if j == keep:
                 keep += 2 * stride
                 rows += (x0, x1, x2, v0, v1, v2)

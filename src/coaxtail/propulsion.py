@@ -34,9 +34,11 @@ _THRUST_TOL = 1e-6
 _N_MAX = 350.0  # rev/s search ceiling for rpm solving
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RpmSheet:
-    """Coefficient rows measured at one shaft speed."""
+    """Coefficient rows measured at one shaft speed, each held as a
+    read-only float array. Sheets compare and hash by value: the rpm and
+    the float rows j, ct and cp."""
 
     rpm: float
     j: np.ndarray
@@ -44,9 +46,10 @@ class RpmSheet:
     cp: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
-        ct = np.asarray(self.ct, dtype=float)
-        cp = np.asarray(self.cp, dtype=float)
+        # read-only copies: the value the sheet hashes by must not go stale
+        j = np.array(self.j, dtype=float)
+        ct = np.array(self.ct, dtype=float)
+        cp = np.array(self.cp, dtype=float)
         if not (j.shape == ct.shape == cp.shape) or j.ndim != 1 or j.size == 0:
             raise ConfigError("sheet columns must be equal-length 1-D arrays")
         if not (math.isfinite(self.rpm) and np.isfinite(j).all()
@@ -56,9 +59,19 @@ class RpmSheet:
             raise ConfigError("advance ratios must be strictly increasing")
         if np.any(cp <= 0.0):
             raise ConfigError("power coefficients must be positive")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "ct", ct)
-        object.__setattr__(self, "cp", cp)
+        for name, a in (("j", j), ("ct", ct), ("cp", cp)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_value", (
+            self.rpm, *(tuple(a.tolist()) for a in (j, ct, cp))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value == other._value
+
+    def __hash__(self):
+        return hash(self._value)
 
     def coefficients(self, j):
         """(C_T, C_P) at advance ratio j; single-row sheets are constant."""

@@ -68,12 +68,13 @@ SOLIDITY = BLADE_COUNT * CHORD / (math.pi * RADIUS)  # sigma = N c / (pi R)
 _INPUT_SCALE = 1.0 / (FULL_THROTTLE * LIFT_SLOPE * SOLIDITY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplmParams:
     """Configuration of one swashplateless rotor head; the stock hardware
     around it (blades, torque sensor, throttle map) is module constants.
     The matrices may be given as any 3x3 array-like; each is held as a
-    read-only float array."""
+    read-only float array. Heads compare and hash by value: the variant,
+    the float rows of the three matrices and the two scalars."""
 
     variant: str = "decoupled"
     inertia: np.ndarray = ((1.00, 0.25, 0.00),
@@ -106,6 +107,18 @@ class SplmParams:
         object.__setattr__(self, "_stiffness_rows",
                            self.stiffness_const.tolist())
         object.__setattr__(self, "_kbeta", _kbeta_column(self).tolist())
+        object.__setattr__(self, "_value", (
+            self.variant, *(tuple(map(tuple, m.tolist())) for m in (
+                self.inertia, self.damping, self.stiffness_const)),
+            self.downwash_angle, self.hinge_offset))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value == other._value
+
+    def __hash__(self):
+        return hash(self._value)
 
     @property
     def coupled(self) -> bool:
@@ -119,10 +132,10 @@ def _coupling_gain(beta, coupled):
     decoupled geometry has g = 1. tan is libm's (math.tan), element by
     element for an array, so an angle gives the same bits alone, in an
     array and in the rotor kernel's hot loop (kernels.splm_trajectory),
-    which keeps an inline copy of the expression in each of its four
-    written-out RK4 stages. np.tan would round differently on some
-    angles at numpy's AVX-512 level. An infinite angle is a
-    NumericalDomainError.
+    which keeps an inline copy of the expression for each step's start
+    pitch and takes the same math.tan at its stage pitches. np.tan would
+    round differently on some angles at numpy's AVX-512 level. An
+    infinite angle is a NumericalDomainError.
     """
     if not coupled:
         return 1.0

@@ -461,19 +461,6 @@ class TestConfigIngestion:
         assert params.aft_table.diameter == pytest.approx(0.1778)
 
 
-def _same(a, b):
-    """Field-by-field equality of nested dataclasses holding arrays."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            _same(getattr(a, f.name), getattr(b, f.name))
-            for f in dataclasses.fields(a))
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
-
-
 # one non-default value per scenario key: (section, key, text, part,
 # fields), where part is "spec", "params" or the ScenarioSpec field
 # ("wind", "wing", "lam") that the key sets
@@ -525,7 +512,7 @@ class TestScenarioSchema:
         spec, params = load_scenario(p)
         # an unnamed scenario is "scenario", not ScenarioSpec's "hover"
         assert spec == ScenarioSpec(name="scenario")
-        assert _same(params, VehicleParams())
+        assert params == VehicleParams()
 
     def test_cases_cover_every_key(self):
         assert {(s, k) for s, k, *_ in SCHEMA_CASES} == {
@@ -551,7 +538,7 @@ class TestScenarioSchema:
             want_spec = dataclasses.replace(want_spec, **{
                 part: dataclasses.replace(getattr(want_spec, part), **fields)})
         assert spec == want_spec
-        assert _same(params, want_params)
+        assert params == want_params
 
     def test_gains_file_takes_the_defaults_it_leaves_out(self, tmp_path):
         p = tmp_path / "gains.cfg"

@@ -142,34 +142,213 @@ def test_numpy_baseline_trig_is_libm(numpy_features_off, run_snippet):
                       "arctan2": 0}
 
 
+def random_splm_cases(stride):
+    """The arguments of 120 // stride random rotor runs, in
+    reference_splm_trajectory's order and alternately coupled: step
+    counts around the kernel's chunks of 128 kept rows, random heads and
+    inputs, and a -0.0 state entry in every tenth run."""
+    rng = np.random.default_rng(20261019)
+    counts = [0, stride, 127 * stride, 128 * stride, 129 * stride,
+              257 * stride]
+    for case in range(120 // stride):
+        n = counts[case] if case < len(counts) else stride * int(
+            rng.integers(2, 300 // stride))
+        h = float(rng.uniform(0.005, 0.2))
+        y0 = rng.normal(size=6) * np.array([1.0, 0.1, 0.1, 0.5, 0.1, 0.1])
+        if case % 10 == 0:
+            y0[rng.integers(6)] = -0.0
+        m = np.eye(3) + rng.normal(size=(3, 3)) * 0.1
+        c = np.diag(rng.uniform(0.1, 0.5, 3)) + rng.normal(size=(3, 3)) * 0.05
+        kc = np.diag(rng.uniform(0.1, 2.0, 3)) + rng.normal(size=(3, 3)) * 0.05
+        kb_col = rng.normal(size=3) * 0.5
+        u_half = rng.normal(size=2 * n + 1) * rng.choice([1e-3, 0.1, 1.0])
+        yield (y0, n, h, np.linalg.inv(m), c, kc, kb_col, case % 2 == 0,
+               u_half)
+
+
+def splm_map(h, Minv, C, Kc, kb_col):
+    """kernels._splm_map of (nested) arrays: the step map both the kernel
+    and reference_residual_trajectory apply."""
+    return kernels._splm_map(
+        float(h), *(tuple(tuple(map(float, r)) for r in m)
+                    for m in (Minv, C, Kc)), tuple(map(float, kb_col)))
+
+
+def stage1_residual(x, u, Kc, kb_col, coupled):
+    """The stage-1 force residual u e0 - K_c x - s kb_col, s = g(beta)
+    zeta / 8, in the kernel's operation order."""
+    eg = 0.125
+    if coupled:
+        tb = math.tan(x[2])
+        eg = 0.125 * ((1.0 + tb) / (1.0 - tb))
+    s = eg * x[1]
+    kx = [Kc[i][0] * x[0] + Kc[i][1] * x[1] + Kc[i][2] * x[2]
+          for i in range(3)]
+    return [u - kx[0] - s * kb_col[0], -kx[1] - s * kb_col[1],
+            -kx[2] - s * kb_col[2]]
+
+
+def settle(value, residual, slope):
+    """A float at which residual, a function of that slope, is exactly
+    0.0: three Newton steps from value, then a walk of up to 64 ulps
+    either way."""
+    for _ in range(3):
+        value = value - residual(value) / slope
+    up = down = value
+    for _ in range(64):
+        for v in (up, down):
+            if residual(v) == 0.0:
+                return v
+        up = math.nextafter(up, math.inf)
+        down = math.nextafter(down, -math.inf)
+    raise AssertionError(f"no float near {value!r} zeroes the residual")
+
+
+def reference_residual_trajectory(y0, n_steps, h, Minv, C, Kc, kb_col,
+                                  coupled, u_half):
+    """The rotor kernel's residual form written element by element on
+    numpy arrays, over the same step map: the form kernels.splm_trajectory
+    must reproduce to the bit, lane by lane. z = (v, f, u_m - u_j,
+    r_2 - r_1, r_3 - r_1, u_{j+2} - u_j, r_4 - r_1); the remainders are
+    zero on the decoupled head."""
+    stages, dx, dv = splm_map(h, Minv, C, Kc, kb_col)
+
+    def dot(row, z):  # left to right, as the kernel's written-out sums
+        acc = row[0] * z[0]
+        for k in range(1, len(row)):
+            acc = acc + row[k] * z[k]
+        return acc
+
+    def remainder(zeta, beta):
+        tb = math.tan(beta)
+        return 0.25 * tb / (1.0 - tb) * zeta
+
+    half = 0.5 * h
+    out = np.empty((n_steps + 1, 6))
+    out[0] = y0
+    y = np.array(y0, dtype=float)
+    z = np.zeros(11)
+    for i in range(n_steps):
+        if coupled and abs(y[2] - 0.25 * np.pi) < 1e-6:
+            raise NumericalDomainError(f"step {i}: beta near pi/4")
+        u0, um, u1 = u_half[2 * i:2 * i + 3]
+        z[0:3] = y[3:6]
+        z[3:6] = stage1_residual(y[0:3], u0, Kc, kb_col, coupled)
+        z[6] = um - u0
+        z[9] = u1 - u0
+        if coupled:
+            r1 = remainder(y[1], y[2])
+            z[7] = remainder(y[1] + half * y[4], y[2] + half * y[5]) - r1
+            z[8] = remainder(y[1] + dot(stages[0], z),
+                             y[2] + dot(stages[1], z)) - r1
+            z[10] = remainder(y[1] + dot(stages[2], z),
+                              y[2] + dot(stages[3], z)) - r1
+        for j in range(3):
+            y[j] = y[j] + dot(dx[j], z)
+            y[3 + j] = y[3 + j] + dot(dv[j], z)
+        out[i + 1] = y
+    return out
+
+
 class TestSplmKernel:
     @pytest.mark.parametrize("stride", [1, 2, 4])
-    def test_matches_array_reference_bit_for_bit(self, stride):
-        """Every stride-th row of the reference, to the bit."""
-        rng = np.random.default_rng(20261019)
-        # step counts around the kernel's chunks of 128 kept rows included
-        counts = [0, stride, 127 * stride, 128 * stride, 129 * stride,
-                  257 * stride]
-        for case in range(120 // stride):
-            n = counts[case] if case < len(counts) else stride * int(
-                rng.integers(2, 300 // stride))
-            h = float(rng.uniform(0.005, 0.2))
-            y0 = rng.normal(size=6) * np.array([1.0, 0.1, 0.1, 0.5, 0.1, 0.1])
-            if case % 10 == 0:
-                y0[rng.integers(6)] = -0.0
-            m = np.eye(3) + rng.normal(size=(3, 3)) * 0.1
-            c = np.diag(rng.uniform(0.1, 0.5, 3)) + rng.normal(size=(3, 3)) * 0.05
-            kc = np.diag(rng.uniform(0.1, 2.0, 3)) + rng.normal(size=(3, 3)) * 0.05
-            kb_col = rng.normal(size=3) * 0.5
-            u_half = rng.normal(size=2 * n + 1) * rng.choice([1e-3, 0.1, 1.0])
-            args = (y0, n, h, np.linalg.inv(m), c, kc, kb_col,
-                    case % 2 == 0, u_half)
+    def test_matches_classic_rk4_within_rounding(self, stride):
+        """Every kept row is the classic RK4 reference's stride steps from
+        the kernel's previous kept row, within 1e-13 max(1, max|y|). The
+        reference restarts at each row: a coupled run whose pitch crosses
+        pi/4 between two step starts moves 3e-12 under a 1-ulp change of
+        its start state, so a whole run compares conditioning, not the
+        step."""
+        for args in random_splm_cases(stride):
+            y0, n, h, *head, u_half = args
             got = kernels.splm_trajectory(*splm_lists(args), 0, stride)
-            want = reference_splm_trajectory(*args)[::stride]
             assert got.shape == (n // stride + 1, 6)
+            assert np.isfinite(got).all()
+            for i in range(n // stride):
+                a = 2 * stride * i
+                want = reference_splm_trajectory(
+                    got[i], stride, h, *head,
+                    u_half[a:a + 2 * stride + 1])[-1]
+                bound = 1e-13 * max(1.0, np.abs(want).max())
+                assert np.abs(got[i + 1] - want).max() <= bound, (n, i)
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_matches_residual_form_reference_bit_for_bit(self, stride):
+        """Every stride-th row of the element-by-element residual form, to
+        the bit and in sign bits."""
+        for args in random_splm_cases(stride):
+            got = kernels.splm_trajectory(*splm_lists(args), 0, stride)
+            want = reference_residual_trajectory(*args)[::stride]
             assert np.isfinite(want).all()
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("coupled", [True, False],
+                             ids=["coupled", "decoupled"])
+    def test_rest_with_a_zero_residual_stays_put_to_the_bit(self, coupled,
+                                                            stride):
+        """A state at rest whose stage-1 force residual is exactly zero
+        under a constant input is a fixed point to the bit: every entry
+        of the step map's input is then zero. The kernel-level form of
+        test_bench_then_psd_chain, on the stock head and on random ones."""
+        rng = np.random.default_rng(39)
+        stock = SplmParams()
+        for case in range(6):
+            if case == 0:
+                minv, c = np.linalg.inv(stock.inertia), stock.damping
+                kc = stock.stiffness_const.copy()
+            else:
+                minv = np.linalg.inv(np.eye(3) + rng.normal(size=(3, 3)) * 0.1)
+                c = np.diag(rng.uniform(0.1, 0.5, 3)) \
+                    + rng.normal(size=(3, 3)) * 0.05
+                kc = np.diag(rng.uniform(0.1, 2.0, 3)) \
+                    + rng.normal(size=(3, 3)) * 0.05
+            # a pitch of 2**-3 rad makes k_i2 beta exact. kb_col is set so
+            # that each row's knob below steps on its residual's own grid
+            # (s kb_0 = -K_0 x / 2, s kb_i = -2 (k_i0 x0 + k_i1 x1)): k_12,
+            # k_22 and the input cancel their rows, nudged by ulps to 0.0
+            x = [float(rng.normal()), float(rng.normal()) * 0.1, 0.125]
+            tb = math.tan(x[2]) if coupled else 0.0
+            s = 0.125 * (1.0 + tb) / (1.0 - tb) * x[1]
+            kb_col = np.array([-0.5 * (kc[0] @ x), *(-2.0 * kc[1:, :2]
+                                                     @ x[:2])]) / s
+            u = 0.0
+            for i in (1, 2):
+                def row(k, i=i):
+                    kc[i, 2] = k
+                    return stage1_residual(x, u, kc, kb_col, coupled)[i]
+                kc[i, 2] = settle(kc[i, 2], row, -x[2])
+            u = settle(
+                u, lambda w: stage1_residual(x, w, kc, kb_col, coupled)[0],
+                1.0)
+            assert stage1_residual(x, u, kc, kb_col, coupled) == [0.0] * 3
+            y0 = np.array(x + [0.0, 0.0, 0.0])
+            n = 257 * stride
+            got = kernels.splm_trajectory(
+                *splm_lists((y0, n, 0.13, minv, c, kc, kb_col, coupled,
+                             np.full(2 * n + 1, u))), 0, stride)
+            assert got.shape == (n // stride + 1, 6)
+            assert (got.view(np.int64) == y0.view(np.int64)).all(), case
+
+    def test_cached_maps_are_never_stale(self):
+        """Two heads at two step sizes, interleaved, give the rows of
+        fresh calls made with an empty map cache, and the cache is hit."""
+        runs = [splm_args("coupled", n=300, h=h) for h in (0.05, 0.1)]
+        # the second head: decoupled, with the e = 0.25 hinge's column
+        kb25 = _kbeta_column(SplmParams(hinge_offset=0.25)).tolist()
+        runs += [(*a[:6], kb25, *a[7:]) for a in
+                 (splm_args("decoupled", n=300, h=h) for h in (0.05, 0.1))]
+        fresh = []
+        for args in runs:
+            kernels._splm_map.cache_clear()
+            fresh.append(kernels.splm_trajectory(*args))
+        kernels._splm_map.cache_clear()
+        for k in (0, 2, 1, 3, 0, 3, 2, 1):
+            got = kernels.splm_trajectory(*runs[k])
+            assert (got.view(np.int64) == fresh[k].view(np.int64)).all(), k
+        info = kernels._splm_map.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
 
     @pytest.mark.parametrize("trip_step,stride", [(0, 1), (128, 1), (200, 1),
                                                   (203, 4)],

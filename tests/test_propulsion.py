@@ -158,6 +158,35 @@ def test_stock_values_are_not_arguments(func):
 
 
 class TestRpmSheets:
+    def test_sheets_compare_and_hash_by_value(self):
+        """Sheets are equal, with equal hashes, when their rpm and float
+        rows j, ct and cp are, whatever form the rows were given in; so
+        two loads of one table are equal, and so are VehicleParams that
+        fly them. One entry apart makes sheets unequal. The rows are
+        read-only copies, so that value cannot go stale."""
+        given = np.array([0.0, 0.5])
+        a = RpmSheet(3000.0, [0.0, 0.5], [0.10, 0.08], [0.05, 0.04])
+        b = RpmSheet(3000, given, (0.10, 0.08), [0.05, 0.04])
+        assert a == b and hash(a) == hash(b)
+        given[1] = 0.7
+        assert b.j[1] == 0.5 and b == a
+        for row in (b.j, b.ct, b.cp):
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+        for other in (RpmSheet(3500.0, a.j, a.ct, a.cp),
+                      RpmSheet(3000.0, [0.0, 0.6], a.ct, a.cp),
+                      RpmSheet(3000.0, a.j, [0.10, 0.09], a.cp),
+                      RpmSheet(3000.0, a.j, a.ct, [0.05, 0.045])):
+            assert other != a
+        assert a != (3000.0, a.j, a.ct, a.cp)
+        from coaxtail.vehicle import VehicleParams
+        t = load_propeller_table(PROPS_DIR, "7in")
+        u = load_propeller_table(PROPS_DIR, "7in")
+        assert t == u and hash(t) == hash(u)
+        assert t != load_propeller_table(PROPS_DIR, "16in")
+        p, q = VehicleParams(aft_table=t), VehicleParams(aft_table=u)
+        assert p == q and hash(p) == hash(q)
+
     def two_sheet_table(self):
         lo = RpmSheet(3000.0, [0.0, 1.0], [0.10, 0.10], [0.050, 0.050])
         hi = RpmSheet(6000.0, [0.0, 1.0], [0.12, 0.12], [0.054, 0.054])

@@ -105,6 +105,28 @@ class TestParamsValidation:
             with pytest.raises(ValueError):
                 m[0, 0] = 1.0
 
+    def test_heads_compare_and_hash_by_value(self):
+        """Heads are equal, with equal hashes, when their variant, the
+        float rows of their matrices and their two scalars are, whatever
+        form the matrices were given in; one entry apart makes them
+        unequal. The read-only arrays stay."""
+        a, b = SplmParams(), SplmParams()
+        assert a == b and hash(a) == hash(b)
+        assert not a.damping.flags.writeable
+        c = SplmParams(inertia=a.inertia.tolist(), damping=np.array(
+            a.damping), stiffness_const=tuple(map(tuple, a.stiffness_const)))
+        assert c == a and hash(c) == hash(a)
+        assert dataclasses.replace(a) == a
+        assert len({a, b, c}) == 1
+        for name in ("inertia", "damping", "stiffness_const"):
+            m = getattr(a, name).copy()
+            m[1, 2] = np.nextafter(m[1, 2], 1.0)
+            assert dataclasses.replace(a, **{name: m}) != a, name
+        assert SplmParams(variant="coupled") != a
+        assert SplmParams(downwash_angle=0.13) != a
+        assert SplmParams(hinge_offset=0.21) != a
+        assert a != a.inertia.tolist()
+
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             for name in ("downwash_angle", "hinge_offset"):
